@@ -1,0 +1,13 @@
+"""Make the benchmark modules and ``src/repro`` importable for these tests.
+
+Run from the repository root with
+``PYTHONPATH=src python -m pytest bench/tests -q``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
