@@ -232,9 +232,8 @@ class Bootstrapper:
         half = q1 // 2
 
         def lift(poly: RnsPolynomial) -> RnsPolynomial:
-            centered = [
-                c - q1 if c > half else c for c in poly.to_coeff().limbs[0]
-            ]
+            row = poly.to_coeff().limbs[0]
+            centered = np.where(row > half, row - q1, row)
             return RnsPolynomial.from_int_coeffs(centered, full).to_eval()
 
         return Ciphertext(lift(ct.c0), lift(ct.c1), float(q1))

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import state as obs
 from repro.ring import (
-    Representation,
     RnsBasis,
     RnsPolynomial,
     mod_down,
@@ -252,9 +251,7 @@ class Evaluator:
         basis = RnsBasis(
             poly.basis.degree, [poly.basis.moduli[i] for i in order]
         )
-        return RnsPolynomial(
-            basis, [poly.limbs[i] for i in order], Representation.EVAL
-        )
+        return poly.select_limbs(order, basis)
 
     # ==================================================================
     # Rescale and level management
@@ -276,8 +273,8 @@ class Evaluator:
             return ct
         basis = self.context.basis_at(limbs)
         return Ciphertext(
-            RnsPolynomial(basis, ct.c0.limbs[:limbs], Representation.EVAL),
-            RnsPolynomial(basis, ct.c1.limbs[:limbs], Representation.EVAL),
+            ct.c0.select_limbs(slice(0, limbs), basis),
+            ct.c1.select_limbs(slice(0, limbs), basis),
             ct.scale,
         )
 
@@ -297,13 +294,9 @@ class Evaluator:
             ctx = self.context
             digits = []
             for index_range in ctx.digit_index_ranges(poly.num_limbs):
-                moduli = [poly.basis.moduli[i] for i in index_range]
-                rows = [poly.limbs[i] for i in index_range]
-                digits.append(
-                    RnsPolynomial(
-                        RnsBasis(ctx.degree, moduli), rows, poly.representation
-                    )
-                )
+                rows = slice(index_range.start, index_range.stop)
+                basis = RnsBasis(ctx.degree, poly.basis.moduli[rows])
+                digits.append(poly.select_limbs(rows, basis))
             return digits
 
     def raise_digit(
@@ -312,11 +305,11 @@ class Evaluator:
         """ModUp a digit to ``target`` (the raised basis), reordering limbs."""
         from repro.ring import mod_up
 
-        extension = [m for m in target.moduli if m not in set(digit.basis.moduli)]
+        digit_moduli = set(digit.basis.moduli)
+        extension = [m for m in target.moduli if m not in digit_moduli]
         raised = mod_up(digit, extension)
-        row_of = {m: row for m, row in zip(raised.basis.moduli, raised.limbs)}
-        rows = [row_of[m] for m in target.moduli]
-        return RnsPolynomial(target, rows, Representation.EVAL)
+        row_of = {m: i for i, m in enumerate(raised.basis.moduli)}
+        return raised.select_limbs([row_of[m] for m in target.moduli], target)
 
     def raise_digits(self, poly: RnsPolynomial) -> List[RnsPolynomial]:
         """Decomp + ModUp of every digit (the hoistable prefix of KeySwitch)."""

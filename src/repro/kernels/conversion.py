@@ -17,22 +17,23 @@ the per-coefficient work.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.kernels.ntt import Rows
 from repro.kernels.reduce import mul_mod
 
 __all__ = ["new_limbs_matrix", "sub_scale_mod"]
 
 
 def new_limbs_matrix(
-    coeff_rows: Sequence[Sequence[int]],
+    coeff_rows: Rows,
     moduli: Sequence[int],
     q_hat_inverses: Sequence[int],
     q_stars: Sequence[Sequence[int]],
     targets: Sequence[int],
-) -> List[List[int]]:
+) -> np.ndarray:
     """Fast basis conversion of ``L`` source limbs into ``T`` new limbs.
 
     Implements Eq. (1) of the paper for every target modulus at once:
@@ -47,7 +48,7 @@ def new_limbs_matrix(
         targets: the ``T`` target moduli ``p_t``.
 
     Returns:
-        ``(T, N)`` rows of canonical residues, as plain Python ints.
+        A fresh ``(T, N)`` int64 matrix of canonical residues.
     """
     x = np.asarray(coeff_rows, dtype=np.int64)
     q_col = np.asarray(moduli, dtype=np.int64)[:, np.newaxis]
@@ -63,15 +64,15 @@ def new_limbs_matrix(
         term = mul_mod(scaled[i][np.newaxis, :], stars[:, i][:, np.newaxis], t_col)
         out += term  # both canonical: the sum stays below 2 * p_t < 2**31
         np.subtract(out, t_col, out=out, where=out >= t_col)
-    return out.tolist()
+    return out
 
 
 def sub_scale_mod(
-    minuend_rows: Sequence[Sequence[int]],
-    subtrahend_rows: Sequence[Sequence[int]],
+    minuend_rows: Rows,
+    subtrahend_rows: Rows,
     scales: Sequence[int],
     moduli: Sequence[int],
-) -> List[List[int]]:
+) -> np.ndarray:
     """Fused ModDown tail: ``(a - h) * P^{-1} mod q`` per limb, vectorized.
 
     ``a - h`` lies in ``(-q, q)`` and the per-limb scale is below ``q``,
@@ -83,5 +84,4 @@ def sub_scale_mod(
     h = np.asarray(subtrahend_rows, dtype=np.int64)
     scale_col = np.asarray(scales, dtype=np.int64)[:, np.newaxis]
     q_col = np.asarray(moduli, dtype=np.int64)[:, np.newaxis]
-    result: List[List[int]] = np.remainder((a - h) * scale_col, q_col).tolist()
-    return result
+    return np.remainder((a - h) * scale_col, q_col)

@@ -372,8 +372,9 @@ class BatchNttKernel:
         return self.inverse(mul_mod(ea, eb, self._q_col))
 
     # ------------------------------------------------------------------
-    # List-of-rows adapters: the boundary the (list-backed) ring layer
-    # crosses.  `.tolist()` restores plain Python ints.
+    # List-of-rows adapters for callers holding Python lists; the ring
+    # layer passes its matrices to forward/inverse directly.  `.tolist()`
+    # restores plain Python ints.
     # ------------------------------------------------------------------
     def forward_rows(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
         result: List[List[int]] = self.forward(rows).tolist()

@@ -25,6 +25,7 @@ __all__ = [
     "KERNEL_DIRS",
     "MEMSIM_ACCOUNTING_HOME",
     "MEMSIM_TRACE_HOME",
+    "NUMPY_EXACT_DIRS",
     "PROFILER_HOME",
     "SEEDED_STREAM_FILES",
     "SERVE_HOME",
@@ -54,6 +55,13 @@ EXACT_DIRS = ("numth", "ring")
 #: whole point, so only the numpy-import check is waived there
 #: (:class:`~repro.lint.rules.exact.ExactArithPurity`).
 KERNEL_DIRS = ("kernels",)
+
+#: Exact paths where the numpy-import check is waived: the kernels, and
+#: ``ring/``, whose residue matrices are int64 (moduli below ``2**30``)
+#: or Python-int ``object`` arrays.  Floats, ``/`` and non-exact
+#: ``math.*`` stay banned in both
+#: (:class:`~repro.lint.rules.exact.ExactArithPurity`).
+NUMPY_EXACT_DIRS = KERNEL_DIRS + ("ring",)
 
 #: The sole sanctioned module for host resource sampling
 #: (:class:`~repro.lint.rules.telemetry.TelemetryDiscipline`).

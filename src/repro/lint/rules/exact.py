@@ -24,7 +24,10 @@ residue arrays must stay bit-identical to the oracle — except for the
 numpy-import check, which is waived there because vectorizing over numpy
 is the package's entire purpose (overflow safety is carried by the
 ``q < 2**30`` headroom argument in its module docstrings and enforced by
-the differential tests).
+the differential tests).  ``ring/`` gets the same waiver: its limbs are
+one int64 matrix per element below that bound and a Python-int
+``object`` matrix above it.  ``numth/`` stays numpy-free — it is the
+pure-Python oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import ast
 from typing import Iterable, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import EXACT_DIRS, KERNEL_DIRS
+from repro.lint.program.scopes import EXACT_DIRS, KERNEL_DIRS, NUMPY_EXACT_DIRS
 from repro.lint.registry import register
 
 __all__ = ["ExactArithPurity"]
@@ -51,7 +54,7 @@ class ExactArithPurity(Rule):
     description = (
         "numth/, ring/ and kernels/ are exact integer paths: no `/`, "
         "float/complex literals, float() builtins or non-exact math.*; "
-        "numpy imports are additionally banned outside kernels/"
+        "numpy imports are additionally banned in numth/"
     )
     node_types = (
         ast.BinOp,
@@ -66,8 +69,7 @@ class ExactArithPurity(Rule):
     def visit(
         self, node: ast.AST, ctx: FileContext
     ) -> Optional[Iterable[Finding]]:
-        in_kernels = ctx.in_dir(*KERNEL_DIRS)
-        if not in_kernels and not ctx.in_dir(*EXACT_DIRS):
+        if not ctx.in_dir(*KERNEL_DIRS, *EXACT_DIRS):
             return None
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
             node.op, ast.Div
@@ -119,8 +121,8 @@ class ExactArithPurity(Rule):
                     f"{', '.join(sorted(EXACT_MATH))} are allowed here",
                 )
             ]
-        if in_kernels:
-            # The kernels package exists to vectorize over numpy; the
+        if ctx.in_dir(*NUMPY_EXACT_DIRS):
+            # kernels/ and ring/ vectorize over exact numpy dtypes; the
             # import checks below do not apply there.
             return None
         if isinstance(node, ast.Import):

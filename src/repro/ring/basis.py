@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import kernels
 from repro.kernels.ntt import BatchNttKernel
@@ -25,6 +28,16 @@ def _ntt_for(degree: int, modulus: int) -> NttContext:
         ctx = NttContext(degree, modulus)
         _NTT_CACHE[key] = ctx
     return ctx
+
+
+def limb_dtype(moduli: Sequence[int]) -> np.dtype:
+    """Storage dtype of residues modulo ``moduli``.
+
+    ``int64`` when every modulus is inside the kernels' bound (products
+    of two residues stay below ``2**60``), else ``object`` holding Python
+    ints, so wider moduli stay exact at Python-integer speed.
+    """
+    return np.dtype(np.int64) if kernels.moduli_fit(moduli) else np.dtype(object)
 
 
 def _kernel_for(degree: int, moduli: Tuple[int, ...]) -> BatchNttKernel:
@@ -93,13 +106,42 @@ class RnsBasis:
         return f"RnsBasis(degree={self.degree}, limbs={len(self)}, bits={bits})"
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def modulus(self) -> int:
         """The full modulus ``Q``: product of all limb moduli."""
         product = 1
         for q in self.moduli:
             product *= q
         return product
+
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """Storage dtype of this basis' residue matrices (:func:`limb_dtype`)."""
+        return limb_dtype(self.moduli)
+
+    @cached_property
+    def q_col(self) -> np.ndarray:
+        """The moduli as a read-only ``(l, 1)`` column of :attr:`dtype`.
+
+        Broadcasts against an ``(l, N)`` residue matrix, so one ufunc
+        call reduces every limb by its own modulus.
+        """
+        col = np.array(self.moduli, dtype=self.dtype)[:, np.newaxis]
+        col.flags.writeable = False
+        return col
+
+    def column(self, values: Sequence[int]) -> np.ndarray:
+        """Per-limb constants ``values[i] mod q_i`` as an ``(l, 1)`` column.
+
+        The reduction runs on Python ints, so ``values`` may be arbitrarily
+        wide (e.g. ``P * U_i`` key-generation selectors).
+        """
+        if len(values) != len(self.moduli):
+            raise ValueError(
+                f"expected {len(self.moduli)} per-limb values, got {len(values)}"
+            )
+        residues = [int(v) % q for v, q in zip(values, self.moduli)]
+        return np.array(residues, dtype=self.dtype)[:, np.newaxis]
 
     def ntt(self, index: int) -> NttContext:
         """The NTT plan for limb ``index``."""
@@ -135,6 +177,34 @@ class RnsBasis:
             return None
         return _kernel_for(self.degree, mods)
 
+    def transform(
+        self,
+        rows: np.ndarray,
+        inverse: bool = False,
+        moduli: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Limb-wise forward (or ``inverse``) NTT of a residue matrix.
+
+        ``rows`` holds one canonical row per modulus of ``moduli``
+        (default: this basis).  Runs the batched int64 kernel when
+        :meth:`fast_kernel` / :meth:`fast_kernel_for` offer one, the
+        pure-Python oracle row by row otherwise; both produce identical
+        canonical rows, returned as a fresh array of the moduli's
+        :func:`limb_dtype`.  The oracle call is the only place residues
+        cross into Python lists.
+        """
+        if moduli is None:
+            moduli, kernel = self.moduli, self.fast_kernel()
+        else:
+            kernel = self.fast_kernel_for(moduli)
+        if kernel is not None:
+            return kernel.inverse(rows) if inverse else kernel.forward(rows)
+        out = []
+        for q, row in zip(moduli, rows.tolist()):
+            plan = _ntt_for(self.degree, int(q))
+            out.append(plan.inverse(row) if inverse else plan.forward(row))
+        return np.array(out, dtype=limb_dtype(moduli))
+
     # ------------------------------------------------------------------
     # Derived bases
     # ------------------------------------------------------------------
@@ -161,10 +231,12 @@ class RnsBasis:
     # ------------------------------------------------------------------
     def q_hat_inverses(self) -> List[int]:
         """``(Q/q_i)^{-1} mod q_i`` for each limb — the ``Q~_i`` of Eq. 1."""
+        return list(self._q_hat_inverses)
+
+    @cached_property
+    def _q_hat_inverses(self) -> Tuple[int, ...]:
         total = self.modulus
-        return [
-            mod_inverse(total // q % q, q) for q in self.moduli
-        ]
+        return tuple(mod_inverse(total // q % q, q) for q in self.moduli)
 
     def q_stars_mod(self, target: int) -> List[int]:
         """``(Q/q_i) mod target`` for each limb — the ``Q*_i`` of Eq. 1."""

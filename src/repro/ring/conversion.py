@@ -9,16 +9,18 @@ absorbed into ciphertext noise exactly as in production FHE libraries.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
+
+import numpy as np
 
 from repro import kernels
 from repro.numth.modular import mod_inverse
-from repro.ring.basis import RnsBasis
+from repro.ring.basis import RnsBasis, limb_dtype
 from repro.ring.polynomial import Representation, RnsPolynomial
 
 
 def new_limb(
-    coeff_rows: Sequence[Sequence[int]],
+    coeff_rows: Union[np.ndarray, Sequence[Sequence[int]]],
     source_basis: RnsBasis,
     target_modulus: int,
 ) -> List[int]:
@@ -27,7 +29,9 @@ def new_limb(
     Implements Eq. (1):  ``[x]_p = sum_i [[x]_{q_i} * Q~_i]_{q_i} * Q*_i mod p``.
 
     This is the paper's *slot-wise* operation: each output coefficient needs
-    the matching coefficient from every source limb.
+    the matching coefficient from every source limb.  It is the
+    pure-Python oracle of :func:`repro.kernels.new_limbs_matrix` and works
+    on Python ints throughout.
 
     Args:
         coeff_rows: one residue row per source limb, in coefficient form.
@@ -41,6 +45,8 @@ def new_limb(
         raise ValueError(
             f"got {len(coeff_rows)} rows for a {len(source_basis)}-limb basis"
         )
+    if isinstance(coeff_rows, np.ndarray):
+        coeff_rows = coeff_rows.tolist()
     degree = source_basis.degree
     q_hat_inv = source_basis.q_hat_inverses()
     q_star = source_basis.q_stars_mod(target_modulus)
@@ -54,10 +60,10 @@ def new_limb(
 
 
 def _new_limb_rows(
-    coeff_rows: Sequence[Sequence[int]],
+    coeff_rows: np.ndarray,
     source_basis: RnsBasis,
     targets: Sequence[int],
-) -> List[List[int]]:
+) -> np.ndarray:
     """All of ``targets``' new limbs at once, kernel-dispatched.
 
     The vectorized path (:func:`repro.kernels.new_limbs_matrix`) needs
@@ -78,7 +84,16 @@ def _new_limb_rows(
             [source_basis.q_stars_mod(t) for t in target_list],
             target_list,
         )
-    return [new_limb(coeff_rows, source_basis, t) for t in target_list]
+    rows = coeff_rows.tolist()
+    return np.array(
+        [new_limb(rows, source_basis, t) for t in target_list],
+        dtype=limb_dtype(target_list),
+    )
+
+
+def _stack(basis: RnsBasis, *parts: np.ndarray) -> np.ndarray:
+    """Row blocks concatenated into one fresh matrix of the basis' dtype."""
+    return np.concatenate(parts).astype(basis.dtype, copy=False)
 
 
 def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
@@ -95,17 +110,10 @@ def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
         raise ValueError("extension basis must be non-empty")
     coeff = poly.to_coeff()
     new_rows = _new_limb_rows(coeff.limbs, poly.basis, extension)
-    kernel = poly.basis.fast_kernel_for(extension)
-    if kernel is not None:
-        new_rows = kernel.forward_rows(new_rows)
-    else:
-        new_rows = [
-            poly.basis.ntt_for_modulus(p).forward(row)
-            for p, row in zip(extension, new_rows)
-        ]
-    merged = RnsBasis(poly.basis.degree, poly.basis.moduli + tuple(extension))
+    new_rows = poly.basis.transform(new_rows, moduli=extension)
+    merged = poly.basis.extended(extension)
     return RnsPolynomial._wrap(
-        merged, list(poly.limbs) + new_rows, Representation.EVAL
+        merged, _stack(merged, poly.limbs, new_rows), Representation.EVAL
     )
 
 
@@ -128,26 +136,13 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
     p_product = dropped_basis.modulus
 
     # Line 1 (optimised): only the dropped limbs need coefficient form.
-    dropped_kernel = poly.basis.fast_kernel_for(dropped_basis.moduli)
-    if dropped_kernel is not None:
-        dropped_coeff: List[List[int]] = dropped_kernel.inverse_rows(
-            poly.limbs[keep:]
-        )
-    else:
-        dropped_coeff = [
-            poly.basis.ntt_for_modulus(q).inverse(row)
-            for row, q in zip(poly.limbs[keep:], dropped_basis)
-        ]
+    dropped_coeff = poly.basis.transform(
+        poly.limbs[keep:], inverse=True, moduli=dropped_basis.moduli
+    )
 
     # Line 3: slot-wise conversion of the dropped part into every kept limb.
     hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
-    target_kernel = target_basis.fast_kernel()
-    if target_kernel is not None:
-        hat_evals: List[List[int]] = target_kernel.forward_rows(hats)
-    else:
-        hat_evals = [
-            target_basis.ntt(i).forward(hat) for i, hat in enumerate(hats)
-        ]
+    hat_evals = target_basis.transform(hats)
 
     # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
     p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
@@ -156,12 +151,10 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
             poly.limbs[:keep], hat_evals, p_invs, list(target_basis.moduli)
         )
     else:
-        rows = [
-            [(a - h) * p_inv % q for a, h in zip(row, hat_eval)]
-            for row, hat_eval, p_inv, q in zip(
-                poly.limbs, hat_evals, p_invs, target_basis
-            )
-        ]
+        rows = np.remainder(
+            (poly.limbs[:keep] - hat_evals) * target_basis.column(p_invs),
+            target_basis.q_col,
+        ).astype(target_basis.dtype, copy=False)
     return RnsPolynomial._wrap(target_basis, rows, Representation.EVAL)
 
 
@@ -190,8 +183,8 @@ def p_mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
     for p in extension:
         p_product *= p
     scaled = poly.scalar_mul(p_product)
-    zero_rows = [[0] * poly.basis.degree for _ in extension]
-    merged = RnsBasis(poly.basis.degree, poly.basis.moduli + tuple(extension))
+    merged = poly.basis.extended(extension)
+    zeros = np.zeros((len(extension), poly.basis.degree), dtype=merged.dtype)
     return RnsPolynomial._wrap(
-        merged, list(scaled.limbs) + zero_rows, poly.representation
+        merged, _stack(merged, scaled.limbs, zeros), poly.representation
     )

@@ -1,20 +1,28 @@
 """RNS ring elements with limb-wise and slot-wise views.
 
 An :class:`RnsPolynomial` stores one element of ``R_Q = Z_Q[x]/(x^N + 1)`` as
-``l`` limbs (one residue vector per limb modulus), each either in coefficient
-or evaluation ("NTT") representation.  This mirrors exactly the data layout
-whose movement the performance model accounts for: a *limb-wise* access
-touches one whole row, a *slot-wise* access (basis conversion) touches one
-column across all rows.
+an ``(l, N)`` residue matrix: row ``i`` holds the residues modulo limb
+modulus ``q_i``, either in coefficient or evaluation ("NTT")
+representation.  This mirrors exactly the limb-major data layout whose
+movement the performance model accounts for: a *limb-wise* access touches
+one whole row, a *slot-wise* access (basis conversion) touches one column
+across all rows.
+
+The matrix is one C-contiguous ndarray of the basis' dtype
+(:attr:`RnsBasis.dtype`): ``int64`` for moduli below ``2**30``, where
+products of two residues stay below ``2**60``, and ``object`` (Python
+ints) otherwise.  Every pointwise operation is one ufunc expression over
+the whole matrix, reduced by the basis' ``(l, 1)`` modulus column, and is
+exact for either dtype.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Sequence
+from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.numth.crt import crt_reconstruct
-from repro.numth.modular import centered_mod
+import numpy as np
+
 from repro.ring.basis import RnsBasis
 
 
@@ -25,14 +33,63 @@ class Representation(enum.Enum):
     EVAL = "eval"
 
 
-def _galois_exponent_table(degree: int) -> List[int]:
-    """Exponent ``e_k`` such that forward-NTT output slot ``k`` is ``f(psi^e_k)``.
+# Automorphism index maps, shared process-wide per (N, t).
+_EVAL_PERMS: Dict[Tuple[int, int], np.ndarray] = {}
+_COEFF_PERMS: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
-    Our iterative Cooley-Tukey transform (bit-reversal first, natural-order
-    output) computes ``X[k] = sum_j a_j psi^j omega^{jk} = f(psi^{2k+1})``,
-    so slot ``k`` evaluates the polynomial at ``psi^{2k+1}``.
+
+def _eval_permutation(degree: int, t: int) -> np.ndarray:
+    """Source slot of every output slot of ``f(x) -> f(x^t)`` in eval form.
+
+    Our forward NTT puts ``f(psi^{2k+1})`` in slot ``k``, so output slot
+    ``k`` (which evaluates at ``psi^{(2k+1) t}``) reads the slot whose
+    exponent is ``(2k+1) t mod 2N``.
     """
-    return [(2 * k + 1) % (2 * degree) for k in range(degree)]
+    perm = _EVAL_PERMS.get((degree, t))
+    if perm is None:
+        k = np.arange(degree, dtype=np.int64)
+        perm = ((2 * k + 1) * t % (2 * degree) - 1) // 2
+        perm.flags.writeable = False
+        _EVAL_PERMS[(degree, t)] = perm
+    return perm
+
+
+def _coeff_permutation(degree: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Source index and ``±1`` sign of every output coefficient.
+
+    ``x^j -> x^{jt mod 2N}``, and ``x^{N + e} = -x^e`` in the negacyclic
+    ring.  ``t`` is odd, so ``j -> jt mod N`` is a bijection.
+    """
+    entry = _COEFF_PERMS.get((degree, t))
+    if entry is None:
+        j = np.arange(degree, dtype=np.int64)
+        exps = j * t % (2 * degree)
+        source = np.empty(degree, dtype=np.int64)
+        source[exps % degree] = j
+        sign = np.empty(degree, dtype=np.int64)
+        sign[exps % degree] = np.where(exps < degree, 1, -1)
+        source.flags.writeable = False
+        sign.flags.writeable = False
+        entry = (source, sign)
+        _COEFF_PERMS[(degree, t)] = entry
+    return entry
+
+
+def _as_int_array(values: object) -> np.ndarray:
+    """``values`` as an int64 array, or as Python-int objects if too wide."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _reduce(values: np.ndarray, basis: RnsBasis) -> np.ndarray:
+    """Fresh canonical ``values mod q_i`` rows in the basis' dtype.
+
+    ``np.remainder`` follows Python's ``%`` sign rule, so negative inputs
+    land in ``[0, q)`` exactly as the scalar oracle would put them.
+    """
+    return np.remainder(values, basis.q_col).astype(basis.dtype, copy=False)
 
 
 class RnsPolynomial:
@@ -40,8 +97,12 @@ class RnsPolynomial:
 
     Attributes:
         basis: the :class:`RnsBasis` the limbs live over.
-        limbs: ``len(basis)`` rows of ``basis.degree`` residues each.
+        limbs: ``(len(basis), basis.degree)`` ndarray of canonical residues
+            (dtype :attr:`RnsBasis.dtype`); row ``i`` is limb ``i``.
         representation: whether rows hold coefficients or NTT evaluations.
+
+    Elements are values: every operation returns a new element that owns
+    its matrix, so no two elements share rows.
     """
 
     __slots__ = ("basis", "limbs", "representation")
@@ -49,22 +110,17 @@ class RnsPolynomial:
     def __init__(
         self,
         basis: RnsBasis,
-        limbs: Sequence[Sequence[int]],
+        limbs: Union[np.ndarray, Sequence[Sequence[int]]],
         representation: Representation,
     ):
-        if len(limbs) != len(basis):
+        rows = _as_int_array(limbs)
+        if rows.shape != (len(basis), basis.degree):
             raise ValueError(
-                f"expected {len(basis)} limbs, got {len(limbs)}"
+                f"expected {len(basis)} limbs of {basis.degree} residues, "
+                f"got shape {rows.shape}"
             )
-        for row, q in zip(limbs, basis):
-            if len(row) != basis.degree:
-                raise ValueError(
-                    f"limb length {len(row)} does not match degree {basis.degree}"
-                )
         self.basis = basis
-        self.limbs: List[List[int]] = [
-            [c % q for c in row] for row, q in zip(limbs, basis)
-        ]
+        self.limbs: np.ndarray = _reduce(rows, basis)
         self.representation = representation
 
     # ------------------------------------------------------------------
@@ -74,16 +130,16 @@ class RnsPolynomial:
     def _wrap(
         cls,
         basis: RnsBasis,
-        rows: List[List[int]],
+        rows: np.ndarray,
         representation: Representation,
     ) -> "RnsPolynomial":
-        """Trusted constructor for rows that are already canonical.
+        """Trusted constructor for a matrix that is already canonical.
 
-        Internal call sites (NTT outputs, ``_zip_with`` results, kernel
-        rows) always produce residues in ``[0, q)`` with the right
-        shape, so the public constructor's per-coefficient ``% q``
-        normalisation pass would be pure overhead.  The wrapped object
-        takes ownership of ``rows``.
+        Internal call sites (NTT outputs, ufunc results, row selections)
+        always produce a fresh ``(len(basis), N)`` matrix of residues in
+        ``[0, q)`` in the basis' dtype, so the public constructor's
+        conversion and ``% q`` pass would be pure overhead.  The wrapped
+        object takes ownership of ``rows``.
         """
         poly = cls.__new__(cls)
         poly.basis = basis
@@ -95,25 +151,42 @@ class RnsPolynomial:
     def zero(
         cls, basis: RnsBasis, representation: Representation = Representation.EVAL
     ) -> "RnsPolynomial":
-        rows = [[0] * basis.degree for _ in basis]
+        rows = np.zeros((len(basis), basis.degree), dtype=basis.dtype)
         return cls._wrap(basis, rows, representation)
 
     @classmethod
     def from_int_coeffs(
         cls, coeffs: Sequence[int], basis: RnsBasis
     ) -> "RnsPolynomial":
-        """Build from integer coefficients (possibly negative), coeff form."""
+        """Build from integer coefficients (any size or sign), coeff form."""
         if len(coeffs) != basis.degree:
             raise ValueError(
                 f"expected {basis.degree} coefficients, got {len(coeffs)}"
             )
-        rows = [[c % q for c in coeffs] for q in basis]
+        rows = _reduce(_as_int_array(coeffs), basis)
         return cls._wrap(basis, rows, Representation.COEFF)
 
     def clone(self) -> "RnsPolynomial":
         return RnsPolynomial._wrap(
-            self.basis, [row[:] for row in self.limbs], self.representation
+            self.basis, self.limbs.copy(), self.representation
         )
+
+    def select_limbs(
+        self, index: Union[slice, Sequence[int]], basis: RnsBasis
+    ) -> "RnsPolynomial":
+        """Rows ``index`` (a slice or index list) as an element over ``basis``.
+
+        Dropping or reordering limbs is exact bookkeeping in either
+        representation: level reduction, digit decomposition, key
+        restriction.  The result owns a copy of the rows, so writing to
+        it never reaches ``self``.
+        """
+        rows = self.limbs[index].astype(basis.dtype)
+        if rows.shape != (len(basis), basis.degree):
+            raise ValueError(
+                f"selected {rows.shape[0]} limbs for a {len(basis)}-limb basis"
+            )
+        return RnsPolynomial._wrap(basis, rows, self.representation)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -127,7 +200,7 @@ class RnsPolynomial:
             isinstance(other, RnsPolynomial)
             and self.basis == other.basis
             and self.representation == other.representation
-            and self.limbs == other.limbs
+            and bool(np.array_equal(self.limbs, other.limbs))
         )
 
     def __repr__(self) -> str:
@@ -137,14 +210,23 @@ class RnsPolynomial:
         )
 
     def to_int_coeffs(self, centered: bool = True) -> List[int]:
-        """CRT-reconstruct the integer coefficient vector (coeff form only)."""
+        """CRT-reconstruct the integer coefficient vector as Python ints.
+
+        ``x = sum_i [x_i * Q~_i]_{q_i} * (Q/q_i) mod Q``: the per-limb
+        products run in the basis' dtype, only the final weighted sum
+        needs Python integers.  Centered output lies in ``(-Q/2, Q/2]``.
+        """
         poly = self.to_coeff()
-        moduli = list(poly.basis.moduli)
-        total = poly.basis.modulus
-        out = []
-        for j in range(poly.basis.degree):
-            value = crt_reconstruct([row[j] for row in poly.limbs], moduli)
-            out.append(centered_mod(value, total) if centered else value)
+        basis = poly.basis
+        total = basis.modulus
+        y = np.remainder(
+            poly.limbs * basis.column(basis.q_hat_inverses()), basis.q_col
+        )
+        q_stars = np.array([total // q for q in basis.moduli], dtype=object)
+        acc = (y.astype(object) * q_stars[:, np.newaxis]).sum(axis=0) % total
+        if centered:
+            acc = np.where(acc > total // 2, acc - total, acc)
+        out: List[int] = acc.tolist()
         return out
 
     # ------------------------------------------------------------------
@@ -159,14 +241,7 @@ class RnsPolynomial:
         """
         if self.representation is Representation.EVAL:
             return self
-        kernel = self.basis.fast_kernel()
-        if kernel is not None:
-            rows = kernel.forward_rows(self.limbs)
-        else:
-            rows = [
-                self.basis.ntt(i).forward(row)
-                for i, row in enumerate(self.limbs)
-            ]
+        rows = self.basis.transform(self.limbs)
         return RnsPolynomial._wrap(self.basis, rows, Representation.EVAL)
 
     def to_coeff(self) -> "RnsPolynomial":
@@ -176,22 +251,13 @@ class RnsPolynomial:
         """
         if self.representation is Representation.COEFF:
             return self
-        kernel = self.basis.fast_kernel()
-        if kernel is not None:
-            rows = kernel.inverse_rows(self.limbs)
-        else:
-            rows = [
-                self.basis.ntt(i).inverse(row)
-                for i, row in enumerate(self.limbs)
-            ]
+        rows = self.basis.transform(self.limbs, inverse=True)
         return RnsPolynomial._wrap(self.basis, rows, Representation.COEFF)
 
     # ------------------------------------------------------------------
     # Arithmetic (limb-wise)
     # ------------------------------------------------------------------
-    def _zip_with(
-        self, other: "RnsPolynomial", op: Callable[[int, int, int], int]
-    ) -> "RnsPolynomial":
+    def _check_operand(self, other: "RnsPolynomial") -> None:
         if self.basis != other.basis:
             raise ValueError("operands live over different bases")
         if self.representation is not other.representation:
@@ -199,35 +265,44 @@ class RnsPolynomial:
                 f"representation mismatch: {self.representation} vs "
                 f"{other.representation}"
             )
-        rows = [
-            [op(a, b, q) for a, b in zip(ra, rb)]
-            for ra, rb, q in zip(self.limbs, other.limbs, self.basis)
-        ]
+
+    def _with_rows(self, rows: np.ndarray) -> "RnsPolynomial":
         return RnsPolynomial._wrap(self.basis, rows, self.representation)
 
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        return self._zip_with(other, lambda a, b, q: (a + b) % q)
+        self._check_operand(other)
+        return self._with_rows(
+            np.remainder(self.limbs + other.limbs, self.basis.q_col)
+        )
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        return self._zip_with(other, lambda a, b, q: (a - b) % q)
+        self._check_operand(other)
+        return self._with_rows(
+            np.remainder(self.limbs - other.limbs, self.basis.q_col)
+        )
 
     def __neg__(self) -> "RnsPolynomial":
-        rows = [[(-a) % q for a in row] for row, q in zip(self.limbs, self.basis)]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        return self._with_rows(np.remainder(-self.limbs, self.basis.q_col))
 
     def __mul__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Ring multiplication; both operands must be in evaluation form."""
         if self.representation is not Representation.EVAL:
             raise ValueError("ring multiplication requires evaluation form")
-        return self._zip_with(other, lambda a, b, q: a * b % q)
+        self._check_operand(other)
+        return self._with_rows(
+            np.remainder(self.limbs * other.limbs, self.basis.q_col)
+        )
 
     def scalar_mul(self, scalar: int) -> "RnsPolynomial":
-        """Multiply by an integer scalar (valid in either representation)."""
-        rows = [
-            [a * (scalar % q) % q for a in row]
-            for row, q in zip(self.limbs, self.basis)
-        ]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        """Multiply by an integer scalar (valid in either representation).
+
+        The scalar may be arbitrarily wide; it is reduced modulo each limb
+        as a Python int before it meets the matrix.
+        """
+        column = self.basis.column([scalar] * self.num_limbs)
+        return self._with_rows(
+            np.remainder(self.limbs * column, self.basis.q_col)
+        )
 
     def limb_scalar_mul(self, scalars: Sequence[int]) -> "RnsPolynomial":
         """Multiply limb ``i`` by ``scalars[i]`` (per-limb constants)."""
@@ -235,11 +310,10 @@ class RnsPolynomial:
             raise ValueError(
                 f"expected {self.num_limbs} scalars, got {len(scalars)}"
             )
-        rows = [
-            [a * (s % q) % q for a in row]
-            for row, s, q in zip(self.limbs, scalars, self.basis)
-        ]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        column = self.basis.column(scalars)
+        return self._with_rows(
+            np.remainder(self.limbs * column, self.basis.q_col)
+        )
 
     # ------------------------------------------------------------------
     # Galois automorphisms
@@ -250,37 +324,17 @@ class RnsPolynomial:
         In coefficient form this permutes coefficients with sign flips
         (``x^j -> ± x^{jt mod N}``); in evaluation form it is a pure
         permutation of the evaluation points — which is why the paper's
-        ``Automorph`` sub-operation costs zero modular operations.
+        ``Automorph`` sub-operation costs zero modular operations.  Both
+        are one gather over the whole matrix.
         """
-        two_n = 2 * self.basis.degree
-        t = t % two_n
+        n = self.basis.degree
+        t = t % (2 * n)
         if t % 2 == 0:
             raise ValueError(f"automorphism index must be odd, got {t}")
-        if self.representation is Representation.COEFF:
-            return self._automorph_coeff(t)
-        return self._automorph_eval(t)
-
-    def _automorph_coeff(self, t: int) -> "RnsPolynomial":
-        n = self.basis.degree
-        two_n = 2 * n
-        rows = []
-        for row, q in zip(self.limbs, self.basis):
-            out = [0] * n
-            for j, a in enumerate(row):
-                e = j * t % two_n
-                if e < n:
-                    out[e] = (out[e] + a) % q
-                else:
-                    out[e - n] = (out[e - n] - a) % q
-            rows.append(out)
-        return RnsPolynomial._wrap(self.basis, rows, Representation.COEFF)
-
-    def _automorph_eval(self, t: int) -> "RnsPolynomial":
-        n = self.basis.degree
-        two_n = 2 * n
-        exps = _galois_exponent_table(n)
-        index_of_exp = {e: k for k, e in enumerate(exps)}
-        # Slot k of the output evaluates f at psi^{e_k * t}.
-        source = [index_of_exp[exps[k] * t % two_n] for k in range(n)]
-        rows = [[row[s] for s in source] for row in self.limbs]
-        return RnsPolynomial._wrap(self.basis, rows, Representation.EVAL)
+        if self.representation is Representation.EVAL:
+            return self._with_rows(
+                np.take(self.limbs, _eval_permutation(n, t), axis=1)
+            )
+        source, sign = _coeff_permutation(n, t)
+        gathered = np.take(self.limbs, source, axis=1)
+        return self._with_rows(np.remainder(gathered * sign, self.basis.q_col))

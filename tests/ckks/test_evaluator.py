@@ -306,8 +306,15 @@ class TestKeySwitchInternals:
     def test_decompose_preserves_rows(self, encryptor, evaluator, z1):
         ct = encryptor.encrypt_values(z1)
         digits = evaluator.decompose(ct.c1)
-        reassembled = [row for digit in digits for row in digit.limbs]
-        assert reassembled == list(ct.c1.limbs)
+        reassembled = np.concatenate([digit.limbs for digit in digits])
+        assert np.array_equal(reassembled, ct.c1.limbs)
+
+    def test_row_selections_own_their_rows(self, encryptor, evaluator, z1):
+        ct = encryptor.encrypt_values(z1)
+        before = ct.c1.limbs.copy()
+        evaluator.decompose(ct.c1)[0].limbs[...] = 0
+        evaluator.reduce_level(ct, 2).c1.limbs[...] = 0
+        assert np.array_equal(ct.c1.limbs, before)
 
     def test_raised_digits_live_over_raised_basis(self, ctx, encryptor, evaluator, z1):
         ct = encryptor.encrypt_values(z1, limbs=4)

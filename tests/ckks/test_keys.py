@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.params.presets import toy_params
@@ -64,6 +65,21 @@ class TestSwitchingKeys:
         for b, a in restricted:
             assert b.basis == raised
             assert b.num_limbs == limbs + len(ctx.special_moduli)
+
+    def test_restriction_owns_its_rows(self, ctx, keygen):
+        key = keygen.relinearization_key()
+        before = [(b.limbs.copy(), a.limbs.copy()) for b, a in key.digits]
+        for b, a in key.restricted(2, ctx):
+            b.limbs[...] = 0
+            a.limbs[...] = 0
+        for (b, a), (b0, a0) in zip(key.digits, before):
+            assert np.array_equal(b.limbs, b0)
+            assert np.array_equal(a.limbs, a0)
+
+    def test_stored_bytes_counts_every_residue(self, ctx, keygen):
+        key = KeyGenerator(ctx, compress_keys=False).relinearization_key()
+        raised = ctx.raised_basis(ctx.max_limbs)
+        assert key.stored_bytes() == 2 * key.dnum * len(raised) * ctx.degree * 8
 
     def test_restriction_cached(self, ctx, keygen):
         key = keygen.relinearization_key()

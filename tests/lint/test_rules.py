@@ -269,6 +269,27 @@ class TestExactArithPurity:
         assert all(f.line == 5 for f in result.findings)
         assert len(result.findings) == 2
 
+    def test_ring_allows_numpy_but_stays_float_free(self, lint_tree):
+        result = lint_tree(
+            {
+                "ring/polynomial.py": """
+                import numpy as np
+
+                def halve(limbs):
+                    return limbs * 0.5
+                """,
+                "numth/crt.py": """
+                import numpy as np
+                """,
+            },
+            rules=["ExactArithPurity"],
+        )
+        # ring/ may import numpy, but its float literal is still flagged;
+        # numth/ (the pure-Python oracle) may not import numpy at all.
+        assert sorted(
+            (f.path.split("/")[-2], f.line) for f in result.findings
+        ) == [("numth", 2), ("ring", 5)]
+
     def test_floats_allowed_outside_exact_paths(self, lint_tree):
         result = lint_tree(
             {

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,8 +36,7 @@ class TestNewLimb:
         # For x with tiny residue contributions the conversion is exact.
         coeffs = [5] + [0] * 15
         poly = _poly_from(coeffs, basis)
-        row = new_limb(poly.limbs, basis, 97 * 32 + 1 if False else 577)
-        # 577 = 1 mod 32, prime.
+        row = new_limb(poly.limbs, basis, 577)  # 577 = 1 mod 32, prime.
         assert row[0] % 577 in {5 % 577, (5 + basis.modulus) % 577,
                                 (5 + 2 * basis.modulus) % 577}
 
@@ -64,7 +64,7 @@ class TestModUp:
         coeffs = [rng.randrange(-500, 500) for _ in range(16)]
         poly = _poly_from(coeffs, basis).to_eval()
         raised = mod_up(poly, extension)
-        assert raised.limbs[: len(basis)] == list(poly.limbs)
+        assert np.array_equal(raised.limbs[: len(basis)], poly.limbs)
         assert raised.basis.moduli == basis.moduli + tuple(extension)
 
     def test_output_in_eval_form(self, basis, extension):

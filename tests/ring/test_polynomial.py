@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,7 +129,7 @@ class TestArithmetic:
         scalars = [3, 5, 7]
         result = pa.limb_scalar_mul(scalars)
         for row, orig, s, q in zip(result.limbs, pa.limbs, scalars, basis):
-            assert row == [a * s % q for a in orig]
+            assert np.array_equal(row, [a * s % q for a in orig])
 
     def test_limb_scalar_mul_length_checked(self, basis):
         _, pa = _random_poly(basis, seed=17)

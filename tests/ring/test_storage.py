@@ -1,0 +1,173 @@
+"""The ``(limbs, N)`` ndarray storage of RnsPolynomial.
+
+Every operation is checked against a pure-Python-int reference at
+``N = 16`` for an int64 basis (30-bit moduli) and an object basis
+(40-bit moduli), on boundary residues (0, 1, q-1) and operands far wider
+than a machine word.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.numth.crt import crt_reconstruct
+from repro.numth.modular import centered_mod
+from repro.ring import Representation, RnsBasis, RnsPolynomial
+
+DEGREE = 16
+WIDE = 2**600
+
+
+@pytest.fixture(scope="module", params=[30, 40], ids=["int64", "object"])
+def basis(request):
+    return RnsBasis.generate(DEGREE, request.param, 3)
+
+
+def _rows(basis, seed, boundary):
+    """Per limb: ``boundary(q)`` first, random residues after."""
+    rng = random.Random(seed)
+    rows = []
+    for q in basis.moduli:
+        head = boundary(q)
+        rows.append(head + [rng.randrange(q) for _ in range(DEGREE - len(head))])
+    return rows
+
+
+def _pair(basis, form=Representation.EVAL):
+    """Two elements whose first 9 slots pair every boundary residue."""
+    a = _rows(basis, 1, lambda q: [0, 0, 0, 1, 1, 1, q - 1, q - 1, q - 1])
+    b = _rows(basis, 2, lambda q: [0, 1, q - 1] * 3)
+    return RnsPolynomial(basis, a, form), RnsPolynomial(basis, b, form)
+
+
+def _apply(rows_a, rows_b, moduli, fn):
+    return [
+        [fn(x, y) % q for x, y in zip(ra, rb)]
+        for ra, rb, q in zip(rows_a, rows_b, moduli)
+    ]
+
+
+class TestLayout:
+    def test_dtype_follows_the_moduli(self, basis):
+        a, _ = _pair(basis)
+        fits = max(basis.moduli) < 2**30
+        assert basis.dtype == np.dtype(np.int64 if fits else object)
+        assert a.limbs.dtype == basis.dtype
+        assert a.limbs.shape == (len(basis), DEGREE)
+
+    def test_results_are_fresh_c_contiguous_matrices(self, basis):
+        a, b = _pair(basis)
+        for out in (a + b, a * b, -a, a.automorph(3), a.to_coeff(), a.clone()):
+            assert out.limbs.dtype == basis.dtype
+            assert out.limbs.flags.c_contiguous
+            assert not np.shares_memory(out.limbs, a.limbs)
+
+    def test_constructor_checks_shape_and_canonicalizes(self, basis):
+        q = basis.moduli
+        rows = [[-1, qi, qi + 5, -(2**100)] + [0] * (DEGREE - 4) for qi in q]
+        poly = RnsPolynomial(basis, rows, Representation.COEFF)
+        assert poly.limbs.tolist() == [[c % qi for c in row] for row, qi in zip(rows, q)]
+        with pytest.raises(ValueError):
+            RnsPolynomial(basis, rows[:-1], Representation.COEFF)
+        with pytest.raises(ValueError):
+            RnsPolynomial(basis, [row[:-1] for row in rows], Representation.COEFF)
+
+
+class TestPointwiseAgainstPythonInts:
+    @pytest.mark.parametrize(
+        "op, fn",
+        [
+            ("add", lambda x, y: x + y),
+            ("sub", lambda x, y: x - y),
+            ("mul", lambda x, y: x * y),
+        ],
+    )
+    def test_binary_ops(self, basis, op, fn):
+        a, b = _pair(basis)
+        got = {"add": a + b, "sub": a - b, "mul": a * b}[op]
+        want = _apply(a.limbs.tolist(), b.limbs.tolist(), basis.moduli, fn)
+        assert got.limbs.tolist() == want
+
+    def test_neg(self, basis):
+        a, _ = _pair(basis)
+        assert (-a).limbs.tolist() == [
+            [-x % q for x in row] for row, q in zip(a.limbs.tolist(), basis.moduli)
+        ]
+
+    @pytest.mark.parametrize("scalar", [0, 1, -1, WIDE, -WIDE, WIDE + 1])
+    def test_scalar_mul(self, basis, scalar):
+        a, _ = _pair(basis)
+        assert a.scalar_mul(scalar).limbs.tolist() == [
+            [x * scalar % q for x in row]
+            for row, q in zip(a.limbs.tolist(), basis.moduli)
+        ]
+
+    def test_limb_scalar_mul(self, basis):
+        a, _ = _pair(basis)
+        scalars = [WIDE, -WIDE, -1]
+        assert a.limb_scalar_mul(scalars).limbs.tolist() == [
+            [x * s % q for x in row]
+            for row, s, q in zip(a.limbs.tolist(), scalars, basis.moduli)
+        ]
+
+    def test_from_int_coeffs_takes_wide_coefficients(self, basis):
+        rng = random.Random(3)
+        head = [2**100, -(2**100), 2**100 - 1, 1 - 2**100, 0, 1, -1]
+        coeffs = head + [
+            rng.randrange(-(2**100), 2**100) for _ in range(DEGREE - len(head))
+        ]
+        poly = RnsPolynomial.from_int_coeffs(coeffs, basis)
+        assert poly.limbs.dtype == basis.dtype
+        assert poly.limbs.tolist() == [[c % q for c in coeffs] for q in basis.moduli]
+
+
+def _ref_coeff_automorph(rows, moduli, t):
+    n = len(rows[0])
+    out = []
+    for row, q in zip(rows, moduli):
+        new = [0] * n
+        for j, a in enumerate(row):
+            e = j * t % (2 * n)
+            if e < n:
+                new[e] = (new[e] + a) % q
+            else:
+                new[e - n] = (new[e - n] - a) % q
+        out.append(new)
+    return out
+
+
+def _ref_eval_automorph(rows, t):
+    n = len(rows[0])
+    # Slot k holds f(psi^{2k+1}); output slot k reads exponent (2k+1)t.
+    slot_of_exp = {2 * k + 1: k for k in range(n)}
+    source = [slot_of_exp[(2 * k + 1) * t % (2 * n)] for k in range(n)]
+    return [[row[s] for s in source] for row in rows]
+
+
+class TestAutomorph:
+    @pytest.mark.parametrize("t", range(1, 2 * DEGREE, 2))
+    def test_every_odd_index_in_both_forms(self, basis, t):
+        coeff, _ = _pair(basis, Representation.COEFF)
+        evals, _ = _pair(basis, Representation.EVAL)
+        assert coeff.automorph(t).limbs.tolist() == _ref_coeff_automorph(
+            coeff.limbs.tolist(), basis.moduli, t
+        )
+        assert evals.automorph(t).limbs.tolist() == _ref_eval_automorph(
+            evals.limbs.tolist(), t
+        )
+        assert coeff.automorph(t).to_eval() == coeff.to_eval().automorph(t)
+
+
+class TestCrt:
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_matches_the_scalar_oracle_as_python_ints(self, basis, centered):
+        poly, _ = _pair(basis, Representation.COEFF)
+        got = poly.to_int_coeffs(centered=centered)
+        assert all(type(c) is int for c in got)
+        total = basis.modulus
+        columns = zip(*poly.limbs.tolist())
+        want = [crt_reconstruct(list(col), list(basis.moduli)) for col in columns]
+        if centered:
+            want = [centered_mod(v, total) for v in want]
+        assert got == want
