@@ -17,12 +17,12 @@ runners) regenerates and uploads the real number on every push.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 from pathlib import Path
 
-from repro.sweep import build_preset, run_sweep
+from repro.obs import schema
+from repro.sweep import SWEEP_SPEEDUP, build_preset, run_sweep
 
 DEFAULT_OUT = Path(__file__).parent / "baselines" / "sweep_speedup.json"
 
@@ -40,7 +40,7 @@ def measure(quick: bool, jobs: int) -> dict:
     ] != [r for r in parallel.rows]:
         raise SystemExit("parallel sweep diverged from serial: refusing to record")
     return {
-        "schema": "repro.sweep_speedup/v1",
+        "schema": SWEEP_SPEEDUP.id,
         "sweep": spec.name,
         "points": spec.size,
         "quick": quick,
@@ -64,9 +64,7 @@ def main() -> int:
     parser.add_argument("--out", default=str(DEFAULT_OUT))
     args = parser.parse_args()
     record = measure(args.quick, args.jobs)
-    with open(args.out, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    schema.write(record, SWEEP_SPEEDUP, args.out)
     print(
         f"{record['sweep']}: {record['points']} points, "
         f"serial {record['serial_seconds']}s vs jobs={record['jobs']} "

@@ -19,9 +19,10 @@ import pytest
 from repro.memsim.validate import (
     DEFAULT_TOLERANCE,
     EXPECTED_FIT_BREAKS,
+    MEMSIM_REPORT,
     run_validation,
-    validate_memsim_report,
 )
+from repro.obs import schema
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def test_memsim_ladder_validates(benchmark, report):
         iterations=1,
     )
     assert sampled["passed"]
-    validate_memsim_report(report)
+    schema.validate(report, MEMSIM_REPORT)
     assert report["passed"], "differential validation failed"
 
     print(f"\n{'Rung':18} {'Cache':>7} {'worst |rel|':>12} {'breaks':>7}")

@@ -235,12 +235,13 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.obs import schema
     from repro.obs import state as obs
     from repro.obs.export import (
+        RUN_REPORT,
         attribute_runtime,
         build_run_report,
         render_flat_profile,
-        validate_run_report,
         write_chrome_trace,
     )
 
@@ -327,19 +328,18 @@ def _cmd_trace(args) -> int:
             config=asdict(config),
             runtime=runtime,
         )
-        validate_run_report(report)
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
+        schema.write(report, RUN_REPORT, args.report)
         print(f"wrote run report to {args.report}")
     return 0
 
 
 def _cmd_diff(args) -> int:
+    from repro.obs import schema
     from repro.obs.diff import (
+        COST_DIFF,
         build_overlay_trace,
         diff_run_reports,
         render_attribution_table,
-        write_cost_diff,
     )
 
     with open(args.base) as handle:
@@ -354,7 +354,7 @@ def _cmd_diff(args) -> int:
     )
     print(render_attribution_table(diff, top=args.top))
     if args.json:
-        write_cost_diff(diff, args.json)
+        schema.write(diff, COST_DIFF, args.json)
         print(f"\nwrote cost diff to {args.json}")
     if args.overlay:
         with open(args.overlay, "w") as handle:
@@ -395,11 +395,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_kernels(args) -> int:
     """Differential parity (and optionally speedup) of the int64 kernels."""
-    from repro.kernels.check import (
-        render_report,
-        run_check,
-        validate_kernels_report,
-    )
+    from repro.kernels.check import render_report, run_check
 
     degrees = [int(d.strip()) for d in args.degrees.split(",") if d.strip()]
     if not degrees:
@@ -412,7 +408,6 @@ def _cmd_kernels(args) -> int:
         parity_only=args.parity_only,
         seed=args.seed,
     )
-    validate_kernels_report(report)
     if args.json:
         _print_json(report)
     else:
@@ -423,10 +418,11 @@ def _cmd_kernels(args) -> int:
 def _cmd_memsim(args) -> int:
     from repro.memsim.validate import (
         LADDER_PRIMITIVES,
+        MEMSIM_REPORT,
         render_report,
         run_validation,
-        validate_memsim_report,
     )
+    from repro.obs import schema
 
     primitives = None
     if args.primitive:
@@ -452,10 +448,8 @@ def _cmd_memsim(args) -> int:
         primitives=primitives,
         jobs=args.jobs,
     )
-    validate_memsim_report(report)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
+        schema.write(report, MEMSIM_REPORT, args.out)
     if args.json:
         _print_json(report)
     else:
@@ -502,35 +496,18 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _run_sweep_with_telemetry(args, spec, command, workload, resume=None):
+    """``run_sweep`` under the ``--events`` / ``--report`` flags.
+
+    ``--events`` streams the run's event log; ``--report`` captures
+    telemetry: workers ship span/metric snapshots back and the engine
+    merges them in canonical chunk order, so the exported run report is
+    bit-identical (post ``strip_volatile``) for any ``--jobs``.
+    """
     import time
 
     from repro.obs import state as obs
-    from repro.sweep import (
-        build_preset,
-        build_sweep_report,
-        load_sweep_report,
-        preset_names,
-        run_sweep,
-        validate_sweep_report,
-        write_sweep_report,
-    )
-
-    if args.list:
-        for name in preset_names():
-            print(name)
-        return 0
-    if not args.preset:
-        raise SystemExit(
-            f"choose a sweep preset: {', '.join(preset_names())} "
-            "(or --list to enumerate)"
-        )
-    spec = build_preset(args.preset, quick=args.quick)
-    resume = None
-    if args.resume:
-        resume = load_sweep_report(args.resume)
-        if resume is None:
-            print(f"no resumable report at {args.resume}; starting fresh")
+    from repro.sweep import run_sweep
 
     event_log = None
     if args.events:
@@ -538,18 +515,13 @@ def _cmd_sweep(args) -> int:
 
         event_log = EventLog(args.events)
         event_log.start(
-            command=f"sweep {args.preset}",
-            provenance_block=provenance(
-                config_fingerprint=spec.fingerprint()
-            ),
+            command=command,
+            provenance_block=provenance(config_fingerprint=spec.fingerprint()),
         )
     try:
         if args.report:
-            # Capture telemetry: workers ship span/metric snapshots back
-            # and the engine merges them in canonical chunk order, so the
-            # exported run report is bit-identical (post strip_volatile)
-            # for any --jobs.
-            from repro.obs.export import build_run_report, validate_run_report
+            from repro.obs import schema
+            from repro.obs.export import RUN_REPORT, build_run_report
             from repro.obs.profiler import (
                 process_cpu_seconds,
                 run_resource_summary,
@@ -568,14 +540,11 @@ def _cmd_sweep(args) -> int:
             run_report = build_run_report(
                 tracer,
                 registry,
-                command=f"sweep {args.preset}",
-                workload=f"sweep:{spec.name}",
+                command=command,
+                workload=workload,
                 resources=resources,
             )
-            validate_run_report(run_report)
-            with open(args.report, "w") as handle:
-                json.dump(run_report, handle, indent=1, sort_keys=True)
-                handle.write("\n")
+            schema.write(run_report, RUN_REPORT, args.report)
         else:
             outcome = run_sweep(
                 spec, jobs=args.jobs, resume=resume, events=event_log
@@ -585,10 +554,44 @@ def _cmd_sweep(args) -> int:
     finally:
         if event_log is not None:
             event_log.close()
+    return outcome
+
+
+def _cmd_sweep(args) -> int:
+    from repro.obs import schema
+    from repro.sweep import (
+        SWEEP_REPORT,
+        build_preset,
+        build_sweep_report,
+        preset_names,
+    )
+
+    if args.list:
+        for name in preset_names():
+            print(name)
+        return 0
+    if not args.preset:
+        raise SystemExit(
+            f"choose a sweep preset: {', '.join(preset_names())} "
+            "(or --list to enumerate)"
+        )
+    spec = build_preset(args.preset, quick=args.quick)
+    resume = None
+    if args.resume:
+        resume = schema.load(args.resume, SWEEP_REPORT)
+        if resume is None:
+            print(f"no resumable report at {args.resume}; starting fresh")
+
+    outcome = _run_sweep_with_telemetry(
+        args,
+        spec,
+        command=f"sweep {args.preset}",
+        workload=f"sweep:{spec.name}",
+        resume=resume,
+    )
     report = build_sweep_report(outcome)
-    validate_sweep_report(report)
     if args.out:
-        write_sweep_report(outcome, args.out)
+        schema.write(report, SWEEP_REPORT, args.out)
     if args.json:
         _print_json(report)
         return 0
@@ -612,11 +615,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import time
-
-    from repro.obs import state as obs
-    from repro.serve import SCENARIOS, assemble_serve_report, write_serve_report
-    from repro.sweep import SweepAxis, SweepSpec, run_sweep
+    from repro.obs import schema
+    from repro.serve import SCENARIOS, SERVE_REPORT, assemble_serve_report
+    from repro.sweep import SweepAxis, SweepSpec
 
     if args.list:
         for name in sorted(SCENARIOS):
@@ -638,56 +639,15 @@ def _cmd_serve(args) -> int:
         ),
         context={"scenario": scenario.name, "seed": args.seed},
     )
-
-    event_log = None
-    if args.events:
-        from repro.obs.events import RUN_END, EventLog, provenance
-
-        event_log = EventLog(args.events)
-        event_log.start(
-            command=f"serve {scenario.name}",
-            provenance_block=provenance(
-                config_fingerprint=spec.fingerprint()
-            ),
-        )
-    try:
-        if args.report:
-            from repro.obs.export import build_run_report, validate_run_report
-            from repro.obs.profiler import (
-                process_cpu_seconds,
-                run_resource_summary,
-            )
-
-            wall0 = time.perf_counter()
-            cpu0 = process_cpu_seconds()
-            with obs.capture() as (tracer, registry):
-                outcome = run_sweep(spec, jobs=args.jobs, events=event_log)
-                resources = run_resource_summary(
-                    wall_seconds=time.perf_counter() - wall0,
-                    cpu_seconds=process_cpu_seconds() - cpu0,
-                )
-            run_report = build_run_report(
-                tracer,
-                registry,
-                command=f"serve {scenario.name}",
-                workload=f"serve:{scenario.name}",
-                resources=resources,
-            )
-            validate_run_report(run_report)
-            with open(args.report, "w") as handle:
-                json.dump(run_report, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-        else:
-            outcome = run_sweep(spec, jobs=args.jobs, events=event_log)
-        if event_log is not None:
-            event_log.emit(RUN_END, {"exit_code": 0})
-    finally:
-        if event_log is not None:
-            event_log.close()
-
+    outcome = _run_sweep_with_telemetry(
+        args,
+        spec,
+        command=f"serve {scenario.name}",
+        workload=f"serve:{scenario.name}",
+    )
     report = assemble_serve_report(scenario, args.seed, outcome.rows)
     if args.out:
-        write_serve_report(report, args.out)
+        schema.write(report, SERVE_REPORT, args.out)
     if args.json:
         _print_json(report)
         return 0
@@ -759,7 +719,8 @@ def _profile_workload(args):
 def _cmd_profile(args) -> int:
     import time
 
-    from repro.obs.export import build_run_report, validate_run_report
+    from repro.obs import schema
+    from repro.obs.export import RUN_REPORT, build_run_report
     from repro.obs.profiler import (
         process_cpu_seconds,
         profile_capture,
@@ -813,10 +774,7 @@ def _cmd_profile(args) -> int:
             params=args.params,
             resources=resources,
         )
-        validate_run_report(report)
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        schema.write(report, RUN_REPORT, args.report)
         print(f"wrote run report to {args.report}")
     return 0
 

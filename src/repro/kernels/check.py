@@ -5,7 +5,7 @@ of :class:`repro.kernels.ntt.BatchNttKernel` against the pure-Python
 :class:`repro.numth.ntt.NttContext` oracle at chosen ring degrees, plus
 an optional min-of-k wall-clock speedup gate.
 
-Report contract (``repro.kernels/v1``): the gated content — per-degree
+Report contract (:data:`KERNELS_REPORT`): the gated content — per-degree
 ``parity`` and the overall ``passed`` verdict — is a pure function of
 ``(degrees, limbs, seed)``; inputs come off a string-seeded
 ``random.Random`` stream (SHA-512 seeded, immune to
@@ -26,8 +26,47 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-#: Schema id stamped on (and required of) every kernels check report.
-KERNELS_REPORT_SCHEMA = "repro.kernels/v1"
+from repro.obs import schema
+from repro.obs.schema import NON_NEGATIVE, Schema, fields
+
+_POSITIVE: Dict[str, Any] = {"type": "integer", "minimum": 1}
+
+KERNELS_REPORT = Schema(
+    "repro.kernels/v1",
+    {
+        "title": "repro kernels oracle-parity report",
+        "type": "object",
+        "required": ["results", "passed"],
+        "properties": {
+            "seed": {"type": "integer"},
+            "min_speedup": {"type": ["number", "null"]},
+            "results": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "required": ["degree", "limbs", "parity"],
+                    "properties": {
+                        "degree": _POSITIVE,
+                        "limbs": _POSITIVE,
+                        "parity": {"type": "boolean"},
+                    },
+                },
+            },
+            "runtime": {
+                "type": "array",
+                "items": fields(
+                    NON_NEGATIVE,
+                    "degree",
+                    "oracle_seconds",
+                    "vectorized_seconds",
+                    "speedup",
+                ),
+            },
+            "passed": {"type": "boolean"},
+        },
+    },
+)
 
 
 def sample_rows(
@@ -57,7 +96,8 @@ def run_check(
     parity_only: bool = False,
     seed: int = 2012,
 ) -> Dict[str, Any]:
-    """Run the parity (and optionally speedup) check; returns the report."""
+    """Run the parity (and optionally speedup) check; returns the validated
+    :data:`KERNELS_REPORT`."""
     from repro.kernels.ntt import BatchNttKernel
     from repro.numth import NttContext, find_ntt_primes
 
@@ -101,14 +141,16 @@ def run_check(
         if min_speedup is not None and speedup < min_speedup:
             passed = False
 
-    return {
-        "schema": KERNELS_REPORT_SCHEMA,
+    report: Dict[str, Any] = {
+        "schema": KERNELS_REPORT.id,
         "seed": seed,
         "min_speedup": min_speedup,
         "results": results,
         "runtime": runtime,
         "passed": passed,
     }
+    schema.validate(report, KERNELS_REPORT)
+    return report
 
 
 def _best_of(repeats: int, run: Any) -> float:
@@ -118,28 +160,6 @@ def _best_of(repeats: int, run: Any) -> float:
         run()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def validate_kernels_report(report: Dict[str, Any]) -> None:
-    """Structural validation of a ``repro.kernels/v1`` report."""
-    if report.get("schema") != KERNELS_REPORT_SCHEMA:
-        raise ValueError(
-            f"expected schema {KERNELS_REPORT_SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not isinstance(report.get("passed"), bool):
-        raise ValueError("report is missing the boolean `passed` verdict")
-    entries = report.get("results")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("report carries no parity results")
-    for entry in entries:
-        for key in ("degree", "limbs", "parity"):
-            if key not in entry:
-                raise ValueError(f"parity entry is missing {key!r}: {entry}")
-    for entry in report.get("runtime", []):
-        for key in ("degree", "oracle_seconds", "vectorized_seconds", "speedup"):
-            if key not in entry:
-                raise ValueError(f"runtime entry is missing {key!r}: {entry}")
 
 
 def render_report(report: Dict[str, Any]) -> str:

@@ -14,8 +14,8 @@ an AST visitor core (:mod:`repro.lint.core`), a pluggable rule registry
 
 On top of the per-file rules sits a whole-program pass
 (:mod:`repro.lint.program`): a project symbol table and call graph feed
-an interprocedural nondeterminism-taint engine and a schema-literal
-consistency check.  Enable it with ``--program``; ``--changed-only``
+an interprocedural nondeterminism-taint engine.  Enable it with
+``--program``; ``--changed-only``
 replays the previous result from ``.lint_cache/`` when nothing
 changed, and ``--format sarif`` emits SARIF 2.1.0 for code scanning.
 
@@ -52,17 +52,16 @@ from repro.lint.registry import (
     rule_names,
 )
 from repro.lint.reporters import (
-    SCHEMA_VERSION,
+    LINT_REPORT,
     render_json,
     render_sarif,
     render_text,
     report_dict,
-    validate_report,
 )
 from repro.lint.suppressions import SuppressionIndex
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "LINT_REPORT",
     "FileContext",
     "Finding",
     "LintCache",
@@ -83,5 +82,4 @@ __all__ = [
     "rule_descriptions",
     "rule_names",
     "run_lint",
-    "validate_report",
 ]

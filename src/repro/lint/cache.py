@@ -3,7 +3,7 @@
 ``repro lint --changed-only`` short-circuits the entire run when
 nothing relevant changed.  The cache is deliberately *whole-result*,
 not per-file: cross-file rules (``ConfigFlagCoverage``) and the
-program pass (taint, schema consistency) make a file's findings depend
+program pass (taint) make a file's findings depend
 on every other file, so the only sound key is the full set of
 ``(path, content-hash)`` pairs plus the rule selection and engine
 version.  A hit therefore means "identical inputs" and the previous
@@ -18,16 +18,33 @@ grows without bound.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lint.core import Finding, LintResult
+from repro.lint.reporters import FINDING
+from repro.obs import schema
+from repro.obs.schema import COUNT, Schema
 
-__all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "LintCache"]
+__all__ = ["DEFAULT_CACHE_DIR", "LINT_CACHE", "LintCache"]
 
-#: Bump to invalidate every existing cache entry (engine behaviour change).
-CACHE_FORMAT = "repro.lint.cache/v1"
+#: One cache entry.  Bump the id to invalidate every existing entry
+#: (engine behaviour change).
+LINT_CACHE = Schema(
+    "repro.lint.cache/v1",
+    {
+        "title": "repro lint cache entry",
+        "type": "object",
+        "required": ["findings", "files", "rules", "suppressed"],
+        "properties": {
+            "findings": {"type": "array", "items": FINDING},
+            "files": {"type": "array", "items": {"type": "string"}},
+            "rules": {"type": "array", "items": {"type": "string"}},
+            "suppressed": COUNT,
+        },
+    },
+    key=("format",),
+)
 
 DEFAULT_CACHE_DIR = ".lint_cache"
 
@@ -49,7 +66,7 @@ class LintCache:
     ) -> str:
         """Deterministic key over rule selection + every file's content."""
         digest = hashlib.sha256()
-        digest.update(CACHE_FORMAT.encode("utf-8"))
+        digest.update(LINT_CACHE.id.encode("utf-8"))
         for name in sorted(rule_names):
             digest.update(b"\x00rule\x00" + name.encode("utf-8"))
         for display, source in sorted(files):
@@ -64,41 +81,24 @@ class LintCache:
     # ------------------------------------------------------------------
     def load(self, key: str) -> Optional[LintResult]:
         """Replay the cached result for ``key``, or None on miss."""
-        entry = self._entry_path(key)
         try:
-            payload = json.loads(entry.read_text(encoding="utf-8"))
+            payload = schema.load(self._entry_path(key), LINT_CACHE)
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-            return None
-        try:
-            findings = [
-                Finding(
-                    rule=item["rule"],
-                    path=item["path"],
-                    line=item["line"],
-                    col=item["col"],
-                    message=item["message"],
-                )
-                for item in payload["findings"]
-            ]
-            files = list(payload["files"])
-            rules = list(payload["rules"])
-            suppressed = int(payload["suppressed"])
-        except (KeyError, TypeError, ValueError):
+        if payload is None:
             return None
         return LintResult(
-            findings=findings,
-            files=files,
-            rules=rules,
-            suppressed=suppressed,
+            findings=[Finding(**item) for item in payload["findings"]],
+            files=payload["files"],
+            rules=payload["rules"],
+            suppressed=payload["suppressed"],
             from_cache=True,
         )
 
     def store(self, key: str, result: LintResult) -> None:
         """Persist ``result`` under ``key``; best-effort (never raises)."""
         payload = {
-            "format": CACHE_FORMAT,
+            "format": LINT_CACHE.id,
             "findings": [finding.to_dict() for finding in result.findings],
             "files": list(result.files),
             "rules": list(result.rules),
@@ -108,9 +108,7 @@ class LintCache:
             self.root.mkdir(parents=True, exist_ok=True)
             entry = self._entry_path(key)
             tmp = entry.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"
-            )
+            schema.write(payload, LINT_CACHE, tmp)
             tmp.replace(entry)
             self._prune(keep=entry)
         except OSError:

@@ -4,9 +4,9 @@ Kept separate from :mod:`repro.cli` so the argparse wiring there stays
 one-line-per-command; exit codes follow linter convention: 0 clean,
 1 findings, 2 usage errors (unknown rule, missing path).
 
-``--program`` adds the whole-program pass (nondeterminism taint,
-schema-literal consistency); ``--changed-only`` replays the previous
-result from ``.lint_cache/`` when no file content changed;
+``--program`` adds the whole-program pass (nondeterminism taint);
+``--changed-only`` replays the previous result from ``.lint_cache/``
+when no file content changed;
 ``--format sarif`` emits SARIF 2.1.0 for code-scanning upload, and
 ``--out`` writes the chosen format to a file in addition to stdout
 text output.

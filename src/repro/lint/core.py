@@ -13,8 +13,7 @@ Two passes share one parse of every file:
   parsed trees are assembled into a
   :class:`~repro.lint.program.symbols.Program` (symbol table, import
   resolution, call graph) and each :class:`ProgramRule` checks the
-  whole project at once (nondeterminism taint, schema-literal
-  consistency).
+  whole project at once (nondeterminism taint).
 
 Suppression comments (see :mod:`repro.lint.suppressions`) are applied
 uniformly by the engine after all rules of both passes have reported,
@@ -220,7 +219,6 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     program_rules: Optional[Sequence[ProgramRule]] = None,
     cache: Optional["LintCache"] = None,
-    baseline_dirs: Optional[Sequence[Path]] = None,
 ) -> LintResult:
     """Lint every ``*.py`` file under ``paths``.
 
@@ -299,7 +297,7 @@ def run_lint(
     if program_list and parsed:
         from repro.lint.program.symbols import Program
 
-        program = Program.build(parsed, baseline_dirs=baseline_dirs)
+        program = Program.build(parsed)
         for program_rule in program_list:
             findings.extend(program_rule.check(program))
 

@@ -1,4 +1,4 @@
-"""Whole-program analysis layer: symbol table, call graph, taint, schema.
+"""Whole-program analysis layer: symbol table, call graph, taint.
 
 Modules here power the ``ProgramRule`` pass (``repro lint --program``):
 
@@ -9,9 +9,7 @@ Modules here power the ``ProgramRule`` pass (``repro lint --program``):
 * :mod:`~repro.lint.program.callgraph` — :class:`CallGraph` over the
   symbol table (def/use through imports and attribute access);
 * :mod:`~repro.lint.program.taint` — interprocedural nondeterminism
-  taint (``NondeterminismFlow``);
-* :mod:`~repro.lint.program.schema` — schema-literal consistency
-  (``SchemaLiteralConsistency``).
+  taint (``NondeterminismFlow``).
 """
 
 from __future__ import annotations

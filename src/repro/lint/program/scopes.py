@@ -20,7 +20,6 @@ from __future__ import annotations
 __all__ = [
     "ACCOUNTING_CORE_FILES",
     "ALLOWED_PAYLOAD_KEYS",
-    "EVENTS_HOME",
     "EXACT_DIRS",
     "KERNEL_DIRS",
     "MEMSIM_ACCOUNTING_HOME",
@@ -66,10 +65,6 @@ NUMPY_EXACT_DIRS = KERNEL_DIRS + ("ring",)
 #: The sole sanctioned module for host resource sampling
 #: (:class:`~repro.lint.rules.telemetry.TelemetryDiscipline`).
 PROFILER_HOME = "obs/profiler.py"
-
-#: Where the ``repro.obs.events/*`` schema id and the event envelope are
-#: defined (:class:`~repro.lint.rules.telemetry.TelemetryDiscipline`).
-EVENTS_HOME = "obs/events.py"
 
 #: Where direct memsim trace-event construction is definitionally OK
 #: (:class:`~repro.lint.rules.tracing.TraceDiscipline`).

@@ -1,14 +1,14 @@
 """Project symbol table and module resolution for the program pass.
 
-The per-file rules see one tree at a time; the program rules
-(:mod:`repro.lint.program.taint`, :mod:`repro.lint.program.schema`)
-need to answer questions like "which function does
-``obs.capture()`` name in this module?" across the whole package.
+The per-file rules see one tree at a time; the program rule
+(:mod:`repro.lint.program.taint`) needs to answer questions like "which
+function does ``obs.capture()`` name in this module?" across the whole
+package.
 :class:`Program` holds the answer:
 
 * every module parsed into a :class:`ModuleTable` — its top-level
-  functions, classes (with methods and dataclass-style fields),
-  module-level constants and import aliases;
+  functions, classes (with methods and dataclass-style fields) and
+  import aliases;
 * a flat qualname → :class:`FunctionInfo` index;
 * :meth:`Program.resolve_name` / :meth:`Program.resolve_call`, which
   chase import aliases (``import x as y``, ``from x import y as z``,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import PurePosixPath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -93,8 +93,6 @@ class ModuleTable:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassTable] = field(default_factory=dict)
     imports: Dict[str, ImportTarget] = field(default_factory=dict)
-    #: module-level ``NAME = <literal/tuple>`` assignments (schema rule).
-    constants: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def package(self) -> str:
@@ -140,18 +138,12 @@ class Program:
         self.functions: Dict[str, FunctionInfo] = {}
         #: display path -> module name (per-file rule interop).
         self.by_path: Dict[str, str] = {}
-        #: directories scanned for committed baseline/fixture JSONs.
-        self.baseline_dirs: List[Path] = []
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        files: Sequence[Tuple[str, ast.Module]],
-        baseline_dirs: Optional[Sequence[Path]] = None,
-    ) -> "Program":
+    def build(cls, files: Sequence[Tuple[str, ast.Module]]) -> "Program":
         """Build the table from ``(display_path, parsed tree)`` pairs.
 
         The deepest common directory of all files is taken as the scan
@@ -172,10 +164,6 @@ class Program:
             for klass in table.classes.values():
                 for info in klass.methods.values():
                     program.functions[info.qualname] = info
-        if baseline_dirs is not None:
-            program.baseline_dirs = [Path(d) for d in baseline_dirs]
-        else:
-            program.baseline_dirs = _discover_baseline_dirs(ordered)
         return program
 
     # ------------------------------------------------------------------
@@ -333,27 +321,6 @@ def _common_root(paths: Sequence[str]) -> Tuple[str, ...]:
     return prefix
 
 
-def _discover_baseline_dirs(
-    files: Sequence[Tuple[str, ast.Module]]
-) -> List[Path]:
-    """Find ``benchmarks/baselines`` above the scanned tree, if present."""
-    seen = set()
-    out: List[Path] = []
-    for path, _ in files:
-        base = Path(path)
-        for ancestor in [base.parent, *base.parent.parents]:
-            candidate = ancestor / "benchmarks" / "baselines"
-            key = str(candidate)
-            if key not in seen:
-                seen.add(key)
-                if candidate.is_dir():
-                    out.append(candidate)
-        break  # all files share a root; one walk is enough
-    if not out and Path("benchmarks/baselines").is_dir():
-        out.append(Path("benchmarks/baselines"))
-    return out
-
-
 def _build_module(name: str, path: str, tree: ast.Module) -> ModuleTable:
     table = ModuleTable(name=name, path=path, tree=tree)
     for stmt in tree.body:
@@ -384,13 +351,6 @@ def _build_module(name: str, path: str, tree: ast.Module) -> ModuleTable:
             table.classes[stmt.name] = klass
         elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             _record_import(table, name, stmt, overwrite=True)
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                table.constants[target.id] = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                table.constants[stmt.target.id] = stmt.value
     # Function-local imports (cycle avoidance is idiomatic here) resolve
     # too; module-level bindings win on alias collision.
     top_level = set(tree.body)

@@ -1,32 +1,60 @@
-"""Reporters: human-readable text and a versioned JSON schema.
+"""Reporters: human-readable text, a versioned JSON report and SARIF.
 
-The JSON payload (``schema: repro.lint/v1``) is what the CI lint job
-uploads as an artifact; :func:`validate_report` is a dependency-free
-structural validator mirroring the style of
-:func:`repro.obs.diff.validate_cost_diff`, so downstream tooling can
-round-trip reports without jsonschema installed.
+The JSON payload (the :data:`LINT_REPORT` schema) is what the CI lint
+job uploads as an artifact; :func:`load_findings` validates one and
+rebuilds its findings.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.lint.core import Finding, LintResult
+from repro.obs import schema
+from repro.obs.schema import COUNT, Schema
 
 __all__ = [
+    "FINDING",
+    "LINT_REPORT",
     "SARIF_VERSION",
-    "SCHEMA_VERSION",
     "load_findings",
     "render_json",
     "render_sarif",
     "render_text",
     "report_dict",
     "sarif_dict",
-    "validate_report",
 ]
 
-SCHEMA_VERSION = "repro.lint/v1"
+#: One serialized :class:`~repro.lint.core.Finding` (also in the lint cache).
+FINDING: Dict[str, Any] = {
+    "type": "object",
+    "required": ["rule", "path", "line", "col", "message"],
+    "properties": {
+        "rule": {"type": "string"},
+        "path": {"type": "string"},
+        "line": {"type": "integer"},
+        "col": {"type": "integer"},
+        "message": {"type": "string"},
+    },
+    "additionalProperties": False,
+}
+
+LINT_REPORT = Schema(
+    "repro.lint/v1",
+    {
+        "title": "repro lint report",
+        "type": "object",
+        "required": ["rules", "files", "suppressed", "counts", "findings"],
+        "properties": {
+            "rules": {"type": "array"},
+            "files": COUNT,
+            "suppressed": COUNT,
+            "counts": {"type": "object"},
+            "findings": {"type": "array", "items": FINDING},
+        },
+    },
+)
 
 SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA_URI = (
@@ -34,19 +62,11 @@ _SARIF_SCHEMA_URI = (
     "sarif-schema-2.1.0.json"
 )
 
-_FINDING_FIELDS = {
-    "rule": str,
-    "path": str,
-    "line": int,
-    "col": int,
-    "message": str,
-}
-
 
 def report_dict(result: LintResult) -> Dict[str, object]:
     """Machine-readable report for one lint run."""
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": LINT_REPORT.id,
         "rules": list(result.rules),
         "files": len(result.files),
         "suppressed": result.suppressed,
@@ -139,51 +159,7 @@ def render_sarif(result: LintResult) -> str:
     return json.dumps(sarif_dict(result), indent=1, sort_keys=True)
 
 
-def validate_report(payload: object) -> None:
-    """Raise ValueError unless ``payload`` is a well-formed v1 report."""
-    if not isinstance(payload, dict):
-        raise ValueError("lint report must be a JSON object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported lint report schema {payload.get('schema')!r}; "
-            f"expected {SCHEMA_VERSION!r}"
-        )
-    for key, kind in (("rules", list), ("findings", list), ("counts", dict)):
-        if not isinstance(payload.get(key), kind):
-            raise ValueError(f"lint report field {key!r} must be a {kind.__name__}")
-    for key in ("files", "suppressed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(
-                f"lint report field {key!r} must be a non-negative integer"
-            )
-    findings = payload["findings"]
-    assert isinstance(findings, list)
-    for position, finding in enumerate(findings):
-        if not isinstance(finding, dict):
-            raise ValueError(f"finding #{position} must be an object")
-        for fld, kind in _FINDING_FIELDS.items():
-            value = finding.get(fld)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(
-                    f"finding #{position} field {fld!r} must be a {kind.__name__}"
-                )
-
-
-def load_findings(payload: Dict[str, object]) -> List[Finding]:
+def load_findings(payload: Dict[str, Any]) -> List[Finding]:
     """Rebuild :class:`Finding` objects from a validated report payload."""
-    validate_report(payload)
-    raw = payload["findings"]
-    assert isinstance(raw, list)
-    out: List[Finding] = []
-    for item in raw:
-        assert isinstance(item, dict)
-        rule, path, message = item["rule"], item["path"], item["message"]
-        line, col = item["line"], item["col"]
-        assert isinstance(rule, str)
-        assert isinstance(path, str)
-        assert isinstance(message, str)
-        assert isinstance(line, int)
-        assert isinstance(col, int)
-        out.append(Finding(rule=rule, path=path, line=line, col=col, message=message))
-    return out
+    schema.validate(payload, LINT_REPORT)
+    return [Finding(**item) for item in payload["findings"]]

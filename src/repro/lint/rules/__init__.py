@@ -17,30 +17,28 @@ Importing this package registers every rule with
   events are emitted only via ``TraceRecorder``, and simulated byte
   counters accumulate only in ``memsim/accounting.py``.
 * :class:`~repro.lint.rules.telemetry.TelemetryDiscipline` — host
-  resource sampling stays in ``obs/profiler.py`` and the
-  ``repro.obs.events/*`` schema id appears only in ``obs/events.py``.
+  resource sampling stays in ``obs/profiler.py``.
+* :class:`~repro.lint.rules.schema.SchemaIdLiteral` — a ``repro.*/v*``
+  schema id is spelled only inside its ``Schema(...)`` declaration.
 * :class:`~repro.lint.rules.simclock.SimClockDiscipline` — the serving
   simulator (``serve/``) never imports ``time``/``datetime``; simulated
   timestamps come off the virtual event-heap clock only.
 
-Whole-program rules (run with ``repro lint --program``) register from
-:mod:`repro.lint.program`:
+The whole-program rule (run with ``repro lint --program``) registers
+from :mod:`repro.lint.program`:
 
 * :class:`~repro.lint.program.taint.NondeterminismFlow` —
   interprocedural taint from nondeterminism sources (time, random,
   set/dict iteration order, filesystem order, completion order) into
   determinism sinks (report payloads, fingerprints, memo keys,
   baseline comparisons).
-* :class:`~repro.lint.program.schema.SchemaLiteralConsistency` — every
-  ``repro.*/v*`` schema literal agrees with its declaring constant,
-  has both a producer and a validator, and matches committed baselines.
 """
 
-from repro.lint.program.schema import SchemaLiteralConsistency
 from repro.lint.program.taint import NondeterminismFlow
 from repro.lint.rules.config import ConfigFlagCoverage
 from repro.lint.rules.exact import ExactArithPurity
 from repro.lint.rules.ledger import LedgerDiscipline
+from repro.lint.rules.schema import SchemaIdLiteral
 from repro.lint.rules.simclock import SimClockDiscipline
 from repro.lint.rules.spans import SpanLabelStability
 from repro.lint.rules.telemetry import TelemetryDiscipline
@@ -52,7 +50,7 @@ __all__ = [
     "ExactArithPurity",
     "LedgerDiscipline",
     "NondeterminismFlow",
-    "SchemaLiteralConsistency",
+    "SchemaIdLiteral",
     "SimClockDiscipline",
     "SpanLabelStability",
     "TelemetryDiscipline",

@@ -1,42 +1,27 @@
-"""TelemetryDiscipline: resource sampling and event emission stay confined.
+"""TelemetryDiscipline: host resource sampling stays in one file.
 
-The PR-6 telemetry layer makes two auditability promises:
-
-* **Host resource APIs live in one file.**  ``obs/profiler.py`` is the
-  single place in ``src/`` that reads ``resource.getrusage``,
-  ``tracemalloc``, ``gc.get_stats`` / ``gc.get_count``,
-  ``time.process_time`` or ``psutil``.  Resource samples carry platform
-  quirks (``ru_maxrss`` units differ between Linux and macOS) and real
-  overhead (a tracemalloc peak read costs microseconds); keeping every
-  sampling site in one module means the overhead budget and the
-  normalisation rules are reviewable in one place — and that
-  :func:`repro.obs.telemetry.strip_volatile` knows every field it must
-  strip before determinism comparisons.
-
-* **Events are emitted only through the EventLog API.**  The
-  ``repro.obs.events/v1`` stream is append-only, sequence-numbered and
-  schema-validated by :class:`repro.obs.events.EventLog`.  Code that
-  spells the schema id as a literal is either hand-writing envelope
-  dicts (bypassing seq/ts/flush discipline — a torn or out-of-order
-  line breaks ``repro top`` live tailing) or hand-validating streams
-  the canonical validator already covers.  The id may appear only in
-  ``obs/events.py``, where the format is defined.
+``obs/profiler.py`` is the single place in ``src/`` that reads
+``resource.getrusage``, ``tracemalloc``, ``gc.get_stats`` /
+``gc.get_count``, ``time.process_time`` or ``psutil``.  Resource samples
+carry platform quirks (``ru_maxrss`` units differ between Linux and
+macOS) and real overhead (a tracemalloc peak read costs microseconds);
+keeping every sampling site in one module means the overhead budget and
+the normalisation rules are reviewable in one place — and that
+:func:`repro.obs.telemetry.strip_volatile` knows every field it must
+strip before determinism comparisons.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import EVENTS_HOME, PROFILER_HOME
+from repro.lint.program.scopes import PROFILER_HOME
 from repro.lint.registry import register
 
 __all__ = ["TelemetryDiscipline"]
 
-
-#: Event schema ids are flagged by prefix so a v2 bump stays covered.
-EVENTS_SCHEMA_PREFIX = "repro.obs.events/"  # lint: disable=TelemetryDiscipline
 
 #: Modules whose *any* attribute call is a resource-sampling site.
 _SAMPLING_MODULES = frozenset({"resource", "tracemalloc", "psutil"})
@@ -58,23 +43,14 @@ class TelemetryDiscipline(Rule):
     name = "TelemetryDiscipline"
     description = (
         "host resource sampling (resource/tracemalloc/psutil, gc.get_stats, "
-        "time.process_time) happens only in obs/profiler.py, and the "
-        "repro.obs.events/* schema id appears as a literal only in "
-        "obs/events.py (events flow through the EventLog API)"
+        "time.process_time) happens only in obs/profiler.py"
     )
-    node_types = (ast.Call, ast.Constant)
+    node_types = (ast.Call,)
 
     def visit(
         self, node: ast.AST, ctx: FileContext
     ) -> Optional[Iterable[Finding]]:
-        if isinstance(node, ast.Call):
-            return self._visit_call(node, ctx)
-        assert isinstance(node, ast.Constant)
-        return self._visit_constant(node, ctx)
-
-    def _visit_call(
-        self, node: ast.Call, ctx: FileContext
-    ) -> Optional[List[Finding]]:
+        assert isinstance(node, ast.Call)
         if ctx.is_file(PROFILER_HOME):
             return None
         func = node.func
@@ -98,27 +74,5 @@ class TelemetryDiscipline(Rule):
                 "(rss_peak_bytes / process_cpu_seconds / ResourceMeter / "
                 "profiled_span) so units, overhead and volatile-field "
                 "stripping stay centralised",
-            )
-        ]
-
-    def _visit_constant(
-        self, node: ast.Constant, ctx: FileContext
-    ) -> Optional[List[Finding]]:
-        if ctx.is_file(EVENTS_HOME):
-            return None
-        value = node.value
-        if not isinstance(value, str) or not value.startswith(
-            EVENTS_SCHEMA_PREFIX
-        ):
-            return None
-        return [
-            self.finding(
-                ctx,
-                node,
-                f"spells the event schema id {value!r} outside "
-                "obs/events.py — emit and read event streams through the "
-                "EventLog API (EventLog/read_events/validate_events) so "
-                "envelope, sequencing and flush discipline stay in one "
-                "place",
             )
         ]

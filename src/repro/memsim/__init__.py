@@ -43,12 +43,10 @@ from repro.memsim.validate import (
     EXPECTED_FIT_BREAKS,
     LADDER_PRIMITIVES,
     LADDER_RUNS,
-    MEMSIM_REPORT_SCHEMA,
-    SCHEMA_ID,
+    MEMSIM_REPORT,
     compare_traffic,
     render_report,
     run_validation,
-    validate_memsim_report,
     validate_primitive,
 )
 
@@ -64,14 +62,13 @@ __all__ = [
     "LADDER_PRIMITIVES",
     "LADDER_RUNS",
     "LRUPolicy",
-    "MEMSIM_REPORT_SCHEMA",
+    "MEMSIM_REPORT",
     "MemorySimulator",
     "POLICIES",
     "PRIMITIVES",
     "PinAwarePolicy",
     "PinEvent",
     "ReplacementPolicy",
-    "SCHEMA_ID",
     "Schedule",
     "ScheduleBuilder",
     "ScheduleUnit",
@@ -83,6 +80,5 @@ __all__ = [
     "make_policy",
     "render_report",
     "run_validation",
-    "validate_memsim_report",
     "validate_primitive",
 ]

@@ -19,11 +19,9 @@ Outcomes per primitive:
   *actually* diverge — a stale expectation fails the gate too, so known
   breaks are asserted and documented, never silently tolerated.
 
-The report is emitted under schema ``repro.memsim/v1.1``
-(:data:`MEMSIM_REPORT_SCHEMA`; v1.1 adds the required ``provenance``
-block, v1 reports stay readable) and :func:`validate_memsim_report`
-performs the structural checks without the ``jsonschema`` dependency,
-mirroring :mod:`repro.obs.export`.
+The report is declared as :data:`MEMSIM_REPORT` on the
+:mod:`repro.obs.schema` table and carries the run's ``provenance``
+block.
 
 Cache sizes follow :class:`repro.perf.cache.CacheModel`: **decimal**
 megabytes (``MB = 10**6``) floor-divided by ``params.limb_bytes`` — see
@@ -37,18 +35,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.memsim.schedules import ScheduleBuilder
 from repro.memsim.simulator import MemorySimulator, SimResult
 from repro.memsim.policies import POLICIES, make_policy
+from repro.obs import schema
 from repro.obs import state as obs
+from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
 from repro.params import BASELINE_JUNG, MAD_OPTIMAL, CkksParams
 from repro.perf.cache import mb_to_bytes
 from repro.perf.events import MemTraffic
 from repro.perf.optimizations import CACHING_LADDER, MADConfig
 from repro.sweep.spec import SweepAxis, SweepSpec
-
-SCHEMA_ID = "repro.memsim/v1.1"
-
-#: Schema ids accepted by :func:`validate_memsim_report`; new reports are
-#: always written with :data:`SCHEMA_ID`.
-ACCEPTED_SCHEMA_IDS = ("repro.memsim/v1", SCHEMA_ID)
 
 #: Streams compared, matching :class:`repro.perf.events.MemTraffic`.
 STREAM_FIELDS = ("ct_read", "ct_write", "key_read", "pt_read")
@@ -125,74 +119,84 @@ _CONFIGS = {
 }
 
 
-#: JSON-Schema (draft-07) for the memsim report; CI validates emitted
-#: reports with ``jsonschema`` where available and
-#: :func:`validate_memsim_report` performs the same checks without it.
-MEMSIM_REPORT_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "title": "repro.memsim differential validation report",
-    "type": "object",
-    "required": [
-        "schema",
-        "params",
-        "policy",
-        "tolerance",
-        "block_bytes",
-        "runs",
-        "passed",
-    ],
-    "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {"type": "object"},
-        "params": {"type": "string"},
-        "policy": {"enum": sorted(POLICIES)},
-        "tolerance": {"type": "number", "minimum": 0},
-        "block_bytes": {"type": "integer", "minimum": 1},
-        "passed": {"type": "boolean"},
-        "runs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "label",
-                    "cache_mb",
-                    "capacity_limbs",
-                    "primitives",
-                    "passed",
-                ],
-                "properties": {
-                    "label": {"type": "string"},
-                    "cache_mb": {"type": "number", "minimum": 0},
-                    "capacity_limbs": {"type": "integer", "minimum": 0},
-                    "passed": {"type": "boolean"},
-                    "primitives": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "primitive",
-                                "streams",
-                                "max_abs_rel_error",
-                                "pin_failures",
-                                "fit_broken",
-                                "expected_fit_break",
-                                "passed",
-                            ],
-                            "properties": {
-                                "primitive": {"type": "string"},
-                                "max_abs_rel_error": {"type": "number"},
-                                "pin_failures": {
-                                    "type": "integer",
-                                    "minimum": 0,
-                                },
-                                "fit_broken": {"type": "boolean"},
-                                "expected_fit_break": {"type": "boolean"},
-                                "reason": {"type": ["string", "null"]},
-                                "passed": {"type": "boolean"},
-                                "streams": {
-                                    "type": "object",
-                                    "required": list(STREAM_FIELDS),
+_STRING: Dict[str, Any] = {"type": "string"}
+_BOOLEAN: Dict[str, Any] = {"type": "boolean"}
+_NUMBER: Dict[str, Any] = {"type": "number"}
+
+MEMSIM_REPORT = Schema(
+    "repro.memsim/v1.1",
+    {
+        "title": "repro.memsim differential validation report",
+        "type": "object",
+        "required": [
+            "provenance",
+            "params",
+            "policy",
+            "tolerance",
+            "block_bytes",
+            "runs",
+            "passed",
+        ],
+        "properties": {
+            "provenance": PROVENANCE,
+            "params": _STRING,
+            "policy": {"enum": sorted(POLICIES)},
+            "tolerance": NON_NEGATIVE,
+            "block_bytes": {"type": "integer", "minimum": 1},
+            "passed": _BOOLEAN,
+            "runs": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": [
+                        "label",
+                        "cache_mb",
+                        "capacity_limbs",
+                        "primitives",
+                        "passed",
+                    ],
+                    "properties": {
+                        "label": _STRING,
+                        "cache_mb": NON_NEGATIVE,
+                        "capacity_limbs": COUNT,
+                        "passed": _BOOLEAN,
+                        "primitives": {
+                            "type": "array",
+                            "items": {
+                                "type": "object",
+                                "required": [
+                                    "primitive",
+                                    "streams",
+                                    "max_abs_rel_error",
+                                    "pin_failures",
+                                    "fit_broken",
+                                    "expected_fit_break",
+                                    "passed",
+                                ],
+                                "properties": {
+                                    "primitive": _STRING,
+                                    "max_abs_rel_error": _NUMBER,
+                                    "pin_failures": COUNT,
+                                    "fit_broken": _BOOLEAN,
+                                    "expected_fit_break": _BOOLEAN,
+                                    "reason": {"type": ["string", "null"]},
+                                    "passed": _BOOLEAN,
+                                    "streams": fields(
+                                        {
+                                            "type": "object",
+                                            "required": [
+                                                "analytical",
+                                                "simulated",
+                                                "rel_error",
+                                            ],
+                                            "properties": {
+                                                "analytical": COUNT,
+                                                "simulated": COUNT,
+                                                "rel_error": _NUMBER,
+                                            },
+                                        },
+                                        *STREAM_FIELDS,
+                                    ),
                                 },
                             },
                         },
@@ -201,7 +205,7 @@ MEMSIM_REPORT_SCHEMA: Dict[str, Any] = {
             },
         },
     },
-}
+)
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +424,8 @@ def run_validation(
         )
     from repro.obs.events import provenance as build_provenance
 
-    return {
-        "schema": SCHEMA_ID,
+    report: Dict[str, Any] = {
+        "schema": MEMSIM_REPORT.id,
         "provenance": build_provenance(
             config_fingerprint=spec.fingerprint()
         ),
@@ -432,6 +436,8 @@ def run_validation(
         "runs": report_runs,
         "passed": all(r["passed"] for r in report_runs),
     }
+    schema.validate(report, MEMSIM_REPORT)
+    return report
 
 
 def _config_dict(config: MADConfig) -> Dict[str, bool]:
@@ -472,116 +478,3 @@ def render_report(report: Dict[str, Any]) -> str:
     lines.append("-" * len(header))
     lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Dependency-free structural validation (mirrors MEMSIM_REPORT_SCHEMA)
-# ----------------------------------------------------------------------
-def validate_memsim_report(report: Any) -> None:
-    """Structural validation; raises ValueError on the first mismatch."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid memsim report: {message}")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(
-            f"schema id {report.get('schema')!r} not in "
-            f"{ACCEPTED_SCHEMA_IDS!r}"
-        )
-    if report["schema"] == SCHEMA_ID:
-        from repro.obs.events import validate_provenance
-
-        validate_provenance(report.get("provenance"), fail)
-    for key in (
-        "params",
-        "policy",
-        "tolerance",
-        "block_bytes",
-        "runs",
-        "passed",
-    ):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    if not isinstance(report["params"], str):
-        fail("params is not a string")
-    if report["policy"] not in POLICIES:
-        fail(f"unknown policy {report['policy']!r}")
-    tol = report["tolerance"]
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-        fail("tolerance is not a non-negative number")
-    bb = report["block_bytes"]
-    if not isinstance(bb, int) or isinstance(bb, bool) or bb < 1:
-        fail("block_bytes is not a positive integer")
-    if not isinstance(report["passed"], bool):
-        fail("passed is not a boolean")
-    if not isinstance(report["runs"], list):
-        fail("runs is not an array")
-
-    for index, run in enumerate(report["runs"]):
-        where = f"runs[{index}]"
-        if not isinstance(run, dict):
-            fail(f"{where} is not an object")
-        for key in ("label", "cache_mb", "capacity_limbs", "primitives", "passed"):
-            if key not in run:
-                fail(f"{where} missing {key!r}")
-        if not isinstance(run["label"], str):
-            fail(f"{where}.label is not a string")
-        cm = run["cache_mb"]
-        if not isinstance(cm, (int, float)) or isinstance(cm, bool) or cm < 0:
-            fail(f"{where}.cache_mb is not a non-negative number")
-        cl = run["capacity_limbs"]
-        if not isinstance(cl, int) or isinstance(cl, bool) or cl < 0:
-            fail(f"{where}.capacity_limbs is not a non-negative integer")
-        if not isinstance(run["passed"], bool):
-            fail(f"{where}.passed is not a boolean")
-        if not isinstance(run["primitives"], list):
-            fail(f"{where}.primitives is not an array")
-        for j, entry in enumerate(run["primitives"]):
-            here = f"{where}.primitives[{j}]"
-            if not isinstance(entry, dict):
-                fail(f"{here} is not an object")
-            for key in (
-                "primitive",
-                "streams",
-                "max_abs_rel_error",
-                "pin_failures",
-                "fit_broken",
-                "expected_fit_break",
-                "passed",
-            ):
-                if key not in entry:
-                    fail(f"{here} missing {key!r}")
-            if not isinstance(entry["primitive"], str):
-                fail(f"{here}.primitive is not a string")
-            mre = entry["max_abs_rel_error"]
-            if not isinstance(mre, (int, float)) or isinstance(mre, bool):
-                fail(f"{here}.max_abs_rel_error is not a number")
-            pf = entry["pin_failures"]
-            if not isinstance(pf, int) or isinstance(pf, bool) or pf < 0:
-                fail(f"{here}.pin_failures is not a non-negative integer")
-            for key in ("fit_broken", "expected_fit_break", "passed"):
-                if not isinstance(entry[key], bool):
-                    fail(f"{here}.{key} is not a boolean")
-            streams = entry["streams"]
-            if not isinstance(streams, dict):
-                fail(f"{here}.streams is not an object")
-            for field in STREAM_FIELDS:
-                stream = streams.get(field)
-                if not isinstance(stream, dict):
-                    fail(f"{here}.streams.{field} is not an object")
-                for key in ("analytical", "simulated"):
-                    value = stream.get(key)
-                    if (
-                        not isinstance(value, int)
-                        or isinstance(value, bool)
-                        or value < 0
-                    ):
-                        fail(
-                            f"{here}.streams.{field}.{key} is not a "
-                            "non-negative integer"
-                        )
-                rel = stream.get("rel_error")
-                if not isinstance(rel, (int, float)) or isinstance(rel, bool):
-                    fail(f"{here}.streams.{field}.rel_error is not a number")

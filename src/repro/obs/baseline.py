@@ -17,14 +17,14 @@ attributes any regression to the spans that caused it via
 from __future__ import annotations
 
 import copy
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.obs import schema
 from repro.obs.diff import diff_run_reports, render_attribution_table
-from repro.obs.export import validate_run_report
+from repro.obs.export import RUN_REPORT
 
 #: Default directory of committed baselines, relative to the repo root.
 DEFAULT_BASELINE_DIR = "benchmarks/baselines"
@@ -104,22 +104,12 @@ class BaselineStore:
         return self.path_for(key).is_file()
 
     def load(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path_for(key)
-        if not path.is_file():
-            return None
-        with open(path) as handle:
-            report = json.load(handle)
-        validate_run_report(report)
-        return report
+        return schema.load(self.path_for(key), RUN_REPORT)
 
     def save(self, key: str, report: Dict[str, Any]) -> Path:
-        normalized = normalize_report(report)
-        validate_run_report(normalized)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        with open(path, "w") as handle:
-            json.dump(normalized, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        schema.write(normalize_report(report), RUN_REPORT, path)
         return path
 
     def keys(self) -> List[str]:

@@ -14,12 +14,12 @@ trajectory files, never in the gate.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs import schema
 from repro.obs import state as obs
 from repro.obs.baseline import (
     BaselineStore,
@@ -28,55 +28,44 @@ from repro.obs.baseline import (
     baseline_key,
     compare_reports,
 )
-from repro.obs.diff import write_cost_diff
-from repro.obs.export import (
-    attribute_runtime,
-    build_run_report,
-    validate_run_report,
+from repro.obs.diff import COST_DIFF
+from repro.obs.export import RUN_REPORT, attribute_runtime, build_run_report
+from repro.obs.schema import PROVENANCE, Schema
+
+_NUMBER: Dict[str, Any] = {"type": "number"}
+
+#: One ``BENCH_<name>.json`` file: the per-machine history of one workload.
+BENCH_TRAJECTORY = Schema(
+    "repro.obs.bench_trajectory/v1.1",
+    {
+        "title": "repro bench trajectory",
+        "type": "object",
+        "required": ["workload", "entries"],
+        "properties": {
+            "workload": {"type": "string"},
+            "entries": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": [
+                        "provenance",
+                        "wall_seconds",
+                        "ops_total",
+                        "traffic_total",
+                        "regressions",
+                    ],
+                    "properties": {
+                        "provenance": PROVENANCE,
+                        "wall_seconds": _NUMBER,
+                        "ops_total": _NUMBER,
+                        "traffic_total": _NUMBER,
+                        "regressions": {"type": "array"},
+                    },
+                },
+            },
+        },
+    },
 )
-
-TRAJECTORY_SCHEMA_ID = "repro.obs.bench_trajectory/v1.1"
-
-#: Trajectory schema ids accepted on load; v1.1 adds per-entry provenance.
-ACCEPTED_TRAJECTORY_SCHEMA_IDS = (
-    "repro.obs.bench_trajectory/v1",
-    TRAJECTORY_SCHEMA_ID,
-)
-
-
-def validate_bench_trajectory(payload: Any) -> None:
-    """Structural validation of a BENCH_<name>.json trajectory document.
-
-    Raises ValueError on mismatch; gates every trajectory write so a
-    drifting producer cannot silently ship entries nothing reads back.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("bench trajectory must be a JSON object")
-    if payload.get("schema") not in ACCEPTED_TRAJECTORY_SCHEMA_IDS:
-        raise ValueError(
-            f"unsupported bench trajectory schema {payload.get('schema')!r}; "
-            f"accepted: {', '.join(ACCEPTED_TRAJECTORY_SCHEMA_IDS)}"
-        )
-    if not isinstance(payload.get("workload"), str):
-        raise ValueError("bench trajectory field 'workload' must be a string")
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        raise ValueError("bench trajectory field 'entries' must be a list")
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"trajectory entry #{position} must be an object")
-        for key in ("wall_seconds", "ops_total", "traffic_total"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(
-                    f"trajectory entry #{position} field {key!r} "
-                    "must be a number"
-                )
-        if not isinstance(entry.get("regressions"), list):
-            raise ValueError(
-                f"trajectory entry #{position} field 'regressions' "
-                "must be a list"
-            )
 
 
 @dataclass(frozen=True)
@@ -456,7 +445,7 @@ def run_spec(spec: BenchSpec) -> Dict[str, Any]:
         runtime=runtime,
         resources=resources,
     )
-    validate_run_report(report)
+    schema.validate(report, RUN_REPORT)
     return report
 
 
@@ -466,24 +455,16 @@ def _append_trajectory(
 ) -> Path:
     """Append one entry to the workload's BENCH_<name>.json trajectory."""
     path = out_dir / f"BENCH_{spec.name}.json"
-    trajectory: Dict[str, Any] = {
-        "schema": TRAJECTORY_SCHEMA_ID,
-        "workload": spec.name,
-        "entries": [],
-    }
-    if path.is_file():
-        try:
-            with open(path) as handle:
-                existing = json.load(handle)
-            if (
-                isinstance(existing, dict)
-                and existing.get("schema") in ACCEPTED_TRAJECTORY_SCHEMA_IDS
-                and isinstance(existing.get("entries"), list)
-            ):
-                trajectory = existing
-                trajectory["schema"] = TRAJECTORY_SCHEMA_ID
-        except (OSError, ValueError):
-            pass  # corrupt trajectory: start a fresh one
+    try:
+        trajectory = schema.load(path, BENCH_TRAJECTORY)
+    except (OSError, ValueError):
+        trajectory = None  # corrupt or outdated trajectory: start a fresh one
+    if trajectory is None:
+        trajectory = {
+            "schema": BENCH_TRAJECTORY.id,
+            "workload": spec.name,
+            "entries": [],
+        }
     from repro.obs.events import provenance as build_provenance
 
     # Host-measurement gauges (wall-clock, engine speedups) are the whole
@@ -512,10 +493,7 @@ def _append_trajectory(
             ),
         }
     )
-    validate_bench_trajectory(trajectory)
-    with open(path, "w") as handle:
-        json.dump(trajectory, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    schema.write(trajectory, BENCH_TRAJECTORY, path)
     return path
 
 
@@ -575,9 +553,10 @@ def run_bench(
                     printer(comparison.describe())
                     failures.append(spec.name)
                 if out_path is not None and comparison.diff is not None:
-                    write_cost_diff(
+                    schema.write(
                         comparison.diff,
-                        str(out_path / f"cost_diff_{spec.name}.json"),
+                        COST_DIFF,
+                        out_path / f"cost_diff_{spec.name}.json",
                     )
 
         if out_path is not None:

@@ -19,7 +19,7 @@ module turns two ``run_report.json`` documents (see
 * the result renders as a sorted attribution table
   (:func:`render_attribution_table`), a Chrome-trace overlay with both
   runs side by side (:func:`build_overlay_trace`), and a validated
-  machine-readable document (schema id ``repro.obs.cost_diff/v1``).
+  machine-readable document (the :data:`COST_DIFF` schema).
 
 Wall-clock numbers ride along for context but never enter the
 ``identical`` verdict — the analytical cost model is exact integer
@@ -28,91 +28,114 @@ arithmetic, timing is not.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.export import (
-    ACCEPTED_SCHEMA_IDS as ACCEPTED_RUN_REPORT_SCHEMA_IDS,
-)
-from repro.obs.export import compute_span_paths
+from repro.obs import schema
+from repro.obs.export import OPS_KEYS, RUN_REPORT, TRAFFIC_KEYS
+from repro.obs.schema import Schema, fields
 
-SCHEMA_ID = "repro.obs.cost_diff/v1"
-
-#: Schema id stamped into the Chrome-trace overlay's ``otherData`` block.
-OVERLAY_SCHEMA_ID = "repro.obs.diff_overlay/v1"
-
-#: DRAM traffic streams, in the paper's Figure 2/3 breakdown order.
-STREAMS = ("ct_read", "ct_write", "key_read", "pt_read")
-_OPS_KEYS = ("mults", "adds", "total")
-_TRAFFIC_KEYS = STREAMS + ("total",)
 _STATUSES = ("matched", "renamed", "added", "removed")
+_INTEGER: Dict[str, Any] = {"type": "integer"}
+_SHARE: Dict[str, Any] = {"type": "number", "minimum": 0, "maximum": 1}
 
-#: JSON-Schema (draft-07) for cost_diff.json; :func:`validate_cost_diff`
-#: performs the same structural checks without the dependency.
-COST_DIFF_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "title": "repro.obs cost diff",
-    "type": "object",
-    "required": ["schema", "base", "other", "identical", "totals", "spans", "metrics"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "base": {"$ref": "#/definitions/run_summary"},
-        "other": {"$ref": "#/definitions/run_summary"},
-        "identical": {"type": "boolean"},
-        "totals": {
-            "type": "object",
-            "required": ["base", "other", "delta"],
-            "properties": {
-                "base": {"type": "object"},
-                "other": {"type": "object"},
-                "delta": {
-                    "type": "object",
-                    "required": ["ops", "traffic", "arithmetic_intensity"],
-                },
-            },
-        },
-        "spans": {
-            "type": "array",
-            "items": {
+COST_DIFF = Schema(
+    "repro.obs.cost_diff/v1",
+    {
+        "title": "repro.obs cost diff",
+        "type": "object",
+        "required": ["base", "other", "identical", "totals", "spans", "metrics"],
+        "properties": {
+            "base": {"$ref": "#/definitions/run_summary"},
+            "other": {"$ref": "#/definitions/run_summary"},
+            "identical": {"type": "boolean"},
+            "totals": {
                 "type": "object",
-                "required": [
-                    "path", "status", "base_name", "other_name",
-                    "ops", "traffic", "traffic_share", "duration_us",
-                ],
+                "required": ["base", "other", "delta"],
                 "properties": {
-                    "path": {"type": "string"},
-                    "status": {"enum": list(_STATUSES)},
-                    "base_name": {"type": ["string", "null"]},
-                    "other_name": {"type": ["string", "null"]},
-                    "ops": {"type": "object"},
-                    "traffic": {"type": "object"},
-                    "arithmetic_intensity": {"type": "object"},
-                    "traffic_share": {"type": "number"},
-                    "duration_us": {"type": "object"},
+                    "base": {"type": "object"},
+                    "other": {"type": "object"},
+                    "delta": {
+                        "type": "object",
+                        "required": ["ops", "traffic", "arithmetic_intensity"],
+                        "properties": {
+                            "ops": fields(_INTEGER, *OPS_KEYS),
+                            "traffic": fields(_INTEGER, *TRAFFIC_KEYS),
+                        },
+                    },
+                },
+            },
+            "spans": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": [
+                        "path", "status", "base_name", "other_name",
+                        "ops", "traffic", "traffic_share", "duration_us",
+                    ],
+                    "properties": {
+                        "path": {"type": "string"},
+                        "status": {"enum": list(_STATUSES)},
+                        "base_name": {"type": ["string", "null"]},
+                        "other_name": {"type": ["string", "null"]},
+                        "ops": fields(
+                            fields(_INTEGER, *OPS_KEYS), "base", "other", "delta"
+                        ),
+                        "traffic": fields(
+                            fields(_INTEGER, *TRAFFIC_KEYS), "base", "other", "delta"
+                        ),
+                        "arithmetic_intensity": {"type": "object"},
+                        "traffic_share": _SHARE,
+                        "duration_us": {"type": "object"},
+                    },
+                },
+            },
+            "metrics": {
+                "type": "object",
+                "required": ["counters"],
+                "properties": {
+                    "counters": {
+                        "type": "object",
+                        "additionalProperties": fields(
+                            _INTEGER, "base", "other", "delta"
+                        ),
+                    },
                 },
             },
         },
-        "metrics": {
-            "type": "object",
-            "required": ["counters"],
-            "properties": {"counters": {"type": "object"}},
-        },
-    },
-    "definitions": {
-        "run_summary": {
-            "type": "object",
-            "required": ["command", "workload", "wall_seconds"],
-            "properties": {
-                "command": {"type": "string"},
-                "workload": {"type": "string"},
-                "params": {"type": ["string", "null"]},
-                "config": {"type": ["object", "null"]},
-                "wall_seconds": {"type": "number"},
+        "definitions": {
+            "run_summary": {
+                "type": "object",
+                "required": ["command", "workload", "wall_seconds"],
+                "properties": {
+                    "command": {"type": "string"},
+                    "workload": {"type": "string"},
+                    "params": {"type": ["string", "null"]},
+                    "config": {"type": ["object", "null"]},
+                    "wall_seconds": {"type": "number"},
+                },
             },
         },
     },
-}
+)
+
+#: The Chrome-trace overlay; its id lives in the ``otherData`` block.
+DIFF_OVERLAY = Schema(
+    "repro.obs.diff_overlay/v1",
+    {
+        "title": "repro.obs cost diff overlay trace",
+        "type": "object",
+        "required": ["traceEvents", "otherData"],
+        "properties": {
+            "traceEvents": {"type": "array"},
+            "otherData": {
+                "type": "object",
+                "required": ["identical"],
+                "properties": {"identical": {"type": "boolean"}},
+            },
+        },
+    },
+    key=("otherData", "schema"),
+)
 
 
 class WorkloadMismatchError(ValueError):
@@ -122,17 +145,6 @@ class WorkloadMismatchError(ValueError):
 # ----------------------------------------------------------------------
 # Report plumbing
 # ----------------------------------------------------------------------
-def _check_report(report: Any, which: str) -> None:
-    if not isinstance(report, dict) or "spans" not in report:
-        raise ValueError(f"{which} is not a run report (no spans)")
-    schema = report.get("schema")
-    if schema not in ACCEPTED_RUN_REPORT_SCHEMA_IDS:
-        raise ValueError(
-            f"{which} has schema {schema!r}, expected one of "
-            f"{ACCEPTED_RUN_REPORT_SCHEMA_IDS!r}"
-        )
-
-
 def _run_summary(report: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "command": report.get("command", ""),
@@ -267,10 +279,10 @@ def _span_entry(
     else:
         status = "renamed" if renamed else "matched"
 
-    base_ops = _block(base_span, "ops", _OPS_KEYS)
-    other_ops = _block(other_span, "ops", _OPS_KEYS)
-    base_traffic = _block(base_span, "traffic", _TRAFFIC_KEYS)
-    other_traffic = _block(other_span, "traffic", _TRAFFIC_KEYS)
+    base_ops = _block(base_span, "ops", OPS_KEYS)
+    other_ops = _block(other_span, "ops", OPS_KEYS)
+    base_traffic = _block(base_span, "traffic", TRAFFIC_KEYS)
+    other_traffic = _block(other_span, "traffic", TRAFFIC_KEYS)
     base_us = float((base_span or {}).get("duration_us", 0.0))
     other_us = float((other_span or {}).get("duration_us", 0.0))
     return {
@@ -281,13 +293,13 @@ def _span_entry(
         "ops": {
             "base": base_ops,
             "other": other_ops,
-            "delta": {k: other_ops[k] - base_ops[k] for k in _OPS_KEYS},
+            "delta": {k: other_ops[k] - base_ops[k] for k in OPS_KEYS},
         },
         "traffic": {
             "base": base_traffic,
             "other": other_traffic,
             "delta": {
-                k: other_traffic[k] - base_traffic[k] for k in _TRAFFIC_KEYS
+                k: other_traffic[k] - base_traffic[k] for k in TRAFFIC_KEYS
             },
         },
         "arithmetic_intensity": {
@@ -329,8 +341,8 @@ def diff_run_reports(
     reports describe different workloads unless
     ``require_same_workload=False``.
     """
-    _check_report(base, "base")
-    _check_report(other, "other")
+    schema.validate(base, RUN_REPORT)
+    schema.validate(other, RUN_REPORT)
     base_workload = base.get("workload", "")
     other_workload = other.get("workload", "")
     if require_same_workload and base_workload != other_workload:
@@ -368,14 +380,14 @@ def diff_run_reports(
     base_totals = base.get("totals", {})
     other_totals = other.get("totals", {})
     delta_ops = {
-        k: _block(other_totals, "ops", _OPS_KEYS)[k]
-        - _block(base_totals, "ops", _OPS_KEYS)[k]
-        for k in _OPS_KEYS
+        k: _block(other_totals, "ops", OPS_KEYS)[k]
+        - _block(base_totals, "ops", OPS_KEYS)[k]
+        for k in OPS_KEYS
     }
     delta_traffic = {
-        k: _block(other_totals, "traffic", _TRAFFIC_KEYS)[k]
-        - _block(base_totals, "traffic", _TRAFFIC_KEYS)[k]
-        for k in _TRAFFIC_KEYS
+        k: _block(other_totals, "traffic", TRAFFIC_KEYS)[k]
+        - _block(base_totals, "traffic", TRAFFIC_KEYS)[k]
+        for k in TRAFFIC_KEYS
     }
 
     base_counters = (base.get("metrics") or {}).get("counters") or {}
@@ -399,7 +411,7 @@ def diff_run_reports(
     )
 
     return {
-        "schema": SCHEMA_ID,
+        "schema": COST_DIFF.id,
         "base": _run_summary(base),
         "other": _run_summary(other),
         "identical": identical,
@@ -420,15 +432,6 @@ def diff_run_reports(
         "spans": entries,
         "metrics": {"counters": counter_deltas},
     }
-
-
-def spans_with_paths(report: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """The report's spans, with ``path`` computed when absent (old reports)."""
-    spans = report["spans"]
-    if all("path" in span for span in spans):
-        return spans
-    paths = compute_span_paths((s["name"], s.get("depth", 0)) for s in spans)
-    return [dict(span, path=path) for span, path in zip(spans, paths)]
 
 
 # ----------------------------------------------------------------------
@@ -467,9 +470,9 @@ def render_attribution_table(diff: Dict[str, Any], top: Optional[int] = 20) -> s
     lines.append("")
     header = f"{'Stream':10} {'base':>14} {'other':>14} {'delta':>12} {'rel':>8}"
     lines += [header, "-" * len(header)]
-    base_traffic = _block(totals["base"], "traffic", _TRAFFIC_KEYS)
-    other_traffic = _block(totals["other"], "traffic", _TRAFFIC_KEYS)
-    for stream in _TRAFFIC_KEYS:
+    base_traffic = _block(totals["base"], "traffic", TRAFFIC_KEYS)
+    other_traffic = _block(totals["other"], "traffic", TRAFFIC_KEYS)
+    for stream in TRAFFIC_KEYS:
         b, o = base_traffic[stream], other_traffic[stream]
         rel = f"{(o - b) / b:+.1%}" if b else ("n/a" if o else "0.0%")
         lines.append(
@@ -535,7 +538,7 @@ def build_overlay_trace(
                 "args": {"name": f"{label}: {report.get('workload', '')}"},
             }
         )
-        for span in spans_with_paths(report):
+        for span in report["spans"]:
             args: Dict[str, Any] = {"path": span["path"]}
             if span.get("ops"):
                 args["ops"] = span["ops"]["total"]
@@ -564,130 +567,9 @@ def build_overlay_trace(
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "schema": OVERLAY_SCHEMA_ID,
+            "schema": DIFF_OVERLAY.id,
             "identical": diff["identical"],
         },
     }
-    validate_diff_overlay(overlay)
+    schema.validate(overlay, DIFF_OVERLAY)
     return overlay
-
-
-def validate_diff_overlay(payload: Any) -> None:
-    """Structural validation of an overlay trace; raises ValueError."""
-    if not isinstance(payload, dict):
-        raise ValueError("diff overlay must be a JSON object")
-    other = payload.get("otherData")
-    if not isinstance(other, dict) or other.get("schema") != OVERLAY_SCHEMA_ID:
-        raise ValueError(
-            "diff overlay otherData.schema "
-            f"{other.get('schema') if isinstance(other, dict) else None!r} "
-            f"!= {OVERLAY_SCHEMA_ID!r}"
-        )
-    if not isinstance(other.get("identical"), bool):
-        raise ValueError("diff overlay otherData.identical must be a bool")
-    if not isinstance(payload.get("traceEvents"), list):
-        raise ValueError("diff overlay traceEvents must be a list")
-
-
-def write_cost_diff(diff: Dict[str, Any], path: str) -> None:
-    validate_cost_diff(diff)
-    with open(path, "w") as handle:
-        json.dump(diff, handle, indent=1, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-def validate_cost_diff(diff: Any) -> None:
-    """Structural validation; raises ValueError on mismatch.
-
-    Mirrors :data:`COST_DIFF_SCHEMA` without requiring ``jsonschema`` —
-    the same dependency-free pattern as
-    :func:`repro.obs.export.validate_run_report`.
-    """
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid cost diff: {message}")
-
-    if not isinstance(diff, dict):
-        fail("top level is not an object")
-    if diff.get("schema") != SCHEMA_ID:
-        fail(f"schema id {diff.get('schema')!r} != {SCHEMA_ID!r}")
-    for key in ("base", "other", "identical", "totals", "spans", "metrics"):
-        if key not in diff:
-            fail(f"missing required key {key!r}")
-    if not isinstance(diff["identical"], bool):
-        fail("identical is not a boolean")
-    for which in ("base", "other"):
-        summary = diff[which]
-        if not isinstance(summary, dict):
-            fail(f"{which} is not an object")
-        for key in ("command", "workload", "wall_seconds"):
-            if key not in summary:
-                fail(f"{which}.{key} missing")
-        if not isinstance(summary["workload"], str):
-            fail(f"{which}.workload is not a string")
-
-    totals = diff["totals"]
-    if not isinstance(totals, dict):
-        fail("totals is not an object")
-    for key in ("base", "other", "delta"):
-        if not isinstance(totals.get(key), dict):
-            fail(f"totals.{key} is not an object")
-    delta = totals["delta"]
-    for section, keys in (("ops", _OPS_KEYS), ("traffic", _TRAFFIC_KEYS)):
-        block = delta.get(section)
-        if not isinstance(block, dict):
-            fail(f"totals.delta.{section} is not an object")
-        for key in keys:
-            value = block.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                fail(f"totals.delta.{section}.{key} is not an integer")
-    if "arithmetic_intensity" not in delta:
-        fail("totals.delta.arithmetic_intensity missing")
-
-    spans = diff["spans"]
-    if not isinstance(spans, list):
-        fail("spans is not an array")
-    for index, entry in enumerate(spans):
-        if not isinstance(entry, dict):
-            fail(f"spans[{index}] is not an object")
-        for key in (
-            "path", "status", "base_name", "other_name",
-            "ops", "traffic", "traffic_share", "duration_us",
-        ):
-            if key not in entry:
-                fail(f"spans[{index}] missing {key!r}")
-        if not isinstance(entry["path"], str):
-            fail(f"spans[{index}].path is not a string")
-        if entry["status"] not in _STATUSES:
-            fail(f"spans[{index}].status {entry['status']!r} not in {_STATUSES}")
-        for section, keys in (("ops", _OPS_KEYS), ("traffic", _TRAFFIC_KEYS)):
-            block = entry[section]
-            if not isinstance(block, dict):
-                fail(f"spans[{index}].{section} is not an object")
-            for side in ("base", "other", "delta"):
-                side_block = block.get(side)
-                if not isinstance(side_block, dict):
-                    fail(f"spans[{index}].{section}.{side} is not an object")
-                for key in keys:
-                    value = side_block.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        fail(
-                            f"spans[{index}].{section}.{side}.{key} "
-                            f"is not an integer"
-                        )
-        share = entry["traffic_share"]
-        if not isinstance(share, (int, float)) or not 0 <= share <= 1:
-            fail(f"spans[{index}].traffic_share is not in [0, 1]")
-
-    metrics = diff["metrics"]
-    if not isinstance(metrics, dict) or not isinstance(
-        metrics.get("counters"), dict
-    ):
-        fail("metrics.counters is not an object")
-    for name, row in metrics["counters"].items():
-        if not isinstance(row, dict) or not all(
-            isinstance(row.get(k), int) for k in ("base", "other", "delta")
-        ):
-            fail(f"metrics.counters[{name!r}] is malformed")

@@ -15,9 +15,8 @@ Two pieces every long-running surface shares:
   monotone sequence number, wall timestamp, type, payload) and flushed
   on write so live readers never see a torn line.
 
-The validator mirrors its siblings (:func:`repro.obs.export
-.validate_run_report`, :func:`repro.sweep.report.validate_sweep_report`):
-structural checks, no ``jsonschema`` dependency.
+A stream is one :data:`EVENTS` document: the list of its events,
+validated by :func:`repro.obs.schema.validate` like every other report.
 """
 
 from __future__ import annotations
@@ -30,16 +29,15 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence
 
+from repro.obs import schema
+from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema
+
 __all__ = [
-    "EVENTS_SCHEMA_ID",
+    "EVENTS",
     "EventLog",
     "provenance",
     "read_events",
-    "validate_events",
-    "validate_provenance",
 ]
-
-EVENTS_SCHEMA_ID = "repro.obs.events/v1"
 
 #: Event types the sweep engine emits; the log accepts any type string.
 RUN_START = "run_start"
@@ -47,9 +45,6 @@ SWEEP_START = "sweep_start"
 CHUNK_COMPLETE = "chunk_complete"
 SWEEP_END = "sweep_end"
 RUN_END = "run_end"
-
-#: Provenance keys that must always be present (and be strings).
-_PROVENANCE_REQUIRED = ("git_sha", "python", "platform")
 
 _git_cache: Optional[Dict[str, Any]] = None
 
@@ -126,16 +121,38 @@ def provenance(
     return block
 
 
-def validate_provenance(block: Any, fail: Callable[[str], None]) -> None:
-    """Structural check of one provenance block (calls ``fail`` on error)."""
-    if not isinstance(block, dict):
-        fail("provenance is not an object")
-        return
-    for key in _PROVENANCE_REQUIRED:
-        if not isinstance(block.get(key), str):
-            fail(f"provenance.{key} is not a string")
-    if not isinstance(block.get("argv"), list):
-        fail("provenance.argv is not an array")
+def _check_stream(events: List[Dict[str, Any]], fail: schema.Fail) -> None:
+    """Sequence numbers count lines; the ``run_start`` header comes first."""
+    for position, event in enumerate(events):
+        if event["seq"] != position:
+            fail(f"[{position}].seq", f"{event['seq']!r} is not the line position")
+    if events and events[0]["type"] != RUN_START:
+        fail("[0].type", f"{events[0]['type']!r} is not {RUN_START!r}")
+    if events and "provenance" not in events[0]["data"]:
+        fail("[0].data", "missing required key 'provenance'")
+
+
+EVENTS = Schema(
+    "repro.obs.events/v1",
+    {
+        "title": "repro.obs event stream",
+        "type": "array",
+        "items": {
+            "type": "object",
+            "required": ["seq", "ts", "type", "data"],
+            "properties": {
+                "seq": COUNT,
+                "ts": NON_NEGATIVE,
+                "type": {"type": "string", "pattern": "."},
+                "data": {
+                    "type": "object",
+                    "properties": {"provenance": PROVENANCE},
+                },
+            },
+        },
+    },
+    check=_check_stream,
+)
 
 
 class EventLog:
@@ -166,7 +183,7 @@ class EventLog:
         if not type:
             raise ValueError("event type must be non-empty")
         event = {
-            "schema": EVENTS_SCHEMA_ID,
+            "schema": EVENTS.id,
             "seq": self._seq,
             "ts": self._clock(),
             "type": type,
@@ -229,35 +246,5 @@ def read_events(path: str, strict: bool = True) -> List[Dict[str, Any]]:
                         f"{path}:{number}: event line is not valid JSON"
                     ) from None
                 break  # torn tail of a live file
-    validate_events(events)
+    schema.validate(events, EVENTS)
     return events
-
-
-def validate_events(events: Any) -> None:
-    """Structural validation of an event stream; raises ValueError."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid event stream: {message}")
-
-    if not isinstance(events, list):
-        fail("stream is not a list of events")
-    for position, event in enumerate(events):
-        where = f"events[{position}]"
-        if not isinstance(event, dict):
-            fail(f"{where} is not an object")
-        if event.get("schema") != EVENTS_SCHEMA_ID:
-            fail(f"{where}.schema {event.get('schema')!r} != {EVENTS_SCHEMA_ID!r}")
-        if event.get("seq") != position:
-            fail(f"{where}.seq {event.get('seq')!r} is not the line position")
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-            fail(f"{where}.ts is not a non-negative number")
-        if not isinstance(event.get("type"), str) or not event["type"]:
-            fail(f"{where}.type is not a non-empty string")
-        if not isinstance(event.get("data"), dict):
-            fail(f"{where}.data is not an object")
-    if events:
-        first = events[0]
-        if first["type"] != RUN_START:
-            fail(f"first event is {first['type']!r}, expected {RUN_START!r}")
-        validate_provenance(first["data"].get("provenance"), fail)

@@ -8,15 +8,11 @@ Three output formats, all fed from one :class:`~repro.obs.tracer.Tracer`:
 * **Flat text profile** (:func:`render_flat_profile`) — spans aggregated
   by name in the :meth:`repro.perf.ledger.CostLedger.render` style.
 * **``run_report.json``** (:func:`build_run_report`) — a stable
-  machine-readable summary (schema id ``repro.obs.run_report/v1.1``,
-  JSON-Schema in :data:`RUN_REPORT_SCHEMA`) suitable for ``BENCH_*.json``
-  trajectory tracking and mechanical run-to-run diffing.
-
-Schema history: v1.1 adds a required ``provenance`` block (git SHA,
-python/numpy versions, argv — see :func:`repro.obs.events.provenance`)
-and an optional ``resources`` block (peak RSS, allocation peak, CPU
-seconds).  v1 reports remain readable everywhere
-(:data:`ACCEPTED_SCHEMA_IDS`).
+  machine-readable summary (the :data:`RUN_REPORT` schema) suitable for
+  ``BENCH_*.json`` trajectory tracking and mechanical run-to-run diffing.
+  Every report carries a ``provenance`` block (git SHA, python/numpy
+  versions, argv — see :func:`repro.obs.events.provenance`) and an
+  optional ``resources`` block (peak RSS, allocation peak, CPU seconds).
 """
 
 from __future__ import annotations
@@ -25,14 +21,12 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import provenance as build_provenance
-from repro.obs.events import validate_provenance
+from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
 from repro.perf.events import CostReport, MemTraffic, OpCount
 
-SCHEMA_ID = "repro.obs.run_report/v1.1"
-
-#: Schema ids :func:`validate_run_report` accepts; new reports are always
-#: written with :data:`SCHEMA_ID`.
-ACCEPTED_SCHEMA_IDS = ("repro.obs.run_report/v1", SCHEMA_ID)
+#: Field names of the serialized :class:`OpCount` / :class:`MemTraffic`.
+OPS_KEYS = ("mults", "adds", "total")
+TRAFFIC_KEYS = ("ct_read", "ct_write", "key_read", "pt_read", "total")
 
 
 def compute_span_paths(names_and_depths) -> List[str]:
@@ -67,117 +61,80 @@ def compute_span_paths(names_and_depths) -> List[str]:
         counts_stack.append({})
     return paths
 
-#: JSON-Schema (draft-07) for the run report; CI validates emitted reports
-#: against it with ``jsonschema`` and :func:`validate_run_report` performs
-#: the same structural checks without the dependency.
-RUN_REPORT_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "title": "repro.obs run report",
-    "type": "object",
-    "required": [
-        "schema",
-        "command",
-        "wall_seconds",
-        "totals",
-        "spans",
-        "metrics",
-        "provenance",
-    ],
-    "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {
-            "type": "object",
-            "required": ["git_sha", "python", "platform", "argv"],
-            "properties": {
-                "git_sha": {"type": "string"},
-                "git_dirty": {"type": ["boolean", "null"]},
-                "python": {"type": "string"},
-                "numpy": {"type": ["string", "null"]},
-                "platform": {"type": "string"},
-                "argv": {"type": "array"},
-                "config_fingerprint": {"type": ["string", "null"]},
+
+RUN_REPORT = Schema(
+    "repro.obs.run_report/v1.1",
+    {
+        "title": "repro.obs run report",
+        "type": "object",
+        "required": [
+            "command",
+            "wall_seconds",
+            "totals",
+            "spans",
+            "metrics",
+            "provenance",
+        ],
+        "properties": {
+            "provenance": PROVENANCE,
+            "resources": {
+                "type": ["object", "null"],
+                "properties": {
+                    "peak_rss_bytes": COUNT,
+                    "alloc_peak_bytes": COUNT,
+                    "alloc_current_bytes": COUNT,
+                    "wall_seconds": NON_NEGATIVE,
+                    "cpu_seconds": NON_NEGATIVE,
+                    "gc_collections": COUNT,
+                },
             },
-        },
-        "resources": {
-            "type": ["object", "null"],
-            "properties": {
-                "peak_rss_bytes": {"type": "integer", "minimum": 0},
-                "alloc_peak_bytes": {"type": "integer", "minimum": 0},
-                "alloc_current_bytes": {"type": "integer", "minimum": 0},
-                "wall_seconds": {"type": "number", "minimum": 0},
-                "cpu_seconds": {"type": "number", "minimum": 0},
-                "gc_collections": {"type": "integer", "minimum": 0},
+            "command": {"type": "string"},
+            "workload": {"type": "string"},
+            "params": {"type": ["string", "null"]},
+            "config": {"type": ["object", "null"]},
+            "wall_seconds": NON_NEGATIVE,
+            "totals": {
+                "type": "object",
+                "required": ["ops", "traffic", "arithmetic_intensity"],
+                "properties": {
+                    "ops": fields(COUNT, *OPS_KEYS),
+                    "traffic": fields(COUNT, *TRAFFIC_KEYS),
+                    "arithmetic_intensity": {"type": "number"},
+                },
             },
-        },
-        "command": {"type": "string"},
-        "workload": {"type": "string"},
-        "params": {"type": ["string", "null"]},
-        "config": {"type": ["object", "null"]},
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "totals": {
-            "type": "object",
-            "required": ["ops", "traffic", "arithmetic_intensity"],
-            "properties": {
-                "ops": {
+            "spans": {
+                "type": "array",
+                "items": {
                     "type": "object",
-                    "required": ["mults", "adds", "total"],
+                    "required": ["name", "path", "depth", "start_us", "duration_us"],
                     "properties": {
-                        "mults": {"type": "integer", "minimum": 0},
-                        "adds": {"type": "integer", "minimum": 0},
-                        "total": {"type": "integer", "minimum": 0},
+                        "name": {"type": "string"},
+                        "path": {"type": "string"},
+                        "depth": COUNT,
+                        "start_us": NON_NEGATIVE,
+                        "duration_us": NON_NEGATIVE,
+                        "ops": {"type": ["object", "null"]},
+                        "traffic": {"type": ["object", "null"]},
+                        "meta": {"type": "object"},
                     },
                 },
-                "traffic": {
-                    "type": "object",
-                    "required": [
-                        "ct_read", "ct_write", "key_read", "pt_read", "total",
-                    ],
-                },
-                "arithmetic_intensity": {"type": "number"},
             },
+            "metrics": fields({"type": "object"}, "counters", "gauges", "histograms"),
+            "runtime": {"type": ["object", "null"]},
         },
-        "spans": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "path", "depth", "start_us", "duration_us"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "path": {"type": "string"},
-                    "depth": {"type": "integer", "minimum": 0},
-                    "start_us": {"type": "number", "minimum": 0},
-                    "duration_us": {"type": "number", "minimum": 0},
-                    "ops": {"type": ["object", "null"]},
-                    "traffic": {"type": ["object", "null"]},
-                    "meta": {"type": "object"},
-                },
-            },
-        },
-        "metrics": {
-            "type": "object",
-            "required": ["counters", "gauges", "histograms"],
-        },
-        "runtime": {"type": ["object", "null"]},
     },
-}
+)
 
 
 # ----------------------------------------------------------------------
 # Cost serialization helpers
 # ----------------------------------------------------------------------
 def ops_dict(ops: OpCount) -> Dict[str, int]:
-    return {"mults": ops.mults, "adds": ops.adds, "total": ops.total}
+    return {key: getattr(ops, key) for key in OPS_KEYS}
 
 
 def traffic_dict(traffic: MemTraffic) -> Dict[str, int]:
-    return {
-        "ct_read": traffic.ct_read,
-        "ct_write": traffic.ct_write,
-        "key_read": traffic.key_read,
-        "pt_read": traffic.pt_read,
-        "total": traffic.total,
-    }
+    return {key: getattr(traffic, key) for key in TRAFFIC_KEYS}
 
 
 def cost_dict(cost: CostReport) -> Dict[str, Any]:
@@ -393,7 +350,7 @@ def build_run_report(
     total = total if total is not None else CostReport()
     ai = total.arithmetic_intensity
     return {
-        "schema": SCHEMA_ID,
+        "schema": RUN_REPORT.id,
         "command": command,
         "workload": workload,
         "params": params,
@@ -417,73 +374,3 @@ def build_run_report(
         ),
         "resources": _json_safe(resources) if resources is not None else None,
     }
-
-
-def validate_run_report(report: Any) -> None:
-    """Structural validation of a run report; raises ValueError on mismatch.
-
-    Mirrors :data:`RUN_REPORT_SCHEMA` without requiring ``jsonschema``.
-    Accepts every id in :data:`ACCEPTED_SCHEMA_IDS`; the ``provenance``
-    block is required from v1.1 on.
-    """
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid run report: {message}")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(f"schema id {report.get('schema')!r} not in {ACCEPTED_SCHEMA_IDS!r}")
-    if report["schema"] == SCHEMA_ID:
-        validate_provenance(report.get("provenance"), fail)
-    for key in ("command", "wall_seconds", "totals", "spans", "metrics"):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    if not isinstance(report["command"], str):
-        fail("command is not a string")
-    wall = report["wall_seconds"]
-    if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
-        fail("wall_seconds is not a non-negative number")
-
-    totals = report["totals"]
-    if not isinstance(totals, dict):
-        fail("totals is not an object")
-    for section, keys in (
-        ("ops", ("mults", "adds", "total")),
-        ("traffic", ("ct_read", "ct_write", "key_read", "pt_read", "total")),
-    ):
-        block = totals.get(section)
-        if not isinstance(block, dict):
-            fail(f"totals.{section} is not an object")
-        for key in keys:
-            value = block.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                fail(f"totals.{section}.{key} is not a non-negative integer")
-    if "arithmetic_intensity" not in totals:
-        fail("totals.arithmetic_intensity missing")
-
-    spans = report["spans"]
-    if not isinstance(spans, list):
-        fail("spans is not an array")
-    for index, span in enumerate(spans):
-        if not isinstance(span, dict):
-            fail(f"spans[{index}] is not an object")
-        for key in ("name", "path", "depth", "start_us", "duration_us"):
-            if key not in span:
-                fail(f"spans[{index}] missing {key!r}")
-        for key in ("name", "path"):
-            if not isinstance(span[key], str):
-                fail(f"spans[{index}].{key} is not a string")
-        if not isinstance(span["depth"], int) or span["depth"] < 0:
-            fail(f"spans[{index}].depth is not a non-negative integer")
-        for key in ("start_us", "duration_us"):
-            value = span[key]
-            if not isinstance(value, (int, float)) or value < 0:
-                fail(f"spans[{index}].{key} is not a non-negative number")
-
-    metrics = report["metrics"]
-    if not isinstance(metrics, dict):
-        fail("metrics is not an object")
-    for key in ("counters", "gauges", "histograms"):
-        if not isinstance(metrics.get(key), dict):
-            fail(f"metrics.{key} is not an object")

@@ -7,8 +7,8 @@ gap with three operations:
 
 * :func:`capture_snapshot` — freeze a worker-local
   :class:`~repro.obs.tracer.Tracer` + :class:`~repro.obs.metrics
-  .MetricsRegistry` into a picklable :data:`TelemetrySnapshot` dict
-  (schema id :data:`SNAPSHOT_VERSION`).  Span costs stay as the frozen
+  .MetricsRegistry` into a picklable snapshot dict (the
+  :data:`SNAPSHOT` schema).  Span costs stay as the frozen
   :class:`~repro.perf.events.CostReport` dataclasses — exact integers,
   no JSON round-trip.
 * :func:`merge_snapshots` — fold snapshots **in canonical chunk order**:
@@ -33,20 +33,36 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.obs import schema
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import Schema, fields
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
-    "SNAPSHOT_VERSION",
+    "SNAPSHOT",
     "capture_snapshot",
     "graft_snapshot",
     "merge_into_registry",
     "merge_snapshots",
     "strip_volatile",
-    "validate_snapshot",
 ]
 
-SNAPSHOT_VERSION = "repro.obs.telemetry/v1"
+#: Deliberately shallow: :func:`merge_snapshots` validates every chunk's
+#: snapshot, and span costs stay :class:`~repro.perf.events.CostReport`
+#: objects that JSON Schema cannot describe.
+SNAPSHOT = Schema(
+    "repro.obs.telemetry/v1",
+    {
+        "title": "repro.obs telemetry snapshot",
+        "type": "object",
+        "required": ["spans", "metrics"],
+        "properties": {
+            "spans": {"type": "array"},
+            "metrics": fields({"type": "object"}, "counters", "gauges", "histograms"),
+        },
+    },
+    key=("version",),
+)
 
 #: Metric names whose values depend on scheduling (worker count, chunk
 #: boundaries, which worker saw a memo key first) rather than on what was
@@ -92,7 +108,7 @@ def capture_snapshot(tracer: Tracer, registry: MetricsRegistry) -> Dict[str, Any
             "max": hist.max,
         }
     return {
-        "version": SNAPSHOT_VERSION,
+        "version": SNAPSHOT.id,
         "spans": [_span_to_dict(span, base) for span in roots],
         "metrics": {
             "counters": registry.counters(),
@@ -103,25 +119,6 @@ def capture_snapshot(tracer: Tracer, registry: MetricsRegistry) -> Dict[str, Any
             "histograms": histograms,
         },
     }
-
-
-def validate_snapshot(snapshot: Any) -> None:
-    """Structural check of one snapshot; raises ValueError."""
-    if not isinstance(snapshot, dict):
-        raise ValueError("telemetry snapshot is not a dict")
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"telemetry snapshot version {snapshot.get('version')!r} "
-            f"!= {SNAPSHOT_VERSION!r}"
-        )
-    if not isinstance(snapshot.get("spans"), list):
-        raise ValueError("telemetry snapshot spans is not a list")
-    metrics = snapshot.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ValueError("telemetry snapshot metrics is not a dict")
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(metrics.get(section), dict):
-            raise ValueError(f"telemetry snapshot metrics.{section} is not a dict")
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +153,7 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     histograms: Dict[str, Dict[str, float]] = {}
     spans: List[Dict[str, Any]] = []
     for snapshot in snapshots:
-        validate_snapshot(snapshot)
+        schema.validate(snapshot, SNAPSHOT)
         spans.extend(copy.deepcopy(snapshot["spans"]))
         metrics = snapshot["metrics"]
         for name, value in metrics["counters"].items():
@@ -168,7 +165,7 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
                 histograms.get(name, {"count": 0}), moments
             )
     return {
-        "version": SNAPSHOT_VERSION,
+        "version": SNAPSHOT.id,
         "spans": spans,
         "metrics": {
             "counters": dict(sorted(counters.items())),
@@ -182,7 +179,7 @@ def merge_into_registry(
     snapshot: Mapping[str, Any], registry: MetricsRegistry
 ) -> None:
     """Fold a snapshot's metrics into a live registry."""
-    validate_snapshot(snapshot)
+    schema.validate(snapshot, SNAPSHOT)
     metrics = snapshot["metrics"]
     for name, value in metrics["counters"].items():
         registry.counter(name).inc(value)
@@ -219,7 +216,7 @@ def graft_snapshot(snapshot: Mapping[str, Any], tracer: Tracer) -> List[Span]:
     everything the parent already recorded.  Returns the grafted root
     spans.
     """
-    validate_snapshot(snapshot)
+    schema.validate(snapshot, SNAPSHOT)
     parent = tracer.current
     base = tracer._clock()
     grafted = [

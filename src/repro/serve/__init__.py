@@ -11,7 +11,7 @@ same-parameter batches that amortize switching-key traffic
 (:mod:`~repro.serve.batching`) and pricing every dispatch through the
 existing :class:`~repro.perf.events.CostReport` pipeline under each
 tenant's cache slice (:mod:`~repro.serve.partition`).  Results land in
-a ``repro.serve/v1`` report (:mod:`~repro.serve.report`) with
+a ``serve_report.json`` (:mod:`~repro.serve.report`) with
 per-tenant p50/p99/p999 latency, throughput, fleet utilisation,
 batching efficiency and cost-per-request.
 
@@ -36,17 +36,12 @@ from repro.serve.batching import (
 )
 from repro.serve.partition import CACHE_POLICIES, partition_cache
 from repro.serve.report import (
-    ACCEPTED_SCHEMA_IDS,
-    SCHEMA_ID,
-    SERVE_REPORT_SCHEMA,
+    SERVE_REPORT,
     assemble_serve_report,
     build_serve_report,
     fleet_row,
-    load_serve_report,
     scenario_fingerprint,
     tenant_row,
-    validate_serve_report,
-    write_serve_report,
 )
 from repro.serve.requests import (
     KIND_LEVELS,
@@ -75,7 +70,6 @@ from repro.serve.stats import (
 )
 
 __all__ = [
-    "ACCEPTED_SCHEMA_IDS",
     "ARRIVAL_SHAPES",
     "ArrivalProcess",
     "BatchPolicy",
@@ -89,8 +83,7 @@ __all__ = [
     "Request",
     "SCENARIOS",
     "SCHEDULER_NAMES",
-    "SCHEMA_ID",
-    "SERVE_REPORT_SCHEMA",
+    "SERVE_REPORT",
     "Scenario",
     "Scheduler",
     "SimResult",
@@ -105,7 +98,6 @@ __all__ = [
     "fleet_row",
     "fleet_with",
     "key_reads_saved",
-    "load_serve_report",
     "make_scheduler",
     "partition_cache",
     "percentile",
@@ -117,6 +109,4 @@ __all__ = [
     "summarize_latencies",
     "tenant_arrivals",
     "tenant_row",
-    "validate_serve_report",
-    "write_serve_report",
 ]

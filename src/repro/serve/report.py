@@ -1,4 +1,4 @@
-"""``serve_report.json`` — schema ``repro.serve/v1`` — and its validator.
+"""``serve_report.json`` (the :data:`SERVE_REPORT` schema).
 
 One report captures a whole scenario run: the scenario identity
 (name, seed, duration, pricing config), a provenance block
@@ -8,122 +8,141 @@ per-tenant latency/SLA rows.  Every number in a fleet entry is a pure
 function of ``(scenario, fleet, seed)`` — reports are byte-identical
 across machines, processes and ``--jobs`` splits, which is what the CI
 determinism gate asserts.
-
-:func:`validate_serve_report` performs the structural checks without
-the ``jsonschema`` dependency, mirroring :mod:`repro.sweep.report`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
+from repro.obs import schema
+from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
 from repro.serve.scenario import Scenario
 from repro.serve.simulator import SimResult, TenantResult
 
 __all__ = [
-    "ACCEPTED_SCHEMA_IDS",
-    "SCHEMA_ID",
-    "SERVE_REPORT_SCHEMA",
+    "SERVE_REPORT",
     "assemble_serve_report",
     "build_serve_report",
     "fleet_row",
-    "load_serve_report",
     "scenario_fingerprint",
     "tenant_row",
-    "validate_serve_report",
-    "write_serve_report",
 ]
 
-SCHEMA_ID = "repro.serve/v1"
+_STRING: Dict[str, Any] = {"type": "string"}
+_FRACTION: Dict[str, Any] = {"type": "number", "minimum": 0, "maximum": 1}
 
-#: Schema ids accepted on load; new reports always use SCHEMA_ID.
-ACCEPTED_SCHEMA_IDS = (SCHEMA_ID,)
-
-#: JSON-Schema (draft-07); CI validates with ``jsonschema`` where
-#: available and :func:`validate_serve_report` mirrors it without the
-#: dependency.
-SERVE_REPORT_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "title": "repro.serve scenario report",
-    "type": "object",
-    "required": [
-        "schema",
-        "scenario",
-        "seed",
-        "duration_s",
-        "config",
-        "fingerprint",
-        "fleets",
-    ],
-    "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {"type": "object"},
-        "scenario": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "duration_s": {"type": "number", "exclusiveMinimum": 0},
-        "config": {"type": "string"},
-        "fingerprint": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "fleets": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": [
-                    "fleet",
-                    "design",
-                    "devices",
-                    "scheduler",
-                    "cache_policy",
-                    "makespan_s",
-                    "requests",
-                    "throughput_rps",
-                    "utilisation",
-                    "batching",
-                    "cost",
-                    "tenants",
-                ],
-                "properties": {
-                    "fleet": {"type": "string"},
-                    "design": {"type": "string"},
-                    "devices": {"type": "integer", "minimum": 1},
-                    "scheduler": {"type": "string"},
-                    "cache_policy": {"type": "string"},
-                    "makespan_s": {"type": "number", "minimum": 0},
-                    "requests": {
-                        "type": "object",
-                        "required": ["offered", "completed", "bootstraps"],
-                    },
-                    "throughput_rps": {"type": "number", "minimum": 0},
-                    "utilisation": {
-                        "type": "number",
-                        "minimum": 0,
-                        "maximum": 1,
-                    },
-                    "batching": {
-                        "type": "object",
-                        "required": [
-                            "batches",
-                            "mean_size",
-                            "key_read_saved_fraction",
-                        ],
-                    },
-                    "cost": {
-                        "type": "object",
-                        "required": [
+SERVE_REPORT = Schema(
+    "repro.serve/v1",
+    {
+        "title": "repro.serve scenario report",
+        "type": "object",
+        "required": [
+            "provenance",
+            "scenario",
+            "seed",
+            "duration_s",
+            "config",
+            "fingerprint",
+            "fleets",
+        ],
+        "properties": {
+            "provenance": PROVENANCE,
+            "scenario": _STRING,
+            "seed": COUNT,
+            "duration_s": {"type": "number", "exclusiveMinimum": 0},
+            "config": _STRING,
+            "fingerprint": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+            "fleets": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "required": [
+                        "fleet",
+                        "design",
+                        "devices",
+                        "scheduler",
+                        "cache_policy",
+                        "makespan_s",
+                        "requests",
+                        "throughput_rps",
+                        "utilisation",
+                        "batching",
+                        "cost",
+                        "tenants",
+                    ],
+                    "properties": {
+                        "fleet": _STRING,
+                        "design": _STRING,
+                        "devices": {"type": "integer", "minimum": 1},
+                        "scheduler": _STRING,
+                        "cache_policy": _STRING,
+                        "makespan_s": NON_NEGATIVE,
+                        "requests": fields(COUNT, "offered", "completed", "bootstraps"),
+                        "throughput_rps": NON_NEGATIVE,
+                        "utilisation": _FRACTION,
+                        "batching": {
+                            "type": "object",
+                            "required": [
+                                "batches",
+                                "mean_size",
+                                "key_read_saved_fraction",
+                            ],
+                            "properties": {
+                                "batches": COUNT,
+                                "mean_size": NON_NEGATIVE,
+                                "key_read_saved_fraction": _FRACTION,
+                            },
+                        },
+                        "cost": fields(
+                            NON_NEGATIVE,
                             "device_seconds_per_request",
                             "giga_ops_per_request",
                             "dram_gb_per_request",
-                        ],
+                        ),
+                        "tenants": {
+                            "type": "array",
+                            "minItems": 1,
+                            "items": {
+                                "type": "object",
+                                "required": [
+                                    "tenant",
+                                    "offered",
+                                    "completed",
+                                    "bootstraps",
+                                    "sla",
+                                ],
+                                "properties": {
+                                    "tenant": _STRING,
+                                    "offered": COUNT,
+                                    "completed": COUNT,
+                                    "bootstraps": COUNT,
+                                    "latency": {
+                                        "type": ["object", "null"],
+                                        "required": [
+                                            "count",
+                                            "mean_ms",
+                                            "p50_ms",
+                                            "p99_ms",
+                                        ],
+                                    },
+                                    "sla": {
+                                        "type": "object",
+                                        "properties": {
+                                            "met": {"type": ["boolean", "null"]},
+                                        },
+                                    },
+                                },
+                            },
+                        },
                     },
-                    "tenants": {"type": "array", "minItems": 1},
                 },
             },
         },
     },
-}
+)
 
 
 def scenario_fingerprint(scenario: Scenario, seed: int) -> str:
@@ -199,7 +218,7 @@ def fleet_row(result: SimResult) -> Dict[str, Any]:
 def assemble_serve_report(
     scenario: Scenario, seed: int, rows: Sequence[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """The ``repro.serve/v1`` report from prebuilt fleet rows.
+    """The validated :data:`SERVE_REPORT` from prebuilt fleet rows.
 
     The sweep path (``serve.scenario`` evaluator) produces rows in
     worker processes; this assembles the identical report the serial
@@ -209,7 +228,7 @@ def assemble_serve_report(
 
     fingerprint = scenario_fingerprint(scenario, seed)
     report = {
-        "schema": SCHEMA_ID,
+        "schema": SERVE_REPORT.id,
         "provenance": build_provenance(config_fingerprint=fingerprint),
         "scenario": scenario.name,
         "seed": seed,
@@ -225,179 +244,14 @@ def assemble_serve_report(
             for row in rows
         ],
     }
-    validate_serve_report(report)
+    schema.validate(report, SERVE_REPORT)
     return report
 
 
 def build_serve_report(
     scenario: Scenario, seed: int, results: Sequence[SimResult]
 ) -> Dict[str, Any]:
-    """Assemble the ``repro.serve/v1`` report for a finished scenario."""
+    """Assemble the :data:`SERVE_REPORT` for a finished scenario."""
     return assemble_serve_report(
         scenario, seed, [fleet_row(result) for result in results]
     )
-
-
-def write_serve_report(report: Dict[str, Any], path: str) -> None:
-    """Write a validated report with the repo's canonical JSON layout."""
-    validate_serve_report(report)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def load_serve_report(path: str) -> Optional[Dict[str, Any]]:
-    """Load and validate a report; ``None`` when the file does not exist."""
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-    except FileNotFoundError:
-        return None
-    validate_serve_report(report)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Dependency-free structural validation (mirrors SERVE_REPORT_SCHEMA)
-# ----------------------------------------------------------------------
-def validate_serve_report(report: Any) -> None:
-    """Structural validation; raises ValueError on the first mismatch."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid serve report: {message}")
-
-    def require_int(value: Any, label: str, minimum: int = 0) -> None:
-        if (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < minimum
-        ):
-            fail(f"{label} is not an integer >= {minimum}")
-
-    def require_number(value: Any, label: str) -> None:
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or value < 0
-        ):
-            fail(f"{label} is not a non-negative number")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(
-            f"schema id {report.get('schema')!r} not in "
-            f"{ACCEPTED_SCHEMA_IDS!r}"
-        )
-    if report["schema"] == SCHEMA_ID:
-        from repro.obs.events import validate_provenance
-
-        validate_provenance(report.get("provenance"), fail)
-    for key in (
-        "scenario",
-        "seed",
-        "duration_s",
-        "config",
-        "fingerprint",
-        "fleets",
-    ):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    for key in ("scenario", "config", "fingerprint"):
-        if not isinstance(report[key], str):
-            fail(f"{key} is not a string")
-    require_int(report["seed"], "seed")
-    require_number(report["duration_s"], "duration_s")
-    if report["duration_s"] <= 0:
-        fail("duration_s is not positive")
-    fingerprint = report["fingerprint"]
-    if len(fingerprint) != 64 or any(
-        c not in "0123456789abcdef" for c in fingerprint
-    ):
-        fail("fingerprint is not a 64-hex-digit SHA-256")
-    fleets = report["fleets"]
-    if not isinstance(fleets, list) or not fleets:
-        fail("fleets is not a non-empty array")
-    for index, entry in enumerate(fleets):
-        where = f"fleets[{index}]"
-        if not isinstance(entry, dict):
-            fail(f"{where} is not an object")
-        for key in (
-            "fleet",
-            "design",
-            "devices",
-            "scheduler",
-            "cache_policy",
-            "makespan_s",
-            "requests",
-            "throughput_rps",
-            "utilisation",
-            "batching",
-            "cost",
-            "tenants",
-        ):
-            if key not in entry:
-                fail(f"{where} missing {key!r}")
-        for key in ("fleet", "design", "scheduler", "cache_policy"):
-            if not isinstance(entry[key], str):
-                fail(f"{where}.{key} is not a string")
-        require_int(entry["devices"], f"{where}.devices", minimum=1)
-        require_number(entry["makespan_s"], f"{where}.makespan_s")
-        require_number(entry["throughput_rps"], f"{where}.throughput_rps")
-        require_number(entry["utilisation"], f"{where}.utilisation")
-        if entry["utilisation"] > 1:
-            fail(f"{where}.utilisation exceeds 1")
-        requests = entry["requests"]
-        if not isinstance(requests, dict):
-            fail(f"{where}.requests is not an object")
-        for key in ("offered", "completed", "bootstraps"):
-            require_int(requests.get(key), f"{where}.requests.{key}")
-        batching = entry["batching"]
-        if not isinstance(batching, dict):
-            fail(f"{where}.batching is not an object")
-        require_int(batching.get("batches"), f"{where}.batching.batches")
-        require_number(
-            batching.get("mean_size"), f"{where}.batching.mean_size"
-        )
-        require_number(
-            batching.get("key_read_saved_fraction"),
-            f"{where}.batching.key_read_saved_fraction",
-        )
-        if batching["key_read_saved_fraction"] > 1:
-            fail(f"{where}.batching.key_read_saved_fraction exceeds 1")
-        cost = entry["cost"]
-        if not isinstance(cost, dict):
-            fail(f"{where}.cost is not an object")
-        for key in (
-            "device_seconds_per_request",
-            "giga_ops_per_request",
-            "dram_gb_per_request",
-        ):
-            require_number(cost.get(key), f"{where}.cost.{key}")
-        tenants = entry["tenants"]
-        if not isinstance(tenants, list) or not tenants:
-            fail(f"{where}.tenants is not a non-empty array")
-        for position, tenant in enumerate(tenants):
-            spot = f"{where}.tenants[{position}]"
-            if not isinstance(tenant, dict):
-                fail(f"{spot} is not an object")
-            for key in ("tenant", "offered", "completed", "bootstraps"):
-                if key not in tenant:
-                    fail(f"{spot} missing {key!r}")
-            if not isinstance(tenant["tenant"], str):
-                fail(f"{spot}.tenant is not a string")
-            for key in ("offered", "completed", "bootstraps"):
-                require_int(tenant[key], f"{spot}.{key}")
-            latency = tenant.get("latency")
-            if latency is not None:
-                if not isinstance(latency, dict):
-                    fail(f"{spot}.latency is not an object or null")
-                for key in ("count", "mean_ms", "p50_ms", "p99_ms"):
-                    if key not in latency:
-                        fail(f"{spot}.latency missing {key!r}")
-            sla = tenant.get("sla")
-            if not isinstance(sla, dict):
-                fail(f"{spot}.sla is not an object")
-            met = sla.get("met")
-            if met is not None and not isinstance(met, bool):
-                fail(f"{spot}.sla.met is not a boolean or null")

@@ -12,8 +12,8 @@ them one engine:
 * :func:`run_sweep` — chunked fan-out over a process pool (``jobs=1``
   stays in-process), per-worker memoization, canonical-order merge so
   output is bit-identical to serial (:mod:`repro.sweep.engine`).
-* ``repro.sweep/v1`` resumable reports + dependency-free validator
-  (:mod:`repro.sweep.report`).
+* Resumable ``sweep_report.json`` reports, declared on the
+  :mod:`repro.obs.schema` table (:mod:`repro.sweep.report`).
 * Built-in evaluators for the four sweep surfaces
   (:mod:`repro.sweep.evaluators`) and named presets for the CLI
   (:mod:`repro.sweep.presets`).
@@ -23,22 +23,15 @@ from repro.sweep.engine import SweepError, SweepOutcome, run_sweep
 from repro.sweep.memo import Memo
 from repro.sweep.presets import SWEEP_PRESETS, build_preset, preset_names
 from repro.sweep.registry import Evaluator, get_evaluator, register_evaluator
-from repro.sweep.report import (
-    SCHEMA_ID,
-    SWEEP_REPORT_SCHEMA,
-    build_sweep_report,
-    load_sweep_report,
-    validate_sweep_report,
-    write_sweep_report,
-)
+from repro.sweep.report import SWEEP_REPORT, SWEEP_SPEEDUP, build_sweep_report
 from repro.sweep.spec import SweepAxis, SweepSpec, value_key
 
 __all__ = [
     "Evaluator",
     "Memo",
-    "SCHEMA_ID",
     "SWEEP_PRESETS",
-    "SWEEP_REPORT_SCHEMA",
+    "SWEEP_REPORT",
+    "SWEEP_SPEEDUP",
     "build_preset",
     "preset_names",
     "SweepAxis",
@@ -47,10 +40,7 @@ __all__ = [
     "SweepSpec",
     "build_sweep_report",
     "get_evaluator",
-    "load_sweep_report",
     "register_evaluator",
     "run_sweep",
-    "validate_sweep_report",
     "value_key",
-    "write_sweep_report",
 ]

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs import schema
 from repro.obs import state as obs
 from repro.obs.events import CHUNK_COMPLETE, SWEEP_END, SWEEP_START, EventLog
 from repro.obs.profiler import (
@@ -85,7 +86,7 @@ class ChunkPayload:
     """Everything one evaluated chunk sends back to the parent.
 
     ``snapshot`` is the chunk-local telemetry
-    (:data:`~repro.obs.telemetry.SNAPSHOT_VERSION`) or ``None`` when the
+    (:data:`~repro.obs.telemetry.SNAPSHOT`) or ``None`` when the
     parent ran untraced; ``worker`` identifies the evaluating process
     and its resource use (pid, process-peak RSS, CPU seconds spent on
     this chunk).
@@ -201,9 +202,9 @@ def _resume_rows(
     """Rows reusable from a prior report, keyed by canonical index."""
     if resume is None:
         return {}
-    from repro.sweep.report import validate_sweep_report
+    from repro.sweep.report import SWEEP_REPORT
 
-    validate_sweep_report(resume)
+    schema.validate(resume, SWEEP_REPORT)
     if resume["fingerprint"] != spec.fingerprint():
         raise SweepError(
             f"resume fingerprint mismatch: report {resume['fingerprint'][:12]}… "

@@ -1,4 +1,4 @@
-"""``sweep_report.json`` — schema ``repro.sweep/v1.1`` — and its validator.
+"""``sweep_report.json`` (the :data:`SWEEP_REPORT` schema).
 
 One report captures a whole sweep run: the spec identity (name,
 evaluator, axes as canonical value keys, fingerprint), dispatch
@@ -10,130 +10,144 @@ report whose fingerprint matches the spec and evaluates only the rest.
 
 Wall-clock fields are machine noise and must never be compared across
 machines; the analytical rows are exact and bit-identical for any
-``--jobs``.  :func:`validate_sweep_report` performs the structural
-checks without the ``jsonschema`` dependency, mirroring
-:mod:`repro.obs.export` and :mod:`repro.memsim.validate`.
-
-Schema history: v1.1 adds a required ``provenance`` block
+``--jobs``.  Every report carries a ``provenance`` block
 (:func:`repro.obs.events.provenance`, with the spec fingerprint as its
-``config_fingerprint``) and an optional ``workers`` array summarising
-each evaluating process; v1 reports remain loadable and resumable.
+``config_fingerprint``) and a ``workers`` array summarising each
+evaluating process.
+
+:data:`SWEEP_SPEEDUP` is the report-only parallel-speedup record that
+``benchmarks/record_sweep_speedup.py`` writes.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Set
 
+from repro.obs import schema
+from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Fail, Schema, fields
 from repro.sweep.engine import SweepOutcome
 
-__all__ = [
-    "ACCEPTED_SCHEMA_IDS",
-    "SCHEMA_ID",
-    "SWEEP_REPORT_SCHEMA",
-    "build_sweep_report",
-    "load_sweep_report",
-    "validate_sweep_report",
-    "write_sweep_report",
-]
+__all__ = ["SWEEP_REPORT", "SWEEP_SPEEDUP", "build_sweep_report"]
 
-SCHEMA_ID = "repro.sweep/v1.1"
+_STRING: Dict[str, Any] = {"type": "string"}
+_OBJECT: Dict[str, Any] = {"type": "object"}
 
-#: Schema ids accepted on load/resume; new reports always use SCHEMA_ID.
-ACCEPTED_SCHEMA_IDS = ("repro.sweep/v1", SCHEMA_ID)
 
-#: JSON-Schema (draft-07); CI validates with ``jsonschema`` where
-#: available and :func:`validate_sweep_report` mirrors it without the
-#: dependency.
-SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "title": "repro.sweep run report",
-    "type": "object",
-    "required": [
-        "schema",
-        "sweep",
-        "evaluator",
-        "fingerprint",
-        "axes",
-        "jobs",
-        "chunks",
-        "reused",
-        "memo",
-        "wall_seconds",
-        "worker_utilisation",
-        "complete",
-        "points",
-    ],
-    "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {"type": "object"},
-        "workers": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["pid", "chunks"],
-                "properties": {
-                    "pid": {"type": "integer", "minimum": 0},
-                    "chunks": {"type": "integer", "minimum": 0},
-                    "busy_seconds": {"type": "number", "minimum": 0},
-                    "cpu_seconds": {"type": "number", "minimum": 0},
-                    "peak_rss_bytes": {"type": "integer", "minimum": 0},
+def _unique_indices(report: Dict[str, Any], fail: Fail) -> None:
+    seen: Set[int] = set()
+    for position, entry in enumerate(report["points"]):
+        if entry["index"] in seen:
+            fail(f"points[{position}].index", f"{entry['index']} is duplicated")
+        seen.add(entry["index"])
+
+
+SWEEP_REPORT = Schema(
+    "repro.sweep/v1.1",
+    {
+        "title": "repro.sweep run report",
+        "type": "object",
+        "required": [
+            "provenance",
+            "sweep",
+            "evaluator",
+            "fingerprint",
+            "axes",
+            "jobs",
+            "chunks",
+            "reused",
+            "memo",
+            "wall_seconds",
+            "worker_utilisation",
+            "complete",
+            "points",
+        ],
+        "properties": {
+            "provenance": PROVENANCE,
+            "workers": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["pid", "chunks"],
+                    "properties": {
+                        "pid": COUNT,
+                        "chunks": COUNT,
+                        "busy_seconds": NON_NEGATIVE,
+                        "cpu_seconds": NON_NEGATIVE,
+                        "peak_rss_bytes": COUNT,
+                    },
                 },
             },
-        },
-        "sweep": {"type": "string"},
-        "evaluator": {"type": "string"},
-        "fingerprint": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "axes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "values"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "values": {"type": "array"},
+            "sweep": _STRING,
+            "evaluator": _STRING,
+            "fingerprint": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+            "axes": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["name", "values"],
+                    "properties": {"name": _STRING, "values": {"type": "array"}},
                 },
             },
-        },
-        "jobs": {"type": "integer", "minimum": 1},
-        "chunks": {"type": "integer", "minimum": 0},
-        "reused": {"type": "integer", "minimum": 0},
-        "memo": {
-            "type": "object",
-            "required": ["hits", "misses"],
-            "properties": {
-                "hits": {"type": "integer", "minimum": 0},
-                "misses": {"type": "integer", "minimum": 0},
-            },
-        },
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "worker_utilisation": {"type": "number", "minimum": 0, "maximum": 1},
-        "complete": {"type": "boolean"},
-        "points": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["index", "key", "row"],
-                "properties": {
-                    "index": {"type": "integer", "minimum": 0},
-                    "key": {"type": "object"},
-                    "row": {"type": "object"},
+            "jobs": {"type": "integer", "minimum": 1},
+            "chunks": COUNT,
+            "reused": COUNT,
+            "memo": fields(COUNT, "hits", "misses"),
+            "wall_seconds": NON_NEGATIVE,
+            "worker_utilisation": {"type": "number", "minimum": 0, "maximum": 1},
+            "complete": {"type": "boolean"},
+            "points": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["index", "key", "row"],
+                    "properties": {"index": COUNT, "key": _OBJECT, "row": _OBJECT},
                 },
             },
         },
     },
-}
+    check=_unique_indices,
+)
+
+SWEEP_SPEEDUP = Schema(
+    "repro.sweep_speedup/v1",
+    {
+        "title": "repro.sweep parallel speedup record (report-only)",
+        "type": "object",
+        "required": [
+            "sweep",
+            "points",
+            "quick",
+            "jobs",
+            "cpu_cores",
+            "serial_seconds",
+            "parallel_seconds",
+            "speedup",
+            "bit_identical",
+        ],
+        "properties": {
+            "sweep": _STRING,
+            "points": COUNT,
+            "quick": {"type": "boolean"},
+            "jobs": {"type": "integer", "minimum": 1},
+            "cpu_cores": {"type": ["integer", "null"], "minimum": 1},
+            "serial_seconds": NON_NEGATIVE,
+            "parallel_seconds": NON_NEGATIVE,
+            "speedup": NON_NEGATIVE,
+            "bit_identical": {"type": "boolean", "const": True},
+            "note": _STRING,
+        },
+    },
+)
 
 
 def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
-    """Assemble the ``repro.sweep/v1.1`` report for a finished run."""
+    """Assemble the validated :data:`SWEEP_REPORT` for a finished run."""
     from repro.obs.events import provenance as build_provenance
 
     spec = outcome.spec
     identity = spec.identity()
     report = {
-        "schema": SCHEMA_ID,
+        "schema": SWEEP_REPORT.id,
         "provenance": build_provenance(
             config_fingerprint=spec.fingerprint()
         ),
@@ -158,128 +172,5 @@ def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
             for index in range(spec.size)
         ],
     }
-    validate_sweep_report(report)
+    schema.validate(report, SWEEP_REPORT)
     return report
-
-
-def write_sweep_report(outcome: SweepOutcome, path: str) -> Dict[str, Any]:
-    """Build, validate and write the report; returns the report dict."""
-    report = build_sweep_report(outcome)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def load_sweep_report(path: str) -> Optional[Dict[str, Any]]:
-    """Load and validate a report; ``None`` when the file does not exist."""
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-    except FileNotFoundError:
-        return None
-    validate_sweep_report(report)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Dependency-free structural validation (mirrors SWEEP_REPORT_SCHEMA)
-# ----------------------------------------------------------------------
-def validate_sweep_report(report: Any) -> None:
-    """Structural validation; raises ValueError on the first mismatch."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid sweep report: {message}")
-
-    def require_int(value: Any, label: str, minimum: int = 0) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            fail(f"{label} is not an integer >= {minimum}")
-
-    def require_number(value: Any, label: str) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            fail(f"{label} is not a non-negative number")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(
-            f"schema id {report.get('schema')!r} not in "
-            f"{ACCEPTED_SCHEMA_IDS!r}"
-        )
-    if report["schema"] == SCHEMA_ID:
-        from repro.obs.events import validate_provenance
-
-        validate_provenance(report.get("provenance"), fail)
-        workers = report.get("workers", [])
-        if not isinstance(workers, list):
-            fail("workers is not an array")
-        for index, worker in enumerate(workers):
-            if not isinstance(worker, dict) or not isinstance(
-                worker.get("pid"), int
-            ):
-                fail(f"workers[{index}] is not an object with an integer pid")
-    for key in (
-        "sweep",
-        "evaluator",
-        "fingerprint",
-        "axes",
-        "jobs",
-        "chunks",
-        "reused",
-        "memo",
-        "wall_seconds",
-        "worker_utilisation",
-        "complete",
-        "points",
-    ):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    for key in ("sweep", "evaluator", "fingerprint"):
-        if not isinstance(report[key], str):
-            fail(f"{key} is not a string")
-    fingerprint = report["fingerprint"]
-    if len(fingerprint) != 64 or any(c not in "0123456789abcdef" for c in fingerprint):
-        fail("fingerprint is not a 64-hex-digit SHA-256")
-    if not isinstance(report["axes"], list):
-        fail("axes is not an array")
-    for index, axis in enumerate(report["axes"]):
-        where = f"axes[{index}]"
-        if not isinstance(axis, dict):
-            fail(f"{where} is not an object")
-        if not isinstance(axis.get("name"), str):
-            fail(f"{where}.name is not a string")
-        if not isinstance(axis.get("values"), list):
-            fail(f"{where}.values is not an array")
-    require_int(report["jobs"], "jobs", minimum=1)
-    require_int(report["chunks"], "chunks")
-    require_int(report["reused"], "reused")
-    memo = report["memo"]
-    if not isinstance(memo, dict):
-        fail("memo is not an object")
-    require_int(memo.get("hits"), "memo.hits")
-    require_int(memo.get("misses"), "memo.misses")
-    require_number(report["wall_seconds"], "wall_seconds")
-    require_number(report["worker_utilisation"], "worker_utilisation")
-    if report["worker_utilisation"] > 1:
-        fail("worker_utilisation exceeds 1")
-    if not isinstance(report["complete"], bool):
-        fail("complete is not a boolean")
-    points = report["points"]
-    if not isinstance(points, list):
-        fail("points is not an array")
-    seen: set = set()
-    for position, entry in enumerate(points):
-        where = f"points[{position}]"
-        if not isinstance(entry, dict):
-            fail(f"{where} is not an object")
-        for key in ("index", "key", "row"):
-            if key not in entry:
-                fail(f"{where} missing {key!r}")
-        require_int(entry["index"], f"{where}.index")
-        if entry["index"] in seen:
-            fail(f"{where}.index {entry['index']} is duplicated")
-        seen.add(entry["index"])
-        if not isinstance(entry["key"], dict):
-            fail(f"{where}.key is not an object")
-        if not isinstance(entry["row"], dict):
-            fail(f"{where}.row is not an object")

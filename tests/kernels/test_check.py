@@ -3,19 +3,19 @@
 import pytest
 
 from repro.kernels.check import (
-    KERNELS_REPORT_SCHEMA,
+    KERNELS_REPORT,
     render_report,
     run_check,
     sample_rows,
-    validate_kernels_report,
 )
+from repro.obs import schema
 
 
 class TestRunCheck:
     def test_parity_passes_at_small_degrees(self):
         report = run_check(degrees=(64, 128), limbs=2, repeats=1)
-        validate_kernels_report(report)
-        assert report["schema"] == KERNELS_REPORT_SCHEMA
+        schema.validate(report, KERNELS_REPORT)
+        assert report["schema"] == KERNELS_REPORT.id
         assert report["passed"]
         assert [e["degree"] for e in report["results"]] == [64, 128]
         assert all(e["parity"] for e in report["results"])
@@ -46,17 +46,17 @@ class TestRunCheck:
 
 
 class TestValidateAndRender:
-    def test_validator_rejects_wrong_schema(self):
-        report = run_check(degrees=(64,), limbs=1, parity_only=True)
-        report["schema"] = "repro.kernels/v0"
-        with pytest.raises(ValueError):
-            validate_kernels_report(report)
+    # Both used to escape as AttributeError / TypeError instead of the
+    # named ValueError every report validator raises.
+    def test_non_object_report_is_a_value_error(self):
+        with pytest.raises(ValueError, match="document: expected object"):
+            schema.validate([], KERNELS_REPORT)
 
-    def test_validator_rejects_missing_fields(self):
+    def test_non_object_result_entry_is_a_value_error(self):
         report = run_check(degrees=(64,), limbs=1, parity_only=True)
-        del report["results"][0]["parity"]
-        with pytest.raises(ValueError):
-            validate_kernels_report(report)
+        report["results"].append("N=2^7")
+        with pytest.raises(ValueError, match=r"results\[1\]: expected object"):
+            schema.validate(report, KERNELS_REPORT)
 
     def test_render_mentions_every_degree_and_verdict(self):
         report = run_check(degrees=(64,), limbs=2, repeats=1)

@@ -12,12 +12,12 @@ from repro.lint.program.symbols import Program
 def build_program():
     """Build a :class:`Program` straight from ``{path: source}`` dicts."""
 
-    def _build(files, baseline_dirs=None):
+    def _build(files):
         parsed = [
             (path, ast.parse(textwrap.dedent(code)))
             for path, code in files.items()
         ]
-        return Program.build(parsed, baseline_dirs=baseline_dirs)
+        return Program.build(parsed)
 
     return _build
 
@@ -27,7 +27,7 @@ def program_lint(tmp_path):
     """Write fixture files, run only the program pass, return findings."""
     from repro.lint import all_program_rules, get_program_rules, run_lint
 
-    def _lint(files, rules=None, baseline_dirs=None):
+    def _lint(files, rules=None):
         for relpath, code in files.items():
             target = tmp_path / relpath
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -41,7 +41,6 @@ def program_lint(tmp_path):
             [tmp_path],
             rules=[],
             program_rules=selected,
-            baseline_dirs=baseline_dirs,
         )
 
     return _lint

@@ -11,7 +11,6 @@ import textwrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.program.schema import SchemaLiteralConsistency
 from repro.lint.program.symbols import Program
 from repro.lint.program.taint import NondeterminismFlow
 
@@ -50,19 +49,12 @@ FILES = [
         """,
     ),
     (
-        "pkg/schema_home.py",
+        "pkg/emit.py",
         """
-        SCHEMA_ID = "repro.x/v1"
+        from walk import names
 
-        def validate(payload):
-            return payload.get("schema") == SCHEMA_ID
-        """,
-    ),
-    (
-        "pkg/drift.py",
-        """
         def emit():
-            return {"schema": "repro.x/v3"}
+            return {"schema": "x", "files": names(".")}
         """,
     ),
 ]
@@ -72,9 +64,8 @@ def _findings(ordered):
     parsed = [
         (path, ast.parse(textwrap.dedent(code))) for path, code in ordered
     ]
-    program = Program.build(parsed, baseline_dirs=[])
+    program = Program.build(parsed)
     found = list(NondeterminismFlow().check(program))
-    found += list(SchemaLiteralConsistency().check(program))
     return sorted(
         (f.path, f.line, f.col, f.rule, f.message) for f in found
     )
@@ -91,6 +82,5 @@ def test_findings_are_independent_of_file_visit_order(order):
 
 def test_baseline_fixture_actually_finds_violations():
     # Guard against the permutation test passing vacuously.
-    rules = {entry[3] for entry in BASELINE}
-    assert "NondeterminismFlow" in rules
-    assert "SchemaLiteralConsistency" in rules
+    assert {entry[3] for entry in BASELINE} == {"NondeterminismFlow"}
+    assert {entry[0] for entry in BASELINE} == {"pkg/report.py", "pkg/emit.py"}

@@ -145,11 +145,10 @@ class TestResolution:
         assert resolved.kind == "external"
         assert resolved.name == "time.perf_counter"
 
-    def test_constants_and_class_fields_collected(self, build_program):
+    def test_class_fields_collected(self, build_program):
         program = build_program(
             {
                 "pkg/mod.py": (
-                    'SCHEMA_ID = "repro.x/v1"\n'
                     "class Point:\n"
                     "    x: int\n"
                     "    y: int\n"
@@ -159,7 +158,6 @@ class TestResolution:
             }
         )
         module = program.modules["mod"]
-        assert "SCHEMA_ID" in module.constants
         klass = module.classes["Point"]
         assert klass.fields == ["x", "y"]
         assert "mod.Point.norm" in program.functions

@@ -4,7 +4,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import LintCache, all_rules, run_lint
-from repro.lint.cache import CACHE_FORMAT
+from repro.lint.cache import LINT_CACHE
 
 
 def _write(tmp_path, relpath, code):
@@ -91,7 +91,7 @@ class TestReplay:
         run_lint([tmp_path / "tree"], all_rules(), cache=cache)
         for entry in (tmp_path / ".lint_cache").glob("*.json"):
             entry.write_text(
-                entry.read_text().replace(CACHE_FORMAT, "repro.lint.cache/v0")
+                entry.read_text().replace(LINT_CACHE.id, "repro.lint.cache/v0")
             )
         again = run_lint([tmp_path / "tree"], all_rules(), cache=cache)
         assert not again.from_cache

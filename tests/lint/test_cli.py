@@ -8,7 +8,8 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lint import rule_names, validate_report
+from repro.lint import LINT_REPORT, rule_names
+from repro.obs import schema
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -47,7 +48,7 @@ class TestLintCommand:
         _seed_violation(tmp_path)
         assert main(["lint", "--json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        validate_report(payload)
+        schema.validate(payload, LINT_REPORT)
         assert payload["counts"] == {"LedgerDiscipline": 1}
 
     def test_rule_selection(self, tmp_path, capsys):
@@ -88,12 +89,7 @@ def _seed_program_violation(tmp_path):
                 rows = []
                 for k, v in d.items():
                     rows.append([k, v])
-                return {"schema": "repro.x/v1", "rows": rows}
-
-            SCHEMA_ID = "repro.x/v1"
-
-            def validate(payload):
-                return payload.get("schema") == SCHEMA_ID
+                return {"schema": "x", "rows": rows}
             """
         )
     )
@@ -195,4 +191,4 @@ class TestFormats:
         _seed_violation(tmp_path)
         assert main(["lint", "--format", "json", str(tmp_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        validate_report(payload)
+        schema.validate(payload, LINT_REPORT)

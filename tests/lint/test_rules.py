@@ -699,7 +699,12 @@ class TestTelemetryDiscipline:
         )
         assert result.clean
 
-    def test_schema_id_literal_outside_events_flagged(self, lint_tree):
+
+# ----------------------------------------------------------------------
+# SchemaIdLiteral
+# ----------------------------------------------------------------------
+class TestSchemaIdLiteral:
+    def test_literal_outside_a_declaration_flagged(self, lint_tree):
         result = lint_tree(
             {
                 "sweep/engine.py": """
@@ -710,21 +715,43 @@ class TestTelemetryDiscipline:
                     handle.write(json.dumps(line))
                 """
             },
-            rules=["TelemetryDiscipline"],
+            rules=["SchemaIdLiteral"],
         )
-        assert rules_of(result) == [("TelemetryDiscipline", 5)]
-        assert "EventLog" in result.findings[0].message
+        assert rules_of(result) == [("SchemaIdLiteral", 5)]
+        assert "FAMILY.id" in result.findings[0].message
 
-    def test_events_module_may_spell_schema_id(self, lint_tree):
+    def test_literal_inside_a_declaration_is_fine(self, lint_tree):
         result = lint_tree(
             {
                 "obs/events.py": """
-                EVENTS_SCHEMA_ID = "repro.obs.events/v1"
+                from repro.obs import schema
+                from repro.obs.schema import Schema
+
+                EVENTS = Schema("repro.obs.events/v1", {"type": "array"})
+                NESTED = schema.Schema(
+                    "repro.obs.other/v2",
+                    {"properties": {"tag": {"const": "repro.obs.tag/v1"}}},
+                )
                 """
             },
-            rules=["TelemetryDiscipline"],
+            rules=["SchemaIdLiteral"],
         )
         assert result.clean
+
+    def test_module_constant_holding_an_id_flagged(self, lint_tree):
+        result = lint_tree(
+            {
+                "obs/export.py": """
+                SCHEMA_ID = "repro.obs.run_report/v1.1"
+                ACCEPTED = ("repro.obs.run_report/v1", SCHEMA_ID)
+                """
+            },
+            rules=["SchemaIdLiteral"],
+        )
+        assert rules_of(result) == [
+            ("SchemaIdLiteral", 2),
+            ("SchemaIdLiteral", 3),
+        ]
 
     def test_prose_mentions_are_not_schema_ids(self, lint_tree):
         result = lint_tree(
@@ -733,7 +760,7 @@ class TestTelemetryDiscipline:
                 HELP = "stream a repro.obs.events/v1 JSONL event log here"
                 """
             },
-            rules=["TelemetryDiscipline"],
+            rules=["SchemaIdLiteral"],
         )
         assert result.clean
 

@@ -37,13 +37,13 @@ class TestTreeIsClean:
             "ConfigFlagCoverage",
             "ExactArithPurity",
             "LedgerDiscipline",
+            "SchemaIdLiteral",
             "SimClockDiscipline",
             "SpanLabelStability",
             "TelemetryDiscipline",
             "TraceDiscipline",
             "UnitsHygiene",
             "NondeterminismFlow",
-            "SchemaLiteralConsistency",
         ]
 
 
@@ -122,6 +122,19 @@ class TestSeededViolations:
         assert len(culprits) == 1
         assert "phantom_flag" in culprits[0].message
 
+    def test_schema_version_literal_outside_its_declaration(self, tmp_path):
+        target = self._copy_with(
+            tmp_path,
+            "obs/export.py",
+            "\n\ndef build_bumped_report():\n"
+            '    return {"schema": "repro.obs.run_report/v2"}\n',
+        )
+        result = run_lint([tmp_path], all_rules())
+        culprits = [f for f in result.findings if f.rule == "SchemaIdLiteral"]
+        assert len(culprits) == 1
+        assert culprits[0].path.endswith("obs/export.py")
+        assert culprits[0].line == len(target.read_text().splitlines())
+
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
             run_lint(["/nonexistent/definitely-not-here"], all_rules())
@@ -153,25 +166,10 @@ class TestSeededProgramViolations:
             "        rows.append([k, v])\n"
             "    return rows\n"
             "\n\ndef build_leaky_report(d):\n"
-            '    return {"schema": SCHEMA_ID, "rows": _leaky_rows(d)}\n',
+            '    return {"schema": RUN_REPORT.id, "rows": _leaky_rows(d)}\n',
         )
         culprits = self._program_findings(tmp_path, "NondeterminismFlow")
         assert len(culprits) == 1
         assert culprits[0].path.endswith("obs/export.py")
         assert "dict-order" in culprits[0].message
         assert "rows" in culprits[0].message
-
-    def test_schema_version_literal_drifting_from_validator(self, tmp_path):
-        target = self._copy_with(
-            tmp_path,
-            "obs/export.py",
-            "\n\ndef build_bumped_report():\n"
-            '    return {"schema": "repro.obs.run_report/v2"}\n',
-        )
-        culprits = self._program_findings(
-            tmp_path, "SchemaLiteralConsistency"
-        )
-        assert len(culprits) == 1
-        assert culprits[0].path.endswith("obs/export.py")
-        assert culprits[0].line == len(target.read_text().splitlines())
-        assert "drifts" in culprits[0].message

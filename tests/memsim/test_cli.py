@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.memsim.validate import validate_memsim_report
+from repro.memsim.validate import MEMSIM_REPORT
+from repro.obs import schema
 
 
 class TestMemsimCommand:
@@ -26,7 +27,7 @@ class TestMemsimCommand:
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        validate_memsim_report(report)
+        schema.validate(report, MEMSIM_REPORT)
         assert report["passed"]
 
     def test_fit_break_exits_nonzero(self, capsys):
@@ -51,8 +52,7 @@ class TestMemsimCommand:
              "--primitive", "decomp", "--out", str(path)]
         )
         assert code == 0
-        with open(path) as handle:
-            validate_memsim_report(json.load(handle))
+        assert schema.load(path, MEMSIM_REPORT)["passed"]
 
     def test_policy_flag_accepts_lru(self, capsys):
         code = main(

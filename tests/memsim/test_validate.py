@@ -9,14 +9,14 @@ from repro.memsim.validate import (
     EXPECTED_FIT_BREAKS,
     LADDER_PRIMITIVES,
     LADDER_RUNS,
-    SCHEMA_ID,
+    MEMSIM_REPORT,
     compare_traffic,
     render_report,
     run_validation,
-    validate_memsim_report,
     validate_primitive,
 )
 from repro.memsim.schedules import ScheduleBuilder
+from repro.obs import schema
 from repro.params import BASELINE_JUNG
 from repro.perf.events import MemTraffic
 from repro.perf.optimizations import MADConfig
@@ -112,7 +112,7 @@ class TestRunValidation:
 
     def test_full_ladder_passes(self, report):
         assert report["passed"]
-        assert report["schema"] == SCHEMA_ID
+        assert report["schema"] == MEMSIM_REPORT.id
         assert len(report["runs"]) == len(LADDER_RUNS)
 
     def test_every_ladder_primitive_present(self, report):
@@ -140,15 +140,7 @@ class TestRunValidation:
             assert entry["pin_failures"] == 0, entry["primitive"]
 
     def test_report_validates_against_schema(self, report):
-        validate_memsim_report(report)  # must not raise
-
-    def test_report_validates_with_jsonschema(self, report):
-        jsonschema = pytest.importorskip("jsonschema")
-        import json
-
-        from repro.memsim.validate import MEMSIM_REPORT_SCHEMA
-
-        jsonschema.validate(json.loads(json.dumps(report)), MEMSIM_REPORT_SCHEMA)
+        schema.validate(report, MEMSIM_REPORT)  # must not raise
 
     def test_render_mentions_rungs_and_verdict(self, report):
         text = render_report(report)
@@ -164,30 +156,3 @@ class TestRunValidation:
         assert [e["primitive"] for e in report["runs"][0]["primitives"]] == [
             "mult"
         ]
-
-
-class TestReportValidator:
-    def test_rejects_wrong_schema_id(self):
-        with pytest.raises(ValueError, match="schema id"):
-            validate_memsim_report({"schema": "nope"})
-
-    def test_rejects_missing_keys(self):
-        report = run_validation(
-            runs=[("Baseline", MADConfig.none(), 2.0)], primitives=["decomp"]
-        )
-        del report["runs"][0]["primitives"][0]["pin_failures"]
-        with pytest.raises(ValueError, match="pin_failures"):
-            validate_memsim_report(report)
-
-    def test_rejects_negative_stream_bytes(self):
-        report = run_validation(
-            runs=[("Baseline", MADConfig.none(), 2.0)], primitives=["decomp"]
-        )
-        entry = report["runs"][0]["primitives"][0]
-        entry["streams"]["ct_read"]["simulated"] = -1
-        with pytest.raises(ValueError, match="ct_read"):
-            validate_memsim_report(report)
-
-    def test_rejects_non_dict(self):
-        with pytest.raises(ValueError):
-            validate_memsim_report([])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import state
+from repro.obs import schema, state
 from repro.obs.baseline import (
     BaselineStore,
     Tolerance,
@@ -13,13 +13,14 @@ from repro.obs.baseline import (
     normalize_report,
 )
 from repro.obs.bench import (
+    BENCH_TRAJECTORY,
     DEFAULT_SPECS,
     BenchSpec,
     primitive_micro_cost,
     run_bench,
     run_spec,
 )
-from repro.obs.export import build_run_report, validate_run_report
+from repro.obs.export import RUN_REPORT, build_run_report
 from repro.params import BASELINE_JUNG
 from repro.perf import BootstrapModel, MADConfig
 
@@ -64,7 +65,7 @@ class TestNormalization:
         assert report["wall_seconds"] > 0.0
 
     def test_normalized_report_still_validates(self):
-        validate_run_report(normalize_report(bootstrap_report()))
+        schema.validate(normalize_report(bootstrap_report()), RUN_REPORT)
 
 
 class TestBaselineStore:
@@ -163,7 +164,7 @@ class TestBenchSpecs:
 
     def test_run_spec_produces_valid_report(self):
         report = run_spec(BenchSpec("micro", "baseline", "none"))
-        validate_run_report(report)
+        schema.validate(report, RUN_REPORT)
         assert report["totals"]["ops"]["total"] > 0
         assert report["command"] == "bench micro__baseline__none__nocache"
 
@@ -238,6 +239,34 @@ class TestRunBench:
         assert second["ok"] is True
         assert second["ops_total"] == first["ops_total"]
         assert second["wall_seconds"] > 0
+
+    def test_trajectory_entries_require_provenance(self, tmp_path):
+        # v1.1 added per-entry provenance; an entry without it used to
+        # validate anyway.
+        store = BaselineStore(str(tmp_path / "baselines"))
+        out_dir = tmp_path / "out"
+        run_bench(self.SPECS[:1], store, update=True, out_dir=str(out_dir))
+        (path,) = out_dir.glob("BENCH_*.json")
+        trajectory = json.loads(path.read_text())
+        del trajectory["entries"][0]["provenance"]
+        with pytest.raises(ValueError, match="missing required key 'provenance'"):
+            schema.validate(trajectory, BENCH_TRAJECTORY)
+
+    def test_outdated_trajectory_restarts_instead_of_failing(self, tmp_path):
+        store = BaselineStore(str(tmp_path / "baselines"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        specs = self.SPECS[:1]
+        path = out_dir / f"BENCH_{specs[0].name}.json"
+        path.write_text(json.dumps({
+            "schema": "repro.obs.bench_trajectory/v1",
+            "workload": specs[0].name,
+            "entries": [{"wall_seconds": 1.0, "ops_total": 1,
+                         "traffic_total": 1, "regressions": []}],
+        }))
+        run_bench(specs, store, update=True, out_dir=str(out_dir))
+        trajectory = schema.load(path, BENCH_TRAJECTORY)
+        assert len(trajectory["entries"]) == 1
 
     def test_tolerance_flag_absorbs_regression(self, tmp_path):
         store = BaselineStore(str(tmp_path / "baselines"))

@@ -4,16 +4,13 @@ import json
 
 import pytest
 
-from repro.obs import Tracer, state
+from repro.obs import Tracer, schema, state
 from repro.obs.diff import (
-    COST_DIFF_SCHEMA,
-    SCHEMA_ID,
+    COST_DIFF,
     WorkloadMismatchError,
     build_overlay_trace,
     diff_run_reports,
     render_attribution_table,
-    validate_cost_diff,
-    write_cost_diff,
 )
 from repro.obs.export import build_run_report
 from repro.params import BASELINE_JUNG
@@ -63,7 +60,7 @@ class TestIdenticalRuns:
     def test_empty_diff_validates(self):
         base = traced_bootstrap_report(MADConfig.none())
         diff = diff_run_reports(base, base)
-        validate_cost_diff(diff)
+        schema.validate(diff, COST_DIFF)
         json.dumps(diff)
 
     def test_wall_clock_never_breaks_identity(self):
@@ -156,10 +153,13 @@ class TestWorkloadMismatch:
 
     def test_non_report_rejected(self):
         base = traced_bootstrap_report(MADConfig.none())
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match="missing required key 'schema'"):
             diff_run_reports(base, {"spans": []})
-        with pytest.raises(ValueError, match="not a run report"):
+        with pytest.raises(ValueError, match="schema: expected"):
             diff_run_reports(base, {"schema": "x"})
+        legacy = dict(base, schema="repro.obs.run_report/v1")
+        with pytest.raises(ValueError, match="schema: expected"):
+            diff_run_reports(legacy, base)
 
 
 class TestStructuralAlignment:
@@ -272,43 +272,15 @@ class TestCostDiffDocument:
         diff = diff_run_reports(base, other)
         assert sum(e["traffic_share"] for e in diff["spans"]) == pytest.approx(1.0)
 
-    def test_validates_against_json_schema(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        base = traced_bootstrap_report(MADConfig.none())
-        other = traced_bootstrap_report(MADConfig.caching_only())
-        diff = diff_run_reports(base, other)
-        jsonschema.validate(diff, COST_DIFF_SCHEMA)
-
-    def test_write_cost_diff_roundtrip(self, tmp_path):
+    def test_write_load_roundtrip(self, tmp_path):
         base = traced_bootstrap_report(MADConfig.none())
         other = traced_bootstrap_report(MADConfig.caching_only())
         diff = diff_run_reports(base, other)
         path = tmp_path / "cost_diff.json"
-        write_cost_diff(diff, str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA_ID
-        validate_cost_diff(loaded)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.pop("spans"),
-            lambda d: d.update(schema="wrong"),
-            lambda d: d.update(identical="yes"),
-            lambda d: d["totals"]["delta"].pop("traffic"),
-            lambda d: d["spans"][0].update(status="mutated"),
-            lambda d: d["spans"][0]["traffic"]["delta"].update(ct_read="1"),
-            lambda d: d["metrics"].pop("counters"),
-        ],
-    )
-    def test_validator_rejects_malformed(self, mutate):
-        base = traced_bootstrap_report(MADConfig.none())
-        other = traced_bootstrap_report(MADConfig.all())
-        diff = diff_run_reports(base, other)
-        assert diff["spans"]
-        mutate(diff)
-        with pytest.raises(ValueError, match="invalid cost diff"):
-            validate_cost_diff(diff)
+        schema.write(diff, COST_DIFF, path)
+        loaded = schema.load(path, COST_DIFF)
+        assert loaded["schema"] == COST_DIFF.id
+        assert loaded == json.loads(json.dumps(diff))
 
 
 class TestRendering:

@@ -1,12 +1,17 @@
-"""EventLog round-trips, stream validation and provenance stamping."""
+"""EventLog round-trips, stream validation and provenance stamping.
+
+Field-level rejections of malformed streams and provenance blocks live
+in the schema conformance corpus (``tests/obs/test_schema.py``).
+"""
 
 import json
 
 import pytest
 
+from repro.obs import schema
 from repro.obs.events import (
     CHUNK_COMPLETE,
-    EVENTS_SCHEMA_ID,
+    EVENTS,
     RUN_END,
     RUN_START,
     SWEEP_END,
@@ -14,19 +19,16 @@ from repro.obs.events import (
     EventLog,
     provenance,
     read_events,
-    validate_events,
-    validate_provenance,
 )
 
 
-def _fail(message):
-    raise ValueError(message)
-
-
 class TestProvenance:
-    def test_block_shape(self):
+    def test_block_shape(self, tmp_path):
         block = provenance(argv=["sweep", "table5"], config_fingerprint="ab" * 32)
-        validate_provenance(block, _fail)
+        path = str(tmp_path / "events.jsonl")
+        with EventLog(path) as log:
+            log.start("x", provenance_block=block)
+        assert read_events(path)[0]["data"]["provenance"] == block
         assert block["argv"] == ["sweep", "table5"]
         assert block["config_fingerprint"] == "ab" * 32
         assert isinstance(block["git_sha"], str) and block["git_sha"]
@@ -36,16 +38,6 @@ class TestProvenance:
     def test_defaults_to_process_argv(self):
         block = provenance()
         assert isinstance(block["argv"], list)
-
-    def test_validator_rejects_missing_keys(self):
-        block = provenance()
-        del block["git_sha"]
-        with pytest.raises(ValueError):
-            validate_provenance(block, _fail)
-
-    def test_validator_rejects_non_dict(self):
-        with pytest.raises(ValueError):
-            validate_provenance(None, _fail)
 
 
 class TestEventLog:
@@ -66,7 +58,7 @@ class TestEventLog:
             RUN_END,
         ]
         assert [e["seq"] for e in events] == list(range(5))
-        assert all(e["schema"] == EVENTS_SCHEMA_ID for e in events)
+        assert all(e["schema"] == EVENTS.id for e in events)
         assert events[0]["data"]["command"] == "sweep table5"
 
     def test_emit_after_close_raises(self, tmp_path):
@@ -149,4 +141,4 @@ class TestReadEvents:
 
     def test_validate_events_accepts_roundtrip(self, tmp_path):
         lines = self._valid_lines(tmp_path)
-        validate_events([json.loads(line) for line in lines])
+        schema.validate([json.loads(line) for line in lines], EVENTS)

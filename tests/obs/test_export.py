@@ -5,17 +5,15 @@ import json
 import pytest
 
 from repro.hardware import PRIOR_DESIGNS
-from repro.obs import MetricsRegistry, Tracer, state
+from repro.obs import MetricsRegistry, Tracer, schema, state
 from repro.obs.export import (
-    RUN_REPORT_SCHEMA,
-    SCHEMA_ID,
+    RUN_REPORT,
     attribute_runtime,
     build_run_report,
     compute_span_paths,
     cost_dict,
     render_flat_profile,
     to_chrome_trace,
-    validate_run_report,
     write_chrome_trace,
 )
 from repro.params import BASELINE_JUNG
@@ -137,9 +135,9 @@ class TestRunReport:
             params="baseline",
             config={"cache_o1": False},
         )
-        validate_run_report(report)
+        schema.validate(report, RUN_REPORT)
         json.dumps(report)
-        assert report["schema"] == SCHEMA_ID
+        assert report["schema"] == RUN_REPORT.id
         assert report["totals"]["ops"] == {
             "mults": untraced.ops.mults,
             "adds": untraced.ops.adds,
@@ -149,13 +147,9 @@ class TestRunReport:
         assert len(report["spans"]) == sum(1 for _ in tracer.spans())
         assert report["metrics"]["counters"]
 
-    def test_schema_constant_is_draft07(self):
-        assert RUN_REPORT_SCHEMA["$id"] == SCHEMA_ID
-        assert "required" in RUN_REPORT_SCHEMA
-
     def test_empty_tracer_report_is_valid(self):
         report = build_run_report(Tracer(), MetricsRegistry(), command="x")
-        validate_run_report(report)
+        schema.validate(report, RUN_REPORT)
         assert report["totals"]["ops"]["total"] == 0
         assert report["totals"]["arithmetic_intensity"] == 0.0
 
@@ -164,38 +158,9 @@ class TestRunReport:
         with tracer.span("s"):
             tracer.record_cost(CostReport(OpCount(mults=5), MemTraffic()))
         report = build_run_report(tracer, MetricsRegistry(), command="x")
-        validate_run_report(report)
+        schema.validate(report, RUN_REPORT)
         json.dumps(report)  # inf would not survive strict JSON
         assert report["totals"]["arithmetic_intensity"] == -1.0
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda r: r.pop("spans"),
-            lambda r: r.pop("metrics"),
-            lambda r: r.update(schema="bogus/v0"),
-            lambda r: r.update(wall_seconds=-1.0),
-            lambda r: r["totals"]["ops"].update(total=-5),
-            lambda r: r["spans"].append({"name": "x"}),
-            lambda r: r["metrics"].pop("counters"),
-        ],
-    )
-    def test_rejects_corrupted_reports(self, traced_bootstrap, corrupt):
-        tracer, registry, _ = traced_bootstrap
-        report = build_run_report(tracer, registry, command="trace bootstrap")
-        corrupt(report)
-        with pytest.raises(ValueError):
-            validate_run_report(report)
-
-    def test_rejects_non_dict(self):
-        with pytest.raises(ValueError):
-            validate_run_report([])
-
-    def test_matches_jsonschema_if_available(self, traced_bootstrap):
-        jsonschema = pytest.importorskip("jsonschema")
-        tracer, registry, _ = traced_bootstrap
-        report = build_run_report(tracer, registry, command="trace bootstrap")
-        jsonschema.validate(report, RUN_REPORT_SCHEMA)
 
     def test_cost_dict_roundtrip(self):
         cost = CostReport(OpCount(3, 4), MemTraffic(1, 2, 3, 4))
@@ -254,10 +219,3 @@ class TestSpanPaths:
         tracer, _, _ = traced_bootstrap
         for span in tracer.spans():
             assert not any(ch.isdigit() for ch in span.name), span.name
-
-    def test_report_spans_missing_path_rejected(self, traced_bootstrap):
-        tracer, registry, _ = traced_bootstrap
-        report = build_run_report(tracer, registry, command="x")
-        del report["spans"][0]["path"]
-        with pytest.raises(ValueError, match="path"):
-            validate_run_report(report)

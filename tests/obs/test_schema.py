@@ -1,0 +1,553 @@
+"""The schema table: its interpreter, every family's conformance, fixtures.
+
+Every registered family's real producer output must validate under
+:func:`repro.obs.schema.validate` and under ``jsonschema`` (the CI
+cross-check on the same spec dicts).  Every mutation in
+:data:`MUTATIONS`, gathered from the per-family rejection tests, must be
+rejected by both, naming the field path.  The rules JSON Schema cannot
+state (unique sweep indices, event sequence numbers, the ``run_start``
+header) are family post-checks, which only the table's validator runs.
+"""
+
+import functools
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.kernels.check import KERNELS_REPORT
+from repro.lint.cache import LINT_CACHE
+from repro.lint.reporters import LINT_REPORT
+from repro.memsim.validate import MEMSIM_REPORT
+from repro.obs import schema
+from repro.obs.bench import BENCH_TRAJECTORY
+from repro.obs.diff import COST_DIFF, DIFF_OVERLAY
+from repro.obs.events import EVENTS
+from repro.obs.export import RUN_REPORT
+from repro.obs.schema import SCHEMAS, Schema
+from repro.obs.telemetry import SNAPSHOT
+from repro.serve.report import SERVE_REPORT
+from repro.sweep.report import SWEEP_REPORT, SWEEP_SPEEDUP
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+# ----------------------------------------------------------------------
+# One real producer per family
+# ----------------------------------------------------------------------
+def _micro_report(config_name):
+    from repro.obs import state
+    from repro.obs.bench import primitive_micro_cost
+    from repro.obs.export import build_run_report
+    from repro.params import BASELINE_JUNG
+    from repro.perf import MADConfig
+
+    with state.capture() as (tracer, registry):
+        primitive_micro_cost(BASELINE_JUNG, getattr(MADConfig, config_name)())
+    return build_run_report(tracer, registry, command="test", workload="micro")
+
+
+def _cost_diff():
+    from repro.obs.diff import diff_run_reports
+
+    return diff_run_reports(_micro_report("none"), _micro_report("all"))
+
+
+def _diff_overlay():
+    from repro.obs.diff import build_overlay_trace
+
+    return build_overlay_trace(_micro_report("none"), _micro_report("all"))
+
+
+def _sweep_report():
+    from repro.sweep import SweepAxis, SweepSpec, build_sweep_report, run_sweep
+    from tests.sweep import test_engine  # noqa: F401  (registers test.echo)
+
+    spec = SweepSpec(
+        name="toy-schema",
+        evaluator="test.echo",
+        axes=(SweepAxis("a", (1, 2)), SweepAxis("b", ("x",))),
+        context={"scale": 3},
+    )
+    return build_sweep_report(run_sweep(spec, jobs=1))
+
+
+def _sweep_speedup():
+    from benchmarks.record_sweep_speedup import measure
+
+    return measure(quick=True, jobs=1)
+
+
+def _serve_report():
+    from repro.serve import SCENARIOS, build_serve_report, run_scenario
+
+    micro = SCENARIOS["micro"]
+    return build_serve_report(micro, 0, run_scenario(micro, seed=0))
+
+
+def _memsim_report():
+    from repro.memsim.validate import run_validation
+    from repro.perf import MADConfig
+
+    return run_validation(
+        runs=[("Baseline", MADConfig.none(), 2.0)], primitives=["decomp"]
+    )
+
+
+def _events():
+    from repro.obs.events import RUN_END, SWEEP_START, EventLog
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        with EventLog(str(path)) as log:
+            log.start("test")
+            log.emit(SWEEP_START, {"points": 1})
+            log.emit(RUN_END, {"exit_code": 0})
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _snapshot():
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs.telemetry import capture_snapshot
+
+    tracer, registry = Tracer(), MetricsRegistry()
+    with tracer.span("Root"):
+        registry.counter("points").inc(2)
+    return capture_snapshot(tracer, registry)
+
+
+def _bench_trajectory():
+    from repro.obs.bench import BenchSpec, _append_trajectory, run_spec
+
+    spec = BenchSpec("micro", "baseline", "none")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _append_trajectory(Path(tmp), spec, run_spec(spec), None, 0.5)
+        return json.loads(path.read_text())
+
+
+def _kernels_report():
+    from repro.kernels.check import run_check
+
+    return run_check(degrees=(64,), limbs=2, repeats=1)
+
+
+def _lint_tree(tmp):
+    target = Path(tmp) / "tree" / "perf" / "primitives.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        "def cost(limbs):\n"
+        "    dram_bytes = 0\n"
+        "    dram_bytes += 8 * limbs\n"
+        "    return dram_bytes\n"
+    )
+    return Path(tmp) / "tree"
+
+
+def _lint_report():
+    from repro.lint import all_rules, report_dict, run_lint
+
+    with tempfile.TemporaryDirectory() as tmp:
+        return report_dict(run_lint([_lint_tree(tmp)], all_rules()))
+
+
+def _lint_cache():
+    from repro.lint import LintCache, all_rules, run_lint
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = Path(tmp) / "cache"
+        run_lint([_lint_tree(tmp)], all_rules(), cache=LintCache(cache_dir))
+        (entry,) = cache_dir.glob("*.json")
+        return json.loads(entry.read_text())
+
+
+PRODUCERS = {
+    RUN_REPORT: lambda: _micro_report("none"),
+    SWEEP_REPORT: _sweep_report,
+    SWEEP_SPEEDUP: _sweep_speedup,
+    SERVE_REPORT: _serve_report,
+    MEMSIM_REPORT: _memsim_report,
+    COST_DIFF: _cost_diff,
+    DIFF_OVERLAY: _diff_overlay,
+    EVENTS: _events,
+    SNAPSHOT: _snapshot,
+    BENCH_TRAJECTORY: _bench_trajectory,
+    KERNELS_REPORT: _kernels_report,
+    LINT_REPORT: _lint_report,
+    LINT_CACHE: _lint_cache,
+}
+FAMILIES = sorted(PRODUCERS, key=lambda family: family.id)
+
+
+@functools.lru_cache(maxsize=None)
+def _produced_json(family_id):
+    return json.dumps(PRODUCERS[SCHEMAS[family_id]]())
+
+
+def produced(family):
+    """A fresh copy of the family's real producer output."""
+    return json.loads(_produced_json(family.id))
+
+
+# ----------------------------------------------------------------------
+# The mutation corpus
+# ----------------------------------------------------------------------
+def _set(path, value):
+    def mutate(doc):
+        for part in path[:-1]:
+            doc = doc[part]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        for part in path[:-1]:
+            doc = doc[part]
+        del doc[path[-1]]
+
+    return mutate
+
+
+def _append(path, value):
+    def mutate(doc):
+        for part in path:
+            doc = doc[part]
+        doc.append(value)
+
+    return mutate
+
+
+def _case(family, label, mutate, where, post_check=False):
+    return pytest.param(
+        family, mutate, where, post_check, id=f"{family.id}:{label}"
+    )
+
+
+MUTATIONS = [
+    # run_report (tests/obs/test_export.py)
+    _case(RUN_REPORT, "no-spans", _drop(["spans"]), "'spans'"),
+    _case(RUN_REPORT, "no-metrics", _drop(["metrics"]), "'metrics'"),
+    _case(RUN_REPORT, "bogus-id", _set(["schema"], "bogus/v0"), "schema:"),
+    _case(RUN_REPORT, "legacy-id", _set(["schema"], "repro.obs.run_report/v1"), "schema:"),
+    _case(RUN_REPORT, "negative-wall", _set(["wall_seconds"], -1.0), "wall_seconds"),
+    _case(RUN_REPORT, "negative-ops", _set(["totals", "ops", "total"], -5), "totals.ops.total"),
+    _case(RUN_REPORT, "string-traffic", _set(["totals", "traffic", "ct_read"], "1"), "totals.traffic.ct_read"),
+    _case(RUN_REPORT, "incomplete-span", _append(["spans"], {"name": "x"}), "spans["),
+    _case(RUN_REPORT, "span-without-path", _drop(["spans", 0, "path"]), "spans[0]: missing required key 'path'"),
+    _case(RUN_REPORT, "no-counters", _drop(["metrics", "counters"]), "metrics: missing"),
+    _case(RUN_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    # sweep (tests/sweep/test_report.py)
+    _case(SWEEP_REPORT, "foreign-id", _set(["schema"], "other/v9"), "schema:"),
+    _case(SWEEP_REPORT, "legacy-id", _set(["schema"], "repro.sweep/v1"), "schema:"),
+    _case(SWEEP_REPORT, "no-points", _drop(["points"]), "'points'"),
+    _case(SWEEP_REPORT, "short-fingerprint", _set(["fingerprint"], "zz"), "fingerprint"),
+    _case(SWEEP_REPORT, "zero-jobs", _set(["jobs"], 0), "jobs"),
+    _case(SWEEP_REPORT, "negative-memo-hits", _set(["memo", "hits"], -1), "memo.hits"),
+    _case(SWEEP_REPORT, "utilisation-above-one", _set(["worker_utilisation"], 1.5), "worker_utilisation"),
+    _case(SWEEP_REPORT, "string-complete", _set(["complete"], "yes"), "complete"),
+    _case(SWEEP_REPORT, "point-without-row", _drop(["points", 0, "row"]), "points[0]"),
+    _case(SWEEP_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    _case(SWEEP_REPORT, "duplicated-index", _set(["points", 1, "index"], 0), "points[1].index", post_check=True),
+    # sweep_speedup (benchmarks/record_sweep_speedup.py)
+    _case(SWEEP_SPEEDUP, "foreign-id", _set(["schema"], "repro.sweep/v1.1"), "schema:"),
+    _case(SWEEP_SPEEDUP, "negative-speedup", _set(["speedup"], -1.0), "speedup"),
+    _case(SWEEP_SPEEDUP, "diverged", _set(["bit_identical"], False), "bit_identical"),
+    _case(SWEEP_SPEEDUP, "no-cpu-cores", _drop(["cpu_cores"]), "'cpu_cores'"),
+    # serve (tests/serve/test_report.py)
+    _case(SERVE_REPORT, "next-id", _set(["schema"], "repro.serve/v2"), "schema:"),
+    _case(SERVE_REPORT, "no-fingerprint", _drop(["fingerprint"]), "'fingerprint'"),
+    _case(SERVE_REPORT, "short-fingerprint", _set(["fingerprint"], "beef"), "fingerprint"),
+    _case(SERVE_REPORT, "boolean-seed", _set(["seed"], True), "seed"),
+    _case(SERVE_REPORT, "no-fleets", _set(["fleets"], []), "fleets"),
+    _case(SERVE_REPORT, "utilisation-above-one", _set(["fleets", 0, "utilisation"], 1.5), "fleets[0].utilisation"),
+    _case(SERVE_REPORT, "negative-requests", _set(["fleets", 0, "requests", "completed"], -1), "fleets[0].requests.completed"),
+    _case(SERVE_REPORT, "saved-fraction-above-one", _set(["fleets", 0, "batching", "key_read_saved_fraction"], 1.2), "batching.key_read_saved_fraction"),
+    _case(SERVE_REPORT, "partial-latency", _set(["fleets", 0, "tenants", 0, "latency"], {"count": 1}), "fleets[0].tenants[0].latency"),
+    _case(SERVE_REPORT, "string-sla-verdict", _set(["fleets", 0, "tenants", 0, "sla", "met"], "yes"), "tenants[0].sla.met"),
+    _case(SERVE_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    # memsim (tests/memsim/test_validate.py)
+    _case(MEMSIM_REPORT, "foreign-id", _set(["schema"], "nope"), "schema:"),
+    _case(MEMSIM_REPORT, "no-pin-failures", _drop(["runs", 0, "primitives", 0, "pin_failures"]), "'pin_failures'"),
+    _case(MEMSIM_REPORT, "negative-stream-bytes", _set(["runs", 0, "primitives", 0, "streams", "ct_read", "simulated"], -1), "streams.ct_read.simulated"),
+    _case(MEMSIM_REPORT, "unknown-policy", _set(["policy"], "fifo"), "policy"),
+    _case(MEMSIM_REPORT, "provenance-without-sha", _drop(["provenance", "git_sha"]), "provenance"),
+    # cost_diff (tests/obs/test_diff.py)
+    _case(COST_DIFF, "no-spans", _drop(["spans"]), "'spans'"),
+    _case(COST_DIFF, "foreign-id", _set(["schema"], "wrong"), "schema:"),
+    _case(COST_DIFF, "string-identical", _set(["identical"], "yes"), "identical"),
+    _case(COST_DIFF, "no-delta-traffic", _drop(["totals", "delta", "traffic"]), "totals.delta"),
+    _case(COST_DIFF, "unknown-status", _set(["spans", 0, "status"], "mutated"), "spans[0].status"),
+    _case(COST_DIFF, "string-delta", _set(["spans", 0, "traffic", "delta", "ct_read"], "1"), "spans[0].traffic.delta.ct_read"),
+    _case(COST_DIFF, "share-above-one", _set(["spans", 0, "traffic_share"], 1.5), "spans[0].traffic_share"),
+    _case(COST_DIFF, "no-counters", _drop(["metrics", "counters"]), "metrics"),
+    _case(COST_DIFF, "partial-counter", _set(["metrics", "counters", "x"], {"base": 1}), "metrics.counters.x"),
+    _case(COST_DIFF, "base-without-workload", _drop(["base", "workload"]), "base"),
+    # diff_overlay
+    _case(DIFF_OVERLAY, "foreign-id", _set(["otherData", "schema"], "repro.obs.diff_overlay/v0"), "otherData.schema"),
+    _case(DIFF_OVERLAY, "string-identical", _set(["otherData", "identical"], "no"), "otherData.identical"),
+    _case(DIFF_OVERLAY, "events-not-list", _set(["traceEvents"], {}), "traceEvents"),
+    # events (tests/obs/test_events.py)
+    _case(EVENTS, "foreign-id", _set([0, "schema"], "repro.obs.events/v999"), "[0].schema"),
+    _case(EVENTS, "negative-ts", _set([1, "ts"], -1.0), "[1].ts"),
+    _case(EVENTS, "empty-type", _set([1, "type"], ""), "[1].type"),
+    _case(EVENTS, "list-data", _set([1, "data"], []), "[1].data"),
+    _case(EVENTS, "provenance-without-sha", _drop([0, "data", "provenance", "git_sha"]), "[0].data.provenance"),
+    _case(EVENTS, "provenance-not-object", _set([0, "data", "provenance"], None), "[0].data.provenance"),
+    _case(EVENTS, "seq-gap", _set([1, "seq"], 7), "[1].seq", post_check=True),
+    _case(EVENTS, "header-not-run-start", _set([0, "type"], "sweep_start"), "[0].type", post_check=True),
+    _case(EVENTS, "header-without-provenance", _drop([0, "data", "provenance"]), "[0].data", post_check=True),
+    # telemetry snapshot
+    _case(SNAPSHOT, "foreign-version", _set(["version"], "repro.obs.telemetry/v0"), "version"),
+    _case(SNAPSHOT, "spans-not-list", _set(["spans"], {}), "spans"),
+    _case(SNAPSHOT, "counters-not-object", _set(["metrics", "counters"], []), "metrics.counters"),
+    # bench_trajectory (tests/obs/test_baseline.py)
+    _case(BENCH_TRAJECTORY, "legacy-id", _set(["schema"], "repro.obs.bench_trajectory/v1"), "schema:"),
+    _case(BENCH_TRAJECTORY, "entry-without-provenance", _drop(["entries", 0, "provenance"]), "entries[0]: missing required key 'provenance'"),
+    _case(BENCH_TRAJECTORY, "string-wall", _set(["entries", 0, "wall_seconds"], "slow"), "entries[0].wall_seconds"),
+    _case(BENCH_TRAJECTORY, "regressions-not-list", _set(["entries", 0, "regressions"], None), "entries[0].regressions"),
+    _case(BENCH_TRAJECTORY, "entries-not-list", _set(["entries"], {}), "entries"),
+    # kernels (tests/kernels/test_check.py)
+    _case(KERNELS_REPORT, "previous-id", _set(["schema"], "repro.kernels/v0"), "schema:"),
+    _case(KERNELS_REPORT, "result-without-parity", _drop(["results", 0, "parity"]), "results[0]"),
+    _case(KERNELS_REPORT, "no-results", _set(["results"], []), "results"),
+    _case(KERNELS_REPORT, "result-not-object", _set(["results", 0], 7), "results[0]"),
+    _case(KERNELS_REPORT, "runtime-without-speedup", _drop(["runtime", 0, "speedup"]), "runtime[0]"),
+    _case(KERNELS_REPORT, "string-verdict", _set(["passed"], "yes"), "passed"),
+    # lint (tests/lint/test_reporters.py)
+    _case(LINT_REPORT, "no-id", _drop(["schema"]), "'schema'"),
+    _case(LINT_REPORT, "next-id", _set(["schema"], "repro.lint/v999"), "schema:"),
+    _case(LINT_REPORT, "findings-not-list", _set(["findings"], "not-a-list"), "findings"),
+    _case(LINT_REPORT, "negative-files", _set(["files"], -1), "files"),
+    _case(LINT_REPORT, "boolean-files", _set(["files"], True), "files"),
+    _case(LINT_REPORT, "no-counts", _drop(["counts"]), "'counts'"),
+    _case(LINT_REPORT, "partial-finding", _append(["findings"], {"rule": "X"}), "findings[1]"),
+    _case(LINT_REPORT, "string-line", _set(["findings", 0, "line"], "12"), "findings[0].line"),
+    _case(LINT_REPORT, "extra-finding-field", _set(["findings", 0, "severity"], "high"), "findings[0]: unexpected key"),
+    # lint.cache (tests/lint/test_cache.py)
+    _case(LINT_CACHE, "previous-format", _set(["format"], "repro.lint.cache/v0"), "format"),
+    _case(LINT_CACHE, "negative-suppressed", _set(["suppressed"], -1), "suppressed"),
+    _case(LINT_CACHE, "string-col", _set(["findings", 0, "col"], "5"), "findings[0].col"),
+]
+
+
+# ----------------------------------------------------------------------
+# Conformance
+# ----------------------------------------------------------------------
+def test_every_registered_family_has_a_producer():
+    assert len(SCHEMAS) == 13
+    assert set(PRODUCERS) == set(SCHEMAS.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.id)
+def test_producer_output_validates(family):
+    schema.validate(produced(family), family)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.id)
+def test_producer_output_validates_with_jsonschema(family):
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(produced(family), family.spec)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.id)
+def test_wrong_document_type_is_rejected(family):
+    wrong = {} if family.spec["type"] == "array" else []
+    with pytest.raises(ValueError, match=f"invalid {family.id}: document"):
+        schema.validate(wrong, family)
+
+
+@pytest.mark.parametrize("family, mutate, where, post_check", MUTATIONS)
+def test_mutation_is_rejected(family, mutate, where, post_check):
+    doc = produced(family)
+    mutate(doc)
+    with pytest.raises(ValueError) as excinfo:
+        schema.validate(doc, family)
+    assert where in str(excinfo.value)
+
+
+@pytest.mark.parametrize("family, mutate, where, post_check", MUTATIONS)
+def test_mutation_is_rejected_by_jsonschema(family, mutate, where, post_check):
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = produced(family)
+    mutate(doc)
+    if post_check:
+        # Beyond JSON Schema: the family post-check rejects it instead.
+        jsonschema.validate(doc, family.spec)
+    else:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, family.spec)
+
+
+# ----------------------------------------------------------------------
+# Committed fixtures
+# ----------------------------------------------------------------------
+FIXTURES = sorted((ROOT / "benchmarks").rglob("*.json"))
+
+
+def test_fixtures_cover_the_committed_families():
+    ids = {json.loads(path.read_text())["schema"] for path in FIXTURES}
+    assert ids == {RUN_REPORT.id, BENCH_TRAJECTORY.id, SWEEP_SPEEDUP.id}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.name)
+def test_committed_fixture_validates(path):
+    doc = json.loads(path.read_text())
+    schema.validate(doc, SCHEMAS[doc["schema"]])
+
+
+# ----------------------------------------------------------------------
+# The table and the interpreter
+# ----------------------------------------------------------------------
+@pytest.fixture
+def table(monkeypatch):
+    """A private family table, so test declarations never leak."""
+    monkeypatch.setattr(schema, "SCHEMAS", {})
+
+
+def _holder(spec):
+    return Schema(
+        "repro.demo/v1", {"type": "object", "properties": {"value": spec}}
+    )
+
+
+def test_registered_family_cannot_be_declared_again():
+    with pytest.raises(ValueError, match="declared twice"):
+        Schema(RUN_REPORT.id, {"type": "object"})
+
+
+def test_duplicate_declaration_raises(table):
+    Schema("repro.demo/v1", {"type": "object"})
+    with pytest.raises(ValueError, match="declared twice"):
+        Schema("repro.demo/v1", {"type": "object"})
+
+
+def test_unsupported_keyword_raises_at_declaration(table):
+    with pytest.raises(ValueError, match="minLength"):
+        _holder({"type": "string", "minLength": 1})
+
+
+def test_id_is_injected_as_a_required_const(table):
+    family = Schema("repro.demo/v1", {"type": "object", "required": ["x"]})
+    assert family.spec["$id"] == "repro.demo/v1"
+    assert family.spec["required"] == ["schema", "x"]
+    assert family.spec["properties"]["schema"] == {"const": "repro.demo/v1"}
+
+
+def test_id_key_descends_into_items_and_nested_objects(table):
+    stream = Schema("repro.demo/v1", {"type": "array", "items": {"type": "object"}})
+    schema.validate([{"schema": stream.id}], stream)
+    with pytest.raises(ValueError, match=r"\[0\]\.schema"):
+        schema.validate([{"schema": "repro.demo/v0"}], stream)
+    nested = Schema(
+        "repro.nested/v1",
+        {
+            "type": "object",
+            "required": ["meta"],
+            "properties": {"meta": {"type": "object"}},
+        },
+        key=("meta", "format"),
+    )
+    schema.validate({"meta": {"format": nested.id}}, nested)
+    with pytest.raises(ValueError, match="meta: missing required key 'format'"):
+        schema.validate({"meta": {}}, nested)
+
+
+KEYWORDS = [
+    ({"type": "integer"}, 3, True),
+    ({"type": "integer"}, True, False),  # bool is not an integer
+    ({"type": "integer"}, 3.0, False),
+    ({"type": "number"}, 2.5, True),
+    ({"type": "number"}, False, False),
+    ({"type": ["string", "null"]}, None, True),
+    ({"type": "array"}, (1, 2), False),
+    ({"const": "a"}, "b", False),
+    ({"enum": [1, 2]}, 3, False),
+    ({"minimum": 0}, -1, False),
+    ({"minimum": 0}, "text", True),  # numeric keywords skip non-numbers
+    ({"maximum": 1}, 1, True),
+    ({"maximum": 1}, 1.5, False),
+    ({"exclusiveMinimum": 0}, 0, False),
+    ({"minItems": 1}, [], False),
+    ({"pattern": "^[0-9a-f]+$"}, "beef", True),
+    ({"pattern": "^[0-9a-f]+$"}, "zz", False),
+    ({"required": ["a"]}, {}, False),
+    ({"required": ["a"]}, [], True),  # object keywords skip non-objects
+    ({"properties": {"a": {"type": "string"}}}, {"a": 1}, False),
+    ({"properties": {"a": {}}, "additionalProperties": False}, {"b": 2}, False),
+    ({"additionalProperties": {"type": "integer"}}, {"x": 1, "y": "2"}, False),
+    ({"items": {"type": "integer"}}, [1, "2"], False),
+]
+
+
+@pytest.mark.parametrize("spec, value, valid", KEYWORDS)
+def test_keyword_semantics(table, spec, value, valid):
+    family = _holder(spec)
+    doc = {"schema": family.id, "value": value}
+    if valid:
+        schema.validate(doc, family)
+    else:
+        with pytest.raises(ValueError, match="value"):
+            schema.validate(doc, family)
+
+
+def test_local_ref_resolves_against_the_root(table):
+    family = Schema(
+        "repro.demo/v1",
+        {
+            "type": "object",
+            "properties": {"a": {"$ref": "#/definitions/count"}},
+            "definitions": {"count": {"type": "integer", "minimum": 0}},
+        },
+    )
+    schema.validate({"schema": family.id, "a": 1}, family)
+    with pytest.raises(ValueError, match="a: -1 is below the minimum 0"):
+        schema.validate({"schema": family.id, "a": -1}, family)
+
+
+def test_errors_name_the_family_and_the_field_path(table):
+    family = _holder({"type": "array", "items": {"required": ["k"]}})
+    with pytest.raises(
+        ValueError,
+        match=r"invalid repro\.demo/v1: value\[1\]: missing required key 'k'",
+    ):
+        schema.validate({"schema": family.id, "value": [{"k": 1}, {}]}, family)
+
+
+def test_post_check_runs_only_after_the_spec_passes(table):
+    seen = []
+
+    def check(doc, fail):
+        seen.append(doc)
+        fail("x", "post-check says no")
+
+    family = Schema("repro.demo/v1", {"type": "object"}, check=check)
+    with pytest.raises(ValueError, match="schema: expected"):
+        schema.validate({"schema": "other"}, family)
+    assert seen == []
+    with pytest.raises(ValueError, match="x: post-check says no"):
+        schema.validate({"schema": family.id}, family)
+    assert len(seen) == 1
+
+
+def test_write_is_canonical_and_load_round_trips(table, tmp_path):
+    family = Schema("repro.demo/v1", {"type": "object"})
+    doc = {"schema": family.id, "b": [1, 2], "a": {"z": 1, "y": 2}}
+    path = tmp_path / "doc.json"
+    schema.write(doc, family, path)
+    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert schema.load(path, family) == doc
+
+
+def test_write_refuses_an_invalid_document(table, tmp_path):
+    family = Schema("repro.demo/v1", {"type": "object"})
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        schema.write({"schema": "repro.demo/v0"}, family, path)
+    assert not path.exists()
+
+
+def test_load_of_a_missing_file_is_none(table, tmp_path):
+    family = Schema("repro.demo/v1", {"type": "object"})
+    assert schema.load(tmp_path / "absent.json", family) is None

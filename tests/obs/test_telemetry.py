@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
-    SNAPSHOT_VERSION,
+    SNAPSHOT,
     capture_snapshot,
     graft_snapshot,
     merge_into_registry,
@@ -51,7 +51,7 @@ def snapshots(draw):
         for i, name in enumerate(span_names)
     ]
     return {
-        "version": SNAPSHOT_VERSION,
+        "version": SNAPSHOT.id,
         "spans": spans,
         "metrics": {
             "counters": counters,
@@ -127,7 +127,7 @@ class TestCaptureAndGraft:
     def test_capture_shape(self):
         tracer, registry = self._traced()
         snapshot = capture_snapshot(tracer, registry)
-        assert snapshot["version"] == SNAPSHOT_VERSION
+        assert snapshot["version"] == SNAPSHOT.id
         (root,) = snapshot["spans"]
         assert root["name"] == "Bootstrap"
         assert root["start"] == 0.0  # rebased to earliest root

@@ -1,18 +1,20 @@
-"""serve_report.json: assembly, canonical layout and validation."""
+"""serve_report.json: assembly, canonical layout and round trip.
 
-import copy
+Rejections of malformed reports live in the schema conformance corpus
+(``tests/obs/test_schema.py``).
+"""
+
 import json
 
 import pytest
 
+from repro.obs import schema
 from repro.serve import (
     SCENARIOS,
+    SERVE_REPORT,
     build_serve_report,
-    load_serve_report,
     run_scenario,
     scenario_fingerprint,
-    validate_serve_report,
-    write_serve_report,
 )
 
 MICRO = SCENARIOS["micro"]
@@ -38,10 +40,10 @@ class TestFingerprint:
 
 class TestBuild:
     def test_validates_on_construction(self, report):
-        validate_serve_report(report)  # must not raise
+        schema.validate(report, SERVE_REPORT)  # must not raise
 
     def test_identity_fields(self, report):
-        assert report["schema"] == "repro.serve/v1"
+        assert report["schema"] == SERVE_REPORT.id
         assert report["scenario"] == "micro"
         assert report["seed"] == 0
         assert report["config"] == MICRO.config
@@ -68,77 +70,16 @@ class TestBuild:
 
 class TestRoundTrip:
     def test_write_then_load(self, report, tmp_path):
-        path = str(tmp_path / "serve_report.json")
-        write_serve_report(report, path)
-        assert load_serve_report(path) == report
+        path = tmp_path / "serve_report.json"
+        schema.write(report, SERVE_REPORT, path)
+        assert schema.load(path, SERVE_REPORT) == report
 
     def test_canonical_layout(self, report, tmp_path):
         path = tmp_path / "serve_report.json"
-        write_serve_report(report, str(path))
+        schema.write(report, SERVE_REPORT, path)
         text = path.read_text()
         assert text.endswith("\n")
         assert text == json.dumps(report, indent=1, sort_keys=True) + "\n"
 
     def test_load_missing_file_is_none(self, tmp_path):
-        assert load_serve_report(str(tmp_path / "absent.json")) is None
-
-
-class TestValidateRejects:
-    def broken(self, report, mutate):
-        clone = copy.deepcopy(report)
-        mutate(clone)
-        with pytest.raises(ValueError, match="invalid serve report"):
-            validate_serve_report(clone)
-
-    def test_not_an_object(self):
-        with pytest.raises(ValueError, match="not an object"):
-            validate_serve_report([])
-
-    def test_wrong_schema_id(self, report):
-        self.broken(report, lambda r: r.update(schema="repro.serve/v2"))
-
-    def test_missing_fingerprint(self, report):
-        self.broken(report, lambda r: r.pop("fingerprint"))
-
-    def test_malformed_fingerprint(self, report):
-        self.broken(report, lambda r: r.update(fingerprint="beef"))
-
-    def test_boolean_seed(self, report):
-        self.broken(report, lambda r: r.update(seed=True))
-
-    def test_empty_fleets(self, report):
-        self.broken(report, lambda r: r.update(fleets=[]))
-
-    def test_utilisation_above_one(self, report):
-        self.broken(
-            report, lambda r: r["fleets"][0].update(utilisation=1.5)
-        )
-
-    def test_negative_request_count(self, report):
-        self.broken(
-            report,
-            lambda r: r["fleets"][0]["requests"].update(completed=-1),
-        )
-
-    def test_saved_fraction_above_one(self, report):
-        self.broken(
-            report,
-            lambda r: r["fleets"][0]["batching"].update(
-                key_read_saved_fraction=1.2
-            ),
-        )
-
-    def test_missing_tenant_latency_keys(self, report):
-        def mutate(r):
-            r["fleets"][0]["tenants"][0]["latency"] = {"count": 1}
-
-        self.broken(report, mutate)
-
-    def test_non_boolean_sla_verdict(self, report):
-        def mutate(r):
-            r["fleets"][0]["tenants"][0]["sla"]["met"] = "yes"
-
-        self.broken(report, mutate)
-
-    def test_missing_provenance(self, report):
-        self.broken(report, lambda r: r.pop("provenance"))
+        assert schema.load(tmp_path / "absent.json", SERVE_REPORT) is None

@@ -1,18 +1,20 @@
-"""repro.sweep/v1 reports: round trip, validator rejections."""
+"""sweep_report.json: assembly, canonical layout and round trip.
+
+Rejections of malformed reports live in the schema conformance corpus
+(``tests/obs/test_schema.py``).
+"""
 
 import copy
 
 import pytest
 
+from repro.obs import schema
 from repro.sweep import (
-    SCHEMA_ID,
+    SWEEP_REPORT,
     SweepAxis,
     SweepSpec,
     build_sweep_report,
-    load_sweep_report,
     run_sweep,
-    validate_sweep_report,
-    write_sweep_report,
 )
 
 # Registered by tests/sweep/test_engine.py at import time; importing the
@@ -38,7 +40,7 @@ def report(outcome):
 
 class TestBuildReport:
     def test_schema_and_identity(self, outcome, report):
-        assert report["schema"] == SCHEMA_ID
+        assert report["schema"] == SWEEP_REPORT.id
         assert report["sweep"] == "toy-report"
         assert report["evaluator"] == "test.echo"
         assert report["fingerprint"] == outcome.spec.fingerprint()
@@ -49,41 +51,13 @@ class TestBuildReport:
         assert [entry["row"] for entry in report["points"]] == outcome.rows
         assert [entry["key"] for entry in report["points"]] == outcome.point_keys
 
-    def test_write_load_round_trip(self, outcome, tmp_path):
+    def test_valid_report_passes(self, report):
+        schema.validate(report, SWEEP_REPORT)
+
+    def test_write_load_round_trip(self, report, tmp_path):
         path = tmp_path / "sweep_report.json"
-        written = write_sweep_report(outcome, str(path))
-        assert load_sweep_report(str(path)) == written
+        schema.write(report, SWEEP_REPORT, path)
+        assert schema.load(path, SWEEP_REPORT) == report
 
     def test_load_missing_returns_none(self, tmp_path):
-        assert load_sweep_report(str(tmp_path / "absent.json")) is None
-
-
-class TestValidator:
-    def test_valid_report_passes(self, report):
-        validate_sweep_report(report)
-
-    @pytest.mark.parametrize(
-        "mutate, match",
-        [
-            (lambda r: r.update(schema="other/v9"), "schema id"),
-            (lambda r: r.pop("points"), "missing required key"),
-            (lambda r: r.update(fingerprint="zz"), "64-hex"),
-            (lambda r: r.update(jobs=0), "jobs"),
-            (lambda r: r.update(memo={"hits": -1, "misses": 0}), "memo.hits"),
-            (lambda r: r.update(worker_utilisation=1.5), "exceeds 1"),
-            (lambda r: r.update(complete="yes"), "boolean"),
-            (lambda r: r["points"][0].pop("row"), "missing 'row'"),
-            (
-                lambda r: r["points"].__setitem__(1, dict(r["points"][0])),
-                "duplicated",
-            ),
-        ],
-    )
-    def test_structural_rejections(self, report, mutate, match):
-        mutate(report)
-        with pytest.raises(ValueError, match=match):
-            validate_sweep_report(report)
-
-    def test_non_dict_rejected(self):
-        with pytest.raises(ValueError, match="not an object"):
-            validate_sweep_report([])
+        assert schema.load(tmp_path / "absent.json", SWEEP_REPORT) is None

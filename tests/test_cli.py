@@ -154,7 +154,8 @@ class TestTraceCommand:
     def test_trace_writes_validated_run_report(self, capsys, tmp_path):
         import json
 
-        from repro.obs.export import SCHEMA_ID, validate_run_report
+        from repro.obs import schema
+        from repro.obs.export import RUN_REPORT
 
         out = tmp_path / "trace.json"
         report_path = tmp_path / "report.json"
@@ -163,9 +164,9 @@ class TestTraceCommand:
             "--report", str(report_path), "--design", "BTS",
             "--config", "all", "--cache-mb", "256",
         ]) == 0
-        report = json.loads(report_path.read_text())
-        validate_run_report(report)
-        assert report["schema"] == SCHEMA_ID
+        report = schema.load(report_path, RUN_REPORT)
+        assert report_path.read_text().endswith("}\n")
+        assert report["schema"] == RUN_REPORT.id
         assert report["command"] == "trace bootstrap"
         assert report["config"]["key_compression"] is True
         assert report["runtime"]["design"] == "BTS"
@@ -247,7 +248,8 @@ class TestDiffCommand:
     def test_diff_writes_validated_artifacts(self, capsys, tmp_path):
         import json
 
-        from repro.obs.diff import validate_cost_diff
+        from repro.obs import schema
+        from repro.obs.diff import COST_DIFF
 
         a = self._write_report(tmp_path, "a", "none")
         b = self._write_report(tmp_path, "b", "all")
@@ -260,8 +262,7 @@ class TestDiffCommand:
         ]) == 0
         stdout = capsys.readouterr().out
         assert "Span path" in stdout and "key_read" in stdout
-        doc = json.loads(cost_diff.read_text())
-        validate_cost_diff(doc)
+        doc = schema.load(cost_diff, COST_DIFF)
         assert doc["identical"] is False
         assert {e["pid"] for e in json.loads(overlay.read_text())["traceEvents"]} == {1, 2}
 
@@ -341,11 +342,12 @@ class TestSweepCommand:
     def test_json_report_is_valid(self, capsys):
         import json
 
-        from repro.sweep import validate_sweep_report
+        from repro.obs import schema
+        from repro.sweep import SWEEP_REPORT
 
         assert main(["sweep", "ablation-cache", "--quick", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        validate_sweep_report(report)
+        schema.validate(report, SWEEP_REPORT)
         assert report["sweep"] == "ablation-cache"
 
     def test_out_then_resume_cycle(self, capsys, tmp_path):
@@ -397,7 +399,8 @@ class TestSweepTelemetryFlags:
     def test_report_bit_identical_across_jobs(self, capsys, tmp_path):
         import json
 
-        from repro.obs.export import validate_run_report
+        from repro.obs import schema
+        from repro.obs.export import RUN_REPORT
         from repro.obs.telemetry import strip_volatile
 
         serial_path = tmp_path / "serial.json"
@@ -407,10 +410,8 @@ class TestSweepTelemetryFlags:
         assert main(["sweep", "ablation-cache", "--quick", "--jobs", "2",
                      "--report", str(parallel_path)]) == 0
         capsys.readouterr()
-        serial = json.loads(serial_path.read_text())
-        parallel = json.loads(parallel_path.read_text())
-        validate_run_report(serial)
-        validate_run_report(parallel)
+        serial = schema.load(serial_path, RUN_REPORT)
+        parallel = schema.load(parallel_path, RUN_REPORT)
         assert serial["resources"]["peak_rss_bytes"] > 0
         assert json.dumps(strip_volatile(serial), sort_keys=True) == \
             json.dumps(strip_volatile(parallel), sort_keys=True)
@@ -446,14 +447,14 @@ class TestProfileCommand:
     def test_profile_bootstrap_report(self, capsys, tmp_path):
         import json
 
-        from repro.obs.export import validate_run_report
+        from repro.obs import schema
+        from repro.obs.export import RUN_REPORT
 
         path = tmp_path / "rr.json"
         assert main(["profile", "bootstrap", "--params", "optimal",
                      "--config", "all", "--report", str(path)]) == 0
         capsys.readouterr()
-        report = json.loads(path.read_text())
-        validate_run_report(report)
+        report = schema.load(path, RUN_REPORT)
         assert report["command"] == "profile bootstrap"
         assert report["resources"]["peak_rss_bytes"] > 0
 
@@ -529,19 +530,21 @@ class TestServeCommand:
     def test_json_output_is_a_valid_report(self, capsys):
         import json as json_module
 
-        from repro.serve import validate_serve_report
+        from repro.obs import schema
+        from repro.serve import SERVE_REPORT
 
         assert main(["serve", "micro", "--json"]) == 0
         report = json_module.loads(capsys.readouterr().out)
-        validate_serve_report(report)
+        schema.validate(report, SERVE_REPORT)
         assert report["scenario"] == "micro"
 
     def test_out_writes_validated_report(self, capsys, tmp_path):
-        from repro.serve import load_serve_report
+        from repro.obs import schema
+        from repro.serve import SERVE_REPORT
 
         path = tmp_path / "serve_report.json"
         assert main(["serve", "micro", "--out", str(path)]) == 0
-        report = load_serve_report(str(path))
+        report = schema.load(path, SERVE_REPORT)
         assert report is not None and report["seed"] == 0
 
     def test_same_seed_reports_are_byte_identical_sans_provenance(
@@ -601,14 +604,14 @@ class TestServeCommand:
     def test_report_writes_validated_run_report(self, capsys, tmp_path):
         import json as json_module
 
-        from repro.obs.export import validate_run_report
+        from repro.obs import schema
+        from repro.obs.export import RUN_REPORT
 
         report_path = tmp_path / "run_report.json"
         assert (
             main(["serve", "micro", "--report", str(report_path)]) == 0
         )
-        with open(report_path) as handle:
-            validate_run_report(json_module.load(handle))
+        assert schema.load(report_path, RUN_REPORT) is not None
 
     def test_unknown_scenario_exits_with_guidance(self, capsys):
         with pytest.raises(SystemExit, match="choose a serving scenario"):
