@@ -35,20 +35,20 @@ typecheck:
 	fi
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/bootstrap_analysis.py
-	$(PYTHON) examples/noise_budget.py
-	$(PYTHON) examples/private_image_filter.py
-	$(PYTHON) examples/encrypted_logistic_regression.py
-	$(PYTHON) examples/accelerator_comparison.py
-	$(PYTHON) examples/parameter_search.py
+	$(PYPATH) $(PYTHON) examples/quickstart.py
+	$(PYPATH) $(PYTHON) examples/bootstrap_analysis.py
+	$(PYPATH) $(PYTHON) examples/noise_budget.py
+	$(PYPATH) $(PYTHON) examples/private_image_filter.py
+	$(PYPATH) $(PYTHON) examples/encrypted_logistic_regression.py
+	$(PYPATH) $(PYTHON) examples/accelerator_comparison.py
+	$(PYPATH) $(PYTHON) examples/parameter_search.py
 
 tables:
-	$(PYTHON) -m repro table4
-	$(PYTHON) -m repro table6
-	$(PYTHON) -m repro fig2
-	$(PYTHON) -m repro fig3
-	$(PYTHON) -m repro balance
+	$(PYPATH) $(PYTHON) -m repro table4
+	$(PYPATH) $(PYTHON) -m repro table6
+	$(PYPATH) $(PYTHON) -m repro fig2
+	$(PYPATH) $(PYTHON) -m repro fig3
+	$(PYPATH) $(PYTHON) -m repro balance
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

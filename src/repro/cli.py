@@ -36,25 +36,28 @@ attributes host resources (RSS,
 allocation peaks, CPU, GC) span by span; ``top`` renders live progress
 from an event stream; ``dash`` turns an event stream into a
 self-contained HTML dashboard.
+
+The parser is one table, :data:`_COMMANDS`: a row names a subcommand's
+handler, the shared flags it takes from :data:`_SHARED` (each declared
+once), its per-command defaults and its own arguments.  Names on the
+command line resolve in one place each: parameter sets through
+:data:`repro.params.PARAM_SETS`, configs through
+:data:`repro.perf.CONFIGS`, workloads through
+:func:`repro.obs.bench.resolve_workload`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.params import BASELINE_JUNG, MAD_OPTIMAL
-from repro.perf import BootstrapModel, CacheModel, MADConfig
-
-_PARAM_SETS = {"baseline": BASELINE_JUNG, "optimal": MAD_OPTIMAL}
-_CONFIGS = {
-    "none": MADConfig.none,
-    "caching": MADConfig.caching_only,
-    "all": MADConfig.all,
-}
+from repro.hardware import PRIOR_DESIGNS
+from repro.params import BASELINE_JUNG, MAD_OPTIMAL, PARAM_SETS
+from repro.perf import CONFIGS, BootstrapModel, MADConfig
 
 
 def _print_json(payload) -> None:
@@ -64,8 +67,7 @@ def _print_json(payload) -> None:
 def _cmd_table4(args) -> int:
     from repro.report import generate_table4, render_table4
 
-    config = _CONFIGS[args.config]()
-    rows = generate_table4(_PARAM_SETS[args.params], config)
+    rows = generate_table4(PARAM_SETS[args.params], CONFIGS[args.config])
     if args.json:
         _print_json([asdict(row) for row in rows])
     else:
@@ -135,7 +137,7 @@ def _cmd_fig2(args) -> int:
 def _cmd_fig3(args) -> int:
     from repro.report import generate_fig3
 
-    points = generate_fig3(_PARAM_SETS[args.params])
+    points = generate_fig3(PARAM_SETS[args.params])
     if args.json:
         _print_json([asdict(p) for p in points])
         return 0
@@ -148,16 +150,10 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
-    from repro.hardware import PRIOR_DESIGNS
     from repro.report import generate_fig6_lr, generate_fig6_resnet
 
-    design = PRIOR_DESIGNS[args.design]
-    sizes = [float(s) for s in args.caches.split(",")]
-    if args.workload == "lr":
-        bars = generate_fig6_lr(design, sizes, jobs=args.jobs)
-    else:
-        bars = generate_fig6_resnet(design, sizes, jobs=args.jobs)
-    for bar in bars:
+    generate = generate_fig6_lr if args.workload == "lr" else generate_fig6_resnet
+    for bar in generate(PRIOR_DESIGNS[args.design], args.caches, jobs=args.jobs):
         print(
             f"{bar.label:30} {bar.seconds:9.3f} s ({bar.bound}-bound) "
             f"{bar.speedup_vs_original:6.2f}x"
@@ -166,11 +162,10 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    from repro.obs.bench import resolve_model
     from repro.obs.export import cost_dict
 
-    params = _PARAM_SETS[args.params]
-    config = _CONFIGS[args.config]()
-    cache = CacheModel.from_mb(args.cache_mb) if args.cache_mb else None
+    params, config, cache = resolve_model(args.params, args.config, args.cache_mb)
     breakdown = BootstrapModel(params, config, cache).cost()
     total = breakdown.total
     if args.json:
@@ -203,8 +198,8 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_ledger(args) -> int:
     from repro.obs.export import cost_dict
 
-    params = _PARAM_SETS[args.params]
-    config = _CONFIGS[args.config]()
+    params = PARAM_SETS[args.params]
+    config = CONFIGS[args.config]
     ledger = BootstrapModel(params, config).ledger()
     if args.json:
         _print_json(
@@ -225,7 +220,7 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    from repro.hardware import PRIOR_DESIGNS, balance_point, mad_counterpart, render_balance
+    from repro.hardware import balance_point, mad_counterpart, render_balance
 
     cost = BootstrapModel(MAD_OPTIMAL, MADConfig.all()).total_cost()
     for name, design in PRIOR_DESIGNS.items():
@@ -237,6 +232,7 @@ def _cmd_balance(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.obs import schema
     from repro.obs import state as obs
+    from repro.obs.bench import resolve_workload
     from repro.obs.export import (
         RUN_REPORT,
         attribute_runtime,
@@ -245,29 +241,9 @@ def _cmd_trace(args) -> int:
         write_chrome_trace,
     )
 
-    params = _PARAM_SETS[args.params]
-    config = _CONFIGS[args.config]()
-    cache = CacheModel.from_mb(args.cache_mb) if args.cache_mb else None
-
-    if args.target == "bootstrap":
-        workload_name = "bootstrap"
-
-        def run():
-            return BootstrapModel(params, config, cache).ledger().total
-
-    else:
-        from repro.apps import helr_training, resnet20_inference, workload_cost
-
-        workload = (
-            helr_training(params)
-            if args.target == "helr"
-            else resnet20_inference(params)
-        )
-        workload_name = workload.name
-
-        def run():
-            return workload_cost(workload, params, config, cache).total
-
+    workload_name, run = resolve_workload(
+        args.target, args.params, args.config, args.cache_mb
+    )
     untraced = run()
     with obs.capture() as (tracer, registry):
         traced = run()
@@ -280,22 +256,7 @@ def _cmd_trace(args) -> int:
 
     runtime = None
     if args.design:
-        from repro.hardware import PRIOR_DESIGNS
-
-        if args.design not in PRIOR_DESIGNS:
-            raise SystemExit(
-                f"unknown design {args.design!r}; "
-                f"choose from {', '.join(sorted(PRIOR_DESIGNS))}"
-            )
-        estimate = attribute_runtime(tracer, PRIOR_DESIGNS[args.design])
-        if estimate is not None:
-            runtime = {
-                "design": args.design,
-                "compute_seconds": estimate.compute_seconds,
-                "memory_seconds": estimate.memory_seconds,
-                "roofline_seconds": estimate.seconds,
-                "bound": estimate.bound,
-            }
+        runtime = attribute_runtime(tracer, PRIOR_DESIGNS[args.design])
 
     metadata = {
         "workload": workload_name,
@@ -325,7 +286,7 @@ def _cmd_trace(args) -> int:
             command=f"trace {args.target}",
             workload=workload_name,
             params=args.params,
-            config=asdict(config),
+            config=asdict(CONFIGS[args.config]),
             runtime=runtime,
         )
         schema.write(report, RUN_REPORT, args.report)
@@ -397,11 +358,8 @@ def _cmd_kernels(args) -> int:
     """Differential parity (and optionally speedup) of the int64 kernels."""
     from repro.kernels.check import render_report, run_check
 
-    degrees = [int(d.strip()) for d in args.degrees.split(",") if d.strip()]
-    if not degrees:
-        raise SystemExit(f"no ring degrees in {args.degrees!r}")
     report = run_check(
-        degrees=degrees,
+        degrees=args.degrees,
         limbs=args.limbs,
         repeats=args.repeats,
         min_speedup=args.min_speedup,
@@ -438,8 +396,7 @@ def _cmd_memsim(args) -> int:
     if args.cache_mb is not None:
         # Single-point validation at one capacity under one config,
         # instead of the default Fig. 2 ladder matrix.
-        config = _CONFIGS[args.config]()
-        runs = [(args.config, config, args.cache_mb)]
+        runs = [(args.config, CONFIGS[args.config], args.cache_mb)]
     report = run_validation(
         params_key=args.params,
         policy_name=args.policy,
@@ -697,29 +654,11 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _profile_workload(args):
-    """``(name, thunk)`` for a profile target; thunk returns the total cost."""
-    params = _PARAM_SETS[args.params]
-    config = _CONFIGS[args.config]()
-    cache = CacheModel.from_mb(args.cache_mb) if args.cache_mb else None
-    if args.target == "bootstrap":
-        return "bootstrap", lambda: BootstrapModel(params, config, cache).ledger().total
-    if args.target == "micro":
-        from repro.obs.bench import primitive_micro_cost
-
-        return "micro", lambda: primitive_micro_cost(params, config, cache)
-    from repro.apps import helr_training, resnet20_inference, workload_cost
-
-    workload = (
-        helr_training(params) if args.target == "helr" else resnet20_inference(params)
-    )
-    return workload.name, lambda: workload_cost(workload, params, config, cache).total
-
-
 def _cmd_profile(args) -> int:
     import time
 
     from repro.obs import schema
+    from repro.obs.bench import resolve_workload
     from repro.obs.export import RUN_REPORT, build_run_report
     from repro.obs.profiler import (
         process_cpu_seconds,
@@ -728,7 +667,9 @@ def _cmd_profile(args) -> int:
         run_resource_summary,
     )
 
-    workload_name, run = _profile_workload(args)
+    workload_name, run = resolve_workload(
+        args.target, args.params, args.config, args.cache_mb
+    )
     wall0 = time.perf_counter()
     cpu0 = process_cpu_seconds()
     with profile_capture(
@@ -836,448 +777,246 @@ def _cmd_dash(args) -> int:
     return 0
 
 
+def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse type: a positive, finite ``kind`` (bad input exits 2)."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__}, got {text!r}"
+            )
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
+
+
+def _comma_list(kind: Callable[[str], Any]) -> Callable[[str], List[Any]]:
+    """argparse type: a non-empty comma-separated list of positive ``kind``."""
+    item = _positive(kind)
+
+    def parse(text: str) -> List[Any]:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no values in {text!r}")
+        return values
+
+    return parse
+
+
+#: Every flag more than one command takes, declared once.  A command row
+#: names the ones it uses; a per-command default goes in the row's
+#: ``set_defaults`` mapping.  ``diff --json``, ``trace --out``,
+#: ``dash --out`` and ``search --cache-mb`` mean something else there and
+#: are those commands' own arguments.
+_SHARED: Dict[str, Dict[str, Any]] = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--params": dict(
+        choices=PARAM_SETS, default="baseline", help="CKKS parameter set"
+    ),
+    "--config": dict(
+        choices=CONFIGS, default="none", help="MAD optimization config"
+    ),
+    "--cache-mb": dict(
+        type=_positive(float),
+        default=None,
+        help="on-chip memory in decimal MB (default: unbounded; memsim: "
+        "validate at this one capacity instead of the ladder)",
+    ),
+    "--jobs": dict(
+        type=_positive(int),
+        default=1,
+        help="sweep worker processes; 1 evaluates in-process",
+    ),
+    "--out": dict(
+        default=None, metavar="PATH", help="also write the report file here"
+    ),
+    "--report": dict(
+        default=None,
+        metavar="PATH",
+        help="also write run_report.json here (sweep/serve: merged "
+        "cross-process telemetry, bit-identical across --jobs after "
+        "strip_volatile)",
+    ),
+    "--events": dict(
+        default=None,
+        metavar="PATH",
+        help="stream a repro.obs.events/v1 JSONL event log here "
+        "(live-tailable by `repro top` and renderable by `repro dash`)",
+    ),
+    "--quick": dict(action="store_true", help="use a reduced grid"),
+    "--list": dict(action="store_true", help="list the choices and exit"),
+    "--design": dict(
+        choices=PRIOR_DESIGNS,
+        default=None,
+        help="prior design (trace: attribute roofline runtime on it)",
+    ),
+}
+
+
+def _arg(*flags: str, **kwargs: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
+    """A command's own argument, as ``add_argument`` takes it."""
+    return flags, kwargs
+
+
+#: One row per subcommand, in ``--help`` order: name, handler, help, the
+#: shared flags it takes, its ``set_defaults``, then its own arguments.
+_COMMANDS: Tuple[Any, ...] = (
+    ("table4", _cmd_table4, "per-primitive ops/DRAM/AI table",
+     ("--params", "--config", "--json"), {}),
+    ("table5", _cmd_table5, "memory-aware optimal parameters",
+     ("--quick", "--jobs"), {}),
+    ("table6", _cmd_table6, "bootstrapping design comparison", ("--json",), {}),
+    ("fig1", _cmd_fig1, "Rotate O(1)-caching example", (), {}),
+    ("fig2", _cmd_fig2, "caching-optimization ladder", ("--json",), {}),
+    ("fig3", _cmd_fig3, "algorithmic-optimization ladder",
+     ("--params", "--json"), {"params": "optimal"}),
+    ("fig6", _cmd_fig6, "ML application comparison",
+     ("--design", "--jobs"), {"design": "BTS"},
+     _arg("--workload", choices=("lr", "resnet"), default="lr"),
+     _arg("--caches", type=_comma_list(float), default="32,256",
+          help="comma-separated on-chip sizes in MB")),
+    ("bootstrap", _cmd_bootstrap, "bootstrap cost breakdown",
+     ("--params", "--config", "--cache-mb", "--json"), {}),
+    ("ledger", _cmd_ledger, "labeled bootstrap cost ledger",
+     ("--params", "--config", "--json"), {}),
+    ("trace", _cmd_trace, "trace a run and export Chrome trace-event JSON",
+     ("--params", "--config", "--cache-mb", "--design", "--report"), {},
+     _arg("target", choices=("bootstrap", "helr", "resnet")),
+     _arg("--out", required=True, help="Chrome trace output path"),
+     _arg("--metrics", action="store_true",
+          help="print MetricsRegistry counters and embed them in the trace")),
+    ("diff", _cmd_diff,
+     "differential cost attribution between two run reports", (), {},
+     _arg("base", help="baseline run_report.json"),
+     _arg("other", help="comparison run_report.json"),
+     _arg("--json", default=None, help="write machine-readable cost_diff.json"),
+     _arg("--overlay", default=None,
+          help="write a Chrome-trace overlay of both runs"),
+     _arg("--top", type=int, default=20, help="span rows to print"),
+     _arg("--force", action="store_true",
+          help="diff even when the reports ran different workloads"),
+     _arg("--no-renames", action="store_true",
+          help="disable positional rename alignment of unmatched spans")),
+    ("bench", _cmd_bench,
+     "run the analytical bench matrix against committed baselines",
+     ("--list",), {},
+     _arg("--check", action="store_true",
+          help="exit non-zero on any cost regression or missing baseline"),
+     _arg("--update", action="store_true",
+          help="(re)write the baseline snapshots instead of gating"),
+     _arg("--workloads", default=None,
+          help="comma-separated substrings selecting bench workloads"),
+     _arg("--baseline-dir", default=None,
+          help="baseline directory (default: benchmarks/baselines)"),
+     _arg("--out-dir", default=None,
+          help="write BENCH_*.json trajectories and cost_diff_*.json here"),
+     _arg("--rel-tol", type=float, default=0.0,
+          help="relative cost growth tolerated before failing"),
+     _arg("--abs-tol", type=float, default=0.0,
+          help="absolute cost growth tolerated before failing")),
+    ("kernels", _cmd_kernels,
+     "int64 NTT kernels vs the pure-Python oracle: parity + speedup",
+     ("--json",), {},
+     _arg("--degrees", type=_comma_list(int), default="4096",
+          help="comma-separated ring degrees to check (powers of two)"),
+     _arg("--limbs", type=int, default=8, help="RNS limb count per degree"),
+     _arg("--repeats", type=int, default=3, help="min-of-k timing repeats"),
+     _arg("--min-speedup", type=float, default=None,
+          help="fail unless the vectorized/oracle speedup reaches this"),
+     _arg("--parity-only", action="store_true",
+          help="skip timing; only assert bit-exact oracle parity (CI mode)"),
+     _arg("--seed", type=int, default=2012, help="input PRNG seed")),
+    ("memsim", _cmd_memsim,
+     "trace-driven simulation validating the analytical DRAM model",
+     ("--params", "--config", "--cache-mb", "--out", "--json", "--jobs"),
+     {"config": "caching"},
+     _arg("--policy", choices=("lru", "belady", "pin"), default="pin",
+          help="replacement policy for the simulated on-chip memory"),
+     _arg("--primitive", action="append", default=None, metavar="NAME",
+          help="validate only the named primitive (repeatable)"),
+     _arg("--tolerance", type=float, default=0.05,
+          help="per-stream relative-error gate (default 0.05)")),
+    ("lint", _cmd_lint,
+     "domain-aware static analysis (cost-model + span invariants)",
+     ("--json", "--out"), {},
+     _arg("paths", nargs="*", default=None,
+          help="files or directories to lint (default: src/repro)"),
+     _arg("--rule", action="append", default=None, metavar="NAME",
+          help="run only the named rule (repeatable)"),
+     _arg("--list-rules", action="store_true",
+          help="print every registered rule with its description and exit"),
+     _arg("--program", action="store_true",
+          help="additionally run the whole-program pass (taint, schema)"),
+     _arg("--changed-only", action="store_true",
+          help="replay the previous result from .lint_cache/ when no file "
+          "changed"),
+     _arg("--format", choices=("text", "json", "sarif"), default=None,
+          help="output format (default: text, or json with --json); "
+          "with --out, stdout stays text")),
+    ("balance", _cmd_balance, "roofline balance of MAD design points", (), {}),
+    ("search", _cmd_search, "parameter search for a hardware budget",
+     ("--quick", "--jobs"), {},
+     _arg("--multipliers", type=_positive(int), default=4096),
+     _arg("--bandwidth", type=_positive(float), default=1000),
+     _arg("--cache-mb", type=_positive(float), default=32),
+     _arg("--top", type=int, default=5)),
+    ("sweep", _cmd_sweep,
+     "run a declarative parameter sweep over worker processes",
+     ("--jobs", "--quick", "--out", "--events", "--report", "--json",
+      "--list"), {},
+     _arg("preset", nargs="?", default=None,
+          help="sweep preset name (see --list)"),
+     _arg("--resume", default=None, metavar="REPORT",
+          help="reuse completed points from a prior sweep_report.json")),
+    ("serve", _cmd_serve,
+     "simulate a multi-tenant serving scenario on accelerator fleets",
+     ("--jobs", "--out", "--events", "--report", "--json", "--list"), {},
+     _arg("scenario", nargs="?", default=None,
+          help="serving scenario name (see --list)"),
+     _arg("--seed", type=int, default=0,
+          help="arrival-stream seed (same seed -> byte-identical report)")),
+    ("profile", _cmd_profile,
+     "attribute host resources (RSS, allocations, CPU, GC) span by span",
+     ("--params", "--config", "--cache-mb", "--report", "--json"), {},
+     _arg("target", choices=("bootstrap", "helr", "resnet", "micro")),
+     _arg("--depth", type=int, default=3,
+          help="meter spans down to this stack depth (deeper spans trace "
+          "unmetered)"),
+     _arg("--no-alloc", action="store_true",
+          help="skip tracemalloc (cheaper; loses allocation peaks)")),
+    ("top", _cmd_top,
+     "render sweep progress from an event log (live-tails with --follow)",
+     (), {},
+     _arg("events", help="events.jsonl written by `sweep --events`"),
+     _arg("--follow", action="store_true",
+          help="re-render every --interval seconds until the sweep finishes"),
+     _arg("--interval", type=float, default=1.0,
+          help="polling interval seconds")),
+    ("dash", _cmd_dash,
+     "render an event log as a self-contained HTML dashboard", (), {},
+     _arg("events", help="events.jsonl written by `sweep --events`"),
+     _arg("--out", default="dash.html",
+          help="output path (default dash.html)")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MAD / SimFHE reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table4", help="per-primitive ops/DRAM/AI table")
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument("--config", choices=_CONFIGS, default="none")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_table4)
-
-    p = sub.add_parser("table5", help="memory-aware optimal parameters")
-    p.add_argument("--quick", action="store_true", help="search a small grid")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="sweep worker processes"
-    )
-    p.set_defaults(func=_cmd_table5)
-
-    p = sub.add_parser("table6", help="bootstrapping design comparison")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_table6)
-
-    p = sub.add_parser("fig1", help="Rotate O(1)-caching example")
-    p.set_defaults(func=_cmd_fig1)
-
-    p = sub.add_parser("fig2", help="caching-optimization ladder")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("fig3", help="algorithmic-optimization ladder")
-    p.add_argument("--params", choices=_PARAM_SETS, default="optimal")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_fig3)
-
-    p = sub.add_parser("fig6", help="ML application comparison")
-    p.add_argument("--workload", choices=("lr", "resnet"), default="lr")
-    p.add_argument("--design", default="BTS")
-    p.add_argument("--caches", default="32,256")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="sweep worker processes"
-    )
-    p.set_defaults(func=_cmd_fig6)
-
-    p = sub.add_parser("bootstrap", help="bootstrap cost breakdown")
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument("--config", choices=_CONFIGS, default="none")
-    p.add_argument("--cache-mb", type=float, default=None)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_bootstrap)
-
-    p = sub.add_parser("ledger", help="labeled bootstrap cost ledger")
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument("--config", choices=_CONFIGS, default="none")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_ledger)
-
-    p = sub.add_parser(
-        "trace",
-        help="trace a run and export Chrome trace-event JSON",
-    )
-    p.add_argument("target", choices=("bootstrap", "helr", "resnet"))
-    p.add_argument("--out", required=True, help="Chrome trace output path")
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument("--config", choices=_CONFIGS, default="none")
-    p.add_argument("--cache-mb", type=float, default=None)
-    p.add_argument(
-        "--design",
-        default=None,
-        help="attribute roofline runtime on a prior design (e.g. BTS)",
-    )
-    p.add_argument(
-        "--report", default=None, help="also write run_report.json here"
-    )
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print MetricsRegistry counters and embed them in the trace",
-    )
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "diff",
-        help="differential cost attribution between two run reports",
-    )
-    p.add_argument("base", help="baseline run_report.json")
-    p.add_argument("other", help="comparison run_report.json")
-    p.add_argument(
-        "--json", default=None, help="write machine-readable cost_diff.json"
-    )
-    p.add_argument(
-        "--overlay",
-        default=None,
-        help="write a Chrome-trace overlay of both runs",
-    )
-    p.add_argument("--top", type=int, default=20, help="span rows to print")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="diff even when the reports ran different workloads",
-    )
-    p.add_argument(
-        "--no-renames",
-        action="store_true",
-        help="disable positional rename alignment of unmatched spans",
-    )
-    p.set_defaults(func=_cmd_diff)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the analytical bench matrix against committed baselines",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any cost regression or missing baseline",
-    )
-    p.add_argument(
-        "--update",
-        action="store_true",
-        help="(re)write the baseline snapshots instead of gating",
-    )
-    p.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated substrings selecting bench workloads",
-    )
-    p.add_argument(
-        "--baseline-dir",
-        default=None,
-        help="baseline directory (default: benchmarks/baselines)",
-    )
-    p.add_argument(
-        "--out-dir",
-        default=None,
-        help="write BENCH_*.json trajectories and cost_diff_*.json here",
-    )
-    p.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.0,
-        help="relative cost growth tolerated before failing",
-    )
-    p.add_argument(
-        "--abs-tol",
-        type=float,
-        default=0.0,
-        help="absolute cost growth tolerated before failing",
-    )
-    p.add_argument(
-        "--list", action="store_true", help="list bench workloads and exit"
-    )
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
-        "kernels",
-        help="int64 NTT kernels vs the pure-Python oracle: parity + speedup",
-    )
-    p.add_argument(
-        "--degrees",
-        default="4096",
-        help="comma-separated ring degrees to check (powers of two)",
-    )
-    p.add_argument(
-        "--limbs", type=int, default=8, help="RNS limb count per degree"
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, help="min-of-k timing repeats"
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless the vectorized/oracle speedup reaches this",
-    )
-    p.add_argument(
-        "--parity-only",
-        action="store_true",
-        help="skip timing; only assert bit-exact oracle parity (CI mode)",
-    )
-    p.add_argument("--seed", type=int, default=2012, help="input PRNG seed")
-    p.add_argument(
-        "--json", action="store_true", help="emit a JSON report to stdout"
-    )
-    p.set_defaults(func=_cmd_kernels)
-
-    p = sub.add_parser(
-        "memsim",
-        help="trace-driven simulation validating the analytical DRAM model",
-    )
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument(
-        "--config",
-        choices=_CONFIGS,
-        default="caching",
-        help="MAD config for --cache-mb single-point runs "
-        "(the default ladder sweeps all caching rungs)",
-    )
-    p.add_argument(
-        "--policy",
-        choices=("lru", "belady", "pin"),
-        default="pin",
-        help="replacement policy for the simulated on-chip memory",
-    )
-    p.add_argument(
-        "--cache-mb",
-        type=float,
-        default=None,
-        help="validate at one capacity (decimal MB) instead of the ladder",
-    )
-    p.add_argument(
-        "--primitive",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="validate only the named primitive (repeatable)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="per-stream relative-error gate (default 0.05)",
-    )
-    p.add_argument(
-        "--out", default=None, help="write memsim_report.json here"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="sweep worker processes"
-    )
-    p.set_defaults(func=_cmd_memsim)
-
-    p = sub.add_parser(
-        "lint",
-        help="domain-aware static analysis (cost-model + span invariants)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to lint (default: src/repro)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-    p.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only the named rule (repeatable)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print every registered rule with its description and exit",
-    )
-    p.add_argument(
-        "--program",
-        action="store_true",
-        help="additionally run the whole-program pass (taint, schema)",
-    )
-    p.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="replay the previous result from .lint_cache/ when no file changed",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default=None,
-        help="output format (default: text, or json with --json)",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the chosen format to FILE (stdout stays text)",
-    )
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser("balance", help="roofline balance of MAD design points")
-    p.set_defaults(func=_cmd_balance)
-
-    p = sub.add_parser("search", help="parameter search for a hardware budget")
-    p.add_argument("--multipliers", type=int, default=4096)
-    p.add_argument("--bandwidth", type=float, default=1000)
-    p.add_argument("--cache-mb", type=float, default=32)
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--quick", action="store_true")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="sweep worker processes"
-    )
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run a declarative parameter sweep over worker processes",
-    )
-    p.add_argument(
-        "preset",
-        nargs="?",
-        default=None,
-        help="sweep preset name (see --list)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes; 1 evaluates in-process",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the preset's reduced grid",
-    )
-    p.add_argument(
-        "--resume",
-        default=None,
-        metavar="REPORT",
-        help="reuse completed points from a prior sweep_report.json",
-    )
-    p.add_argument(
-        "--out", default=None, help="write sweep_report.json here"
-    )
-    p.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help="stream a repro.obs.events/v1 JSONL event log here "
-        "(live-tailable by `repro top` and renderable by `repro dash`)",
-    )
-    p.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="capture cross-process telemetry and write the merged "
-        "run_report.json here (bit-identical across --jobs after "
-        "strip_volatile)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--list", action="store_true", help="list sweep presets and exit"
-    )
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "serve",
-        help="simulate a multi-tenant serving scenario on accelerator fleets",
-    )
-    p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="serving scenario name (see --list)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="arrival-stream seed (same seed -> byte-identical report)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (one fleet per grid point); 1 is in-process",
-    )
-    p.add_argument(
-        "--out", default=None, help="write serve_report.json here"
-    )
-    p.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help="stream a repro.obs.events/v1 JSONL event log here "
-        "(live-tailable by `repro top` and renderable by `repro dash`)",
-    )
-    p.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="capture cross-process telemetry and write the merged "
-        "run_report.json here",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--list", action="store_true", help="list serving scenarios and exit"
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "profile",
-        help="attribute host resources (RSS, allocations, CPU, GC) span by span",
-    )
-    p.add_argument("target", choices=("bootstrap", "helr", "resnet", "micro"))
-    p.add_argument("--params", choices=_PARAM_SETS, default="baseline")
-    p.add_argument("--config", choices=_CONFIGS, default="none")
-    p.add_argument("--cache-mb", type=float, default=None)
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=3,
-        help="meter spans down to this stack depth (deeper spans trace unmetered)",
-    )
-    p.add_argument(
-        "--no-alloc",
-        action="store_true",
-        help="skip tracemalloc (cheaper; loses allocation peaks)",
-    )
-    p.add_argument(
-        "--report", default=None, help="also write run_report.json here"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "top",
-        help="render sweep progress from an event log (live-tails with --follow)",
-    )
-    p.add_argument("events", help="events.jsonl written by `sweep --events`")
-    p.add_argument(
-        "--follow",
-        action="store_true",
-        help="re-render every --interval seconds until the sweep finishes",
-    )
-    p.add_argument(
-        "--interval", type=float, default=1.0, help="polling interval seconds"
-    )
-    p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser(
-        "dash",
-        help="render an event log as a self-contained HTML dashboard",
-    )
-    p.add_argument("events", help="events.jsonl written by `sweep --events`")
-    p.add_argument(
-        "--out", default="dash.html", help="output path (default dash.html)"
-    )
-    p.set_defaults(func=_cmd_dash)
-
+    for name, func, help_text, shared, defaults, *own in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in own:
+            p.add_argument(*flags, **kwargs)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(func=func, **defaults)
     return parser
 
 

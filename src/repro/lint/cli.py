@@ -1,8 +1,9 @@
 """CLI behind ``python -m repro lint``.
 
-Kept separate from :mod:`repro.cli` so the argparse wiring there stays
-one-line-per-command; exit codes follow linter convention: 0 clean,
-1 findings, 2 usage errors (unknown rule, missing path).
+The flags are declared in :mod:`repro.cli`'s command table like every
+other command's; this module only runs them.  Exit codes follow linter
+convention: 0 clean, 1 findings, 2 usage errors (unknown rule, missing
+path).
 
 ``--program`` adds the whole-program pass (nondeterminism taint);
 ``--changed-only`` replays the previous result from ``.lint_cache/``
@@ -57,7 +58,7 @@ def lint_command(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(_render_rule_list())
         return 0
-    fmt = getattr(args, "format", None) or ("json" if args.json else "text")
+    fmt = args.format or ("json" if args.json else "text")
     try:
         if args.rule:
             rules = get_rules(args.rule)
@@ -76,7 +77,7 @@ def lint_command(args: argparse.Namespace) -> int:
     if not args.program:
         program_rules = []
     cache: Optional[LintCache] = None
-    if getattr(args, "changed_only", False):
+    if args.changed_only:
         cache = LintCache(Path(DEFAULT_CACHE_DIR))
     paths = args.paths or list(DEFAULT_PATHS)
     try:
@@ -86,9 +87,8 @@ def lint_command(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
     rendered = _render(result, fmt)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(rendered + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
         summary = render_text(result)
         if result.from_cache:
             summary += " [cached]"

@@ -38,7 +38,7 @@ from repro.memsim.policies import POLICIES, make_policy
 from repro.obs import schema
 from repro.obs import state as obs
 from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
-from repro.params import BASELINE_JUNG, MAD_OPTIMAL, CkksParams
+from repro.params import PARAM_SETS
 from repro.perf.cache import mb_to_bytes
 from repro.perf.events import MemTraffic
 from repro.perf.optimizations import CACHING_LADDER, MADConfig
@@ -106,18 +106,6 @@ EXPECTED_FIT_BREAKS: Dict[Tuple[str, float, str], str] = {
         "exceed 32 MB under the O(beta) x limb-reorder composition"
     ),
 }
-
-_PARAM_SETS: Dict[str, CkksParams] = {
-    "baseline": BASELINE_JUNG,
-    "optimal": MAD_OPTIMAL,
-}
-
-_CONFIGS = {
-    "none": MADConfig.none,
-    "caching": MADConfig.caching_only,
-    "all": MADConfig.all,
-}
-
 
 _STRING: Dict[str, Any] = {"type": "string"}
 _BOOLEAN: Dict[str, Any] = {"type": "boolean"}
@@ -350,7 +338,7 @@ def ladder_sweep_spec(
     single axis, not a cross product); the ``primitive`` axis lists the
     validated primitives in canonical order.
     """
-    params = _PARAM_SETS[params_key]
+    params = PARAM_SETS[params_key]
     selected = tuple(primitives) if primitives else LADDER_PRIMITIVES
     selected = tuple(
         name
@@ -401,7 +389,7 @@ def run_validation(
     """
     from repro.sweep.engine import run_sweep
 
-    params = _PARAM_SETS[params_key]
+    params = PARAM_SETS[params_key]
     spec = ladder_sweep_spec(params_key, policy_name, tolerance, runs, primitives)
     rungs = spec.axes[0].values
     selected = spec.axes[1].values

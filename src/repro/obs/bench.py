@@ -73,8 +73,8 @@ class BenchSpec:
     """One bench workload: what to run and which baseline gates it."""
 
     workload: str  # "micro" | "bootstrap" | "helr" | "resnet" | "memsim" | "sweep" | "serve" | "kernels"
-    params: str  # parameter-set name in repro.cli._PARAM_SETS
-    config: str  # MAD config name in repro.cli._CONFIGS
+    params: str  # key into repro.params.PARAM_SETS
+    config: str  # key into repro.perf.CONFIGS
     cache_mb: Optional[float] = None
     design: Optional[str] = None  # roofline attribution (report-only)
 
@@ -366,52 +366,63 @@ def serve_micro_cost(params, config):
     return result.total_cost
 
 
-def _runner(spec: BenchSpec) -> Tuple[Callable[[], Any], str]:
-    """(zero-arg traced runner, workload display name) for a spec."""
-    from repro.cli import _CONFIGS, _PARAM_SETS
-    from repro.perf import BootstrapModel, CacheModel
+def resolve_model(params: str, config: str, cache_mb: Optional[float]):
+    """The ``(CkksParams, MADConfig, CacheModel)`` three names select.
 
-    params = _PARAM_SETS[spec.params]
-    config = _CONFIGS[spec.config]()
-    cache = CacheModel.from_mb(spec.cache_mb) if spec.cache_mb else None
+    ``cache_mb=None`` leaves the on-chip memory unbounded (no cache
+    model); any other value is a capacity in decimal MB.
+    """
+    from repro.params import PARAM_SETS
+    from repro.perf import CONFIGS, CacheModel
 
-    if spec.workload == "micro":
-        return lambda: primitive_micro_cost(params, config, cache), "micro"
-    if spec.workload == "kernels":
-        return lambda: kernels_micro_cost(params, config), "kernels"
-    if spec.workload == "sweep":
-        return lambda: sweep_micro_cost(params, config), "sweep"
-    if spec.workload == "serve":
-        return lambda: serve_micro_cost(params, config), "serve"
-    if spec.workload == "memsim":
-        return (
-            lambda: memsim_micro_cost(params, config, spec.cache_mb or 32.0),
-            "memsim",
-        )
-    if spec.workload == "bootstrap":
-        return (
-            lambda: BootstrapModel(params, config, cache).ledger().total,
-            "bootstrap",
-        )
-    from repro.apps import helr_training, resnet20_inference, workload_cost
+    cache = None if cache_mb is None else CacheModel.from_mb(cache_mb)
+    return PARAM_SETS[params], CONFIGS[config], cache
 
-    factory = helr_training if spec.workload == "helr" else resnet20_inference
-    workload = factory(params)
-    return (
-        lambda: workload_cost(workload, params, config, cache).total,
-        workload.name,
-    )
+
+def resolve_workload(
+    target: str, params: str, config: str, cache_mb: Optional[float] = None
+) -> Tuple[str, Callable[[], Any]]:
+    """``(display name, zero-arg cost thunk)`` for a named workload.
+
+    The one place ``repro trace``, ``repro profile`` and the bench matrix
+    turn a target and parameter-set / config / cache names into a run;
+    the thunk returns the workload's total cost.
+    """
+    from repro.perf import BootstrapModel
+
+    ckks, mad, cache = resolve_model(params, config, cache_mb)
+    if target == "bootstrap":
+        return "bootstrap", lambda: BootstrapModel(ckks, mad, cache).ledger().total
+    if target in ("helr", "resnet"):
+        from repro.apps import helr_training, resnet20_inference, workload_cost
+
+        factory = helr_training if target == "helr" else resnet20_inference
+        workload = factory(ckks)
+        return workload.name, lambda: workload_cost(workload, ckks, mad, cache).total
+    if target == "micro":
+        return "micro", lambda: primitive_micro_cost(ckks, mad, cache)
+    if target == "memsim":
+        capacity = 32.0 if cache_mb is None else cache_mb
+        return "memsim", lambda: memsim_micro_cost(ckks, mad, capacity)
+    if target == "kernels":
+        return "kernels", lambda: kernels_micro_cost(ckks, mad)
+    if target == "sweep":
+        return "sweep", lambda: sweep_micro_cost(ckks, mad)
+    if target == "serve":
+        return "serve", lambda: serve_micro_cost(ckks, mad)
+    raise ValueError(f"unknown workload {target!r}")
 
 
 def run_spec(spec: BenchSpec) -> Dict[str, Any]:
     """Run one bench workload traced and return its run report."""
     from dataclasses import asdict
 
-    from repro.cli import _CONFIGS
-
     from repro.obs.profiler import process_cpu_seconds, run_resource_summary
+    from repro.perf import CONFIGS
 
-    runner, workload_name = _runner(spec)
+    workload_name, runner = resolve_workload(
+        spec.workload, spec.params, spec.config, spec.cache_mb
+    )
     cpu0 = process_cpu_seconds()
     wall0 = time.perf_counter()
     with obs.capture() as (tracer, registry):
@@ -425,15 +436,7 @@ def run_spec(spec: BenchSpec) -> Dict[str, Any]:
     if spec.design:
         from repro.hardware import PRIOR_DESIGNS
 
-        estimate = attribute_runtime(tracer, PRIOR_DESIGNS[spec.design])
-        if estimate is not None:
-            runtime = {
-                "design": spec.design,
-                "compute_seconds": estimate.compute_seconds,
-                "memory_seconds": estimate.memory_seconds,
-                "roofline_seconds": estimate.seconds,
-                "bound": estimate.bound,
-            }
+        runtime = attribute_runtime(tracer, PRIOR_DESIGNS[spec.design])
 
     report = build_run_report(
         tracer,
@@ -441,7 +444,7 @@ def run_spec(spec: BenchSpec) -> Dict[str, Any]:
         command=f"bench {spec.name}",
         workload=workload_name,
         params=spec.params,
-        config=asdict(_CONFIGS[spec.config]()),
+        config=asdict(CONFIGS[spec.config]),
         runtime=runtime,
         resources=resources,
     )

@@ -277,30 +277,32 @@ def render_flat_profile(tracer) -> str:
 # ----------------------------------------------------------------------
 # Roofline attribution
 # ----------------------------------------------------------------------
-def attribute_runtime(tracer, design):
+def attribute_runtime(tracer, design) -> Optional[Dict[str, Any]]:
     """Annotate every costed span with its roofline estimate on ``design``.
 
-    Each span gets ``compute_seconds`` / ``memory_seconds`` /
+    Each span gets ``design`` / ``compute_seconds`` / ``memory_seconds`` /
     ``roofline_seconds`` / ``bound`` metadata computed from its *inclusive*
-    cost.  Returns the whole-trace :class:`~repro.hardware.runtime
-    .RuntimeEstimate`, or None if no span recorded a cost.
+    cost.  Returns the same block for the whole trace (a run report's
+    ``runtime``), or None if no span recorded a cost.
     """
     from repro.hardware.runtime import estimate_runtime
 
+    def block(cost) -> Dict[str, Any]:
+        estimate = estimate_runtime(cost, design)
+        return {
+            "design": design.name,
+            "compute_seconds": estimate.compute_seconds,
+            "memory_seconds": estimate.memory_seconds,
+            "roofline_seconds": estimate.seconds,
+            "bound": estimate.bound,
+        }
+
     for span in tracer.spans():
         cost = span.total_cost()
-        if cost is None:
-            continue
-        estimate = estimate_runtime(cost, design)
-        span.annotate(
-            design=design.name,
-            compute_seconds=estimate.compute_seconds,
-            memory_seconds=estimate.memory_seconds,
-            roofline_seconds=estimate.seconds,
-            bound=estimate.bound,
-        )
+        if cost is not None:
+            span.annotate(**block(cost))
     overall = tracer.total_cost()
-    return estimate_runtime(overall, design) if overall is not None else None
+    return block(overall) if overall is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.params.security import (
 from repro.params.presets import (
     BASELINE_JUNG,
     MAD_OPTIMAL,
+    PARAM_SETS,
     toy_params,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "satisfies_128_bit_security",
     "BASELINE_JUNG",
     "MAD_OPTIMAL",
+    "PARAM_SETS",
     "toy_params",
 ]

@@ -8,7 +8,7 @@ Table 5 of the paper).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.params.ckks import CkksParams
 
@@ -31,6 +31,12 @@ MAD_OPTIMAL = CkksParams(
     dnum=2,
     fft_iter=6,
 )
+
+#: Every named parameter set a command line or bench spec can select.
+PARAM_SETS: Dict[str, CkksParams] = {
+    "baseline": BASELINE_JUNG,
+    "optimal": MAD_OPTIMAL,
+}
 
 
 def toy_params(

@@ -17,6 +17,7 @@ from repro.perf.cache import CacheModel
 from repro.perf.optimizations import (
     ALGORITHMIC_LADDER,
     CACHING_LADDER,
+    CONFIGS,
     MADConfig,
 )
 from repro.perf.primitives import PrimitiveCosts
@@ -31,6 +32,7 @@ __all__ = [
     "CostReport",
     "CacheModel",
     "MADConfig",
+    "CONFIGS",
     "CACHING_LADDER",
     "ALGORITHMIC_LADDER",
     "PrimitiveCosts",

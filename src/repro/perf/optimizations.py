@@ -25,7 +25,7 @@ Algorithmic optimizations (Section 3.2) — reduce ops and traffic:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.params import CkksParams
 from repro.perf.cache import CacheModel
@@ -99,6 +99,14 @@ class MADConfig:
         """A copy with the given flags changed."""
         return replace(self, **changes)
 
+
+#: Every named config a command line, bench spec or serving scenario can
+#: select: the baseline, all caching optimizations, every MAD technique.
+CONFIGS: Dict[str, MADConfig] = {
+    "none": MADConfig.none(),
+    "caching": MADConfig.caching_only(),
+    "all": MADConfig.all(),
+}
 
 #: Figure 2 ladder: cumulative caching optimizations over the baseline.
 CACHING_LADDER: List[Tuple[str, MADConfig]] = [

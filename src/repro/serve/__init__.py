@@ -52,7 +52,6 @@ from repro.serve.requests import (
     price_kind,
 )
 from repro.serve.scenario import (
-    CONFIG_FACTORIES,
     FLEET_PRESETS,
     FleetSpec,
     SCENARIOS,
@@ -74,7 +73,6 @@ __all__ = [
     "ArrivalProcess",
     "BatchPolicy",
     "CACHE_POLICIES",
-    "CONFIG_FACTORIES",
     "FLEET_PRESETS",
     "FleetSpec",
     "KIND_LEVELS",

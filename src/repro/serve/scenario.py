@@ -19,18 +19,17 @@ and fast tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hardware.design import HardwareDesign
 from repro.hardware.designs import BTS, CRATERLAKE, mad_counterpart
-from repro.perf import MADConfig
+from repro.perf import CONFIGS
 from repro.serve.arrivals import ArrivalProcess
 from repro.serve.batching import BatchPolicy
 from repro.serve.requests import TenantSpec
 from repro.serve.simulator import SimResult, simulate
 
 __all__ = [
-    "CONFIG_FACTORIES",
     "FLEET_PRESETS",
     "FleetSpec",
     "SCENARIOS",
@@ -39,14 +38,6 @@ __all__ = [
     "run_scenario",
     "simulate_fleet",
 ]
-
-#: MAD optimization configs a scenario can price under (mirrors the CLI).
-CONFIG_FACTORIES: Dict[str, Callable[[], MADConfig]] = {
-    "none": MADConfig.none,
-    "caching": MADConfig.caching_only,
-    "all": MADConfig.all,
-}
-
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -74,7 +65,7 @@ class Scenario:
     duration_s: float
     tenants: Tuple[TenantSpec, ...]
     fleets: Tuple[FleetSpec, ...]
-    config: str = "all"  # key into CONFIG_FACTORIES
+    config: str = "all"  # key into repro.perf.CONFIGS
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -83,10 +74,10 @@ class Scenario:
             raise ValueError("a scenario needs at least one tenant")
         if not self.fleets:
             raise ValueError("a scenario needs at least one fleet")
-        if self.config not in CONFIG_FACTORIES:
+        if self.config not in CONFIGS:
             raise ValueError(
                 f"unknown config {self.config!r}; "
-                f"choose from {', '.join(sorted(CONFIG_FACTORIES))}"
+                f"choose from {', '.join(sorted(CONFIGS))}"
             )
 
 
@@ -206,7 +197,6 @@ def simulate_fleet(
     scenario: Scenario, fleet: FleetSpec, seed: int
 ) -> SimResult:
     """Run one fleet of ``scenario`` to completion."""
-    config = CONFIG_FACTORIES[scenario.config]()
     return simulate(
         fleet_name=fleet.name,
         design=fleet.design,
@@ -215,7 +205,7 @@ def simulate_fleet(
         duration_s=scenario.duration_s,
         seed=seed,
         scenario=scenario.name,
-        config=config,
+        config=CONFIGS[scenario.config],
         scheduler=fleet.scheduler,
         cache_policy=fleet.cache_policy,
         batch=fleet.batch,

@@ -212,11 +212,12 @@ def _memsim_primitive(
     point: Mapping[str, Any], context: Mapping[str, Any], memo: Memo
 ) -> Dict[str, Any]:
     from repro.memsim.schedules import ScheduleBuilder
-    from repro.memsim.validate import _PARAM_SETS, validate_primitive
+    from repro.memsim.validate import validate_primitive
+    from repro.params import PARAM_SETS
 
     label, config, cache_mb = point["rung"]
     name = point["primitive"]
-    params = _PARAM_SETS[context["params_key"]]
+    params = PARAM_SETS[context["params_key"]]
     builder = memo.get_or_compute(
         ("schedule_builder", params, config),
         lambda: ScheduleBuilder(params, config),

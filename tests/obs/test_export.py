@@ -110,7 +110,8 @@ class TestAttributeRuntime:
         design = PRIOR_DESIGNS["BTS"]
         overall = attribute_runtime(tracer, design)
         assert overall is not None
-        assert overall.seconds > 0
+        assert overall["design"] == design.name
+        assert overall["roofline_seconds"] > 0
         costed = [s for s in tracer.spans() if s.total_cost() is not None]
         assert costed
         for span in costed:

@@ -1,0 +1,122 @@
+"""The table-driven ``repro`` parser: argument snapshot and usage errors.
+
+``data/cli_parser.json`` records every subcommand's arguments (option
+strings, dest, default, required, nargs, action kind, choices) as the
+hand-written parser declared them before the command table replaced it.
+The table must reproduce it exactly, apart from the validations it adds
+on purpose: ``--design`` choices, and the positive / comma-list types
+that the usage-error tests below exercise.
+"""
+
+import argparse
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser, main
+from repro.hardware import PRIOR_DESIGNS
+
+SNAPSHOT = json.loads(
+    (Path(__file__).parent / "data" / "cli_parser.json").read_text()
+)
+
+#: (command, dest) pairs whose choices the table added.
+ADDED_CHOICES = (("fig6", "design"), ("trace", "design"))
+
+
+def _arguments(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            a.dest: {
+                "option_strings": list(a.option_strings),
+                "default": a.default,
+                "required": a.required,
+                "nargs": a.nargs,
+                "action": type(a).__name__,
+                "choices": None if a.choices is None else list(a.choices),
+            }
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, command in sub.choices.items()
+    }
+
+
+def test_parser_matches_snapshot():
+    current = json.loads(json.dumps(_arguments(build_parser())))
+    for command, dest in ADDED_CHOICES:
+        assert current[command][dest]["choices"] == list(PRIOR_DESIGNS)
+        current[command][dest]["choices"] = None
+    assert current == SNAPSHOT
+
+
+@pytest.mark.parametrize("command", sorted(SNAPSHOT))
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: repro {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --cache-mb 0 used to mean "no cache limit" (or a zero-byte cache).
+        ["bootstrap", "--config", "all", "--cache-mb", "0"],
+        ["trace", "bootstrap", "--out", "t.json", "--cache-mb", "0"],
+        ["profile", "bootstrap", "--cache-mb", "0"],
+        ["memsim", "--cache-mb", "0"],
+        ["search", "--quick", "--cache-mb", "0"],
+        ["bootstrap", "--cache-mb", "-5"],
+        ["bootstrap", "--cache-mb", "nan"],
+        ["bootstrap", "--cache-mb", "inf"],
+        ["bootstrap", "--cache-mb", "lots"],
+    ],
+)
+def test_cache_mb_must_be_positive(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # a regression must not litter the cwd
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --cache-mb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["table5", "fig6", "search", "memsim", "sweep", "serve"]
+)
+def test_jobs_must_be_positive(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fig6", "--design", "NOPE"], "--design"),
+        (["trace", "bootstrap", "--out", "t.json", "--design", "NOPE"],
+         "--design"),
+        (["fig6", "--caches", "32,abc"], "--caches"),
+        (["kernels", "--degrees", "4096,abc"], "--degrees"),
+        (["kernels", "--degrees", ","], "--degrees"),
+        (["search", "--quick", "--bandwidth", "0"], "--bandwidth"),
+        (["search", "--quick", "--multipliers", "0"], "--multipliers"),
+    ],
+)
+def test_bad_input_is_a_usage_error(argv, flag, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_comma_lists_parse_to_values():
+    args = build_parser().parse_args(["fig6", "--caches", "32, 64,"])
+    assert args.caches == [32.0, 64.0]
+    assert build_parser().parse_args(["kernels"]).degrees == [4096]
