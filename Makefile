@@ -15,17 +15,17 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 lint:
-	$(PYPATH) $(PYTHON) -m repro lint --program src/repro
+	$(PYPATH) $(PYTHON) -m repro lint src/repro
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
 		echo "ruff not installed; skipping (pip install ruff)"; \
 	fi
 
-# Same rules as `make lint` (incl. the whole-program pass) but replays
-# the previous result from .lint_cache/ when no file content changed.
+# Same rules as `make lint` but replays the previous result from
+# .lint_cache/ when no file content changed.
 lint-fast:
-	$(PYPATH) $(PYTHON) -m repro lint --program --changed-only src/repro
+	$(PYPATH) $(PYTHON) -m repro lint --changed-only src/repro
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.obs.telemetry import strip_volatile
 from repro.sweep import build_preset, build_sweep_report, run_sweep
 
 
@@ -32,13 +33,9 @@ def test_parallel_parity(benchmark):
     assert outcome.rows == serial.rows
     assert outcome.point_keys == serial.point_keys
     # ...and so are the persisted reports, minus the scheduling fields.
-    parallel_report = build_sweep_report(outcome)
-    serial_report = build_sweep_report(serial)
-    for volatile in ("jobs", "chunks", "memo", "wall_seconds",
-                     "worker_utilisation", "provenance", "workers"):
-        parallel_report.pop(volatile)
-        serial_report.pop(volatile)
-    assert parallel_report == serial_report
+    assert strip_volatile(build_sweep_report(outcome)) == strip_volatile(
+        build_sweep_report(serial)
+    )
     benchmark.extra_info["points"] = spec.size
     benchmark.extra_info["chunks"] = outcome.chunks
 

@@ -777,8 +777,12 @@ def _cmd_dash(args) -> int:
     return 0
 
 
-def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
-    """argparse type: a positive, finite ``kind`` (bad input exits 2)."""
+def _positive(
+    kind: Callable[[str], Any], allow_zero: bool = False
+) -> Callable[[str], Any]:
+    """argparse type: a positive (with ``allow_zero``, non-negative), finite
+    ``kind`` (bad input exits 2)."""
+    sign = "non-negative" if allow_zero else "positive"
 
     def parse(text: str) -> Any:
         try:
@@ -787,8 +791,9 @@ def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
             raise argparse.ArgumentTypeError(
                 f"expected {kind.__name__}, got {text!r}"
             )
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        in_range = value >= 0 if allow_zero else value > 0
+        if not (math.isfinite(value) and in_range):
+            raise argparse.ArgumentTypeError(f"must be {sign}, got {text!r}")
         return value
 
     return parse
@@ -923,9 +928,11 @@ _COMMANDS: Tuple[Any, ...] = (
      ("--json",), {},
      _arg("--degrees", type=_comma_list(int), default="4096",
           help="comma-separated ring degrees to check (powers of two)"),
-     _arg("--limbs", type=int, default=8, help="RNS limb count per degree"),
-     _arg("--repeats", type=int, default=3, help="min-of-k timing repeats"),
-     _arg("--min-speedup", type=float, default=None,
+     _arg("--limbs", type=_positive(int), default=8,
+          help="RNS limb count per degree"),
+     _arg("--repeats", type=_positive(int), default=3,
+          help="min-of-k timing repeats"),
+     _arg("--min-speedup", type=_positive(float), default=None,
           help="fail unless the vectorized/oracle speedup reaches this"),
      _arg("--parity-only", action="store_true",
           help="skip timing; only assert bit-exact oracle parity (CI mode)"),
@@ -938,7 +945,7 @@ _COMMANDS: Tuple[Any, ...] = (
           help="replacement policy for the simulated on-chip memory"),
      _arg("--primitive", action="append", default=None, metavar="NAME",
           help="validate only the named primitive (repeatable)"),
-     _arg("--tolerance", type=float, default=0.05,
+     _arg("--tolerance", type=_positive(float, allow_zero=True), default=0.05,
           help="per-stream relative-error gate (default 0.05)")),
     ("lint", _cmd_lint,
      "domain-aware static analysis (cost-model + span invariants)",
@@ -949,8 +956,6 @@ _COMMANDS: Tuple[Any, ...] = (
           help="run only the named rule (repeatable)"),
      _arg("--list-rules", action="store_true",
           help="print every registered rule with its description and exit"),
-     _arg("--program", action="store_true",
-          help="additionally run the whole-program pass (taint, schema)"),
      _arg("--changed-only", action="store_true",
           help="replay the previous result from .lint_cache/ when no file "
           "changed"),
@@ -977,7 +982,7 @@ _COMMANDS: Tuple[Any, ...] = (
      ("--jobs", "--out", "--events", "--report", "--json", "--list"), {},
      _arg("scenario", nargs="?", default=None,
           help="serving scenario name (see --list)"),
-     _arg("--seed", type=int, default=0,
+     _arg("--seed", type=_positive(int, allow_zero=True), default=0,
           help="arrival-stream seed (same seed -> byte-identical report)")),
     ("profile", _cmd_profile,
      "attribute host resources (RSS, allocations, CPU, GC) span by span",

@@ -12,8 +12,7 @@ Report contract (:data:`KERNELS_REPORT`): the gated content — per-degree
 ``PYTHONHASHSEED``), so identical seeds replay identical residue
 matrices on every platform.  The ``runtime`` block carries host
 wall-clock and is volatile by contract, like every other report
-family's timing fields; the module is allowlisted as a seeded-stream
-channel in :mod:`repro.lint.program.scopes`.
+family's timing fields.
 """
 
 from __future__ import annotations
@@ -97,9 +96,12 @@ def run_check(
     seed: int = 2012,
 ) -> Dict[str, Any]:
     """Run the parity (and optionally speedup) check; returns the validated
-    :data:`KERNELS_REPORT`."""
+    :data:`KERNELS_REPORT`.  Raises ValueError unless ``repeats >= 1``."""
     from repro.kernels.ntt import BatchNttKernel
     from repro.numth import NttContext, find_ntt_primes
+
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
 
     results: List[Dict[str, Any]] = []
     runtime: List[Dict[str, Any]] = []
@@ -138,7 +140,8 @@ def run_check(
                 "speedup": speedup,
             }
         )
-        if min_speedup is not None and speedup < min_speedup:
+        # Written so a NaN speedup fails the gate.
+        if min_speedup is not None and not speedup >= min_speedup:
             passed = False
 
     report: Dict[str, Any] = {

@@ -10,18 +10,17 @@ an AST visitor core (:mod:`repro.lint.core`), a pluggable rule registry
 (:mod:`repro.lint.registry`), per-line/per-file suppressions
 (:mod:`repro.lint.suppressions`), text/JSON reporters
 (:mod:`repro.lint.reporters`) and the domain rules themselves
-(:mod:`repro.lint.rules`).
+(:mod:`repro.lint.rules`).  ``--changed-only`` replays the previous
+result from ``.lint_cache/`` when nothing changed, and ``--format
+sarif`` emits SARIF 2.1.0 for code scanning.
 
-On top of the per-file rules sits a whole-program pass
-(:mod:`repro.lint.program`): a project symbol table and call graph feed
-an interprocedural nondeterminism-taint engine.  Enable it with
-``--program``; ``--changed-only``
-replays the previous result from ``.lint_cache/`` when nothing
-changed, and ``--format sarif`` emits SARIF 2.1.0 for code scanning.
+Report determinism — every report is a pure function of its inputs — is
+not a lint rule: ``tests/test_determinism.py`` checks it by running
+each report producer under several ``PYTHONHASHSEED`` values.
 
 Run it as ``python -m repro lint [--json] [--rule NAME] [paths]`` or
 ``make lint`` / ``make lint-fast``; CI gates every push on a clean
-``--program`` report.
+report.
 
 Typical programmatic use::
 
@@ -37,17 +36,13 @@ from repro.lint.core import (
     FileContext,
     Finding,
     LintResult,
-    ProgramRule,
     Rule,
     run_lint,
 )
 from repro.lint.registry import (
-    all_program_rules,
     all_rules,
-    get_program_rules,
     get_rules,
     register,
-    register_program,
     rule_descriptions,
     rule_names,
 )
@@ -66,15 +61,11 @@ __all__ = [
     "Finding",
     "LintCache",
     "LintResult",
-    "ProgramRule",
     "Rule",
     "SuppressionIndex",
-    "all_program_rules",
     "all_rules",
-    "get_program_rules",
     "get_rules",
     "register",
-    "register_program",
     "render_json",
     "render_sarif",
     "render_text",

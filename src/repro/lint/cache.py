@@ -2,11 +2,10 @@
 
 ``repro lint --changed-only`` short-circuits the entire run when
 nothing relevant changed.  The cache is deliberately *whole-result*,
-not per-file: cross-file rules (``ConfigFlagCoverage``) and the
-program pass (taint) make a file's findings depend
-on every other file, so the only sound key is the full set of
-``(path, content-hash)`` pairs plus the rule selection and engine
-version.  A hit therefore means "identical inputs" and the previous
+not per-file: a cross-file rule (``ConfigFlagCoverage``) makes a
+file's findings depend on every other file, so the only sound key is
+the full set of ``(path, content-hash)`` pairs plus the rule selection
+and engine version.  A hit therefore means "identical inputs" and the previous
 :class:`~repro.lint.core.LintResult` is replayed verbatim (flagged
 with ``from_cache=True``).
 

@@ -5,7 +5,6 @@ other command's; this module only runs them.  Exit codes follow linter
 convention: 0 clean, 1 findings, 2 usage errors (unknown rule, missing
 path).
 
-``--program`` adds the whole-program pass (nondeterminism taint);
 ``--changed-only`` replays the previous result from ``.lint_cache/``
 when no file content changed;
 ``--format sarif`` emits SARIF 2.1.0 for code-scanning upload, and
@@ -16,18 +15,13 @@ text output.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
-from repro.lint.core import LintResult, ProgramRule, run_lint
-from repro.lint.registry import (
-    all_program_rules,
-    all_rules,
-    get_program_rules,
-    get_rules,
-    rule_descriptions,
-)
+from repro.lint.core import LintResult, run_lint
+from repro.lint.registry import all_rules, get_rules, rule_descriptions
 from repro.lint.reporters import render_json, render_sarif, render_text
 
 __all__ = ["DEFAULT_PATHS", "lint_command"]
@@ -53,6 +47,11 @@ def _render(result: LintResult, fmt: str) -> str:
     return render_text(result)
 
 
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def lint_command(args: argparse.Namespace) -> int:
     """Implementation of the ``lint`` subcommand (see repro.cli)."""
     if args.list_rules:
@@ -60,32 +59,17 @@ def lint_command(args: argparse.Namespace) -> int:
         return 0
     fmt = args.format or ("json" if args.json else "text")
     try:
-        if args.rule:
-            rules = get_rules(args.rule)
-            program_rules: List[ProgramRule] = get_program_rules(args.rule)
-            if program_rules and not args.program:
-                raise ValueError(
-                    "rule(s) "
-                    + ", ".join(rule.name for rule in program_rules)
-                    + " need the whole-program pass; pass --program"
-                )
-        else:
-            rules = all_rules()
-            program_rules = all_program_rules() if args.program else []
+        rules = get_rules(args.rule) if args.rule else all_rules()
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if not args.program:
-        program_rules = []
+        return _usage_error(exc)
     cache: Optional[LintCache] = None
     if args.changed_only:
         cache = LintCache(Path(DEFAULT_CACHE_DIR))
     paths = args.paths or list(DEFAULT_PATHS)
     try:
-        result: LintResult = run_lint(
-            paths, rules, program_rules=program_rules, cache=cache
-        )
+        result: LintResult = run_lint(paths, rules, cache=cache)
     except FileNotFoundError as exc:
-        raise SystemExit(f"error: {exc}")
+        return _usage_error(exc)
     rendered = _render(result, fmt)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")

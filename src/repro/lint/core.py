@@ -1,23 +1,15 @@
 """AST visitor engine: files in, :class:`Finding` objects out.
 
-Two passes share one parse of every file:
-
-* the **per-file pass** — one :func:`ast.walk` per file dispatches
-  nodes to every rule that registered interest in that node type
-  (``Rule.node_types``), so adding a rule never adds a file-parse or
-  tree-walk.  Rules are plain objects with per-file hooks
-  (``start_file``/``visit``/``finish_file``) and one run-wide hook
-  (``finish_run``) for cross-file invariants such as
-  :class:`~repro.lint.rules.config.ConfigFlagCoverage`;
-* the **program pass** — when program rules are supplied, the already-
-  parsed trees are assembled into a
-  :class:`~repro.lint.program.symbols.Program` (symbol table, import
-  resolution, call graph) and each :class:`ProgramRule` checks the
-  whole project at once (nondeterminism taint).
+One :func:`ast.walk` per file dispatches nodes to every rule that
+registered interest in that node type (``Rule.node_types``), so adding a
+rule never adds a file-parse or tree-walk.  Rules are plain objects with
+per-file hooks (``start_file``/``visit``/``finish_file``) and one
+run-wide hook (``finish_run``) for cross-file invariants such as
+:class:`~repro.lint.rules.config.ConfigFlagCoverage`.
 
 Suppression comments (see :mod:`repro.lint.suppressions`) are applied
-uniformly by the engine after all rules of both passes have reported,
-so rules never need to know about them.  An optional
+uniformly by the engine after every rule has reported, so rules never
+need to know about them.  An optional
 :class:`~repro.lint.cache.LintCache` short-circuits the entire run when
 no file content changed (the cache key hashes every file's content
 plus the rule selection).
@@ -44,13 +36,11 @@ from repro.lint.suppressions import SuppressionIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.cache import LintCache
-    from repro.lint.program.symbols import Program
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintResult",
-    "ProgramRule",
     "Rule",
     "run_lint",
 ]
@@ -148,24 +138,6 @@ class Rule:
         return ()
 
 
-class ProgramRule:
-    """Base class for whole-program rules; register with ``@register_program``.
-
-    A program rule sees the assembled
-    :class:`~repro.lint.program.symbols.Program` — symbol table, module
-    resolution, call graph — instead of one file at a time.  A fresh
-    instance is created per run.  Findings are suppressible with the
-    same ``# lint: disable=`` comments as per-file rules.
-    """
-
-    name: str = ""
-    description: str = ""
-
-    def check(self, program: "Program") -> Iterable[Finding]:
-        """Inspect the whole program; return findings."""
-        return ()
-
-
 @dataclass
 class LintResult:
     """Outcome of one lint run (post-suppression)."""
@@ -217,24 +189,20 @@ def _display_path(path: Path) -> str:
 def run_lint(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[Rule]] = None,
-    program_rules: Optional[Sequence[ProgramRule]] = None,
     cache: Optional["LintCache"] = None,
 ) -> LintResult:
     """Lint every ``*.py`` file under ``paths``.
 
-    ``rules`` defaults to one fresh instance of every registered
-    per-file rule.  ``program_rules`` (default: none) additionally runs
-    the whole-program pass over the parsed trees.  ``cache`` replays
-    the previous result when no file content (and no rule selection)
-    changed.  Raises :class:`FileNotFoundError` for paths that do not
-    exist.
+    ``rules`` defaults to one fresh instance of every registered rule.
+    ``cache`` replays the previous result when no file content (and no
+    rule selection) changed.  Raises :class:`FileNotFoundError` for
+    paths that do not exist.
     """
     if rules is None:
         from repro.lint.registry import all_rules
 
         rules = all_rules()
     rule_list = list(rules)
-    program_list = list(program_rules) if program_rules else []
 
     sources: List[Tuple[Path, str, str]] = []
     for path in _iter_python_files(paths):
@@ -245,8 +213,7 @@ def run_lint(
     cache_key: Optional[str] = None
     if cache is not None:
         cache_key = cache.run_key(
-            rule_names=[rule.name for rule in rule_list]
-            + [rule.name for rule in program_list],
+            rule_names=[rule.name for rule in rule_list],
             files=[(display, source) for _, display, source in sources],
         )
         cached = cache.load(cache_key)
@@ -261,7 +228,6 @@ def run_lint(
     findings: List[Finding] = []
     suppressions: Dict[str, SuppressionIndex] = {}
     linted: List[str] = []
-    parsed: List[Tuple[str, ast.Module]] = []
 
     for path, display, source in sources:
         linted.append(display)
@@ -280,7 +246,6 @@ def run_lint(
             continue
         ctx = FileContext(path, display, tree, source)
         suppressions[display] = ctx.suppressions
-        parsed.append((display, tree))
         for rule in rule_list:
             rule.start_file(ctx)
         for node in ast.walk(tree):
@@ -294,13 +259,6 @@ def run_lint(
     for rule in rule_list:
         findings.extend(rule.finish_run())
 
-    if program_list and parsed:
-        from repro.lint.program.symbols import Program
-
-        program = Program.build(parsed)
-        for program_rule in program_list:
-            findings.extend(program_rule.check(program))
-
     kept: List[Finding] = []
     suppressed = 0
     for item in findings:
@@ -313,8 +271,7 @@ def run_lint(
     result = LintResult(
         findings=kept,
         files=linted,
-        rules=[rule.name for rule in rule_list]
-        + [rule.name for rule in program_list],
+        rules=[rule.name for rule in rule_list],
         suppressed=suppressed,
     )
     if cache is not None and cache_key is not None:

@@ -2,34 +2,24 @@
 
 Rule modules under :mod:`repro.lint.rules` register themselves at import
 time; every lookup helper first ensures that package is imported, so
-callers never see a half-populated registry.  Per-file rules
-(:class:`~repro.lint.core.Rule`, ``@register``) and whole-program rules
-(:class:`~repro.lint.core.ProgramRule`, ``@register_program``) live in
-separate tables because the engine runs them in different passes, but
-they share one name space: a name identifies exactly one rule of either
-kind, and suppression comments do not care which pass produced a
-finding.
+callers never see a half-populated registry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Type
 
-from repro.lint.core import ProgramRule, Rule
+from repro.lint.core import Rule
 
 __all__ = [
-    "all_program_rules",
     "all_rules",
-    "get_program_rules",
     "get_rules",
     "register",
-    "register_program",
     "rule_descriptions",
     "rule_names",
 ]
 
 _RULES: Dict[str, Type[Rule]] = {}
-_PROGRAM_RULES: Dict[str, Type[ProgramRule]] = {}
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
@@ -37,20 +27,9 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     name = cls.name
     if not name or name == "Rule":
         raise ValueError(f"rule class {cls.__name__} must set a unique `name`")
-    if name in _RULES or name in _PROGRAM_RULES:
+    if name in _RULES:
         raise ValueError(f"duplicate rule name {name!r}")
     _RULES[name] = cls
-    return cls
-
-
-def register_program(cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    """Class decorator adding a :class:`ProgramRule` to the registry."""
-    name = cls.name
-    if not name or name == "ProgramRule":
-        raise ValueError(f"rule class {cls.__name__} must set a unique `name`")
-    if name in _RULES or name in _PROGRAM_RULES:
-        raise ValueError(f"duplicate rule name {name!r}")
-    _PROGRAM_RULES[name] = cls
     return cls
 
 
@@ -59,53 +38,30 @@ def _ensure_loaded() -> None:
 
 
 def rule_names() -> List[str]:
-    """Sorted names of every registered rule (both passes)."""
+    """Sorted names of every registered rule."""
     _ensure_loaded()
-    return sorted([*_RULES, *_PROGRAM_RULES])
+    return sorted(_RULES)
 
 
 def rule_descriptions() -> Dict[str, str]:
     """Mapping of rule name → one-line description (for ``--list-rules``)."""
     _ensure_loaded()
-    merged: Dict[str, Type[object]] = {**_RULES, **_PROGRAM_RULES}
-    return {
-        name: getattr(merged[name], "description", "") for name in sorted(merged)
-    }
+    return {name: _RULES[name].description for name in sorted(_RULES)}
 
 
 def all_rules() -> List[Rule]:
-    """One fresh instance of every registered per-file rule, sorted by name."""
+    """One fresh instance of every registered rule, sorted by name."""
     _ensure_loaded()
     return [_RULES[name]() for name in sorted(_RULES)]
 
 
-def all_program_rules() -> List[ProgramRule]:
-    """One fresh instance of every registered program rule, sorted by name."""
-    _ensure_loaded()
-    return [_PROGRAM_RULES[name]() for name in sorted(_PROGRAM_RULES)]
-
-
 def get_rules(names: Sequence[str]) -> List[Rule]:
-    """Per-file instances for the named rules; program-rule names are
-    skipped here (fetch those with :func:`get_program_rules`).  Raises
-    ValueError on names that belong to neither table."""
+    """Instances for the named rules; raises ValueError on unknown names."""
     _ensure_loaded()
-    unknown = sorted(set(names) - set(_RULES) - set(_PROGRAM_RULES))
+    unknown = sorted(set(names) - set(_RULES))
     if unknown:
         raise ValueError(
             f"unknown rule(s) {', '.join(unknown)}; "
             f"known rules: {', '.join(rule_names())}"
         )
-    return [_RULES[name]() for name in names if name in _RULES]
-
-
-def get_program_rules(names: Sequence[str]) -> List[ProgramRule]:
-    """Program-rule instances for the named rules (unknown names raise)."""
-    _ensure_loaded()
-    unknown = sorted(set(names) - set(_RULES) - set(_PROGRAM_RULES))
-    if unknown:
-        raise ValueError(
-            f"unknown rule(s) {', '.join(unknown)}; "
-            f"known rules: {', '.join(rule_names())}"
-        )
-    return [_PROGRAM_RULES[name]() for name in names if name in _PROGRAM_RULES]
+    return [_RULES[name]() for name in names]

@@ -23,18 +23,8 @@ Importing this package registers every rule with
 * :class:`~repro.lint.rules.simclock.SimClockDiscipline` — the serving
   simulator (``serve/``) never imports ``time``/``datetime``; simulated
   timestamps come off the virtual event-heap clock only.
-
-The whole-program rule (run with ``repro lint --program``) registers
-from :mod:`repro.lint.program`:
-
-* :class:`~repro.lint.program.taint.NondeterminismFlow` —
-  interprocedural taint from nondeterminism sources (time, random,
-  set/dict iteration order, filesystem order, completion order) into
-  determinism sinks (report payloads, fingerprints, memo keys,
-  baseline comparisons).
 """
 
-from repro.lint.program.taint import NondeterminismFlow
 from repro.lint.rules.config import ConfigFlagCoverage
 from repro.lint.rules.exact import ExactArithPurity
 from repro.lint.rules.ledger import LedgerDiscipline
@@ -49,7 +39,6 @@ __all__ = [
     "ConfigFlagCoverage",
     "ExactArithPurity",
     "LedgerDiscipline",
-    "NondeterminismFlow",
     "SchemaIdLiteral",
     "SimClockDiscipline",
     "SpanLabelStability",

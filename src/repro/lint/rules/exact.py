@@ -36,8 +36,8 @@ import ast
 from typing import Iterable, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import EXACT_DIRS, KERNEL_DIRS, NUMPY_EXACT_DIRS
 from repro.lint.registry import register
+from repro.lint.scopes import EXACT_DIRS, KERNEL_DIRS, NUMPY_EXACT_DIRS
 
 __all__ = ["ExactArithPurity"]
 

@@ -32,8 +32,8 @@ import ast
 from typing import Iterable, List, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import ACCOUNTING_CORE_FILES
 from repro.lint.registry import register
+from repro.lint.scopes import ACCOUNTING_CORE_FILES
 
 __all__ = ["LedgerDiscipline"]
 

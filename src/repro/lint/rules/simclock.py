@@ -15,9 +15,10 @@ for.  There is no legitimate wall-clock consumer in the package —
 simulated timestamps come from the event heap, entropy comes from the
 seeded streams in ``serve/arrivals.py``, and host-resource telemetry
 belongs to ``obs/profiler.py`` (TelemetryDiscipline).  Code that needs
-a real clock belongs outside the simulator, where the taint engine
-(:class:`~repro.lint.program.taint.NondeterminismFlow`) tracks where
-its values flow.
+a real clock belongs outside the simulator, and a clock value may reach
+a report only under a field :func:`repro.obs.telemetry.strip_volatile`
+removes: ``tests/test_determinism.py`` runs every report producer four
+times and fails on any other difference.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import ast
 from typing import Iterable, List, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import SERVE_HOME
 from repro.lint.registry import register
+from repro.lint.scopes import SERVE_HOME
 
 __all__ = ["SimClockDiscipline"]
 

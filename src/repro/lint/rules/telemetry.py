@@ -17,8 +17,8 @@ import ast
 from typing import Iterable, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import PROFILER_HOME
 from repro.lint.registry import register
+from repro.lint.scopes import PROFILER_HOME
 
 __all__ = ["TelemetryDiscipline"]
 

@@ -28,11 +28,11 @@ import ast
 from typing import Iterable, List, Optional
 
 from repro.lint.core import FileContext, Finding, Rule
-from repro.lint.program.scopes import (
+from repro.lint.registry import register
+from repro.lint.scopes import (
     MEMSIM_ACCOUNTING_HOME,
     MEMSIM_TRACE_HOME,
 )
-from repro.lint.registry import register
 
 __all__ = ["TraceDiscipline"]
 

@@ -22,10 +22,12 @@ gap with three operations:
   current span, rebasing worker-local clocks onto the parent clock so
   durations stay meaningful.
 
-:func:`strip_volatile` is the comparison companion: it removes the
-fields of a run report that legitimately differ across schedulings
-(wall-clock, resource samples, provenance, per-worker memo statistics)
-so tests can assert the remainder is bit-identical across ``--jobs``.
+:func:`strip_volatile` is the comparison companion and the one
+canonicaliser for every report family: it removes the fields that
+legitimately differ between runs (wall-clock, resource samples,
+provenance, scheduling and memo statistics) so tests and CI can assert
+the remainder is bit-identical across ``--jobs``, repeated runs and
+``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "SNAPSHOT",
+    "VOLATILE_REPORT_KEYS",
     "capture_snapshot",
     "graft_snapshot",
     "merge_into_registry",
@@ -62,6 +65,21 @@ SNAPSHOT = Schema(
         },
     },
     key=("version",),
+)
+
+#: Top-level report keys whose values depend on the host, the clock or
+#: the chunk schedule, in any report family (run, sweep, serve, memsim,
+#: ...).  :func:`strip_volatile` drops them.
+VOLATILE_REPORT_KEYS = (
+    "provenance",
+    "resources",
+    "workers",
+    "jobs",
+    "chunks",
+    "memo",
+    "worker_utilisation",
+    "busy_seconds",
+    "reused",
 )
 
 #: Metric names whose values depend on scheduling (worker count, chunk
@@ -228,7 +246,7 @@ def graft_snapshot(snapshot: Mapping[str, Any], tracer: Tracer) -> List[Span]:
 
 
 # ----------------------------------------------------------------------
-# Volatile-field stripping (cross-``--jobs`` comparison)
+# Volatile-field stripping (determinism comparisons)
 # ----------------------------------------------------------------------
 def _is_volatile_metric(name: str) -> bool:
     return name in VOLATILE_METRIC_NAMES or any(
@@ -258,19 +276,21 @@ def _strip_metrics(metrics: Dict[str, Any]) -> None:
 
 
 def strip_volatile(report: Mapping[str, Any]) -> Dict[str, Any]:
-    """A deep copy of a run report with scheduling-dependent fields removed.
+    """A deep copy of a report with its volatile fields removed.
 
-    Strips wall-clock (span times, ``runtime``), host resource samples,
-    provenance, worker summaries, and metrics whose values depend on the
-    chunk schedule (:data:`VOLATILE_METRIC_PREFIXES`,
-    :data:`VOLATILE_METRIC_NAMES`).  What remains — the span tree with
-    its exact analytical costs, the stable metrics, totals — must be
-    bit-identical between ``--jobs N`` and serial runs of the same spec.
+    Drops :data:`VOLATILE_REPORT_KEYS`, zeroes wall-clock (span times,
+    ``wall_seconds``, ``runtime``) and removes span resource samples and
+    metrics whose values depend on the chunk schedule
+    (:data:`VOLATILE_METRIC_PREFIXES`, :data:`VOLATILE_METRIC_NAMES`).
+    What remains — for a run report, the span tree with its exact
+    analytical costs, the stable metrics and totals; for a sweep, serve
+    or memsim report, every result — must be bit-identical between
+    ``--jobs N`` and serial runs, and between runs under different
+    ``PYTHONHASHSEED`` values.
     """
     stripped: Dict[str, Any] = copy.deepcopy(dict(report))
-    stripped.pop("provenance", None)
-    stripped.pop("resources", None)
-    stripped.pop("workers", None)
+    for key in VOLATILE_REPORT_KEYS:
+        stripped.pop(key, None)
     if "wall_seconds" in stripped:
         stripped["wall_seconds"] = 0.0
     runtime = stripped.get("runtime")

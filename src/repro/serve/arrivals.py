@@ -5,11 +5,9 @@ from generators seeded with a *string* key (``"{seed}:{scenario}:
 {tenant}"``): :class:`random.Random` hashes string seeds with SHA-512,
 so the streams are bit-identical across processes, platforms and
 ``PYTHONHASHSEED`` values.  Everything downstream of these functions is
-a pure function of the returned lists — the whole-program determinism
-taint pass (:mod:`repro.lint.program.taint`) allowlists this file as a
-seeded-stream channel (:data:`repro.lint.program.scopes.SEEDED_STREAM_FILES`)
-for exactly that reason; RNG use anywhere else in ``serve/`` is a
-finding.
+a pure function of the returned lists, so RNG use anywhere else in
+``serve/`` is a bug: ``tests/test_determinism.py`` runs ``serve mixed``
+under four hash seeds and requires identical reports.
 
 Three arrival shapes, per the serving literature's usual suspects:
 

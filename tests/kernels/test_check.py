@@ -1,5 +1,7 @@
 """The differential-check harness behind ``repro kernels``."""
 
+import math
+
 import pytest
 
 from repro.kernels.check import (
@@ -35,6 +37,19 @@ class TestRunCheck:
         )
         assert not report["passed"]
         assert all(e["parity"] for e in report["results"])
+
+    def test_zero_repeats_is_a_value_error(self):
+        # Zero repeats time nothing: both sides are inf, the speedup NaN.
+        with pytest.raises(ValueError, match="repeats"):
+            run_check(degrees=(64,), limbs=1, repeats=0, min_speedup=10)
+
+    def test_nan_speedup_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.kernels.check._best_of", lambda repeats, run: float("inf")
+        )
+        report = run_check(degrees=(64,), limbs=1, min_speedup=10)
+        assert math.isnan(report["runtime"][0]["speedup"])
+        assert not report["passed"]
 
     def test_rows_are_seed_deterministic_with_boundaries(self):
         moduli = (97, 193)

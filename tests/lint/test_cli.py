@@ -4,8 +4,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.cli import main
 from repro.lint import LINT_REPORT, rule_names
@@ -58,13 +56,13 @@ class TestLintCommand:
         payload_rules = capsys.readouterr().out
         assert "clean" in payload_rules
 
-    def test_unknown_rule_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown rule"):
-            main(["lint", "--rule", "NoSuchRule", str(tmp_path)])
+    def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
+        assert main(["lint", "--rule", "NoSuchRule", str(tmp_path)]) == 2
+        assert "unknown rule" in capsys.readouterr().err
 
-    def test_missing_path_is_usage_error(self):
-        with pytest.raises(SystemExit, match="no such file"):
-            main(["lint", "/nonexistent/definitely-not-here"])
+    def test_missing_path_is_usage_error(self, capsys):
+        assert main(["lint", "/nonexistent/definitely-not-here"]) == 2
+        assert "no such file" in capsys.readouterr().err
 
     def test_list_rules_prints_registry(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -77,56 +75,6 @@ class TestLintCommand:
         bad.write_text("def broken(:\n")
         assert main(["lint", str(tmp_path)]) == 1
         assert "SyntaxError" in capsys.readouterr().out
-
-
-def _seed_program_violation(tmp_path):
-    target = tmp_path / "obs" / "report.py"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        textwrap.dedent(
-            """
-            def build(d):
-                rows = []
-                for k, v in d.items():
-                    rows.append([k, v])
-                return {"schema": "x", "rows": rows}
-            """
-        )
-    )
-    return target
-
-
-class TestProgramFlag:
-    def test_program_pass_catches_taint_flow(self, tmp_path, capsys):
-        _seed_program_violation(tmp_path)
-        assert main(["lint", "--program", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "NondeterminismFlow" in out
-
-    def test_without_flag_program_rules_stay_off(self, tmp_path, capsys):
-        _seed_program_violation(tmp_path)
-        assert main(["lint", str(tmp_path)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_selecting_program_rule_without_flag_is_usage_error(
-        self, tmp_path
-    ):
-        with pytest.raises(SystemExit, match="--program"):
-            main(["lint", "--rule", "NondeterminismFlow", str(tmp_path)])
-
-    def test_program_rule_selection_with_flag(self, tmp_path, capsys):
-        _seed_program_violation(tmp_path)
-        code = main(
-            [
-                "lint",
-                "--program",
-                "--rule",
-                "NondeterminismFlow",
-                str(tmp_path),
-            ]
-        )
-        assert code == 1
-        assert "NondeterminismFlow" in capsys.readouterr().out
 
 
 class TestChangedOnly:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     SNAPSHOT,
+    VOLATILE_REPORT_KEYS,
     capture_snapshot,
     graft_snapshot,
     merge_into_registry,
@@ -227,6 +228,17 @@ class TestStripVolatile:
         counters = stripped["metrics"]["counters"]
         assert counters == {"sweep.points": 24}
         assert stripped["metrics"]["gauges"] == {"cache.mb": 32}
+
+    def test_sweep_report_keeps_only_results(self):
+        # Every report family goes through the same canonicaliser.
+        report = {key: 1 for key in VOLATILE_REPORT_KEYS}
+        report.update(schema="sweep", points=[{"index": 0}])
+        report["wall_seconds"] = 2.5
+        assert strip_volatile(report) == {
+            "schema": "sweep",
+            "points": [{"index": 0}],
+            "wall_seconds": 0.0,
+        }
 
     def test_input_not_mutated(self):
         report = self._report()

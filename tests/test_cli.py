@@ -115,6 +115,19 @@ class TestJsonOutput:
         )
         assert payload["config"]["key_compression"] is True
 
+    def test_kernels_json_is_strict(self, capsys):
+        # Every speedup is a finite number: no ``Infinity``/``NaN`` tokens.
+        import json
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        argv = ["kernels", "--degrees", "64", "--limbs", "1", "--repeats", "1"]
+        assert main([*argv, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["passed"]
+        assert [entry["degree"] for entry in report["runtime"]] == [64]
+
     def test_ledger_json(self, capsys):
         import json
 
@@ -552,6 +565,8 @@ class TestServeCommand:
     ):
         import json as json_module
 
+        from repro.obs.telemetry import strip_volatile
+
         paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
         for path in paths:
             assert main(["serve", "micro", "--out", path]) == 0
@@ -559,8 +574,7 @@ class TestServeCommand:
         payloads = []
         for path in paths:
             with open(path) as handle:
-                report = json_module.load(handle)
-            report.pop("provenance")
+                report = strip_volatile(json_module.load(handle))
             payloads.append(
                 json_module.dumps(report, indent=1, sort_keys=True)
             )
@@ -568,6 +582,8 @@ class TestServeCommand:
 
     def test_jobs_two_matches_serial(self, capsys, tmp_path):
         import json as json_module
+
+        from repro.obs.telemetry import strip_volatile
 
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
@@ -580,9 +596,7 @@ class TestServeCommand:
 
         def stripped(path):
             with open(path) as handle:
-                report = json_module.load(handle)
-            report.pop("provenance")
-            return report
+                return strip_volatile(json_module.load(handle))
 
         assert stripped(serial) == stripped(parallel)
 

@@ -106,6 +106,16 @@ def test_jobs_must_be_positive(command, capsys):
         (["kernels", "--degrees", ","], "--degrees"),
         (["search", "--quick", "--bandwidth", "0"], "--bandwidth"),
         (["search", "--quick", "--multipliers", "0"], "--multipliers"),
+        # Each must fail before any workload runs.
+        (["kernels", "--repeats", "0"], "--repeats"),
+        (["kernels", "--limbs", "0"], "--limbs"),
+        (["kernels", "--min-speedup", "nan"], "--min-speedup"),
+        (["serve", "mixed", "--seed", "-1"], "--seed"),
+        (["memsim", "--tolerance", "-1"], "--tolerance"),
+        (["memsim", "--tolerance", "nan"], "--tolerance"),
+        (["memsim", "--tolerance", "inf"], "--tolerance"),
+        (["serve", "mixed", "--seed", "1.5"], "--seed"),
+        (["kernels", "--repeats", "-1"], "--repeats"),
     ],
 )
 def test_bad_input_is_a_usage_error(argv, flag, capsys, monkeypatch, tmp_path):
@@ -120,3 +130,9 @@ def test_comma_lists_parse_to_values():
     args = build_parser().parse_args(["fig6", "--caches", "32, 64,"])
     assert args.caches == [32.0, 64.0]
     assert build_parser().parse_args(["kernels"]).degrees == [4096]
+
+
+def test_zero_is_allowed_where_it_is_meaningful():
+    assert build_parser().parse_args(["serve", "mixed", "--seed", "0"]).seed == 0
+    args = build_parser().parse_args(["memsim", "--tolerance", "0"])
+    assert args.tolerance == 0.0
