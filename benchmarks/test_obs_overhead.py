@@ -139,25 +139,3 @@ def test_snapshot_machinery_overhead_gate(benchmark):
         f"workload (gate: 5% + 2ms)"
     )
     benchmark(workload_with_snapshot)
-
-
-@pytest.mark.repro("telemetry overhead (event emission)")
-def test_event_emission_throughput(benchmark, tmp_path):
-    """1k chunk_complete emissions land in tens of milliseconds."""
-    from repro.obs.events import CHUNK_COMPLETE, EventLog, provenance
-
-    path = str(tmp_path / "events.jsonl")
-
-    def emit(lines=1_000):
-        with EventLog(path) as log:
-            log.start("bench", provenance_block=provenance())
-            for index in range(lines):
-                log.emit(
-                    CHUNK_COMPLETE,
-                    {"chunk": index, "points_done": index},
-                )
-
-    elapsed = _best_of(emit, repeats=3)
-    benchmark.extra_info["emit_1k_s"] = elapsed
-    assert elapsed < 0.5, f"event emission too slow: {elapsed:.3f}s per 1k"
-    benchmark(emit)

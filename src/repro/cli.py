@@ -12,11 +12,9 @@ Commands regenerate the paper's tables/figures or run ad-hoc analyses:
     python -m repro bench --check
     python -m repro lint --json src/repro
     python -m repro sweep table5 --jobs 4 --out sweep_report.json
-    python -m repro sweep table5 --jobs 4 --events events.jsonl --report run_report.json
+    python -m repro sweep table5 --jobs 4 --report run_report.json
     python -m repro serve mixed --seed 0 --out serve_report.json
     python -m repro profile bootstrap --params optimal --config all
-    python -m repro top events.jsonl
-    python -m repro dash events.jsonl --out dash.html
 
 Table commands accept ``--json`` for machine-readable output; ``trace``
 records a hierarchical span tree and writes it as Chrome trace-event JSON
@@ -26,16 +24,13 @@ analytical workloads against the committed baselines in
 ``benchmarks/baselines/``; ``lint`` mechanically enforces the cost-model
 and observability invariants (see :mod:`repro.lint`); ``sweep`` runs a
 declarative parameter sweep (see :mod:`repro.sweep`) over worker
-processes with a resumable machine-readable report, optionally streaming
-a ``repro.obs.events/v1`` JSONL event log and a merged cross-process
-``run_report.json``; ``serve`` runs a seed-deterministic multi-tenant
-serving simulation (see :mod:`repro.serve`) and writes a
-``repro.serve/v1`` report with per-tenant latency percentiles, SLA
-verdicts, batching efficiency and cost-per-request; ``profile``
-attributes host resources (RSS,
-allocation peaks, CPU, GC) span by span; ``top`` renders live progress
-from an event stream; ``dash`` turns an event stream into a
-self-contained HTML dashboard.
+processes with a resumable machine-readable report, optionally writing
+a merged cross-process ``run_report.json``; ``serve`` runs a
+seed-deterministic multi-tenant serving simulation (see
+:mod:`repro.serve`) and writes a ``repro.serve/v1`` report with
+per-tenant latency percentiles, SLA verdicts, batching efficiency and
+cost-per-request; ``profile`` attributes host resources (RSS,
+allocation peaks, CPU, GC) span by span.
 
 The parser is one table, :data:`_COMMANDS`: a row names a subcommand's
 handler, the shared flags it takes from :data:`_SHARED` (each declared
@@ -454,63 +449,41 @@ def _cmd_search(args) -> int:
 
 
 def _run_sweep_with_telemetry(args, spec, command, workload, resume=None):
-    """``run_sweep`` under the ``--events`` / ``--report`` flags.
+    """``run_sweep`` under the ``--report`` flag.
 
-    ``--events`` streams the run's event log; ``--report`` captures
-    telemetry: workers ship span/metric snapshots back and the engine
-    merges them in canonical chunk order, so the exported run report is
-    bit-identical (post ``strip_volatile``) for any ``--jobs``.
+    ``--report`` captures telemetry: workers ship span/metric snapshots
+    back and the engine merges them in canonical chunk order, so the
+    exported run report is bit-identical (post ``strip_volatile``) for
+    any ``--jobs``.
     """
-    import time
-
-    from repro.obs import state as obs
     from repro.sweep import run_sweep
 
-    event_log = None
-    if args.events:
-        from repro.obs.events import RUN_END, EventLog, provenance
+    if not args.report:
+        return run_sweep(spec, jobs=args.jobs, resume=resume)
 
-        event_log = EventLog(args.events)
-        event_log.start(
-            command=command,
-            provenance_block=provenance(config_fingerprint=spec.fingerprint()),
+    import time
+
+    from repro.obs import schema
+    from repro.obs import state as obs
+    from repro.obs.export import RUN_REPORT, build_run_report
+    from repro.obs.profiler import process_cpu_seconds, run_resource_summary
+
+    wall0 = time.perf_counter()
+    cpu0 = process_cpu_seconds()
+    with obs.capture() as (tracer, registry):
+        outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
+        resources = run_resource_summary(
+            wall_seconds=time.perf_counter() - wall0,
+            cpu_seconds=process_cpu_seconds() - cpu0,
         )
-    try:
-        if args.report:
-            from repro.obs import schema
-            from repro.obs.export import RUN_REPORT, build_run_report
-            from repro.obs.profiler import (
-                process_cpu_seconds,
-                run_resource_summary,
-            )
-
-            wall0 = time.perf_counter()
-            cpu0 = process_cpu_seconds()
-            with obs.capture() as (tracer, registry):
-                outcome = run_sweep(
-                    spec, jobs=args.jobs, resume=resume, events=event_log
-                )
-                resources = run_resource_summary(
-                    wall_seconds=time.perf_counter() - wall0,
-                    cpu_seconds=process_cpu_seconds() - cpu0,
-                )
-            run_report = build_run_report(
-                tracer,
-                registry,
-                command=command,
-                workload=workload,
-                resources=resources,
-            )
-            schema.write(run_report, RUN_REPORT, args.report)
-        else:
-            outcome = run_sweep(
-                spec, jobs=args.jobs, resume=resume, events=event_log
-            )
-        if event_log is not None:
-            event_log.emit(RUN_END, {"exit_code": 0})
-    finally:
-        if event_log is not None:
-            event_log.close()
+    run_report = build_run_report(
+        tracer,
+        registry,
+        command=command,
+        workload=workload,
+        resources=resources,
+    )
+    schema.write(run_report, RUN_REPORT, args.report)
     return outcome
 
 
@@ -564,8 +537,6 @@ def _cmd_sweep(args) -> int:
     )
     if args.out:
         print(f"wrote sweep report to {args.out}")
-    if args.events:
-        print(f"wrote event log to {args.events}")
     if args.report:
         print(f"wrote run report to {args.report}")
     return 0
@@ -647,8 +618,6 @@ def _cmd_serve(args) -> int:
             )
     if args.out:
         print(f"wrote serve report to {args.out}")
-    if args.events:
-        print(f"wrote event log to {args.events}")
     if args.report:
         print(f"wrote run report to {args.report}")
     return 0
@@ -720,63 +689,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _render_top(model) -> str:
-    from repro.obs.profiler import _format_bytes  # rendering helper
-
-    total = model["points_total"] or 0
-    done = model["points_done"]
-    pct = done / total if total else 0.0
-    status = "finished" if model["finished"] else "in flight"
-    bar_width = 30
-    filled = int(round(pct * bar_width))
-    bar = "#" * filled + "-" * (bar_width - filled)
-    lines = [
-        f"sweep {model['sweep'] or model['command'] or '?'} [{status}] "
-        f"jobs={model.get('jobs', 1)}",
-        f"  [{bar}] {done:,}/{total:,} points ({pct:.1%})",
-        f"  rate {model['points_per_second']:,.1f} points/s, "
-        f"memo hit rate {model['memo_hit_rate']:.1%}, "
-        f"wall {model['wall_seconds']:.2f}s",
-    ]
-    for worker in sorted(model["workers"].values(), key=lambda w: w["pid"]):
-        lines.append(
-            f"  pid {worker['pid']:>7}: {worker['chunks']:>4} chunks, "
-            f"peak RSS {_format_bytes(worker['peak_rss_bytes'])}"
-        )
-    return "\n".join(lines)
-
-
-def _cmd_top(args) -> int:
-    import time
-
-    from repro.obs.dash import build_dashboard
-    from repro.obs.events import read_events
-
-    while True:
-        # Non-strict: the sweep may still be appending; a torn trailing
-        # line is dropped rather than treated as corruption.
-        events = read_events(args.events, strict=False)
-        model = build_dashboard(events)
-        print(_render_top(model))
-        if model["finished"] or not args.follow:
-            return 0
-        time.sleep(args.interval)
-        print()
-
-
-def _cmd_dash(args) -> int:
-    from repro.obs.dash import write_dashboard
-
-    model = write_dashboard(args.events, args.out)
-    print(
-        f"wrote dashboard to {args.out} "
-        f"({model['points_done']:,}/{model['points_total']:,} points, "
-        f"{len(model['workers'])} workers, "
-        f"{'finished' if model['finished'] else 'in flight'})"
-    )
-    return 0
-
-
 def _positive(
     kind: Callable[[str], Any], allow_zero: bool = False
 ) -> Callable[[str], Any]:
@@ -814,9 +726,9 @@ def _comma_list(kind: Callable[[str], Any]) -> Callable[[str], List[Any]]:
 
 #: Every flag more than one command takes, declared once.  A command row
 #: names the ones it uses; a per-command default goes in the row's
-#: ``set_defaults`` mapping.  ``diff --json``, ``trace --out``,
-#: ``dash --out`` and ``search --cache-mb`` mean something else there and
-#: are those commands' own arguments.
+#: ``set_defaults`` mapping.  ``diff --json``, ``trace --out`` and
+#: ``search --cache-mb`` mean something else there and are those
+#: commands' own arguments.
 _SHARED: Dict[str, Dict[str, Any]] = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--params": dict(
@@ -845,12 +757,6 @@ _SHARED: Dict[str, Dict[str, Any]] = {
         help="also write run_report.json here (sweep/serve: merged "
         "cross-process telemetry, bit-identical across --jobs after "
         "strip_volatile)",
-    ),
-    "--events": dict(
-        default=None,
-        metavar="PATH",
-        help="stream a repro.obs.events/v1 JSONL event log here "
-        "(live-tailable by `repro top` and renderable by `repro dash`)",
     ),
     "--quick": dict(action="store_true", help="use a reduced grid"),
     "--list": dict(action="store_true", help="list the choices and exit"),
@@ -901,7 +807,7 @@ _COMMANDS: Tuple[Any, ...] = (
      _arg("--json", default=None, help="write machine-readable cost_diff.json"),
      _arg("--overlay", default=None,
           help="write a Chrome-trace overlay of both runs"),
-     _arg("--top", type=int, default=20, help="span rows to print"),
+     _arg("--top", type=_positive(int), default=20, help="span rows to print"),
      _arg("--force", action="store_true",
           help="diff even when the reports ran different workloads"),
      _arg("--no-renames", action="store_true",
@@ -919,9 +825,9 @@ _COMMANDS: Tuple[Any, ...] = (
           help="baseline directory (default: benchmarks/baselines)"),
      _arg("--out-dir", default=None,
           help="write BENCH_*.json trajectories and cost_diff_*.json here"),
-     _arg("--rel-tol", type=float, default=0.0,
+     _arg("--rel-tol", type=_positive(float, allow_zero=True), default=0.0,
           help="relative cost growth tolerated before failing"),
-     _arg("--abs-tol", type=float, default=0.0,
+     _arg("--abs-tol", type=_positive(float, allow_zero=True), default=0.0,
           help="absolute cost growth tolerated before failing")),
     ("kernels", _cmd_kernels,
      "int64 NTT kernels vs the pure-Python oracle: parity + speedup",
@@ -968,18 +874,17 @@ _COMMANDS: Tuple[Any, ...] = (
      _arg("--multipliers", type=_positive(int), default=4096),
      _arg("--bandwidth", type=_positive(float), default=1000),
      _arg("--cache-mb", type=_positive(float), default=32),
-     _arg("--top", type=int, default=5)),
+     _arg("--top", type=_positive(int), default=5)),
     ("sweep", _cmd_sweep,
      "run a declarative parameter sweep over worker processes",
-     ("--jobs", "--quick", "--out", "--events", "--report", "--json",
-      "--list"), {},
+     ("--jobs", "--quick", "--out", "--report", "--json", "--list"), {},
      _arg("preset", nargs="?", default=None,
           help="sweep preset name (see --list)"),
      _arg("--resume", default=None, metavar="REPORT",
           help="reuse completed points from a prior sweep_report.json")),
     ("serve", _cmd_serve,
      "simulate a multi-tenant serving scenario on accelerator fleets",
-     ("--jobs", "--out", "--events", "--report", "--json", "--list"), {},
+     ("--jobs", "--out", "--report", "--json", "--list"), {},
      _arg("scenario", nargs="?", default=None,
           help="serving scenario name (see --list)"),
      _arg("--seed", type=_positive(int, allow_zero=True), default=0,
@@ -988,24 +893,11 @@ _COMMANDS: Tuple[Any, ...] = (
      "attribute host resources (RSS, allocations, CPU, GC) span by span",
      ("--params", "--config", "--cache-mb", "--report", "--json"), {},
      _arg("target", choices=("bootstrap", "helr", "resnet", "micro")),
-     _arg("--depth", type=int, default=3,
+     _arg("--depth", type=_positive(int), default=3,
           help="meter spans down to this stack depth (deeper spans trace "
           "unmetered)"),
      _arg("--no-alloc", action="store_true",
           help="skip tracemalloc (cheaper; loses allocation peaks)")),
-    ("top", _cmd_top,
-     "render sweep progress from an event log (live-tails with --follow)",
-     (), {},
-     _arg("events", help="events.jsonl written by `sweep --events`"),
-     _arg("--follow", action="store_true",
-          help="re-render every --interval seconds until the sweep finishes"),
-     _arg("--interval", type=float, default=1.0,
-          help="polling interval seconds")),
-    ("dash", _cmd_dash,
-     "render an event log as a self-contained HTML dashboard", (), {},
-     _arg("events", help="events.jsonl written by `sweep --events`"),
-     _arg("--out", default="dash.html",
-          help="output path (default dash.html)")),
 )
 
 

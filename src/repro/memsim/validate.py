@@ -410,13 +410,9 @@ def run_validation(
                 "passed": all(e["passed"] for e in entries),
             }
         )
-    from repro.obs.events import provenance as build_provenance
-
     report: Dict[str, Any] = {
         "schema": MEMSIM_REPORT.id,
-        "provenance": build_provenance(
-            config_fingerprint=spec.fingerprint()
-        ),
+        "provenance": schema.provenance(config_fingerprint=spec.fingerprint()),
         "params": params_key,
         "policy": policy_name,
         "tolerance": tolerance,

@@ -20,12 +20,11 @@ The subsystem has three layers:
 * :mod:`repro.obs.baseline` / :mod:`repro.obs.bench` — committed
   baseline snapshots (``benchmarks/baselines/``) and the
   ``python -m repro bench`` regression gate built on the diff engine;
-* :mod:`repro.obs.telemetry` / :mod:`repro.obs.profiler` /
-  :mod:`repro.obs.events` / :mod:`repro.obs.dash` — cross-process
+* :mod:`repro.obs.telemetry` / :mod:`repro.obs.profiler` — cross-process
   telemetry snapshots (capture/merge/graft, deterministic across
-  ``--jobs``), host resource profiling (RSS / tracemalloc / CPU / GC),
-  the provenance-stamped ``repro.obs.events/v1`` JSONL stream, and the
-  standalone HTML dashboard over it.
+  ``--jobs``) and host resource profiling (RSS / tracemalloc / CPU / GC);
+* :mod:`repro.obs.schema` — the table of report schemas, its validator,
+  and the ``provenance`` block every report carries.
 
 Typical use::
 

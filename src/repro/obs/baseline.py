@@ -17,6 +17,7 @@ attributes any regression to the spans that caused it via
 from __future__ import annotations
 
 import copy
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,8 +131,11 @@ class Tolerance:
     absolute: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.relative < 0 or self.absolute < 0:
-            raise ValueError("tolerances must be non-negative")
+        for value in (self.relative, self.absolute):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerances must be finite and non-negative, got {value!r}"
+                )
 
     def slack(self, base: float) -> float:
         return max(self.absolute, base * self.relative)

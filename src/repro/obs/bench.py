@@ -468,8 +468,6 @@ def _append_trajectory(
             "workload": spec.name,
             "entries": [],
         }
-    from repro.obs.events import provenance as build_provenance
-
     # Host-measurement gauges (wall-clock, engine speedups) are the whole
     # point of a trajectory: they are zeroed in the committed *baseline*
     # but tracked per machine here.
@@ -481,7 +479,7 @@ def _append_trajectory(
     trajectory["entries"].append(
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "provenance": build_provenance(),
+            "provenance": schema.provenance(),
             "host_gauges": host_gauges,
             "wall_seconds": runner_seconds,
             "trace_wall_seconds": report["wall_seconds"],

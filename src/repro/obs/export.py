@@ -11,7 +11,7 @@ Three output formats, all fed from one :class:`~repro.obs.tracer.Tracer`:
   machine-readable summary (the :data:`RUN_REPORT` schema) suitable for
   ``BENCH_*.json`` trajectory tracking and mechanical run-to-run diffing.
   Every report carries a ``provenance`` block (git SHA, python/numpy
-  versions, argv — see :func:`repro.obs.events.provenance`) and an
+  versions, argv — see :func:`repro.obs.schema.provenance`) and an
   optional ``resources`` block (peak RSS, allocation peak, CPU seconds).
 """
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.events import provenance as build_provenance
 from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
+from repro.obs.schema import provenance as build_provenance
 from repro.perf.events import CostReport, MemTraffic, OpCount
 
 #: Field names of the serialized :class:`OpCount` / :class:`MemTraffic`.
@@ -322,7 +322,7 @@ def build_run_report(
     """Assemble the stable machine-readable summary of one traced run.
 
     ``provenance`` defaults to the current process's block
-    (:func:`repro.obs.events.provenance`) so every emitted report is
+    (:func:`repro.obs.schema.provenance`) so every emitted report is
     attributable to a commit; pass an explicit block to override.
     ``resources`` is the optional host-resource summary
     (:func:`repro.obs.profiler.run_resource_summary`).

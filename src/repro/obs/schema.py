@@ -1,11 +1,11 @@
 """One table of report schemas, one validator, one writer, one loader.
 
 Every versioned JSON document the repo emits or reads back (run, sweep,
-serve and memsim reports, cost diffs, event streams, bench trajectories,
-lint reports, ...) is declared exactly once as a :class:`Schema`: the
-family's id plus a draft-07 JSON-Schema dict.  Declaring a family
-registers it in :data:`SCHEMAS`, and declaring an id twice raises at
-import, so each family has one home and accepts exactly one id.
+serve and memsim reports, cost diffs, bench trajectories, lint reports,
+...) is declared exactly once as a :class:`Schema`: the family's id plus
+a draft-07 JSON-Schema dict.  Declaring a family registers it in
+:data:`SCHEMAS`, and declaring an id twice raises at import, so each
+family has one home and accepts exactly one id.
 
 :func:`validate` interprets the draft-07 subset the specs use (``type``,
 ``const``, ``enum``, ``required``, ``properties``, ``items``,
@@ -14,9 +14,12 @@ import, so each family has one home and accepts exactly one id.
 dependencies, and raises :class:`ValueError` naming the offending field
 path.  A spec using any other keyword is rejected at declaration, so
 CI's ``jsonschema.validate(doc, family.spec)`` cross-check gates the
-same contract.  The few rules JSON Schema cannot state (unique sweep
-point indices, event sequence numbers) run as the family's ``check``
-once the spec has passed.
+same contract.  The one rule JSON Schema cannot state here (unique
+sweep point indices) runs as its family's ``check`` once the spec has
+passed.
+
+:data:`PROVENANCE` is the identity block every report carries, and
+:func:`provenance` is its one producer.
 
 :func:`write` and :func:`load` are how documents reach and leave disk:
 validated, in the canonical ``indent=1, sort_keys=True`` layout with a
@@ -27,7 +30,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any, Callable, Dict, NoReturn, Optional, Sequence, Set, Union
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "Schema",
     "fields",
     "load",
+    "provenance",
     "validate",
     "write",
 ]
@@ -53,7 +61,7 @@ SCHEMAS: Dict[str, "Schema"] = {}
 COUNT: Dict[str, Any] = {"type": "integer", "minimum": 0}
 NON_NEGATIVE: Dict[str, Any] = {"type": "number", "minimum": 0}
 
-#: The identity block every report carries (:func:`repro.obs.events.provenance`).
+#: The identity block every report carries (:func:`provenance`).
 PROVENANCE: Dict[str, Any] = {
     "type": "object",
     "required": ["git_sha", "python", "platform", "argv"],
@@ -67,6 +75,81 @@ PROVENANCE: Dict[str, Any] = {
         "config_fingerprint": {"type": ["string", "null"]},
     },
 }
+
+_git_cache: Optional[Dict[str, Any]] = None
+
+
+def _git_describe() -> Dict[str, Any]:
+    """``{git_sha, git_dirty}`` of the working tree, cached per process.
+
+    Falls back to ``{"git_sha": "unknown", "git_dirty": None}`` outside a
+    git checkout or when git is unavailable — provenance must never make
+    a run fail.
+    """
+    global _git_cache
+    if _git_cache is not None:
+        return dict(_git_cache)
+    sha = "unknown"
+    dirty: Optional[bool] = None
+    root = Path(__file__).resolve().parents[3]
+    cwd = root if (root / ".git").exists() else Path.cwd()
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=5,
+            check=True,
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=5,
+            check=True,
+        ).stdout
+        dirty = bool(status.strip())
+    except (OSError, subprocess.SubprocessError):
+        pass
+    _git_cache = {"git_sha": sha, "git_dirty": dirty}
+    return dict(_git_cache)
+
+
+def _numpy_version() -> Optional[str]:
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is a hard dep in CI
+        return None
+    return str(numpy.__version__)
+
+
+def provenance(
+    argv: Optional[Sequence[str]] = None,
+    config_fingerprint: Optional[str] = None,
+) -> Dict[str, Any]:
+    """The :data:`PROVENANCE` block stamped into every emitted report.
+
+    Args:
+        argv: command line recorded with the run (defaults to
+            ``sys.argv``).
+        config_fingerprint: optional stable hash of the run's
+            configuration (e.g. a sweep spec fingerprint) so two runs of
+            the same commit are still distinguishable by what they ran.
+    """
+    block = _git_describe()
+    block.update(
+        {
+            "python": platform.python_version(),
+            "numpy": _numpy_version(),
+            "platform": platform.platform(),
+            "argv": list(sys.argv if argv is None else argv),
+            "config_fingerprint": config_fingerprint,
+        }
+    )
+    return block
+
 
 _KEYWORDS = frozenset(
     {
@@ -103,10 +186,9 @@ class Schema:
     """One report family: its id, its draft-07 spec, an optional post-check.
 
     ``key`` is the property path that carries the id (``("schema",)`` for
-    most families).  The id is injected there as a required ``const``,
-    descending through ``items`` when the document is an array: an event
-    stream is a list of events, each stamped with the id.  ``check(doc,
-    fail)`` runs after the spec passes, for rules JSON Schema cannot state.
+    most families).  The id is injected there as a required ``const``.
+    ``check(doc, fail)`` runs after the spec passes, for rules JSON
+    Schema cannot state.
     """
 
     def __init__(
@@ -133,8 +215,7 @@ class Schema:
         }
         node = self.spec
         for name in key[:-1]:
-            node = _items(node)["properties"][name]
-        node = _items(node)
+            node = node["properties"][name]
         name = key[-1]
         node["required"] = [name, *node.get("required", ())]
         node["properties"] = {name: {"const": id}, **node.get("properties", {})}
@@ -174,12 +255,6 @@ def load(path: PathLike, family: Schema) -> Optional[Any]:
 # ----------------------------------------------------------------------
 # The draft-07 subset interpreter
 # ----------------------------------------------------------------------
-def _items(node: Dict[str, Any]) -> Dict[str, Any]:
-    while node.get("type") == "array":
-        node = node["items"]
-    return node
-
-
 def _unsupported(spec: Any) -> Set[str]:
     if not isinstance(spec, dict):
         return set()

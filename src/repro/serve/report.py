@@ -2,7 +2,7 @@
 
 One report captures a whole scenario run: the scenario identity
 (name, seed, duration, pricing config), a provenance block
-(:func:`repro.obs.events.provenance`) and one entry per fleet holding
+(:func:`repro.obs.schema.provenance`) and one entry per fleet holding
 throughput, utilisation, batching efficiency, cost-per-request and the
 per-tenant latency/SLA rows.  Every number in a fleet entry is a pure
 function of ``(scenario, fleet, seed)`` — reports are byte-identical
@@ -224,12 +224,10 @@ def assemble_serve_report(
     worker processes; this assembles the identical report the serial
     path builds, so ``--jobs N`` output is byte-for-byte reproducible.
     """
-    from repro.obs.events import provenance as build_provenance
-
     fingerprint = scenario_fingerprint(scenario, seed)
     report = {
         "schema": SERVE_REPORT.id,
-        "provenance": build_provenance(config_fingerprint=fingerprint),
+        "provenance": schema.provenance(config_fingerprint=fingerprint),
         "scenario": scenario.name,
         "seed": seed,
         "duration_s": scenario.duration_s,

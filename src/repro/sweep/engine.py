@@ -33,11 +33,6 @@ into its registry.  Because memoized computes are telemetry-suppressed
 concatenation, the merged trace is bit-identical between ``--jobs N``
 and serial once scheduling-volatile fields are stripped
 (:func:`repro.obs.telemetry.strip_volatile`).
-
-Dispatch is also observable externally: pass an
-:class:`~repro.obs.events.EventLog` and the parent (the single writer)
-emits ``sweep_start`` / ``chunk_complete`` / ``sweep_end`` events that
-``repro top`` and ``repro dash`` consume.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import schema
 from repro.obs import state as obs
-from repro.obs.events import CHUNK_COMPLETE, SWEEP_END, SWEEP_START, EventLog
 from repro.obs.profiler import (
     alloc_tracing,
     ensure_alloc_tracing,
@@ -252,7 +246,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     resume: Optional[Mapping[str, Any]] = None,
-    events: Optional[EventLog] = None,
 ) -> SweepOutcome:
     """Evaluate every point of ``spec``; results in canonical order.
 
@@ -262,9 +255,6 @@ def run_sweep(
         resume: a prior ``repro.sweep`` report dict whose completed
             points are reused (fingerprints must match); only pending
             points are evaluated.
-        events: optional :class:`~repro.obs.events.EventLog`; the parent
-            (single writer) emits ``sweep_start`` / ``chunk_complete`` /
-            ``sweep_end`` as the run progresses.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -288,41 +278,6 @@ def run_sweep(
 
     capture_telemetry = obs.tracing_enabled() or obs.metrics_enabled()
     ledger = _WorkerLedger()
-    done_points = len(completed)
-    if events is not None:
-        events.emit(
-            SWEEP_START,
-            {
-                "sweep": spec.name,
-                "evaluator": spec.evaluator,
-                "points": spec.size,
-                "reused": len(completed),
-                "jobs": jobs,
-                "chunks": len(chunks),
-                "fingerprint": spec.fingerprint(),
-            },
-        )
-
-    def note_chunk(position: int, indices: List[int], payload: ChunkPayload) -> None:
-        nonlocal done_points
-        done_points += len(indices)
-        ledger.record(payload.worker, payload.busy_seconds)
-        if events is not None:
-            events.emit(
-                CHUNK_COMPLETE,
-                {
-                    "chunk": position,
-                    "first_index": indices[0],
-                    "last_index": indices[-1],
-                    "points_done": done_points,
-                    "points_total": spec.size,
-                    "memo_hits": payload.memo_hits,
-                    "memo_misses": payload.memo_misses,
-                    "busy_seconds": payload.busy_seconds,
-                    "worker": dict(payload.worker),
-                },
-            )
-
     started = time.perf_counter()
     #: chunk position -> telemetry snapshot, merged in position order below.
     snapshots: Dict[int, Dict[str, Any]] = {}
@@ -351,7 +306,7 @@ def run_sweep(
                     _merge(outcome, evaluator.row, points, payload)
                     if payload.snapshot is not None:
                         snapshots[position] = payload.snapshot
-                    note_chunk(position, chunk_indices, payload)
+                    ledger.record(payload.worker, payload.busy_seconds)
         else:
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -385,7 +340,7 @@ def run_sweep(
                         _merge(outcome, evaluator.row, points, payload)
                         if payload.snapshot is not None:
                             snapshots[position] = payload.snapshot
-                        note_chunk(position, indices, payload)
+                        ledger.record(payload.worker, payload.busy_seconds)
         if snapshots:
             # Canonical chunk order — never completion order — so the
             # merged telemetry is scheduling-independent.
@@ -404,20 +359,6 @@ def run_sweep(
     obs.gauge("sweep.jobs", float(jobs))
     obs.gauge("sweep.worker_utilisation", outcome.worker_utilisation)
     obs.gauge("sweep.memo_hit_rate", outcome.memo_hit_rate)
-    if events is not None:
-        events.emit(
-            SWEEP_END,
-            {
-                "sweep": spec.name,
-                "points": spec.size,
-                "evaluated": outcome.evaluated,
-                "reused": outcome.reused,
-                "wall_seconds": outcome.wall_seconds,
-                "memo_hit_rate": outcome.memo_hit_rate,
-                "worker_utilisation": outcome.worker_utilisation,
-                "workers": outcome.workers,
-            },
-        )
     return outcome
 
 

@@ -11,9 +11,9 @@ report whose fingerprint matches the spec and evaluates only the rest.
 Wall-clock fields are machine noise and must never be compared across
 machines; the analytical rows are exact and bit-identical for any
 ``--jobs``.  Every report carries a ``provenance`` block
-(:func:`repro.obs.events.provenance`, with the spec fingerprint as its
+(:func:`repro.obs.schema.provenance`, with the spec fingerprint as its
 ``config_fingerprint``) and a ``workers`` array summarising each
-evaluating process.
+evaluating process (pid, chunks, busy and CPU seconds, peak RSS).
 
 :data:`SWEEP_SPEEDUP` is the report-only parallel-speedup record that
 ``benchmarks/record_sweep_speedup.py`` writes.
@@ -142,15 +142,11 @@ SWEEP_SPEEDUP = Schema(
 
 def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
     """Assemble the validated :data:`SWEEP_REPORT` for a finished run."""
-    from repro.obs.events import provenance as build_provenance
-
     spec = outcome.spec
     identity = spec.identity()
     report = {
         "schema": SWEEP_REPORT.id,
-        "provenance": build_provenance(
-            config_fingerprint=spec.fingerprint()
-        ),
+        "provenance": schema.provenance(config_fingerprint=spec.fingerprint()),
         "workers": outcome.workers,
         "sweep": spec.name,
         "evaluator": spec.evaluator,

@@ -109,6 +109,28 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(relative=-1)
 
+    def test_non_finite_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Tolerance(relative=value)
+            with pytest.raises(ValueError):
+                Tolerance(absolute=value)
+
+    def test_negative_absolute_and_negative_infinity_rejected(self):
+        for value in (-1e-9, float("-inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                Tolerance(absolute=value)
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                Tolerance(relative=value)
+
+    def test_large_finite_slack_is_still_a_bound(self):
+        relative = Tolerance(relative=1e6)
+        assert relative.allows(100, 100 + 100 * 1e6)
+        assert not relative.allows(100, 100 + 100 * 1e6 + 1)
+        absolute = Tolerance(absolute=1e12)
+        assert absolute.allows(0, 1e12)
+        assert not absolute.allows(0, 1e12 + 1)
+
 
 class TestCompareReports:
     def test_identical_reports_pass(self):

@@ -4,9 +4,10 @@ Every registered family's real producer output must validate under
 :func:`repro.obs.schema.validate` and under ``jsonschema`` (the CI
 cross-check on the same spec dicts).  Every mutation in
 :data:`MUTATIONS`, gathered from the per-family rejection tests, must be
-rejected by both, naming the field path.  The rules JSON Schema cannot
-state (unique sweep indices, event sequence numbers, the ``run_start``
-header) are family post-checks, which only the table's validator runs.
+rejected by both, naming the field path.  The rule JSON Schema cannot
+state (unique sweep indices) is a family post-check, which only the
+table's validator runs.  The ``provenance`` producer is checked against
+the :data:`~repro.obs.schema.PROVENANCE` spec it fills.
 """
 
 import functools
@@ -23,9 +24,8 @@ from repro.memsim.validate import MEMSIM_REPORT
 from repro.obs import schema
 from repro.obs.bench import BENCH_TRAJECTORY
 from repro.obs.diff import COST_DIFF, DIFF_OVERLAY
-from repro.obs.events import EVENTS
 from repro.obs.export import RUN_REPORT
-from repro.obs.schema import SCHEMAS, Schema
+from repro.obs.schema import PROVENANCE, SCHEMAS, Schema
 from repro.obs.telemetry import SNAPSHOT
 from repro.serve.report import SERVE_REPORT
 from repro.sweep.report import SWEEP_REPORT, SWEEP_SPEEDUP
@@ -95,18 +95,6 @@ def _memsim_report():
     )
 
 
-def _events():
-    from repro.obs.events import RUN_END, SWEEP_START, EventLog
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "events.jsonl"
-        with EventLog(str(path)) as log:
-            log.start("test")
-            log.emit(SWEEP_START, {"points": 1})
-            log.emit(RUN_END, {"exit_code": 0})
-        return [json.loads(line) for line in path.read_text().splitlines()]
-
-
 def _snapshot():
     from repro.obs import MetricsRegistry, Tracer
     from repro.obs.telemetry import capture_snapshot
@@ -169,7 +157,6 @@ PRODUCERS = {
     MEMSIM_REPORT: _memsim_report,
     COST_DIFF: _cost_diff,
     DIFF_OVERLAY: _diff_overlay,
-    EVENTS: _events,
     SNAPSHOT: _snapshot,
     BENCH_TRAJECTORY: _bench_trajectory,
     KERNELS_REPORT: _kernels_report,
@@ -238,6 +225,7 @@ MUTATIONS = [
     _case(RUN_REPORT, "span-without-path", _drop(["spans", 0, "path"]), "spans[0]: missing required key 'path'"),
     _case(RUN_REPORT, "no-counters", _drop(["metrics", "counters"]), "metrics: missing"),
     _case(RUN_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    _case(RUN_REPORT, "provenance-argv-not-list", _set(["provenance", "argv"], "trace"), "provenance.argv"),
     # sweep (tests/sweep/test_report.py)
     _case(SWEEP_REPORT, "foreign-id", _set(["schema"], "other/v9"), "schema:"),
     _case(SWEEP_REPORT, "legacy-id", _set(["schema"], "repro.sweep/v1"), "schema:"),
@@ -249,6 +237,11 @@ MUTATIONS = [
     _case(SWEEP_REPORT, "string-complete", _set(["complete"], "yes"), "complete"),
     _case(SWEEP_REPORT, "point-without-row", _drop(["points", 0, "row"]), "points[0]"),
     _case(SWEEP_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    _case(SWEEP_REPORT, "provenance-not-object", _set(["provenance"], "abc"), "provenance"),
+    _case(SWEEP_REPORT, "numeric-config-fingerprint", _set(["provenance", "config_fingerprint"], 7), "provenance.config_fingerprint"),
+    _case(SWEEP_REPORT, "workers-not-list", _set(["workers"], {}), "workers"),
+    _case(SWEEP_REPORT, "worker-without-chunks", _drop(["workers", 0, "chunks"]), "workers[0]: missing required key 'chunks'"),
+    _case(SWEEP_REPORT, "negative-worker-rss", _set(["workers", 0, "peak_rss_bytes"], -1), "workers[0].peak_rss_bytes"),
     _case(SWEEP_REPORT, "duplicated-index", _set(["points", 1, "index"], 0), "points[1].index", post_check=True),
     # sweep_speedup (benchmarks/record_sweep_speedup.py)
     _case(SWEEP_SPEEDUP, "foreign-id", _set(["schema"], "repro.sweep/v1.1"), "schema:"),
@@ -267,12 +260,14 @@ MUTATIONS = [
     _case(SERVE_REPORT, "partial-latency", _set(["fleets", 0, "tenants", 0, "latency"], {"count": 1}), "fleets[0].tenants[0].latency"),
     _case(SERVE_REPORT, "string-sla-verdict", _set(["fleets", 0, "tenants", 0, "sla", "met"], "yes"), "tenants[0].sla.met"),
     _case(SERVE_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
+    _case(SERVE_REPORT, "provenance-without-python", _drop(["provenance", "python"]), "provenance: missing required key 'python'"),
     # memsim (tests/memsim/test_validate.py)
     _case(MEMSIM_REPORT, "foreign-id", _set(["schema"], "nope"), "schema:"),
     _case(MEMSIM_REPORT, "no-pin-failures", _drop(["runs", 0, "primitives", 0, "pin_failures"]), "'pin_failures'"),
     _case(MEMSIM_REPORT, "negative-stream-bytes", _set(["runs", 0, "primitives", 0, "streams", "ct_read", "simulated"], -1), "streams.ct_read.simulated"),
     _case(MEMSIM_REPORT, "unknown-policy", _set(["policy"], "fifo"), "policy"),
     _case(MEMSIM_REPORT, "provenance-without-sha", _drop(["provenance", "git_sha"]), "provenance"),
+    _case(MEMSIM_REPORT, "string-git-dirty", _set(["provenance", "git_dirty"], "yes"), "provenance.git_dirty"),
     # cost_diff (tests/obs/test_diff.py)
     _case(COST_DIFF, "no-spans", _drop(["spans"]), "'spans'"),
     _case(COST_DIFF, "foreign-id", _set(["schema"], "wrong"), "schema:"),
@@ -288,16 +283,6 @@ MUTATIONS = [
     _case(DIFF_OVERLAY, "foreign-id", _set(["otherData", "schema"], "repro.obs.diff_overlay/v0"), "otherData.schema"),
     _case(DIFF_OVERLAY, "string-identical", _set(["otherData", "identical"], "no"), "otherData.identical"),
     _case(DIFF_OVERLAY, "events-not-list", _set(["traceEvents"], {}), "traceEvents"),
-    # events (tests/obs/test_events.py)
-    _case(EVENTS, "foreign-id", _set([0, "schema"], "repro.obs.events/v999"), "[0].schema"),
-    _case(EVENTS, "negative-ts", _set([1, "ts"], -1.0), "[1].ts"),
-    _case(EVENTS, "empty-type", _set([1, "type"], ""), "[1].type"),
-    _case(EVENTS, "list-data", _set([1, "data"], []), "[1].data"),
-    _case(EVENTS, "provenance-without-sha", _drop([0, "data", "provenance", "git_sha"]), "[0].data.provenance"),
-    _case(EVENTS, "provenance-not-object", _set([0, "data", "provenance"], None), "[0].data.provenance"),
-    _case(EVENTS, "seq-gap", _set([1, "seq"], 7), "[1].seq", post_check=True),
-    _case(EVENTS, "header-not-run-start", _set([0, "type"], "sweep_start"), "[0].type", post_check=True),
-    _case(EVENTS, "header-without-provenance", _drop([0, "data", "provenance"]), "[0].data", post_check=True),
     # telemetry snapshot
     _case(SNAPSHOT, "foreign-version", _set(["version"], "repro.obs.telemetry/v0"), "version"),
     _case(SNAPSHOT, "spans-not-list", _set(["spans"], {}), "spans"),
@@ -305,6 +290,7 @@ MUTATIONS = [
     # bench_trajectory (tests/obs/test_baseline.py)
     _case(BENCH_TRAJECTORY, "legacy-id", _set(["schema"], "repro.obs.bench_trajectory/v1"), "schema:"),
     _case(BENCH_TRAJECTORY, "entry-without-provenance", _drop(["entries", 0, "provenance"]), "entries[0]: missing required key 'provenance'"),
+    _case(BENCH_TRAJECTORY, "provenance-without-platform", _drop(["entries", 0, "provenance", "platform"]), "entries[0].provenance: missing required key 'platform'"),
     _case(BENCH_TRAJECTORY, "string-wall", _set(["entries", 0, "wall_seconds"], "slow"), "entries[0].wall_seconds"),
     _case(BENCH_TRAJECTORY, "regressions-not-list", _set(["entries", 0, "regressions"], None), "entries[0].regressions"),
     _case(BENCH_TRAJECTORY, "entries-not-list", _set(["entries"], {}), "entries"),
@@ -336,7 +322,7 @@ MUTATIONS = [
 # Conformance
 # ----------------------------------------------------------------------
 def test_every_registered_family_has_a_producer():
-    assert len(SCHEMAS) == 13
+    assert len(SCHEMAS) == 12
     assert set(PRODUCERS) == set(SCHEMAS.values())
 
 
@@ -353,9 +339,8 @@ def test_producer_output_validates_with_jsonschema(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.id)
 def test_wrong_document_type_is_rejected(family):
-    wrong = {} if family.spec["type"] == "array" else []
     with pytest.raises(ValueError, match=f"invalid {family.id}: document"):
-        schema.validate(wrong, family)
+        schema.validate([], family)
 
 
 @pytest.mark.parametrize("family, mutate, where, post_check", MUTATIONS)
@@ -435,11 +420,7 @@ def test_id_is_injected_as_a_required_const(table):
     assert family.spec["properties"]["schema"] == {"const": "repro.demo/v1"}
 
 
-def test_id_key_descends_into_items_and_nested_objects(table):
-    stream = Schema("repro.demo/v1", {"type": "array", "items": {"type": "object"}})
-    schema.validate([{"schema": stream.id}], stream)
-    with pytest.raises(ValueError, match=r"\[0\]\.schema"):
-        schema.validate([{"schema": "repro.demo/v0"}], stream)
+def test_id_key_descends_into_nested_objects(table):
     nested = Schema(
         "repro.nested/v1",
         {
@@ -551,3 +532,94 @@ def test_write_refuses_an_invalid_document(table, tmp_path):
 def test_load_of_a_missing_file_is_none(table, tmp_path):
     family = Schema("repro.demo/v1", {"type": "object"})
     assert schema.load(tmp_path / "absent.json", family) is None
+
+
+# ----------------------------------------------------------------------
+# The provenance block
+# ----------------------------------------------------------------------
+class TestProvenance:
+    def test_block_shape(self, table):
+        block = schema.provenance(
+            argv=["sweep", "table5"], config_fingerprint="ab" * 32
+        )
+        assert set(block) == set(PROVENANCE["properties"])
+        family = _holder(PROVENANCE)
+        schema.validate({"schema": family.id, "value": block}, family)
+        assert block["argv"] == ["sweep", "table5"]
+        assert block["config_fingerprint"] == "ab" * 32
+        assert isinstance(block["git_sha"], str) and block["git_sha"]
+        assert isinstance(block["python"], str)
+        assert isinstance(block["platform"], str)
+
+    def test_defaults_to_process_argv(self):
+        block = schema.provenance()
+        assert isinstance(block["argv"], list)
+
+    def test_argv_is_recorded_as_a_list_copy(self):
+        argv = ["serve", "micro"]
+        block = schema.provenance(argv=tuple(argv))
+        assert block["argv"] == argv
+        block = schema.provenance(argv=argv)
+        argv.append("--json")
+        assert block["argv"] == ["serve", "micro"]
+
+    def test_git_is_asked_once_per_process(self, monkeypatch):
+        calls = []
+        run = schema.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(schema, "_git_cache", None)
+        monkeypatch.setattr(schema.subprocess, "run", counting_run)
+        first = schema.provenance()
+        asked = len(calls)  # rev-parse, then status unless that failed
+        assert asked in (1, 2)
+        second = schema.provenance()
+        assert len(calls) == asked
+        assert first["git_sha"] == second["git_sha"]
+        assert first["git_dirty"] == second["git_dirty"]
+
+    def test_cached_git_fields_are_not_shared(self, monkeypatch):
+        monkeypatch.setattr(schema, "_git_cache", None)
+        block = schema.provenance()
+        sha = block["git_sha"]
+        block["git_sha"] = "edited"
+        assert schema.provenance()["git_sha"] == sha
+
+    def test_git_failure_falls_back_without_failing_the_run(
+        self, monkeypatch, table
+    ):
+        def no_git(*args, **kwargs):
+            raise OSError("git: command not found")
+
+        monkeypatch.setattr(schema, "_git_cache", None)
+        monkeypatch.setattr(schema.subprocess, "run", no_git)
+        block = schema.provenance(argv=["table4"])
+        assert block["git_sha"] == "unknown"
+        assert block["git_dirty"] is None
+        family = _holder(PROVENANCE)
+        schema.validate({"schema": family.id, "value": block}, family)
+
+    @pytest.mark.parametrize(
+        "family, path",
+        [
+            pytest.param(family, path, id=family.id)
+            for family, path in [
+                (RUN_REPORT, ("provenance",)),
+                (SWEEP_REPORT, ("provenance",)),
+                (SERVE_REPORT, ("provenance",)),
+                (MEMSIM_REPORT, ("provenance",)),
+                (BENCH_TRAJECTORY, ("entries", 0, "provenance")),
+            ]
+        ],
+    )
+    def test_every_report_stamps_the_one_block(self, family, path):
+        block = produced(family)
+        for part in path:
+            block = block[part]
+        expected = schema.provenance()
+        assert set(block) == set(PROVENANCE["properties"])
+        for key in ("git_sha", "python", "numpy", "platform"):
+            assert block[key] == expected[key]

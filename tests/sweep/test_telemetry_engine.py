@@ -11,19 +11,16 @@ import json
 import os
 
 from repro.obs import state as obs
-from repro.obs.events import (
-    CHUNK_COMPLETE,
-    RUN_START,
-    SWEEP_END,
-    SWEEP_START,
-    EventLog,
-    provenance,
-    read_events,
-)
 from repro.obs.export import build_run_report
 from repro.obs.telemetry import strip_volatile
 from repro.perf.events import CostReport, MemTraffic, OpCount
-from repro.sweep import SweepAxis, SweepSpec, register_evaluator, run_sweep
+from repro.sweep import (
+    SweepAxis,
+    SweepSpec,
+    build_sweep_report,
+    register_evaluator,
+    run_sweep,
+)
 
 
 # Module-level so forked pool workers inherit the registrations.
@@ -158,34 +155,31 @@ class TestWorkerSummaries:
         assert sum(w["chunks"] for w in outcome.workers) == outcome.chunks
         assert all(w["pid"] != os.getpid() for w in outcome.workers)
 
+    def test_parallel_summary_records_time_and_peak_rss(self):
+        outcome = run_sweep(_spec(), jobs=2)
+        for worker in outcome.workers:
+            assert worker["chunks"] >= 1
+            assert worker["busy_seconds"] >= 0.0
+            assert worker["cpu_seconds"] >= 0.0
+            assert worker["peak_rss_bytes"] > 0
 
-class TestEventStream:
-    def test_sweep_emits_validated_stream(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
+    def test_sweep_report_keeps_the_worker_ledger(self):
         spec = _spec()
-        with EventLog(path) as log:
-            log.start("sweep test", provenance_block=provenance())
-            outcome = run_sweep(spec, jobs=2, events=log)
-        events = read_events(path)  # strict: validates the whole stream
-        kinds = [e["type"] for e in events]
-        assert kinds[0] == RUN_START
-        assert kinds[1] == SWEEP_START
-        assert kinds[-1] == SWEEP_END
-        chunk_events = [e for e in events if e["type"] == CHUNK_COMPLETE]
-        assert len(chunk_events) == outcome.chunks
-        assert chunk_events[-1]["data"]["points_done"] == spec.size
-        end = events[-1]["data"]
-        assert end["points"] == spec.size
-        assert end["workers"] == outcome.workers
+        outcome = run_sweep(spec, jobs=2)
+        report = build_sweep_report(outcome)
+        assert report["workers"] == outcome.workers
+        assert sum(w["chunks"] for w in report["workers"]) == report["chunks"]
+        assert len(report["points"]) == spec.size
+        assert report["wall_seconds"] == outcome.wall_seconds
 
-    def test_progress_is_monotone(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        with EventLog(path) as log:
-            log.start("sweep test", provenance_block=provenance())
-            run_sweep(_spec(), jobs=2, events=log)
-        done = [
-            e["data"]["points_done"]
-            for e in read_events(path)
-            if e["type"] == CHUNK_COMPLETE
-        ]
-        assert done == sorted(done)
+    def test_memo_totals_cover_every_point(self):
+        # One memo lookup per point: the serial run misses once per
+        # distinct "a" and hits for the other "b"; any split over
+        # workers keeps hits + misses equal to the point count.
+        spec = _spec(evaluator="test.memoed")
+        serial = build_sweep_report(run_sweep(spec, jobs=1))
+        assert serial["memo"] == {"hits": 4, "misses": 4}
+        parallel = build_sweep_report(run_sweep(spec, jobs=2))
+        memo = parallel["memo"]
+        assert memo["hits"] + memo["misses"] == spec.size
+        assert memo["misses"] >= 4

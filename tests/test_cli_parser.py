@@ -20,6 +20,7 @@ from repro.hardware import PRIOR_DESIGNS
 SNAPSHOT = json.loads(
     (Path(__file__).parent / "data" / "cli_parser.json").read_text()
 )
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 #: (command, dest) pairs whose choices the table added.
 ADDED_CHOICES = (("fig6", "design"), ("trace", "design"))
@@ -116,6 +117,41 @@ def test_jobs_must_be_positive(command, capsys):
         (["memsim", "--tolerance", "inf"], "--tolerance"),
         (["serve", "mixed", "--seed", "1.5"], "--seed"),
         (["kernels", "--repeats", "-1"], "--repeats"),
+        # A non-finite or negative tolerance used to gate nothing, gate
+        # everything or end in a traceback.
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--abs-tol", "nan"], "--abs-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--rel-tol", "nan"], "--rel-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--rel-tol", "inf"], "--rel-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--rel-tol", "-1"], "--rel-tol"),
+        # A row count or depth below one used to slice from the end or
+        # print nothing.
+        (["search", "--quick", "--top", "-1"], "--top"),
+        (["search", "--quick", "--top", "0"], "--top"),
+        (["diff", str(BASELINES / "micro__baseline__none__nocache.json"),
+          str(BASELINES / "micro__optimal__all__nocache.json"),
+          "--force", "--top", "-1"], "--top"),
+        (["profile", "micro", "--depth", "-1"], "--depth"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--abs-tol", "inf"], "--abs-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--abs-tol", "-1"], "--abs-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--abs-tol", "lots"], "--abs-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--rel-tol", "-inf"], "--rel-tol"),
+        (["bench", "--check", "--workloads", "micro__baseline",
+          "--rel-tol", "5%"], "--rel-tol"),
+        (["search", "--quick", "--top", "1.5"], "--top"),
+        (["search", "--quick", "--top", "all"], "--top"),
+        (["diff", str(BASELINES / "micro__baseline__none__nocache.json"),
+          str(BASELINES / "micro__optimal__all__nocache.json"),
+          "--force", "--top", "0"], "--top"),
+        (["profile", "micro", "--depth", "0"], "--depth"),
+        (["profile", "micro", "--depth", "1.5"], "--depth"),
     ],
 )
 def test_bad_input_is_a_usage_error(argv, flag, capsys, monkeypatch, tmp_path):
@@ -124,6 +160,42 @@ def test_bad_input_is_a_usage_error(argv, flag, capsys, monkeypatch, tmp_path):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["top", "events.jsonl"], "invalid choice: 'top'"),
+        (["dash", "events.jsonl"], "invalid choice: 'dash'"),
+        (["sweep", "ablation-cache", "--quick", "--events", "events.jsonl"],
+         "unrecognized arguments: --events"),
+        (["serve", "micro", "--events", "events.jsonl"],
+         "unrecognized arguments: --events"),
+    ],
+)
+def test_retired_event_stream_commands_and_flag_are_usage_errors(
+    argv, message, capsys, monkeypatch, tmp_path
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
+
+
+@pytest.mark.parametrize(
+    "flag, text, dest",
+    [
+        ("--rel-tol", "0", "rel_tol"),
+        ("--rel-tol", "0.05", "rel_tol"),
+        ("--abs-tol", "0", "abs_tol"),
+        ("--abs-tol", "4096", "abs_tol"),
+    ],
+)
+def test_bench_tolerances_take_finite_non_negative_values(flag, text, dest):
+    args = build_parser().parse_args(["bench", "--check", flag, text])
+    assert getattr(args, dest) == float(text)
 
 
 def test_comma_lists_parse_to_values():
