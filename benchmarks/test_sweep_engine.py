@@ -51,6 +51,19 @@ def test_memo_reuse(benchmark):
     benchmark.extra_info["memo_hit_rate"] = round(outcome.memo_hit_rate, 3)
 
 
+@pytest.mark.repro("Sweep: memoization")
+def test_table5_memo_misses_once_per_cost_shape():
+    # The 5,513 candidates share 577 cost shapes, enumerated shape-major:
+    # serial evaluates each shape once, and a worker re-derives a shape
+    # at most once per chunk that starts inside it.
+    spec = build_preset("table5")
+    serial = run_sweep(spec, jobs=1)
+    assert (serial.memo_misses, serial.memo_hits) == (577, 5513 - 577)
+    parallel = run_sweep(spec, jobs=2)
+    assert parallel.values == serial.values
+    assert 577 <= parallel.memo_misses <= 577 + parallel.chunks
+
+
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
     reason="parallel speedup needs >= 4 CPU cores",

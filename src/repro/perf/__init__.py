@@ -22,7 +22,12 @@ from repro.perf.optimizations import (
 )
 from repro.perf.primitives import PrimitiveCosts
 from repro.perf.matvec import pt_mat_vec_mult_cost
-from repro.perf.bootstrap import BootstrapModel, BootstrapBreakdown
+from repro.perf.bootstrap import (
+    COST_SHAPE_FIELDS,
+    BootstrapBreakdown,
+    BootstrapModel,
+    cost_shape,
+)
 from repro.perf.ledger import CostLedger
 
 __all__ = [
@@ -39,4 +44,6 @@ __all__ = [
     "pt_mat_vec_mult_cost",
     "BootstrapModel",
     "BootstrapBreakdown",
+    "COST_SHAPE_FIELDS",
+    "cost_shape",
 ]

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from repro.obs import state as obs
 from repro.params import CkksParams
@@ -27,6 +28,32 @@ from repro.perf.events import CostReport
 from repro.perf.optimizations import MADConfig
 from repro.perf.primitives import PrimitiveCosts
 from repro.perf.matvec import pt_mat_vec_mult_cost
+
+
+#: The :class:`CkksParams` fields the cost model reads.  ``PrimitiveCosts``,
+#: :class:`BootstrapModel`, :func:`pt_mat_vec_mult_cost` and the
+#: ``CacheModel.fits_*`` thresholds see a parameter set only through these
+#: (``word_bytes`` through ``limb_bytes``); ``log_q``, ``log_special`` and
+#: ``bit_precision`` never change a modelled cost.  Parameter sets with
+#: equal :func:`cost_shape` therefore cost the same, and the sweep memo
+#: keys on it.  ``tests/perf/test_model_properties.py`` checks that cost
+#: is invariant under every other field and that every field is
+#: classified.
+COST_SHAPE_FIELDS: Tuple[str, ...] = (
+    "log_n",
+    "max_limbs",
+    "dnum",
+    "fft_iter",
+    "eval_mod_depth",
+    "word_bytes",
+)
+
+_shape_of = attrgetter(*COST_SHAPE_FIELDS)
+
+
+def cost_shape(params: CkksParams) -> Tuple[int, ...]:
+    """The values of :data:`COST_SHAPE_FIELDS`: all the model sees of ``params``."""
+    return _shape_of(params)
 
 
 @dataclass(frozen=True)

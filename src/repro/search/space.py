@@ -25,6 +25,13 @@ def enumerate_parameter_space(
 ) -> Iterator[CkksParams]:
     """Yield every admissible CKKS parameter set in the grid.
 
+    The order is shape-major, ``L -> dnum -> fftIter -> log_q`` with
+    ``log_q`` innermost.  ``log_q`` is not a
+    :data:`~repro.perf.COST_SHAPE_FIELDS` field, so candidates that share
+    a cost shape are adjacent, and a contiguous sweep chunk reuses its
+    worker's memo for all of them.  The search ranking does not depend
+    on this order (:func:`repro.search.optimizer.ranking_key` is total).
+
     Args:
         log_n: ring degree exponent.
         log_q_choices: candidate limb modulus sizes (bits).
@@ -35,12 +42,12 @@ def enumerate_parameter_space(
             no levels is useless; the paper's designs all keep >= 400 bits).
         require_security: enforce the 128-bit Ring-LWE bound.
     """
-    for log_q in log_q_choices:
-        for max_limbs in max_limbs_choices:
-            for dnum in dnum_choices:
-                if dnum > max_limbs + 1:
-                    continue
-                for fft_iter in fft_iter_choices:
+    for max_limbs in max_limbs_choices:
+        for dnum in dnum_choices:
+            if dnum > max_limbs + 1:
+                continue
+            for fft_iter in fft_iter_choices:
+                for log_q in log_q_choices:
                     try:
                         params = CkksParams(
                             log_n=log_n,

@@ -3,8 +3,14 @@
 Each evaluator is a pure function of ``(point, context)`` — the engine's
 determinism contract — and reaches its domain modules through *lazy*
 imports so loading :mod:`repro.sweep` never drags in the whole model.
-Cost-model sub-evaluations are memoized per worker on
-``(params, config, cache_bytes)`` keys (see :mod:`repro.sweep.memo`).
+Cost-model sub-evaluations are memoized per worker (see
+:mod:`repro.sweep.memo`).  Bootstrap costs key on
+``(cost_shape(params), config, cache_bytes)``: the model reads only the
+parameter fields in :data:`repro.perf.COST_SHAPE_FIELDS`, so candidates
+that differ only in ``log_q``, ``log_special`` or ``bit_precision``
+share one evaluation (``tests/perf/test_model_properties.py`` checks
+that invariance).  ``fig6.bar`` keys on the full ``params``, because the
+HELR workload reads ``log_q``.
 
 * ``search.candidate`` — one Table 5 candidate: bootstrap cost, roofline
   runtime and Han-Ki throughput on a hardware design.
@@ -50,12 +56,17 @@ EVALUATOR_SERVE_SCENARIO = "serve.scenario"
 def memoized_bootstrap_cost(
     params: Any, config: Any, cache: Any, memo: Memo
 ) -> Any:
-    """Total bootstrap cost, memoized on ``(params, config, cache_bytes)``."""
-    from repro.perf import BootstrapModel
+    """Total bootstrap cost, memoized on ``(cost_shape(params), config, cache_bytes)``.
+
+    Parameter sets with equal :func:`~repro.perf.cost_shape` cost the
+    same, so they share one entry; the cost returned for one of them is
+    exactly the cost of any other.
+    """
+    from repro.perf import BootstrapModel, cost_shape
 
     cache_bytes = None if cache is None else cache.size_bytes
     return memo.get_or_compute(
-        ("bootstrap_cost", params, config, cache_bytes),
+        ("bootstrap_cost", cost_shape(params), config, cache_bytes),
         lambda: BootstrapModel(params, config, cache).total_cost(),
     )
 

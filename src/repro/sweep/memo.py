@@ -1,14 +1,19 @@
 """Per-worker memoization of cost-model evaluations.
 
-The sweep grids repeat expensive sub-evaluations across points — the same
-``(CkksParams, MADConfig, cache_bytes)`` bootstrap cost shows up under
-several hardware designs, and every memsim rung rebuilds the same
-schedule generator.  A :class:`Memo` is a plain dict with hit/miss
-counters; the engine keeps one per worker *process* (module-global, so it
-survives across chunks dispatched to the same worker) and one for the
-whole run when executing in-process at ``jobs=1``.  Because every
-evaluation is a pure function of its key, memoization can never change
-sweep output — only how often the model is re-evaluated.
+The sweep grids repeat expensive sub-evaluations across points — the
+5,513 Table 5 search candidates have only 577 distinct bootstrap costs,
+and every memsim rung rebuilds the same schedule generator.  A
+:class:`Memo` is a plain dict with hit/miss counters; the engine keeps
+one per worker *process* (module-global, so it survives across chunks
+dispatched to the same worker) and one for the whole run when executing
+in-process at ``jobs=1``.  Because every evaluation is a pure function
+of its key, memoization can never change sweep output — only how often
+the model is re-evaluated.  A key may leave out an input only if the
+evaluation ignores it: bootstrap costs key on
+``(cost_shape(params), MADConfig, cache_bytes)``, and
+``tests/perf/test_model_properties.py`` checks that the cost model is
+invariant under every ``CkksParams`` field outside
+:data:`repro.perf.COST_SHAPE_FIELDS`.
 
 Memoization is also **observationally transparent**: the compute
 callback runs under :func:`repro.obs.state.suppressed`, so a memoized

@@ -1,10 +1,18 @@
 """Property-based invariants of the performance model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.params import BASELINE_JUNG, CkksParams
-from repro.perf import BootstrapModel, MADConfig, PrimitiveCosts
+from repro.perf import (
+    COST_SHAPE_FIELDS,
+    BootstrapModel,
+    CacheModel,
+    MADConfig,
+    PrimitiveCosts,
+)
 
 _CACHING_FLAGS = ("cache_o1", "cache_beta", "cache_alpha")
 _ALGO_FLAGS = ("mod_down_merge", "mod_down_hoist", "key_compression")
@@ -110,3 +118,98 @@ class TestCostReportAlgebra:
         repeated = cost.scaled(k)
         assert repeated.ops.total == cost.ops.total * k
         assert repeated.traffic.total == cost.traffic.total * k
+
+
+#: The ``CkksParams`` fields outside the cost shape: the model must ignore them.
+_UNREAD_FIELDS = ("log_q", "log_special", "bit_precision")
+
+
+def _fields_that_move(cost_of, params, replacements):
+    """Names in ``replacements`` whose new value changes ``cost_of(params)``.
+
+    Each field is replaced on its own, then all of them together (reported
+    as ``"all"``), so two changes that cancel out cannot hide each other.
+    """
+    base = cost_of(params)
+    moved = [
+        name
+        for name, value in replacements.items()
+        if cost_of(dataclasses.replace(params, **{name: value})) != base
+    ]
+    if cost_of(dataclasses.replace(params, **replacements)) != base:
+        moved.append("all")
+    return moved
+
+
+@st.composite
+def _bootstrappable_params(draw):
+    word_bytes = draw(st.sampled_from((4, 8)))
+    fft_iter = draw(st.integers(1, 6))
+    eval_mod_depth = draw(st.integers(0, 9))
+    max_limbs = 2 * fft_iter + eval_mod_depth + draw(st.integers(1, 20))
+    return CkksParams(
+        log_n=draw(st.integers(12, 17)),
+        log_q=draw(st.integers(20, 8 * word_bytes - 2)),
+        max_limbs=max_limbs,
+        dnum=draw(st.integers(1, min(6, max_limbs + 1))),
+        fft_iter=fft_iter,
+        log_special=draw(st.none() | st.integers(20, 60)),
+        eval_mod_depth=eval_mod_depth,
+        bit_precision=draw(st.integers(8, 30)),
+        word_bytes=word_bytes,
+    )
+
+
+@st.composite
+def _unread_replacements(draw, params):
+    """Other valid values for every field outside the cost shape."""
+    return {
+        "log_q": draw(
+            st.integers(20, 8 * params.word_bytes - 2).filter(
+                lambda v: v != params.log_q
+            )
+        ),
+        "log_special": draw(
+            (st.none() | st.integers(20, 60)).filter(
+                lambda v: v != params.log_special
+            )
+        ),
+        "bit_precision": draw(
+            st.integers(8, 30).filter(lambda v: v != params.bit_precision)
+        ),
+    }
+
+
+class TestCostShape:
+    """The sweep memo keys bootstrap costs on ``cost_shape(params)``; these
+    tests keep that key from silently dropping a field the model reads."""
+
+    def test_every_params_field_is_classified(self):
+        fields = {f.name for f in dataclasses.fields(CkksParams)}
+        assert not set(COST_SHAPE_FIELDS) & set(_UNREAD_FIELDS)
+        assert fields == set(COST_SHAPE_FIELDS) | set(_UNREAD_FIELDS)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), params=_bootstrappable_params())
+    def test_bootstrap_ledger_ignores_fields_outside_the_shape(self, data, params):
+        replacements = data.draw(_unread_replacements(params))
+        for config in (MADConfig.none(), MADConfig.all()):
+            for cache in (None, CacheModel.from_mb(2), CacheModel.from_mb(256)):
+
+                def ledger(p):
+                    return BootstrapModel(p, config, cache).ledger().by_label()
+
+                assert _fields_that_move(ledger, params, replacements) == []
+
+    def test_helper_reports_a_real_dependence(self):
+        """Negative control: HELR's level budget reads ``log_q``
+        (``levels_per_iteration``), so its workload cost moves with it."""
+        from repro.apps import helr_training, workload_cost
+
+        def helr_cost(p):
+            return workload_cost(helr_training(p), p, MADConfig.all()).total
+
+        assert _fields_that_move(helr_cost, BASELINE_JUNG, {"log_q": 40}) == [
+            "log_q",
+            "all",
+        ]

@@ -2,6 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.params import BASELINE_JUNG, MAD_OPTIMAL
+from repro.perf import cost_shape
 from repro.search import enumerate_parameter_space
 
 
@@ -121,19 +122,37 @@ class TestSpaceProperties:
     @settings(max_examples=20, deadline=None)
     @given(grid=_GRIDS)
     def test_candidates_follow_grid_nesting_order(self, grid):
-        """Yield order is the declared nesting (log_q, L, dnum, fftIter) —
-        the canonical order the sweep's ranking tie-break relies on."""
+        """Yield order is the declared nesting (L, dnum, fftIter, log_q).
+
+        The search ranking does not rely on it (``ranking_key`` is a total
+        order); what does is chunk memo locality: with ``log_q`` innermost,
+        each contiguous sweep chunk reuses its worker's memo.
+        """
         order = {
-            (p.log_q, p.max_limbs, p.dnum, p.fft_iter): i
+            (p.max_limbs, p.dnum, p.fft_iter, p.log_q): i
             for i, p in enumerate(enumerate_parameter_space(**grid))
         }
         expected = sorted(
             order,
             key=lambda key: (
-                grid["log_q_choices"].index(key[0]),
-                grid["max_limbs_choices"].index(key[1]),
-                grid["dnum_choices"].index(key[2]),
-                grid["fft_iter_choices"].index(key[3]),
+                grid["max_limbs_choices"].index(key[0]),
+                grid["dnum_choices"].index(key[1]),
+                grid["fft_iter_choices"].index(key[2]),
+                grid["log_q_choices"].index(key[3]),
             ),
         )
         assert [order[key] for key in expected] == list(range(len(order)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=_GRIDS)
+    def test_candidates_sharing_a_cost_shape_are_contiguous(self, grid):
+        positions = {}
+        for i, params in enumerate(enumerate_parameter_space(**grid)):
+            positions.setdefault(cost_shape(params), []).append(i)
+        for indices in positions.values():
+            assert indices == list(range(indices[0], indices[0] + len(indices)))
+
+    def test_full_grid_has_577_cost_shapes(self):
+        candidates = list(enumerate_parameter_space())
+        assert len(candidates) == 5513
+        assert len({cost_shape(p) for p in candidates}) == 577

@@ -1,9 +1,11 @@
 """Built-in evaluators reproduce their serial surfaces bit-for-bit."""
 
+import dataclasses
+
 import pytest
 
 from repro.params import BASELINE_JUNG, CkksParams
-from repro.perf import BootstrapModel, CacheModel, MADConfig
+from repro.perf import BootstrapModel, CacheModel, MADConfig, cost_shape
 from repro.hardware import PRIOR_DESIGNS, mad_counterpart
 from repro.hardware.runtime import estimate_runtime
 from repro.sweep import Memo, SweepAxis, SweepSpec, build_preset, run_sweep
@@ -115,6 +117,36 @@ class TestBootstrapCost:
         )
         assert first is second
         assert memo.stats() == (1, 1)
+
+
+class TestBootstrapCostMemo:
+    """The memo keys on the cost shape, not on the whole parameter set."""
+
+    def test_log_q_shares_an_entry_and_dnum_does_not(self):
+        memo = Memo()
+        config = MADConfig.all()
+        wide = memoized_bootstrap_cost(BASELINE_JUNG, config, None, memo)
+        narrow_params = dataclasses.replace(BASELINE_JUNG, log_q=46)
+        narrow = memoized_bootstrap_cost(narrow_params, config, None, memo)
+        assert memo.stats() == (1, 1)
+        assert narrow == wide
+        assert narrow == BootstrapModel(narrow_params, config).total_cost()
+        memoized_bootstrap_cost(
+            dataclasses.replace(BASELINE_JUNG, dnum=2), config, None, memo
+        )
+        assert memo.stats() == (1, 2)
+
+    def test_quick_table5_serial_misses_once_per_shape(self):
+        spec = build_preset("table5", quick=True)
+        shapes = {cost_shape(p) for p in spec.axes[0].values}
+        assert (spec.size, len(shapes)) == (87, 24)
+        outcome = run_sweep(spec, jobs=1)
+        assert (outcome.memo_misses, outcome.memo_hits) == (24, 63)
+
+    def test_quick_table5_parallel_misses_at_most_once_per_shape_and_chunk(self):
+        outcome = run_sweep(build_preset("table5", quick=True), jobs=2)
+        assert outcome.memo_hits + outcome.memo_misses == 87
+        assert 24 <= outcome.memo_misses <= 24 + outcome.chunks
 
 
 class TestFig6Bar:
