@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro import kernels
 from repro.numth import find_ntt_primes
 from repro.params import CkksParams
 from repro.ring import RnsBasis
@@ -145,15 +148,30 @@ class CkksContext:
         """Rounded-Gaussian error coefficients (standard RLWE noise)."""
         return [int(round(self.rng.gauss(0.0, sigma))) for _ in range(self.degree)]
 
-    def sample_uniform_rows(self, basis: RnsBasis, seed: int = None) -> List[List[int]]:
+    def sample_uniform_rows(
+        self, basis: RnsBasis, seed: Optional[int] = None
+    ) -> np.ndarray:
         """Uniform evaluation-form limb rows (a uniform element of ``R``).
 
-        When ``seed`` is given, the rows are generated from a dedicated PRNG
-        — the mechanism behind the paper's switching-key compression, where
-        only the short seed is stored/transferred and the uniform polynomial
-        is re-expanded on the fly.
+        Returns the ``(len(basis), N)`` matrix, in ``basis.dtype``, of
+        ``[[rng.randrange(q) for _ in range(N)] for q in basis]``.  Without
+        a ``seed`` the draws advance :attr:`rng`.  With one they come off
+        a fresh ``random.Random(seed)``, so the same seed re-expands the
+        same rows: the paper's switching-key compression, where a key
+        stores only the seed of its uniform half and
+        :meth:`~repro.ckks.keys.SwitchingKey.restricted` regenerates the
+        rows at every use.
+
+        The int64 kernel :func:`repro.kernels.uniform_rows` replays the
+        comprehension's Mersenne-Twister stream bit-exactly and leaves
+        :attr:`rng` where the comprehension would; the comprehension
+        itself runs for ``object``-dtype bases and under
+        :func:`repro.kernels.oracle_only`, and is the kernel's reference.
         """
         rng = self.rng if seed is None else random.Random(seed)
-        return [
-            [rng.randrange(q) for _ in range(basis.degree)] for q in basis
-        ]
+        if kernels.enabled() and kernels.moduli_fit(basis.moduli):
+            return kernels.uniform_rows(
+                rng, basis.moduli, basis.degree, advance=seed is None
+            )
+        rows = [[rng.randrange(q) for _ in range(basis.degree)] for q in basis]
+        return np.array(rows, dtype=basis.dtype)

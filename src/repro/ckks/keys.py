@@ -7,14 +7,19 @@ where ``U_i`` is the CRT selector that is 1 on digit ``i``'s moduli and 0 on
 every other limb modulus.  Because a congruence system restricted to the
 live moduli stays valid, one key serves every ciphertext level.
 
-Key compression (Section 3.2 of the paper): the first row of every switching
-key is a uniformly random ring element, so instead of storing/transferring
-it we store a PRNG seed and re-expand on demand — halving key traffic.
+Key compression (Section 3.2 of the paper): the ``a`` half of every digit is
+a uniformly random ring element, so a compressed key stores a PRNG seed in
+its place and re-expands the rows on demand, halving key traffic.  Here the
+re-expansion is real: a compressed :class:`SwitchingKey` holds only its
+``b`` polynomials and one seed per digit, and regenerates ``a`` (through
+:meth:`~repro.ckks.context.CkksContext.sample_uniform_rows`) at every key
+switch.  ``KeyGenerator(compress_keys=False)`` keeps ``a`` materialised,
+the uncompressed rung of the performance model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ring import Representation, RnsBasis, RnsPolynomial
@@ -55,60 +60,71 @@ class PublicKey:
 
 @dataclass
 class SwitchingKey:
-    """Hybrid switching key: per digit, a pair ``(b_i, a_i)`` over ``R_PQ``.
+    """Hybrid switching key: per digit ``i``, a pair ``(b_i, a_i)`` over ``R_PQ``.
 
-    When ``seeds`` is set the ``a_i`` rows were PRNG-expanded from the
-    stored seeds (key compression); they are kept materialised here for
-    computation but :meth:`stored_bytes` reflects the compressed footprint.
+    ``b`` holds every digit's ``b_i`` over the full raised basis.  A
+    compressed key holds one PRNG seed per digit in ``seeds`` and no
+    ``a_i``: :meth:`restricted` re-expands ``a_i`` from its seed at every
+    use, so no uniform rows and no per-level copies stay resident.  An
+    uncompressed key holds the ``a_i`` in ``a`` instead.  Exactly one of
+    ``seeds`` and ``a`` is set, with one entry per digit.
     """
 
-    digits: List[Tuple[RnsPolynomial, RnsPolynomial]]
+    b: List[RnsPolynomial]
     seeds: Optional[List[int]] = None
-    _restricted: Dict[int, List[Tuple[RnsPolynomial, RnsPolynomial]]] = field(
-        default_factory=dict, repr=False
-    )
+    a: Optional[List[RnsPolynomial]] = None
+
+    def __post_init__(self) -> None:
+        if (self.seeds is None) == (self.a is None):
+            raise ValueError("a switching key holds either seeds or a rows")
+        held = self.a if self.seeds is None else self.seeds
+        if len(held) != len(self.b):
+            raise ValueError(
+                f"{len(held)} seeds or a rows for {len(self.b)} digits"
+            )
 
     @property
     def dnum(self) -> int:
-        return len(self.digits)
+        return len(self.b)
 
     @property
     def is_compressed(self) -> bool:
         return self.seeds is not None
 
-    def stored_bytes(self, word_bytes: int = 8) -> int:
-        """Bytes this key occupies in storage/DRAM.
+    def stored_bytes(self) -> int:
+        """Bytes of the residue matrices this key holds.
 
-        Compressed keys store one polynomial per digit plus a seed; full
-        keys store both polynomials.
+        A compressed key holds one polynomial per digit (seeds are not
+        counted); a full key holds two.
         """
-        limbs, degree = self.digits[0][0].limbs.shape
-        per_poly = limbs * degree * word_bytes
-        rows = 1 if self.is_compressed else 2
-        return rows * self.dnum * per_poly
+        return sum(poly.limbs.nbytes for poly in self.b + (self.a or []))
 
     def restricted(
         self, live_limbs: int, context: CkksContext
     ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
-        """Key restricted to the live basis ``{q_1..q_l, p_1..p_alpha}``.
+        """The digits a level-``live_limbs`` decomposition uses, as ``(b_i, a_i)``
+        pairs over the live basis ``{q_1..q_l, p_1..p_alpha}``.
 
-        Evaluation-form rows are independent per modulus, so restriction is
-        row selection.  Results are cached per level.
+        Evaluation-form rows are independent per modulus, so restriction
+        is row selection; every returned element owns a fresh copy.  A
+        compressed key re-expands each ``a_i`` over the full raised basis
+        (the seeded stream runs in basis order and the special-prime rows
+        come last) before selecting its live rows.
         """
-        cached = self._restricted.get(live_limbs)
-        if cached is not None:
-            return cached
-        full = context.max_limbs
+        full = context.raised_basis(context.max_limbs)
         basis = context.raised_basis(live_limbs)
         keep = list(range(live_limbs)) + list(
-            range(full, full + len(context.special_moduli))
+            range(context.max_limbs, len(full))
         )
-        restricted = [
-            (b_poly.select_limbs(keep, basis), a_poly.select_limbs(keep, basis))
-            for b_poly, a_poly in self.digits
-        ]
-        self._restricted[live_limbs] = restricted
-        return restricted
+        pairs = []
+        for i in range(len(context.digit_index_ranges(live_limbs))):
+            if self.a is None:
+                rows = context.sample_uniform_rows(full, seed=self.seeds[i])
+                a = RnsPolynomial(basis, rows[keep], Representation.EVAL)
+            else:
+                a = self.a[i].select_limbs(keep, basis)
+            pairs.append((self.b[i].select_limbs(keep, basis), a))
+        return pairs
 
 
 class KeyGenerator:
@@ -122,7 +138,9 @@ class KeyGenerator:
     ):
         """Args:
             context: the scheme context.
-            compress_keys: store switching-key ``a`` rows as PRNG seeds.
+            compress_keys: store each switching-key digit's ``a`` half as
+                a PRNG seed and regenerate it at use (the paper's key
+                compression); ``False`` keeps the ``a`` rows materialised.
             hamming_weight: if given, sample a sparse ternary secret with
                 exactly this many non-zero coefficients.  Sparse secrets
                 bound the ``I(x)`` term in bootstrapping, which keeps the
@@ -168,8 +186,7 @@ class KeyGenerator:
             raise ValueError("source key must live over the full raised basis")
         s = self.secret_key.poly(basis)
         p_product = ctx.p_product
-        digits = []
-        seeds = [] if self.compress_keys else None
+        b_polys, a_polys, seeds = [], [], []
         for i in range(ctx.num_digits):
             seed = ctx.rng.randrange(2**62) if self.compress_keys else None
             a = RnsPolynomial(
@@ -181,11 +198,12 @@ class KeyGenerator:
                 ctx.sample_error_coeffs(), basis
             ).to_eval()
             selector = p_product * ctx.digit_selector(i)
-            b = -(a * s) + e + source_poly.scalar_mul(selector)
-            digits.append((b, a))
-            if seeds is not None:
-                seeds.append(seed)
-        return SwitchingKey(digits=digits, seeds=seeds)
+            b_polys.append(-(a * s) + e + source_poly.scalar_mul(selector))
+            a_polys.append(a)
+            seeds.append(seed)
+        if self.compress_keys:
+            return SwitchingKey(b=b_polys, seeds=seeds)
+        return SwitchingKey(b=b_polys, a=a_polys)
 
     # ------------------------------------------------------------------
     def relinearization_key(self) -> SwitchingKey:

@@ -2,10 +2,11 @@
 
 JSON-compatible dictionaries (arbitrary-precision integers are native in
 Python's JSON).  The interesting part is switching-key serialization: a
-*compressed* key stores only the ``b`` rows plus one PRNG seed per digit —
-the uniform ``a`` rows are re-expanded on load, exactly the mechanism the
-paper uses to halve switching-key DRAM traffic (Section 3.2, "KeySwitch
-Key Compression").
+*compressed* key stores only the ``b`` rows plus one PRNG seed per digit,
+the same layout a compressed :class:`~repro.ckks.keys.SwitchingKey` holds
+in memory; its uniform ``a`` rows are re-expanded at every use, exactly
+the mechanism the paper uses to halve switching-key DRAM traffic
+(Section 3.2, "KeySwitch Key Compression").
 """
 
 from __future__ import annotations
@@ -95,11 +96,15 @@ def secret_key_from_dict(data: Dict, context: CkksContext) -> SecretKey:
     return SecretKey(context, data["coeffs"])
 
 
-def switching_key_to_dict(key: SwitchingKey, compressed: bool = True) -> Dict:
+def switching_key_to_dict(
+    key: SwitchingKey, context: CkksContext, compressed: bool = True
+) -> Dict:
     """Serialise a switching key, optionally in compressed (seed) form.
 
     Compression requires the key to have been generated with seeds (the
-    default); it stores the ``b`` rows and the per-digit seeds only.
+    default); it stores the ``b`` rows and the per-digit seeds only.  The
+    uncompressed form stores the ``a`` rows too, re-expanded from the
+    seeds when the key itself is compressed.
     """
     if compressed and not key.is_compressed:
         raise ValueError(
@@ -107,12 +112,13 @@ def switching_key_to_dict(key: SwitchingKey, compressed: bool = True) -> Dict:
         )
     payload: Dict = {
         "compressed": bool(compressed),
-        "b_rows": [_poly_to_dict(b) for b, _ in key.digits],
+        "b_rows": [_poly_to_dict(b) for b in key.b],
     }
     if compressed:
         payload["seeds"] = list(key.seeds)
     else:
-        payload["a_rows"] = [_poly_to_dict(a) for _, a in key.digits]
+        pairs = key.restricted(context.max_limbs, context)
+        payload["a_rows"] = [_poly_to_dict(a) for _, a in pairs]
     return payload
 
 
@@ -120,20 +126,9 @@ def switching_key_from_dict(data: Dict, context: CkksContext) -> SwitchingKey:
     degree = context.degree
     b_rows = [_poly_from_dict(b, degree) for b in data["b_rows"]]
     if data["compressed"]:
-        basis = context.raised_basis(context.max_limbs)
-        seeds = list(data["seeds"])
-        a_rows = [
-            RnsPolynomial(
-                basis,
-                context.sample_uniform_rows(basis, seed=seed),
-                Representation.EVAL,
-            )
-            for seed in seeds
-        ]
-    else:
-        seeds = None
-        a_rows = [_poly_from_dict(a, degree) for a in data["a_rows"]]
-    return SwitchingKey(digits=list(zip(b_rows, a_rows)), seeds=seeds)
+        return SwitchingKey(b=b_rows, seeds=list(data["seeds"]))
+    a_rows = [_poly_from_dict(a, degree) for a in data["a_rows"]]
+    return SwitchingKey(b=b_rows, a=a_rows)
 
 
 # ----------------------------------------------------------------------

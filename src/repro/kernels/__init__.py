@@ -1,20 +1,21 @@
 """Vectorized int64 compute kernels for the functional RNS-CKKS layer.
 
 This package is the *fast path* of the exact-arithmetic stack: batched
-negacyclic NTTs and RNS basis conversion on contiguous int64 numpy
-arrays, for NTT-friendly limb moduli below ``2**30``.  The pure-Python
-object-integer implementations in :mod:`repro.numth` and
-:mod:`repro.ring` remain the *differential oracle*: the kernels are
-required to be bit-exact against them (the same contract
-:mod:`repro.memsim` holds against :mod:`repro.perf`), and the ring layer
-falls back to the oracle whenever a modulus exceeds the bound or the
-fast path is disabled.
+negacyclic NTTs, RNS basis conversion and uniform residue sampling on
+contiguous int64 numpy arrays, for NTT-friendly limb moduli below
+``2**30``.  The pure-Python object-integer implementations in
+:mod:`repro.numth` and :mod:`repro.ring`, and the ``randrange``
+comprehension in :meth:`repro.ckks.CkksContext.sample_uniform_rows`,
+remain the *differential oracle*: the kernels are required to be
+bit-exact against them (the same contract :mod:`repro.memsim` holds
+against :mod:`repro.perf`), and callers fall back to the oracle whenever
+a modulus exceeds the bound or the fast path is disabled.
 
 Disabling (for differential tests and A/B timing):
 
 >>> from repro import kernels
 >>> with kernels.oracle_only():
-...     ...  # every NTT/conversion runs on the pure-Python oracle
+...     ...  # every NTT/conversion/sample runs on the pure-Python oracle
 
 The module-level switch is process-global, mirroring how
 :mod:`repro.obs.state` scopes its registries.
@@ -38,6 +39,7 @@ from repro.kernels.reduce import (
     shoup_precompute,
     sub_mod,
 )
+from repro.kernels.sample import uniform_rows
 
 __all__ = [
     "BatchNttKernel",
@@ -54,6 +56,7 @@ __all__ = [
     "shoup_precompute",
     "sub_mod",
     "sub_scale_mod",
+    "uniform_rows",
 ]
 
 #: ``REPRO_KERNELS=off`` (or ``0``/``false``) starts the process on the

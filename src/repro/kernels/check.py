@@ -25,6 +25,7 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.kernels.sample import uniform_rows
 from repro.obs import schema
 from repro.obs.schema import NON_NEGATIVE, Schema, fields
 
@@ -79,9 +80,7 @@ def sample_rows(
     limb.
     """
     rng = random.Random(f"repro.kernels:{seed}:{degree}")
-    rows = [
-        [rng.randrange(q) for _ in range(degree)] for q in moduli
-    ]
+    rows = uniform_rows(rng, moduli, degree, advance=False).tolist()
     for row, q in zip(rows, moduli):
         row[0], row[1], row[-1] = 0, q - 1, q - 1
     return rows

@@ -251,6 +251,7 @@ def kernels_micro_cost(
     """
     import random
 
+    from repro.kernels import uniform_rows
     from repro.kernels.ntt import BatchNttKernel
     from repro.numth import NttContext, find_ntt_primes
     from repro.perf.events import CostReport, MemTraffic, OpCount
@@ -259,8 +260,7 @@ def kernels_micro_cost(
     primes = find_ntt_primes(30, degree, limbs)
     contexts = [NttContext(degree, q) for q in primes]
     kernel = BatchNttKernel(degree, primes, contexts)
-    rng = random.Random(2012)
-    rows = [[rng.randrange(q) for _ in range(degree)] for q in primes]
+    rows = uniform_rows(random.Random(2012), primes, degree, advance=False).tolist()
 
     log_n = degree.bit_length() - 1
     limb_bytes = limbs * degree * 8

@@ -86,7 +86,7 @@ class TestSwitchingKeyRoundTrip:
         context, kg = fresh_env
         relin = kg.relinearization_key()
         restored = switching_key_from_dict(
-            loads(dumps(switching_key_to_dict(relin, compressed=True))),
+            loads(dumps(switching_key_to_dict(relin, context, compressed=True))),
             context,
         )
         # The restored key must actually relinearise correctly.
@@ -102,31 +102,45 @@ class TestSwitchingKeyRoundTrip:
         context, kg = fresh_env
         relin = kg.relinearization_key()
         restored = switching_key_from_dict(
-            switching_key_to_dict(relin, compressed=True), context
+            switching_key_to_dict(relin, context, compressed=True), context
         )
-        for (b0, a0), (b1, a1) in zip(relin.digits, restored.digits):
+        assert restored.is_compressed and restored.seeds == relin.seeds
+        full = context.max_limbs
+        for (b0, a0), (b1, a1) in zip(
+            relin.restricted(full, context), restored.restricted(full, context)
+        ):
             assert a0 == a1
             assert b0 == b1
 
     def test_compression_halves_serialized_size(self, fresh_env):
         context, kg = fresh_env
         relin = kg.relinearization_key()
-        compressed = serialized_size(switching_key_to_dict(relin, compressed=True))
-        full = serialized_size(switching_key_to_dict(relin, compressed=False))
+        compressed = serialized_size(
+            switching_key_to_dict(relin, context, compressed=True)
+        )
+        full = serialized_size(
+            switching_key_to_dict(relin, context, compressed=False)
+        )
         assert compressed < 0.6 * full  # ~half, as the paper claims
 
-    def test_uncompressed_round_trip(self, fresh_env, rng):
-        context, kg = fresh_env
-        relin = kg.relinearization_key()
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_uncompressed_round_trip(self, compress):
+        context = CkksContext(toy_params(), seed=31)
+        relin = KeyGenerator(context, compress_keys=compress).relinearization_key()
         restored = switching_key_from_dict(
-            switching_key_to_dict(relin, compressed=False), context
+            switching_key_to_dict(relin, context, compressed=False), context
         )
         assert not restored.is_compressed
-        for (b0, a0), (b1, a1) in zip(relin.digits, restored.digits):
+        full = context.max_limbs
+        for (b0, a0), (b1, a1) in zip(
+            relin.restricted(full, context), restored.restricted(full, context)
+        ):
             assert a0 == a1 and b0 == b1
 
     def test_compressed_requires_seeds(self):
         context = CkksContext(toy_params(), seed=37)
         kg = KeyGenerator(context, compress_keys=False)
         with pytest.raises(ValueError):
-            switching_key_to_dict(kg.relinearization_key(), compressed=True)
+            switching_key_to_dict(
+                kg.relinearization_key(), context, compressed=True
+            )
