@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.ring import Representation, RnsPolynomial
+from repro.ckks.encoding import check_scale
 
 
 @dataclass
@@ -16,8 +17,7 @@ class Plaintext:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        check_scale(self.scale, "Plaintext scale")
 
     @property
     def degree(self) -> int:
@@ -48,8 +48,7 @@ class Ciphertext:
             raise ValueError("ciphertext components must be in evaluation form")
         if self.c1.representation is not Representation.EVAL:
             raise ValueError("ciphertext components must be in evaluation form")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        check_scale(self.scale, "Ciphertext scale")
 
     @property
     def num_limbs(self) -> int:

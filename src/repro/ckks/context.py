@@ -11,6 +11,7 @@ from repro import kernels
 from repro.numth import find_ntt_primes
 from repro.params import CkksParams
 from repro.ring import RnsBasis
+from repro.ckks import sampling
 from repro.ckks.encoding import Encoder
 
 
@@ -141,11 +142,35 @@ class CkksContext:
     # Randomness
     # ------------------------------------------------------------------
     def sample_ternary_coeffs(self) -> List[int]:
-        """Uniform ternary secret/ephemeral coefficients in {-1, 0, 1}."""
+        """Uniform ternary secret/ephemeral coefficients in {-1, 0, 1}.
+
+        Defined as ``[rng.choice((-1, 0, 1)) for _ in range(N)]``, which
+        runs under :func:`repro.kernels.oracle_only`.  ``choice`` draws
+        ``_randbelow(3)``, the top two bits of an MT word redrawn while
+        they read 3, which is exactly a ``randrange(3)`` row: the fast
+        path is :func:`repro.kernels.uniform_rows` over the modulus 3,
+        minus 1, with :attr:`rng` left where the loop leaves it.
+        """
+        if kernels.enabled():
+            row = kernels.uniform_rows(self.rng, (3,), self.degree)[0]
+            ternary: List[int] = (row - 1).tolist()
+            return ternary
         return [self.rng.choice((-1, 0, 1)) for _ in range(self.degree)]
 
     def sample_error_coeffs(self, sigma: float = 3.2) -> List[int]:
-        """Rounded-Gaussian error coefficients (standard RLWE noise)."""
+        """Rounded-Gaussian error coefficients (standard RLWE noise).
+
+        Defined as ``[int(round(rng.gauss(0.0, sigma))) for _ in
+        range(N)]``, which runs under :func:`repro.kernels.oracle_only`
+        and for ``|sigma|`` above :data:`repro.ckks.sampling.SIGMA_BOUND`
+        (or non-finite).  Otherwise :func:`repro.ckks.sampling.rounded_gaussians`
+        replays ``gauss``'s stream in numpy, with a guarded ``math``
+        recomputation next to half-integers, and returns the same ints
+        with :attr:`rng` (``gauss_next`` included) left where the loop
+        leaves it.
+        """
+        if kernels.enabled() and abs(sigma) <= sampling.SIGMA_BOUND:
+            return sampling.rounded_gaussians(self.rng, self.degree, sigma)
         return [int(round(self.rng.gauss(0.0, sigma))) for _ in range(self.degree)]
 
     def sample_uniform_rows(

@@ -14,9 +14,22 @@ Slot rotations and conjugation are Galois automorphisms:
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
+
+from repro import kernels
+
+#: Coefficients below this magnitude round through int64.
+_INT64_ROUND_BOUND = 2.0**62
+
+
+def check_scale(scale: float, what: str) -> float:
+    """``scale`` if it is finite and positive; else a ``ValueError`` naming it."""
+    if not 0 < scale < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{what} must be finite and positive, got {scale!r}")
+    return scale
 
 
 class Encoder:
@@ -30,11 +43,9 @@ class Encoder:
     def __init__(self, degree: int, default_scale: float):
         if degree < 4 or degree & (degree - 1):
             raise ValueError(f"degree must be a power of two >= 4, got {degree}")
-        if default_scale <= 0:
-            raise ValueError(f"scale must be positive, got {default_scale}")
         self.degree = degree
         self.slots = degree // 2
-        self.default_scale = default_scale
+        self.default_scale = check_scale(default_scale, "Encoder default_scale")
         two_n = 2 * degree
         self.rot_group = [pow(5, j, two_n) for j in range(self.slots)]
         # The slot exponents e_j = 5^j mod 2N are odd, so evaluating at
@@ -83,9 +94,30 @@ class Encoder:
     def encode(
         self, values: Sequence[complex], scale: float = None
     ) -> List[int]:
-        """Round ``Delta * embed(values)`` to integer coefficients."""
-        scale = self.default_scale if scale is None else scale
+        """Round ``Delta * embed(values)`` to integer coefficients.
+
+        Defined as ``[int(round(c)) for c in real_coeffs]``, which runs
+        under :func:`repro.kernels.oracle_only` and when a coefficient
+        reaches ``2**62`` in magnitude (Python ints stay exact there).
+        Otherwise ``np.rint`` rounds the whole vector: like ``round`` it
+        rounds half to even, so the ints are the same.  A non-finite
+        coefficient (from a non-finite slot value, or an overflowing
+        scale) raises ``ValueError`` on both paths.
+        """
+        if scale is None:
+            scale = self.default_scale
+        else:
+            check_scale(scale, "encode scale")
         real_coeffs = self.embed(values) * scale
+        magnitude = float(np.max(np.abs(real_coeffs)))
+        if not math.isfinite(magnitude):
+            raise ValueError(
+                "encode needs finite coefficients: the slot values or the "
+                f"scale {scale!r} give {magnitude}"
+            )
+        if kernels.enabled() and magnitude < _INT64_ROUND_BOUND:
+            coeffs: List[int] = np.rint(real_coeffs).astype(np.int64).tolist()
+            return coeffs
         return [int(round(c)) for c in real_coeffs]
 
     def decode(self, coeffs: Sequence[int], scale: float = None) -> np.ndarray:

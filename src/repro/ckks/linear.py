@@ -211,7 +211,9 @@ class LinearTransform:
                 pt_raised = pt.to_poly(raised_basis)
                 acc_b = acc_b + b * pt_raised
                 acc_a = acc_a + a * pt_raised
-                pt_poly = pt.to_poly(normal_basis)
+                # Evaluation rows are per modulus and the raised basis
+                # starts with the normal one: no second NTT needed.
+                pt_poly = pt_raised.select_limbs(slice(0, limbs), normal_basis)
                 acc_c0 = acc_c0 + source.c0.automorph(t) * pt_poly
                 used_raised = True
 

@@ -1,21 +1,30 @@
 """Vectorized int64 compute kernels for the functional RNS-CKKS layer.
 
 This package is the *fast path* of the exact-arithmetic stack: batched
-negacyclic NTTs, RNS basis conversion and uniform residue sampling on
-contiguous int64 numpy arrays, for NTT-friendly limb moduli below
-``2**30``.  The pure-Python object-integer implementations in
-:mod:`repro.numth` and :mod:`repro.ring`, and the ``randrange``
-comprehension in :meth:`repro.ckks.CkksContext.sample_uniform_rows`,
-remain the *differential oracle*: the kernels are required to be
-bit-exact against them (the same contract :mod:`repro.memsim` holds
-against :mod:`repro.perf`), and callers fall back to the oracle whenever
-a modulus exceeds the bound or the fast path is disabled.
+negacyclic NTTs, RNS basis conversion, Garner CRT digits and uniform
+residue sampling on contiguous int64 numpy arrays, for NTT-friendly limb
+moduli below ``2**30``.  The pure-Python loops they replace remain the
+*differential oracle*, and the kernels are required to be bit-exact
+against them (the same contract :mod:`repro.memsim` holds against
+:mod:`repro.perf`):
+
+* the object-integer NTT and basis conversion of :mod:`repro.numth` and
+  :mod:`repro.ring`;
+* the Python-int weighted sum of
+  :meth:`repro.ring.RnsPolynomial.to_int_coeffs`;
+* the per-draw ``random.Random`` loops of :class:`repro.ckks.CkksContext`
+  (``randrange`` rows, ``choice`` ternaries, rounded ``gauss`` errors,
+  the last replayed by :mod:`repro.ckks.sampling` on :func:`raw_words`);
+* the per-coefficient ``round`` of :meth:`repro.ckks.Encoder.encode`.
+
+Callers fall back to the oracle whenever an input is out of the fast
+path's range or the fast path is disabled.
 
 Disabling (for differential tests and A/B timing):
 
 >>> from repro import kernels
 >>> with kernels.oracle_only():
-...     ...  # every NTT/conversion/sample runs on the pure-Python oracle
+...     ...  # every loop above runs instead of its fast path
 
 The module-level switch is process-global, mirroring how
 :mod:`repro.obs.state` scopes its registries.
@@ -27,7 +36,11 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.kernels.conversion import new_limbs_matrix, sub_scale_mod
+from repro.kernels.conversion import (
+    mixed_radix_digits,
+    new_limbs_matrix,
+    sub_scale_mod,
+)
 from repro.kernels.ntt import BatchNttKernel
 from repro.kernels.reduce import (
     FAST_MODULUS_BOUND,
@@ -39,7 +52,7 @@ from repro.kernels.reduce import (
     shoup_precompute,
     sub_mod,
 )
-from repro.kernels.sample import uniform_rows
+from repro.kernels.sample import raw_words, uniform_rows
 
 __all__ = [
     "BatchNttKernel",
@@ -47,11 +60,13 @@ __all__ = [
     "SHOUP_SHIFT",
     "add_mod",
     "enabled",
+    "mixed_radix_digits",
     "moduli_fit",
     "mul_mod",
     "mul_mod_shoup",
     "new_limbs_matrix",
     "oracle_only",
+    "raw_words",
     "set_enabled",
     "shoup_precompute",
     "sub_mod",

@@ -17,18 +17,22 @@ raw words replays the stream in bulk: row by row, in basis order, each
 row taking the first ``N`` accepted words after the previous row's last
 one.  Acceptance is ``q / 2**k``, at least one half.
 
-Every value is an unsigned integer below ``2**32``; no float enters.
+:func:`raw_words` is the same replay without the shift and test: the
+next raw words of the stream, for the Gaussian replay in
+:mod:`repro.ckks.sampling`, which turns them into floats outside this
+float-free package.  Every value here is an unsigned integer below
+``2**32``; no float enters.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["uniform_rows"]
+__all__ = ["raw_words", "uniform_rows"]
 
 
 def _mt_state(internal: Tuple[int, ...]) -> Dict[str, Any]:
@@ -42,6 +46,39 @@ def _mt_state(internal: Tuple[int, ...]) -> Dict[str, Any]:
         "bit_generator": "MT19937",
         "state": {"key": internal[:-1], "pos": internal[-1]},
     }
+
+
+def _bit_generator(internal: Tuple[int, ...]) -> np.random.MT19937:
+    """A numpy ``MT19937`` at the position of ``random.Random`` state ``internal``."""
+    bitgen = np.random.MT19937()
+    bitgen.state = _mt_state(internal)
+    return bitgen
+
+
+def _hand_back(
+    rng: random.Random,
+    bitgen: np.random.MT19937,
+    version: int,
+    gauss_next: Optional[float],
+) -> None:
+    """Move ``rng`` to ``bitgen``'s position, keeping ``gauss_next``."""
+    state = bitgen.state["state"]
+    rng.setstate(
+        (version, (*state["key"].tolist(), int(state["pos"])), gauss_next)
+    )
+
+
+def raw_words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit Mersenne-Twister words of ``rng``.
+
+    Returned as a uint64 array, in stream order; ``rng`` ends exactly
+    ``count`` words further on, its ``gauss_next`` untouched.
+    """
+    version, internal, gauss_next = rng.getstate()
+    bitgen = _bit_generator(internal)
+    words = bitgen.random_raw(count)
+    _hand_back(rng, bitgen, version, gauss_next)
+    return words
 
 
 def _words_for(count: int, q: int) -> int:
@@ -70,8 +107,7 @@ def uniform_rows(
     the stream.
     """
     version, internal, gauss_next = rng.getstate()
-    bitgen = np.random.MT19937()
-    bitgen.state = _mt_state(internal)
+    bitgen = _bit_generator(internal)
     moduli = [int(q) for q in moduli]
     budget = [_words_for(degree, q) for q in moduli]
     rows = np.empty((len(moduli), degree), dtype=np.int64)
@@ -99,8 +135,5 @@ def uniform_rows(
         # position back; ``gauss_next`` is restored untouched.
         bitgen.state = _mt_state(internal)
         bitgen.random_raw(drawn - words.size + start, output=False)
-        state = bitgen.state["state"]
-        rng.setstate(
-            (version, (*state["key"].tolist(), int(state["pos"])), gauss_next)
-        )
+        _hand_back(rng, bitgen, version, gauss_next)
     return rows

@@ -238,6 +238,20 @@ class RnsBasis:
         total = self.modulus
         return tuple(mod_inverse(total // q % q, q) for q in self.moduli)
 
+    @cached_property
+    def garner_inverses(self) -> Tuple[int, ...]:
+        """``(q_0 ... q_{i-1})^{-1} mod q_i`` for ``i = 1 .. l-1``.
+
+        The constants of Garner's mixed-radix CRT
+        (:func:`repro.kernels.mixed_radix_digits`).
+        """
+        out = []
+        prefix = 1
+        for previous, q in zip(self.moduli, self.moduli[1:]):
+            prefix *= previous
+            out.append(mod_inverse(prefix % q, q))
+        return tuple(out)
+
     def q_stars_mod(self, target: int) -> List[int]:
         """``(Q/q_i) mod target`` for each limb — the ``Q*_i`` of Eq. 1."""
         total = self.modulus

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.ring.basis import RnsBasis
 
 
@@ -90,6 +91,53 @@ def _reduce(values: np.ndarray, basis: RnsBasis) -> np.ndarray:
     land in ``[0, q)`` exactly as the scalar oracle would put them.
     """
     return np.remainder(values, basis.q_col).astype(basis.dtype, copy=False)
+
+
+def _crt_weighted_sum(
+    rows: np.ndarray, basis: RnsBasis, centered: bool
+) -> List[int]:
+    """CRT of each column of ``rows`` by the Python-int weighted sum.
+
+    ``x = sum_i [x_i * Q~_i]_{q_i} * (Q/q_i) mod Q``: the per-limb
+    products run in the basis' dtype, only the final sum needs Python
+    integers.
+    """
+    total = basis.modulus
+    y = np.remainder(rows * basis.column(basis.q_hat_inverses()), basis.q_col)
+    q_stars = np.array([total // q for q in basis.moduli], dtype=object)
+    acc = (y.astype(object) * q_stars[:, np.newaxis]).sum(axis=0) % total
+    if centered:
+        acc = np.where(acc > total // 2, acc - total, acc)
+    out: List[int] = acc.tolist()
+    return out
+
+
+def _crt_garner(rows: np.ndarray, basis: RnsBasis, centered: bool) -> List[int]:
+    """:func:`_crt_weighted_sum` for int64 ``rows``, small columns in int64."""
+    digits = kernels.mixed_radix_digits(rows, basis.moduli, basis.garner_inverses)
+    moduli = basis.moduli
+    low = digits[0] + digits[1] * moduli[0] if len(moduli) > 1 else digits[0]
+    if len(moduli) <= 2:
+        # Q < 2**60: every column fits int64.
+        if centered:
+            total = basis.modulus
+            low = np.where(low > total // 2, low - total, low)
+        out: List[int] = low.tolist()
+        return out
+    high = digits[2:]
+    fits = ~high.any(axis=0)
+    if centered:
+        # Digits above v_1 all q_i - 1: x = v_0 + v_1 q_0 + Q - q_0 q_1.
+        top = (high == basis.q_col[2:] - 1).all(axis=0)
+        low = np.where(top, low - moduli[0] * moduli[1], low)
+        fits |= top
+    out = low.tolist()
+    rest = np.flatnonzero(~fits)
+    if rest.size:
+        wide = _crt_weighted_sum(rows[:, rest], basis, centered)
+        for j, value in zip(rest.tolist(), wide):
+            out[j] = value
+    return out
 
 
 class RnsPolynomial:
@@ -212,22 +260,23 @@ class RnsPolynomial:
     def to_int_coeffs(self, centered: bool = True) -> List[int]:
         """CRT-reconstruct the integer coefficient vector as Python ints.
 
-        ``x = sum_i [x_i * Q~_i]_{q_i} * (Q/q_i) mod Q``: the per-limb
-        products run in the basis' dtype, only the final weighted sum
-        needs Python integers.  Centered output lies in ``(-Q/2, Q/2]``.
+        Centered output lies in ``(-Q/2, Q/2]``, uncentered in ``[0, Q)``.
+        The reference is a Python-int weighted sum per coefficient
+        (:func:`_crt_weighted_sum`), which runs for ``object`` bases and
+        under :func:`repro.kernels.oracle_only`.  On int64 bases the
+        coefficients come from Garner's mixed-radix digits
+        (:func:`repro.kernels.mixed_radix_digits`) instead: a column
+        whose digits above ``v_1`` are all 0 is ``v_0 + v_1 q_0``, and,
+        centered, one whose digits above ``v_1`` are all ``q_i - 1`` is
+        ``v_0 + v_1 q_0 - q_0 q_1``; both are below ``2**60`` in
+        magnitude, so they are assembled in int64.  A decrypted message
+        smaller than ``q_0 q_1`` in magnitude has no other kind; any
+        other column goes through the weighted sum.
         """
         poly = self.to_coeff()
-        basis = poly.basis
-        total = basis.modulus
-        y = np.remainder(
-            poly.limbs * basis.column(basis.q_hat_inverses()), basis.q_col
-        )
-        q_stars = np.array([total // q for q in basis.moduli], dtype=object)
-        acc = (y.astype(object) * q_stars[:, np.newaxis]).sum(axis=0) % total
-        if centered:
-            acc = np.where(acc > total // 2, acc - total, acc)
-        out: List[int] = acc.tolist()
-        return out
+        if kernels.enabled() and poly.basis.dtype == np.int64:
+            return _crt_garner(poly.limbs, poly.basis, centered)
+        return _crt_weighted_sum(poly.limbs, poly.basis, centered)
 
     # ------------------------------------------------------------------
     # Representation changes

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.ckks import LinearTransform
+from repro import kernels
+from repro.ckks import CkksContext, LinearTransform, Plaintext
 from repro.ckks.linear import matrix_diagonals
+from repro.params.presets import toy_params
 
 
 class TestMatrixDiagonals:
@@ -117,3 +119,35 @@ class TestRequiredRotations:
         m = rng.normal(size=(8, 8))
         assert not LinearTransform(m).needs_conjugation()
         assert LinearTransform(m, m).needs_conjugation()
+
+
+class TestHoistedPlaintextRows:
+    """The hoisted transform reads a diagonal's normal-basis rows off its
+    raised-basis conversion; they must equal a direct conversion."""
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["kernels", "oracle"])
+    @pytest.mark.parametrize(
+        "log_q, log_special",
+        [(29, 29), (40, 40), (29, 31)],
+        ids=["int64", "object", "int64-under-object"],
+    )
+    def test_selected_rows_equal_direct_conversion(
+        self, log_q, log_special, oracle, rng
+    ):
+        ctx = CkksContext(
+            toy_params(log_n=5, log_q=log_q, max_limbs=4, log_special=log_special)
+        )
+        diag = rng.normal(size=ctx.slots) + 1j * rng.normal(size=ctx.slots)
+        pt = Plaintext(ctx.encoder.encode(list(diag)), ctx.scale)
+        for limbs in (1, 3, 4):
+            normal = ctx.basis_at(limbs)
+            if oracle:
+                with kernels.oracle_only():
+                    raised = pt.to_poly(ctx.raised_basis(limbs))
+                    direct = pt.to_poly(normal)
+            else:
+                raised = pt.to_poly(ctx.raised_basis(limbs))
+                direct = pt.to_poly(normal)
+            selected = raised.select_limbs(slice(0, limbs), normal)
+            assert selected.limbs.dtype == normal.dtype
+            assert selected == direct
