@@ -3,7 +3,13 @@
 This package is the *fast path* of the exact-arithmetic stack: batched
 negacyclic NTTs, RNS basis conversion, Garner CRT digits and uniform
 residue sampling on contiguous int64 numpy arrays, for NTT-friendly limb
-moduli below ``2**30``.  The pure-Python loops they replace remain the
+moduli below ``2**30``.  The two matrix-shaped kernels run as exact
+matrix products: the NTT as a four-step transform on float64 BLAS
+(:mod:`repro.kernels.fourstep`, the package's only float module, whose
+docstring proves every partial sum an integer below ``2**53``) over
+tables kept once per ``(N, q)``, and the paper's Eq. 1 basis conversion
+as an unsigned 64-bit product in blocks of 16 source limbs.  The
+pure-Python loops they replace remain the
 *differential oracle*, and the kernels are required to be bit-exact
 against them (the same contract :mod:`repro.memsim` holds against
 :mod:`repro.perf`):
@@ -41,35 +47,22 @@ from repro.kernels.conversion import (
     new_limbs_matrix,
     sub_scale_mod,
 )
-from repro.kernels.ntt import BatchNttKernel
-from repro.kernels.reduce import (
-    FAST_MODULUS_BOUND,
-    SHOUP_SHIFT,
-    add_mod,
-    moduli_fit,
-    mul_mod,
-    mul_mod_shoup,
-    shoup_precompute,
-    sub_mod,
-)
+from repro.kernels.ntt import MAX_NTT_DEGREE, BatchNttKernel
+from repro.kernels.reduce import FAST_MODULUS_BOUND, moduli_fit, mul_mod
 from repro.kernels.sample import raw_words, uniform_rows
 
 __all__ = [
     "BatchNttKernel",
     "FAST_MODULUS_BOUND",
-    "SHOUP_SHIFT",
-    "add_mod",
+    "MAX_NTT_DEGREE",
     "enabled",
     "mixed_radix_digits",
     "moduli_fit",
     "mul_mod",
-    "mul_mod_shoup",
     "new_limbs_matrix",
     "oracle_only",
     "raw_words",
     "set_enabled",
-    "shoup_precompute",
-    "sub_mod",
     "sub_scale_mod",
     "uniform_rows",
 ]

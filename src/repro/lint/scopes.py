@@ -17,6 +17,7 @@ from __future__ import annotations
 __all__ = [
     "ACCOUNTING_CORE_FILES",
     "EXACT_DIRS",
+    "FLOAT_KERNEL_FILE",
     "KERNEL_DIRS",
     "MEMSIM_ACCOUNTING_HOME",
     "MEMSIM_TRACE_HOME",
@@ -44,6 +45,11 @@ EXACT_DIRS = ("numth", "ring")
 #: whole point, so only the numpy-import check is waived there
 #: (:class:`~repro.lint.rules.exact.ExactArithPurity`).
 KERNEL_DIRS = ("kernels",)
+
+#: The one kernel module allowed float arithmetic: the four-step NTT,
+#: whose float64 values are integers below ``2**53`` by the proof in its
+#: docstring (:class:`~repro.lint.rules.exact.ExactArithPurity`).
+FLOAT_KERNEL_FILE = "kernels/fourstep.py"
 
 #: Exact paths where the numpy-import check is waived: the kernels, and
 #: ``ring/``, whose residue matrices are int64 (moduli below ``2**30``)

@@ -228,18 +228,20 @@ def sweep_micro_cost(params, config):
 def kernels_micro_cost(
     params, config, degree: int = 4096, limbs: int = 8, repeats: int = 3
 ):
-    """Traced NTT-kernel micro-workload: the int64 engine vs its oracle.
+    """Traced NTT-kernel micro-workload: the vectorized engine vs its oracle.
 
     One forward+inverse round trip of the whole RNS basis (``limbs``
     sub-``2**30`` moduli at ring degree ``degree``), executed on both the
-    vectorized :class:`repro.kernels.ntt.BatchNttKernel` and the
-    pure-Python :class:`repro.numth.ntt.NttContext` oracle with min-of-k
-    timing.  The *gated* cost is the closed-form transform model — per
+    vectorized :class:`repro.kernels.ntt.BatchNttKernel` (a four-step
+    transform of exact float64 matrix products) and the pure-Python
+    :class:`repro.numth.ntt.NttContext` oracle with min-of-k timing.  The
+    *gated* cost is the closed-form radix-2 transform model — per
     direction and limb: ``N`` twist multiplies plus ``N/2 * log2 N``
     butterfly multiplies and ``N * log2 N`` butterfly adds, moving the
-    limb-major ``(L, N)`` int64 matrix once per stage pass — identical
-    for the two engines by construction, so the gate pins the modeled
-    work while the run itself asserts the engines agree bit-for-bit.
+    limb-major ``(L, N)`` int64 matrix once per stage pass.  It models the
+    transform the paper's hardware runs, not either engine's schedule, so
+    the gate pins the modeled work while the run itself asserts the
+    engines agree bit-for-bit.
 
     Wall-clock and the vectorized/oracle speedup land in ``host.``-
     prefixed gauges: report-only, zeroed in committed baselines and

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,8 +44,7 @@ class TestNewLimbsMatrix:
         assert got.tolist() == [new_limb(rows, basis, t) for t in targets]
 
     def test_deep_basis_accumulator_stays_exact(self):
-        # Twelve maximal source limbs: the per-limb canonical reduction is
-        # what keeps the int64 accumulator from overflowing here.
+        # Twelve maximal source limbs in one uint64 block product.
         degree = 16
         primes = find_ntt_primes(30, degree, 13)
         basis = RnsBasis(degree, primes[:12])
@@ -58,6 +58,93 @@ class TestNewLimbsMatrix:
             [target],
         )
         assert got.tolist() == [new_limb(rows, basis, target)]
+
+
+    @pytest.mark.parametrize("source_limbs", [16, 17, 33])
+    def test_blocks_of_sixteen_at_the_bound(self, source_limbs):
+        # Largest primes and every residue q - 1: each uint64 block sum is
+        # at its maximum, and 17 and 33 limbs add a partial block.
+        degree = 16
+        primes = find_ntt_primes(30, degree, source_limbs + 2)
+        basis = RnsBasis(degree, primes[:source_limbs])
+        targets = primes[source_limbs:]
+        rows = [[q - 1] * degree for q in basis.moduli]
+        got = new_limbs_matrix(
+            rows,
+            list(basis.moduli),
+            basis.q_hat_inverses(),
+            [basis.q_stars_mod(t) for t in targets],
+            targets,
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == [new_limb(rows, basis, t) for t in targets]
+
+
+class TestConversionShapeErrors:
+    """Mismatched inputs raise a named error instead of broadcasting."""
+
+    def _args(self, source_limbs=3, target_limbs=2, degree=16):
+        primes = find_ntt_primes(30, degree, source_limbs + target_limbs)
+        basis = RnsBasis(degree, primes[:source_limbs])
+        targets = primes[source_limbs:]
+        return {
+            "coeff_rows": _random_rows(basis.moduli, degree, seed=1),
+            "moduli": list(basis.moduli),
+            "q_hat_inverses": basis.q_hat_inverses(),
+            "q_stars": [basis.q_stars_mod(t) for t in targets],
+            "targets": targets,
+        }
+
+    def test_rows_against_moduli(self):
+        args = self._args()
+        args["moduli"] = args["moduli"][:1]
+        args["q_hat_inverses"] = args["q_hat_inverses"][:1]
+        args["q_stars"] = [row[:1] for row in args["q_stars"]]
+        with pytest.raises(ValueError, match="rows=3 but moduli=1"):
+            new_limbs_matrix(**args)
+
+    def test_inverses_against_rows(self):
+        args = self._args()
+        args["q_hat_inverses"] = args["q_hat_inverses"][:2]
+        with pytest.raises(ValueError, match="q_hat_inverses=2"):
+            new_limbs_matrix(**args)
+
+    def test_star_columns_against_rows(self):
+        args = self._args()
+        args["q_stars"] = [row[:1] for row in args["q_stars"]]
+        with pytest.raises(ValueError, match="star_columns=1"):
+            new_limbs_matrix(**args)
+
+    def test_star_rows_against_targets(self):
+        args = self._args()
+        args["targets"] = args["targets"][:1]
+        with pytest.raises(ValueError, match="targets=1 but star_rows=2"):
+            new_limbs_matrix(**args)
+
+    def test_sub_scale_mod_matrix_shapes(self):
+        primes = find_ntt_primes(30, 16, 3)
+        a = _random_rows(primes, 16, seed=2)
+        with pytest.raises(ValueError, match="one shape"):
+            sub_scale_mod(a, a[:1], [1, 1, 1], primes)
+
+    @pytest.mark.parametrize(
+        "scales, moduli, message",
+        [
+            ([1], None, "rows=3 but scales=1"),
+            (None, 1, "moduli=1"),
+        ],
+    )
+    def test_sub_scale_mod_lengths(self, scales, moduli, message):
+        primes = find_ntt_primes(30, 16, 3)
+        a = _random_rows(primes, 16, seed=2)
+        h = _random_rows(primes, 16, seed=3)
+        with pytest.raises(ValueError, match=message):
+            sub_scale_mod(
+                a,
+                h,
+                scales if scales is not None else [1, 1, 1],
+                primes[:moduli] if moduli is not None else primes,
+            )
 
 
 class TestSubScaleMod:

@@ -1,6 +1,13 @@
 """Positive/negative fixture snippets for every domain rule."""
 
+from pathlib import Path
+
 import pytest
+
+import repro
+from repro.lint.scopes import FLOAT_KERNEL_FILE
+
+SRC = Path(repro.__file__).resolve().parent
 
 
 def rules_of(result):
@@ -268,6 +275,42 @@ class TestExactArithPurity:
         # and the true division are not.
         assert all(f.line == 5 for f in result.findings)
         assert len(result.findings) == 2
+
+    def test_float_kernel_file_may_use_floats(self, lint_tree):
+        result = lint_tree(
+            {
+                "kernels/fourstep.py": """
+                import numpy as np
+
+                def reduce(v, q):
+                    qinv = 1.0 / q
+                    return v - np.rint(v * qinv) * float(q)
+                """
+            },
+            rules=["ExactArithPurity"],
+        )
+        assert result.clean
+
+    @pytest.mark.parametrize(
+        "path", ["kernels/conversion.py", "kernels/ntt.py", "kernels/reduce.py"]
+    )
+    def test_other_kernel_files_stay_float_free(self, lint_tree, path):
+        result = lint_tree(
+            {
+                path: """
+                def scale(v, q):
+                    return v * 0.5 + v / q + float(q)
+                """
+            },
+            rules=["ExactArithPurity"],
+        )
+        assert len(result.findings) == 3
+        assert all(f.line == 3 for f in result.findings)
+
+    def test_float_kernel_scope_names_one_file(self):
+        assert isinstance(FLOAT_KERNEL_FILE, str)
+        assert FLOAT_KERNEL_FILE == "kernels/fourstep.py"
+        assert (SRC / FLOAT_KERNEL_FILE).is_file()
 
     def test_ring_allows_numpy_but_stays_float_free(self, lint_tree):
         result = lint_tree(
