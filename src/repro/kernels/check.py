@@ -74,10 +74,9 @@ def sample_rows(
 ) -> List[List[int]]:
     """Seed-deterministic residue matrix with boundary values planted.
 
-    Random sampling alone is unlikely to hit the exact top of the
-    residue range, which is where the kernel's lazy-reduction headroom
-    argument is tightest — so ``0`` and ``q - 1`` are planted in every
-    limb.
+    Random sampling alone is unlikely to hit the exact ends of the
+    residue range, where the kernel's products sit closest to their
+    bound — so ``0`` and ``q - 1`` are planted in every limb.
     """
     rng = random.Random(f"repro.kernels:{seed}:{degree}")
     rows = uniform_rows(rng, moduli, degree, advance=False).tolist()
