@@ -324,20 +324,14 @@ class Evaluator:
         key: SwitchingKey,
         live_limbs: int,
     ) -> RaisedPair:
-        """Accumulate ``sum_i d_i * ksk_i`` over the raised basis."""
-        key_digits = key.restricted(live_limbs, self.context)
-        if len(raised_digits) > len(key_digits):
-            raise ValueError(
-                f"{len(raised_digits)} digits but key has {len(key_digits)}"
-            )
+        """Accumulate ``sum_i d_i * ksk_i`` over the raised basis.
+
+        :meth:`SwitchingKey.inner_product`: one lazily-reduced uint64
+        multiply-accumulate over the key's 4-byte rows, with the
+        per-digit ring expression as its reference.
+        """
         with obs.span("ckks.KSKInnerProd", digits=len(raised_digits)):
-            target = self.context.raised_basis(live_limbs)
-            acc_b = RnsPolynomial.zero(target)
-            acc_a = RnsPolynomial.zero(target)
-            for digit, (b_key, a_key) in zip(raised_digits, key_digits):
-                acc_b = acc_b + digit * b_key
-                acc_a = acc_a + digit * a_key
-            return acc_b, acc_a
+            return key.inner_product(raised_digits, live_limbs, self.context)
 
     def key_switch_raised(
         self, poly: RnsPolynomial, key: SwitchingKey

@@ -11,19 +11,59 @@ Key compression (Section 3.2 of the paper): the ``a`` half of every digit is
 a uniformly random ring element, so a compressed key stores a PRNG seed in
 its place and re-expands the rows on demand, halving key traffic.  Here the
 re-expansion is real: a compressed :class:`SwitchingKey` holds only its
-``b`` polynomials and one seed per digit, and regenerates ``a`` (through
+``b`` rows and one seed per digit, and regenerates ``a`` (through
 :meth:`~repro.ckks.context.CkksContext.sample_uniform_rows`) at every key
 switch.  ``KeyGenerator(compress_keys=False)`` keeps ``a`` materialised,
 the uncompressed rung of the performance model.
+
+Key rows are held at the model's word size: residues below ``2**30`` in
+4-byte words (:func:`key_dtype`), read in place by the lazily-reduced
+inner product of :meth:`SwitchingKey.inner_product`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro import kernels
 from repro.ring import Representation, RnsBasis, RnsPolynomial
 from repro.ckks.context import CkksContext
+
+#: Residue products one uint64 sum takes between reductions.  Products of
+#: residues below ``2**30`` are at most ``(2**30 - 1)**2``, and a reduced
+#: residue plus 15 of them stays below ``16 * (2**30 - 1)**2 < 2**64``.
+LAZY_PRODUCTS = 15
+
+
+def key_dtype(basis: RnsBasis) -> np.dtype:
+    """Storage dtype of switching-key rows over ``basis``.
+
+    ``uint32`` when the basis stores int64 limbs (every modulus below
+    ``2**30``), the 4-byte word of the performance model's 28-bit limbs;
+    otherwise the basis' own dtype (``object``).
+    """
+    return np.dtype(np.uint32) if basis.dtype == np.int64 else basis.dtype
+
+
+def _lazy(basis: RnsBasis) -> bool:
+    """Whether key arithmetic over ``basis`` runs lazily reduced in uint64.
+
+    The per-digit :class:`RnsPolynomial` expressions are the reference;
+    they run for ``object`` bases and under :func:`repro.kernels.oracle_only`.
+    """
+    return kernels.enabled() and basis.dtype == np.int64
+
+
+def _unsigned(rows: np.ndarray) -> np.ndarray:
+    """Residues as unsigned words without a copy.
+
+    Canonical int64 residues are non-negative, so their uint64 view holds
+    the same values; 4-byte key rows are returned as held.
+    """
+    return rows.view(np.uint64) if rows.dtype == np.int64 else rows
 
 
 class SecretKey:
@@ -58,21 +98,23 @@ class PublicKey:
     pk1: RnsPolynomial
 
 
-@dataclass
+@dataclass(eq=False)
 class SwitchingKey:
     """Hybrid switching key: per digit ``i``, a pair ``(b_i, a_i)`` over ``R_PQ``.
 
-    ``b`` holds every digit's ``b_i`` over the full raised basis.  A
-    compressed key holds one PRNG seed per digit in ``seeds`` and no
-    ``a_i``: :meth:`restricted` re-expands ``a_i`` from its seed at every
-    use, so no uniform rows and no per-level copies stay resident.  An
-    uncompressed key holds the ``a_i`` in ``a`` instead.  Exactly one of
-    ``seeds`` and ``a`` is set, with one entry per digit.
+    ``b`` is a ``(dnum, L + alpha, N)`` array of every digit's ``b_i``
+    rows over the full raised basis, in :func:`key_dtype` (4-byte words
+    over int64 bases).  A compressed key holds one PRNG seed per digit in
+    ``seeds`` and no ``a_i``: every use re-expands ``a_i`` from its seed,
+    so no uniform rows and no per-level copies stay resident.  An
+    uncompressed key holds the ``a_i`` rows in ``a`` instead, shaped and
+    typed like ``b``.  Exactly one of ``seeds`` and ``a`` is set, with one
+    entry per digit.
     """
 
-    b: List[RnsPolynomial]
+    b: np.ndarray
     seeds: Optional[List[int]] = None
-    a: Optional[List[RnsPolynomial]] = None
+    a: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if (self.seeds is None) == (self.a is None):
@@ -92,12 +134,29 @@ class SwitchingKey:
         return self.seeds is not None
 
     def stored_bytes(self) -> int:
-        """Bytes of the residue matrices this key holds.
+        """Bytes of the residue arrays this key holds.
 
-        A compressed key holds one polynomial per digit (seeds are not
-        counted); a full key holds two.
+        A compressed key holds one row set per digit (seeds are not
+        counted); a full key holds two.  Over int64 bases every residue
+        is a 4-byte word.
         """
-        return sum(poly.limbs.nbytes for poly in self.b + (self.a or []))
+        return self.b.nbytes + (0 if self.a is None else self.a.nbytes)
+
+    def _digit_rows(
+        self, digit: int, context: CkksContext
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Digit ``digit``'s ``(b, a)`` rows over the full raised basis.
+
+        The stored rows are returned as held; a compressed key's ``a`` is
+        re-expanded over the full raised basis, because the seeded stream
+        runs in basis order and the special-prime rows come last.
+        """
+        if self.a is not None:
+            return self.b[digit], self.a[digit]
+        full = context.raised_basis(context.max_limbs)
+        return self.b[digit], context.sample_uniform_rows(
+            full, seed=self.seeds[digit]
+        )
 
     def restricted(
         self, live_limbs: int, context: CkksContext
@@ -106,10 +165,9 @@ class SwitchingKey:
         pairs over the live basis ``{q_1..q_l, p_1..p_alpha}``.
 
         Evaluation-form rows are independent per modulus, so restriction
-        is row selection; every returned element owns a fresh copy.  A
-        compressed key re-expands each ``a_i`` over the full raised basis
-        (the seeded stream runs in basis order and the special-prime rows
-        come last) before selecting its live rows.
+        is row selection; every returned element owns a fresh matrix in
+        the live basis' dtype.  A compressed key re-expands each ``a_i``
+        on every call.
         """
         full = context.raised_basis(context.max_limbs)
         basis = context.raised_basis(live_limbs)
@@ -118,13 +176,77 @@ class SwitchingKey:
         )
         pairs = []
         for i in range(len(context.digit_index_ranges(live_limbs))):
-            if self.a is None:
-                rows = context.sample_uniform_rows(full, seed=self.seeds[i])
-                a = RnsPolynomial(basis, rows[keep], Representation.EVAL)
-            else:
-                a = self.a[i].select_limbs(keep, basis)
-            pairs.append((self.b[i].select_limbs(keep, basis), a))
+            b_rows, a_rows = self._digit_rows(i, context)
+            pairs.append((
+                RnsPolynomial(basis, b_rows[keep], Representation.EVAL),
+                RnsPolynomial(basis, a_rows[keep], Representation.EVAL),
+            ))
         return pairs
+
+    def inner_product(
+        self,
+        digits: Sequence[RnsPolynomial],
+        live_limbs: int,
+        context: CkksContext,
+    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
+        """``sum_i digits[i] * (b_i, a_i)`` over the live raised basis.
+
+        Over int64 bases with the kernels on, both sums are one uint64
+        multiply-accumulate that reads the held rows (and each
+        re-expanded ``a_i``) in place: a digit's live rows are its first
+        ``live_limbs`` rows and its special rows, two contiguous ranges,
+        so no key row is copied, widened or re-reduced.  Each sum takes
+        one ``np.remainder`` per :data:`LAZY_PRODUCTS` digits and one at
+        the end.  The per-digit ring expression over :meth:`restricted`
+        is its reference, and runs for ``object`` bases and under
+        :func:`repro.kernels.oracle_only`; both return the same canonical
+        residues.
+
+        Raises:
+            ValueError: for more digits than a level-``live_limbs`` key
+                switch uses, or a digit that is not an evaluation-form
+                element of the live raised basis.
+        """
+        used = len(context.digit_index_ranges(live_limbs))
+        if len(digits) > used:
+            raise ValueError(f"{len(digits)} digits but key has {used}")
+        basis = context.raised_basis(live_limbs)
+        acc_b = RnsPolynomial.zero(basis)
+        acc_a = RnsPolynomial.zero(basis)
+        if not _lazy(basis):
+            for digit, (b_key, a_key) in zip(
+                digits, self.restricted(live_limbs, context)
+            ):
+                acc_b = acc_b + digit * b_key
+                acc_a = acc_a + digit * a_key
+            return acc_b, acc_a
+
+        q = _unsigned(basis.q_col)
+        # (accumulator rows, key rows): the live q limbs, then the specials.
+        ranges = (
+            (slice(0, live_limbs), slice(0, live_limbs)),
+            (slice(live_limbs, None), slice(context.max_limbs, None)),
+        )
+        sums = (_unsigned(acc_b.limbs), _unsigned(acc_a.limbs))
+        product = np.empty_like(sums[0])
+        for i, digit in enumerate(digits):
+            if digit.basis != basis:
+                raise ValueError("operands live over different bases")
+            if digit.representation is not Representation.EVAL:
+                raise ValueError("ring multiplication requires evaluation form")
+            d = _unsigned(digit.limbs)
+            for acc, rows in zip(sums, self._digit_rows(i, context)):
+                # The first digit's products are written straight into the sum.
+                out = acc if i == 0 else product
+                for live, held in ranges:
+                    np.multiply(d[live], _unsigned(rows[held]), out=out[live])
+                if i:
+                    acc += product
+                if i % LAZY_PRODUCTS == LAZY_PRODUCTS - 1:
+                    np.remainder(acc, q, out=acc)
+        for acc in sums:
+            np.remainder(acc, q, out=acc)
+        return acc_b, acc_a
 
 
 class KeyGenerator:
@@ -178,7 +300,12 @@ class KeyGenerator:
 
         ``source_poly`` must live over the full raised basis in evaluation
         form (e.g. ``s^2`` for relinearisation, ``automorph(s, t)`` for a
-        Galois key).
+        Galois key).  Each digit's ``b = e - a*s + [P*U_i]*s_from`` is
+        written straight into the key's row store.  Over int64 bases with
+        the kernels on it is one uint64 expression,
+        ``e + a*(q - s) + [P*U_i]*s_from < 2**30 + 2 * 2**60``, reduced
+        once; the ring expression is its reference and runs for
+        ``object`` bases and under :func:`repro.kernels.oracle_only`.
         """
         ctx = self.context
         basis = ctx.raised_basis(ctx.max_limbs)
@@ -186,24 +313,40 @@ class KeyGenerator:
             raise ValueError("source key must live over the full raised basis")
         s = self.secret_key.poly(basis)
         p_product = ctx.p_product
-        b_polys, a_polys, seeds = [], [], []
+        shape = (ctx.num_digits, len(basis), ctx.degree)
+        b_rows = np.empty(shape, dtype=key_dtype(basis))
+        a_rows = None if self.compress_keys else np.empty_like(b_rows)
+        seeds = []
+        lazy = _lazy(basis)
+        if lazy:
+            q = _unsigned(basis.q_col)
+            # q - s is in [1, q], so a * (q - s) = -a * s (mod q).
+            neg_s = _unsigned(basis.q_col - s.limbs)
+            source = _unsigned(source_poly.limbs)
+            term = np.empty(shape[1:], dtype=np.uint64)
         for i in range(ctx.num_digits):
             seed = ctx.rng.randrange(2**62) if self.compress_keys else None
-            a = RnsPolynomial(
-                basis,
-                ctx.sample_uniform_rows(basis, seed=seed),
-                Representation.EVAL,
-            )
+            a = ctx.sample_uniform_rows(basis, seed=seed)
             e = RnsPolynomial.from_int_coeffs(
                 ctx.sample_error_coeffs(), basis
             ).to_eval()
             selector = p_product * ctx.digit_selector(i)
-            b_polys.append(-(a * s) + e + source_poly.scalar_mul(selector))
-            a_polys.append(a)
+            if lazy:
+                acc = _unsigned(a) * neg_s
+                column = basis.column([selector] * len(basis))
+                acc += np.multiply(source, _unsigned(column), out=term)
+                acc += _unsigned(e.limbs)
+                np.remainder(acc, q, out=b_rows[i])
+            else:
+                a_poly = RnsPolynomial(basis, a, Representation.EVAL)
+                b = -(a_poly * s) + e + source_poly.scalar_mul(selector)
+                b_rows[i] = b.limbs
+            if a_rows is not None:
+                a_rows[i] = a
             seeds.append(seed)
         if self.compress_keys:
-            return SwitchingKey(b=b_polys, seeds=seeds)
-        return SwitchingKey(b=b_polys, a=a_polys)
+            return SwitchingKey(b=b_rows, seeds=seeds)
+        return SwitchingKey(b=b_rows, a=a_rows)
 
     # ------------------------------------------------------------------
     def relinearization_key(self) -> SwitchingKey:

@@ -107,7 +107,7 @@ def run_check(
     for degree in degrees:
         primes = find_ntt_primes(30, degree, limbs)
         contexts = [NttContext(degree, q) for q in primes]
-        kernel = BatchNttKernel(degree, primes, contexts)
+        kernel = BatchNttKernel(degree, primes)
         rows = sample_rows(degree, primes, seed)
 
         fwd = kernel.forward(rows)

@@ -66,11 +66,14 @@ any number of threads.  No intermediate is ever rounded.
 **One table set per (N, q)**, in a process-wide :class:`DegreeTables`
 per degree (:func:`tables_for`).  A kernel's new moduli get one new
 chunk (never a grown array, which would hold old and new tables at
-once); the kernel keeps only ``(chunk, row)`` positions and runs in
-blocks of at most :data:`BLOCK_ELEMENTS` elements, each a contiguous row
-range of one chunk, through one scratch set per degree.  **Thread
-contract:** no two kernels of one degree may run concurrently in
-threads; the repo's parallelism is process-based.
+once), filled one modulus at a time from an oracle plan built for that
+modulus alone and dropped once its powers are copied, so at most one
+plan is alive during a fill and none after it.  The kernel keeps only
+``(chunk, row)`` positions and runs in blocks of at most
+:data:`BLOCK_ELEMENTS` elements, each a contiguous row range of one
+chunk, through one scratch set per degree.  **Thread contract:** no two
+kernels of one degree may run concurrently in threads; the repo's
+parallelism is process-based.
 """
 
 from __future__ import annotations
@@ -180,33 +183,37 @@ class _Chunk:
     halves, filled one modulus at a time to bound the transient.
     """
 
-    def __init__(
-        self, degree: int, n1: int, n2: int, contexts: Sequence[NttContext]
-    ):
-        k = len(contexts)
-        q_int = np.array([ctx.q for ctx in contexts], dtype=np.int64)[
-            :, np.newaxis, np.newaxis
-        ]
+    def __init__(self, degree: int, n1: int, n2: int, moduli: Sequence[int]):
+        k = len(moduli)
+        q_int = np.array(moduli, dtype=np.int64)[:, np.newaxis, np.newaxis]
         self.q = q_int.astype(np.float64)
         self.qinv = 1.0 / self.q
         self.q_u = q_int.view(np.uint64)
         shapes = ((k, n2, n2), (k, 2, n2, n1), (k, 2, n1, n1))
         self.tables = tuple(tuple(map(np.empty, shapes)) for _ in range(2))
         exponents = _exponents(degree, n1, n2)
-        for row, ctx in enumerate(contexts):
-            q = ctx.q
-            # The inverse's B carries the 1/N factor.
-            directions = ((ctx._psi_powers, 1), (ctx._inv_psi_powers, ctx._n_inv))
-            for (a, tw, b), (ea, et, eb), (powers, scale) in zip(
-                self.tables, exponents, directions
-            ):
-                # psi^e for every e mod 2N, copied from the oracle's
-                # powers: psi^(N + i) = -psi^i.
-                half = np.array(powers, dtype=np.int64)
-                table = np.concatenate([half, q - half])
-                a[row] = centred(table[ea], q)
-                tw[row, 0], tw[row, 1] = halves(table[et])
-                b[row, 0], b[row, 1] = halves(table[eb] * scale % q)
+        for row, q in enumerate(moduli):
+            # The plan is a temporary: it is freed when _fill returns,
+            # before the next modulus' plan is built.
+            self._fill(row, NttContext(degree, q), exponents)
+
+    def _fill(
+        self, row: int, ctx: NttContext, exponents: Tuple[Tuple[Array, ...], ...]
+    ) -> None:
+        """Copy row ``row``'s tables from the oracle plan ``ctx``."""
+        q = ctx.q
+        # The inverse's B carries the 1/N factor.
+        directions = ((ctx._psi_powers, 1), (ctx._inv_psi_powers, ctx._n_inv))
+        for (a, tw, b), (ea, et, eb), (powers, scale) in zip(
+            self.tables, exponents, directions
+        ):
+            # psi^e for every e mod 2N, copied from the oracle's
+            # powers: psi^(N + i) = -psi^i.
+            half = np.array(powers, dtype=np.int64)
+            table = np.concatenate([half, q - half])
+            a[row] = centred(table[ea], q)
+            tw[row, 0], tw[row, 1] = halves(table[et])
+            b[row, 0], b[row, 1] = halves(table[eb] * scale % q)
 
 
 class DegreeTables:
@@ -225,15 +232,15 @@ class DegreeTables:
         self._p = np.empty((limbs, 2, n2, n1))
         self._t = np.empty((limbs, n2, n1))
 
-    def plan(self, contexts: Sequence[NttContext]) -> List[Block]:
-        """Reserve rows for ``contexts``' new moduli; return the blocks."""
-        fresh = {ctx.q: ctx for ctx in contexts if ctx.q not in self._rows}
+    def plan(self, moduli: Sequence[int]) -> List[Block]:
+        """Reserve rows for the new ones of ``moduli``; return the blocks."""
+        fresh = list(dict.fromkeys(q for q in moduli if q not in self._rows))
         if fresh:
-            chunk = _Chunk(self.degree, self.n1, self.n2, list(fresh.values()))
+            chunk = _Chunk(self.degree, self.n1, self.n2, fresh)
             self._rows.update((q, (chunk, row)) for row, q in enumerate(fresh))
         blocks: List[Block] = []
-        for limb, ctx in enumerate(contexts):
-            chunk, row = self._rows[ctx.q]
+        for limb, q in enumerate(moduli):
+            chunk, row = self._rows[q]
             if blocks:
                 lo, hi, last, start = blocks[-1]
                 run = hi - lo

@@ -15,14 +15,13 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.kernels import fourstep
 from repro.kernels.fourstep import MAX_DEGREE as MAX_NTT_DEGREE
 from repro.kernels.reduce import FAST_MODULUS_BOUND, moduli_fit, mul_mod
-from repro.numth.ntt import NttContext
 from repro.obs import state as obs
 
 __all__ = ["BatchNttKernel", "MAX_NTT_DEGREE"]
@@ -35,22 +34,16 @@ class BatchNttKernel:
     """Batched NTT plan for ring degree ``n`` over ``L`` moduli.
 
     Building one reserves table rows for the moduli its degree's store
-    lacks; the kernel keeps only their positions.
+    lacks, copied from oracle plans the store builds and drops one
+    modulus at a time; the kernel keeps only the rows' positions.
 
     Args:
         degree: the ring degree ``N`` (power of two, ``2 <= N <= 2**16``).
         moduli: the limb moduli; every modulus must satisfy
             ``q < 2**30`` and ``q = 1 (mod 2N)``.
-        contexts: optional pre-built oracle plans (one per modulus, same
-            order) to copy twiddle tables from; freshly built when absent.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        moduli: Sequence[int],
-        contexts: Optional[Sequence[NttContext]] = None,
-    ):
+    def __init__(self, degree: int, moduli: Sequence[int]):
         if not moduli:
             raise ValueError("a batched kernel needs at least one modulus")
         if not moduli_fit(moduli):
@@ -63,19 +56,11 @@ class BatchNttKernel:
                 f"degree {degree} exceeds the four-step NTT bound "
                 f"{MAX_NTT_DEGREE} (2**16)"
             )
-        if contexts is None:
-            contexts = [NttContext(degree, int(q)) for q in moduli]
-        if len(contexts) != len(moduli) or any(
-            ctx.n != degree or ctx.q != int(q)
-            for ctx, q in zip(contexts, moduli)
-        ):
-            raise ValueError("oracle contexts do not match (degree, moduli)")
-
         self.degree = degree
         self.moduli = tuple(int(q) for q in moduli)
         self._q_col = np.asarray(self.moduli, dtype=np.int64)[:, np.newaxis]
         self._tables = fourstep.tables_for(degree)
-        self._blocks = self._tables.plan(contexts)
+        self._blocks = self._tables.plan(self.moduli)
 
     @property
     def num_limbs(self) -> int:

@@ -261,7 +261,7 @@ def kernels_micro_cost(
     del params, config
     primes = find_ntt_primes(30, degree, limbs)
     contexts = [NttContext(degree, q) for q in primes]
-    kernel = BatchNttKernel(degree, primes, contexts)
+    kernel = BatchNttKernel(degree, primes)
     rows = uniform_rows(random.Random(2012), primes, degree, advance=False).tolist()
 
     log_n = degree.bit_length() - 1

@@ -12,7 +12,9 @@ from repro.kernels.ntt import BatchNttKernel
 from repro.numth import NttContext, find_ntt_primes
 from repro.numth.modular import mod_inverse
 
-# NTT plans are expensive to build; share them process-wide per (n, q).
+# Oracle NTT plans, shared process-wide per (n, q).  Only the oracle path
+# (RnsBasis.ntt and transform without a fast kernel) fills it: the fast
+# kernels' tables are copied from plans that are dropped after the copy.
 _NTT_CACHE: Dict[Tuple[int, int], NttContext] = {}
 
 # Batched int64 kernels, keyed by (degree, moduli tuple).  The cache is
@@ -52,8 +54,7 @@ def _kernel_for(degree: int, moduli: Tuple[int, ...]) -> Optional[BatchNttKernel
     key = (degree, moduli)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
-        contexts = [_ntt_for(degree, q) for q in moduli]
-        kernel = BatchNttKernel(degree, moduli, contexts)
+        kernel = BatchNttKernel(degree, moduli)
         _KERNEL_CACHE[key] = kernel
     return kernel
 

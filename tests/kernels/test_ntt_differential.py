@@ -37,7 +37,7 @@ class TestForwardInverseParity:
         degree = 1 << log_n
         primes = find_ntt_primes(30, degree, 3)
         contexts = [NttContext(degree, q) for q in primes]
-        kernel = BatchNttKernel(degree, primes, contexts)
+        kernel = BatchNttKernel(degree, primes)
         rows = _random_rows(primes, degree, seed=log_n)
 
         fwd = kernel.forward(rows)
@@ -53,7 +53,7 @@ class TestForwardInverseParity:
         primes = find_ntt_primes(30, degree, 4)
         assert max(primes) > FAST_MODULUS_BOUND - (1 << 16)
         contexts = [NttContext(degree, q) for q in primes]
-        kernel = BatchNttKernel(degree, primes, contexts)
+        kernel = BatchNttKernel(degree, primes)
         # Worst-case rows: every residue at its maximum.
         rows = [[q - 1] * degree for q in primes]
         assert kernel.forward(rows).tolist() == [
@@ -74,7 +74,7 @@ class TestForwardInverseParity:
         degree = 1 << log_n
         primes = find_ntt_primes(30, degree, num_limbs)
         contexts = [NttContext(degree, q) for q in primes]
-        kernel = BatchNttKernel(degree, primes, contexts)
+        kernel = BatchNttKernel(degree, primes)
         rows = _random_rows(primes, degree, seed)
         assert kernel.forward(rows).tolist() == [
             ctx.forward(row) for ctx, row in zip(contexts, rows)
@@ -192,7 +192,7 @@ class TestProductBound:
         q = find_ntt_primes(30, degree, 1)[0]
         assert (q - 2) & 0x7FFF == 0x7FFF
         ctx = NttContext(degree, q)
-        kernel = BatchNttKernel(degree, [q], [ctx])
+        kernel = BatchNttKernel(degree, [q])
         row = [q - 2] * degree
         assert kernel.forward([row]).tolist() == [ctx.forward(row)]
         assert kernel.inverse([row]).tolist() == [ctx.inverse(row)]
@@ -222,7 +222,7 @@ class TestNegacyclicMultiply:
         degree = 1 << log_n
         primes = find_ntt_primes(30, degree, num_limbs)
         contexts = [NttContext(degree, q) for q in primes]
-        kernel = BatchNttKernel(degree, primes, contexts)
+        kernel = BatchNttKernel(degree, primes)
         a = _random_rows(primes, degree, seed)
         b = _random_rows(primes, degree, seed + 1)
         assert kernel.negacyclic_multiply(a, b).tolist() == [
@@ -278,13 +278,6 @@ class TestValidation:
         big = find_ntt_primes(40, degree, 1)
         with pytest.raises(ValueError, match="fast-path bound"):
             BatchNttKernel(degree, big)
-
-    def test_rejects_mismatched_contexts(self):
-        degree = 16
-        primes = find_ntt_primes(30, degree, 2)
-        contexts = [NttContext(degree, q) for q in reversed(primes)]
-        with pytest.raises(ValueError, match="contexts"):
-            BatchNttKernel(degree, primes, contexts)
 
     def test_rejects_wrong_shape(self):
         degree = 16
