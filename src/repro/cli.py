@@ -13,7 +13,6 @@ Commands regenerate the paper's tables/figures or run ad-hoc analyses:
     python -m repro lint --json src/repro
     python -m repro sweep table5 --jobs 4 --out sweep_report.json
     python -m repro sweep table5 --jobs 4 --report run_report.json
-    python -m repro serve mixed --seed 0 --out serve_report.json
     python -m repro profile bootstrap --params optimal --config all
 
 Table commands accept ``--json`` for machine-readable output; ``trace``
@@ -25,12 +24,8 @@ analytical workloads against the committed baselines in
 and observability invariants (see :mod:`repro.lint`); ``sweep`` runs a
 declarative parameter sweep (see :mod:`repro.sweep`) over worker
 processes with a resumable machine-readable report, optionally writing
-a merged cross-process ``run_report.json``; ``serve`` runs a
-seed-deterministic multi-tenant serving simulation (see
-:mod:`repro.serve`) and writes a ``repro.serve/v1`` report with
-per-tenant latency percentiles, SLA verdicts, batching efficiency and
-cost-per-request; ``profile`` attributes host resources (RSS,
-allocation peaks, CPU, GC) span by span.
+a merged cross-process ``run_report.json``; ``profile`` attributes host
+resources (RSS, allocation peaks, CPU, GC) span by span.
 
 The parser is one table, :data:`_COMMANDS`: a row names a subcommand's
 handler, the shared flags it takes from :data:`_SHARED` (each declared
@@ -448,45 +443,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _run_sweep_with_telemetry(args, spec, command, workload, resume=None):
-    """``run_sweep`` under the ``--report`` flag.
-
-    ``--report`` captures telemetry: workers ship span/metric snapshots
-    back and the engine merges them in canonical chunk order, so the
-    exported run report is bit-identical (post ``strip_volatile``) for
-    any ``--jobs``.
-    """
-    from repro.sweep import run_sweep
-
-    if not args.report:
-        return run_sweep(spec, jobs=args.jobs, resume=resume)
-
-    import time
-
-    from repro.obs import schema
-    from repro.obs import state as obs
-    from repro.obs.export import RUN_REPORT, build_run_report
-    from repro.obs.profiler import process_cpu_seconds, run_resource_summary
-
-    wall0 = time.perf_counter()
-    cpu0 = process_cpu_seconds()
-    with obs.capture() as (tracer, registry):
-        outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
-        resources = run_resource_summary(
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=process_cpu_seconds() - cpu0,
-        )
-    run_report = build_run_report(
-        tracer,
-        registry,
-        command=command,
-        workload=workload,
-        resources=resources,
-    )
-    schema.write(run_report, RUN_REPORT, args.report)
-    return outcome
-
-
 def _cmd_sweep(args) -> int:
     from repro.obs import schema
     from repro.sweep import (
@@ -494,13 +450,14 @@ def _cmd_sweep(args) -> int:
         build_preset,
         build_sweep_report,
         preset_names,
+        run_sweep,
     )
 
     if args.list:
         for name in preset_names():
             print(name)
         return 0
-    if not args.preset:
+    if args.preset not in preset_names():
         raise SystemExit(
             f"choose a sweep preset: {', '.join(preset_names())} "
             "(or --list to enumerate)"
@@ -512,13 +469,34 @@ def _cmd_sweep(args) -> int:
         if resume is None:
             print(f"no resumable report at {args.resume}; starting fresh")
 
-    outcome = _run_sweep_with_telemetry(
-        args,
-        spec,
-        command=f"sweep {args.preset}",
-        workload=f"sweep:{spec.name}",
-        resume=resume,
-    )
+    if args.report:
+        # Workers ship span/metric snapshots back and the engine merges
+        # them in canonical chunk order, so the run report is
+        # bit-identical (post ``strip_volatile``) for any ``--jobs``.
+        import time
+
+        from repro.obs import state as obs
+        from repro.obs.export import RUN_REPORT, build_run_report
+        from repro.obs.profiler import process_cpu_seconds, run_resource_summary
+
+        wall0 = time.perf_counter()
+        cpu0 = process_cpu_seconds()
+        with obs.capture() as (tracer, registry):
+            outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
+            resources = run_resource_summary(
+                wall_seconds=time.perf_counter() - wall0,
+                cpu_seconds=process_cpu_seconds() - cpu0,
+            )
+        run_report = build_run_report(
+            tracer,
+            registry,
+            command=f"sweep {args.preset}",
+            workload=f"sweep:{spec.name}",
+            resources=resources,
+        )
+        schema.write(run_report, RUN_REPORT, args.report)
+    else:
+        outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
     report = build_sweep_report(outcome)
     if args.out:
         schema.write(report, SWEEP_REPORT, args.out)
@@ -537,87 +515,6 @@ def _cmd_sweep(args) -> int:
     )
     if args.out:
         print(f"wrote sweep report to {args.out}")
-    if args.report:
-        print(f"wrote run report to {args.report}")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.obs import schema
-    from repro.serve import SCENARIOS, SERVE_REPORT, assemble_serve_report
-    from repro.sweep import SweepAxis, SweepSpec
-
-    if args.list:
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
-    if args.scenario not in SCENARIOS:
-        raise SystemExit(
-            f"choose a serving scenario: {', '.join(sorted(SCENARIOS))} "
-            "(or --list to enumerate)"
-        )
-    scenario = SCENARIOS[args.scenario]
-    # One grid point per fleet: the same evaluator capacity sweeps use,
-    # so serial and --jobs N runs assemble byte-identical reports.
-    spec = SweepSpec(
-        name=f"serve-{scenario.name}",
-        evaluator="serve.scenario",
-        axes=(
-            SweepAxis("fleet", tuple(f.name for f in scenario.fleets)),
-        ),
-        context={"scenario": scenario.name, "seed": args.seed},
-    )
-    outcome = _run_sweep_with_telemetry(
-        args,
-        spec,
-        command=f"serve {scenario.name}",
-        workload=f"serve:{scenario.name}",
-    )
-    report = assemble_serve_report(scenario, args.seed, outcome.rows)
-    if args.out:
-        schema.write(report, SERVE_REPORT, args.out)
-    if args.json:
-        _print_json(report)
-        return 0
-    print(
-        f"serve {scenario.name}: seed {args.seed}, "
-        f"{scenario.duration_s:g}s horizon, "
-        f"{len(report['fleets'])} fleets, config {scenario.config}"
-    )
-    for fleet in report["fleets"]:
-        requests = fleet["requests"]
-        batching = fleet["batching"]
-        print(
-            f"  {fleet['fleet']:16} {fleet['design']:14} "
-            f"x{fleet['devices']} {fleet['scheduler']:4} "
-            f"cache={fleet['cache_policy']:8} "
-            f"{requests['completed']:5d} req "
-            f"{fleet['throughput_rps']:7.1f} rps "
-            f"util {fleet['utilisation']:6.1%} "
-            f"batch {batching['mean_size']:4.2f} "
-            f"ksk saved {batching['key_read_saved_fraction']:5.1%}"
-        )
-        for tenant in fleet["tenants"]:
-            latency = tenant["latency"]
-            sla = tenant["sla"]
-            if latency is None:
-                line = "no completions"
-            else:
-                line = (
-                    f"p50 {latency['p50_ms']:8.2f}ms "
-                    f"p99 {latency['p99_ms']:8.2f}ms "
-                    f"p999 {latency['p999_ms']:8.2f}ms"
-                )
-            if sla["met"] is not None:
-                target = sla["p99_target_ms"]
-                verdict = "met" if sla["met"] else "MISSED"
-                line += f"  sla p99<={target:g}ms {verdict}"
-            print(
-                f"    {tenant['tenant']:14} {tenant['completed']:5d} req "
-                f"{tenant['bootstraps']:3d} boot  {line}"
-            )
-    if args.out:
-        print(f"wrote serve report to {args.out}")
     if args.report:
         print(f"wrote run report to {args.report}")
     return 0
@@ -754,7 +651,7 @@ _SHARED: Dict[str, Dict[str, Any]] = {
     "--report": dict(
         default=None,
         metavar="PATH",
-        help="also write run_report.json here (sweep/serve: merged "
+        help="also write run_report.json here (sweep: merged "
         "cross-process telemetry, bit-identical across --jobs after "
         "strip_volatile)",
     ),
@@ -882,13 +779,6 @@ _COMMANDS: Tuple[Any, ...] = (
           help="sweep preset name (see --list)"),
      _arg("--resume", default=None, metavar="REPORT",
           help="reuse completed points from a prior sweep_report.json")),
-    ("serve", _cmd_serve,
-     "simulate a multi-tenant serving scenario on accelerator fleets",
-     ("--jobs", "--out", "--report", "--json", "--list"), {},
-     _arg("scenario", nargs="?", default=None,
-          help="serving scenario name (see --list)"),
-     _arg("--seed", type=_positive(int, allow_zero=True), default=0,
-          help="arrival-stream seed (same seed -> byte-identical report)")),
     ("profile", _cmd_profile,
      "attribute host resources (RSS, allocations, CPU, GC) span by span",
      ("--params", "--config", "--cache-mb", "--report", "--json"), {},

@@ -20,16 +20,12 @@ Importing this package registers every rule with
   resource sampling stays in ``obs/profiler.py``.
 * :class:`~repro.lint.rules.schema.SchemaIdLiteral` — a ``repro.*/v*``
   schema id is spelled only inside its ``Schema(...)`` declaration.
-* :class:`~repro.lint.rules.simclock.SimClockDiscipline` — the serving
-  simulator (``serve/``) never imports ``time``/``datetime``; simulated
-  timestamps come off the virtual event-heap clock only.
 """
 
 from repro.lint.rules.config import ConfigFlagCoverage
 from repro.lint.rules.exact import ExactArithPurity
 from repro.lint.rules.ledger import LedgerDiscipline
 from repro.lint.rules.schema import SchemaIdLiteral
-from repro.lint.rules.simclock import SimClockDiscipline
 from repro.lint.rules.spans import SpanLabelStability
 from repro.lint.rules.telemetry import TelemetryDiscipline
 from repro.lint.rules.tracing import TraceDiscipline
@@ -40,7 +36,6 @@ __all__ = [
     "ExactArithPurity",
     "LedgerDiscipline",
     "SchemaIdLiteral",
-    "SimClockDiscipline",
     "SpanLabelStability",
     "TelemetryDiscipline",
     "TraceDiscipline",

@@ -8,13 +8,11 @@ figures would show an "optimization" that changes nothing.
 
 This is the one cross-file rule: it collects ``MADConfig``'s dataclass
 fields wherever the class is defined, collects every attribute name
-read in ``perf/``, ``sweep/`` and ``serve/`` files *other than* the
-defining module (whose ``__post_init__`` validation reads don't count
-as model coverage; sweep evaluators dispatch on the same flags when
-building ablation grids, and the serving simulator prices every
-request under a config, so their reads count too), and at the end of
-the run reports each flag with no read, anchored at the flag's
-definition line.
+read in ``perf/`` and ``sweep/`` files *other than* the defining
+module (whose ``__post_init__`` validation reads don't count as model
+coverage; sweep evaluators dispatch on the same flags when building
+ablation grids, so their reads count too), and at the end of the run
+reports each flag with no read, anchored at the flag's definition line.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ __all__ = ["ConfigFlagCoverage"]
 class ConfigFlagCoverage(Rule):
     name = "ConfigFlagCoverage"
     description = (
-        "every MADConfig flag must be read somewhere in perf/, sweep/ or "
-        "serve/ outside its defining module — dead optimization flags are "
+        "every MADConfig flag must be read somewhere in perf/ or sweep/ "
+        "outside its defining module — dead optimization flags are "
         "reproduction bugs"
     )
     node_types = (ast.ClassDef, ast.Attribute)
@@ -64,7 +62,7 @@ class ConfigFlagCoverage(Rule):
             return None
         assert isinstance(node, ast.Attribute)
         if isinstance(node.ctx, ast.Load) and (
-            ctx.in_dir("perf") or ctx.in_dir("sweep") or ctx.in_dir("serve")
+            ctx.in_dir("perf") or ctx.in_dir("sweep")
         ):
             self._reads.setdefault(ctx.display_path, set()).add(node.attr)
         return None
@@ -87,9 +85,9 @@ class ConfigFlagCoverage(Rule):
                         col=col,
                         message=(
                             f"MADConfig flag `{flag}` is never read in "
-                            "perf/, sweep/ or serve/ — a flag no cost "
-                            "formula consults makes the optimization "
-                            "ladder silently lie"
+                            "perf/ or sweep/ — a flag no cost formula "
+                            "consults makes the optimization ladder "
+                            "silently lie"
                         ),
                     )
                 )

@@ -19,11 +19,10 @@ Two clauses:
   named like a cost field (``.ops``, ``.traffic``, ``.mults``,
   ``.adds``, per-stream byte fields, ``*_bytes``/``*_ops``) mutates
   shared cost state;
-* inside ``perf/``, ``sweep/`` or ``serve/`` but outside the core:
-  ``name += ...`` on a ``*_bytes``/``*_ops``-style local keeps a shadow
-  total the ledger never sees (sweep evaluators aggregate cost reports
-  across grid points and the serving simulator aggregates them across
-  dispatched batches — exactly where a shadow accumulator would hide).
+* inside ``perf/`` or ``sweep/`` but outside the core: ``name += ...``
+  on a ``*_bytes``/``*_ops``-style local keeps a shadow total the
+  ledger never sees (sweep evaluators aggregate cost reports across
+  grid points — exactly where a shadow accumulator would hide).
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ class LedgerDiscipline(Rule):
     name = "LedgerDiscipline"
     description = (
         "cost accounting flows through CostReport/CostLedger: no mutation of "
-        "cost fields and no raw *_bytes/*_ops accumulation (perf/, sweep/ "
-        "and serve/) outside perf/events.py, perf/ledger.py, perf/cache.py, "
+        "cost fields and no raw *_bytes/*_ops accumulation (perf/ and "
+        "sweep/) outside perf/events.py, perf/ledger.py, perf/cache.py, "
         "memsim/accounting.py"
     )
     node_types = (ast.Assign, ast.AugAssign)
@@ -92,17 +91,9 @@ class LedgerDiscipline(Rule):
                     isinstance(node, ast.AugAssign)
                     and isinstance(leaf, ast.Name)
                     and _is_cost_identifier(leaf.id)
-                    and (
-                        ctx.in_dir("perf")
-                        or ctx.in_dir("sweep")
-                        or ctx.in_dir("serve")
-                    )
+                    and (ctx.in_dir("perf") or ctx.in_dir("sweep"))
                 ):
-                    where = next(
-                        name
-                        for name in ("perf", "sweep", "serve")
-                        if ctx.in_dir(name)
-                    )
+                    where = "perf" if ctx.in_dir("perf") else "sweep"
                     findings.append(
                         self.finding(
                             ctx,

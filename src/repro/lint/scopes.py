@@ -23,7 +23,6 @@ __all__ = [
     "MEMSIM_TRACE_HOME",
     "NUMPY_EXACT_DIRS",
     "PROFILER_HOME",
-    "SERVE_HOME",
 ]
 
 #: The accounting core where cost-field arithmetic is definitionally OK
@@ -69,10 +68,3 @@ MEMSIM_TRACE_HOME = "memsim/trace.py"
 #: The sole sanctioned accumulation site for simulated byte counters
 #: (:class:`~repro.lint.rules.tracing.TraceDiscipline`).
 MEMSIM_ACCOUNTING_HOME = "memsim/accounting.py"
-
-#: The serving simulator package: virtual-clock only.  No module under
-#: this directory may import ``time`` or ``datetime``
-#: (:class:`~repro.lint.rules.simclock.SimClockDiscipline`) — simulated
-#: timestamps come off the event heap, so a wall-clock read is either
-#: dead code or a determinism leak.
-SERVE_HOME = "serve"

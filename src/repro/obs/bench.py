@@ -1,7 +1,8 @@
 """``python -m repro bench``: the performance-regression harness.
 
 Re-runs the analytical workloads (bootstrap, HELR training, ResNet-20
-inference, plus a primitive micro-workload sweep) under tracing, records
+inference, plus primitive, memsim, sweep and NTT-kernel micro-workloads;
+:data:`DEFAULT_SPECS`) under tracing, records
 the simulator's own wall-clock time and the analytical costs, and
 compares each run against its committed baseline snapshot
 (``benchmarks/baselines/*.json``, one per workload × design × cache
@@ -72,7 +73,7 @@ BENCH_TRAJECTORY = Schema(
 class BenchSpec:
     """One bench workload: what to run and which baseline gates it."""
 
-    workload: str  # "micro" | "bootstrap" | "helr" | "resnet" | "memsim" | "sweep" | "serve" | "kernels"
+    workload: str  # "micro" | "bootstrap" | "helr" | "resnet" | "memsim" | "sweep" | "kernels"
     params: str  # key into repro.params.PARAM_SETS
     config: str  # key into repro.perf.CONFIGS
     cache_mb: Optional[float] = None
@@ -97,7 +98,6 @@ DEFAULT_SPECS: Tuple[BenchSpec, ...] = (
     BenchSpec("resnet", "optimal", "all", cache_mb=256.0, design="BTS"),
     BenchSpec("memsim", "baseline", "caching", cache_mb=32.0),
     BenchSpec("sweep", "baseline", "all"),
-    BenchSpec("serve", "optimal", "all"),
     BenchSpec("kernels", "baseline", "none"),
 )
 
@@ -327,47 +327,6 @@ def kernels_micro_cost(
     return total
 
 
-def serve_micro_cost(params, config):
-    """Traced serving micro-workload: the ``micro`` scenario, one fleet.
-
-    Runs the registered two-tenant ``micro`` scenario's request stream
-    (seed 0) on a fixed 8192-multiplier / 32 MB / 1 TB/s design carrying
-    ``params``, through the full event loop — arrivals, batching,
-    level-budget bootstraps, cache partitioning.  The simulator records
-    one cost per tenant span, so the gated total covers the entire
-    serving pipeline: drift in arrival generation, batch formation,
-    bootstrap triggering or pricing all move the committed numbers.
-    Latency percentiles are simulated time and never enter the gate.
-    """
-    from repro.hardware.design import HardwareDesign
-    from repro.serve.scenario import SCENARIOS
-    from repro.serve.simulator import simulate
-
-    scenario = SCENARIOS["micro"]
-    fleet = scenario.fleets[0]
-    design = HardwareDesign(
-        name="serve-bench",
-        modular_multipliers=8192,
-        on_chip_mb=32.0,
-        bandwidth_gb_s=1000.0,
-        params=params,
-    )
-    result = simulate(
-        fleet_name="serve-bench",
-        design=design,
-        devices=fleet.devices,
-        tenants=scenario.tenants,
-        duration_s=scenario.duration_s,
-        seed=0,
-        scenario=scenario.name,
-        config=config,
-        scheduler=fleet.scheduler,
-        cache_policy=fleet.cache_policy,
-        batch=fleet.batch,
-    )
-    return result.total_cost
-
-
 def resolve_model(params: str, config: str, cache_mb: Optional[float]):
     """The ``(CkksParams, MADConfig, CacheModel)`` three names select.
 
@@ -410,8 +369,6 @@ def resolve_workload(
         return "kernels", lambda: kernels_micro_cost(ckks, mad)
     if target == "sweep":
         return "sweep", lambda: sweep_micro_cost(ckks, mad)
-    if target == "serve":
-        return "serve", lambda: serve_micro_cost(ckks, mad)
     raise ValueError(f"unknown workload {target!r}")
 
 

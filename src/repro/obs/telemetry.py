@@ -68,8 +68,8 @@ SNAPSHOT = Schema(
 )
 
 #: Top-level report keys whose values depend on the host, the clock or
-#: the chunk schedule, in any report family (run, sweep, serve, memsim,
-#: ...).  :func:`strip_volatile` drops them.
+#: the chunk schedule, in any report family (run, sweep, memsim, ...).
+#: :func:`strip_volatile` drops them.
 VOLATILE_REPORT_KEYS = (
     "provenance",
     "resources",
@@ -283,8 +283,8 @@ def strip_volatile(report: Mapping[str, Any]) -> Dict[str, Any]:
     metrics whose values depend on the chunk schedule
     (:data:`VOLATILE_METRIC_PREFIXES`, :data:`VOLATILE_METRIC_NAMES`).
     What remains — for a run report, the span tree with its exact
-    analytical costs, the stable metrics and totals; for a sweep, serve
-    or memsim report, every result — must be bit-identical between
+    analytical costs, the stable metrics and totals; for a sweep or
+    memsim report, every result — must be bit-identical between
     ``--jobs N`` and serial runs, and between runs under different
     ``PYTHONHASHSEED`` values.
     """

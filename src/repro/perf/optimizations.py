@@ -100,8 +100,8 @@ class MADConfig:
         return replace(self, **changes)
 
 
-#: Every named config a command line, bench spec or serving scenario can
-#: select: the baseline, all caching optimizations, every MAD technique.
+#: Every named config a command line or bench spec can select: the
+#: baseline, all caching optimizations, every MAD technique.
 CONFIGS: Dict[str, MADConfig] = {
     "none": MADConfig.none(),
     "caching": MADConfig.caching_only(),

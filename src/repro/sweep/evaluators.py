@@ -21,10 +21,6 @@ HELR workload reads ``log_q``.
   cache size running an ML workload.
 * ``memsim.primitive`` — one Fig. 2 ladder cell: differential validation
   of one primitive's schedule at one rung capacity.
-* ``serve.scenario``   — one capacity-planning cell: a named serving
-  scenario on one fleet configuration (device count / cache policy
-  overrides applied to a named fleet preset), returning the fleet's
-  ``repro.serve/v1`` report row.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "EVALUATOR_FIG6_BAR",
     "EVALUATOR_MEMSIM_PRIMITIVE",
     "EVALUATOR_SEARCH_CANDIDATE",
-    "EVALUATOR_SERVE_SCENARIO",
     "memoized_bootstrap_cost",
 ]
 
@@ -50,7 +45,6 @@ EVALUATOR_SEARCH_CANDIDATE = "search.candidate"
 EVALUATOR_BOOTSTRAP_COST = "bootstrap.cost"
 EVALUATOR_FIG6_BAR = "fig6.bar"
 EVALUATOR_MEMSIM_PRIMITIVE = "memsim.primitive"
-EVALUATOR_SERVE_SCENARIO = "serve.scenario"
 
 
 def memoized_bootstrap_cost(
@@ -246,40 +240,3 @@ def _memsim_primitive(
 
 
 register_evaluator(EVALUATOR_MEMSIM_PRIMITIVE, _memsim_primitive)
-
-
-# ----------------------------------------------------------------------
-# serve.scenario — one capacity-planning grid cell
-# ----------------------------------------------------------------------
-def _serve_scenario(
-    point: Mapping[str, Any], context: Mapping[str, Any], memo: Memo
-) -> Dict[str, Any]:
-    from repro.serve.report import fleet_row
-    from repro.serve.scenario import (
-        FLEET_PRESETS,
-        SCENARIOS,
-        fleet_with,
-        simulate_fleet,
-    )
-
-    scenario = SCENARIOS[str(context["scenario"])]
-    base_name = str(point.get("fleet", context.get("fleet", "")))
-    if base_name not in FLEET_PRESETS:
-        known = ", ".join(sorted(FLEET_PRESETS))
-        raise ValueError(
-            f"unknown fleet preset {base_name!r}; known: {known}"
-        )
-    fleet = fleet_with(
-        FLEET_PRESETS[base_name],
-        devices=int(point.get("devices", 0)),
-        cache_policy=str(point.get("cache_policy", "")),
-    )
-    seed = int(context.get("seed", 0))
-    result = simulate_fleet(scenario, fleet, seed)
-    row = fleet_row(result)
-    row["scenario"] = scenario.name
-    row["seed"] = seed
-    return row
-
-
-register_evaluator(EVALUATOR_SERVE_SCENARIO, _serve_scenario)

@@ -85,24 +85,6 @@ def _fig6(workload: str, quick: bool) -> SweepSpec:
     )
 
 
-def _serve_capacity(quick: bool) -> SweepSpec:
-    devices = (1, 2) if quick else (1, 2, 3, 4)
-    policies = (
-        ("shared", "equal") if quick else ("shared", "equal", "weighted")
-    )
-    return SweepSpec(
-        name="serve-capacity",
-        evaluator="serve.scenario",
-        axes=(
-            SweepAxis("devices", devices),
-            SweepAxis("cache_policy", policies),
-        ),
-        # The 32 MB MAD counterpart: small enough that the cache-policy
-        # axis moves tenants across Fig. 2 rungs.
-        context={"scenario": "mixed", "fleet": "bts-mad-fifo", "seed": 0},
-    )
-
-
 def _memsim_ladder(quick: bool) -> SweepSpec:
     from repro.memsim.validate import ladder_sweep_spec
 
@@ -116,7 +98,6 @@ SWEEP_PRESETS: Dict[str, Callable[[bool], SweepSpec]] = {
     "fig6-lr": lambda quick: _fig6("lr", quick),
     "fig6-resnet": lambda quick: _fig6("resnet", quick),
     "memsim-ladder": _memsim_ladder,
-    "serve-capacity": _serve_capacity,
 }
 
 

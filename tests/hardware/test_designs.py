@@ -1,7 +1,7 @@
 """Preset-catalog integrity for ``hardware.designs``.
 
 The preset names double as span labels and report keys (Table 6 rows,
-``serve_report.json`` ``design`` fields, sweep axes), so they must stay
+run-report ``runtime.design`` fields, sweep axes), so they must stay
 byte-stable; the parameters must stay positive and finite or the
 roofline divides blow up; and every prior design needs a MAD
 counterpart for the paper's pairwise comparison to be constructible.

@@ -44,9 +44,6 @@ FILES = {
                 dram_bytes += report.traffic.total
             return dram_bytes
         """,
-    "serve/clock.py": """
-        import time
-        """,
     "numth/approx.py": """
         def scale(n):
             return 1 / n
@@ -80,7 +77,7 @@ def test_findings_are_independent_of_file_visit_order(tree, order):
 def test_baseline_fixture_actually_finds_violations(tree):
     # Guard against the permutation test passing vacuously: one cross-file
     # finding (the flag read only by its own __post_init__) and one per-file
-    # finding from each of three rules.
+    # finding from each of two rules.
     by_rule = {}
     for path, _, _, rule, message in _findings(tree):
         by_rule.setdefault(rule, []).append((path.rsplit("/", 2)[-2:], message))
@@ -88,7 +85,6 @@ def test_baseline_fixture_actually_finds_violations(tree):
         "ConfigFlagCoverage",
         "ExactArithPurity",
         "LedgerDiscipline",
-        "SimClockDiscipline",
     ]
     [(where, message)] = by_rule["ConfigFlagCoverage"]
     assert where == ["perf", "optimizations.py"] and "phantom_flag" in message

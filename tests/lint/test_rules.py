@@ -806,121 +806,3 @@ class TestSchemaIdLiteral:
             rules=["SchemaIdLiteral"],
         )
         assert result.clean
-
-
-# ----------------------------------------------------------------------
-# SimClockDiscipline
-# ----------------------------------------------------------------------
-class TestSimClockDiscipline:
-    def test_import_time_in_serve_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/simulator.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert rules_of(result) == [("SimClockDiscipline", 2)]
-        assert "time" in result.findings[0].message
-
-    def test_from_datetime_import_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/report_rows.py": """
-                from datetime import datetime
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert rules_of(result) == [("SimClockDiscipline", 2)]
-        assert "datetime" in result.findings[0].message
-
-    def test_dotted_submodule_import_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/clock.py": """
-                import datetime.timezone
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert rules_of(result) == [("SimClockDiscipline", 2)]
-
-    def test_wall_clock_outside_serve_is_fine(self, lint_tree):
-        result = lint_tree(
-            {
-                "obs/profiler.py": """
-                import time
-
-                def sample():
-                    return time.monotonic()
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert result.clean
-
-    def test_clock_free_serve_module_is_clean(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/stats.py": """
-                import heapq
-                import math
-
-                def rank(q, n):
-                    return math.ceil(q / 100.0 * n)
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert result.clean
-
-    def test_timeit_is_not_time(self, lint_tree):
-        # Only the exact module roots are clock modules; a name that
-        # merely starts with "time" must not match.
-        result = lint_tree(
-            {
-                "serve/bench_helper.py": """
-                import timeit
-                """
-            },
-            rules=["SimClockDiscipline"],
-        )
-        assert result.clean
-
-
-# ----------------------------------------------------------------------
-# LedgerDiscipline / serve extension
-# ----------------------------------------------------------------------
-class TestLedgerDisciplineInServe:
-    def test_raw_byte_accumulation_in_serve_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/simulator.py": """
-                def drain(events):
-                    busy_bytes = 0
-                    busy_bytes += 8
-                    return busy_bytes
-                """
-            },
-            rules=["LedgerDiscipline"],
-        )
-        assert rules_of(result) == [("LedgerDiscipline", 4)]
-        assert "serve" in result.findings[0].message
-
-    def test_cost_report_addition_in_serve_is_clean(self, lint_tree):
-        result = lint_tree(
-            {
-                "serve/simulator.py": """
-                def fold(total, cost):
-                    total = total + cost
-                    return total
-                """
-            },
-            rules=["LedgerDiscipline"],
-        )
-        assert result.clean

@@ -30,7 +30,6 @@ class TestTreeIsClean:
             "ExactArithPurity",
             "LedgerDiscipline",
             "SchemaIdLiteral",
-            "SimClockDiscipline",
             "SpanLabelStability",
             "TelemetryDiscipline",
             "TraceDiscipline",
@@ -125,20 +124,6 @@ class TestSeededViolations:
         assert len(culprits) == 1
         assert culprits[0].path.endswith("obs/export.py")
         assert culprits[0].line == len(target.read_text().splitlines())
-
-    def test_wall_clock_import_in_serve_report(self, tmp_path):
-        target = self._copy_with(
-            tmp_path,
-            "serve/report.py",
-            "\n\nimport time\n\n\ndef _stamp():\n    return time.time()\n",
-        )
-        result = run_lint([tmp_path], all_rules())
-        culprits = [
-            f for f in result.findings if f.rule == "SimClockDiscipline"
-        ]
-        assert len(culprits) == 1
-        assert culprits[0].path.endswith("serve/report.py")
-        assert culprits[0].line == len(target.read_text().splitlines()) - 4
 
     def test_rss_sampling_in_sweep_engine(self, tmp_path):
         target = self._copy_with(

@@ -368,9 +368,12 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "table5" in out and "memsim-ladder" in out
 
-    def test_missing_preset_exits(self):
+    @pytest.mark.parametrize(
+        "argv", [["sweep"], ["sweep", "nope"], ["sweep", "serve-capacity"]]
+    )
+    def test_missing_preset_exits(self, argv):
         with pytest.raises(SystemExit, match="choose a sweep preset"):
-            main(["sweep"])
+            main(argv)
 
     def test_quick_ablation_sweep(self, capsys):
         assert main(["sweep", "ablation-cache", "--quick"]) == 0
@@ -523,99 +526,3 @@ class TestProfileCommand:
 
         payload = json.loads(capsys.readouterr().out)
         assert payload["resources"]["alloc_peak_bytes"] == 0
-
-
-class TestServeCommand:
-    def test_list_scenarios(self, capsys):
-        assert main(["serve", "--list"]) == 0
-        out = capsys.readouterr().out.split()
-        assert "micro" in out and "mixed" in out
-
-    def test_micro_human_output(self, capsys):
-        assert main(["serve", "micro", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "serve micro" in out
-        assert "bts-micro" in out
-        assert "rps" in out and "ksk saved" in out
-        # Per-tenant SLA lines: alpha declares a target, beta does not.
-        assert "alpha" in out and "beta" in out
-
-    def test_json_output_is_a_valid_report(self, capsys):
-        import json as json_module
-
-        from repro.obs import schema
-        from repro.serve import SERVE_REPORT
-
-        assert main(["serve", "micro", "--json"]) == 0
-        report = json_module.loads(capsys.readouterr().out)
-        schema.validate(report, SERVE_REPORT)
-        assert report["scenario"] == "micro"
-
-    def test_out_writes_validated_report(self, capsys, tmp_path):
-        from repro.obs import schema
-        from repro.serve import SERVE_REPORT
-
-        path = tmp_path / "serve_report.json"
-        assert main(["serve", "micro", "--out", str(path)]) == 0
-        report = schema.load(path, SERVE_REPORT)
-        assert report is not None and report["seed"] == 0
-
-    def test_same_seed_reports_are_byte_identical_sans_provenance(
-        self, capsys, tmp_path
-    ):
-        import json as json_module
-
-        from repro.obs.telemetry import strip_volatile
-
-        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
-        for path in paths:
-            assert main(["serve", "micro", "--out", path]) == 0
-        capsys.readouterr()
-        payloads = []
-        for path in paths:
-            with open(path) as handle:
-                report = strip_volatile(json_module.load(handle))
-            payloads.append(
-                json_module.dumps(report, indent=1, sort_keys=True)
-            )
-        assert payloads[0] == payloads[1]
-
-    def test_jobs_two_matches_serial(self, capsys, tmp_path):
-        import json as json_module
-
-        from repro.obs.telemetry import strip_volatile
-
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert main(["serve", "micro", "--out", str(serial)]) == 0
-        assert (
-            main(["serve", "micro", "--jobs", "2", "--out", str(parallel)])
-            == 0
-        )
-        capsys.readouterr()
-
-        def stripped(path):
-            with open(path) as handle:
-                return strip_volatile(json_module.load(handle))
-
-        assert stripped(serial) == stripped(parallel)
-
-    def test_report_writes_validated_run_report(self, capsys, tmp_path):
-        import json as json_module
-
-        from repro.obs import schema
-        from repro.obs.export import RUN_REPORT
-
-        report_path = tmp_path / "run_report.json"
-        assert (
-            main(["serve", "micro", "--report", str(report_path)]) == 0
-        )
-        assert schema.load(report_path, RUN_REPORT) is not None
-
-    def test_unknown_scenario_exits_with_guidance(self, capsys):
-        with pytest.raises(SystemExit, match="choose a serving scenario"):
-            main(["serve", "does-not-exist"])
-
-    def test_missing_scenario_exits_with_guidance(self):
-        with pytest.raises(SystemExit, match="choose a serving scenario"):
-            main(["serve"])

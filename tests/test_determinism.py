@@ -12,8 +12,7 @@ sorted keys) to be identical.
 
 Clock, pid and entropy leaks differ on every run, so they fail here as
 well.  Completion-order bugs need more than one worker and are covered
-by the ``--jobs 2`` versus serial tests of the sweep, serve and search
-suites.
+by the ``--jobs 2`` versus serial tests of the sweep and search suites.
 
 The second half runs the same check on small stand-alone producers with
 known bugs, so the check is shown to catch set-order and ``hash()``-order
@@ -39,13 +38,10 @@ BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
 SEEDS = (0, 1, 2, 3)
 
-#: ``python -m repro`` argv → the report files it writes.  ``serve
-#: mixed`` rather than ``micro``: an ordering bug needs several fleets
-#: to show.
+#: ``python -m repro`` argv → the report files it writes.
 PRODUCERS = {
     ("trace", "bootstrap", "--out", "trace.json", "--report", "run.json"):
         ("run.json",),
-    ("serve", "mixed", "--seed", "0", "--out", "serve.json"): ("serve.json",),
     ("sweep", "table5", "--quick", "--out", "sweep.json"): ("sweep.json",),
     ("memsim", "--primitive", "rotate", "--out", "memsim.json"):
         ("memsim.json",),
@@ -135,7 +131,7 @@ FLEETS = ("cpu", "gpu", "asic", "fpga", "bts", "ark", "f1", "craterlake")
 
 
 def _toy_divergence(body, workdir):
-    """Run a toy serve-style report producer whose rows pass through
+    """Run a toy report producer whose rows pass through
     ``body`` (one line) under every seed; the divergence message or None."""
     code = textwrap.dedent(
         """\
@@ -189,10 +185,10 @@ def test_volatile_fields_do_not_count(tmp_path):
 
 def test_divergence_names_the_producer_and_the_seeds():
     same = {seed: ["{}"] for seed in SEEDS}
-    assert _divergence("repro serve mixed", same) is None
+    assert _divergence("repro sweep table5", same) is None
     split = {**same, 2: ['{"a": 1}'], 3: ['{"a": 1}']}
-    assert _divergence("repro serve mixed", split) == (
-        "repro serve mixed: PYTHONHASHSEED 2, 3 differ from 0"
+    assert _divergence("repro sweep table5", split) == (
+        "repro sweep table5: PYTHONHASHSEED 2, 3 differ from 0"
     )
 
 
