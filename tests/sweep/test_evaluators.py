@@ -1,6 +1,7 @@
 """Built-in evaluators reproduce their serial surfaces bit-for-bit."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -8,7 +9,16 @@ from repro.params import BASELINE_JUNG, CkksParams
 from repro.perf import BootstrapModel, CacheModel, MADConfig, cost_shape
 from repro.hardware import PRIOR_DESIGNS, mad_counterpart
 from repro.hardware.runtime import estimate_runtime
-from repro.sweep import Memo, SweepAxis, SweepSpec, build_preset, run_sweep
+from repro.sweep import (
+    Memo,
+    SweepAxis,
+    SweepSpec,
+    build_preset,
+    build_sweep_report,
+    get_evaluator,
+    preset_names,
+    run_sweep,
+)
 from repro.sweep.evaluators import memoized_bootstrap_cost
 
 
@@ -190,3 +200,40 @@ class TestPresets:
 
         spec = build_preset("ablation-cache")
         assert spec.axes[0].values == tuple(float(s) for s in ABLATION_CACHE_SIZES)
+
+
+def _keys(spec):
+    return [json.dumps(spec.point_key(point), sort_keys=True)
+            for _, point in spec.points()]
+
+
+@pytest.mark.parametrize("name", preset_names())
+class TestEveryPreset:
+    """Each named sweep: a stable spec under its own name, a quick grid
+    that is a strict subset of the full one, and rows that depend on
+    neither the worker count nor a resume."""
+
+    def test_quick_spec_is_named_registered_and_stable(self, name):
+        spec = build_preset(name, quick=True)
+        assert spec.name == name
+        get_evaluator(spec.evaluator)  # raises for an unregistered name
+        assert spec.fingerprint() == build_preset(name, quick=True).fingerprint()
+
+    def test_quick_grid_is_a_smaller_subset_of_the_full_grid(self, name):
+        quick, full = build_preset(name, quick=True), build_preset(name)
+        assert quick.size < full.size
+        quick_keys = _keys(quick)
+        assert len(set(quick_keys)) == quick.size
+        assert set(quick_keys) <= set(_keys(full))
+
+    def test_two_workers_match_serial(self, name):
+        spec = build_preset(name, quick=True)
+        assert run_sweep(spec, jobs=2).rows == run_sweep(spec, jobs=1).rows
+
+    def test_complete_resume_evaluates_nothing(self, name):
+        spec = build_preset(name, quick=True)
+        outcome = run_sweep(spec, jobs=1)
+        report = json.loads(json.dumps(build_sweep_report(outcome)))
+        resumed = run_sweep(spec, jobs=1, resume=report)
+        assert (resumed.reused, resumed.evaluated) == (spec.size, 0)
+        assert resumed.rows == outcome.rows
