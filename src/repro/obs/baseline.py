@@ -177,16 +177,34 @@ class BenchComparison:
     def describe(self) -> str:
         if self.ok:
             if self.improvements:
-                return (
+                headline = (
                     f"{self.workload}: ok "
                     f"(improved: {', '.join(self.improvements)})"
                 )
-            return f"{self.workload}: ok (costs unchanged)"
+            else:
+                headline = f"{self.workload}: ok (costs unchanged)"
+            return "\n".join([headline, *self._drift()])
         lines = [f"{self.workload}: REGRESSION"]
         lines += [f"  {r.describe()}" for r in self.regressions]
         if self.diff is not None:
             lines.append(render_attribution_table(self.diff, top=10))
         return "\n".join(lines)
+
+    def _drift(self) -> List[str]:
+        """Ungated differences from the fixture: counters and span entries."""
+        if self.diff is None:
+            return []
+        counters = self.diff["metrics"]["counters"]
+        lines = [
+            f"  drift: counter {name} {delta['base']:,} -> {delta['other']:,}"
+            for name, delta in counters.items()
+        ]
+        if self.diff["spans"]:
+            lines.append(f"  drift: {len(self.diff['spans'])} span entries differ")
+        lines.append(
+            "  the fixture is stale: refresh it with `python -m repro bench --update`"
+        )
+        return lines
 
 
 def compare_reports(

@@ -505,9 +505,11 @@ def run_bench(
                 comparison = compare_reports(baseline, report, tolerance)
                 comparison.workload = spec.name
                 if comparison.ok:
+                    headline, *drift = comparison.describe().split("\n")
                     printer(
-                        comparison.describe()
-                        + f"  [{runner_seconds * 1e3:.1f} ms]"
+                        "\n".join(
+                            [f"{headline}  [{runner_seconds * 1e3:.1f} ms]", *drift]
+                        )
                     )
                 else:
                     printer(comparison.describe())

@@ -247,4 +247,5 @@ class BootstrapModel:
         )
 
     def total_cost(self) -> CostReport:
-        return self.cost().total
+        """The cost of one bootstrap: one pass over :meth:`ledger`."""
+        return self.ledger().total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,33 @@ class CostReport:
 
     def scaled(self, factor: int) -> "CostReport":
         return CostReport(self.ops.scaled(factor), self.traffic.scaled(factor))
+
+    @classmethod
+    def weighted_sum(
+        cls, terms: Iterable[Tuple["CostReport", int]]
+    ) -> "CostReport":
+        """``sum(cost.scaled(count) for cost, count in terms)`` in plain ints.
+
+        This is how the model prices a sub-operation it repeats ``count``
+        times: evaluate it once and weight it.  One fresh report is built;
+        a count of 0 adds nothing, a negative count raises ``ValueError``
+        (as :meth:`scaled` does), and no terms give a zero report.
+        """
+        mults = adds = ct_read = ct_write = key_read = pt_read = 0
+        for cost, count in terms:
+            if count < 0:
+                raise ValueError(f"count must be non-negative, got {count}")
+            ops, traffic = cost.ops, cost.traffic
+            mults += ops.mults * count
+            adds += ops.adds * count
+            ct_read += traffic.ct_read * count
+            ct_write += traffic.ct_write * count
+            key_read += traffic.key_read * count
+            pt_read += traffic.pt_read * count
+        return cls(
+            OpCount(mults, adds),
+            MemTraffic(ct_read, ct_write, key_read, pt_read),
+        )
 
     @property
     def arithmetic_intensity(self) -> float:

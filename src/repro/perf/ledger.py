@@ -33,9 +33,7 @@ class CostLedger:
 
     @property
     def total(self) -> CostReport:
-        if not self._entries:
-            return CostReport()
-        return sum(cost for _, cost in self._entries)
+        return CostReport.weighted_sum((cost, 1) for _, cost in self._entries)
 
     def by_label(self) -> Dict[str, CostReport]:
         """Components merged by label (labels may repeat across phases)."""

@@ -49,30 +49,32 @@ def pt_mat_vec_mult_cost(
     limb = params.limb_bytes
 
     baby, giant = bsgs_split(diagonals, larger_baby=config.mod_down_hoist)
-    num_rotations = (baby - 1) + (giant - 1)
 
     # --- shared hoisted ModUp of the input's c1 ------------------------
-    cost = costs.decomp(limbs)
-    for digit_size in costs._digit_sizes(limbs):
-        cost = cost + costs.mod_up(
-            limbs, digit_size, fused_intt=config.cache_o1
-        )
+    # Each repeated sub-operation is priced once and weighted by its count.
+    terms = [
+        (costs.decomp(limbs), 1),
+        *costs._mod_up_terms(limbs, fused_intt=config.cache_o1),
+    ]
+    if config.cache_beta:
+        # The raised digits are read from DRAM a single time.
+        terms.append((
+            CostReport(
+                OpCount(),
+                MemTraffic(ct_read=params.beta(limbs) * raised * limb),
+            ),
+            1,
+        ))
 
     if config.mod_down_hoist:
         # Fig. 5(c): every rotation (baby and giant alike) is an inner
         # product against its switching key; ModDown happens once.
-        for _ in range(num_rotations):
-            cost = cost + costs.ksk_inner_product(
-                limbs,
-                count_digit_reads=not config.cache_beta,
-                count_output_writes=False,  # accumulates on chip
-            )
-        if config.cache_beta:
-            # The raised digits are read from DRAM a single time.
-            cost = cost + CostReport(
-                OpCount(),
-                MemTraffic(ct_read=params.beta(limbs) * raised * limb),
-            )
+        inner_product = costs.ksk_inner_product(
+            limbs,
+            count_digit_reads=not config.cache_beta,
+            count_output_writes=False,  # accumulates on chip
+        )
+        terms.append((inner_product, (baby - 1) + (giant - 1)))
         # Plaintext multiplications + accumulation in the raised basis.
         # The key-switch rows stream from the on-chip accumulators; only the
         # rotated c0 rows and the diagonal plaintexts come from DRAM.
@@ -80,52 +82,45 @@ def pt_mat_vec_mult_cost(
         per_diag_traffic = MemTraffic(
             pt_read=limbs * limb, ct_read=limbs * limb
         )
-        cost = cost + CostReport(per_diag_ops, per_diag_traffic).scaled(
-            diagonals
-        )
-        # The single deferred ModDown pair, then one output write.
-        cost = cost + costs.mod_down(limbs, polys=2, input_resident=True)
-        cost = cost + CostReport(
-            OpCount(adds=2 * n * limbs),
-            MemTraffic(ct_write=2 * limbs * limb),
+        terms.append((CostReport(per_diag_ops, per_diag_traffic), diagonals))
+        # The single deferred ModDown pair.
+        terms.append(
+            (costs.mod_down(limbs, polys=2, input_resident=True), 1)
         )
     else:
         # Baseline (Jung et al.): baby rotations share the ModUp (classic
         # ModUp hoisting) but each performs its own inner product and
         # ModDown pair; giant rotations act on distinct partial sums and
-        # must be full Rotates.
+        # must be full Rotates.  A step count of zero prices nothing.
         reorder = config.limb_reorder
-        for _ in range(baby - 1):
-            cost = cost + costs.ksk_inner_product(
+        if baby > 1:
+            inner_product = costs.ksk_inner_product(
                 limbs,
                 count_digit_reads=not config.cache_beta,
                 count_output_writes=not reorder,
             )
-            cost = cost + costs.mod_down(
-                limbs, polys=2, input_resident=reorder
-            )
-        if config.cache_beta:
-            cost = cost + CostReport(
-                OpCount(),
-                MemTraffic(ct_read=params.beta(limbs) * raised * limb),
-            )
+            mod_down = costs.mod_down(limbs, polys=2, input_resident=reorder)
+            terms += [(inner_product, baby - 1), (mod_down, baby - 1)]
         # Inner plaintext products against each (pre-rotated) diagonal.
         per_diag_ops = OpCount(mults=2 * n * limbs, adds=2 * n * limbs)
         per_diag_traffic = MemTraffic(
             pt_read=limbs * limb, ct_read=2 * limbs * limb
         )
-        cost = cost + CostReport(per_diag_ops, per_diag_traffic).scaled(
-            diagonals
-        )
+        terms.append((CostReport(per_diag_ops, per_diag_traffic), diagonals))
         # Giant-step rotations of the accumulated partial sums.
-        for _ in range(giant - 1):
-            cost = cost + costs.rotate(limbs)
-        # Write the accumulated output once.
-        cost = cost + CostReport(
-            OpCount(adds=2 * n * limbs),
-            MemTraffic(ct_write=2 * limbs * limb),
-        )
+        if giant > 1:
+            terms.append((costs.rotate(limbs), giant - 1))
 
-    # Mandatory Rescale after the plaintext products.
-    cost = cost + costs.rescale(limbs, polys=2)
-    return cost
+    # Write the accumulated output once, then the mandatory Rescale after
+    # the plaintext products.
+    terms += [
+        (
+            CostReport(
+                OpCount(adds=2 * n * limbs),
+                MemTraffic(ct_write=2 * limbs * limb),
+            ),
+            1,
+        ),
+        (costs.rescale(limbs, polys=2), 1),
+    ]
+    return CostReport.weighted_sum(terms)

@@ -18,7 +18,7 @@ mechanism from Section 3.1 of the paper.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.obs import state as obs
 from repro.params import CkksParams
@@ -57,18 +57,15 @@ class PrimitiveCosts:
             )
         self.config = config
         self.cache = cache
+        # The geometry every formula reads, read once (CkksParams is frozen).
+        self._n = params.ring_degree
+        self._limb = params.limb_bytes
+        self._alpha = params.alpha
+        self._special = params.num_special_limbs
 
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
-    @property
-    def _n(self) -> int:
-        return self.params.ring_degree
-
-    @property
-    def _limb(self) -> int:
-        return self.params.limb_bytes
-
     def ntt_ops(self, limbs: int = 1) -> OpCount:
         """Ops for ``limbs`` limb-wise (i)NTT passes."""
         n, logn = self._n, self.params.log_n
@@ -199,10 +196,11 @@ class PrimitiveCosts:
         """
         obs.count("perf.primitives.mod_up")
         self._check_limbs(limbs)
-        d = self.params.alpha if digit_size is None else digit_size
-        if not 1 <= d <= self.params.alpha:
-            raise ValueError(f"digit size {d} outside [1, {self.params.alpha}]")
-        k = self.params.num_special_limbs
+        alpha = self._alpha
+        d = alpha if digit_size is None else digit_size
+        if not 1 <= d <= alpha:
+            raise ValueError(f"digit size {d} outside [1, {alpha}]")
+        k = self._special
         new = limbs + k - d
         ops = self.ntt_ops(d) + self.conversion_ops(d, new) + self.ntt_ops(new)
         if self.config.cache_alpha:
@@ -275,7 +273,7 @@ class PrimitiveCosts:
         obs.count("perf.primitives.mod_down")
         self._check_limbs(limbs)
         n = self._n
-        k = self.params.num_special_limbs + extra_drop
+        k = self._special + extra_drop
         ops_per_poly = (
             self.ntt_ops(k)
             + self.conversion_ops(k, limbs)
@@ -305,29 +303,39 @@ class PrimitiveCosts:
         """
         obs.count("perf.primitives.key_switch")
         self._check_limbs(limbs)
-        cost = self.decomp(limbs)
-        for digit_size in self._digit_sizes(limbs):
+        reorder = self.config.limb_reorder
+        terms = [
+            (self.decomp(limbs), 1),
             # With O(1) fusion the Decomp pass also produces the digit in
             # coefficient form, so ModUp skips its iNTT round trip.
-            cost = cost + self.mod_up(
-                limbs, digit_size, fused_intt=self.config.cache_o1
-            )
-        reorder = self.config.limb_reorder
-        cost = cost + self.ksk_inner_product(
-            limbs, count_output_writes=not reorder
-        )
+            *self._mod_up_terms(limbs, fused_intt=self.config.cache_o1),
+            (self.ksk_inner_product(limbs, count_output_writes=not reorder), 1),
+        ]
         if include_mod_down:
-            cost = cost + self.mod_down(limbs, polys=2, input_resident=reorder)
-        return cost
+            terms.append(
+                (self.mod_down(limbs, polys=2, input_resident=reorder), 1)
+            )
+        return CostReport.weighted_sum(terms)
 
-    def _digit_sizes(self, limbs: int):
-        alpha = self.params.alpha
-        sizes = []
-        remaining = limbs
-        while remaining > 0:
-            sizes.append(min(alpha, remaining))
-            remaining -= alpha
-        return sizes
+    def _mod_up_terms(
+        self, limbs: int, fused_intt: bool
+    ) -> List[Tuple[CostReport, int]]:
+        """The ModUps of every digit of a ``limbs``-limb polynomial.
+
+        The digits are ``limbs // alpha`` full ``alpha``-limb digits plus
+        at most one shorter remainder, and digits of one size cost the
+        same, so each distinct size is priced once and weighted by its
+        digit count (a :meth:`CostReport.weighted_sum` term list).
+        """
+        full, rest = divmod(limbs, self._alpha)
+        terms = []
+        if full:
+            terms.append(
+                (self.mod_up(limbs, self._alpha, fused_intt=fused_intt), full)
+            )
+        if rest:
+            terms.append((self.mod_up(limbs, rest, fused_intt=fused_intt), 1))
+        return terms
 
     def mult(self, limbs: int) -> CostReport:
         """Ciphertext multiplication: tensor, relinearise, rescale."""
@@ -402,16 +410,14 @@ class PrimitiveCosts:
             # c0+c1 automorph, then c1 decomp, then c1 per-digit iNTT.
             prefix_traffic = self._traffic(ct_read=4 * limbs, ct_write=4 * limbs)
         prefix_ops = OpCount(mults=n * limbs, adds=n * limbs)  # decomp scaling
-        cost = CostReport(prefix_ops, prefix_traffic)
-
-        # ModUp of each digit; the iNTT pass was already performed (and
-        # counted) by the prefix chain above in both regimes.
-        for digit_size in self._digit_sizes(limbs):
-            cost = cost + self.mod_up(limbs, digit_size, fused_intt=True)
         reorder = self.config.limb_reorder
-        cost = cost + self.ksk_inner_product(
-            limbs, count_output_writes=not reorder
-        )
+        terms = [
+            (CostReport(prefix_ops, prefix_traffic), 1),
+            # ModUp of each digit; the iNTT pass was already performed (and
+            # counted) by the prefix chain above in both regimes.
+            *self._mod_up_terms(limbs, fused_intt=True),
+            (self.ksk_inner_product(limbs, count_output_writes=not reorder), 1),
+        ]
         md = self.mod_down(limbs, polys=2, input_resident=reorder)
         if self.config.cache_o1:
             # O(1) fusion: the c0-part ModDown output streams into the
@@ -423,9 +429,8 @@ class PrimitiveCosts:
             combine_traffic = self._traffic(ct_read=limbs, ct_write=limbs)
         else:
             combine_traffic = self._traffic(ct_read=2 * limbs, ct_write=limbs)
-        cost = cost + md
-        cost = cost + CostReport(OpCount(adds=n * limbs), combine_traffic)
-        return cost
+        terms += [(md, 1), (CostReport(OpCount(adds=n * limbs), combine_traffic), 1)]
+        return CostReport.weighted_sum(terms)
 
     def conjugate(self, limbs: int) -> CostReport:
         """Identical cost structure to Rotate (Table 4)."""

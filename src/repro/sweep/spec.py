@@ -21,6 +21,7 @@ The determinism contract lives here:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -42,9 +43,10 @@ def value_key(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if is_dataclass(value) and not isinstance(value, type):
+        cls = type(value)
         return [
-            type(value).__name__,
-            {f.name: value_key(getattr(value, f.name)) for f in fields(value)},
+            cls.__name__,
+            {name: value_key(getattr(value, name)) for name in _field_names(cls)},
         ]
     if isinstance(value, (tuple, list)):
         return [value_key(item) for item in value]
@@ -54,6 +56,15 @@ def value_key(value: Any) -> Any:
         f"axis/context value of type {type(value).__name__} has no "
         f"canonical key; use primitives, dataclasses, tuples or mappings"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass type's field names, looked up once per type.
+
+    The table holds one tuple per axis/context dataclass type, a handful.
+    """
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)

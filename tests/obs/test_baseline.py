@@ -1,5 +1,6 @@
 """Baseline store, tolerance gating, and the bench regression harness."""
 
+import copy
 import json
 
 import pytest
@@ -165,6 +166,25 @@ class TestCompareReports:
         comparison = compare_reports(baseline, current, Tolerance(relative=10.0))
         assert comparison.ok
 
+    def test_identical_report_reads_costs_unchanged(self):
+        report = bootstrap_report()
+        comparison = compare_reports(normalize_report(report), report)
+        assert comparison.describe() == "bootstrap: ok (costs unchanged)"
+
+    def test_counter_drift_is_named_but_not_gated(self):
+        fixture = normalize_report(bootstrap_report())
+        current = copy.deepcopy(fixture)
+        assert current["metrics"]["counters"]["perf.primitives.rotate"] == 6
+        current["metrics"]["counters"]["perf.primitives.rotate"] = 30
+        comparison = compare_reports(fixture, current)
+        assert comparison.ok
+        assert not comparison.improvements
+        headline, *drift = comparison.describe().split("\n")
+        assert headline == "bootstrap: ok (costs unchanged)"
+        assert drift[0] == "  drift: counter perf.primitives.rotate 6 -> 30"
+        assert not any("span entries" in line for line in drift)
+        assert "repro bench --update" in drift[-1]
+
 
 class TestBenchSpecs:
     def test_default_matrix_covers_paper_workloads(self):
@@ -210,6 +230,24 @@ class TestRunBench:
         assert len(store.keys()) == len(self.SPECS)
         assert run_bench(self.SPECS, store) == 0
         assert "bench ok" in capsys.readouterr().out
+
+    def test_stale_fixture_passes_and_shows_its_drift(self, tmp_path, capsys):
+        store = BaselineStore(str(tmp_path / "baselines"))
+        run_bench(self.SPECS, store, update=True)
+        path = store.path_for(self.SPECS[1].name)
+        doc = json.loads(path.read_text())
+        doc["metrics"]["counters"]["perf.primitives.mod_up"] += 75
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+
+        assert run_bench(self.SPECS, store) == 0
+        lines = capsys.readouterr().out.split("\n")
+        at = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("bootstrap__baseline__none__nocache: ok")
+        )
+        assert lines[at].endswith(" ms]")  # the timing stays on the headline
+        assert lines[at + 1] == "  drift: counter perf.primitives.mod_up 116 -> 41"
 
     def test_missing_baseline_fails(self, tmp_path, capsys):
         store = BaselineStore(str(tmp_path / "empty"))

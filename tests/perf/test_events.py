@@ -104,3 +104,41 @@ class TestSumSupport:
     def test_nonzero_int_addition_is_rejected(self, value):
         with pytest.raises(TypeError):
             1 + value
+
+
+_costs = st.builds(
+    CostReport,
+    st.builds(OpCount, st.integers(0, 10**12), st.integers(0, 10**12)),
+    st.builds(
+        MemTraffic,
+        st.integers(0, 10**12),
+        st.integers(-(10**6), 10**12),  # Rotate's fused ModDown nets a write out
+        st.integers(0, 10**12),
+        st.integers(0, 10**12),
+    ),
+)
+
+
+class TestWeightedSum:
+    """``CostReport.weighted_sum``: one repeated sub-operation, priced once."""
+
+    @given(st.lists(st.tuples(_costs, st.integers(0, 50)), max_size=8))
+    def test_equals_the_scaled_fold(self, terms):
+        folded = CostReport()
+        for cost, count in terms:
+            folded = folded + cost.scaled(count)
+        assert CostReport.weighted_sum(terms) == folded
+
+    def test_empty_is_a_zero_report(self):
+        assert CostReport.weighted_sum([]) == CostReport()
+        assert CostReport.weighted_sum(iter(())) == CostReport()
+
+    def test_count_zero_adds_nothing(self):
+        a = CostReport(OpCount(1, 2), MemTraffic(3, 4, 5, 6))
+        b = CostReport(OpCount(10**9, 7), MemTraffic(key_read=8))
+        assert CostReport.weighted_sum([(a, 1), (b, 0)]) == a
+
+    def test_negative_count_is_rejected(self):
+        a = CostReport(OpCount(1, 1), MemTraffic(ct_read=1))
+        with pytest.raises(ValueError, match="non-negative"):
+            CostReport.weighted_sum([(a, 1), (a, -1)])

@@ -1,7 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.params import BASELINE_JUNG
-from repro.perf import CacheModel, MADConfig, PrimitiveCosts
+from repro.obs import state
+from repro.params import BASELINE_JUNG, CkksParams
+from repro.perf import (
+    ALGORITHMIC_LADDER,
+    CACHING_LADDER,
+    CacheModel,
+    CostReport,
+    MADConfig,
+    MemTraffic,
+    OpCount,
+    PrimitiveCosts,
+)
 
 #: Table 4 of the paper: (giga-ops, DRAM GB) at N=2^17, l=35, dnum=3,
 #: baseline small cache.  Our counting conventions reproduce each row to
@@ -180,3 +191,110 @@ class TestValidationPaths:
             baseline.mod_raise(5, 5)
         with pytest.raises(ValueError):
             baseline.mod_raise(0, 35)
+
+
+# ----------------------------------------------------------------------
+# The per-repetition loops, kept as the reference for the weighted sums
+# ----------------------------------------------------------------------
+def looped_digit_sizes(params, limbs):
+    """Peel ``alpha``-limb digits off a ``limbs``-limb polynomial."""
+    sizes = []
+    remaining = limbs
+    while remaining > 0:
+        sizes.append(min(params.alpha, remaining))
+        remaining -= params.alpha
+    return sizes
+
+
+def looped_key_switch(costs, limbs, include_mod_down=True):
+    """KeySwitch folded with ``+``: one ModUp per digit."""
+    reorder = costs.config.limb_reorder
+    cost = costs.decomp(limbs)
+    for digit_size in looped_digit_sizes(costs.params, limbs):
+        cost = cost + costs.mod_up(
+            limbs, digit_size, fused_intt=costs.config.cache_o1
+        )
+    cost = cost + costs.ksk_inner_product(limbs, count_output_writes=not reorder)
+    if include_mod_down:
+        cost = cost + costs.mod_down(limbs, polys=2, input_resident=reorder)
+    return cost
+
+
+def looped_rotate(costs, limbs):
+    """Rotate folded with ``+``: one ModUp per digit."""
+    n, limb = costs.params.ring_degree, costs.params.limb_bytes
+    fused = costs.config.cache_o1
+    reorder = costs.config.limb_reorder
+    passes = 2 if fused else 4
+    cost = CostReport(
+        OpCount(mults=n * limbs, adds=n * limbs),
+        MemTraffic(
+            ct_read=passes * limbs * limb, ct_write=passes * limbs * limb
+        ),
+    )
+    for digit_size in looped_digit_sizes(costs.params, limbs):
+        cost = cost + costs.mod_up(limbs, digit_size, fused_intt=True)
+    cost = cost + costs.ksk_inner_product(limbs, count_output_writes=not reorder)
+    md = costs.mod_down(limbs, polys=2, input_resident=reorder)
+    if fused:
+        md = CostReport(md.ops, md.traffic + MemTraffic(ct_write=-limbs * limb))
+        combine = MemTraffic(ct_read=limbs * limb, ct_write=limbs * limb)
+    else:
+        combine = MemTraffic(ct_read=2 * limbs * limb, ct_write=limbs * limb)
+    return cost + md + CostReport(OpCount(adds=n * limbs), combine)
+
+
+#: Every Fig. 2 and Fig. 3 rung, so both PtMatVecMult branches run.
+LADDER_RUNGS = CACHING_LADDER + ALGORITHMIC_LADDER
+
+
+@st.composite
+def small_params(draw):
+    """A small parameter set: any ``log_n``, ``max_limbs`` and legal ``dnum``."""
+    max_limbs = draw(st.integers(2, 24))
+    return CkksParams(
+        log_n=draw(st.integers(10, 17)),
+        log_q=30,
+        max_limbs=max_limbs,
+        dnum=draw(st.integers(1, max_limbs + 1)),
+    )
+
+
+def cost_models(params, config):
+    """The model without a cache, with a one-limb cache and a large one."""
+    return [
+        PrimitiveCosts(params, config, cache)
+        for cache in (
+            None,
+            CacheModel(params.limb_bytes),
+            CacheModel(1000 * params.limb_bytes),
+        )
+    ]
+
+
+class TestRepetitionsPricedOnce:
+    """Pricing each digit size once equals one ModUp per digit."""
+
+    @pytest.mark.parametrize(
+        "config", [c for _, c in LADDER_RUNGS], ids=[n for n, _ in LADDER_RUNGS]
+    )
+    @settings(max_examples=8, deadline=None)
+    @given(params=small_params())
+    def test_key_switch_and_rotate_match_the_loops(self, config, params):
+        for costs in cost_models(params, config):
+            for limbs in range(1, params.max_limbs + 1):
+                assert costs.key_switch(limbs) == looped_key_switch(costs, limbs)
+                assert costs.key_switch(
+                    limbs, include_mod_down=False
+                ) == looped_key_switch(costs, limbs, include_mod_down=False)
+                assert costs.rotate(limbs) == looped_rotate(costs, limbs)
+
+    def test_each_digit_size_is_priced_once(self):
+        # 35 limbs at alpha 12 are digits of 12, 12 and 11 limbs: two sizes.
+        assert looped_digit_sizes(BASELINE_JUNG, 35) == [12, 12, 11]
+        costs = PrimitiveCosts(BASELINE_JUNG, MADConfig.none())
+        with state.capture() as (_, registry):
+            costs.rotate(35)
+        counters = registry.counters()
+        assert counters["perf.primitives.mod_up"] == 2
+        assert counters["perf.primitives.ksk_inner_product"] == 1
