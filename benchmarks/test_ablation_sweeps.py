@@ -17,7 +17,7 @@ the trend the paper's analysis predicts:
 Every grid runs through :func:`repro.sweep.run_sweep` with the
 ``bootstrap.cost`` evaluator — the same declarative engine the CLI's
 ``repro sweep`` command uses — so these benchmarks also exercise the
-sweep dispatch/merge path on every run.
+sweep engine on every run.
 """
 
 import pytest
@@ -28,8 +28,8 @@ from repro.sweep import SweepAxis, SweepSpec, build_preset, run_sweep
 
 
 def _rows(spec: SweepSpec) -> list:
-    """Evaluate a sweep in-process and return its rows in canonical order."""
-    return list(run_sweep(spec, jobs=1).values)
+    """Evaluate a sweep and return its rows in canonical order."""
+    return list(run_sweep(spec).values)
 
 
 @pytest.mark.repro("Ablation: cache size")

@@ -51,9 +51,8 @@ def test_null_hooks_are_cheap(benchmark):
 
 
 # ----------------------------------------------------------------------
-# PR-6 telemetry: the new hooks must stay invisible when disabled, and
-# the cross-process snapshot machinery must stay a rounding error next
-# to the workload it observes.
+# Resource profiling: the per-point hook must stay invisible when
+# tracing is disabled.
 # ----------------------------------------------------------------------
 def _best_of(fn, repeats=7):
     import time
@@ -97,45 +96,3 @@ def test_profiled_span_disabled_path_gate(benchmark):
         f"{base:.4f}s plain (gate: 5% + 5ms)"
     )
     benchmark(profiled)
-
-
-@pytest.mark.repro("telemetry overhead (snapshot capture+merge+graft)")
-def test_snapshot_machinery_overhead_gate(benchmark):
-    """Capture→merge→graft on the primitive micro trace: <5% + 2ms.
-
-    This is exactly the extra work a ``--jobs N`` sweep does per chunk
-    relative to serial tracing; gating it against the micro workload
-    keeps the cross-process path honest as span trees grow.
-    """
-    from repro.obs.bench import primitive_micro_cost
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.telemetry import (
-        capture_snapshot,
-        graft_snapshot,
-        merge_snapshots,
-    )
-    from repro.obs.tracer import Tracer
-    from repro.params import MAD_OPTIMAL
-
-    params, config = MAD_OPTIMAL, MADConfig.all()
-
-    def workload():
-        with state.capture():
-            primitive_micro_cost(params, config)
-
-    def workload_with_snapshot():
-        with state.capture() as (tracer, registry):
-            primitive_micro_cost(params, config)
-            snapshot = capture_snapshot(tracer, registry)
-        merged = merge_snapshots([snapshot, snapshot])
-        graft_snapshot(merged, Tracer())
-
-    base = _best_of(workload)
-    full = _best_of(workload_with_snapshot)
-    benchmark.extra_info["workload_s"] = base
-    benchmark.extra_info["with_snapshot_s"] = full
-    assert full <= base * 1.05 + 0.002, (
-        f"snapshot machinery too slow: {full:.4f}s vs {base:.4f}s "
-        f"workload (gate: 5% + 2ms)"
-    )
-    benchmark(workload_with_snapshot)

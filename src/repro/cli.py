@@ -11,8 +11,8 @@ Commands regenerate the paper's tables/figures or run ad-hoc analyses:
     python -m repro diff base_report.json run_report.json --json cost_diff.json
     python -m repro bench --check
     python -m repro lint --json src/repro
-    python -m repro sweep table5 --jobs 4 --out sweep_report.json
-    python -m repro sweep table5 --jobs 4 --report run_report.json
+    python -m repro sweep table5 --out sweep_report.json
+    python -m repro sweep table5 --report run_report.json
     python -m repro profile bootstrap --params optimal --config all
 
 Table commands accept ``--json`` for machine-readable output; ``trace``
@@ -22,9 +22,9 @@ cost delta between two run reports span by span; ``bench`` gates the
 analytical workloads against the committed baselines in
 ``benchmarks/baselines/``; ``lint`` mechanically enforces the cost-model
 and observability invariants (see :mod:`repro.lint`); ``sweep`` runs a
-declarative parameter sweep (see :mod:`repro.sweep`) over worker
-processes with a resumable machine-readable report, optionally writing
-a merged cross-process ``run_report.json``; ``profile`` attributes host
+declarative parameter sweep (see :mod:`repro.sweep`) with a
+machine-readable report, optionally writing its traced
+``run_report.json``; ``profile`` attributes host
 resources (RSS, allocation peaks, CPU, GC) span by span.
 
 The parser is one table, :data:`_COMMANDS`: a row names a subcommand's
@@ -79,7 +79,7 @@ def _cmd_table5(args) -> int:
                 fft_iter_choices=(3, 4, 6),
             )
         )
-    print(render_table5(generate_table5(candidates=candidates, jobs=args.jobs)))
+    print(render_table5(generate_table5(candidates=candidates)))
     return 0
 
 
@@ -143,7 +143,7 @@ def _cmd_fig6(args) -> int:
     from repro.report import generate_fig6_lr, generate_fig6_resnet
 
     generate = generate_fig6_lr if args.workload == "lr" else generate_fig6_resnet
-    for bar in generate(PRIOR_DESIGNS[args.design], args.caches, jobs=args.jobs):
+    for bar in generate(PRIOR_DESIGNS[args.design], args.caches):
         print(
             f"{bar.label:30} {bar.seconds:9.3f} s ({bar.bound}-bound) "
             f"{bar.speedup_vs_original:6.2f}x"
@@ -393,7 +393,6 @@ def _cmd_memsim(args) -> int:
         tolerance=args.tolerance,
         runs=runs,
         primitives=primitives,
-        jobs=args.jobs,
     )
     if args.out:
         schema.write(report, MEMSIM_REPORT, args.out)
@@ -434,9 +433,7 @@ def _cmd_search(args) -> int:
             )
         )
     for rank, result in enumerate(
-        find_optimal_parameters(
-            design, candidates=candidates, top=args.top, jobs=args.jobs
-        ),
+        find_optimal_parameters(design, candidates=candidates, top=args.top),
         start=1,
     ):
         print(f"#{rank} {result.describe()}")
@@ -463,16 +460,7 @@ def _cmd_sweep(args) -> int:
             "(or --list to enumerate)"
         )
     spec = build_preset(args.preset, quick=args.quick)
-    resume = None
-    if args.resume:
-        resume = schema.load(args.resume, SWEEP_REPORT)
-        if resume is None:
-            print(f"no resumable report at {args.resume}; starting fresh")
-
     if args.report:
-        # Workers ship span/metric snapshots back and the engine merges
-        # them in canonical chunk order, so the run report is
-        # bit-identical (post ``strip_volatile``) for any ``--jobs``.
         import time
 
         from repro.obs import state as obs
@@ -482,7 +470,7 @@ def _cmd_sweep(args) -> int:
         wall0 = time.perf_counter()
         cpu0 = process_cpu_seconds()
         with obs.capture() as (tracer, registry):
-            outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
+            outcome = run_sweep(spec)
             resources = run_resource_summary(
                 wall_seconds=time.perf_counter() - wall0,
                 cpu_seconds=process_cpu_seconds() - cpu0,
@@ -496,7 +484,7 @@ def _cmd_sweep(args) -> int:
         )
         schema.write(run_report, RUN_REPORT, args.report)
     else:
-        outcome = run_sweep(spec, jobs=args.jobs, resume=resume)
+        outcome = run_sweep(spec)
     report = build_sweep_report(outcome)
     if args.out:
         schema.write(report, SWEEP_REPORT, args.out)
@@ -504,13 +492,8 @@ def _cmd_sweep(args) -> int:
         _print_json(report)
         return 0
     print(
-        f"sweep {spec.name}: {outcome.evaluated} evaluated, "
-        f"{outcome.reused} reused, {outcome.chunks} chunks, "
-        f"jobs={outcome.jobs}"
-    )
-    print(
-        f"  memo hit rate {outcome.memo_hit_rate:.1%}, "
-        f"worker utilisation {outcome.worker_utilisation:.1%}, "
+        f"sweep {spec.name}: {spec.size} points, "
+        f"memo hit rate {outcome.memo_hit_rate:.1%}, "
         f"wall {outcome.wall_seconds:.2f}s"
     )
     if args.out:
@@ -640,20 +623,14 @@ _SHARED: Dict[str, Dict[str, Any]] = {
         help="on-chip memory in decimal MB (default: unbounded; memsim: "
         "validate at this one capacity instead of the ladder)",
     ),
-    "--jobs": dict(
-        type=_positive(int),
-        default=1,
-        help="sweep worker processes; 1 evaluates in-process",
-    ),
     "--out": dict(
         default=None, metavar="PATH", help="also write the report file here"
     ),
     "--report": dict(
         default=None,
         metavar="PATH",
-        help="also write run_report.json here (sweep: merged "
-        "cross-process telemetry, bit-identical across --jobs after "
-        "strip_volatile)",
+        help="also write run_report.json here (sweep: one sweep:point "
+        "span per grid point, with its host resources)",
     ),
     "--quick": dict(action="store_true", help="use a reduced grid"),
     "--list": dict(action="store_true", help="list the choices and exit"),
@@ -676,14 +653,14 @@ _COMMANDS: Tuple[Any, ...] = (
     ("table4", _cmd_table4, "per-primitive ops/DRAM/AI table",
      ("--params", "--config", "--json"), {}),
     ("table5", _cmd_table5, "memory-aware optimal parameters",
-     ("--quick", "--jobs"), {}),
+     ("--quick",), {}),
     ("table6", _cmd_table6, "bootstrapping design comparison", ("--json",), {}),
     ("fig1", _cmd_fig1, "Rotate O(1)-caching example", (), {}),
     ("fig2", _cmd_fig2, "caching-optimization ladder", ("--json",), {}),
     ("fig3", _cmd_fig3, "algorithmic-optimization ladder",
      ("--params", "--json"), {"params": "optimal"}),
     ("fig6", _cmd_fig6, "ML application comparison",
-     ("--design", "--jobs"), {"design": "BTS"},
+     ("--design",), {"design": "BTS"},
      _arg("--workload", choices=("lr", "resnet"), default="lr"),
      _arg("--caches", type=_comma_list(float), default="32,256",
           help="comma-separated on-chip sizes in MB")),
@@ -742,7 +719,7 @@ _COMMANDS: Tuple[Any, ...] = (
      _arg("--seed", type=int, default=2012, help="input PRNG seed")),
     ("memsim", _cmd_memsim,
      "trace-driven simulation validating the analytical DRAM model",
-     ("--params", "--config", "--cache-mb", "--out", "--json", "--jobs"),
+     ("--params", "--config", "--cache-mb", "--out", "--json"),
      {"config": "caching"},
      _arg("--policy", choices=("lru", "belady", "pin"), default="pin",
           help="replacement policy for the simulated on-chip memory"),
@@ -767,18 +744,15 @@ _COMMANDS: Tuple[Any, ...] = (
           "with --out, stdout stays text")),
     ("balance", _cmd_balance, "roofline balance of MAD design points", (), {}),
     ("search", _cmd_search, "parameter search for a hardware budget",
-     ("--quick", "--jobs"), {},
+     ("--quick",), {},
      _arg("--multipliers", type=_positive(int), default=4096),
      _arg("--bandwidth", type=_positive(float), default=1000),
      _arg("--cache-mb", type=_positive(float), default=32),
      _arg("--top", type=_positive(int), default=5)),
-    ("sweep", _cmd_sweep,
-     "run a declarative parameter sweep over worker processes",
-     ("--jobs", "--quick", "--out", "--report", "--json", "--list"), {},
+    ("sweep", _cmd_sweep, "run a declarative parameter sweep",
+     ("--quick", "--out", "--report", "--json", "--list"), {},
      _arg("preset", nargs="?", default=None,
-          help="sweep preset name (see --list)"),
-     _arg("--resume", default=None, metavar="REPORT",
-          help="reuse completed points from a prior sweep_report.json")),
+          help="sweep preset name (see --list)")),
     ("profile", _cmd_profile,
      "attribute host resources (RSS, allocations, CPU, GC) span by span",
      ("--params", "--config", "--cache-mb", "--report", "--json"), {},

@@ -374,7 +374,6 @@ def run_validation(
     tolerance: float = DEFAULT_TOLERANCE,
     runs: Optional[Sequence[Tuple[str, MADConfig, float]]] = None,
     primitives: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> Dict[str, Any]:
     """Run the differential validation matrix and assemble the report.
 
@@ -382,10 +381,8 @@ def run_validation(
     paper's cache sizes (:data:`LADDER_RUNS`); known fit-threshold breaks
     from :data:`EXPECTED_FIT_BREAKS` are asserted (baseline params only —
     other parameter sets report divergences as plain failures).  The
-    rung × primitive matrix dispatches through :mod:`repro.sweep`;
-    ``jobs>1`` fans cells out over worker processes with bit-identical
-    report output (per-primitive obs counters are recorded only at
-    ``jobs=1``, where validation runs in-process).
+    rung × primitive matrix runs through :mod:`repro.sweep`, one cell per
+    sweep point.
     """
     from repro.sweep.engine import run_sweep
 
@@ -394,7 +391,7 @@ def run_validation(
     rungs = spec.axes[0].values
     selected = spec.axes[1].values
     with obs.span("memsim:validate", params=params_key, policy=policy_name):
-        outcome = run_sweep(spec, jobs=jobs)
+        outcome = run_sweep(spec)
 
     report_runs: List[Dict[str, Any]] = []
     per_rung = len(selected)

@@ -1,6 +1,6 @@
 """Observability: hierarchical span tracing, metrics, machine-readable dumps.
 
-The subsystem has three layers:
+The subsystem's modules:
 
 * :mod:`repro.obs.tracer` / :mod:`repro.obs.metrics` — the recording
   primitives (span trees with analytical-cost attribution; counters,
@@ -20,9 +20,11 @@ The subsystem has three layers:
 * :mod:`repro.obs.baseline` / :mod:`repro.obs.bench` — committed
   baseline snapshots (``benchmarks/baselines/``) and the
   ``python -m repro bench`` regression gate built on the diff engine;
-* :mod:`repro.obs.telemetry` / :mod:`repro.obs.profiler` — cross-process
-  telemetry snapshots (capture/merge/graft, deterministic across
-  ``--jobs``) and host resource profiling (RSS / tracemalloc / CPU / GC);
+* :mod:`repro.obs.profiler` — host resource profiling (RSS /
+  tracemalloc / CPU / GC), span by span;
+* :mod:`repro.obs.telemetry` — :func:`~repro.obs.telemetry.strip_volatile`,
+  the one canonicaliser that drops host and clock fields before reports
+  are compared;
 * :mod:`repro.obs.schema` — the table of report schemas, its validator,
   and the ``provenance`` block every report carries.
 

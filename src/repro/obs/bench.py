@@ -185,10 +185,9 @@ def sweep_micro_cost(params, config):
 
     Runs a fixed 24-candidate search grid through
     :func:`repro.sweep.run_sweep` in-process and sums the candidates'
-    bootstrap costs, so the bench gate covers the sweep dispatch, memo
-    and merge path itself: any cost drift in the engine (a dropped or
-    double-evaluated point, a memo key collision) changes the gated
-    total.  Wall-clock stays report-only, as everywhere in the bench.
+    bootstrap costs, so the bench gate covers the sweep engine and its
+    memo: any cost drift in the engine (a dropped or double-evaluated
+    point, a memo key collision) changes the gated total.  Wall-clock stays report-only, as everywhere in the bench.
 
     ``params`` names the design's own parameter set and is unused — the
     grid supplies the candidates; it is part of the signature so the
@@ -218,7 +217,7 @@ def sweep_micro_cost(params, config):
             "enforce_cache": False,
         },
     )
-    outcome = run_sweep(spec, jobs=1)
+    outcome = run_sweep(spec)
     total = CostReport()
     for result in outcome.values:
         total = total + result.cost

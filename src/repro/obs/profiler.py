@@ -45,7 +45,6 @@ __all__ = [
     "ResourceMeter",
     "ResourceSample",
     "alloc_tracing",
-    "ensure_alloc_tracing",
     "gc_collections",
     "process_cpu_seconds",
     "profile_capture",
@@ -90,26 +89,9 @@ def alloc_tracing_active() -> bool:
     return tracemalloc.is_tracing()
 
 
-def ensure_alloc_tracing() -> None:
-    """Start tracemalloc and leave it running.
-
-    Pool workers call this once per process: a worker lives exactly as
-    long as its pool, so there is no later point to stop at, and
-    stopping between chunks would discard the baseline the per-point
-    deltas are measured against.  In-process callers should prefer the
-    scoped :func:`alloc_tracing`.
-    """
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
-
-
 @contextmanager
 def alloc_tracing() -> Iterator[None]:
-    """Enable tracemalloc for a block (left running if already active).
-
-    Workers start tracing lazily and never stop it mid-run; the parent
-    scopes it to the profiled block.
-    """
+    """Enable tracemalloc for a block (left running if already active)."""
     if tracemalloc.is_tracing():
         yield
         return

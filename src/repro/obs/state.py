@@ -149,8 +149,8 @@ def suppressed() -> Iterator[None]:
     Used where instrumentation must be *observationally transparent*:
     :meth:`repro.sweep.memo.Memo.get_or_compute` runs compute callbacks
     under suppression so a memoized evaluation emits the same telemetry
-    on hit and miss (none) — otherwise merged span trees would depend on
-    which worker happened to see a key first.
+    on hit and miss (none) — otherwise a sweep's span tree would depend
+    on which point happened to see a key first.
     """
     global _tracer, _metrics, _metrics_enabled
     previous = (_tracer, _metrics, _metrics_enabled)

@@ -180,10 +180,10 @@ def generate_fig6_series(
     :class:`~repro.apps.ApplicationWorkload` (the workload depends on the
     bootstrap cadence, which depends on the parameters).
 
-    This is the serial reference implementation (and the only entry point
-    accepting an arbitrary workload callable, which cannot cross a
-    process boundary); :func:`generate_fig6_grid` runs the same
-    evaluation through :mod:`repro.sweep` with bit-identical bars.
+    This is the reference implementation (and the only entry point
+    accepting an arbitrary workload callable; a sweep names its workload
+    so the spec has a fingerprint); :func:`generate_fig6_grid` runs the
+    same evaluation through :mod:`repro.sweep` with bit-identical bars.
     """
     bars = [_original_bar(design, workload_for)]
     original_runtime_seconds = bars[0].seconds
@@ -223,7 +223,7 @@ def fig6_original_seconds(
     """(designs, {design name: original runtime seconds}) for a workload.
 
     Serial pre-computation for the Fig. 6 sweep: one cheap evaluation per
-    design, shipped to workers as context so every MAD bar's speedup is
+    design, passed to the sweep as context so every MAD bar's speedup is
     measured against the same original bar.
     """
     from repro.hardware import PRIOR_DESIGNS
@@ -241,7 +241,6 @@ def generate_fig6_grid(
     designs: Optional[Sequence[HardwareDesign]] = None,
     cache_sizes_mb: Sequence[float] = (32.0, 256.0),
     iterations: int = 30,
-    jobs: int = 1,
 ) -> Dict[str, List[Fig6Bar]]:
     """The Fig. 6 cache-size × design grid through the sweep engine.
 
@@ -268,7 +267,7 @@ def generate_fig6_grid(
             "original_seconds": original_seconds,
         },
     )
-    outcome = run_sweep(spec, jobs=jobs)
+    outcome = run_sweep(spec)
     per_design = len(spec.axes[1].values)
     grid: Dict[str, List[Fig6Bar]] = {}
     for position, design in enumerate(designs):
@@ -284,20 +283,16 @@ def generate_fig6_lr(
     design: HardwareDesign,
     cache_sizes_mb: Sequence[float],
     iterations: int = 30,
-    jobs: int = 1,
 ) -> List[Fig6Bar]:
-    grid = generate_fig6_grid(
-        "lr", [design], cache_sizes_mb, iterations=iterations, jobs=jobs
-    )
+    grid = generate_fig6_grid("lr", [design], cache_sizes_mb, iterations=iterations)
     return grid[design.name]
 
 
 def generate_fig6_resnet(
     design: HardwareDesign,
     cache_sizes_mb: Sequence[float],
-    jobs: int = 1,
 ) -> List[Fig6Bar]:
-    grid = generate_fig6_grid("resnet", [design], cache_sizes_mb, jobs=jobs)
+    grid = generate_fig6_grid("resnet", [design], cache_sizes_mb)
     return grid[design.name]
 
 

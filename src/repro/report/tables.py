@@ -75,21 +75,16 @@ def render_table4(rows: List[Table4Row]) -> str:
 def generate_table5(
     design: Optional[HardwareDesign] = None,
     candidates=None,
-    jobs: int = 1,
 ) -> dict:
     """Baseline row plus the search-found optimum for ``design``.
 
     Returns a dict with 'baseline', 'paper_optimal' and 'searched' entries;
     'searched' is the top result of the brute-force throughput search on
     the given design (default: the 32 MB GPU-matched MAD design point).
-    ``jobs`` fans the underlying sweep over worker processes; the searched
-    optimum is identical for any worker count.
     """
     if design is None:
         design = mad_counterpart(PRIOR_DESIGNS["GPU [Jung et al.]"])
-    searched = find_optimal_parameters(
-        design, candidates=candidates, top=1, jobs=jobs
-    )[0]
+    searched = find_optimal_parameters(design, candidates=candidates, top=1)[0]
     return {
         "baseline": BASELINE_JUNG,
         "paper_optimal": MAD_OPTIMAL,

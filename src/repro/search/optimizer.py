@@ -5,10 +5,9 @@ evaluate the bootstrapping cost model for every admissible parameter set
 and rank by the Han-Ki throughput metric.  This regenerates the
 "Ours" row of Table 5.
 
-Candidates are evaluated through :mod:`repro.sweep` — pass ``jobs=N`` to
-fan the grid out over worker processes.  The ranking is a **total,
-documented order** (see :func:`ranking_key`), so the result is
-bit-identical for any worker count and independent of enumeration order.
+Candidates are evaluated through :mod:`repro.sweep`.  The ranking is a
+**total, documented order** (see :func:`ranking_key`), so the result is
+independent of the order the candidates are enumerated in.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def params_key(params: CkksParams) -> Tuple:
     Used as the final ranking tie-break: two distinct parameter sets can
     share a throughput *and* a runtime (the cost model is piecewise in
     the parameters), and without a total order their relative rank would
-    depend on enumeration order — nondeterministic under parallel merge.
+    depend on enumeration order.
     """
     return (
         params.log_n,
@@ -66,7 +65,7 @@ def ranking_key(result: ParameterSearchResult) -> Tuple:
     1. throughput, descending (the Table 5 figure of merit);
     2. runtime, ascending (of equal-throughput sets, prefer the faster);
     3. :func:`params_key`, ascending (a canonical tie-break so the order
-       is total and independent of enumeration or worker count).
+       is total and independent of enumeration order).
     """
     return (-result.throughput, result.runtime.seconds, params_key(result.params))
 
@@ -91,11 +90,21 @@ def find_optimal_parameters(
         enforce_cache: gate caching optimizations on the design's actual
             on-chip capacity (the paper assumes 32 MB suffices for its
             optimal set; pass True for strictly-capacity-checked results).
-        top: how many results to return, best first.
-        jobs: worker processes for the sweep; ``1`` evaluates in-process.
+        top: how many results to return, best first; at least 1.
+        jobs: must be 1.  The sweep process pool is retired and every
+            search runs in-process; the keyword stays for existing
+            callers that pass ``jobs=1``.
     """
     from repro.search.space import enumerate_parameter_space
     from repro.sweep import SweepAxis, SweepSpec, run_sweep
+
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    if jobs != 1:
+        raise ValueError(
+            f"jobs must be 1, got {jobs}: the sweep process pool is retired "
+            "and every search runs in-process"
+        )
 
     if candidates is None:
         candidates = enumerate_parameter_space(log_n=design.params.log_n)
@@ -115,6 +124,6 @@ def find_optimal_parameters(
             "enforce_cache": enforce_cache,
         },
     )
-    outcome = run_sweep(spec, jobs=jobs)
+    outcome = run_sweep(spec)
     results = sorted(outcome.values, key=ranking_key)
     return results[:top]

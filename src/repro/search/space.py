@@ -28,9 +28,9 @@ def enumerate_parameter_space(
     The order is shape-major, ``L -> dnum -> fftIter -> log_q`` with
     ``log_q`` innermost.  ``log_q`` is not a
     :data:`~repro.perf.COST_SHAPE_FIELDS` field, so candidates that share
-    a cost shape are adjacent, and a contiguous sweep chunk reuses its
-    worker's memo for all of them.  The search ranking does not depend
-    on this order (:func:`repro.search.optimizer.ranking_key` is total).
+    a cost shape are adjacent.  Neither the search ranking
+    (:func:`repro.search.optimizer.ranking_key` is total) nor the sweep's
+    memo misses (one memo serves the whole run) depend on this order.
 
     Args:
         log_n: ring degree exponent.

@@ -1,4 +1,4 @@
-"""repro.sweep — deterministic, process-parallel design-space sweeps.
+"""repro.sweep — deterministic design-space sweeps.
 
 The paper's headline workflow is brute-force exploration ("the search
 takes only a few minutes", §4.1): Table 5's parameter search, the
@@ -9,21 +9,21 @@ them one engine:
 * :class:`SweepSpec` / :class:`SweepAxis` — declarative axes + a
   registered evaluator (:mod:`repro.sweep.spec`,
   :mod:`repro.sweep.registry`).
-* :func:`run_sweep` — chunked fan-out over a process pool (``jobs=1``
-  stays in-process), per-worker memoization, canonical-order merge so
-  output is bit-identical to serial (:mod:`repro.sweep.engine`).
-* Resumable ``sweep_report.json`` reports, declared on the
+* :func:`run_sweep` — one in-process pass over the points in canonical
+  order with one memo for the run (:mod:`repro.sweep.engine`,
+  :mod:`repro.sweep.memo`).
+* ``sweep_report.json`` reports, declared on the
   :mod:`repro.obs.schema` table (:mod:`repro.sweep.report`).
 * Built-in evaluators for the four sweep surfaces
   (:mod:`repro.sweep.evaluators`) and named presets for the CLI
   (:mod:`repro.sweep.presets`).
 """
 
-from repro.sweep.engine import SweepError, SweepOutcome, run_sweep
+from repro.sweep.engine import SweepOutcome, run_sweep
 from repro.sweep.memo import Memo
 from repro.sweep.presets import SWEEP_PRESETS, build_preset, preset_names
 from repro.sweep.registry import Evaluator, get_evaluator, register_evaluator
-from repro.sweep.report import SWEEP_REPORT, SWEEP_SPEEDUP, build_sweep_report
+from repro.sweep.report import SWEEP_REPORT, build_sweep_report
 from repro.sweep.spec import SweepAxis, SweepSpec, value_key
 
 __all__ = [
@@ -31,11 +31,9 @@ __all__ = [
     "Memo",
     "SWEEP_PRESETS",
     "SWEEP_REPORT",
-    "SWEEP_SPEEDUP",
     "build_preset",
     "preset_names",
     "SweepAxis",
-    "SweepError",
     "SweepOutcome",
     "SweepSpec",
     "build_sweep_report",

@@ -3,7 +3,7 @@
 Each evaluator is a pure function of ``(point, context)`` — the engine's
 determinism contract — and reaches its domain modules through *lazy*
 imports so loading :mod:`repro.sweep` never drags in the whole model.
-Cost-model sub-evaluations are memoized per worker (see
+Cost-model sub-evaluations are memoized for the run (see
 :mod:`repro.sweep.memo`).  Bootstrap costs key on
 ``(cost_shape(params), config, cache_bytes)``: the model reads only the
 parameter fields in :data:`repro.perf.COST_SHAPE_FIELDS`, so candidates

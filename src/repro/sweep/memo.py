@@ -1,13 +1,11 @@
-"""Per-worker memoization of cost-model evaluations.
+"""Memoization of cost-model evaluations within one sweep run.
 
 The sweep grids repeat expensive sub-evaluations across points — the
 5,513 Table 5 search candidates have only 577 distinct bootstrap costs,
 and every memsim rung rebuilds the same schedule generator.  A
 :class:`Memo` is a plain dict with hit/miss counters; the engine keeps
-one per worker *process* (module-global, so it survives across chunks
-dispatched to the same worker) and one for the whole run when executing
-in-process at ``jobs=1``.  Because every evaluation is a pure function
-of its key, memoization can never change sweep output — only how often
+one for the whole run.  Because every evaluation is a pure function of
+its key, memoization can never change sweep output — only how often
 the model is re-evaluated.  A key may leave out an input only if the
 evaluation ignores it: bootstrap costs key on
 ``(cost_shape(params), MADConfig, cache_bytes)``, and
@@ -18,9 +16,9 @@ invariant under every ``CkksParams`` field outside
 Memoization is also **observationally transparent**: the compute
 callback runs under :func:`repro.obs.state.suppressed`, so a memoized
 evaluation emits the same telemetry on hit and miss — none.  Without
-this, a model's internal spans would appear only on the worker that
-happened to miss first, and the merged cross-process trace would depend
-on chunk scheduling instead of being bit-identical across ``--jobs``.
+this, a model's internal spans would appear only under the point that
+happened to meet a key first, and a trace would change whenever the
+grid's order or the memo's key did, although no value changed.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""Evaluator registry: named, picklable-by-reference sweep evaluators.
+"""Evaluator registry: sweep evaluators referenced by name.
 
-Workers in a :class:`~concurrent.futures.ProcessPoolExecutor` cannot
-receive arbitrary callables, so sweeps reference evaluators by *name*:
-the parent ships ``(evaluator_name, context, points)`` and each worker
-resolves the name against this registry after import.  Built-in
-evaluators live in :mod:`repro.sweep.evaluators`, which is imported
-lazily on first lookup so domain modules (search, perf, memsim, report)
-never load unless a sweep actually runs.
+A :class:`~repro.sweep.spec.SweepSpec` names its evaluator, so the name
+is part of the spec's identity and fingerprint, and the engine resolves
+it against this registry when the sweep runs.  Built-in evaluators live
+in :mod:`repro.sweep.evaluators`, which is imported lazily on first
+lookup so domain modules (search, perf, memsim, report) never load
+unless a sweep actually runs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.sweep.memo import Memo
 
 __all__ = ["Evaluator", "get_evaluator", "register_evaluator", "registered_evaluators"]
 
-#: fn(point, context, memo) -> picklable result value.
+#: fn(point, context, memo) -> result value.
 EvaluatorFn = Callable[[Mapping[str, Any], Mapping[str, Any], Memo], Any]
 #: row(value, point) -> JSON-able report row for that point.
 RowFn = Callable[[Any, Mapping[str, Any]], Dict[str, Any]]

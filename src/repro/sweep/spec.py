@@ -2,21 +2,20 @@
 
 A :class:`SweepSpec` names the *axes* of a design-space sweep (CKKS
 parameter sets, cache sizes, :class:`~repro.perf.optimizations.MADConfig`
-rungs, hardware designs — any picklable values), the registered evaluator
-that scores one grid point, and a fixed *context* shared by every point.
+rungs, hardware designs — any value :func:`value_key` can encode), the
+registered evaluator that scores one grid point, and a fixed *context*
+shared by every point.
 
 The determinism contract lives here:
 
 * **Canonical order.**  Points are the cartesian product of the axes in
   declaration order, last axis fastest — exactly the nesting a serial
   ``for`` loop over the same axes would produce.  Every point carries its
-  canonical index, and the engine merges parallel results back into this
-  order, so sweep output is bit-identical for any ``--jobs``.
+  canonical index, and the engine evaluates and reports in this order.
 * **Stable identity.**  :func:`value_key` maps an axis value to a
   JSON-able canonical form (dataclasses become ``[type, {field: key}]``),
   and :meth:`SweepSpec.fingerprint` hashes the whole spec identity —
-  name, evaluator, axes, context.  Resume refuses to mix reports from
-  different fingerprints.
+  name, evaluator, axes, context — into the report.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, Iterator, Mapping, Tuple
 
 __all__ = ["SweepAxis", "SweepSpec", "value_key"]
 
@@ -93,16 +92,13 @@ class SweepSpec:
         evaluator: key of a registered evaluator
             (see :mod:`repro.sweep.registry`).
         axes: grid dimensions, outermost first.
-        context: fixed picklable kwargs every evaluation receives.
-        chunk_size: points per dispatched chunk; ``None`` lets the engine
-            pick a deterministic size from the grid and worker count.
+        context: fixed kwargs every evaluation receives.
     """
 
     name: str
     evaluator: str
     axes: Tuple[SweepAxis, ...]
     context: Mapping[str, Any] = field(default_factory=dict)
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.axes, tuple):
@@ -112,8 +108,6 @@ class SweepSpec:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names: {names}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     # ------------------------------------------------------------------
     @property
@@ -147,25 +141,6 @@ class SweepSpec:
         }
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical spec identity (used by resume)."""
+        """SHA-256 over the canonical spec identity (recorded in the report)."""
         blob = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    # ------------------------------------------------------------------
-    def resolved_chunk_size(self, jobs: int) -> int:
-        """Deterministic chunk size for a worker count.
-
-        Aim for several chunks per worker (dynamic load balance) while
-        capping per-chunk dispatch payloads; chunking never affects the
-        merged output, only scheduling granularity.
-        """
-        if self.chunk_size is not None:
-            return self.chunk_size
-        if jobs <= 1:
-            return max(1, min(64, math.ceil(self.size / 4)))
-        return max(1, min(64, math.ceil(self.size / (8 * jobs))))
-
-    def chunks(self, indices: List[int], jobs: int) -> List[List[int]]:
-        """Split ``indices`` (canonical order) into dispatch chunks."""
-        size = self.resolved_chunk_size(jobs)
-        return [indices[i : i + size] for i in range(0, len(indices), size)]

@@ -11,6 +11,7 @@ from repro.memsim.validate import (
     LADDER_RUNS,
     MEMSIM_REPORT,
     compare_traffic,
+    ladder_sweep_spec,
     render_report,
     run_validation,
     validate_primitive,
@@ -142,11 +143,39 @@ class TestRunValidation:
     def test_report_validates_against_schema(self, report):
         schema.validate(report, MEMSIM_REPORT)  # must not raise
 
+    @pytest.mark.parametrize("name", LADDER_PRIMITIVES)
+    def test_cells_equal_the_primitive_validated_directly(self, report, name):
+        rungs = ladder_sweep_spec().axes[0].values
+        assert [run["label"] for run in report["runs"]] == [r[0] for r in rungs]
+        for run, (label, config, cache_mb) in zip(report["runs"], rungs):
+            (cell,) = [e for e in run["primitives"] if e["primitive"] == name]
+            assert cell == validate_primitive(
+                ScheduleBuilder(BASELINE_JUNG, config),
+                name,
+                cache_mb,
+                expected_break_reason=EXPECTED_FIT_BREAKS.get(
+                    (label, cache_mb, name)
+                ),
+            )
+
     def test_render_mentions_rungs_and_verdict(self, report):
         text = render_report(report)
         assert "Limb Re-order" in text
         assert "fit break (expected)" in text
         assert "overall: PASS" in text
+
+    def test_traced_validation_has_one_point_span_per_cell(self):
+        from repro.obs import state as obs
+
+        runs = [("Baseline", MADConfig.none(), 2.0), ("Big", MADConfig.none(), 192.0)]
+        with obs.capture() as (tracer, _registry):
+            report = run_validation(runs=runs, primitives=["mult", "rotate"])
+        (validate,) = tracer.roots
+        assert validate.name == "memsim:validate"
+        (sweep,) = validate.children
+        assert sweep.name == "sweep:run"
+        assert [p.meta["index"] for p in sweep.children] == [0, 1, 2, 3]
+        assert report == run_validation(runs=runs, primitives=["mult", "rotate"])
 
     def test_primitive_subset_runs(self):
         report = run_validation(

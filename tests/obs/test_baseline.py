@@ -89,6 +89,13 @@ class TestBaselineStore:
         b = store.save("b", bootstrap_report()).read_text()
         assert a == b  # timing noise normalized away
 
+    def test_sweep_fixture_refresh_is_idempotent(self):
+        # A sweep run records no wall-clock gauge, so refreshing the
+        # fixture twice writes the same bytes.
+        (spec,) = [s for s in DEFAULT_SPECS if s.name == "sweep__baseline__all__nocache"]
+        first, second = (normalize_report(run_spec(spec)) for _ in range(2))
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
 
 class TestTolerance:
     def test_defaults_are_exact(self):

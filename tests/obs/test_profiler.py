@@ -9,7 +9,6 @@ from repro.obs.profiler import (
     ResourceMeter,
     alloc_tracing,
     alloc_tracing_active,
-    ensure_alloc_tracing,
     gc_collections,
     process_cpu_seconds,
     profile_capture,
@@ -61,13 +60,6 @@ class TestAllocTracing:
         with alloc_tracing():
             with alloc_tracing():
                 assert alloc_tracing_active()
-            assert alloc_tracing_active()
-
-    def test_ensure_leaves_tracing_running(self):
-        # Worker-style arming: once started it stays on; scope it so the
-        # rest of the suite is unaffected.
-        with alloc_tracing():
-            ensure_alloc_tracing()
             assert alloc_tracing_active()
 
 

@@ -29,8 +29,7 @@ from repro.obs.bench import BENCH_TRAJECTORY
 from repro.obs.diff import COST_DIFF, DIFF_OVERLAY
 from repro.obs.export import RUN_REPORT
 from repro.obs.schema import PROVENANCE, SCHEMAS, Schema
-from repro.obs.telemetry import SNAPSHOT
-from repro.sweep.report import SWEEP_REPORT, SWEEP_SPEEDUP
+from repro.sweep.report import SWEEP_REPORT
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -72,13 +71,7 @@ def _sweep_report():
         axes=(SweepAxis("a", (1, 2)), SweepAxis("b", ("x",))),
         context={"scale": 3},
     )
-    return build_sweep_report(run_sweep(spec, jobs=1))
-
-
-def _sweep_speedup():
-    from benchmarks.record_sweep_speedup import measure
-
-    return measure(quick=True, jobs=1)
+    return build_sweep_report(run_sweep(spec))
 
 
 def _memsim_report():
@@ -88,16 +81,6 @@ def _memsim_report():
     return run_validation(
         runs=[("Baseline", MADConfig.none(), 2.0)], primitives=["decomp"]
     )
-
-
-def _snapshot():
-    from repro.obs import MetricsRegistry, Tracer
-    from repro.obs.telemetry import capture_snapshot
-
-    tracer, registry = Tracer(), MetricsRegistry()
-    with tracer.span("Root"):
-        registry.counter("points").inc(2)
-    return capture_snapshot(tracer, registry)
 
 
 def _bench_trajectory():
@@ -147,11 +130,9 @@ def _lint_cache():
 PRODUCERS = {
     RUN_REPORT: lambda: _micro_report("none"),
     SWEEP_REPORT: _sweep_report,
-    SWEEP_SPEEDUP: _sweep_speedup,
     MEMSIM_REPORT: _memsim_report,
     COST_DIFF: _cost_diff,
     DIFF_OVERLAY: _diff_overlay,
-    SNAPSHOT: _snapshot,
     BENCH_TRAJECTORY: _bench_trajectory,
     KERNELS_REPORT: _kernels_report,
     LINT_REPORT: _lint_report,
@@ -223,31 +204,33 @@ MUTATIONS = [
     # sweep (tests/sweep/test_report.py)
     _case(SWEEP_REPORT, "foreign-id", _set(["schema"], "other/v9"), "schema:"),
     _case(SWEEP_REPORT, "legacy-id", _set(["schema"], "repro.sweep/v1"), "schema:"),
+    _case(SWEEP_REPORT, "previous-id", _set(["schema"], "repro.sweep/v1.1"), "schema:"),
     _case(SWEEP_REPORT, "no-points", _drop(["points"]), "'points'"),
+    _case(SWEEP_REPORT, "points-not-list", _set(["points"], {}), "points"),
     _case(SWEEP_REPORT, "short-fingerprint", _set(["fingerprint"], "zz"), "fingerprint"),
-    _case(SWEEP_REPORT, "zero-jobs", _set(["jobs"], 0), "jobs"),
+    _case(SWEEP_REPORT, "uppercase-fingerprint", _set(["fingerprint"], "AB" * 32), "fingerprint"),
+    _case(SWEEP_REPORT, "no-fingerprint", _drop(["fingerprint"]), "'fingerprint'"),
+    _case(SWEEP_REPORT, "no-sweep", _drop(["sweep"]), "'sweep'"),
+    _case(SWEEP_REPORT, "numeric-evaluator", _set(["evaluator"], 3), "evaluator"),
+    _case(SWEEP_REPORT, "no-memo", _drop(["memo"]), "'memo'"),
     _case(SWEEP_REPORT, "negative-memo-hits", _set(["memo", "hits"], -1), "memo.hits"),
-    _case(SWEEP_REPORT, "utilisation-above-one", _set(["worker_utilisation"], 1.5), "worker_utilisation"),
-    _case(SWEEP_REPORT, "string-complete", _set(["complete"], "yes"), "complete"),
+    _case(SWEEP_REPORT, "memo-without-misses", _drop(["memo", "misses"]), "memo: missing required key 'misses'"),
+    _case(SWEEP_REPORT, "string-memo-misses", _set(["memo", "misses"], "4"), "memo.misses"),
+    _case(SWEEP_REPORT, "no-wall-seconds", _drop(["wall_seconds"]), "'wall_seconds'"),
+    _case(SWEEP_REPORT, "negative-wall-seconds", _set(["wall_seconds"], -0.5), "wall_seconds"),
+    _case(SWEEP_REPORT, "no-axes", _drop(["axes"]), "'axes'"),
+    _case(SWEEP_REPORT, "axis-without-values", _drop(["axes", 0, "values"]), "axes[0]: missing required key 'values'"),
+    _case(SWEEP_REPORT, "numeric-axis-name", _set(["axes", 0, "name"], 1), "axes[0].name"),
+    _case(SWEEP_REPORT, "axis-values-not-list", _set(["axes", 0, "values"], "1,2"), "axes[0].values"),
     _case(SWEEP_REPORT, "point-without-row", _drop(["points", 0, "row"]), "points[0]"),
+    _case(SWEEP_REPORT, "point-without-key", _drop(["points", 0, "key"]), "points[0]: missing required key 'key'"),
+    _case(SWEEP_REPORT, "point-key-not-object", _set(["points", 0, "key"], [1]), "points[0].key"),
+    _case(SWEEP_REPORT, "string-row", _set(["points", 0, "row"], "x"), "points[0].row"),
+    _case(SWEEP_REPORT, "negative-point-index", _set(["points", 0, "index"], -1), "points[0].index"),
     _case(SWEEP_REPORT, "no-provenance", _drop(["provenance"]), "'provenance'"),
     _case(SWEEP_REPORT, "provenance-not-object", _set(["provenance"], "abc"), "provenance"),
     _case(SWEEP_REPORT, "numeric-config-fingerprint", _set(["provenance", "config_fingerprint"], 7), "provenance.config_fingerprint"),
-    _case(SWEEP_REPORT, "workers-not-list", _set(["workers"], {}), "workers"),
-    _case(SWEEP_REPORT, "worker-without-chunks", _drop(["workers", 0, "chunks"]), "workers[0]: missing required key 'chunks'"),
-    _case(SWEEP_REPORT, "negative-worker-rss", _set(["workers", 0, "peak_rss_bytes"], -1), "workers[0].peak_rss_bytes"),
     _case(SWEEP_REPORT, "duplicated-index", _set(["points", 1, "index"], 0), "points[1].index", post_check=True),
-    # sweep_speedup (benchmarks/record_sweep_speedup.py)
-    _case(SWEEP_SPEEDUP, "foreign-id", _set(["schema"], "repro.sweep/v1.1"), "schema:"),
-    _case(SWEEP_SPEEDUP, "negative-speedup", _set(["speedup"], -1.0), "speedup"),
-    _case(SWEEP_SPEEDUP, "diverged", _set(["bit_identical"], False), "bit_identical"),
-    _case(SWEEP_SPEEDUP, "no-cpu-cores", _drop(["cpu_cores"]), "'cpu_cores'"),
-    _case(SWEEP_SPEEDUP, "zero-cpu-cores", _set(["cpu_cores"], 0), "cpu_cores"),
-    _case(SWEEP_SPEEDUP, "zero-jobs", _set(["jobs"], 0), "jobs"),
-    _case(SWEEP_SPEEDUP, "negative-points", _set(["points"], -1), "points"),
-    _case(SWEEP_SPEEDUP, "negative-serial-seconds", _set(["serial_seconds"], -0.5), "serial_seconds"),
-    _case(SWEEP_SPEEDUP, "string-quick", _set(["quick"], "yes"), "quick"),
-    _case(SWEEP_SPEEDUP, "no-parallel-seconds", _drop(["parallel_seconds"]), "'parallel_seconds'"),
     # memsim (tests/memsim/test_validate.py)
     _case(MEMSIM_REPORT, "foreign-id", _set(["schema"], "nope"), "schema:"),
     _case(MEMSIM_REPORT, "no-pin-failures", _drop(["runs", 0, "primitives", 0, "pin_failures"]), "'pin_failures'"),
@@ -281,14 +264,6 @@ MUTATIONS = [
     _case(DIFF_OVERLAY, "no-events", _drop(["traceEvents"]), "'traceEvents'"),
     _case(DIFF_OVERLAY, "no-identical", _drop(["otherData", "identical"]), "otherData: missing required key 'identical'"),
     _case(DIFF_OVERLAY, "no-id", _drop(["otherData", "schema"]), "otherData: missing required key 'schema'"),
-    # telemetry snapshot
-    _case(SNAPSHOT, "foreign-version", _set(["version"], "repro.obs.telemetry/v0"), "version"),
-    _case(SNAPSHOT, "spans-not-list", _set(["spans"], {}), "spans"),
-    _case(SNAPSHOT, "counters-not-object", _set(["metrics", "counters"], []), "metrics.counters"),
-    _case(SNAPSHOT, "no-version", _drop(["version"]), "'version'"),
-    _case(SNAPSHOT, "no-metrics", _drop(["metrics"]), "'metrics'"),
-    _case(SNAPSHOT, "no-gauges", _drop(["metrics", "gauges"]), "metrics: missing required key 'gauges'"),
-    _case(SNAPSHOT, "histograms-not-object", _set(["metrics", "histograms"], []), "metrics.histograms"),
     # bench_trajectory (tests/obs/test_baseline.py)
     _case(BENCH_TRAJECTORY, "legacy-id", _set(["schema"], "repro.obs.bench_trajectory/v1"), "schema:"),
     _case(BENCH_TRAJECTORY, "entry-without-provenance", _drop(["entries", 0, "provenance"]), "entries[0]: missing required key 'provenance'"),
@@ -342,7 +317,7 @@ MUTATIONS = [
 # Conformance
 # ----------------------------------------------------------------------
 def test_every_registered_family_has_a_producer():
-    assert len(SCHEMAS) == 11
+    assert len(SCHEMAS) == 9
     assert set(PRODUCERS) == set(SCHEMAS.values())
 
 
@@ -414,7 +389,7 @@ FIXTURES = sorted((ROOT / "benchmarks").rglob("*.json"))
 
 def test_fixtures_cover_the_committed_families():
     ids = {json.loads(path.read_text())["schema"] for path in FIXTURES}
-    assert ids == {RUN_REPORT.id, BENCH_TRAJECTORY.id, SWEEP_SPEEDUP.id}
+    assert ids == {RUN_REPORT.id, BENCH_TRAJECTORY.id}
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.name)

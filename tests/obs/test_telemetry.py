@@ -1,233 +1,82 @@
-"""Snapshot capture/merge/graft and volatile-field stripping.
-
-The merge property tests use **integer** metric values throughout:
-float summation is not associative, and the engine's canonical-order
-merge only promises bit-identity because the analytical cost model is
-integer-exact.
-"""
+"""``strip_volatile``: host and clock fields go, every result stays."""
 
 import copy
 
-from hypothesis import given, settings, strategies as st
-
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    SNAPSHOT,
-    VOLATILE_REPORT_KEYS,
-    capture_snapshot,
-    graft_snapshot,
-    merge_into_registry,
-    merge_snapshots,
-    strip_volatile,
-)
-from repro.obs.tracer import Tracer
-from repro.perf.events import CostReport, MemTraffic, OpCount
-
-_NAMES = st.sampled_from(["sweep.points", "ntt.calls", "cache.fit", "memo"])
+from repro.obs import state as obs
+from repro.obs.export import build_run_report
+from repro.obs.profiler import run_resource_summary
+from repro.obs.telemetry import VOLATILE_REPORT_KEYS, strip_volatile
+from repro.sweep import build_preset, build_sweep_report, run_sweep
 
 
-@st.composite
-def snapshots(draw):
-    counters = draw(st.dictionaries(_NAMES, st.integers(0, 10_000), max_size=3))
-    gauges = draw(st.dictionaries(_NAMES, st.integers(-100, 100), max_size=3))
-    histograms = {}
-    for name in draw(st.lists(_NAMES, max_size=2, unique=True)):
-        values = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=5))
-        histograms[name] = {
-            "count": len(values),
-            "total": sum(values),
-            "min": min(values),
-            "max": max(values),
-        }
-    span_names = draw(st.lists(st.sampled_from(["Mult", "Add"]), max_size=2))
-    spans = [
-        {
-            "name": name,
-            "meta": {"index": i},
-            "start": float(i),
-            "end": float(i + 1),
-            "cost": None,
-            "children": [],
-        }
-        for i, name in enumerate(span_names)
-    ]
+def _report():
     return {
-        "version": SNAPSHOT.id,
-        "spans": spans,
+        "schema": "repro.obs.run_report/v1.1",
+        "command": "sweep table5",
+        "wall_seconds": 1.25,
+        "provenance": {"git_sha": "abc"},
+        "resources": {"peak_rss_bytes": 123},
+        "runtime": {"wall_seconds": 0.5, "cpu_seconds": 0.4},
+        "spans": [
+            {
+                "name": "sweep:run",
+                "start_us": 10,
+                "duration_us": 20,
+                "meta": {"points": 24},
+                "children": [
+                    {
+                        "name": "sweep:point",
+                        "start_us": 11,
+                        "duration_us": 5,
+                        "meta": {
+                            "index": 0,
+                            "resource": {"rss_peak_bytes": 9},
+                        },
+                        "children": [],
+                    }
+                ],
+            }
+        ],
         "metrics": {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+            "counters": {
+                "sweep.points": 24,
+                "sweep.memo.hits": 16,
+                "sweep.memo.misses": 8,
+            },
+            "gauges": {"sweep.memo_hit_rate": 2 / 3, "cache.mb": 32},
+            "histograms": {},
         },
     }
 
 
-class TestMergeProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(parts=st.lists(snapshots(), min_size=1, max_size=4))
-    def test_merge_is_a_left_fold(self, parts):
-        # One-shot merge == folding the parts in pairs, same order.
-        folded = parts[0]
-        for part in parts[1:]:
-            folded = merge_snapshots([folded, part])
-        assert merge_snapshots(parts) == folded
-
-    @settings(max_examples=50, deadline=None)
-    @given(a=snapshots(), b=snapshots(), c=snapshots())
-    def test_merge_is_associative(self, a, b, c):
-        left = merge_snapshots([merge_snapshots([a, b]), c])
-        right = merge_snapshots([a, merge_snapshots([b, c])])
-        assert left == right
-
-    @settings(max_examples=50, deadline=None)
-    @given(parts=st.lists(snapshots(), min_size=1, max_size=4))
-    def test_merge_does_not_mutate_inputs(self, parts):
-        originals = copy.deepcopy(parts)
-        merge_snapshots(parts)
-        assert parts == originals
-
-    @settings(max_examples=50, deadline=None)
-    @given(parts=st.lists(snapshots(), min_size=2, max_size=4))
-    def test_counters_sum_and_spans_concatenate(self, parts):
-        merged = merge_snapshots(parts)
-        for name in merged["metrics"]["counters"]:
-            expected = sum(
-                p["metrics"]["counters"].get(name, 0) for p in parts
-            )
-            assert merged["metrics"]["counters"][name] == expected
-        assert len(merged["spans"]) == sum(len(p["spans"]) for p in parts)
-
-    @settings(max_examples=50, deadline=None)
-    @given(parts=st.lists(snapshots(), min_size=2, max_size=4))
-    def test_gauges_are_last_write_wins(self, parts):
-        merged = merge_snapshots(parts)
-        for name, value in merged["metrics"]["gauges"].items():
-            last = [
-                p["metrics"]["gauges"][name]
-                for p in parts
-                if name in p["metrics"]["gauges"]
-            ][-1]
-            assert value == last
-
-
-class TestCaptureAndGraft:
-    def _traced(self):
-        clock = iter(range(100))
-        tracer = Tracer(clock=lambda: float(next(clock)))
-        registry = MetricsRegistry()
-        with tracer.span("Bootstrap", phase="test"):
-            with tracer.span("Mult") as span:
-                span.record_cost(
-                    CostReport(OpCount(mults=7), MemTraffic(ct_read=64))
-                )
-        registry.counter("ntt.calls").inc(3)
-        registry.gauge("cache.mb").set(32)
-        registry.histogram("chunk.points").observe(4)
-        return tracer, registry
-
-    def test_capture_shape(self):
-        tracer, registry = self._traced()
-        snapshot = capture_snapshot(tracer, registry)
-        assert snapshot["version"] == SNAPSHOT.id
-        (root,) = snapshot["spans"]
-        assert root["name"] == "Bootstrap"
-        assert root["start"] == 0.0  # rebased to earliest root
-        (child,) = root["children"]
-        assert child["cost"].ops.mults == 7
-        assert snapshot["metrics"]["counters"] == {"ntt.calls": 3}
-
-    def test_graft_rebuilds_spans_under_current(self):
-        tracer, registry = self._traced()
-        snapshot = capture_snapshot(tracer, registry)
-        parent = Tracer(clock=lambda: 1000.0)
-        with parent.span("sweep:run"):
-            grafted = graft_snapshot(snapshot, parent)
-        (run,) = parent.roots
-        assert [s.name for s in run.children] == ["Bootstrap"]
-        (bootstrap,) = grafted
-        assert bootstrap.parent is run
-        assert bootstrap.start >= 1000.0  # rebased onto the parent clock
-        (mult,) = bootstrap.children
-        assert mult.cost == CostReport(OpCount(mults=7), MemTraffic(ct_read=64))
-        # Cost attribution survives the pickle-shaped round trip exactly.
-        assert parent.total_cost() == tracer.total_cost()
-
-    def test_capture_graft_capture_is_stable(self):
-        tracer, registry = self._traced()
-        first = capture_snapshot(tracer, registry)
-        replayed = Tracer(clock=lambda: 0.0)
-        graft_snapshot(first, replayed)
-        second = capture_snapshot(replayed, registry)
-        assert second["spans"] == first["spans"]
-
-    def test_merge_into_registry(self):
-        tracer, registry = self._traced()
-        snapshot = capture_snapshot(tracer, registry)
-        target = MetricsRegistry()
-        target.counter("ntt.calls").inc(10)
-        merge_into_registry(snapshot, target)
-        assert target.counter("ntt.calls").value == 13
-        assert target.gauge("cache.mb").value == 32
-        assert target.histogram("chunk.points").count == 1
-
-
 class TestStripVolatile:
-    def _report(self):
-        return {
-            "schema": "repro.obs.run_report/v1.1",
-            "command": "sweep table5",
-            "wall_seconds": 1.25,
-            "provenance": {"git_sha": "abc"},
-            "resources": {"peak_rss_bytes": 123},
-            "workers": [{"pid": 1}],
-            "runtime": {"wall_seconds": 0.5, "cpu_seconds": 0.4},
-            "spans": [
-                {
-                    "name": "sweep:run",
-                    "start_us": 10,
-                    "duration_us": 20,
-                    "meta": {"jobs": 4},
-                    "children": [
-                        {
-                            "name": "sweep:point",
-                            "start_us": 11,
-                            "duration_us": 5,
-                            "meta": {
-                                "index": 0,
-                                "resource": {"rss_peak_bytes": 9},
-                            },
-                            "children": [],
-                        }
-                    ],
-                }
-            ],
-            "metrics": {
-                "counters": {
-                    "sweep.points": 24,
-                    "sweep.chunks.evaluated": 6,
-                    "sweep.memo.hits": 3,
-                },
-                "gauges": {"sweep.jobs": 4, "cache.mb": 32},
-                "histograms": {},
-            },
-        }
-
-    def test_strips_scheduling_dependent_fields(self):
-        stripped = strip_volatile(self._report())
+    def test_strips_host_and_clock_fields(self):
+        stripped = strip_volatile(_report())
         assert "provenance" not in stripped
         assert "resources" not in stripped
-        assert "workers" not in stripped
         assert stripped["wall_seconds"] == 0.0
         assert stripped["runtime"] == {"wall_seconds": 0.0}
         run = stripped["spans"][0]
         assert run["start_us"] == 0 and run["duration_us"] == 0
-        assert run["meta"]["jobs"] == 0
+        assert run["meta"] == {"points": 24}
         point = run["children"][0]
-        assert "resource" not in point["meta"]
-        assert point["meta"]["index"] == 0  # stable meta survives
+        assert point["meta"] == {"index": 0}  # stable meta survives
+        assert stripped["metrics"] == _report()["metrics"]
+
+    def test_keeps_memo_and_the_sweep_memo_metrics(self):
+        # One process evaluates every point against one memo, so its
+        # statistics are a pure function of the spec and are compared.
+        report = _report()
+        report["memo"] = {"hits": 16, "misses": 8}
+        stripped = strip_volatile(report)
+        assert stripped["memo"] == {"hits": 16, "misses": 8}
         counters = stripped["metrics"]["counters"]
-        assert counters == {"sweep.points": 24}
-        assert stripped["metrics"]["gauges"] == {"cache.mb": 32}
+        assert counters["sweep.memo.hits"] == 16
+        assert counters["sweep.memo.misses"] == 8
+        assert stripped["metrics"]["gauges"]["sweep.memo_hit_rate"] == 2 / 3
+        other = copy.deepcopy(report)
+        other["memo"]["misses"] = 9
+        assert strip_volatile(other) != stripped
 
     def test_sweep_report_keeps_only_results(self):
         # Every report family goes through the same canonicaliser.
@@ -241,19 +90,45 @@ class TestStripVolatile:
         }
 
     def test_input_not_mutated(self):
-        report = self._report()
+        report = _report()
         original = copy.deepcopy(report)
         strip_volatile(report)
         assert report == original
 
-    def test_two_schedules_strip_to_identical_reports(self):
-        serial = self._report()
-        parallel = copy.deepcopy(serial)
-        parallel["wall_seconds"] = 9.0
-        parallel["workers"] = [{"pid": 2}, {"pid": 3}]
-        parallel["spans"][0]["meta"]["jobs"] = 2
-        parallel["spans"][0]["children"][0]["meta"]["resource"] = {
+    def test_two_runs_strip_to_identical_reports(self):
+        first = _report()
+        second = copy.deepcopy(first)
+        second["wall_seconds"] = 9.0
+        second["provenance"] = {"git_sha": "def"}
+        second["resources"] = {"peak_rss_bytes": 456}
+        second["runtime"] = {"wall_seconds": 0.7, "cpu_seconds": 0.6}
+        second["spans"][0]["duration_us"] = 31
+        second["spans"][0]["children"][0]["meta"]["resource"] = {
             "rss_peak_bytes": 77
         }
-        parallel["metrics"]["counters"]["sweep.chunks.evaluated"] = 2
-        assert strip_volatile(serial) == strip_volatile(parallel)
+        assert strip_volatile(first) == strip_volatile(second)
+
+    def test_real_reports_lose_every_host_and_clock_field(self):
+        spec = build_preset("ablation-cache", quick=True)
+        with obs.capture() as (tracer, registry):
+            outcome = run_sweep(spec)
+        run = build_run_report(
+            tracer,
+            registry,
+            command="sweep ablation-cache",
+            workload="sweep:ablation-cache",
+            resources=run_resource_summary(wall_seconds=0.5, cpu_seconds=0.4),
+        )
+        sweep = build_sweep_report(outcome)
+        points = [s for s in run["spans"] if s["name"] == "sweep:point"]
+        assert len(points) == spec.size
+        assert all("resource" in point["meta"] for point in points)
+        for report in (run, sweep):
+            stripped = strip_volatile(report)
+            assert not set(VOLATILE_REPORT_KEYS) & set(stripped)
+            assert stripped["wall_seconds"] == 0.0
+            for span in stripped.get("spans", ()):
+                assert (span["start_us"], span["duration_us"]) == (0, 0)
+                assert "resource" not in span["meta"]
+        assert strip_volatile(sweep)["memo"] == {"hits": 0, "misses": 4}
+        assert strip_volatile(run)["metrics"] == run["metrics"]

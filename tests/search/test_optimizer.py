@@ -1,9 +1,25 @@
+import random
+
 import pytest
 
 from repro.params import BASELINE_JUNG, MAD_OPTIMAL
 from repro.perf import MADConfig
-from repro.hardware import GPU_JUNG, mad_counterpart
+from repro.hardware import GPU_JUNG, PRIOR_DESIGNS, mad_counterpart
 from repro.search import find_optimal_parameters, params_key, ranking_key
+
+
+def _small_grid():
+    """16 candidates: two of each of log q, L, dnum and fftIter."""
+    from repro.search import enumerate_parameter_space
+
+    return list(
+        enumerate_parameter_space(
+            log_q_choices=(50, 54),
+            max_limbs_choices=(35, 40),
+            dnum_choices=(2, 3),
+            fft_iter_choices=(3, 6),
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +78,15 @@ class TestOptimizer:
         )
         assert len(results) == 3
 
+    def test_top_above_the_candidate_count_returns_every_candidate(self):
+        candidates = _small_grid()
+        results = find_optimal_parameters(
+            mad_counterpart(GPU_JUNG), candidates=candidates, top=100
+        )
+        assert sorted(params_key(r.params) for r in results) == sorted(
+            params_key(p) for p in candidates
+        )
+
     def test_describe_mentions_bound(self, gpu_results):
         text = gpu_results[0].describe()
         assert "bound" in text and "throughput" in text
@@ -74,28 +99,16 @@ class TestOptimizer:
 
 class TestRankingDeterminism:
     """The bugfix: ranking used throughput alone, so equal-throughput
-    candidates ranked in enumeration order — nondeterministic under a
-    parallel merge.  ranking_key is a documented total order."""
-
-    def _candidates(self):
-        from repro.search import enumerate_parameter_space
-
-        return list(
-            enumerate_parameter_space(
-                log_q_choices=(50, 54),
-                max_limbs_choices=(35, 40),
-                dnum_choices=(2, 3),
-                fft_iter_choices=(3, 6),
-            )
-        )
+    candidates ranked in enumeration order.  ranking_key is a documented
+    total order."""
 
     def test_params_key_is_a_total_order(self):
-        candidates = self._candidates()
+        candidates = _small_grid()
         keys = [params_key(p) for p in candidates]
         assert len(set(keys)) == len(keys)
 
     def test_ranking_is_invariant_under_enumeration_order(self):
-        candidates = self._candidates()
+        candidates = _small_grid()
         forward = find_optimal_parameters(
             mad_counterpart(GPU_JUNG), candidates=candidates, top=len(candidates)
         )
@@ -121,19 +134,53 @@ class TestRankingDeterminism:
         assert ordered == sorted([base, clone], key=ranking_key)
         assert ordered[0].params.fft_iter < ordered[1].params.fft_iter
 
-    def test_jobs_do_not_change_ranking(self):
-        """Acceptance: --jobs 1 and --jobs N produce bit-identical rank."""
-        candidates = self._candidates()
-        serial = find_optimal_parameters(
-            mad_counterpart(GPU_JUNG), candidates=candidates, top=len(candidates)
+    @pytest.mark.parametrize("design_name", ["GPU [Jung et al.]", "BTS", "ARK"])
+    def test_shuffled_candidates_rank_the_same(self, design_name):
+        """The benchmark's search workload shuffles the candidates with its
+        seed and checks a golden top 10: any order must give one ranking."""
+        candidates = _small_grid()
+        design = mad_counterpart(PRIOR_DESIGNS[design_name])
+        reference = find_optimal_parameters(
+            design, candidates=candidates, top=len(candidates)
         )
-        parallel = find_optimal_parameters(
-            mad_counterpart(GPU_JUNG),
-            candidates=candidates,
-            top=len(candidates),
-            jobs=2,
+        for seed in range(4):
+            shuffled = list(candidates)
+            random.Random(seed).shuffle(shuffled)
+            assert shuffled != candidates
+            assert (
+                find_optimal_parameters(
+                    design, candidates=shuffled, top=len(candidates)
+                )
+                == reference
+            )
+
+
+class TestArguments:
+    """Bad arguments fail with a named error instead of a silent slice."""
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_raises(self, top):
+        with pytest.raises(ValueError, match="top must be >= 1"):
+            find_optimal_parameters(
+                mad_counterpart(GPU_JUNG), candidates=_small_grid(), top=top
+            )
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_names_the_retired_pool(self, jobs):
+        with pytest.raises(ValueError, match="process pool is retired"):
+            find_optimal_parameters(
+                mad_counterpart(GPU_JUNG), candidates=_small_grid(), jobs=jobs
+            )
+
+    def test_jobs_one_still_ranks(self):
+        # The call the benchmark's search workload makes.
+        candidates = _small_grid()
+        design = mad_counterpart(GPU_JUNG)
+        ranked = find_optimal_parameters(
+            design, MADConfig.all(), candidates=candidates, jobs=1
         )
-        assert serial == parallel
+        assert ranked == find_optimal_parameters(design, candidates=candidates)
+        assert len(ranked) == 10
 
 
 class TestCandidateMaterialisation:

@@ -124,9 +124,9 @@ class TestSpaceProperties:
     def test_candidates_follow_grid_nesting_order(self, grid):
         """Yield order is the declared nesting (L, dnum, fftIter, log_q).
 
-        The search ranking does not rely on it (``ranking_key`` is a total
-        order); what does is chunk memo locality: with ``log_q`` innermost,
-        each contiguous sweep chunk reuses its worker's memo.
+        Neither the search ranking (``ranking_key`` is a total order) nor
+        the sweep's memo misses (one memo per run) rely on it; the order
+        is the documented enumeration contract.
         """
         order = {
             (p.max_limbs, p.dnum, p.fft_iter, p.log_q): i

@@ -1,20 +1,24 @@
-"""Engine semantics: canonical merge, parallel parity, memo, resume."""
+"""Engine semantics: canonical order, one memo per run, telemetry, and the
+retired pool parameters."""
 
 import pytest
 
+from repro.memsim.validate import run_validation
 from repro.obs import state as obs
+from repro.report.figures import (
+    generate_fig6_grid,
+    generate_fig6_lr,
+    generate_fig6_resnet,
+)
+from repro.report.tables import generate_table5
 from repro.sweep import (
-    Memo,
     SweepAxis,
-    SweepError,
     SweepSpec,
-    build_sweep_report,
     register_evaluator,
     run_sweep,
 )
 
 
-# Module-level so forked pool workers inherit the registration.
 def _echo(point, context, memo):
     return {"a": point["a"], "b": point["b"], "scale": context.get("scale", 1)}
 
@@ -31,120 +35,128 @@ def _boom(point, context, memo):
     return {"a": point["a"]}
 
 
+def _record(point, context, memo):
+    context["seen"].append((point["a"], point["b"]))
+    return dict(point)
+
+
 register_evaluator("test.echo", _echo)
+register_evaluator("test.record", _record)
 register_evaluator("test.product", _product)
 register_evaluator("test.boom", _boom)
 
 
-def _spec(evaluator="test.echo", context=None, chunk_size=None):
+def _spec(evaluator="test.echo", context=None):
     return SweepSpec(
         name="toy",
         evaluator=evaluator,
         axes=(SweepAxis("a", (1, 2, 3)), SweepAxis("b", ("x", "y"))),
         context=context if context is not None else {"scale": 1},
-        chunk_size=chunk_size,
     )
 
 
-class TestSerialEngine:
+class TestEngine:
     def test_values_in_canonical_order(self):
-        outcome = run_sweep(_spec(), jobs=1)
+        outcome = run_sweep(_spec())
         assert [v["a"] for v in outcome.values] == [1, 1, 2, 2, 3, 3]
         assert [v["b"] for v in outcome.values] == ["x", "y"] * 3
-        assert outcome.reused == 0 and outcome.evaluated == 6
+        assert outcome.point_keys == [
+            {"a": a, "b": b} for a in (1, 2, 3) for b in ("x", "y")
+        ]
+
+    def test_each_point_is_evaluated_once_in_canonical_order(self):
+        seen = []
+        run_sweep(_spec("test.record", {"seen": seen}))
+        assert seen == [(a, b) for a in (1, 2, 3) for b in ("x", "y")]
 
     def test_rows_default_to_dict_values(self):
-        outcome = run_sweep(_spec(), jobs=1)
+        outcome = run_sweep(_spec())
         assert outcome.rows == outcome.values
 
-    def test_chunking_never_changes_output(self):
-        by_chunk = {
-            size: run_sweep(_spec(chunk_size=size), jobs=1).values
-            for size in (1, 2, 5, 64)
-        }
-        reference = run_sweep(_spec(), jobs=1).values
-        for values in by_chunk.values():
-            assert values == reference
-
     def test_memo_shared_across_whole_run(self):
-        outcome = run_sweep(
-            _spec("test.product", {"offset": 5}, chunk_size=1), jobs=1
-        )
-        # 3 distinct "a" values over 6 points: 3 misses, 3 hits — across
-        # chunk boundaries, because jobs=1 keeps one memo for the run.
+        outcome = run_sweep(_spec("test.product", {"offset": 5}))
+        # 3 distinct "a" values over 6 points: 3 misses, 3 hits.
         assert (outcome.memo_hits, outcome.memo_misses) == (3, 3)
         assert outcome.memo_hit_rate == pytest.approx(0.5)
 
+    def test_each_run_starts_a_fresh_memo(self):
+        first = run_sweep(_spec("test.product", {"offset": 5}))
+        second = run_sweep(_spec("test.product", {"offset": 5}))
+        assert (second.memo_hits, second.memo_misses) == (3, 3)
+        assert second.values == first.values
+
     def test_evaluator_error_propagates(self):
         with pytest.raises(RuntimeError, match="kaboom"):
-            run_sweep(_spec("test.boom", {}), jobs=1)
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_sweep(_spec(), jobs=0)
+            run_sweep(_spec("test.boom", {}))
 
     def test_dispatch_metrics_published(self):
         with obs.capture() as (tracer, registry):
-            run_sweep(_spec(), jobs=1)
-        counters = registry.counters()
-        assert counters["sweep.points"] == 6
-        assert counters["sweep.chunks.scheduled"] >= 1
-        assert (
-            counters["sweep.chunks.completed"]
-            == counters["sweep.chunks.scheduled"]
-        )
-        spans = [span.name for span in tracer.spans()]
-        assert "sweep:run" in spans
+            run_sweep(_spec("test.product", {"offset": 5}))
+        assert registry.counters() == {
+            "sweep.memo.hits": 3,
+            "sweep.memo.misses": 3,
+            "sweep.points": 6,
+        }
+        assert registry.snapshot()["gauges"] == {"sweep.memo_hit_rate": 0.5}
+        (run,) = tracer.roots
+        assert run.name == "sweep:run"
+        assert run.meta == {"sweep": "toy", "evaluator": "test.product", "points": 6}
+
+    def test_traced_error_propagates_and_closes_the_run_span(self):
+        with obs.capture() as (tracer, _registry):
+            with pytest.raises(RuntimeError, match="kaboom"):
+                run_sweep(_spec("test.boom", {}))
+        (run,) = tracer.roots
+        assert run.end is not None
+        # Points 0 and 1 (a=1) finished; point 2 (a=2) raised inside its span.
+        assert [p.meta["index"] for p in run.children] == [0, 1, 2]
+        assert not obs.tracing_enabled()
+
+    def test_traced_sweep_leaves_tracemalloc_off(self):
+        import tracemalloc
+
+        with obs.capture():
+            run_sweep(_spec())
+        assert not tracemalloc.is_tracing()
+
+    def test_metrics_without_tracing_reach_the_registry(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        previous = obs.set_metrics(registry, enabled=True)
+        try:
+            outcome = run_sweep(_spec("test.product", {"offset": 5}))
+        finally:
+            obs.set_metrics(*previous)
+        assert not obs.tracing_enabled()
+        assert registry.counters() == {
+            "sweep.memo.hits": outcome.memo_hits,
+            "sweep.memo.misses": outcome.memo_misses,
+            "sweep.points": 6,
+        }
 
 
-class TestParallelEngine:
-    def test_parallel_output_bit_identical(self):
-        serial = run_sweep(_spec(), jobs=1)
-        parallel = run_sweep(_spec(), jobs=2)
-        assert parallel.values == serial.values
-        assert parallel.rows == serial.rows
-        assert parallel.point_keys == serial.point_keys
-        assert parallel.jobs == 2
+#: The library parameters that selected the retired process pool, its
+#: chunking and resume: each is now an unexpected keyword, raised before
+#: anything runs.
+RETIRED_PARAMETERS = [
+    pytest.param(run_sweep, (_spec(),), "jobs", id="run_sweep-jobs"),
+    pytest.param(run_sweep, (_spec(),), "resume", id="run_sweep-resume"),
+    pytest.param(
+        SweepSpec, ("toy", "test.echo", (SweepAxis("a", (1,)),)), "chunk_size",
+        id="SweepSpec-chunk_size",
+    ),
+    pytest.param(generate_table5, (), "jobs", id="generate_table5-jobs"),
+    pytest.param(generate_fig6_grid, ("lr",), "jobs", id="generate_fig6_grid-jobs"),
+    pytest.param(generate_fig6_lr, (None, [32.0]), "jobs", id="generate_fig6_lr-jobs"),
+    pytest.param(
+        generate_fig6_resnet, (None, [32.0]), "jobs", id="generate_fig6_resnet-jobs"
+    ),
+    pytest.param(run_validation, (), "jobs", id="run_validation-jobs"),
+]
 
-    def test_parallel_chunk_failure_is_wrapped(self):
-        with pytest.raises(SweepError, match="canonical indices"):
-            run_sweep(_spec("test.boom", {}, chunk_size=1), jobs=2)
 
-    def test_worker_utilisation_bounded(self):
-        outcome = run_sweep(_spec(), jobs=2)
-        assert 0.0 <= outcome.worker_utilisation <= 1.0
-
-
-class TestResume:
-    def test_full_resume_reuses_everything(self):
-        report = build_sweep_report(run_sweep(_spec(), jobs=1))
-        resumed = run_sweep(_spec(), jobs=1, resume=report)
-        assert resumed.reused == 6 and resumed.evaluated == 0
-        # Resumed values are the stored JSON rows.
-        assert resumed.values == [entry["row"] for entry in report["points"]]
-
-    def test_partial_resume_evaluates_only_pending(self):
-        report = build_sweep_report(run_sweep(_spec(), jobs=1))
-        report["points"] = report["points"][:4]
-        resumed = run_sweep(_spec(), jobs=1, resume=report)
-        assert resumed.reused == 4 and resumed.evaluated == 2
-        assert resumed.rows == run_sweep(_spec(), jobs=1).rows
-
-    def test_fingerprint_mismatch_rejected(self):
-        report = build_sweep_report(run_sweep(_spec(), jobs=1))
-        other = SweepSpec(
-            name="toy",
-            evaluator="test.echo",
-            axes=_spec().axes,
-            context={"scale": 2},
-        )
-        with pytest.raises(SweepError, match="fingerprint mismatch"):
-            run_sweep(other, jobs=1, resume=report)
-
-    def test_out_of_range_indices_ignored(self):
-        report = build_sweep_report(run_sweep(_spec(), jobs=1))
-        report["points"].append(
-            {"index": 99, "key": {"a": 9, "b": "z"}, "row": {"a": 9}}
-        )
-        resumed = run_sweep(_spec(), jobs=1, resume=report)
-        assert resumed.reused == 6
+@pytest.mark.parametrize("fn, args, parameter", RETIRED_PARAMETERS)
+def test_retired_parameters_are_type_errors(fn, args, parameter):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{parameter}'"):
+        fn(*args, **{parameter: 1})

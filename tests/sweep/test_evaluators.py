@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from repro.obs import schema
+from repro.obs import state as obs
 from repro.params import BASELINE_JUNG, CkksParams
 from repro.perf import BootstrapModel, CacheModel, MADConfig, cost_shape
 from repro.hardware import PRIOR_DESIGNS, mad_counterpart
 from repro.hardware.runtime import estimate_runtime
 from repro.sweep import (
+    SWEEP_REPORT,
     Memo,
     SweepAxis,
     SweepSpec,
@@ -37,7 +40,7 @@ class TestSearchCandidate:
                 "enforce_cache": False,
             },
         )
-        result = run_sweep(spec, jobs=1).values[0]
+        result = run_sweep(spec).values[0]
         cost = BootstrapModel(BASELINE_JUNG, MADConfig.all()).total_cost()
         runtime = estimate_runtime(cost, design)
         assert result.cost == cost
@@ -61,7 +64,7 @@ class TestSearchCandidate:
                 "enforce_cache": True,
             },
         )
-        result = run_sweep(spec, jobs=1).values[0]
+        result = run_sweep(spec).values[0]
         expected = BootstrapModel(
             BASELINE_JUNG, MADConfig.all(), design.cache
         ).total_cost()
@@ -79,7 +82,7 @@ class TestBootstrapCost:
                 "config": MADConfig.caching_only(),
             },
         )
-        rows = run_sweep(spec, jobs=1).values
+        rows = run_sweep(spec).values
         for row, mb in zip(rows, (2.0, 32.0)):
             cost = BootstrapModel(
                 BASELINE_JUNG, MADConfig.caching_only(), CacheModel.from_mb(mb)
@@ -96,7 +99,7 @@ class TestBootstrapCost:
             axes=(SweepAxis("flag", ("baseline", "cache_o1")),),
             context={"params": BASELINE_JUNG, "config": MADConfig.none()},
         )
-        base_row, o1_row = run_sweep(spec, jobs=1).values
+        base_row, o1_row = run_sweep(spec).values
         assert base_row["traffic_total"] == (
             BootstrapModel(BASELINE_JUNG, MADConfig.none()).total_cost().traffic.total
         )
@@ -115,7 +118,7 @@ class TestBootstrapCost:
             context={"config": MADConfig.none()},
         )
         with pytest.raises(ValueError, match="params and config"):
-            run_sweep(spec, jobs=1)
+            run_sweep(spec)
 
     def test_memoized_cost_reused(self):
         memo = Memo()
@@ -150,26 +153,25 @@ class TestBootstrapCostMemo:
         spec = build_preset("table5", quick=True)
         shapes = {cost_shape(p) for p in spec.axes[0].values}
         assert (spec.size, len(shapes)) == (87, 24)
-        outcome = run_sweep(spec, jobs=1)
+        outcome = run_sweep(spec)
         assert (outcome.memo_misses, outcome.memo_hits) == (24, 63)
-
-    def test_quick_table5_parallel_misses_at_most_once_per_shape_and_chunk(self):
-        outcome = run_sweep(build_preset("table5", quick=True), jobs=2)
-        assert outcome.memo_hits + outcome.memo_misses == 87
-        assert 24 <= outcome.memo_misses <= 24 + outcome.chunks
 
 
 class TestFig6Bar:
-    def test_grid_matches_serial_series(self):
-        from repro.apps import helr_training
+    @pytest.mark.parametrize("workload", ["lr", "resnet"])
+    @pytest.mark.parametrize("design_name", list(PRIOR_DESIGNS))
+    def test_grid_matches_serial_series(self, design_name, workload):
+        from repro.apps import helr_training, resnet20_inference
         from repro.report.figures import generate_fig6_grid, generate_fig6_series
 
-        design = PRIOR_DESIGNS["BTS"]
+        design = PRIOR_DESIGNS[design_name]
         sizes = [32.0, 256.0]
-        serial = generate_fig6_series(
-            design, lambda p: helr_training(p, iterations=30), sizes
-        )
-        grid = generate_fig6_grid("lr", [design], sizes)[design.name]
+        workload_for = {
+            "lr": lambda p: helr_training(p, iterations=30),
+            "resnet": resnet20_inference,
+        }[workload]
+        serial = generate_fig6_series(design, workload_for, sizes)
+        grid = generate_fig6_grid(workload, [design], sizes)[design.name]
         assert grid == serial
 
     def test_unknown_workload_rejected(self):
@@ -210,8 +212,8 @@ def _keys(spec):
 @pytest.mark.parametrize("name", preset_names())
 class TestEveryPreset:
     """Each named sweep: a stable spec under its own name, a quick grid
-    that is a strict subset of the full one, and rows that depend on
-    neither the worker count nor a resume."""
+    that is a strict subset of the full one, rows that depend on neither
+    tracing nor the memo, and a report both validators accept."""
 
     def test_quick_spec_is_named_registered_and_stable(self, name):
         spec = build_preset(name, quick=True)
@@ -226,14 +228,27 @@ class TestEveryPreset:
         assert len(set(quick_keys)) == quick.size
         assert set(quick_keys) <= set(_keys(full))
 
-    def test_two_workers_match_serial(self, name):
+    def test_traced_rows_equal_untraced_rows(self, name):
         spec = build_preset(name, quick=True)
-        assert run_sweep(spec, jobs=2).rows == run_sweep(spec, jobs=1).rows
+        with obs.capture() as (tracer, _registry):
+            traced = run_sweep(spec)
+        assert len(tracer.roots[0].children) == spec.size
+        untraced = run_sweep(spec)
+        assert json.dumps(traced.rows) == json.dumps(untraced.rows)
 
-    def test_complete_resume_evaluates_nothing(self, name):
+    def test_report_validates_with_both_validators(self, name):
+        jsonschema = pytest.importorskip("jsonschema")
         spec = build_preset(name, quick=True)
-        outcome = run_sweep(spec, jobs=1)
-        report = json.loads(json.dumps(build_sweep_report(outcome)))
-        resumed = run_sweep(spec, jobs=1, resume=report)
-        assert (resumed.reused, resumed.evaluated) == (spec.size, 0)
-        assert resumed.rows == outcome.rows
+        report = json.loads(json.dumps(build_sweep_report(run_sweep(spec))))
+        schema.validate(report, SWEEP_REPORT)
+        jsonschema.validate(report, SWEEP_REPORT.spec)
+        assert len(report["points"]) == spec.size
+
+    def test_rows_equal_a_reference_loop_with_a_fresh_memo_per_point(self, name):
+        spec = build_preset(name, quick=True)
+        evaluator = get_evaluator(spec.evaluator)
+        reference = [
+            evaluator.row(evaluator.fn(point, spec.context, Memo()), point)
+            for _, point in spec.points()
+        ]
+        assert json.dumps(run_sweep(spec).rows) == json.dumps(reference)

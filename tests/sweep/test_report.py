@@ -30,7 +30,7 @@ def outcome():
         axes=(SweepAxis("a", (1, 2)), SweepAxis("b", ("x",))),
         context={"scale": 3},
     )
-    return run_sweep(spec, jobs=1)
+    return run_sweep(spec)
 
 
 @pytest.fixture()
@@ -50,6 +50,19 @@ class TestBuildReport:
         assert [entry["index"] for entry in report["points"]] == [0, 1]
         assert [entry["row"] for entry in report["points"]] == outcome.rows
         assert [entry["key"] for entry in report["points"]] == outcome.point_keys
+
+    def test_fields_are_the_spec_memo_wall_time_and_points(self, report):
+        assert set(report) == {
+            "schema", "provenance", "sweep", "evaluator", "fingerprint",
+            "axes", "memo", "wall_seconds", "points",
+        }
+
+    def test_memo_and_wall_time_come_from_the_outcome(self, outcome, report):
+        assert report["memo"] == {
+            "hits": outcome.memo_hits,
+            "misses": outcome.memo_misses,
+        }
+        assert report["wall_seconds"] == outcome.wall_seconds > 0.0
 
     def test_valid_report_passes(self, report):
         schema.validate(report, SWEEP_REPORT)

@@ -1,4 +1,4 @@
-"""SweepSpec/SweepAxis: canonical order, identity, chunking."""
+"""SweepSpec/SweepAxis: canonical order and identity."""
 
 import itertools
 from dataclasses import dataclass
@@ -56,7 +56,7 @@ class TestSweepAxis:
             SweepAxis("", (1,))
 
 
-def _spec(chunk_size=None):
+def _spec():
     return SweepSpec(
         name="toy",
         evaluator="test.echo",
@@ -65,7 +65,6 @@ def _spec(chunk_size=None):
             SweepAxis("b", ("x", "y")),
         ),
         context={"k": 7},
-        chunk_size=chunk_size,
     )
 
 
@@ -100,10 +99,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="at least one axis"):
             SweepSpec(name="none", evaluator="test.echo", axes=())
 
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            _spec(chunk_size=0)
-
     def test_fingerprint_is_stable(self):
         assert _spec().fingerprint() == _spec().fingerprint()
         assert len(_spec().fingerprint()) == 64
@@ -122,18 +117,3 @@ class TestSweepSpec:
         )
         assert len({base, renamed.fingerprint(), recontexted.fingerprint(),
                     reordered.fingerprint()}) == 4
-
-    def test_fingerprint_ignores_chunk_size(self):
-        """Chunking is scheduling, not identity: resume must accept
-        reports produced under a different chunk size."""
-        assert _spec().fingerprint() == _spec(chunk_size=2).fingerprint()
-
-    def test_chunks_partition_indices_in_order(self):
-        spec = _spec(chunk_size=4)
-        chunks = spec.chunks(list(range(6)), jobs=3)
-        assert chunks == [[0, 1, 2, 3], [4, 5]]
-
-    def test_resolved_chunk_size_deterministic(self):
-        spec = _spec()
-        assert spec.resolved_chunk_size(2) == spec.resolved_chunk_size(2)
-        assert spec.resolved_chunk_size(1) >= 1

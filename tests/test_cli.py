@@ -378,7 +378,21 @@ class TestSweepCommand:
     def test_quick_ablation_sweep(self, capsys):
         assert main(["sweep", "ablation-cache", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "evaluated" in out and "memo hit rate" in out
+        assert out.startswith("sweep ablation-cache: 4 points, memo hit rate ")
+
+    def test_json_and_out_write_the_same_report(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.telemetry import strip_volatile
+
+        path = tmp_path / "sweep.json"
+        assert main(["sweep", "fig6-lr", "--quick", "--json",
+                     "--out", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(path.read_text())
+        assert main(["sweep", "fig6-lr", "--quick", "--json"]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert strip_volatile(again) == strip_volatile(printed)
 
     def test_json_report_is_valid(self, capsys):
         import json
@@ -391,63 +405,33 @@ class TestSweepCommand:
         schema.validate(report, SWEEP_REPORT)
         assert report["sweep"] == "ablation-cache"
 
-    def test_out_then_resume_cycle(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "sweep_report.json"
-        assert main(["sweep", "ablation-cache", "--quick",
-                     "--out", str(path)]) == 0
-        first = json.loads(path.read_text())
-        assert main(["sweep", "ablation-cache", "--quick",
-                     "--resume", str(path), "--out", str(path)]) == 0
-        resumed = json.loads(path.read_text())
-        out = capsys.readouterr().out
-        assert "4 reused" in out
-        assert resumed["points"] == first["points"]
-        assert resumed["reused"] == len(first["points"])
-
-    def test_resume_missing_file_starts_fresh(self, capsys, tmp_path):
-        assert main(["sweep", "ablation-cache", "--quick",
-                     "--resume", str(tmp_path / "absent.json")]) == 0
-        assert "starting fresh" in capsys.readouterr().out
-
-    def test_jobs_flag_parallel_smoke(self, capsys):
-        assert main(["sweep", "ablation-cache", "--quick", "--jobs", "2"]) == 0
-        assert "jobs=2" in capsys.readouterr().out
-
-    def test_search_jobs_matches_serial(self, capsys):
-        assert main(["search", "--quick", "--top", "3"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["search", "--quick", "--top", "3", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
 
 
 class TestSweepTelemetryFlags:
-    def test_report_bit_identical_across_jobs(self, capsys, tmp_path):
-        import json
-
+    def test_report_and_out_agree_on_points_and_memo(self, capsys, tmp_path):
         from repro.obs import schema
         from repro.obs.export import RUN_REPORT
-        from repro.obs.telemetry import strip_volatile
+        from repro.sweep import SWEEP_REPORT
 
-        serial_path = tmp_path / "serial.json"
-        parallel_path = tmp_path / "parallel.json"
-        assert main(["sweep", "ablation-cache", "--quick",
-                     "--report", str(serial_path)]) == 0
-        assert main(["sweep", "ablation-cache", "--quick", "--jobs", "2",
-                     "--report", str(parallel_path)]) == 0
+        run_path = tmp_path / "run.json"
+        out_path = tmp_path / "sweep.json"
+        assert main(["sweep", "table5", "--quick", "--report", str(run_path),
+                     "--out", str(out_path)]) == 0
         capsys.readouterr()
-        serial = schema.load(serial_path, RUN_REPORT)
-        parallel = schema.load(parallel_path, RUN_REPORT)
-        assert serial["resources"]["peak_rss_bytes"] > 0
-        assert json.dumps(strip_volatile(serial), sort_keys=True) == \
-            json.dumps(strip_volatile(parallel), sort_keys=True)
+        run = schema.load(run_path, RUN_REPORT)
+        sweep = schema.load(out_path, SWEEP_REPORT)
+        assert run["resources"]["peak_rss_bytes"] > 0
+        counters = run["metrics"]["counters"]
+        assert sweep["memo"] == {"hits": 63, "misses": 24}
+        assert counters["sweep.memo.hits"] == sweep["memo"]["hits"]
+        assert counters["sweep.memo.misses"] == sweep["memo"]["misses"]
+        assert counters["sweep.points"] == len(sweep["points"]) == 87
 
     def test_report_has_per_point_resource_spans(self, capsys, tmp_path):
         import json
 
         path = tmp_path / "rr.json"
-        assert main(["sweep", "ablation-cache", "--quick", "--jobs", "2",
+        assert main(["sweep", "ablation-cache", "--quick",
                      "--report", str(path)]) == 0
         capsys.readouterr()
         report = json.loads(path.read_text())
@@ -462,23 +446,6 @@ class TestSweepTelemetryFlags:
         assert points
         assert all(s["meta"]["resource"]["rss_peak_bytes"] > 0
                    for s in points)
-
-
-    def test_out_report_records_every_worker_chunk(self, capsys, tmp_path):
-        from repro.obs import schema
-        from repro.sweep import SWEEP_REPORT
-
-        path = tmp_path / "sweep_report.json"
-        assert main(["sweep", "ablation-cache", "--quick", "--jobs", "2",
-                     "--out", str(path)]) == 0
-        capsys.readouterr()
-        report = schema.load(path, SWEEP_REPORT)
-        workers = report["workers"]
-        assert 1 <= len(workers) <= 2
-        assert sum(w["chunks"] for w in workers) == report["chunks"]
-        assert all(w["peak_rss_bytes"] > 0 for w in workers)
-        memo = report["memo"]
-        assert memo["hits"] + memo["misses"] > 0
 
 
 class TestProfileCommand:

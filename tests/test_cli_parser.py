@@ -17,7 +17,7 @@ import pytest
 from repro.cli import _comma_list, _positive, build_parser, main
 from repro.hardware import PRIOR_DESIGNS
 
-SNAPSHOT = json.loads(
+PARSER_SNAPSHOT = json.loads(
     (Path(__file__).parent / "data" / "cli_parser.json").read_text()
 )
 BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
@@ -56,10 +56,10 @@ def test_parser_matches_snapshot():
     for command, dest in ADDED_CHOICES:
         assert current[command][dest]["choices"] == list(PRIOR_DESIGNS)
         current[command][dest]["choices"] = None
-    assert current == SNAPSHOT
+    assert current == PARSER_SNAPSHOT
 
 
-@pytest.mark.parametrize("command", sorted(SNAPSHOT))
+@pytest.mark.parametrize("command", sorted(PARSER_SNAPSHOT))
 def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -88,16 +88,6 @@ def test_cache_mb_must_be_positive(argv, capsys, monkeypatch, tmp_path):
         main(argv)
     assert exc.value.code == 2
     assert "argument --cache-mb" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command", ["table5", "fig6", "search", "memsim", "sweep"]
-)
-def test_jobs_must_be_positive(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--jobs", "0"])
-    assert exc.value.code == 2
-    assert "argument --jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -253,6 +243,16 @@ def test_argument_types_name_the_reason(kind, text, reason):
         (["sweep", "ablation-cache", "--quick", "--events", "events.jsonl"],
          "unrecognized arguments: --events"),
         (["serve", "mixed"], "invalid choice: 'serve'"),
+        # The sweep process pool and its resume are retired: every sweep
+        # runs as one in-process pass.
+        (["table5", "--quick", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["fig6", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["search", "--quick", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["memsim", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["sweep", "table5", "--quick", "--jobs", "2"],
+         "unrecognized arguments: --jobs"),
+        (["sweep", "table5", "--quick", "--resume", "sweep_report.json"],
+         "unrecognized arguments: --resume"),
     ],
 )
 def test_retired_commands_and_flags_are_usage_errors(

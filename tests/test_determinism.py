@@ -1,18 +1,18 @@
 """Every report is a pure function of its inputs, whatever the hash seed.
 
-The committed baselines, the sweep fingerprints and the ``--jobs N``
-parity checks all rest on one contract: a report depends only on what
-the command was asked to compute.  Python randomises ``str`` hashing per
-process, so a report that leans on set iteration order, on dict order
-built from a set, or on ``hash()`` changes with ``PYTHONHASHSEED``.
-This test runs each report producer as its own ``python -m repro``
-process under four hash seeds and requires the canonical reports
+The committed baselines and the sweep fingerprints rest on one
+contract: a report depends only on what the command was asked to
+compute.  Python randomises ``str`` hashing per process, so a report
+that leans on set iteration order, on dict order built from a set, or
+on ``hash()`` changes with ``PYTHONHASHSEED``.  This test runs each
+report producer as its own ``python -m repro`` process under four hash
+seeds and requires the canonical reports
 (:func:`~repro.obs.telemetry.strip_volatile`, then ``json.dumps`` with
-sorted keys) to be identical.
+sorted keys) to be identical, memo statistics included.
 
 Clock, pid and entropy leaks differ on every run, so they fail here as
-well.  Completion-order bugs need more than one worker and are covered
-by the ``--jobs 2`` versus serial tests of the sweep and search suites.
+well.  Every sweep evaluates its points in one process, in canonical
+order, so there is no completion order left to leak.
 
 The second half runs the same check on small stand-alone producers with
 known bugs, so the check is shown to catch set-order and ``hash()``-order
@@ -38,16 +38,27 @@ BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
 SEEDS = (0, 1, 2, 3)
 
-#: ``python -m repro`` argv → the report files it writes.
+#: Test id → (``python -m repro`` argv, the report files it writes).
 PRODUCERS = {
-    ("trace", "bootstrap", "--out", "trace.json", "--report", "run.json"):
-        ("run.json",),
-    ("sweep", "table5", "--quick", "--out", "sweep.json"): ("sweep.json",),
-    ("memsim", "--primitive", "rotate", "--out", "memsim.json"):
-        ("memsim.json",),
-    ("diff", str(BASELINES / "bootstrap__baseline__none__nocache.json"),
-     str(BASELINES / "bootstrap__optimal__all__nocache.json"),
-     "--json", "cost_diff.json"): ("cost_diff.json",),
+    "trace": (("trace", "bootstrap", "--out", "trace.json",
+               "--report", "run.json"), ("run.json",)),
+    "sweep": (("sweep", "table5", "--quick", "--out", "sweep.json",
+               "--report", "run.json"), ("sweep.json", "run.json")),
+    # One sweep per evaluator: search (above), memsim, ablation, Fig. 6.
+    "memsim-ladder": (("sweep", "memsim-ladder", "--quick",
+                       "--out", "sweep.json", "--report", "run.json"),
+                      ("sweep.json", "run.json")),
+    "ablation-cache": (("sweep", "ablation-cache", "--quick",
+                        "--out", "sweep.json", "--report", "run.json"),
+                       ("sweep.json", "run.json")),
+    "fig6-lr": (("sweep", "fig6-lr", "--quick",
+                 "--out", "sweep.json", "--report", "run.json"),
+                ("sweep.json", "run.json")),
+    "memsim": (("memsim", "--primitive", "rotate", "--out", "memsim.json"),
+               ("memsim.json",)),
+    "diff": (("diff", str(BASELINES / "bootstrap__baseline__none__nocache.json"),
+              str(BASELINES / "bootstrap__optimal__all__nocache.json"),
+              "--json", "cost_diff.json"), ("cost_diff.json",)),
 }
 
 
@@ -111,16 +122,15 @@ def _divergence(label, by_seed):
 def producer_reports(tmp_path_factory):
     jobs = {
         _label(argv): ([sys.executable, "-m", "repro", *argv], names)
-        for argv, names in PRODUCERS.items()
+        for argv, names in PRODUCERS.values()
     }
     return _run_under_seeds(jobs, tmp_path_factory.mktemp("producers"))
 
 
-@pytest.mark.parametrize(
-    "argv", list(PRODUCERS), ids=[argv[0] for argv in PRODUCERS]
-)
-def test_reports_are_identical_across_hash_seeds(producer_reports, argv):
-    message = _divergence(_label(argv), producer_reports[_label(argv)])
+@pytest.mark.parametrize("producer", list(PRODUCERS))
+def test_reports_are_identical_across_hash_seeds(producer_reports, producer):
+    label = _label(PRODUCERS[producer][0])
+    message = _divergence(label, producer_reports[label])
     assert message is None, message
 
 
@@ -178,7 +188,7 @@ def test_sorted_set_and_dict_key_order_pass(tmp_path):
 def test_volatile_fields_do_not_count(tmp_path):
     body = (
         'report.update(provenance={"pid": os.getpid(), "at": time.time()}, '
-        'resources={"rss": id(rows)}, workers=[{"pid": os.getpid()}])'
+        'resources={"rss": id(rows)})'
     )
     assert _toy_divergence(body, tmp_path) is None
 
