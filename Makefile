@@ -3,7 +3,7 @@ PYTHON ?= python
 # install step, preserving any PYTHONPATH the caller already exported.
 PYPATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test bench lint lint-fast typecheck examples tables clean
+.PHONY: install test bench lint typecheck examples tables clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -14,18 +14,15 @@ test:
 bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Generic hygiene only: the domain invariants (cost accounting, span
+# labels, exact arithmetic, ...) are tier-1 tests in
+# tests/test_invariants.py, so `make test` runs them.
 lint:
-	$(PYPATH) $(PYTHON) -m repro lint src/repro
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
 		echo "ruff not installed; skipping (pip install ruff)"; \
 	fi
-
-# Same rules as `make lint` but replays the previous result from
-# .lint_cache/ when no file content changed.
-lint-fast:
-	$(PYPATH) $(PYTHON) -m repro lint --changed-only src/repro
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -10,7 +10,6 @@ Commands regenerate the paper's tables/figures or run ad-hoc analyses:
     python -m repro trace bootstrap --out trace.json --report run_report.json
     python -m repro diff base_report.json run_report.json --json cost_diff.json
     python -m repro bench --check
-    python -m repro lint --json src/repro
     python -m repro sweep table5 --out sweep_report.json
     python -m repro sweep table5 --report run_report.json
     python -m repro profile bootstrap --params optimal --config all
@@ -20,11 +19,9 @@ records a hierarchical span tree and writes it as Chrome trace-event JSON
 (viewable in Perfetto or ``chrome://tracing``); ``diff`` attributes the
 cost delta between two run reports span by span; ``bench`` gates the
 analytical workloads against the committed baselines in
-``benchmarks/baselines/``; ``lint`` mechanically enforces the cost-model
-and observability invariants (see :mod:`repro.lint`); ``sweep`` runs a
-declarative parameter sweep (see :mod:`repro.sweep`) with a
-machine-readable report, optionally writing its traced
-``run_report.json``; ``profile`` attributes host
+``benchmarks/baselines/``; ``sweep`` runs a declarative parameter sweep
+(see :mod:`repro.sweep`) with a machine-readable report, optionally
+writing its traced ``run_report.json``; ``profile`` attributes host
 resources (RSS, allocation peaks, CPU, GC) span by span.
 
 The parser is one table, :data:`_COMMANDS`: a row names a subcommand's
@@ -405,12 +402,6 @@ def _cmd_memsim(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint.cli import lint_command
-
-    return lint_command(args)
-
-
 def _cmd_search(args) -> int:
     from repro.hardware import HardwareDesign
     from repro.search import enumerate_parameter_space, find_optimal_parameters
@@ -727,21 +718,6 @@ _COMMANDS: Tuple[Any, ...] = (
           help="validate only the named primitive (repeatable)"),
      _arg("--tolerance", type=_positive(float, allow_zero=True), default=0.05,
           help="per-stream relative-error gate (default 0.05)")),
-    ("lint", _cmd_lint,
-     "domain-aware static analysis (cost-model + span invariants)",
-     ("--json", "--out"), {},
-     _arg("paths", nargs="*", default=None,
-          help="files or directories to lint (default: src/repro)"),
-     _arg("--rule", action="append", default=None, metavar="NAME",
-          help="run only the named rule (repeatable)"),
-     _arg("--list-rules", action="store_true",
-          help="print every registered rule with its description and exit"),
-     _arg("--changed-only", action="store_true",
-          help="replay the previous result from .lint_cache/ when no file "
-          "changed"),
-     _arg("--format", choices=("text", "json", "sarif"), default=None,
-          help="output format (default: text, or json with --json); "
-          "with --out, stdout stays text")),
     ("balance", _cmd_balance, "roofline balance of MAD design points", (), {}),
     ("search", _cmd_search, "parameter search for a hardware budget",
      ("--quick",), {},

@@ -17,10 +17,6 @@ family's timing fields.
 
 from __future__ import annotations
 
-# lint: disable-file=ExactArithPurity -- this is the measurement harness
-# around the kernels, not a kernel: it times wall-clock and computes
-# speedup ratios; no residue arithmetic happens here.
-
 import random
 import time
 from typing import Any, Dict, List, Optional, Sequence

@@ -2,9 +2,10 @@
 
 This module is the transform behind :class:`repro.kernels.ntt.BatchNttKernel`
 and the one file of ``kernels/`` allowed float arithmetic
-(:data:`repro.lint.scopes.FLOAT_KERNEL_FILE`).  Every float it holds is an
-integer below ``2**53``, so BLAS computes every product exactly, and the
-outputs equal the oracle :class:`repro.numth.ntt.NttContext` bit for bit.
+(``FLOAT_KERNEL_FILE`` in ``tests/test_invariants.py``).  Every float it
+holds is an integer below ``2**53``, so BLAS computes every product
+exactly, and the outputs equal the oracle
+:class:`repro.numth.ntt.NttContext` bit for bit.
 
 **Factorisation.**  With ``N = n1 * n2``, ``n1 = 2**floor(log2(N) / 2)``
 and ``n1 <= n2 <= 256`` (so ``N <= 2**16``), the forward transform

@@ -1,11 +1,12 @@
 """DRAM-traffic accounting for the memory simulator.
 
 This module is the **only** place in :mod:`repro.memsim` where raw byte
-counters are accumulated — the ``TraceDiscipline`` lint rule (and the
-``LedgerDiscipline`` allowance for this file) confine ``*_bytes``
-arithmetic here, mirroring how :mod:`repro.perf.events` is the sole
-accounting core of the analytical model.  Everything else in the package
-consumes the finished :class:`repro.perf.events.MemTraffic` snapshot.
+counters are accumulated — the ``TraceDiscipline`` rule in
+``tests/test_invariants.py`` (and the ``LedgerDiscipline`` allowance for
+this file) confine ``*_bytes`` arithmetic here, mirroring how
+:mod:`repro.perf.events` is the sole accounting core of the analytical
+model.  Everything else in the package consumes the finished
+:class:`repro.perf.events.MemTraffic` snapshot.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ class MemorySimulator:
                 f"capacity must be non-negative, got {capacity_bytes}"
             )
         # Geometry, not a cost total: set once, never accumulated.
-        self.capacity_bytes = capacity_bytes  # lint: disable=LedgerDiscipline
+        self.capacity_bytes = capacity_bytes
         self.policy = policy if policy is not None else make_policy("lru")
 
     def capacity_blocks(self, block_bytes: int) -> int:

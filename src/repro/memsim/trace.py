@@ -26,12 +26,12 @@ event kinds:
   Schedules flush data whose next consumer is *counted* as a DRAM read
   by the analytical model, so residue hits never mask real traffic.
 
-**Recorder discipline** (enforced by the ``TraceDiscipline`` lint rule):
-schedules never construct events directly — every event flows through a
-:class:`TraceRecorder`, which is also where block identity is allocated
-(:meth:`TraceRecorder.alloc`).  That keeps block-id allocation collision
-free and gives one choke point for the obs metrics around trace
-generation.
+**Recorder discipline** (enforced by the ``TraceDiscipline`` rule in
+``tests/test_invariants.py``): schedules never construct events
+directly — every event flows through a :class:`TraceRecorder`, which is
+also where block identity is allocated (:meth:`TraceRecorder.alloc`).
+That keeps block-id allocation collision free and gives one choke point
+for the obs metrics around trace generation.
 
 Determinism: traces are pure functions of their inputs — the recorder
 holds no ambient state (no clocks, no RNG), so generating the same
@@ -155,7 +155,7 @@ class Trace:
             raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         self.events = events
         # Geometry, not a cost total: set once, never accumulated.
-        self.block_bytes = block_bytes  # lint: disable=LedgerDiscipline
+        self.block_bytes = block_bytes
         self.label = label
         #: buffer label -> limb count, for debugging/reporting only.
         self.buffers = dict(buffers or {})
@@ -188,7 +188,7 @@ class TraceRecorder:
         if block_bytes <= 0:
             raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         # Geometry, not a cost total: set once, never accumulated.
-        self.block_bytes = block_bytes  # lint: disable=LedgerDiscipline
+        self.block_bytes = block_bytes
         self.label = label
         self._events: List[TraceEvent] = []
         self._next_block = 0

@@ -17,6 +17,7 @@ attributes any regression to the spans that caused it via
 from __future__ import annotations
 
 import copy
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -169,6 +170,8 @@ class BenchComparison:
     regressions: List[Regression] = field(default_factory=list)
     improvements: List[str] = field(default_factory=list)
     diff: Optional[Dict[str, Any]] = None
+    #: Ungated differences from the fixture (:func:`_metric_drift`).
+    drift: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -191,20 +194,63 @@ class BenchComparison:
         return "\n".join(lines)
 
     def _drift(self) -> List[str]:
-        """Ungated differences from the fixture: counters and span entries."""
-        if self.diff is None:
+        """Ungated differences from the fixture: metrics, span meta and costs."""
+        if self.diff is None and not self.drift:
             return []
-        counters = self.diff["metrics"]["counters"]
-        lines = [
-            f"  drift: counter {name} {delta['base']:,} -> {delta['other']:,}"
-            for name, delta in counters.items()
-        ]
-        if self.diff["spans"]:
+        lines = [f"  drift: {item}" for item in self.drift]
+        if self.diff is not None and self.diff["spans"]:
             lines.append(f"  drift: {len(self.diff['spans'])} span entries differ")
         lines.append(
             "  the fixture is stale: refresh it with `python -m repro bench --update`"
         )
         return lines
+
+
+def _shown(values: Dict[str, Any], name: str) -> str:
+    if name not in values:
+        return "absent"
+    value = values[name]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{value:,}"
+    return json.dumps(value, sort_keys=True)
+
+
+def _changes(label: str, base: Dict[str, Any], other: Dict[str, Any]) -> List[str]:
+    return [
+        f"{label} {name} {_shown(base, name)} -> {_shown(other, name)}"
+        for name in sorted(set(base) | set(other))
+        if name not in base or name not in other or base[name] != other[name]
+    ]
+
+
+def _metric_drift(baseline: Dict[str, Any], current: Dict[str, Any]) -> List[str]:
+    """Every ungated field where ``current`` differs from its fixture.
+
+    ``current`` is compared as :func:`normalize_report` would commit it:
+    each counter, gauge and histogram by name and value (a metric on one
+    side only differs, even a zero counter), and the meta of every span
+    path both reports hold.  Span costs are compared by
+    :func:`~repro.obs.diff.diff_run_reports`.
+    """
+    current = normalize_report(current)
+    base_metrics = baseline.get("metrics") or {}
+    metrics = current.get("metrics") or {}
+    changes: List[str] = []
+    for kind in ("counters", "gauges", "histograms"):
+        changes += _changes(
+            kind[:-1], base_metrics.get(kind) or {}, metrics.get(kind) or {}
+        )
+    base_meta = {
+        span["path"]: span.get("meta") or {} for span in baseline.get("spans", ())
+    }
+    for span in current.get("spans", ()):
+        if span["path"] in base_meta:
+            changes += _changes(
+                f"span {span['path']} meta",
+                base_meta[span["path"]],
+                span.get("meta") or {},
+            )
+    return changes
 
 
 def compare_reports(
@@ -241,6 +287,7 @@ def compare_reports(
         workload=current.get("workload", "") or baseline.get("workload", ""),
         regressions=regressions,
         improvements=improvements,
+        drift=_metric_drift(baseline, current),
     )
     diff = diff_run_reports(baseline, current, require_same_workload=False)
     if not diff["identical"]:

@@ -4,9 +4,9 @@ For a reproduction of a *memory-aware* design paper, the telemetry layer
 should be able to say what the **host** memory did while we modelled the
 accelerator's.  This module is the single place in ``src/`` that touches
 host resource APIs (``resource.getrusage``, ``tracemalloc``, ``gc``,
-``time.process_time``) — the ``TelemetryDiscipline`` lint rule enforces
-the confinement, so overhead and platform quirks stay auditable in one
-file.
+``time.process_time``) — the ``TelemetryDiscipline`` rule in
+``tests/test_invariants.py`` enforces the confinement, so overhead and
+platform quirks stay auditable in one file.
 
 Three layers:
 

@@ -1,7 +1,7 @@
 """One table of report schemas, one validator, one writer, one loader.
 
 Every versioned JSON document the repo emits or reads back (run, sweep
-and memsim reports, cost diffs, bench trajectories, lint reports, ...)
+and memsim reports, cost diffs, bench trajectories, kernel reports, ...)
 is declared exactly once as a :class:`Schema`: the family's id plus
 a draft-07 JSON-Schema dict.  Declaring a family registers it in
 :data:`SCHEMAS`, and declaring an id twice raises at import, so each

@@ -21,8 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.kernels.check import KERNELS_REPORT
-from repro.lint.cache import LINT_CACHE
-from repro.lint.reporters import LINT_REPORT
 from repro.memsim.validate import MEMSIM_REPORT
 from repro.obs import schema
 from repro.obs.bench import BENCH_TRAJECTORY
@@ -98,35 +96,6 @@ def _kernels_report():
     return run_check(degrees=(64,), limbs=2, repeats=1)
 
 
-def _lint_tree(tmp):
-    target = Path(tmp) / "tree" / "perf" / "primitives.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(
-        "def cost(limbs):\n"
-        "    dram_bytes = 0\n"
-        "    dram_bytes += 8 * limbs\n"
-        "    return dram_bytes\n"
-    )
-    return Path(tmp) / "tree"
-
-
-def _lint_report():
-    from repro.lint import all_rules, report_dict, run_lint
-
-    with tempfile.TemporaryDirectory() as tmp:
-        return report_dict(run_lint([_lint_tree(tmp)], all_rules()))
-
-
-def _lint_cache():
-    from repro.lint import LintCache, all_rules, run_lint
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_dir = Path(tmp) / "cache"
-        run_lint([_lint_tree(tmp)], all_rules(), cache=LintCache(cache_dir))
-        (entry,) = cache_dir.glob("*.json")
-        return json.loads(entry.read_text())
-
-
 PRODUCERS = {
     RUN_REPORT: lambda: _micro_report("none"),
     SWEEP_REPORT: _sweep_report,
@@ -135,8 +104,6 @@ PRODUCERS = {
     DIFF_OVERLAY: _diff_overlay,
     BENCH_TRAJECTORY: _bench_trajectory,
     KERNELS_REPORT: _kernels_report,
-    LINT_REPORT: _lint_report,
-    LINT_CACHE: _lint_cache,
 }
 FAMILIES = sorted(PRODUCERS, key=lambda family: family.id)
 
@@ -290,26 +257,6 @@ MUTATIONS = [
     _case(KERNELS_REPORT, "negative-oracle-seconds", _set(["runtime", 0, "oracle_seconds"], -1.0), "runtime[0].oracle_seconds"),
     _case(KERNELS_REPORT, "string-seed", _set(["seed"], "2012"), "seed"),
     _case(KERNELS_REPORT, "string-min-speedup", _set(["min_speedup"], "2x"), "min_speedup"),
-    # lint (tests/lint/test_reporters.py)
-    _case(LINT_REPORT, "no-id", _drop(["schema"]), "'schema'"),
-    _case(LINT_REPORT, "next-id", _set(["schema"], "repro.lint/v999"), "schema:"),
-    _case(LINT_REPORT, "findings-not-list", _set(["findings"], "not-a-list"), "findings"),
-    _case(LINT_REPORT, "negative-files", _set(["files"], -1), "files"),
-    _case(LINT_REPORT, "boolean-files", _set(["files"], True), "files"),
-    _case(LINT_REPORT, "no-counts", _drop(["counts"]), "'counts'"),
-    _case(LINT_REPORT, "partial-finding", _append(["findings"], {"rule": "X"}), "findings[1]"),
-    _case(LINT_REPORT, "string-line", _set(["findings", 0, "line"], "12"), "findings[0].line"),
-    _case(LINT_REPORT, "extra-finding-field", _set(["findings", 0, "severity"], "high"), "findings[0]: unexpected key"),
-    # lint.cache (tests/lint/test_cache.py)
-    _case(LINT_CACHE, "previous-format", _set(["format"], "repro.lint.cache/v0"), "format"),
-    _case(LINT_CACHE, "negative-suppressed", _set(["suppressed"], -1), "suppressed"),
-    _case(LINT_CACHE, "string-col", _set(["findings", 0, "col"], "5"), "findings[0].col"),
-    _case(LINT_CACHE, "no-id", _drop(["format"]), "'format'"),
-    _case(LINT_CACHE, "no-rules", _drop(["rules"]), "'rules'"),
-    _case(LINT_CACHE, "numeric-file", _set(["files", 0], 3), "files[0]"),
-    _case(LINT_CACHE, "numeric-rule", _set(["rules", 0], 3), "rules[0]"),
-    _case(LINT_CACHE, "finding-without-message", _drop(["findings", 0, "message"]), "findings[0]: missing required key 'message'"),
-    _case(LINT_CACHE, "extra-finding-field", _set(["findings", 0, "severity"], "high"), "findings[0]: unexpected key"),
 ]
 
 
@@ -317,7 +264,7 @@ MUTATIONS = [
 # Conformance
 # ----------------------------------------------------------------------
 def test_every_registered_family_has_a_producer():
-    assert len(SCHEMAS) == 9
+    assert len(SCHEMAS) == 7
     assert set(PRODUCERS) == set(SCHEMAS.values())
 
 

@@ -243,6 +243,8 @@ def test_argument_types_name_the_reason(kind, text, reason):
         (["sweep", "ablation-cache", "--quick", "--events", "events.jsonl"],
          "unrecognized arguments: --events"),
         (["serve", "mixed"], "invalid choice: 'serve'"),
+        # The domain rules run as tier-1 tests (tests/test_invariants.py).
+        (["lint", "src/repro"], "invalid choice: 'lint'"),
         # The sweep process pool and its resume are retired: every sweep
         # runs as one in-process pass.
         (["table5", "--quick", "--jobs", "2"], "unrecognized arguments: --jobs"),
