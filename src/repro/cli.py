@@ -312,7 +312,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.obs.baseline import BaselineStore, Tolerance
+    from repro.obs.baseline import BaselineStore
     from repro.obs.bench import DEFAULT_SPECS, run_bench
 
     specs = DEFAULT_SPECS
@@ -331,33 +331,8 @@ def _cmd_bench(args) -> int:
             print(spec.name)
         return 0
     store = BaselineStore(args.baseline_dir) if args.baseline_dir else BaselineStore()
-    code = run_bench(
-        specs,
-        store,
-        update=args.update,
-        tolerance=Tolerance(relative=args.rel_tol, absolute=args.abs_tol),
-        out_dir=args.out_dir,
-    )
+    code = run_bench(specs, store, update=args.update, out_dir=args.out_dir)
     return code if args.check or args.update else 0
-
-
-def _cmd_kernels(args) -> int:
-    """Differential parity (and optionally speedup) of the int64 kernels."""
-    from repro.kernels.check import render_report, run_check
-
-    report = run_check(
-        degrees=args.degrees,
-        limbs=args.limbs,
-        repeats=args.repeats,
-        min_speedup=args.min_speedup,
-        parity_only=args.parity_only,
-        seed=args.seed,
-    )
-    if args.json:
-        _print_json(report)
-    else:
-        print(render_report(report))
-    return 0 if report["passed"] else 1
 
 
 def _cmd_memsim(args) -> int:
@@ -689,25 +664,8 @@ _COMMANDS: Tuple[Any, ...] = (
      _arg("--baseline-dir", default=None,
           help="baseline directory (default: benchmarks/baselines)"),
      _arg("--out-dir", default=None,
-          help="write BENCH_*.json trajectories and cost_diff_*.json here"),
-     _arg("--rel-tol", type=_positive(float, allow_zero=True), default=0.0,
-          help="relative cost growth tolerated before failing"),
-     _arg("--abs-tol", type=_positive(float, allow_zero=True), default=0.0,
-          help="absolute cost growth tolerated before failing")),
-    ("kernels", _cmd_kernels,
-     "int64 NTT kernels vs the pure-Python oracle: parity + speedup",
-     ("--json",), {},
-     _arg("--degrees", type=_comma_list(int), default="4096",
-          help="comma-separated ring degrees to check (powers of two)"),
-     _arg("--limbs", type=_positive(int), default=8,
-          help="RNS limb count per degree"),
-     _arg("--repeats", type=_positive(int), default=3,
-          help="min-of-k timing repeats"),
-     _arg("--min-speedup", type=_positive(float), default=None,
-          help="fail unless the vectorized/oracle speedup reaches this"),
-     _arg("--parity-only", action="store_true",
-          help="skip timing; only assert bit-exact oracle parity (CI mode)"),
-     _arg("--seed", type=int, default=2012, help="input PRNG seed")),
+          help="write cost_diff_*.json here for each workload that differs "
+          "from its baseline")),
     ("memsim", _cmd_memsim,
      "trace-driven simulation validating the analytical DRAM model",
      ("--params", "--config", "--cache-mb", "--out", "--json"),

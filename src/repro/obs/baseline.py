@@ -5,20 +5,17 @@ A *baseline* is a committed ``run_report.json`` (see
 workload × design × cache size under ``benchmarks/baselines/``.  Before
 a baseline is written it is **normalized**: wall-clock fields are zeroed
 so the committed fixture is deterministic (the analytical cost model is
-exact integer arithmetic; timing is machine noise and is tracked in the
-``BENCH_*.json`` trajectories instead, never gated).
+exact integer arithmetic; timing is machine noise and is never gated).
 
 :func:`compare_reports` gates the analytical totals — op counts and every
-DRAM traffic stream — against a configurable :class:`Tolerance` and
-attributes any regression to the spans that caused it via
-:mod:`repro.obs.diff`.
+DRAM traffic stream — exactly: any growth is a regression, attributed
+to the spans that caused it via :mod:`repro.obs.diff`.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,13 +62,8 @@ def normalize_report(report: Dict[str, Any]) -> Dict[str, Any]:
 
     Wall-clock fields are zeroed and resource samples (run-level
     ``resources`` block, per-span ``meta.resource``) dropped — both are
-    machine noise.  Gauges under the ``host.`` prefix are zeroed for the
-    same reason: that prefix is the convention for host measurements
-    (engine wall-clock, speedup ratios) recorded by workloads such as the
-    ``kernels`` micro-bench; the live values are tracked in the
-    ``BENCH_*.json`` trajectories instead.  The ``provenance`` block is
-    kept: it is what makes a committed baseline attributable to the
-    commit that produced it.
+    machine noise.  The ``provenance`` block is kept: it is what makes a
+    committed baseline attributable to the commit that produced it.
     """
     normalized = copy.deepcopy(report)
     normalized["wall_seconds"] = 0.0
@@ -83,13 +75,6 @@ def normalize_report(report: Dict[str, Any]) -> Dict[str, Any]:
         meta = span.get("meta")
         if isinstance(meta, dict):
             meta.pop("resource", None)
-    metrics = normalized.get("metrics")
-    if isinstance(metrics, dict):
-        gauges = metrics.get("gauges")
-        if isinstance(gauges, dict):
-            for name in gauges:
-                if name.startswith("host."):
-                    gauges[name] = 0.0
     return normalized
 
 
@@ -121,45 +106,16 @@ class BaselineStore:
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    """Regression slack: a cost may grow by ``max(absolute, base*relative)``.
-
-    Both default to zero — the analytical model is deterministic, so any
-    growth is a real regression unless explicitly tolerated.
-    """
-
-    relative: float = 0.0
-    absolute: float = 0.0
-
-    def __post_init__(self) -> None:
-        for value in (self.relative, self.absolute):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"tolerances must be finite and non-negative, got {value!r}"
-                )
-
-    def slack(self, base: float) -> float:
-        return max(self.absolute, base * self.relative)
-
-    def allows(self, base: float, current: float) -> bool:
-        return current <= base + self.slack(base)
-
-
-@dataclass(frozen=True)
 class Regression:
-    """One gated metric that grew beyond tolerance."""
+    """One gated metric that grew past its baseline."""
 
     metric: str
     base: int
     current: int
-    allowed: float
 
     def describe(self) -> str:
         rel = (self.current - self.base) / self.base if self.base else float("inf")
-        return (
-            f"{self.metric}: {self.base:,} -> {self.current:,} "
-            f"({rel:+.2%}, allowed <= {self.allowed:,.0f})"
-        )
+        return f"{self.metric}: {self.base:,} -> {self.current:,} ({rel:+.2%})"
 
 
 @dataclass
@@ -254,15 +210,15 @@ def _metric_drift(baseline: Dict[str, Any], current: Dict[str, Any]) -> List[str
 
 
 def compare_reports(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    tolerance: Tolerance = Tolerance(),
+    baseline: Dict[str, Any], current: Dict[str, Any]
 ) -> BenchComparison:
     """Gate ``current`` against ``baseline`` on every analytical total.
 
-    Wall-clock time is deliberately not gated (report-only); the span
-    attribution of any delta comes from :func:`~repro.obs.diff
-    .diff_run_reports` and is included in the result for rendering.
+    Costs are exact integers, so a total above its baseline is a
+    regression.  Wall-clock time is deliberately not gated
+    (report-only); the span attribution of any delta comes from
+    :func:`~repro.obs.diff.diff_run_reports` and is included in the
+    result for rendering.
     """
     base_totals = baseline.get("totals", {})
     cur_totals = current.get("totals", {})
@@ -271,15 +227,8 @@ def compare_reports(
     for label, section, key in GATED_TOTALS:
         base_value = int(base_totals.get(section, {}).get(key, 0))
         cur_value = int(cur_totals.get(section, {}).get(key, 0))
-        if not tolerance.allows(base_value, cur_value):
-            regressions.append(
-                Regression(
-                    metric=label,
-                    base=base_value,
-                    current=cur_value,
-                    allowed=base_value + tolerance.slack(base_value),
-                )
-            )
+        if cur_value > base_value:
+            regressions.append(Regression(label, base_value, cur_value))
         elif cur_value < base_value:
             improvements.append(label)
 

@@ -1,16 +1,14 @@
 """``python -m repro bench``: the performance-regression harness.
 
 Re-runs the analytical workloads (bootstrap, HELR training, ResNet-20
-inference, plus primitive, memsim, sweep and NTT-kernel micro-workloads;
-:data:`DEFAULT_SPECS`) under tracing, records
-the simulator's own wall-clock time and the analytical costs, and
-compares each run against its committed baseline snapshot
+inference, plus primitive, memsim and sweep micro-workloads;
+:data:`DEFAULT_SPECS`) under tracing, records the analytical costs, and
+compares each run exactly against its committed baseline snapshot
 (``benchmarks/baselines/*.json``, one per workload × design × cache
-size) with configurable tolerances.  Analytical-cost growth beyond
-tolerance is a *regression*: the run exits non-zero and the offending
-spans are named by the :mod:`repro.obs.diff` attribution table.
-Wall-clock time is report-only — it lands in the ``BENCH_<workload>.json``
-trajectory files, never in the gate.
+size).  Any analytical-cost growth is a *regression*: the run exits
+non-zero and the offending spans are named by the :mod:`repro.obs.diff`
+attribution table.  The harness's own wall-clock time is printed, never
+gated; wall-clock of the functional stack belongs to ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -22,58 +20,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import schema
 from repro.obs import state as obs
-from repro.obs.baseline import (
-    BaselineStore,
-    BenchComparison,
-    Tolerance,
-    baseline_key,
-    compare_reports,
-)
+from repro.obs.baseline import BaselineStore, baseline_key, compare_reports
 from repro.obs.diff import COST_DIFF
 from repro.obs.export import RUN_REPORT, attribute_runtime, build_run_report
-from repro.obs.schema import PROVENANCE, Schema
-
-_NUMBER: Dict[str, Any] = {"type": "number"}
-
-#: One ``BENCH_<name>.json`` file: the per-machine history of one workload.
-BENCH_TRAJECTORY = Schema(
-    "repro.obs.bench_trajectory/v1.1",
-    {
-        "title": "repro bench trajectory",
-        "type": "object",
-        "required": ["workload", "entries"],
-        "properties": {
-            "workload": {"type": "string"},
-            "entries": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": [
-                        "provenance",
-                        "wall_seconds",
-                        "ops_total",
-                        "traffic_total",
-                        "regressions",
-                    ],
-                    "properties": {
-                        "provenance": PROVENANCE,
-                        "wall_seconds": _NUMBER,
-                        "ops_total": _NUMBER,
-                        "traffic_total": _NUMBER,
-                        "regressions": {"type": "array"},
-                    },
-                },
-            },
-        },
-    },
-)
 
 
 @dataclass(frozen=True)
 class BenchSpec:
     """One bench workload: what to run and which baseline gates it."""
 
-    workload: str  # "micro" | "bootstrap" | "helr" | "resnet" | "memsim" | "sweep" | "kernels"
+    workload: str  # "micro" | "bootstrap" | "helr" | "resnet" | "memsim" | "sweep"
     params: str  # key into repro.params.PARAM_SETS
     config: str  # key into repro.perf.CONFIGS
     cache_mb: Optional[float] = None
@@ -98,7 +54,6 @@ DEFAULT_SPECS: Tuple[BenchSpec, ...] = (
     BenchSpec("resnet", "optimal", "all", cache_mb=256.0, design="BTS"),
     BenchSpec("memsim", "baseline", "caching", cache_mb=32.0),
     BenchSpec("sweep", "baseline", "all"),
-    BenchSpec("kernels", "baseline", "none"),
 )
 
 
@@ -224,108 +179,6 @@ def sweep_micro_cost(params, config):
     return total
 
 
-def kernels_micro_cost(
-    params, config, degree: int = 4096, limbs: int = 8, repeats: int = 3
-):
-    """Traced NTT-kernel micro-workload: the vectorized engine vs its oracle.
-
-    One forward+inverse round trip of the whole RNS basis (``limbs``
-    sub-``2**30`` moduli at ring degree ``degree``), executed on both the
-    vectorized :class:`repro.kernels.ntt.BatchNttKernel` (a four-step
-    transform of exact float64 matrix products) and the pure-Python
-    :class:`repro.numth.ntt.NttContext` oracle with min-of-k timing.  The
-    *gated* cost is the closed-form radix-2 transform model — per
-    direction and limb: ``N`` twist multiplies plus ``N/2 * log2 N``
-    butterfly multiplies and ``N * log2 N`` butterfly adds, moving the
-    limb-major ``(L, N)`` int64 matrix once per stage pass.  It models the
-    transform the paper's hardware runs, not either engine's schedule, so
-    the gate pins the modeled work while the run itself asserts the
-    engines agree bit-for-bit.
-
-    Wall-clock and the vectorized/oracle speedup land in ``host.``-
-    prefixed gauges: report-only, zeroed in committed baselines and
-    tracked per machine in the ``BENCH_kernels.json`` trajectory.
-
-    ``params`` and ``config`` are part of the signature so the spec's
-    baseline key stays self-describing; the workload is parameterised by
-    ``(degree, limbs)`` instead.
-    """
-    import random
-
-    from repro.kernels import uniform_rows
-    from repro.kernels.ntt import BatchNttKernel
-    from repro.numth import NttContext, find_ntt_primes
-    from repro.perf.events import CostReport, MemTraffic, OpCount
-
-    del params, config
-    primes = find_ntt_primes(30, degree, limbs)
-    contexts = [NttContext(degree, q) for q in primes]
-    kernel = BatchNttKernel(degree, primes)
-    rows = uniform_rows(random.Random(2012), primes, degree, advance=False).tolist()
-
-    log_n = degree.bit_length() - 1
-    limb_bytes = limbs * degree * 8
-    per_direction = CostReport(
-        ops=OpCount(
-            mults=limbs * (degree + (degree // 2) * log_n),
-            adds=limbs * degree * log_n,
-        ),
-        # One read+write pass over the limb-major matrix per stage level,
-        # plus the psi twist (forward) / untwist (inverse) pass.
-        traffic=MemTraffic(
-            ct_read=limb_bytes * (log_n + 1),
-            ct_write=limb_bytes * (log_n + 1),
-        ),
-    )
-    round_trip = per_direction + per_direction
-
-    def best_of(run: Callable[[], Any]) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    total = CostReport()
-    with obs.span(
-        "KernelsMicro", degree=degree, limbs=limbs, repeats=repeats
-    ):
-        with obs.span("ntt:oracle", engine="oracle"):
-            oracle_seconds = best_of(
-                lambda: [
-                    ctx.inverse(ctx.forward(row))
-                    for ctx, row in zip(contexts, rows)
-                ]
-            )
-            obs.record_cost(round_trip)
-        total = total + round_trip
-        with obs.span("ntt:vectorized", engine="vectorized"):
-            vectorized_seconds = best_of(
-                lambda: kernel.inverse(kernel.forward(rows))
-            )
-            obs.record_cost(round_trip)
-        total = total + round_trip
-
-        # Differential gate: the bench refuses to report a speedup for an
-        # engine that diverged from the oracle.
-        fwd = kernel.forward(rows)
-        if fwd.tolist() != [
-            ctx.forward(row) for ctx, row in zip(contexts, rows)
-        ] or kernel.inverse(fwd).tolist() != rows:
-            raise RuntimeError(
-                "vectorized NTT diverged from the pure-Python oracle at "
-                f"degree={degree}, limbs={limbs}"
-            )
-        obs.annotate(parity="bit-exact")
-        obs.gauge("host.kernels.oracle_seconds", oracle_seconds)
-        obs.gauge("host.kernels.vectorized_seconds", vectorized_seconds)
-        obs.gauge(
-            "host.kernels.speedup", oracle_seconds / vectorized_seconds
-        )
-    return total
-
-
 def resolve_model(params: str, config: str, cache_mb: Optional[float]):
     """The ``(CkksParams, MADConfig, CacheModel)`` three names select.
 
@@ -364,8 +217,6 @@ def resolve_workload(
     if target == "memsim":
         capacity = 32.0 if cache_mb is None else cache_mb
         return "memsim", lambda: memsim_micro_cost(ckks, mad, capacity)
-    if target == "kernels":
-        return "kernels", lambda: kernels_micro_cost(ckks, mad)
     if target == "sweep":
         return "sweep", lambda: sweep_micro_cost(ckks, mad)
     raise ValueError(f"unknown workload {target!r}")
@@ -410,58 +261,11 @@ def run_spec(spec: BenchSpec) -> Dict[str, Any]:
     return report
 
 
-def _append_trajectory(
-    out_dir: Path, spec: BenchSpec, report: Dict[str, Any],
-    comparison: Optional[BenchComparison], runner_seconds: float,
-) -> Path:
-    """Append one entry to the workload's BENCH_<name>.json trajectory."""
-    path = out_dir / f"BENCH_{spec.name}.json"
-    try:
-        trajectory = schema.load(path, BENCH_TRAJECTORY)
-    except (OSError, ValueError):
-        trajectory = None  # corrupt or outdated trajectory: start a fresh one
-    if trajectory is None:
-        trajectory = {
-            "schema": BENCH_TRAJECTORY.id,
-            "workload": spec.name,
-            "entries": [],
-        }
-    # Host-measurement gauges (wall-clock, engine speedups) are the whole
-    # point of a trajectory: they are zeroed in the committed *baseline*
-    # but tracked per machine here.
-    host_gauges = {
-        name: value
-        for name, value in report["metrics"].get("gauges", {}).items()
-        if name.startswith("host.")
-    }
-    trajectory["entries"].append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "provenance": schema.provenance(),
-            "host_gauges": host_gauges,
-            "wall_seconds": runner_seconds,
-            "trace_wall_seconds": report["wall_seconds"],
-            "ops_total": report["totals"]["ops"]["total"],
-            "traffic_total": report["totals"]["traffic"]["total"],
-            "arithmetic_intensity": report["totals"]["arithmetic_intensity"],
-            "ok": comparison.ok if comparison is not None else None,
-            "regressions": (
-                [r.metric for r in comparison.regressions]
-                if comparison is not None
-                else []
-            ),
-        }
-    )
-    schema.write(trajectory, BENCH_TRAJECTORY, path)
-    return path
-
-
 def run_bench(
     specs: Tuple[BenchSpec, ...] = DEFAULT_SPECS,
     store: Optional[BaselineStore] = None,
     *,
     update: bool = False,
-    tolerance: Tolerance = Tolerance(),
     out_dir: Optional[str] = None,
     printer: Callable[[str], None] = print,
 ) -> int:
@@ -482,7 +286,6 @@ def run_bench(
         report = run_spec(spec)
         runner_seconds = time.perf_counter() - started
 
-        comparison: Optional[BenchComparison] = None
         if update:
             path = store.save(spec.name, report)
             printer(
@@ -501,7 +304,7 @@ def run_bench(
                     f"`python -m repro bench --update` and commit it"
                 )
             else:
-                comparison = compare_reports(baseline, report, tolerance)
+                comparison = compare_reports(baseline, report)
                 comparison.workload = spec.name
                 if comparison.ok:
                     headline, *drift = comparison.describe().split("\n")
@@ -520,14 +323,11 @@ def run_bench(
                         out_path / f"cost_diff_{spec.name}.json",
                     )
 
-        if out_path is not None:
-            _append_trajectory(out_path, spec, report, comparison, runner_seconds)
-
     if failures:
         printer(
             f"\nbench FAILED: {len(failures)}/{len(specs)} workloads "
             f"regressed or lack baselines: {', '.join(failures)}"
         )
         return 1
-    printer(f"\nbench ok: {len(specs)} workloads within tolerance")
+    printer(f"\nbench ok: {len(specs)} workloads within their baselines")
     return 0

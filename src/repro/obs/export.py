@@ -9,7 +9,7 @@ Three output formats, all fed from one :class:`~repro.obs.tracer.Tracer`:
   by name in the :meth:`repro.perf.ledger.CostLedger.render` style.
 * **``run_report.json``** (:func:`build_run_report`) — a stable
   machine-readable summary (the :data:`RUN_REPORT` schema) suitable for
-  ``BENCH_*.json`` trajectory tracking and mechanical run-to-run diffing.
+  committed bench baselines and mechanical run-to-run diffing.
   Every report carries a ``provenance`` block (git SHA, python/numpy
   versions, argv — see :func:`repro.obs.schema.provenance`) and an
   optional ``resources`` block (peak RSS, allocation peak, CPU seconds).

@@ -14,7 +14,7 @@ Three layers:
   :func:`gc_collections`, and :class:`ResourceMeter` for block-scoped
   deltas (tracemalloc peak per block via ``reset_peak``);
 * :func:`profiled_span` — an :mod:`repro.obs.state` span whose exit
-  annotates the span with a ``resource`` meta block; the sweep engine
+  annotates the span with a ``resource`` meta block; a traced sweep
   wraps each point in one, giving per-sweep-point attribution;
 * :class:`ProfilingTracer` + :func:`profile_capture` — a tracer that
   meters *every* span down to a depth limit, powering
@@ -167,7 +167,7 @@ def profiled_span(name: str, /, **meta: Any) -> Any:
     """An :mod:`repro.obs.state` span annotated with its resource delta.
 
     The single sanctioned way for code outside this module to attach
-    resource samples to spans (the sweep engine wraps each point in one).
+    resource samples to spans (a traced sweep wraps each point in one).
     No-op-cheap when tracing is disabled: the null-span context is
     returned as-is — one boolean test, no meter, no generator frame.
     """

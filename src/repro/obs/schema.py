@@ -1,11 +1,11 @@
 """One table of report schemas, one validator, one writer, one loader.
 
 Every versioned JSON document the repo emits or reads back (run, sweep
-and memsim reports, cost diffs, bench trajectories, kernel reports, ...)
-is declared exactly once as a :class:`Schema`: the family's id plus
-a draft-07 JSON-Schema dict.  Declaring a family registers it in
-:data:`SCHEMAS`, and declaring an id twice raises at import, so each
-family has one home and accepts exactly one id.
+and memsim reports, cost diffs and their overlay traces) is declared
+exactly once as a :class:`Schema`: the family's id plus a draft-07
+JSON-Schema dict.  Declaring a family registers it in :data:`SCHEMAS`,
+and declaring an id twice raises at import, so each family has one home
+and accepts exactly one id.
 
 :func:`validate` interprets the draft-07 subset the specs use (``type``,
 ``const``, ``enum``, ``required``, ``properties``, ``items``,

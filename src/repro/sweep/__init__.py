@@ -6,23 +6,22 @@ ablation grids, the Fig. 6 cache-size × design matrix and the memsim
 Fig. 2 ladder are all sweeps over a declared grid.  This package gives
 them one engine:
 
-* :class:`SweepSpec` / :class:`SweepAxis` — declarative axes + a
-  registered evaluator (:mod:`repro.sweep.spec`,
-  :mod:`repro.sweep.registry`).
+* :class:`SweepSpec` / :class:`SweepAxis` — declarative axes + a named
+  evaluator (:mod:`repro.sweep.spec`).
 * :func:`run_sweep` — one in-process pass over the points in canonical
   order with one memo for the run (:mod:`repro.sweep.engine`,
   :mod:`repro.sweep.memo`).
 * ``sweep_report.json`` reports, declared on the
   :mod:`repro.obs.schema` table (:mod:`repro.sweep.report`).
-* Built-in evaluators for the four sweep surfaces
-  (:mod:`repro.sweep.evaluators`) and named presets for the CLI
+* The evaluators of the four sweep surfaces, in one mapping
+  (:mod:`repro.sweep.evaluators`), and named presets for the CLI
   (:mod:`repro.sweep.presets`).
 """
 
 from repro.sweep.engine import SweepOutcome, run_sweep
+from repro.sweep.evaluators import Evaluator, get_evaluator
 from repro.sweep.memo import Memo
 from repro.sweep.presets import SWEEP_PRESETS, build_preset, preset_names
-from repro.sweep.registry import Evaluator, get_evaluator, register_evaluator
 from repro.sweep.report import SWEEP_REPORT, build_sweep_report
 from repro.sweep.spec import SweepAxis, SweepSpec, value_key
 
@@ -38,7 +37,6 @@ __all__ = [
     "SweepSpec",
     "build_sweep_report",
     "get_evaluator",
-    "register_evaluator",
     "run_sweep",
     "value_key",
 ]

@@ -12,7 +12,9 @@ how often the model runs but never a value.
 point runs inside a ``sweep:point`` span (with a host-resource sample
 via :func:`repro.obs.profiler.profiled_span`) directly under the
 ``sweep:run`` span, and evaluator metrics land in the caller's
-registry.  Memoized computes are telemetry-suppressed (see
+registry.  The span is picked once per run (:func:`point_span`), so an
+untraced sweep opens the plain null span per point, with no wrapper.
+Memoized computes are telemetry-suppressed (see
 :mod:`repro.sweep.memo`), so the trace does not depend on which point
 first met a cost shape.
 """
@@ -21,16 +23,16 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, Callable, List
 
 from repro.obs import state as obs
 from repro.obs.profiler import alloc_tracing, profiled_span
+from repro.sweep.evaluators import get_evaluator
 from repro.sweep.memo import Memo
-from repro.sweep.registry import get_evaluator
 from repro.sweep.spec import SweepSpec
 
-__all__ = ["SweepOutcome", "run_sweep"]
+__all__ = ["SweepOutcome", "point_span", "run_sweep"]
 
 
 @dataclass
@@ -38,16 +40,15 @@ class SweepOutcome:
     """Everything a sweep run produced, in canonical order.
 
     ``values[i]`` is the evaluator's (rich) result for canonical point
-    ``i``; ``rows[i]`` is its JSON-able report row.
+    ``i``; :func:`repro.sweep.report.build_sweep_report` turns them into
+    report rows.
     """
 
     spec: SweepSpec
     values: List[Any]
-    rows: List[Dict[str, Any]]
     memo_hits: int = 0
     memo_misses: int = 0
     wall_seconds: float = 0.0
-    point_keys: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def memo_hit_rate(self) -> float:
@@ -55,10 +56,15 @@ class SweepOutcome:
         return self.memo_hits / total if total else 0.0
 
 
+def point_span() -> Callable[..., Any]:
+    """The span opener for each point: metered when tracing, else plain."""
+    return profiled_span if obs.tracing_enabled() else obs.span
+
+
 def run_sweep(spec: SweepSpec) -> SweepOutcome:
     """Evaluate every point of ``spec`` in canonical order."""
     evaluator = get_evaluator(spec.evaluator)
-    points = [point for _, point in spec.points()]
+    span = point_span()
     memo = Memo()
     values: List[Any] = []
     started = time.perf_counter()
@@ -67,17 +73,15 @@ def run_sweep(spec: SweepSpec) -> SweepOutcome:
     ):
         obs.count("sweep.points", spec.size)
         with alloc_tracing() if obs.tracing_enabled() else nullcontext():
-            for index, point in enumerate(points):
-                with profiled_span("sweep:point", index=index):
+            for index, point in spec.points():
+                with span("sweep:point", index=index):
                     values.append(evaluator.fn(point, spec.context, memo))
     outcome = SweepOutcome(
         spec=spec,
         values=values,
-        rows=[evaluator.row(value, point) for value, point in zip(values, points)],
         memo_hits=memo.hits,
         memo_misses=memo.misses,
         wall_seconds=time.perf_counter() - started,
-        point_keys=[spec.point_key(point) for point in points],
     )
     obs.count("sweep.memo.hits", outcome.memo_hits)
     obs.count("sweep.memo.misses", outcome.memo_misses)

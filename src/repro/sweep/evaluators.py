@@ -1,8 +1,11 @@
-"""Built-in sweep evaluators for the repo's four sweep surfaces.
+"""The sweep evaluators: one per sweep surface, held in one mapping.
 
-Each evaluator is a pure function of ``(point, context)`` — the engine's
-determinism contract — and reaches its domain modules through *lazy*
-imports so loading :mod:`repro.sweep` never drags in the whole model.
+A :class:`~repro.sweep.spec.SweepSpec` names its evaluator, so the name
+is part of the spec's identity and fingerprint, and the engine resolves
+it in :data:`EVALUATORS` when the sweep runs.  Each evaluator is a pure
+function of ``(point, context)`` — the engine's determinism contract —
+and reaches its domain modules through *lazy* imports so loading
+:mod:`repro.sweep` never drags in the whole model.
 Cost-model sub-evaluations are memoized for the run (see
 :mod:`repro.sweep.memo`).  Bootstrap costs key on
 ``(cost_shape(params), config, cache_bytes)``: the model reads only the
@@ -25,19 +28,21 @@ HELR workload reads ``log_q``.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.obs import state as obs
 from repro.sweep.memo import Memo
-from repro.sweep.registry import register_evaluator
 from repro.sweep.spec import value_key
 
 __all__ = [
+    "EVALUATORS",
     "EVALUATOR_BOOTSTRAP_COST",
     "EVALUATOR_FIG6_BAR",
     "EVALUATOR_MEMSIM_PRIMITIVE",
     "EVALUATOR_SEARCH_CANDIDATE",
+    "Evaluator",
+    "get_evaluator",
     "memoized_bootstrap_cost",
 ]
 
@@ -45,6 +50,27 @@ EVALUATOR_SEARCH_CANDIDATE = "search.candidate"
 EVALUATOR_BOOTSTRAP_COST = "bootstrap.cost"
 EVALUATOR_FIG6_BAR = "fig6.bar"
 EVALUATOR_MEMSIM_PRIMITIVE = "memsim.primitive"
+
+#: fn(point, context, memo) -> result value.
+EvaluatorFn = Callable[[Mapping[str, Any], Mapping[str, Any], Memo], Any]
+#: row(value, point) -> JSON-able report row for that point.
+RowFn = Callable[[Any, Mapping[str, Any]], Dict[str, Any]]
+
+
+def _default_row(value: Any, point: Mapping[str, Any]) -> Dict[str, Any]:
+    """Default report row: the value itself (must already be JSON-able)."""
+    if isinstance(value, dict):
+        return value
+    return {"value": value}
+
+
+@dataclass(frozen=True)
+class Evaluator:
+    """One point evaluator and the report row it makes of each value."""
+
+    name: str
+    fn: EvaluatorFn
+    row: RowFn = _default_row
 
 
 def memoized_bootstrap_cost(
@@ -105,9 +131,6 @@ def _search_row(value: Any, point: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-register_evaluator(EVALUATOR_SEARCH_CANDIDATE, _search_candidate, _search_row)
-
-
 # ----------------------------------------------------------------------
 # bootstrap.cost — ablation grids (cache size, dnum, fftIter, flags)
 # ----------------------------------------------------------------------
@@ -147,9 +170,6 @@ def _bootstrap_cost_point(
         "log_q1": params.log_q1 if params.supports_bootstrapping() else None,
     }
     return row
-
-
-register_evaluator(EVALUATOR_BOOTSTRAP_COST, _bootstrap_cost_point)
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +227,6 @@ def _fig6_row(value: Any, point: Mapping[str, Any]) -> Dict[str, Any]:
     return row
 
 
-register_evaluator(EVALUATOR_FIG6_BAR, _fig6_bar, _fig6_row)
-
-
 # ----------------------------------------------------------------------
 # memsim.primitive — one Fig. 2 ladder cell
 # ----------------------------------------------------------------------
@@ -239,4 +256,23 @@ def _memsim_primitive(
     )
 
 
-register_evaluator(EVALUATOR_MEMSIM_PRIMITIVE, _memsim_primitive)
+#: Every evaluator a sweep can name, by name.
+EVALUATORS: Dict[str, Evaluator] = {
+    evaluator.name: evaluator
+    for evaluator in (
+        Evaluator(EVALUATOR_SEARCH_CANDIDATE, _search_candidate, _search_row),
+        Evaluator(EVALUATOR_BOOTSTRAP_COST, _bootstrap_cost_point),
+        Evaluator(EVALUATOR_FIG6_BAR, _fig6_bar, _fig6_row),
+        Evaluator(EVALUATOR_MEMSIM_PRIMITIVE, _memsim_primitive),
+    )
+}
+
+
+def get_evaluator(name: str) -> Evaluator:
+    """The evaluator named ``name``; a ``KeyError`` listing the known ones
+    otherwise."""
+    try:
+        return EVALUATORS[name]
+    except KeyError:
+        known = ", ".join(sorted(EVALUATORS))
+        raise KeyError(f"unknown evaluator {name!r}; known: {known}") from None

@@ -3,10 +3,13 @@
 One report captures a whole sweep run: the spec identity (name,
 evaluator, axes as canonical value keys, fingerprint), the memo's hits
 and misses, the wall time and one entry per canonical point holding its
-JSON row.  The wall time is machine noise and never compared across
-runs; everything else is a pure function of the spec.  Every report
-carries a ``provenance`` block (:func:`repro.obs.schema.provenance`,
-with the spec fingerprint as its ``config_fingerprint``).
+key and the JSON row its evaluator makes of its value.  Rows and keys
+are built here, not by the engine, so a sweep whose caller wants only
+the values (the Table 5 search) never builds them.  The wall time is
+machine noise and never compared across runs; everything else is a
+pure function of the spec.  Every report carries a ``provenance`` block
+(:func:`repro.obs.schema.provenance`, with the spec fingerprint as its
+``config_fingerprint``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Any, Dict, Set
 from repro.obs import schema
 from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Fail, Schema, fields
 from repro.sweep.engine import SweepOutcome
+from repro.sweep.evaluators import get_evaluator
 
 __all__ = ["SWEEP_REPORT", "build_sweep_report"]
 
@@ -79,6 +83,7 @@ def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
     """Assemble the validated :data:`SWEEP_REPORT` for a finished run."""
     spec = outcome.spec
     identity = spec.identity()
+    row = get_evaluator(spec.evaluator).row
     report = {
         "schema": SWEEP_REPORT.id,
         "provenance": schema.provenance(config_fingerprint=spec.fingerprint()),
@@ -91,10 +96,10 @@ def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
         "points": [
             {
                 "index": index,
-                "key": outcome.point_keys[index],
-                "row": outcome.rows[index],
+                "key": spec.point_key(point),
+                "row": row(outcome.values[index], point),
             }
-            for index in range(spec.size)
+            for index, point in spec.points()
         ],
     }
     schema.validate(report, SWEEP_REPORT)

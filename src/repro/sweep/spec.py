@@ -89,8 +89,8 @@ class SweepSpec:
 
     Args:
         name: display/report name of the sweep.
-        evaluator: key of a registered evaluator
-            (see :mod:`repro.sweep.registry`).
+        evaluator: name of an evaluator in
+            :data:`repro.sweep.evaluators.EVALUATORS`.
         axes: grid dimensions, outermost first.
         context: fixed kwargs every evaluation receives.
     """

@@ -5,18 +5,16 @@ import pytest
 
 from repro.memsim.validate import run_validation
 from repro.obs import state as obs
+from repro.obs.profiler import profiled_span
 from repro.report.figures import (
     generate_fig6_grid,
     generate_fig6_lr,
     generate_fig6_resnet,
 )
 from repro.report.tables import generate_table5
-from repro.sweep import (
-    SweepAxis,
-    SweepSpec,
-    register_evaluator,
-    run_sweep,
-)
+from repro.sweep import SweepAxis, SweepSpec, build_sweep_report, run_sweep
+from repro.sweep.engine import point_span
+from repro.sweep.evaluators import EVALUATORS, Evaluator
 
 
 def _echo(point, context, memo):
@@ -40,10 +38,17 @@ def _record(point, context, memo):
     return dict(point)
 
 
-register_evaluator("test.echo", _echo)
-register_evaluator("test.record", _record)
-register_evaluator("test.product", _product)
-register_evaluator("test.boom", _boom)
+#: Toy evaluators, added to the mapping for the rest of the test run:
+#: the report and schema tests import this module to run "test.echo".
+EVALUATORS.update(
+    (evaluator.name, evaluator)
+    for evaluator in (
+        Evaluator("test.echo", _echo),
+        Evaluator("test.record", _record),
+        Evaluator("test.product", _product),
+        Evaluator("test.boom", _boom),
+    )
+)
 
 
 def _spec(evaluator="test.echo", context=None):
@@ -60,9 +65,6 @@ class TestEngine:
         outcome = run_sweep(_spec())
         assert [v["a"] for v in outcome.values] == [1, 1, 2, 2, 3, 3]
         assert [v["b"] for v in outcome.values] == ["x", "y"] * 3
-        assert outcome.point_keys == [
-            {"a": a, "b": b} for a in (1, 2, 3) for b in ("x", "y")
-        ]
 
     def test_each_point_is_evaluated_once_in_canonical_order(self):
         seen = []
@@ -71,7 +73,8 @@ class TestEngine:
 
     def test_rows_default_to_dict_values(self):
         outcome = run_sweep(_spec())
-        assert outcome.rows == outcome.values
+        report = build_sweep_report(outcome)
+        assert [entry["row"] for entry in report["points"]] == outcome.values
 
     def test_memo_shared_across_whole_run(self):
         outcome = run_sweep(_spec("test.product", {"offset": 5}))
@@ -111,6 +114,12 @@ class TestEngine:
         # Points 0 and 1 (a=1) finished; point 2 (a=2) raised inside its span.
         assert [p.meta["index"] for p in run.children] == [0, 1, 2]
         assert not obs.tracing_enabled()
+
+    def test_points_open_the_plain_span_unless_tracing(self):
+        # Picked once per run: an untraced sweep pays no wrapper per point.
+        assert point_span() is obs.span
+        with obs.capture():
+            assert point_span() is profiled_span
 
     def test_traced_sweep_leaves_tracemalloc_off(self):
         import tracemalloc

@@ -17,8 +17,8 @@ from repro.sweep import (
     run_sweep,
 )
 
-# Registered by tests/sweep/test_engine.py at import time; importing the
-# module keeps the registration in one place.
+# Added to the evaluators by tests/sweep/test_engine.py at import time;
+# importing the module keeps the toy evaluators in one place.
 from tests.sweep import test_engine as _engine  # noqa: F401
 
 
@@ -48,8 +48,11 @@ class TestBuildReport:
 
     def test_one_point_per_canonical_index(self, outcome, report):
         assert [entry["index"] for entry in report["points"]] == [0, 1]
-        assert [entry["row"] for entry in report["points"]] == outcome.rows
-        assert [entry["key"] for entry in report["points"]] == outcome.point_keys
+        assert [entry["row"] for entry in report["points"]] == outcome.values
+        assert [entry["key"] for entry in report["points"]] == [
+            {"a": 1, "b": "x"},
+            {"a": 2, "b": "x"},
+        ]
 
     def test_fields_are_the_spec_memo_wall_time_and_points(self, report):
         assert set(report) == {

@@ -9,13 +9,8 @@ memoized computes leave no trace.  Capturing never changes a result.
 from repro.obs import state as obs
 from repro.obs.export import build_run_report
 from repro.perf.events import CostReport, MemTraffic, OpCount
-from repro.sweep import (
-    SweepAxis,
-    SweepSpec,
-    build_sweep_report,
-    register_evaluator,
-    run_sweep,
-)
+from repro.sweep import SweepAxis, SweepSpec, build_sweep_report, run_sweep
+from repro.sweep.evaluators import EVALUATORS, Evaluator
 
 
 def _traced(point, context, memo):
@@ -46,8 +41,13 @@ def _base(a):
     return a * 10
 
 
-register_evaluator("test.traced", _traced)
-register_evaluator("test.memoed", _memoed)
+EVALUATORS.update(
+    (evaluator.name, evaluator)
+    for evaluator in (
+        Evaluator("test.traced", _traced),
+        Evaluator("test.memoed", _memoed),
+    )
+)
 
 
 def _spec(evaluator="test.traced"):
@@ -108,7 +108,7 @@ class TestSpanTree:
 
     def test_no_telemetry_when_disabled(self):
         outcome = run_sweep(_spec())
-        assert outcome.rows  # sweep ran
+        assert len(outcome.values) == 8  # sweep ran
         assert not obs.tracing_enabled()
         assert not obs.metrics_enabled()
 
@@ -118,7 +118,8 @@ class TestResults:
         bare = run_sweep(_spec())
         captured, _, _ = _captured(_spec())
         assert captured.values == bare.values
-        assert captured.rows == bare.rows
+        points = [build_sweep_report(o)["points"] for o in (captured, bare)]
+        assert points[0] == points[1]
 
     def test_memo_totals_match_between_sweep_and_run_reports(self):
         # One memo lookup per point: a miss per distinct "a" and a hit

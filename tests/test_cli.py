@@ -115,19 +115,6 @@ class TestJsonOutput:
         )
         assert payload["config"]["key_compression"] is True
 
-    def test_kernels_json_is_strict(self, capsys):
-        # Every speedup is a finite number: no ``Infinity``/``NaN`` tokens.
-        import json
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        argv = ["kernels", "--degrees", "64", "--limbs", "1", "--repeats", "1"]
-        assert main([*argv, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert report["passed"]
-        assert [entry["degree"] for entry in report["runtime"]] == [64]
-
     def test_ledger_json(self, capsys):
         import json
 
@@ -324,8 +311,6 @@ class TestBenchCommand:
         assert "resnet__optimal__all__cache256__bts" in out
 
     def test_update_then_check_cycle(self, capsys, tmp_path):
-        import json
-
         baselines = tmp_path / "baselines"
         out_dir = tmp_path / "out"
         args = ["bench", "--workloads", "micro",
@@ -334,20 +319,13 @@ class TestBenchCommand:
         assert main(args + ["--check"]) == 0
         stdout = capsys.readouterr().out
         assert "baseline updated" in stdout and "bench ok" in stdout
-        trajectories = list(out_dir.glob("BENCH_*.json"))
-        assert trajectories
-        doc = json.loads(trajectories[0].read_text())
-        assert doc["schema"] == "repro.obs.bench_trajectory/v1.1"
+        # Costs unchanged: no cost diff to write, and nothing else.
+        assert list(out_dir.iterdir()) == []
 
     def test_check_against_committed_baselines(self, capsys):
         # The acceptance criterion: the committed benchmarks/baselines/
         # fixtures must gate the current model exactly.
         assert main(["bench", "--check"]) == 0
-        assert "bench ok" in capsys.readouterr().out
-
-    def test_check_with_finite_tolerances_passes(self, capsys):
-        assert main(["bench", "--check", "--workloads", "micro__baseline",
-                     "--rel-tol", "0.05", "--abs-tol", "1024"]) == 0
         assert "bench ok" in capsys.readouterr().out
 
     def test_check_fails_without_baselines(self, capsys, tmp_path):

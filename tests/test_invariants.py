@@ -733,20 +733,6 @@ def findings(rule, trees):
 #: name.  ``kernels/fourstep.py`` is not here: it is out of
 #: :func:`exact_arith_purity`'s scope by name (:data:`FLOAT_KERNEL_FILE`).
 ALLOWED = {
-    "ExactArithPurity": {
-        ("kernels/check.py", "`/`"): (
-            "the timing harness around the kernels, not a kernel: it "
-            "divides two wall-clock times into a speedup ratio"
-        ),
-        ("kernels/check.py", "`float()`"): (
-            "the timing harness seeds its best-of-k wall-clock minimum "
-            "with float('inf')"
-        ),
-        ("kernels/check.py", "1000.0"): (
-            "the timing harness renders seconds as milliseconds; no "
-            "residue arithmetic happens in the file"
-        ),
-    },
     "LedgerDiscipline": {
         ("memsim/simulator.py", "`.capacity_bytes`"): (
             "the simulated memory's size, a constructor field set once "
