@@ -11,8 +11,11 @@ install:
 test:
 	$(PYPATH) $(PYTHON) -m pytest tests/
 
+# --benchmark-only would skip every gate without the pytest-benchmark
+# fixture (the NTT speedup, the memsim ladder, the sweep memo); with the
+# timing switched off every test runs once.
 bench:
-	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-disable
 
 # Generic hygiene only: the domain invariants (cost accounting, span
 # labels, exact arithmetic, ...) are tier-1 tests in

@@ -254,37 +254,40 @@ class Bootstrapper:
                 self.c2s_imag.apply(self.evaluator, ct, method=method),
             )
         ev = self.evaluator
-        n = self.context.slots
         packed = ct
         for stage in self.c2s_stages:
             packed = stage.apply(ev, packed, method=method)
         conjugated = ev.conjugate(packed)
-        u_real = ev.pt_mult(ev.add(packed, conjugated), [0.5] * n)
-        u_imag = ev.pt_mult(ev.sub(packed, conjugated), [-0.5j] * n)
+        u_real = ev.pt_mult(ev.add(packed, conjugated), 0.5)
+        u_imag = ev.pt_mult(ev.sub(packed, conjugated), -0.5j)
         return u_real, u_imag
 
     def eval_mod(self, ct: Ciphertext, factor: complex = 1.0) -> Ciphertext:
         """Approximate centered reduction mod 1 of real-valued slots.
 
-        ``factor`` scales the output (used to multiply the imaginary branch
-        by ``1j``) — folded into the series coefficients on the direct path,
-        applied as a final plaintext multiplication on the double-angle path.
+        ``factor`` scales the output.  The imaginary branch passes ``1j``:
+        the real series is evaluated as for the real branch, and the
+        result is multiplied by ``x^{N/2}`` (:meth:`Evaluator.mult_by_i`),
+        which is exact and costs no level.  Any other factor is folded
+        into the series coefficients on the direct path.  The
+        double-angle path applies it in its final plaintext
+        multiplication.  Each call builds its own power basis, because
+        the two branches' arguments differ.
         """
-        cheb = ChebyshevEvaluator(
-            self.evaluator, ct, self.mod_interval, self.mod_degree
-        )
+        ev = self.evaluator
+        cheb = ChebyshevEvaluator(ev, ct, self.mod_interval, self.mod_degree)
         if not self.double_angle_iters:
+            if factor == 1j:
+                return ev.mult_by_i(cheb.evaluate(self.mod_coeffs))
             return cheb.evaluate([c * factor for c in self.mod_coeffs])
         # Double-angle path: evaluate the angle-reduced cosine at a low
         # degree, then square up r times (2cos^2 - 1) to reach
         # cos(2*pi*u - pi/2) = sin(2*pi*u), and rescale by 1/(2*pi).
-        ev = self.evaluator
-        n = self.context.slots
         g = cheb.evaluate(self.mod_coeffs)
         for _ in range(self.double_angle_iters):
             squared = ev.mult(g, g)
-            g = ev.pt_add(ev.add(squared, squared), [-1.0] * n)
-        return ev.pt_mult(g, [factor / (2.0 * math.pi)] * n)
+            g = ev.pt_add(ev.add(squared, squared), -1.0)
+        return ev.pt_mult(g, factor / (2.0 * math.pi))
 
     def slot_to_coeff(self, ct: Ciphertext, method: str = "hoisted") -> Ciphertext:
         """Inverse homomorphic DFT: packed coefficients back into slots."""

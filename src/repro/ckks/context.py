@@ -174,7 +174,11 @@ class CkksContext:
         return [int(round(self.rng.gauss(0.0, sigma))) for _ in range(self.degree)]
 
     def sample_uniform_rows(
-        self, basis: RnsBasis, seed: Optional[int] = None
+        self,
+        basis: RnsBasis,
+        seed: Optional[int] = None,
+        ends: Optional[np.ndarray] = None,
+        spans: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Uniform evaluation-form limb rows (a uniform element of ``R``).
 
@@ -192,11 +196,26 @@ class CkksContext:
         :attr:`rng` where the comprehension would; the comprehension
         itself runs for ``object``-dtype bases and under
         :func:`repro.kernels.oracle_only`, and is the kernel's reference.
+
+        A compressed key's seeded rows take two more arguments, both
+        read or written on the kernel path only.  ``ends`` (one int64
+        entry per row) receives where each row's words end in the seed's
+        stream, at no extra cost.  ``spans`` (one ``[start, end)`` word
+        range per row, from those ends) makes the rows of ``basis`` a
+        subset of the stream's: the words are drawn once, up to the last
+        range, and only the given ranges are filtered
+        (:func:`repro.kernels.replay_rows`).
         """
+        if spans is not None and seed is None:
+            raise ValueError("word ranges replay a seeded stream")
         rng = self.rng if seed is None else random.Random(seed)
         if kernels.enabled() and kernels.moduli_fit(basis.moduli):
+            if spans is not None:
+                return kernels.replay_rows(rng, basis.moduli, basis.degree, spans)
             return kernels.uniform_rows(
-                rng, basis.moduli, basis.degree, advance=seed is None
+                rng, basis.moduli, basis.degree, advance=seed is None, ends=ends
             )
+        if spans is not None:
+            raise ValueError("word ranges are replayed on the kernel path only")
         rows = [[rng.randrange(q) for _ in range(basis.degree)] for q in basis]
         return np.array(rows, dtype=basis.dtype)

@@ -14,11 +14,21 @@ algorithmic optimizations:
   linear functions can be evaluated in the raised basis before a single
   deferred ModDown (the paper's ModDown hoisting; used by
   :class:`repro.ckks.linear.LinearTransform`).
+
+A plaintext operand is either a vector of slot values, encoded and
+NTT'd over every live limb, or a single number.  A number ``c`` at scale
+``Delta`` encodes to the sparse polynomial
+``round(Re(c) Delta) + round(Im(c) Delta) x^{N/2}`` (``x^{N/2}`` is ``i``
+at every slot), which is exactly what encoding ``[c] * n`` gives for a
+real ``c`` and ``Delta <= 2**50``.  It costs no encode and no NTT: an
+integer scalar per limb, and a product with ``x^{N/2}`` for the
+imaginary part.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import state as obs
@@ -41,6 +51,34 @@ from repro.ckks.keys import SwitchingKey
 _SCALE_RTOL = 0.05
 
 RaisedPair = Tuple[RnsPolynomial, RnsPolynomial]
+
+#: A plaintext operand: encoded slot values, slot values, or one number
+#: for every slot.
+PlainValues = Union[Plaintext, Sequence[complex], complex]
+
+
+def _integer_parts(value: complex, scale: float) -> Tuple[int, int]:
+    """``round(Re(value) * scale)`` and ``round(Im(value) * scale)``.
+
+    The coefficients of ``x^0`` and ``x^{N/2}`` in the encoding of
+    ``value`` in every slot; both round half to even, as encoding does.
+    """
+    value = complex(value)
+    re, im = value.real * scale, value.imag * scale
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(
+            f"a constant needs a finite value at its scale: {value!r} "
+            f"at {scale!r} gives {re!r}, {im!r}"
+        )
+    return round(re), round(im)
+
+
+def _accumulate(
+    acc: List[RnsPolynomial], ct: Ciphertext, factor: int
+) -> List[RnsPolynomial]:
+    """``acc + factor * (c0, c1)`` as a two-element list (``[]`` is zero)."""
+    terms = [ct.c0.scalar_mul(factor), ct.c1.scalar_mul(factor)]
+    return terms if not acc else [a + t for a, t in zip(acc, terms)]
 
 
 class Evaluator:
@@ -92,11 +130,16 @@ class Evaluator:
     def negate(self, ct: Ciphertext) -> Ciphertext:
         return Ciphertext(-ct.c0, -ct.c1, ct.scale)
 
-    def pt_add(
-        self, ct: Ciphertext, values: Union[Plaintext, Sequence[complex]]
-    ) -> Ciphertext:
-        """Add a plaintext vector; only touches ``c0`` (cheapest primitive)."""
+    def pt_add(self, ct: Ciphertext, values: PlainValues) -> Ciphertext:
+        """Add a plaintext (vector or number); only touches ``c0``."""
         obs.count("ckks.evaluator.pt_add")
+        if isinstance(values, numbers.Number):
+            re, im = _integer_parts(values, ct.scale)
+            c0 = ct.c0.scalar_add(re)
+            if im:
+                constant = RnsPolynomial.zero(ct.basis).scalar_add(im)
+                c0 = c0 + constant.monomial_mul(self.context.degree // 2)
+            return Ciphertext(c0, ct.c1, ct.scale)
         pt = self._as_plaintext(values, scale=ct.scale)
         self._check_scales(ct.scale, pt.scale)
         return Ciphertext(ct.c0 + pt.to_poly(ct.basis), ct.c1, ct.scale)
@@ -107,22 +150,19 @@ class Evaluator:
     def pt_mult(
         self,
         ct: Ciphertext,
-        values: Union[Plaintext, Sequence[complex]],
+        values: PlainValues,
         rescale: bool = True,
     ) -> Ciphertext:
-        """Multiply by a plaintext vector; includes the Rescale of Table 2."""
+        """Multiply by a plaintext (vector or number); includes the Rescale
+        of Table 2."""
         obs.count("ckks.evaluator.pt_mult")
-        pt = self._as_plaintext(values, scale=self.context.scale)
-        pt_poly = pt.to_poly(ct.basis)
-        product = Ciphertext(
-            ct.c0 * pt_poly, ct.c1 * pt_poly, ct.scale * pt.scale
-        )
+        product = self._pt_product(ct, values, self.context.scale)
         return self.rescale(product) if rescale else product
 
     def pt_mult_at(
         self,
         ct: Ciphertext,
-        values: Sequence[complex],
+        values: Union[Sequence[complex], complex],
         target_scale: float,
     ) -> Ciphertext:
         """Plaintext multiply whose Rescale lands exactly on ``target_scale``.
@@ -135,18 +175,48 @@ class Evaluator:
         ``target_scale * q_l / ct.scale`` (``q_l`` being the modulus the
         rescale drops) makes the result's true and declared scales both
         ``target_scale`` regardless of which primes the operand has been
-        rescaled by.
+        rescaled by.  A number goes through :meth:`constant_sum_at`.
         """
+        if isinstance(values, numbers.Number):
+            return self.constant_sum_at([(ct, values)], target_scale)
         if ct.num_limbs < 2:
             raise ValueError(
                 "pt_mult_at needs a spare level for its rescale"
             )
         q_drop = ct.basis.moduli[-1]
         pt_scale = target_scale * q_drop / ct.scale
-        pt = Plaintext(
-            self.context.encoder.encode(list(values), pt_scale), pt_scale
-        )
-        out = self.rescale(self.pt_mult(ct, pt, rescale=False))
+        out = self.rescale(self._pt_product(ct, values, pt_scale))
+        return Ciphertext(out.c0, out.c1, target_scale)
+
+    def constant_sum_at(
+        self,
+        terms: Sequence[Tuple[Ciphertext, complex]],
+        target_scale: float,
+    ) -> Ciphertext:
+        """``sum_k c_k * ct_k`` with one Rescale landing exactly on ``target_scale``.
+
+        Every ``ct_k`` is first dropped to the fewest limbs among them,
+        which is free, so one prime ``q`` (the last of that level) is the
+        rescale's for every term.  ``c_k`` becomes the integer
+        ``round(c_k * target_scale * q / ct_k.scale)`` (its imaginary
+        part a multiple of ``x^{N/2}``), so each product's true and
+        declared scales are both ``target_scale * q`` whatever primes
+        ``ct_k`` has been rescaled by.  The products add exactly, and one
+        rescale ends the sum on ``target_scale``, a level below the
+        shallowest term.
+        """
+        limbs = min(ct.num_limbs for ct, _ in terms)
+        if limbs < 2:
+            raise ValueError(
+                "constant_sum_at needs a spare level for its rescale"
+            )
+        dropped = [(self.reduce_level(ct, limbs), value) for ct, value in terms]
+        q_drop = dropped[0][0].basis.moduli[-1]
+        c0, c1 = self._constant_combination([
+            (ct, *_integer_parts(value, target_scale * q_drop / ct.scale))
+            for ct, value in dropped
+        ])
+        out = self.rescale(Ciphertext(c0, c1, target_scale * q_drop))
         return Ciphertext(out.c0, out.c1, target_scale)
 
     def match_scale(
@@ -171,8 +241,18 @@ class Evaluator:
         rtol = self.scale_rtol if rtol is None else rtol
         if math.isclose(ct.scale, target_scale, rel_tol=rtol):
             return ct
-        return self.pt_mult_at(
-            ct, [1.0] * self.context.slots, target_scale
+        return self.pt_mult_at(ct, 1.0, target_scale)
+
+    def mult_by_i(self, ct: Ciphertext) -> Ciphertext:
+        """Multiply every slot by ``i``: the product with ``x^{N/2}``.
+
+        Slot ``j`` evaluates at ``zeta^{5^j}`` with ``5^j = 1 (mod 4)``,
+        where ``x^{N/2}`` is ``i``.  Exact, so it keeps the scale and
+        costs no level.
+        """
+        half = self.context.degree // 2
+        return Ciphertext(
+            ct.c0.monomial_mul(half), ct.c1.monomial_mul(half), ct.scale
         )
 
     def mult(
@@ -439,6 +519,44 @@ class Evaluator:
     # ==================================================================
     # Helpers
     # ==================================================================
+    def _pt_product(
+        self, ct: Ciphertext, values: PlainValues, scale: float
+    ) -> Ciphertext:
+        """``ct`` times the plaintext ``values`` encoded at ``scale``, unrescaled.
+
+        A :class:`Plaintext` keeps its own scale; a number is the sparse
+        constant polynomial of the module docstring.
+        """
+        if isinstance(values, numbers.Number):
+            c0, c1 = self._constant_combination(
+                [(ct, *_integer_parts(values, scale))]
+            )
+            return Ciphertext(c0, c1, ct.scale * scale)
+        pt = self._as_plaintext(values, scale)
+        pt_poly = pt.to_poly(ct.basis)
+        return Ciphertext(ct.c0 * pt_poly, ct.c1 * pt_poly, ct.scale * pt.scale)
+
+    def _constant_combination(
+        self, terms: Sequence[Tuple[Ciphertext, int, int]]
+    ) -> List[RnsPolynomial]:
+        """``sum_k ct_k * (re_k + im_k x^{N/2})`` as ``[c0, c1]``.
+
+        The ``ct_k`` share one basis.  The imaginary parts are summed
+        first, so the sum meets ``x^{N/2}`` once.
+        """
+        real: List[RnsPolynomial] = []
+        imag: List[RnsPolynomial] = []
+        for ct, re, im in terms:
+            if re or not im:
+                real = _accumulate(real, ct, re)
+            if im:
+                imag = _accumulate(imag, ct, im)
+        if not imag:
+            return real
+        half = self.context.degree // 2
+        turned = [poly.monomial_mul(half) for poly in imag]
+        return turned if not real else [r + t for r, t in zip(real, turned)]
+
     def _as_plaintext(
         self, values: Union[Plaintext, Sequence[complex]], scale: float
     ) -> Plaintext:
@@ -449,3 +567,4 @@ class Evaluator:
     def _check_scales(self, s1: float, s2: float) -> None:
         if not math.isclose(s1, s2, rel_tol=self.scale_rtol):
             raise ValueError(f"scale mismatch: {s1} vs {s2}")
+

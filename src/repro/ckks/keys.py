@@ -13,7 +13,9 @@ its place and re-expands the rows on demand, halving key traffic.  Here the
 re-expansion is real: a compressed :class:`SwitchingKey` holds only its
 ``b`` rows and one seed per digit, and regenerates ``a`` (through
 :meth:`~repro.ckks.context.CkksContext.sample_uniform_rows`) at every key
-switch.  ``KeyGenerator(compress_keys=False)`` keeps ``a`` materialised,
+switch.  Key generation also records where each row's words end in the
+seed's stream, so a level-``l`` switch filters only the ``l + alpha`` rows
+it reads.  ``KeyGenerator(compress_keys=False)`` keeps ``a`` materialised,
 the uncompressed rung of the performance model.
 
 Key rows are held at the model's word size: residues below ``2**30`` in
@@ -36,6 +38,10 @@ from repro.ckks.context import CkksContext
 #: residues below ``2**30`` are at most ``(2**30 - 1)**2``, and a reduced
 #: residue plus 15 of them stays below ``16 * (2**30 - 1)**2 < 2**64``.
 LAZY_PRODUCTS = 15
+
+#: One digit's live key rows as two blocks: the rows of the live ``q_i``
+#: and the rows of the special primes.
+RowBlocks = Tuple[np.ndarray, np.ndarray]
 
 
 def key_dtype(basis: RnsBasis) -> np.dtype:
@@ -109,12 +115,16 @@ class SwitchingKey:
     so no uniform rows and no per-level copies stay resident.  An
     uncompressed key holds the ``a_i`` rows in ``a`` instead, shaped and
     typed like ``b``.  Exactly one of ``seeds`` and ``a`` is set, with one
-    entry per digit.
+    entry per digit.  ``row_ends`` (compressed keys generated on the
+    kernel path) is a ``(dnum, L + alpha)`` int64 array: where each row
+    of a digit's seeded stream ends, in 32-bit words, so a re-expansion
+    filters only the rows a key switch reads.
     """
 
     b: np.ndarray
     seeds: Optional[List[int]] = None
     a: Optional[np.ndarray] = None
+    row_ends: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if (self.seeds is None) == (self.a is None):
@@ -124,6 +134,10 @@ class SwitchingKey:
             raise ValueError(
                 f"{len(held)} seeds or a rows for {len(self.b)} digits"
             )
+        if self.row_ends is not None and (
+            self.seeds is None or self.row_ends.shape != self.b.shape[:2]
+        ):
+            raise ValueError("row ends need seeds and one end per key row")
 
     @property
     def dnum(self) -> int:
@@ -136,27 +150,43 @@ class SwitchingKey:
     def stored_bytes(self) -> int:
         """Bytes of the residue arrays this key holds.
 
-        A compressed key holds one row set per digit (seeds are not
-        counted); a full key holds two.  Over int64 bases every residue
-        is a 4-byte word.
+        A compressed key holds one row set per digit (seeds and row ends
+        are not counted); a full key holds two.  Over int64 bases every
+        residue is a 4-byte word.
         """
         return self.b.nbytes + (0 if self.a is None else self.a.nbytes)
 
     def _digit_rows(
-        self, digit: int, context: CkksContext
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Digit ``digit``'s ``(b, a)`` rows over the full raised basis.
+        self, digit: int, live_limbs: int, context: CkksContext
+    ) -> Tuple[RowBlocks, RowBlocks]:
+        """Digit ``digit``'s live ``(b, a)`` rows at level ``live_limbs``.
 
-        The stored rows are returned as held; a compressed key's ``a`` is
-        re-expanded over the full raised basis, because the seeded stream
+        Held rows are returned as views.  A compressed key's ``a`` is
+        re-expanded: with recorded row ends (and the kernels on), only
+        the live rows' words are filtered; otherwise the whole stream is
+        expanded and the live rows selected, because the seeded stream
         runs in basis order and the special-prime rows come last.
         """
+        top = context.max_limbs
+        b = self.b[digit]
+        b_rows = (b[:live_limbs], b[top:])
         if self.a is not None:
-            return self.b[digit], self.a[digit]
-        full = context.raised_basis(context.max_limbs)
-        return self.b[digit], context.sample_uniform_rows(
-            full, seed=self.seeds[digit]
-        )
+            a = self.a[digit]
+            return b_rows, (a[:live_limbs], a[top:])
+        full = context.raised_basis(top)
+        live = list(range(live_limbs)) + list(range(top, len(full)))
+        seed = self.seeds[digit]
+        if self.row_ends is not None and _lazy(full):
+            ends = self.row_ends[digit]
+            starts = np.concatenate(([0], ends[:-1]))
+            a = context.sample_uniform_rows(
+                context.raised_basis(live_limbs),
+                seed=seed,
+                spans=np.stack((starts[live], ends[live]), axis=1),
+            )
+        else:
+            a = context.sample_uniform_rows(full, seed=seed)[live]
+        return b_rows, (a[:live_limbs], a[live_limbs:])
 
     def restricted(
         self, live_limbs: int, context: CkksContext
@@ -169,17 +199,13 @@ class SwitchingKey:
         the live basis' dtype.  A compressed key re-expands each ``a_i``
         on every call.
         """
-        full = context.raised_basis(context.max_limbs)
         basis = context.raised_basis(live_limbs)
-        keep = list(range(live_limbs)) + list(
-            range(context.max_limbs, len(full))
-        )
         pairs = []
         for i in range(len(context.digit_index_ranges(live_limbs))):
-            b_rows, a_rows = self._digit_rows(i, context)
+            b_rows, a_rows = self._digit_rows(i, live_limbs, context)
             pairs.append((
-                RnsPolynomial(basis, b_rows[keep], Representation.EVAL),
-                RnsPolynomial(basis, a_rows[keep], Representation.EVAL),
+                RnsPolynomial(basis, np.concatenate(b_rows), Representation.EVAL),
+                RnsPolynomial(basis, np.concatenate(a_rows), Representation.EVAL),
             ))
         return pairs
 
@@ -222,11 +248,9 @@ class SwitchingKey:
             return acc_b, acc_a
 
         q = _unsigned(basis.q_col)
-        # (accumulator rows, key rows): the live q limbs, then the specials.
-        ranges = (
-            (slice(0, live_limbs), slice(0, live_limbs)),
-            (slice(live_limbs, None), slice(context.max_limbs, None)),
-        )
+        # Accumulator rows of each key row block: the live q limbs, then
+        # the specials.
+        ranges = (slice(0, live_limbs), slice(live_limbs, None))
         sums = (_unsigned(acc_b.limbs), _unsigned(acc_a.limbs))
         product = np.empty_like(sums[0])
         for i, digit in enumerate(digits):
@@ -235,11 +259,11 @@ class SwitchingKey:
             if digit.representation is not Representation.EVAL:
                 raise ValueError("ring multiplication requires evaluation form")
             d = _unsigned(digit.limbs)
-            for acc, rows in zip(sums, self._digit_rows(i, context)):
+            for acc, blocks in zip(sums, self._digit_rows(i, live_limbs, context)):
                 # The first digit's products are written straight into the sum.
                 out = acc if i == 0 else product
-                for live, held in ranges:
-                    np.multiply(d[live], _unsigned(rows[held]), out=out[live])
+                for live, rows in zip(ranges, blocks):
+                    np.multiply(d[live], _unsigned(rows), out=out[live])
                 if i:
                     acc += product
                 if i % LAZY_PRODUCTS == LAZY_PRODUCTS - 1:
@@ -318,6 +342,11 @@ class KeyGenerator:
         a_rows = None if self.compress_keys else np.empty_like(b_rows)
         seeds = []
         lazy = _lazy(basis)
+        row_ends = (
+            np.empty(shape[:2], dtype=np.int64)
+            if self.compress_keys and lazy
+            else None
+        )
         if lazy:
             q = _unsigned(basis.q_col)
             # q - s is in [1, q], so a * (q - s) = -a * s (mod q).
@@ -326,7 +355,9 @@ class KeyGenerator:
             term = np.empty(shape[1:], dtype=np.uint64)
         for i in range(ctx.num_digits):
             seed = ctx.rng.randrange(2**62) if self.compress_keys else None
-            a = ctx.sample_uniform_rows(basis, seed=seed)
+            a = ctx.sample_uniform_rows(
+                basis, seed=seed, ends=None if row_ends is None else row_ends[i]
+            )
             e = RnsPolynomial.from_int_coeffs(
                 ctx.sample_error_coeffs(), basis
             ).to_eval()
@@ -345,7 +376,7 @@ class KeyGenerator:
                 a_rows[i] = a
             seeds.append(seed)
         if self.compress_keys:
-            return SwitchingKey(b=b_rows, seeds=seeds)
+            return SwitchingKey(b=b_rows, seeds=seeds, row_ends=row_ends)
         return SwitchingKey(b=b_rows, a=a_rows)
 
     # ------------------------------------------------------------------

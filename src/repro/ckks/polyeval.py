@@ -88,11 +88,15 @@ def _divide_by_t_s(coeffs: List[complex], s: int) -> Tuple[List[complex], List[c
 
 
 class ChebyshevEvaluator:
-    """Evaluates Chebyshev series homomorphically.
+    """Evaluates Chebyshev series of one encrypted argument.
 
-    The instance caches the encrypted Chebyshev polynomials ``T_k`` of the
-    argument, so several series (e.g. the real- and imaginary-part sine
-    evaluations in bootstrapping) can share the expensive power basis.
+    The power basis is the baby steps ``T_1 .. T_{m-1}`` and the giant
+    steps ``T_m, T_2m, T_4m, ...`` up to ``max_degree``.  Each ``T_k`` is
+    built the first time a series needs it and then kept, so several
+    series of the same argument share them, and a series that never
+    reads a power never pays for it (an odd series needs no ``T_6``).
+    Bootstrapping's two EvalMod branches have different arguments, so
+    each branch builds its own evaluator.
     """
 
     def __init__(
@@ -113,25 +117,23 @@ class ChebyshevEvaluator:
         )
         self._powers: dict = {}
         self._build_argument(ct)
-        self._build_basis()
 
     # ------------------------------------------------------------------
     def _build_argument(self, ct: Ciphertext) -> None:
         """Map the argument onto [-1, 1]: ``t = (2x - (a+b)) / (b-a)``."""
         a, b = self.interval
         ev = self.evaluator
-        n = ev.context.slots
-        scaled = ev.pt_mult(ct, [2.0 / (b - a)] * n)
-        self._powers[1] = ev.pt_add(scaled, [-(a + b) / (b - a)] * n)
+        scaled = ev.pt_mult(ct, 2.0 / (b - a))
+        self._powers[1] = ev.pt_add(scaled, -(a + b) / (b - a))
 
-    def _build_basis(self) -> None:
-        """Compute baby T_2..T_{m-1} and giant T_m, T_2m, ... T_k chains."""
-        for k in range(2, self.baby):
-            self._powers[k] = self._chebyshev_step(k)
-        s = self.baby
-        while s <= self.max_degree:
-            self._powers[s] = self._chebyshev_step(s)
-            s *= 2
+    def _in_basis(self, k: int) -> bool:
+        """Whether ``T_k`` is a baby step or a giant step of the basis."""
+        if 1 <= k < self.baby:
+            return True
+        giant = self.baby
+        while giant < k:
+            giant *= 2
+        return giant == k <= self.max_degree
 
     def _chebyshev_step(self, k: int) -> Ciphertext:
         """``T_k`` from lower-index entries via the product rule."""
@@ -140,10 +142,9 @@ class ChebyshevEvaluator:
         lo = k // 2
         product = ev.mult(self.power(hi), self.power(lo))
         doubled = ev.add(product, product)
-        n = ev.context.slots
         if k % 2 == 0:
             # T_{2a} = 2 T_a^2 - 1.
-            return ev.pt_add(doubled, [-1.0] * n)
+            return ev.pt_add(doubled, -1.0)
         # T_{a+b} = 2 T_a T_b - T_{a-b} with a - b = 1.  T_1 sits many
         # levels above the product, so its scale has been rescaled by
         # different chain primes — align it to the product's scale (free
@@ -157,11 +158,12 @@ class ChebyshevEvaluator:
         )
 
     def power(self, k: int) -> Ciphertext:
-        """The cached encryption of ``T_k(t)``."""
-        try:
-            return self._powers[k]
-        except KeyError:
-            raise ValueError(f"T_{k} was not precomputed") from None
+        """The encryption of ``T_k(t)``, built on first use."""
+        if k not in self._powers:
+            if not self._in_basis(k):
+                raise ValueError(f"T_{k} is not in the power basis")
+            self._powers[k] = self._chebyshev_step(k)
+        return self._powers[k]
 
     # ------------------------------------------------------------------
     def evaluate(self, coeffs: Sequence[complex]) -> Ciphertext:
@@ -208,24 +210,26 @@ class ChebyshevEvaluator:
         )
 
     def _evaluate_direct(self, coeffs: List[complex]) -> Optional[Ciphertext]:
-        """Direct baby-polynomial sum ``sum c_k T_k`` for degree < m."""
+        """Baby-polynomial leaf ``sum c_k T_k`` for degree < m, one rescale.
+
+        The powers sit at different levels and drifted scales.
+        :meth:`Evaluator.constant_sum_at` drops every term to the deepest
+        one's level and scales each constant so the sum rescales once,
+        by that level's prime, onto the context scale, where every leaf
+        lands exactly.
+        """
         ev = self.evaluator
-        n = ev.context.slots
-        # The powers sit at different levels, so a plain pt_mult would
-        # rescale each term by a *different* chain prime — target the
-        # context scale instead so every term is addable exactly.
-        target = ev.context.scale
-        acc = None
-        for k in range(1, len(coeffs)):
-            if abs(coeffs[k]) < _COEFF_TOL:
-                continue
-            term = ev.pt_mult_at(self.power(k), [coeffs[k]] * n, target)
-            acc = term if acc is None else ev.add(acc, term)
-        if acc is None:
+        terms = [
+            (self.power(k), c)
+            for k, c in enumerate(coeffs)
+            if k and abs(c) >= _COEFF_TOL
+        ]
+        if not terms:
             if abs(coeffs[0]) < _COEFF_TOL:
                 return None
-            # Constant-only series: encode it on a zero multiple of T_1.
-            acc = ev.pt_mult_at(self.power(1), [0.0] * n, target)
+            # Constant-only series: carry it on a zero multiple of T_1.
+            terms = [(self.power(1), 0.0)]
+        acc = ev.constant_sum_at(terms, ev.context.scale)
         if abs(coeffs[0]) >= _COEFF_TOL:
-            acc = ev.pt_add(acc, [coeffs[0]] * n)
+            acc = ev.pt_add(acc, coeffs[0])
         return acc

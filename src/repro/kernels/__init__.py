@@ -16,11 +16,14 @@ against them (the same contract :mod:`repro.memsim` holds against
 
 * the object-integer NTT and basis conversion of :mod:`repro.numth` and
   :mod:`repro.ring`;
+* the ``np.remainder`` sums and differences of
+  :class:`repro.ring.RnsPolynomial` (:func:`add_mod`, :func:`sub_mod`);
 * the Python-int weighted sum of
   :meth:`repro.ring.RnsPolynomial.to_int_coeffs`;
 * the per-draw ``random.Random`` loops of :class:`repro.ckks.CkksContext`
-  (``randrange`` rows, ``choice`` ternaries, rounded ``gauss`` errors,
-  the last replayed by :mod:`repro.ckks.sampling` on :func:`raw_words`);
+  (``randrange`` rows, also re-drawn in part by :func:`replay_rows`,
+  ``choice`` ternaries, rounded ``gauss`` errors, the last replayed by
+  :mod:`repro.ckks.sampling` on :func:`raw_words`);
 * the per-coefficient ``round`` of :meth:`repro.ckks.Encoder.encode`.
 
 Callers fall back to the oracle whenever an input is out of the fast
@@ -48,13 +51,21 @@ from repro.kernels.conversion import (
     sub_scale_mod,
 )
 from repro.kernels.ntt import MAX_NTT_DEGREE, BatchNttKernel
-from repro.kernels.reduce import FAST_MODULUS_BOUND, moduli_fit, mul_mod
-from repro.kernels.sample import raw_words, uniform_rows
+from repro.kernels.reduce import (
+    FAST_MODULUS_BOUND,
+    add_mod,
+    moduli_fit,
+    mul_mod,
+    sub_mod,
+)
+from repro.kernels.sample import RowEndsError, raw_words, replay_rows, uniform_rows
 
 __all__ = [
     "BatchNttKernel",
     "FAST_MODULUS_BOUND",
     "MAX_NTT_DEGREE",
+    "RowEndsError",
+    "add_mod",
     "enabled",
     "mixed_radix_digits",
     "moduli_fit",
@@ -62,7 +73,9 @@ __all__ = [
     "new_limbs_matrix",
     "oracle_only",
     "raw_words",
+    "replay_rows",
     "set_enabled",
+    "sub_mod",
     "sub_scale_mod",
     "uniform_rows",
 ]

@@ -13,7 +13,10 @@ The matrix is one C-contiguous ndarray of the basis' dtype
 products of two residues stay below ``2**60``, and ``object`` (Python
 ints) otherwise.  Every pointwise operation is one ufunc expression over
 the whole matrix, reduced by the basis' ``(l, 1)`` modulus column, and is
-exact for either dtype.
+exact for either dtype.  On int64 matrices sums and differences skip the
+division: :func:`repro.kernels.add_mod` and :func:`~repro.kernels.sub_mod`
+reduce with one conditional subtract, and ``np.remainder`` stays their
+reference for ``object`` bases and under :func:`repro.kernels.oracle_only`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro import kernels
-from repro.ring.basis import RnsBasis
+from repro.ring.basis import RnsBasis, limb_dtype
 
 
 class Representation(enum.Enum):
@@ -37,6 +40,8 @@ class Representation(enum.Enum):
 # Automorphism index maps, shared process-wide per (N, t).
 _EVAL_PERMS: Dict[Tuple[int, int], np.ndarray] = {}
 _COEFF_PERMS: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+# Evaluation rows of the monomial x^e modulo q, shared per (N, q, e).
+_MONOMIAL_ROWS: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
 def _eval_permutation(degree: int, t: int) -> np.ndarray:
@@ -74,6 +79,40 @@ def _coeff_permutation(degree: int, t: int) -> Tuple[np.ndarray, np.ndarray]:
         entry = (source, sign)
         _COEFF_PERMS[(degree, t)] = entry
     return entry
+
+
+def _monomial_rows(basis: RnsBasis, exponent: int) -> np.ndarray:
+    """The ``(l, N)`` evaluation rows of ``x^exponent`` over ``basis``.
+
+    Rows are kept per ``(N, q, exponent)``, not per basis, so every level
+    of a chain shares one row per prime.  A basis with a prime not seen
+    yet transforms the monomial once over the whole basis.
+    """
+    n = basis.degree
+    keys = [(n, q, exponent) for q in basis.moduli]
+    if any(key not in _MONOMIAL_ROWS for key in keys):
+        coeffs = [0] * n
+        coeffs[exponent % n] = 1 if exponent < n else -1
+        rows = RnsPolynomial.from_int_coeffs(coeffs, basis).to_eval().limbs
+        for key, row in zip(keys, rows):
+            row = row.astype(limb_dtype(key[1:2]))
+            row.flags.writeable = False
+            _MONOMIAL_ROWS[key] = row
+    return np.stack([_MONOMIAL_ROWS[key] for key in keys]).astype(basis.dtype)
+
+
+def _add(a: np.ndarray, b: np.ndarray, basis: RnsBasis) -> np.ndarray:
+    """``(a + b) mod q_i`` row by row; ``b`` may be an ``(l, 1)`` column."""
+    if kernels.enabled() and basis.dtype == np.int64:
+        return kernels.add_mod(a, b, basis.q_col)
+    return np.remainder(a + b, basis.q_col)
+
+
+def _sub(a: np.ndarray, b: np.ndarray, basis: RnsBasis) -> np.ndarray:
+    """``(a - b) mod q_i`` row by row."""
+    if kernels.enabled() and basis.dtype == np.int64:
+        return kernels.sub_mod(a, b, basis.q_col)
+    return np.remainder(a - b, basis.q_col)
 
 
 def _as_int_array(values: object) -> np.ndarray:
@@ -320,15 +359,11 @@ class RnsPolynomial:
 
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_operand(other)
-        return self._with_rows(
-            np.remainder(self.limbs + other.limbs, self.basis.q_col)
-        )
+        return self._with_rows(_add(self.limbs, other.limbs, self.basis))
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_operand(other)
-        return self._with_rows(
-            np.remainder(self.limbs - other.limbs, self.basis.q_col)
-        )
+        return self._with_rows(_sub(self.limbs, other.limbs, self.basis))
 
     def __neg__(self) -> "RnsPolynomial":
         return self._with_rows(np.remainder(-self.limbs, self.basis.q_col))
@@ -352,6 +387,42 @@ class RnsPolynomial:
         return self._with_rows(
             np.remainder(self.limbs * column, self.basis.q_col)
         )
+
+    def scalar_add(self, scalar: int) -> "RnsPolynomial":
+        """Add the constant polynomial ``scalar`` (any width or sign).
+
+        In evaluation form every slot gains ``scalar mod q_i``; in
+        coefficient form only the constant coefficient does.
+        """
+        column = self.basis.column([scalar] * self.num_limbs)
+        if self.representation is Representation.EVAL:
+            return self._with_rows(_add(self.limbs, column, self.basis))
+        rows = self.limbs.copy()
+        rows[:, :1] = _add(rows[:, :1], column, self.basis)
+        return self._with_rows(rows)
+
+    def monomial_mul(self, exponent: int) -> "RnsPolynomial":
+        """Multiply by ``x^exponent`` (read modulo ``2N``); exact in either form.
+
+        In coefficient form it is a negacyclic shift: ``x^N = -1``, so
+        coefficients that wrap past ``x^{N-1}`` change sign.  In
+        evaluation form it is a pointwise product with the monomial's
+        evaluation rows, kept per ``(N, q, exponent)``.  CKKS uses
+        ``x^{N/2}``, which evaluates to ``i`` at every slot's root.
+        """
+        n = self.basis.degree
+        exponent %= 2 * n
+        if self.representation is Representation.EVAL:
+            rows = _monomial_rows(self.basis, exponent)
+            return self._with_rows(
+                np.remainder(self.limbs * rows, self.basis.q_col)
+            )
+        shift = exponent % n
+        rows = np.roll(self.limbs, shift, axis=1)
+        # x^e = -x^(e - N) for e >= N: every coefficient flips once more.
+        flip = slice(shift, None) if exponent >= n else slice(0, shift)
+        rows[:, flip] = np.remainder(-rows[:, flip], self.basis.q_col)
+        return self._with_rows(rows)
 
     def limb_scalar_mul(self, scalars: Sequence[int]) -> "RnsPolynomial":
         """Multiply limb ``i`` by ``scalars[i]`` (per-limb constants)."""

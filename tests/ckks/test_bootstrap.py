@@ -131,6 +131,43 @@ class TestPhases:
         assert np.max(np.abs(got - eps)) < 2e-3
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` in the returned list."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestEvalModCost:
+    def test_eval_mod_never_encodes(self, boot_env, monkeypatch):
+        enc, dec, bs = boot_env["enc"], boot_env["dec"], boot_env["bs"]
+        eps = np.array([0.01, -0.02, 0.005, 0.015, -0.01, 0.0, 0.02, -0.005])
+        ct = enc.encrypt_values(np.array([1, -2, 0, 3, -3, 2, -1, 0]) + eps)
+        calls = _count_calls(monkeypatch, bs.context.encoder, "encode")
+        real = bs.eval_mod(ct)
+        turned = bs.eval_mod(ct, factor=1j)
+        assert calls == []
+        assert np.max(np.abs(dec.decrypt_values(real).real - eps)) < 2e-3
+        assert np.max(np.abs(dec.decrypt_values(turned) - 1j * eps)) < 2e-3
+
+    def test_bootstrap_keeps_its_level_budget(self, boot_env, monkeypatch):
+        # Scalar constants, one rescale per leaf and the x^(N/2) turn
+        # change EvalMod's cost, not its levels: the toy bootstrap still
+        # ends on 4 limbs, with 14 Mults per EvalMod branch (the odd sine
+        # series builds no T_6).
+        enc, bs = boot_env["enc"], boot_env["bs"]
+        ct = enc.encrypt_values([0.2] * 8, scale=2.0**23, limbs=1)
+        calls = _count_calls(monkeypatch, bs.evaluator, "mult")
+        assert bs.bootstrap(ct).num_limbs == 4
+        assert len(calls) == 28
+
+
 class TestFullBootstrap:
     def test_refreshes_message(self, boot_env):
         enc, dec, bs = boot_env["enc"], boot_env["dec"], boot_env["bs"]

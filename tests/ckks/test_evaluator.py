@@ -10,11 +10,13 @@ from repro.ckks import (
     Ciphertext,
     CkksContext,
     Decryptor,
+    Encoder,
     Encryptor,
     Evaluator,
     KeyGenerator,
     SwitchingKey,
 )
+from repro.ckks.evaluator import _integer_parts
 
 
 @pytest.fixture()
@@ -209,6 +211,131 @@ class TestRescaleAndLevels:
         assert out.scale == target
         assert out.num_limbs == ct.num_limbs - 1
         assert _err(decryptor, out, z1) < 1e-2
+
+
+#: Real constants up to 4 in magnitude, negative and zero included, and
+#: two imaginary ones (CoeffToSlot's -0.5j among them).
+CONSTANTS = [-4.0, -1.5, -1e-3, 0.0, 0.37, 1.0, np.pi, 4.0, -0.5j, 2.0j]
+
+
+def _same(ct1, ct2):
+    return ct1.scale == ct2.scale and ct1.c0 == ct2.c0 and ct1.c1 == ct2.c1
+
+
+class TestConstants:
+    """A number is the sparse polynomial that encoding it in every slot
+    gives, at no encode and no NTT."""
+
+    @pytest.mark.parametrize("degree", [16, 2048])
+    def test_integer_parts_are_the_encoded_coefficients(self, degree):
+        # Up to 2**50 the encoded constant vector carries no FFT noise;
+        # above it the other coefficients start to round to +-1.
+        encoder = Encoder(degree, 2.0**30)
+        rng = np.random.default_rng(degree)
+        for _ in range(200):
+            value = float(rng.uniform(-4, 4)) * (1j if rng.integers(2) else 1)
+            scale = 2.0 ** float(rng.uniform(20, 50))
+            re, im = _integer_parts(value, scale)
+            want = [0] * degree
+            want[0], want[degree // 2] = re, im
+            assert encoder.encode([value] * (degree // 2), scale) == want
+
+    @pytest.mark.parametrize("limbs", [6, 3, 2], ids=["top", "middle", "two"])
+    @pytest.mark.parametrize("log_scale", [20, 35, 50])
+    def test_number_equals_encoded_vector(
+        self, encryptor, evaluator, z1, limbs, log_scale
+    ):
+        ct = encryptor.encrypt_values(z1, limbs=limbs)
+        n = len(z1)
+        # pt_mult_at encodes at target * q / ct.scale: pick the target
+        # that makes that 2**log_scale.
+        target = 2.0**log_scale * ct.scale / ct.basis.moduli[-1]
+        at_scale = Ciphertext(ct.c0, ct.c1, 2.0**log_scale)
+        for value in CONSTANTS:
+            assert _same(
+                evaluator.pt_mult_at(ct, value, target),
+                evaluator.pt_mult_at(ct, [value] * n, target),
+            ), value
+            assert _same(
+                evaluator.pt_add(at_scale, value),
+                evaluator.pt_add(at_scale, [value] * n),
+            ), value
+            assert _same(
+                evaluator.pt_mult(ct, value, rescale=False),
+                evaluator.pt_mult(ct, [value] * n, rescale=False),
+            ), value
+
+    def test_number_decrypts_like_the_vector(
+        self, encryptor, decryptor, evaluator, z1
+    ):
+        ct = encryptor.encrypt_values(z1)
+        for value in (0.75, -2.5j, 1.5 - 0.25j):
+            assert _err(decryptor, evaluator.pt_mult(ct, value), value * z1) < 1e-4
+            assert _err(decryptor, evaluator.pt_add(ct, value), value + z1) < 1e-4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_number_rejected(self, encryptor, evaluator, z1, value):
+        ct = encryptor.encrypt_values(z1)
+        for call in (
+            lambda: evaluator.pt_mult(ct, value),
+            lambda: evaluator.pt_add(ct, value),
+            lambda: evaluator.pt_mult_at(ct, value, ct.scale),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_constants_never_encode(self, encryptor, evaluator, z1, monkeypatch):
+        ct = encryptor.encrypt_values(z1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant was encoded")
+
+        monkeypatch.setattr(evaluator.context.encoder, "encode", refuse)
+        evaluator.pt_mult(ct, -0.5j)
+        evaluator.pt_add(ct, 3.0)
+        evaluator.pt_mult_at(ct, 2.0, ct.scale * 1.01)
+        evaluator.match_scale(ct, ct.scale * 1.01, rtol=1e-9)
+
+    def test_match_scale_lands_exactly_as_before(self, encryptor, evaluator, z1):
+        ct = encryptor.encrypt_values(z1)
+        target = ct.scale * 1.01
+        out = evaluator.match_scale(ct, target, rtol=1e-9)
+        assert out.scale == target
+        assert _same(out, evaluator.pt_mult_at(ct, [1.0] * len(z1), target))
+
+    def test_mult_by_i_shifts_the_plaintext_negacyclically(
+        self, ctx, encryptor, decryptor, evaluator, z1
+    ):
+        ct = encryptor.encrypt_values(z1)
+        turned = evaluator.mult_by_i(ct)
+        assert turned.scale == ct.scale and turned.num_limbs == ct.num_limbs
+        coeffs = decryptor.decrypt(ct).coeffs
+        half = ctx.degree // 2
+        assert decryptor.decrypt(turned).coeffs == [
+            -c for c in coeffs[half:]
+        ] + coeffs[:half]
+        assert _err(decryptor, turned, 1j * z1) < 1e-4
+        with kernels.oracle_only():
+            assert _same(evaluator.mult_by_i(ct), turned)
+
+    def test_constant_sum_lands_on_target_a_level_below_the_shallowest(
+        self, encryptor, decryptor, evaluator, z1, z2
+    ):
+        deep = evaluator.pt_mult(encryptor.encrypt_values(z1), 1.0)
+        top = encryptor.encrypt_values(z2)
+        target = top.scale * 1.03
+        out = evaluator.constant_sum_at(
+            [(top, 0.5), (deep, -2.0 + 1.0j), (top, 0.25j)], target
+        )
+        assert out.scale == target
+        assert out.num_limbs == deep.num_limbs - 1
+        want = 0.5 * z2 + (-2.0 + 1.0j) * z1 + 0.25j * z2
+        assert _err(decryptor, out, want) < 1e-3
+
+    def test_constant_sum_needs_a_spare_level(self, encryptor, evaluator, z1):
+        ct = encryptor.encrypt_values(z1, limbs=1)
+        with pytest.raises(ValueError, match="spare level"):
+            evaluator.constant_sum_at([(ct, 1.0)], ct.scale)
 
 
 class TestKeySwitchNoiseHeadroom:

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.params.presets import toy_params
 from repro.ckks import CkksContext, KeyGenerator, SecretKey, SwitchingKey
+from repro.ring import Representation, RnsPolynomial
 
 
 class TestSecretKey:
@@ -217,6 +220,104 @@ class TestSwitchingKeys:
         s_small = keygen.secret_key.poly(ctx.basis_at(2))
         with pytest.raises(ValueError):
             keygen.switching_key(s_small)
+
+
+@pytest.fixture()
+def fast_kernels():
+    """The kernels on, whatever ``REPRO_KERNELS`` says, so the replay runs."""
+    previous = kernels.set_enabled(True)
+    yield
+    kernels.set_enabled(previous)
+
+
+def _compressed_key(context):
+    return KeyGenerator(context).relinearization_key()
+
+
+@pytest.mark.usefixtures("fast_kernels")
+class TestRowEnds:
+    """A compressed key records where each row of a digit's seeded stream
+    ends, and re-expands only the live rows from those ends."""
+
+    PARAMS = toy_params(log_n=4, log_q=30, max_limbs=6, dnum=3)
+
+    def test_compressed_key_records_increasing_ends(self):
+        context = CkksContext(self.PARAMS, seed=5)
+        key = _compressed_key(context)
+        full = context.raised_basis(context.max_limbs)
+        assert key.row_ends.shape == (key.dnum, len(full))
+        assert key.row_ends.dtype == np.int64
+        assert (key.row_ends[:, 0] >= context.degree).all()
+        assert (np.diff(key.row_ends, axis=1) >= context.degree).all()
+
+    def test_ends_only_where_the_kernels_drew_the_rows(self):
+        assert _relin_key(CkksContext(self.PARAMS, seed=5), False)[1].row_ends is None
+        # object-dtype limbs: the comprehension draws the rows.
+        wide = CkksContext(toy_params(log_n=4, max_limbs=4, dnum=2), seed=5)
+        assert _compressed_key(wide).row_ends is None
+        with kernels.oracle_only():
+            assert _compressed_key(CkksContext(self.PARAMS, seed=5)).row_ends is None
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PARAMS,
+            toy_params(log_n=11, log_q=29, max_limbs=5, dnum=2, log_special=30),
+        ],
+        ids=["N16", "N2048"],
+    )
+    def test_live_rows_equal_the_comprehension_at_every_level(self, params):
+        context = CkksContext(params, seed=7)
+        key = _compressed_key(context)
+        full = context.raised_basis(context.max_limbs)
+        expected = [
+            [[rng.randrange(q) for _ in range(context.degree)] for q in full]
+            for rng in (random.Random(seed) for seed in key.seeds)
+        ]
+        for limbs in range(1, context.max_limbs + 1):
+            live = list(range(limbs)) + list(range(context.max_limbs, len(full)))
+            for digit, (_, a) in enumerate(key.restricted(limbs, context)):
+                assert a.limbs.tolist() == [expected[digit][i] for i in live]
+
+    def test_key_without_ends_expands_the_same_rows(self):
+        context = CkksContext(self.PARAMS, seed=5)
+        key = _compressed_key(context)
+        bare = SwitchingKey(b=key.b, seeds=key.seeds)
+        for limbs in range(1, context.max_limbs + 1):
+            for (b1, a1), (b2, a2) in zip(
+                key.restricted(limbs, context), bare.restricted(limbs, context)
+            ):
+                assert b1 == b2 and a1 == a2
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_inner_product_equals_restricted_reference_at_every_level(self, compress):
+        context = CkksContext(self.PARAMS, seed=5)
+        key = _relin_key(context, compress)[1]
+        for limbs in range(1, context.max_limbs + 1):
+            basis = context.raised_basis(limbs)
+            digits = [
+                RnsPolynomial(
+                    basis,
+                    context.sample_uniform_rows(basis, seed=50 * limbs + i),
+                    Representation.EVAL,
+                )
+                for i in range(len(context.digit_index_ranges(limbs)))
+            ]
+            fast = key.inner_product(digits, limbs, context)
+            with kernels.oracle_only():
+                pairs = key.restricted(limbs, context)
+            want_b = want_a = RnsPolynomial.zero(basis)
+            for digit, (b, a) in zip(digits, pairs):
+                want_b = want_b + digit * b
+                want_a = want_a + digit * a
+            assert fast[0] == want_b and fast[1] == want_a
+
+    def test_malformed_row_ends_rejected(self):
+        key = _compressed_key(CkksContext(self.PARAMS, seed=5))
+        with pytest.raises(ValueError, match="row ends"):
+            SwitchingKey(b=key.b, seeds=key.seeds, row_ends=key.row_ends[:, 1:])
+        with pytest.raises(ValueError, match="row ends"):
+            SwitchingKey(b=key.b, a=key.b, row_ends=key.row_ends)
 
 
 class TestDigitSelectors:

@@ -141,3 +141,85 @@ class TestHomomorphicEvaluation:
         _, ct = setup
         with pytest.raises(ValueError):
             ChebyshevEvaluator(evaluator, ct, (-1.0, 1.0), max_degree=0)
+
+
+@pytest.fixture(scope="module")
+def sine_env():
+    """The toy bootstrap's chain: deep enough for a degree-63 series."""
+    from repro.params.presets import toy_params
+    from repro.ckks import CkksContext, Decryptor, Encryptor, Evaluator, KeyGenerator
+
+    ctx = CkksContext(
+        toy_params(log_n=4, log_q=29, max_limbs=14, dnum=3), scale_bits=29, seed=5
+    )
+    kg = KeyGenerator(ctx)
+    return {
+        "ctx": ctx,
+        "encryptor": Encryptor(ctx, secret_key=kg.secret_key),
+        "decryptor": Decryptor(ctx, kg.secret_key),
+        "evaluator": Evaluator(ctx, relin_key=kg.relinearization_key()),
+    }
+
+
+def _counting_mults(evaluator, monkeypatch):
+    calls = []
+    mult = evaluator.mult
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mult(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "mult", counted)
+    return calls
+
+
+class TestOnDemandPowers:
+    INTERVAL = (-4.5, 4.5)
+
+    def _odd_sine(self):
+        def sine(u):
+            return np.sin(2 * np.pi * u) / (2 * np.pi)
+
+        coeffs = chebyshev_fit(sine, 63, self.INTERVAL)
+        coeffs[::2] = 0.0
+        return coeffs
+
+    def test_odd_degree_63_series_skips_t6_and_runs_14_mults(
+        self, sine_env, monkeypatch
+    ):
+        ev = sine_env["evaluator"]
+        xs = np.linspace(-4, 4, 8) + 0.01
+        ct = sine_env["encryptor"].encrypt_values(xs)
+        calls = _counting_mults(ev, monkeypatch)
+        cheb = ChebyshevEvaluator(ev, ct, self.INTERVAL, max_degree=63)
+        assert calls == []
+        coeffs = self._odd_sine()
+        got = sine_env["decryptor"].decrypt_values(cheb.evaluate(list(coeffs))).real
+        assert sorted(cheb._powers) == [1, 2, 3, 4, 5, 7, 8, 16, 32]
+        assert len(calls) == 14
+        want = chebyshev_value(coeffs, xs, self.INTERVAL)
+        assert np.max(np.abs(got - want)) < 2e-3
+
+    def test_a_power_is_built_once(self, sine_env, monkeypatch):
+        ev = sine_env["evaluator"]
+        ct = sine_env["encryptor"].encrypt_values(np.linspace(-1, 1, 8))
+        cheb = ChebyshevEvaluator(ev, ct, (-1.0, 1.0), max_degree=15)
+        calls = _counting_mults(ev, monkeypatch)
+        first = cheb.power(4)
+        assert len(calls) == 2  # T_2, then T_4
+        assert cheb.power(4) is first and cheb.power(2) is cheb.power(2)
+        assert len(calls) == 2
+        with pytest.raises(ValueError):
+            cheb.power(12)  # neither a baby step (< 4) nor a giant one
+
+    def test_leaf_rescales_once_onto_the_context_scale(self, sine_env):
+        ev, ctx = sine_env["evaluator"], sine_env["ctx"]
+        xs = np.linspace(-0.9, 0.9, 8)
+        ct = sine_env["encryptor"].encrypt_values(xs)
+        cheb = ChebyshevEvaluator(ev, ct, (-1.0, 1.0), max_degree=15)
+        coeffs = [0.1, -0.4, 0.3, 0.25]  # degree 3 < baby 4: one leaf
+        out = cheb.evaluate(coeffs)
+        assert out.scale == ctx.scale
+        assert out.num_limbs == cheb.power(3).num_limbs - 1
+        got = sine_env["decryptor"].decrypt_values(out).real
+        assert np.max(np.abs(got - chebyshev_value(coeffs, xs, (-1.0, 1.0)))) < 1e-4

@@ -11,9 +11,10 @@ import random
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.numth.crt import crt_reconstruct
 from repro.numth.modular import centered_mod
-from repro.ring import Representation, RnsBasis, RnsPolynomial
+from repro.ring import Representation, RnsBasis, RnsPolynomial, polynomial
 
 DEGREE = 16
 WIDE = 2**600
@@ -120,6 +121,73 @@ class TestPointwiseAgainstPythonInts:
         poly = RnsPolynomial.from_int_coeffs(coeffs, basis)
         assert poly.limbs.dtype == basis.dtype
         assert poly.limbs.tolist() == [[c % q for c in coeffs] for q in basis.moduli]
+
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_add_sub_equal_their_remainder_reference(self, basis, op):
+        # Int64 sums and differences reduce without division; the oracle
+        # path keeps np.remainder.  Both forms, every boundary pair.
+        for form in Representation:
+            a, b = _pair(basis, form)
+            fast = a + b if op == "add" else a - b
+            with kernels.oracle_only():
+                reference = a + b if op == "add" else a - b
+            assert fast == reference
+
+    @pytest.mark.parametrize("scalar", [0, 1, -1, WIDE, -WIDE, WIDE + 1])
+    def test_scalar_add(self, basis, scalar):
+        a, _ = _pair(basis)
+        assert a.scalar_add(scalar).limbs.tolist() == [
+            [(x + scalar) % q for x in row]
+            for row, q in zip(a.limbs.tolist(), basis.moduli)
+        ]
+        coeff, _ = _pair(basis, Representation.COEFF)
+        assert coeff.scalar_add(scalar).limbs.tolist() == [
+            [(row[0] + scalar) % q] + row[1:]
+            for row, q in zip(coeff.limbs.tolist(), basis.moduli)
+        ]
+        assert coeff.scalar_add(scalar).to_eval() == coeff.to_eval().scalar_add(scalar)
+
+
+def _ref_monomial_mul(rows, moduli, exponent):
+    """``x^exponent * f`` coefficient by coefficient, with ``x^N = -1``."""
+    n = len(rows[0])
+    out = []
+    for row, q in zip(rows, moduli):
+        new = [0] * n
+        for j, a in enumerate(row):
+            e = (j + exponent) % (2 * n)
+            if e < n:
+                new[e] = a % q
+            else:
+                new[e - n] = -a % q
+        out.append(new)
+    return out
+
+
+class TestMonomialMul:
+    @pytest.mark.parametrize("exponent", [*range(2 * DEGREE), -1, 5 * DEGREE + 3])
+    def test_every_exponent_in_both_forms(self, basis, exponent):
+        coeff, _ = _pair(basis, Representation.COEFF)
+        shifted = coeff.monomial_mul(exponent)
+        assert shifted.limbs.tolist() == _ref_monomial_mul(
+            coeff.limbs.tolist(), basis.moduli, exponent
+        )
+        assert coeff.to_eval().monomial_mul(exponent) == shifted.to_eval()
+
+    def test_oracle_only_gives_the_same_rows(self, basis, monkeypatch):
+        evals, _ = _pair(basis)
+        half = DEGREE // 2
+        fast = evals.monomial_mul(half)
+        # An empty row store, so the oracle transforms the monomial itself.
+        monkeypatch.setattr(polynomial, "_MONOMIAL_ROWS", {})
+        with kernels.oracle_only():
+            assert evals.monomial_mul(half) == fast
+
+    def test_x_half_squared_is_minus_one(self, basis):
+        evals, _ = _pair(basis)
+        half = DEGREE // 2
+        assert evals.monomial_mul(half).monomial_mul(half) == -evals
 
 
 def _ref_coeff_automorph(rows, moduli, t):
