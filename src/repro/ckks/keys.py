@@ -20,7 +20,8 @@ the uncompressed rung of the performance model.
 
 Key rows are held at the model's word size: residues below ``2**30`` in
 4-byte words (:func:`key_dtype`), read in place by the lazily-reduced
-inner product of :meth:`SwitchingKey.inner_product`.
+inner product of :meth:`SwitchingKey.inner_product`
+(:class:`repro.kernels.MulAcc`).
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ import numpy as np
 from repro import kernels
 from repro.ring import Representation, RnsBasis, RnsPolynomial
 from repro.ckks.context import CkksContext
-
-#: Residue products one uint64 sum takes between reductions.  Products of
-#: residues below ``2**30`` are at most ``(2**30 - 1)**2``, and a reduced
-#: residue plus 15 of them stays below ``16 * (2**30 - 1)**2 < 2**64``.
-LAZY_PRODUCTS = 15
 
 #: One digit's live key rows as two blocks: the rows of the live ``q_i``
 #: and the rows of the special primes.
@@ -61,15 +57,6 @@ def _lazy(basis: RnsBasis) -> bool:
     they run for ``object`` bases and under :func:`repro.kernels.oracle_only`.
     """
     return kernels.enabled() and basis.dtype == np.int64
-
-
-def _unsigned(rows: np.ndarray) -> np.ndarray:
-    """Residues as unsigned words without a copy.
-
-    Canonical int64 residues are non-negative, so their uint64 view holds
-    the same values; 4-byte key rows are returned as held.
-    """
-    return rows.view(np.uint64) if rows.dtype == np.int64 else rows
 
 
 class SecretKey:
@@ -217,16 +204,16 @@ class SwitchingKey:
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
         """``sum_i digits[i] * (b_i, a_i)`` over the live raised basis.
 
-        Over int64 bases with the kernels on, both sums are one uint64
-        multiply-accumulate that reads the held rows (and each
+        Over int64 bases with the kernels on, each sum is one
+        :class:`repro.kernels.MulAcc` that reads the held rows (and each
         re-expanded ``a_i``) in place: a digit's live rows are its first
         ``live_limbs`` rows and its special rows, two contiguous ranges,
         so no key row is copied, widened or re-reduced.  Each sum takes
-        one ``np.remainder`` per :data:`LAZY_PRODUCTS` digits and one at
-        the end.  The per-digit ring expression over :meth:`restricted`
-        is its reference, and runs for ``object`` bases and under
-        :func:`repro.kernels.oracle_only`; both return the same canonical
-        residues.
+        one ``np.remainder`` per :data:`repro.kernels.LAZY_PRODUCTS`
+        digits and one at the end.  The per-digit ring expression over
+        :meth:`restricted` is its reference, and runs for ``object``
+        bases and under :func:`repro.kernels.oracle_only`; both return
+        the same canonical residues.
 
         Raises:
             ValueError: for more digits than a level-``live_limbs`` key
@@ -247,29 +234,21 @@ class SwitchingKey:
                 acc_a = acc_a + digit * a_key
             return acc_b, acc_a
 
-        q = _unsigned(basis.q_col)
-        # Accumulator rows of each key row block: the live q limbs, then
-        # the specials.
-        ranges = (slice(0, live_limbs), slice(live_limbs, None))
-        sums = (_unsigned(acc_b.limbs), _unsigned(acc_a.limbs))
-        product = np.empty_like(sums[0])
-        for i, digit in enumerate(digits):
-            if digit.basis != basis:
-                raise ValueError("operands live over different bases")
-            if digit.representation is not Representation.EVAL:
-                raise ValueError("ring multiplication requires evaluation form")
-            d = _unsigned(digit.limbs)
-            for acc, blocks in zip(sums, self._digit_rows(i, live_limbs, context)):
-                # The first digit's products are written straight into the sum.
-                out = acc if i == 0 else product
-                for live, rows in zip(ranges, blocks):
-                    np.multiply(d[live], _unsigned(rows), out=out[live])
-                if i:
-                    acc += product
-                if i % LAZY_PRODUCTS == LAZY_PRODUCTS - 1:
-                    np.remainder(acc, q, out=acc)
-        for acc in sums:
-            np.remainder(acc, q, out=acc)
+        sums = [kernels.MulAcc(acc.limbs, basis.q_col) for acc in (acc_b, acc_a)]
+        with kernels.limb_passes(basis.degree):
+            for i, digit in enumerate(digits):
+                if digit.basis != basis:
+                    raise ValueError("operands live over different bases")
+                if digit.representation is not Representation.EVAL:
+                    raise ValueError(
+                        "ring multiplication requires evaluation form"
+                    )
+                for acc, blocks in zip(
+                    sums, self._digit_rows(i, live_limbs, context)
+                ):
+                    acc.add(digit.limbs, *blocks)
+            for acc in sums:
+                acc.finish()
         return acc_b, acc_a
 
 
@@ -330,6 +309,7 @@ class KeyGenerator:
         ``e + a*(q - s) + [P*U_i]*s_from < 2**30 + 2 * 2**60``, reduced
         once; the ring expression is its reference and runs for
         ``object`` bases and under :func:`repro.kernels.oracle_only`.
+        Its passes run inside one :func:`repro.kernels.limb_passes` scope.
         """
         ctx = self.context
         basis = ctx.raised_basis(ctx.max_limbs)
@@ -347,34 +327,37 @@ class KeyGenerator:
             if self.compress_keys and lazy
             else None
         )
-        if lazy:
-            q = _unsigned(basis.q_col)
-            # q - s is in [1, q], so a * (q - s) = -a * s (mod q).
-            neg_s = _unsigned(basis.q_col - s.limbs)
-            source = _unsigned(source_poly.limbs)
-            term = np.empty(shape[1:], dtype=np.uint64)
-        for i in range(ctx.num_digits):
-            seed = ctx.rng.randrange(2**62) if self.compress_keys else None
-            a = ctx.sample_uniform_rows(
-                basis, seed=seed, ends=None if row_ends is None else row_ends[i]
-            )
-            e = RnsPolynomial.from_int_coeffs(
-                ctx.sample_error_coeffs(), basis
-            ).to_eval()
-            selector = p_product * ctx.digit_selector(i)
+        with kernels.limb_passes(ctx.degree):
             if lazy:
-                acc = _unsigned(a) * neg_s
-                column = basis.column([selector] * len(basis))
-                acc += np.multiply(source, _unsigned(column), out=term)
-                acc += _unsigned(e.limbs)
-                np.remainder(acc, q, out=b_rows[i])
-            else:
-                a_poly = RnsPolynomial(basis, a, Representation.EVAL)
-                b = -(a_poly * s) + e + source_poly.scalar_mul(selector)
-                b_rows[i] = b.limbs
-            if a_rows is not None:
-                a_rows[i] = a
-            seeds.append(seed)
+                q = basis.q_col.view(np.uint64)
+                # q - s is in [1, q], so a * (q - s) = -a * s (mod q).
+                neg_s = (basis.q_col - s.limbs).view(np.uint64)
+                source = source_poly.limbs.view(np.uint64)
+                term = np.empty(shape[1:], dtype=np.uint64)
+            for i in range(ctx.num_digits):
+                seed = ctx.rng.randrange(2**62) if self.compress_keys else None
+                a = ctx.sample_uniform_rows(
+                    basis,
+                    seed=seed,
+                    ends=None if row_ends is None else row_ends[i],
+                )
+                e = RnsPolynomial.from_int_coeffs(
+                    ctx.sample_error_coeffs(), basis
+                ).to_eval()
+                selector = p_product * ctx.digit_selector(i)
+                if lazy:
+                    acc = a.view(np.uint64) * neg_s
+                    column = basis.column([selector] * len(basis))
+                    acc += np.multiply(source, column.view(np.uint64), out=term)
+                    acc += e.limbs.view(np.uint64)
+                    np.remainder(acc, q, out=b_rows[i])
+                else:
+                    a_poly = RnsPolynomial(basis, a, Representation.EVAL)
+                    b = -(a_poly * s) + e + source_poly.scalar_mul(selector)
+                    b_rows[i] = b.limbs
+                if a_rows is not None:
+                    a_rows[i] = a
+                seeds.append(seed)
         if self.compress_keys:
             return SwitchingKey(b=b_rows, seeds=seeds, row_ends=row_ends)
         return SwitchingKey(b=b_rows, a=a_rows)

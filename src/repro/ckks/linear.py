@@ -8,10 +8,14 @@ over the non-zero generalised diagonals of the matrix.  This module
 implements three strategies:
 
 * ``naive``     — one full Rotate (KeySwitch included) per diagonal.
-* ``hoisted``   — Fig. 5(c) of the paper: ModUp hoisting shares a single
-  Decomp+ModUp across every rotation, and ModDown hoisting accumulates the
-  plaintext-multiplied key-switch outputs in the *raised* basis so the whole
-  transform needs exactly one ModUp and one pair of ModDown operations.
+* ``hoisted``   — Fig. 5(c) of the paper: ModUp hoisting shares one
+  Decomp+ModUp across every rotation of a source ciphertext, and ModDown
+  hoisting accumulates the plaintext-multiplied key-switch outputs in the
+  *raised* basis.  The transform runs one ModUp per source ciphertext —
+  two with a conjugate matrix, whose conjugation also pays its own key
+  switch — and one ModDown pair per transform.  Its four sums of
+  products are :class:`repro.ring.ProductSum` accumulators, each reduced
+  lazily.
 * ``bsgs``      — baby-step/giant-step: ``O(sqrt(D))`` rotations, baby
   rotations hoisted.
 
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ring import RnsPolynomial, mod_down
+from repro.ring import ProductSum, mod_down
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.evaluator import Evaluator
 
@@ -177,15 +181,21 @@ class LinearTransform:
         inputs: Sequence[Tuple[Ciphertext, Dict[int, np.ndarray]]],
         scale: float,
     ) -> Ciphertext:
-        """One ModUp and one ModDown pair per source ciphertext (Fig. 5c)."""
+        """One ModUp per source ciphertext, one ModDown pair per transform (Fig. 5c).
+
+        With a conjugate matrix there are two sources, ``ct`` and its
+        conjugate, whose conjugation pays one more key switch in
+        :meth:`apply`.  The ``b``, ``a``, ``c0`` and ``c1`` sums of
+        diagonal products are :class:`~repro.ring.ProductSum`
+        accumulators: one lazily reduced multiply-accumulate each, with
+        the eager ring expression as their reference.
+        """
         ctx = evaluator.context
         limbs = inputs[0][0].num_limbs
         raised_basis = ctx.raised_basis(limbs)
         normal_basis = ctx.basis_at(limbs)
-        acc_b = RnsPolynomial.zero(raised_basis)
-        acc_a = RnsPolynomial.zero(raised_basis)
-        acc_c0 = RnsPolynomial.zero(normal_basis)
-        acc_c1 = RnsPolynomial.zero(normal_basis)
+        acc_b, acc_a = ProductSum(raised_basis), ProductSum(raised_basis)
+        acc_c0, acc_c1 = ProductSum(normal_basis), ProductSum(normal_basis)
         used_raised = False
 
         for source, diagonals in inputs:
@@ -194,8 +204,8 @@ class LinearTransform:
                 pt = Plaintext(ctx.encoder.encode(list(diag), scale), scale)
                 if d == 0:
                     pt_poly = pt.to_poly(normal_basis)
-                    acc_c0 = acc_c0 + source.c0 * pt_poly
-                    acc_c1 = acc_c1 + source.c1 * pt_poly
+                    acc_c0.add(source.c0, pt_poly)
+                    acc_c1.add(source.c1, pt_poly)
                     continue
                 if raised_digits is None:
                     # ModUp hoisting: one Decomp+ModUp per source ciphertext.
@@ -209,19 +219,20 @@ class LinearTransform:
                 # ModDown hoisting: PtMult in the raised basis, defer the
                 # ModDown to a single pair after the accumulation.
                 pt_raised = pt.to_poly(raised_basis)
-                acc_b = acc_b + b * pt_raised
-                acc_a = acc_a + a * pt_raised
+                acc_b.add(b, pt_raised)
+                acc_a.add(a, pt_raised)
                 # Evaluation rows are per modulus and the raised basis
                 # starts with the normal one: no second NTT needed.
                 pt_poly = pt_raised.select_limbs(slice(0, limbs), normal_basis)
-                acc_c0 = acc_c0 + source.c0.automorph(t) * pt_poly
+                acc_c0.add(source.c0.automorph(t), pt_poly)
                 used_raised = True
 
+        c0, c1 = acc_c0.result(), acc_c1.result()
         if used_raised:
             drop = len(ctx.special_moduli)
-            acc_c0 = acc_c0 + mod_down(acc_b, drop)
-            acc_c1 = acc_c1 + mod_down(acc_a, drop)
-        return Ciphertext(acc_c0, acc_c1, inputs[0][0].scale * scale)
+            c0 = c0 + mod_down(acc_b.result(), drop)
+            c1 = c1 + mod_down(acc_a.result(), drop)
+        return Ciphertext(c0, c1, inputs[0][0].scale * scale)
 
     # ------------------------------------------------------------------
     def _apply_bsgs(

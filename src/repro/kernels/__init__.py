@@ -17,7 +17,9 @@ against them (the same contract :mod:`repro.memsim` holds against
 * the object-integer NTT and basis conversion of :mod:`repro.numth` and
   :mod:`repro.ring`;
 * the ``np.remainder`` sums and differences of
-  :class:`repro.ring.RnsPolynomial` (:func:`add_mod`, :func:`sub_mod`);
+  :class:`repro.ring.RnsPolynomial` (:func:`add_mod`, :func:`sub_mod`),
+  and its eagerly reduced sums of products (:class:`MulAcc`, behind
+  :class:`repro.ring.ProductSum` and the switching-key inner product);
 * the Python-int weighted sum of
   :meth:`repro.ring.RnsPolynomial.to_int_coeffs`;
 * the per-draw ``random.Random`` loops of :class:`repro.ckks.CkksContext`
@@ -27,7 +29,9 @@ against them (the same contract :mod:`repro.memsim` holds against
 * the per-coefficient ``round`` of :meth:`repro.ckks.Encoder.encode`.
 
 Callers fall back to the oracle whenever an input is out of the fast
-path's range or the fast path is disabled.
+path's range or the fast path is disabled.  Batch-level callers run
+their per-limb passes inside :func:`limb_passes`, which scopes NumPy's
+ufunc buffer to the ring degree.
 
 Disabling (for differential tests and A/B timing):
 
@@ -53,7 +57,10 @@ from repro.kernels.conversion import (
 from repro.kernels.ntt import MAX_NTT_DEGREE, BatchNttKernel
 from repro.kernels.reduce import (
     FAST_MODULUS_BOUND,
+    LAZY_PRODUCTS,
+    MulAcc,
     add_mod,
+    limb_passes,
     moduli_fit,
     mul_mod,
     sub_mod,
@@ -63,10 +70,13 @@ from repro.kernels.sample import RowEndsError, raw_words, replay_rows, uniform_r
 __all__ = [
     "BatchNttKernel",
     "FAST_MODULUS_BOUND",
+    "LAZY_PRODUCTS",
     "MAX_NTT_DEGREE",
+    "MulAcc",
     "RowEndsError",
     "add_mod",
     "enabled",
+    "limb_passes",
     "mixed_radix_digits",
     "moduli_fit",
     "mul_mod",

@@ -94,15 +94,17 @@ def new_limbs_matrix(
     scaled = mul_mod(x, hat_inv, q_col).view(np.uint64)  # (L, N)
 
     blk = CONVERSION_BLOCK
-    parts = (
-        np.remainder(stars[:, lo : lo + blk] @ scaled[lo : lo + blk], t_col)
-        for lo in range(0, x.shape[0], blk)
-    )
-    out = next(parts)
-    for part in parts:
+    out = None
+    for lo in range(0, x.shape[0], blk):
+        part = stars[:, lo : lo + blk] @ scaled[lo : lo + blk]
+        np.remainder(part, t_col, out=part)
+        if out is None:
+            out = part
+            continue
         out += part  # both canonical: below 2 * p_t
         # min(v, v - p_t): below p_t the subtraction wraps and loses.
-        np.minimum(out, out - t_col, out=out)
+        np.subtract(out, t_col, out=part)
+        np.minimum(out, part, out=out)
     return out.view(np.int64)
 
 
@@ -131,7 +133,10 @@ def sub_scale_mod(
     _check_lengths(rows=a.shape[0], scales=len(scales), moduli=len(moduli))
     scale_col = np.asarray(scales, dtype=np.int64)[:, np.newaxis]
     q_col = np.asarray(moduli, dtype=np.int64)[:, np.newaxis]
-    return np.remainder((a - h) * scale_col, q_col)
+    # One fresh matrix, scaled and reduced in place.
+    out = np.subtract(a, h)
+    out *= scale_col
+    return np.remainder(out, q_col, out=out)
 
 
 def mixed_radix_digits(

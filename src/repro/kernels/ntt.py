@@ -10,7 +10,8 @@ has the exactness proof and the thread contract).  Moduli must be below
 :data:`repro.kernels.reduce.FAST_MODULUS_BOUND` and degrees at most
 :data:`MAX_NTT_DEGREE`; callers (e.g.
 :meth:`repro.ring.RnsBasis.fast_kernel`) fall back to the oracle
-otherwise.
+otherwise.  Each call runs its per-limb passes inside
+:func:`repro.kernels.reduce.limb_passes`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import numpy as np
 
 from repro.kernels import fourstep
 from repro.kernels.fourstep import MAX_DEGREE as MAX_NTT_DEGREE
-from repro.kernels.reduce import FAST_MODULUS_BOUND, moduli_fit, mul_mod
+from repro.kernels.reduce import (
+    FAST_MODULUS_BOUND,
+    limb_passes,
+    moduli_fit,
+    mul_mod,
+)
 from repro.obs import state as obs
 
 __all__ = ["BatchNttKernel", "MAX_NTT_DEGREE"]
@@ -83,12 +89,14 @@ class BatchNttKernel:
     def forward(self, rows: Rows) -> np.ndarray:
         """Batched forward negacyclic NTT of an ``(L, N)`` residue matrix."""
         obs.count("kernels.ntt.forward")
-        return self._tables.transform(self._as_matrix(rows), self._blocks, False)
+        with limb_passes(self.degree):
+            return self._tables.transform(self._as_matrix(rows), self._blocks, False)
 
     def inverse(self, rows: Rows) -> np.ndarray:
         """Batched inverse negacyclic NTT of an ``(L, N)`` residue matrix."""
         obs.count("kernels.ntt.inverse")
-        return self._tables.transform(self._as_matrix(rows), self._blocks, True)
+        with limb_passes(self.degree):
+            return self._tables.transform(self._as_matrix(rows), self._blocks, True)
 
     def negacyclic_multiply(self, a: Rows, b: Rows) -> np.ndarray:
         """Limb-wise product of two coefficient-form ``(L, N)`` matrices."""

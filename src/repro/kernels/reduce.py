@@ -9,19 +9,68 @@ of two residues lies in ``(-q, 2q)``, so :func:`add_mod` and
 :func:`sub_mod` need no division: one wrapping uint64 add or subtract
 of ``q`` and a ``min`` pick the canonical value.  Both sides of the
 oracle contract only ever materialise canonical values in ``[0, q)``.
+
+A sum of products needs no division per term either: :class:`MulAcc`
+adds uint64 products and reduces once per :data:`LAZY_PRODUCTS` terms.
+
+NumPy buffers a ufunc's operands through a scratch buffer of
+``np.getbufsize()`` elements (8,192 by default) whenever it cannot run
+its inner loop on them in place, and a pass that broadcasts an
+``(l, 1)`` modulus column over rows shorter than that buffer is such a
+pass: at ``16 x 2048`` it runs ≈3x slower than the same pass over a
+scalar.  :func:`limb_passes` sets the buffer to one row for the length
+of a batch-level call; nothing sets it at import.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["FAST_MODULUS_BOUND", "add_mod", "moduli_fit", "mul_mod", "sub_mod"]
+__all__ = [
+    "FAST_MODULUS_BOUND", "LAZY_PRODUCTS", "MulAcc", "add_mod", "limb_passes",
+    "moduli_fit", "mul_mod", "sub_mod",
+]
 
 #: Largest limb modulus (exclusive) the int64 kernels accept.  Products of
 #: residues below this bound stay under ``2**60`` and never overflow.
 FAST_MODULUS_BOUND = 1 << 30
+
+#: Residue products one uint64 sum takes between reductions.  Products of
+#: residues below ``2**30`` are at most ``(2**30 - 1)**2``, and a reduced
+#: residue plus 15 of them stays below ``16 * (2**30 - 1)**2 < 2**64``.
+LAZY_PRODUCTS = 15
+
+#: Smallest ring degree :func:`limb_passes` sets the buffer to; NumPy
+#: wants a buffer that is a multiple of 16 elements.
+_MIN_BUFFER = 16
+
+
+@contextmanager
+def limb_passes(degree: int) -> Iterator[None]:
+    """Scope NumPy's ufunc buffer to one ``degree``-element row.
+
+    Within the block the buffer is ``degree`` elements when
+    ``16 <= degree`` and ``degree`` is below the caller's buffer; it is
+    the caller's otherwise, and the caller's again on exit, also when
+    the block raises.  Passes over ``(l, degree)`` residue matrices
+    against ``(l, 1)`` modulus columns then run at the speed of a pass
+    against a scalar.  Enter it once per batch-level call, not per limb:
+    a set-and-restore pair costs a few microseconds, and a nested scope
+    finds the buffer already set and leaves it alone.  The setting is
+    context-local in NumPy 2, so it never leaks into other threads.
+    """
+    previous = np.getbufsize()
+    if not _MIN_BUFFER <= degree < previous:
+        yield
+        return
+    np.setbufsize(degree)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 def moduli_fit(moduli: Sequence[int]) -> bool:
@@ -30,8 +79,14 @@ def moduli_fit(moduli: Sequence[int]) -> bool:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pointwise ``a * b mod q`` for two data vectors (no precomputation)."""
-    return np.remainder(a * b, q)
+    """Pointwise ``a * b mod q`` for two data vectors (no precomputation).
+
+    The product is reduced in place, one fresh array rather than two, so
+    ``q`` must broadcast to the product's shape (a column or a scalar).
+    Exact for any integer dtype, Python-int ``object`` arrays included.
+    """
+    out = np.multiply(a, b)
+    return np.remainder(out, q, out=out)
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -60,3 +115,83 @@ def sub_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     u = out.view(np.uint64)
     np.minimum(u, u + q.view(np.uint64), out=u)
     return out
+
+
+#: One product scratch per ring degree, shared by every :class:`MulAcc`
+#: and grown to the most rows asked for.  Keeping it resident spares
+#: each sum a fresh matrix, whose pages fault in when first written.
+_PRODUCTS: Dict[int, np.ndarray] = {}
+
+
+def _product_rows(rows: int, degree: int) -> np.ndarray:
+    """A ``(rows, degree)`` uint64 view of the degree's product scratch."""
+    scratch = _PRODUCTS.get(degree)
+    if scratch is None or len(scratch) < rows:
+        scratch = _PRODUCTS[degree] = np.empty((rows, degree), dtype=np.uint64)
+    return scratch[:rows]
+
+
+def _unsigned(rows: np.ndarray) -> np.ndarray:
+    """Canonical residues as unsigned words, without a copy.
+
+    Canonical int64 residues are non-negative, so their uint64 view holds
+    the same values; unsigned rows (4-byte key words) are returned as held.
+    """
+    return rows.view(np.uint64) if rows.dtype == np.int64 else rows
+
+
+class MulAcc:
+    """``out = sum_k a_k * b_k mod q`` over residue matrices, reduced lazily.
+
+    ``out`` is an ``(l, N)`` int64 matrix that the sum overwrites and
+    ``q`` the ``(l, 1)`` moduli column.  Every term is a product of two
+    canonical residues below ``2**30``, taken in uint64, where it stays
+    below ``2**60``: the first is written straight into ``out``, each
+    later one is added to it, and the sum is reduced once per
+    :data:`LAZY_PRODUCTS` terms and once by :meth:`finish`, which
+    leaves ``out`` canonical (all zero after no terms).  The eager
+    reference reduces every product and every partial sum; both give
+    the same residues, since each is the sum's canonical residue.
+
+    Each product goes through one scratch per ring degree, kept for the
+    process: no two sums of one degree may add concurrently in threads
+    (the repo's parallelism is process-based).
+    """
+
+    def __init__(self, out: np.ndarray, q: np.ndarray):
+        self._out = out
+        self._sum = _unsigned(out)
+        self._q = _unsigned(q)
+        self._terms = 0
+
+    def add(self, a: np.ndarray, *b: np.ndarray) -> None:
+        """Add ``a * b``, where ``b``'s row blocks stack to ``a``'s shape.
+
+        ``a`` holds canonical int64 residues, and each block of ``b``
+        canonical int64 residues or 4-byte words; the blocks are read
+        in place (a key digit's live rows are two ranges of its store).
+        """
+        a = _unsigned(a)
+        out = self._sum if self._terms == 0 else _product_rows(*self._sum.shape)
+        row = 0
+        for block in b:
+            end = row + len(block)
+            np.multiply(a[row:end], _unsigned(block), out=out[row:end])
+            row = end
+        if self._terms:
+            self._sum += out
+        self._terms += 1
+        if self._terms % LAZY_PRODUCTS == 0:
+            self._reduce()
+
+    def finish(self) -> np.ndarray:
+        """Reduce the sum into ``out`` (canonical) and return ``out``."""
+        if self._terms == 0:
+            self._sum.fill(0)
+        elif self._terms % LAZY_PRODUCTS:
+            self._reduce()
+        return self._out
+
+    def _reduce(self) -> None:
+        with limb_passes(self._sum.shape[-1]):
+            np.remainder(self._sum, self._q, out=self._sum)

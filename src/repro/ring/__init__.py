@@ -8,7 +8,7 @@ polynomials over ``Z_q[x]/(x^N + 1)``, the fast basis conversion ``NewLimb``
 """
 
 from repro.ring.basis import RnsBasis
-from repro.ring.polynomial import Representation, RnsPolynomial
+from repro.ring.polynomial import ProductSum, Representation, RnsPolynomial
 from repro.ring.conversion import (
     mod_down,
     mod_up,
@@ -18,6 +18,7 @@ from repro.ring.conversion import (
 )
 
 __all__ = [
+    "ProductSum",
     "RnsBasis",
     "Representation",
     "RnsPolynomial",

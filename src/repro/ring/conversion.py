@@ -5,6 +5,9 @@ These are exact-arithmetic implementations of Equations (1) and Algorithms
 conversion standard in full-RNS CKKS (Cheon et al., SAC 2018): its output is
 ``x + u*Q (mod p)`` for some small ``0 <= u < l``; the excess ``u*Q`` is
 absorbed into ciphertext noise exactly as in production FHE libraries.
+
+``mod_up`` and ``mod_down`` each run their passes (NTTs, conversions and
+the pointwise tail) inside one :func:`repro.kernels.limb_passes` scope.
 """
 
 from __future__ import annotations
@@ -108,13 +111,13 @@ def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
         raise ValueError("mod_up expects evaluation representation")
     if not extension:
         raise ValueError("extension basis must be non-empty")
-    coeff = poly.to_coeff()
-    new_rows = _new_limb_rows(coeff.limbs, poly.basis, extension)
-    new_rows = poly.basis.transform(new_rows, moduli=extension)
-    merged = poly.basis.extended(extension)
-    return RnsPolynomial._wrap(
-        merged, _stack(merged, poly.limbs, new_rows), Representation.EVAL
-    )
+    with kernels.limb_passes(poly.basis.degree):
+        coeff = poly.to_coeff()
+        new_rows = _new_limb_rows(coeff.limbs, poly.basis, extension)
+        new_rows = poly.basis.transform(new_rows, moduli=extension)
+        merged = poly.basis.extended(extension)
+        rows = _stack(merged, poly.limbs, new_rows)
+    return RnsPolynomial._wrap(merged, rows, Representation.EVAL)
 
 
 def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
@@ -135,26 +138,28 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
     dropped_basis = RnsBasis(poly.basis.degree, poly.basis.moduli[keep:])
     p_product = dropped_basis.modulus
 
-    # Line 1 (optimised): only the dropped limbs need coefficient form.
-    dropped_coeff = poly.basis.transform(
-        poly.limbs[keep:], inverse=True, moduli=dropped_basis.moduli
-    )
-
-    # Line 3: slot-wise conversion of the dropped part into every kept limb.
-    hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
-    hat_evals = target_basis.transform(hats)
-
-    # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
-    p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
-    if kernels.enabled() and kernels.moduli_fit(target_basis.moduli):
-        rows = kernels.sub_scale_mod(
-            poly.limbs[:keep], hat_evals, p_invs, list(target_basis.moduli)
+    with kernels.limb_passes(poly.basis.degree):
+        # Line 1 (optimised): only the dropped limbs need coefficient form.
+        dropped_coeff = poly.basis.transform(
+            poly.limbs[keep:], inverse=True, moduli=dropped_basis.moduli
         )
-    else:
-        rows = np.remainder(
-            (poly.limbs[:keep] - hat_evals) * target_basis.column(p_invs),
-            target_basis.q_col,
-        ).astype(target_basis.dtype, copy=False)
+
+        # Line 3: slot-wise conversion of the dropped part into every kept
+        # limb.
+        hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
+        hat_evals = target_basis.transform(hats)
+
+        # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
+        p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
+        if kernels.enabled() and kernels.moduli_fit(target_basis.moduli):
+            rows = kernels.sub_scale_mod(
+                poly.limbs[:keep], hat_evals, p_invs, list(target_basis.moduli)
+            )
+        else:
+            rows = np.remainder(
+                (poly.limbs[:keep] - hat_evals) * target_basis.column(p_invs),
+                target_basis.q_col,
+            ).astype(target_basis.dtype, copy=False)
     return RnsPolynomial._wrap(target_basis, rows, Representation.EVAL)
 
 

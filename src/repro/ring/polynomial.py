@@ -17,12 +17,21 @@ exact for either dtype.  On int64 matrices sums and differences skip the
 division: :func:`repro.kernels.add_mod` and :func:`~repro.kernels.sub_mod`
 reduce with one conditional subtract, and ``np.remainder`` stays their
 reference for ``object`` bases and under :func:`repro.kernels.oracle_only`.
+Products reduce in place through :func:`repro.kernels.mul_mod`, exact
+for both dtypes.  Every pointwise op runs inside
+:func:`repro.kernels.limb_passes`, so its column-broadcast passes skip
+NumPy's ufunc buffer.
+
+A sum of products, ``sum_k x_k * y_k``, is a :class:`ProductSum`: on
+int64 limbs one lazily reduced :class:`repro.kernels.MulAcc`, otherwise
+the eager expression ``acc + x * y`` per term, its reference.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Sequence, Tuple, Union
+import functools
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -99,6 +108,20 @@ def _monomial_rows(basis: RnsBasis, exponent: int) -> np.ndarray:
             row.flags.writeable = False
             _MONOMIAL_ROWS[key] = row
     return np.stack([_MONOMIAL_ROWS[key] for key in keys]).astype(basis.dtype)
+
+
+_Op = TypeVar("_Op", bound=Callable[..., "RnsPolynomial"])
+
+
+def _limb_passes(op: _Op) -> _Op:
+    """Run the pointwise op ``op`` inside :func:`repro.kernels.limb_passes`."""
+
+    @functools.wraps(op)
+    def scoped(self: "RnsPolynomial", *args: object) -> "RnsPolynomial":
+        with kernels.limb_passes(self.basis.degree):
+            return op(self, *args)
+
+    return scoped  # type: ignore[return-value]
 
 
 def _add(a: np.ndarray, b: np.ndarray, basis: RnsBasis) -> np.ndarray:
@@ -357,26 +380,33 @@ class RnsPolynomial:
     def _with_rows(self, rows: np.ndarray) -> "RnsPolynomial":
         return RnsPolynomial._wrap(self.basis, rows, self.representation)
 
+    @_limb_passes
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_operand(other)
         return self._with_rows(_add(self.limbs, other.limbs, self.basis))
 
+    @_limb_passes
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_operand(other)
         return self._with_rows(_sub(self.limbs, other.limbs, self.basis))
 
+    @_limb_passes
     def __neg__(self) -> "RnsPolynomial":
         return self._with_rows(np.remainder(-self.limbs, self.basis.q_col))
 
+    @_limb_passes
     def __mul__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Ring multiplication; both operands must be in evaluation form."""
+        self._check_product(other)
+        rows = kernels.mul_mod(self.limbs, other.limbs, self.basis.q_col)
+        return self._with_rows(rows)
+
+    def _check_product(self, other: "RnsPolynomial") -> None:
         if self.representation is not Representation.EVAL:
             raise ValueError("ring multiplication requires evaluation form")
         self._check_operand(other)
-        return self._with_rows(
-            np.remainder(self.limbs * other.limbs, self.basis.q_col)
-        )
 
+    @_limb_passes
     def scalar_mul(self, scalar: int) -> "RnsPolynomial":
         """Multiply by an integer scalar (valid in either representation).
 
@@ -384,10 +414,9 @@ class RnsPolynomial:
         as a Python int before it meets the matrix.
         """
         column = self.basis.column([scalar] * self.num_limbs)
-        return self._with_rows(
-            np.remainder(self.limbs * column, self.basis.q_col)
-        )
+        return self._with_rows(kernels.mul_mod(self.limbs, column, self.basis.q_col))
 
+    @_limb_passes
     def scalar_add(self, scalar: int) -> "RnsPolynomial":
         """Add the constant polynomial ``scalar`` (any width or sign).
 
@@ -401,6 +430,7 @@ class RnsPolynomial:
         rows[:, :1] = _add(rows[:, :1], column, self.basis)
         return self._with_rows(rows)
 
+    @_limb_passes
     def monomial_mul(self, exponent: int) -> "RnsPolynomial":
         """Multiply by ``x^exponent`` (read modulo ``2N``); exact in either form.
 
@@ -414,9 +444,7 @@ class RnsPolynomial:
         exponent %= 2 * n
         if self.representation is Representation.EVAL:
             rows = _monomial_rows(self.basis, exponent)
-            return self._with_rows(
-                np.remainder(self.limbs * rows, self.basis.q_col)
-            )
+            return self._with_rows(kernels.mul_mod(self.limbs, rows, self.basis.q_col))
         shift = exponent % n
         rows = np.roll(self.limbs, shift, axis=1)
         # x^e = -x^(e - N) for e >= N: every coefficient flips once more.
@@ -424,6 +452,7 @@ class RnsPolynomial:
         rows[:, flip] = np.remainder(-rows[:, flip], self.basis.q_col)
         return self._with_rows(rows)
 
+    @_limb_passes
     def limb_scalar_mul(self, scalars: Sequence[int]) -> "RnsPolynomial":
         """Multiply limb ``i`` by ``scalars[i]`` (per-limb constants)."""
         if len(scalars) != self.num_limbs:
@@ -431,9 +460,7 @@ class RnsPolynomial:
                 f"expected {self.num_limbs} scalars, got {len(scalars)}"
             )
         column = self.basis.column(scalars)
-        return self._with_rows(
-            np.remainder(self.limbs * column, self.basis.q_col)
-        )
+        return self._with_rows(kernels.mul_mod(self.limbs, column, self.basis.q_col))
 
     # ------------------------------------------------------------------
     # Galois automorphisms
@@ -457,4 +484,47 @@ class RnsPolynomial:
             )
         source, sign = _coeff_permutation(n, t)
         gathered = np.take(self.limbs, source, axis=1)
-        return self._with_rows(np.remainder(gathered * sign, self.basis.q_col))
+        return self._with_rows(kernels.mul_mod(gathered, sign, self.basis.q_col))
+
+
+class ProductSum:
+    """``sum_k x_k * y_k`` of evaluation-form elements over one basis.
+
+    Over int64 limbs with the kernels on, the terms go into one
+    :class:`repro.kernels.MulAcc`: each adds a uint64 product to the
+    running sum, which is reduced once per
+    :data:`repro.kernels.LAZY_PRODUCTS` terms, with no fresh matrix per
+    term.  For ``object`` bases and under
+    :func:`repro.kernels.oracle_only` each term is the eager ring
+    expression ``acc + x * y``, its reference; both give the same
+    canonical residues.  The operands are checked as ``x * y`` checks
+    them.
+    """
+
+    def __init__(self, basis: RnsBasis):
+        self.basis = basis
+        self._acc = RnsPolynomial.zero(basis)
+        self._mac = (
+            kernels.MulAcc(self._acc.limbs, basis.q_col)
+            if kernels.enabled() and basis.dtype == np.int64
+            else None
+        )
+
+    def add(self, x: RnsPolynomial, y: RnsPolynomial) -> None:
+        """Add the term ``x * y``; both must live over the sum's basis."""
+        if x.basis != self.basis:
+            raise ValueError("operands live over different bases")
+        if self._mac is None:
+            self._acc = self._acc + x * y
+            return
+        x._check_product(y)
+        self._mac.add(x.limbs, y.limbs)
+
+    def result(self) -> RnsPolynomial:
+        """The canonical sum, zero after no terms.
+
+        It shares the accumulator's matrix: add no term after it.
+        """
+        if self._mac is not None:
+            self._mac.finish()
+        return self._acc

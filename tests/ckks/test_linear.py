@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.ckks import CkksContext, LinearTransform, Plaintext
+from repro.ckks import (
+    CkksContext,
+    Encryptor,
+    Evaluator,
+    KeyGenerator,
+    LinearTransform,
+    Plaintext,
+)
 from repro.ckks.linear import matrix_diagonals
+from repro.ckks.specialfft import SpecialFft
 from repro.params.presets import toy_params
 
 
@@ -151,3 +159,54 @@ class TestHoistedPlaintextRows:
             selected = raised.select_limbs(slice(0, limbs), normal)
             assert selected.limbs.dtype == normal.dtype
             assert selected == direct
+
+
+class TestHoistedAgainstOracle:
+    """The hoisted transform's lazily reduced sums equal the eager ring
+    expressions it runs under ``kernels.oracle_only()``, limb for limb."""
+
+    @staticmethod
+    def _both(lt, ctx, steps, conjugate=False, seed=0):
+        keygen = KeyGenerator(ctx)
+        evaluator = Evaluator(
+            ctx,
+            rotation_keys={s: keygen.rotation_key(s) for s in steps},
+            conjugation_key=keygen.conjugation_key() if conjugate else None,
+        )
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=ctx.slots) + 1j * rng.normal(size=ctx.slots)
+        ct = Encryptor(ctx, secret_key=keygen.secret_key).encrypt_values(z)
+        fast = lt.apply(evaluator, ct, rescale=False)
+        with kernels.oracle_only():
+            reference = lt.apply(evaluator, ct, rescale=False)
+        return fast, reference
+
+    def test_dense_conjugate_aware_matrix_at_n32(self):
+        # 16 + 16 diagonals: 32 terms into the c0 sum, past two
+        # mid-sum reductions.
+        ctx = CkksContext(
+            toy_params(log_n=5, log_q=29, max_limbs=3, dnum=3, log_special=30),
+            seed=5,
+        )
+        rng = np.random.default_rng(1)
+        n = ctx.slots
+        m1, m2 = (
+            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)
+        )
+        lt = LinearTransform(m1, m2)
+        assert len(lt.diagonals) + len(lt.conj_diagonals) >= 30
+        fast, reference = self._both(lt, ctx, lt.required_rotations(), conjugate=True)
+        assert fast.c0.limbs.dtype == np.int64
+        assert fast.c0 == reference.c0 and fast.c1 == reference.c1
+        assert fast.scale == reference.scale
+
+    def test_special_fft_stage_at_n2048(self):
+        ctx = CkksContext(
+            toy_params(log_n=11, log_q=29, max_limbs=2, dnum=2, log_special=30),
+            seed=3,
+        )
+        stages = SpecialFft(ctx.encoder).grouped_stage_diagonals(4, inverse=True)
+        lt = LinearTransform(max(stages, key=len))
+        assert len(lt.diagonals) >= 15
+        fast, reference = self._both(lt, ctx, lt.required_rotations())
+        assert fast.c0 == reference.c0 and fast.c1 == reference.c1

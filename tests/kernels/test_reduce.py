@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import FAST_MODULUS_BOUND, add_mod, moduli_fit, mul_mod, sub_mod
+from repro.kernels import (
+    FAST_MODULUS_BOUND,
+    LAZY_PRODUCTS,
+    MulAcc,
+    add_mod,
+    moduli_fit,
+    mul_mod,
+    sub_mod,
+)
+from repro.numth import find_ntt_primes
+from repro.ring import Representation, RnsBasis, RnsPolynomial
 
 # Odd moduli spanning the full accepted range, including the boundary.
 _modulus = st.integers(3, FAST_MODULUS_BOUND - 1).map(lambda q: q | 1)
@@ -82,3 +92,90 @@ class TestDivisionFreeAddSub:
         assert np.array_equal(got, np.remainder(a + column, q))
         assert np.array_equal(a, before)
         assert not np.shares_memory(got, a)
+
+
+class TestMulAcc:
+    """The lazily reduced multiply-accumulate equals the eager ring
+    expression ``acc + x * y`` it replaces, across reduction points."""
+
+    DEGREE = 64
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        # The largest NTT primes below 2**30: 17 products of (q - 1)**2
+        # overflow uint64, so a missing mid-sum reduction shows.
+        basis = RnsBasis(self.DEGREE, find_ntt_primes(30, self.DEGREE, 4))
+        assert 17 * (min(basis.moduli) - 1) ** 2 >= 2**64
+        return basis
+
+    def _terms(self, basis, count, seed):
+        """``count`` (x, y) residue pairs; 0 and q - 1 planted in each."""
+        rng = np.random.default_rng(seed)
+        q = basis.q_col
+        pairs = []
+        for _ in range(count):
+            x = rng.integers(0, q, size=(len(basis), self.DEGREE))
+            y = rng.integers(0, q, size=(len(basis), self.DEGREE))
+            x[:, :3] = np.concatenate([q - 1, q - 1, np.zeros_like(q)], axis=1)
+            y[:, :3] = np.concatenate([q - 1, np.zeros_like(q), q - 1], axis=1)
+            pairs.append((x, y))
+        return pairs
+
+    def _eager(self, basis, pairs):
+        acc = RnsPolynomial.zero(basis)
+        for x, y in pairs:
+            acc = acc + RnsPolynomial(basis, x, Representation.EVAL) * RnsPolynomial(
+                basis, y, Representation.EVAL
+            )
+        return acc.limbs
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 30, 31])
+    @pytest.mark.parametrize("words", ["int64", "uint32"])
+    def test_equals_the_eager_expression(self, basis, count, words):
+        pairs = self._terms(basis, count, seed=count)
+        out = np.empty((len(basis), self.DEGREE), dtype=np.int64)
+        mac = MulAcc(out, basis.q_col)
+        for x, y in pairs:
+            mac.add(x, y.astype(words))
+        assert mac.finish() is out
+        assert np.array_equal(out, self._eager(basis, pairs))
+
+    @pytest.mark.parametrize("count", [16, 31])
+    def test_all_q_minus_one_sums_pass_2_to_the_63(self, basis, count):
+        # Every product is (q - 1)**2: the sum passes 2**63 before each
+        # reduction, and would wrap past 2**64 without one per 15 terms.
+        q = basis.q_col
+        top = np.broadcast_to(q - 1, (len(basis), self.DEGREE))
+        out = np.empty(top.shape, dtype=np.int64)
+        mac = MulAcc(out, q)
+        for _ in range(count):
+            mac.add(top, top.astype(np.uint32))
+        mac.finish()
+        want = [count * (m - 1) ** 2 % m for m in basis.moduli]
+        assert out.tolist() == [[w] * self.DEGREE for w in want]
+        assert LAZY_PRODUCTS * (min(basis.moduli) - 1) ** 2 > 2**63
+
+    def test_row_blocks_stack_to_the_operand(self, basis):
+        # A key digit's live rows are read as two blocks of its store.
+        pairs = self._terms(basis, 3, seed=7)
+        out = np.empty((len(basis), self.DEGREE), dtype=np.int64)
+        mac = MulAcc(out, basis.q_col)
+        for x, y in pairs:
+            words = y.astype(np.uint32)
+            mac.add(x, words[:1], words[1:])
+        mac.finish()
+        assert np.array_equal(out, self._eager(basis, pairs))
+
+    def test_no_terms_is_zero(self, basis):
+        out = np.full((len(basis), self.DEGREE), 5, dtype=np.int64)
+        assert not MulAcc(out, basis.q_col).finish().any()
+
+    def test_operands_are_left_as_they_were(self, basis):
+        pairs = self._terms(basis, 2, seed=3)
+        before = [(x.copy(), y.copy()) for x, y in pairs]
+        mac = MulAcc(np.empty_like(pairs[0][0]), basis.q_col)
+        for x, y in pairs:
+            mac.add(x, y)
+        mac.finish()
+        for (x, y), (x0, y0) in zip(pairs, before):
+            assert np.array_equal(x, x0) and np.array_equal(y, y0)

@@ -14,7 +14,7 @@ import pytest
 from repro import kernels
 from repro.numth.crt import crt_reconstruct
 from repro.numth.modular import centered_mod
-from repro.ring import Representation, RnsBasis, RnsPolynomial, polynomial
+from repro.ring import ProductSum, Representation, RnsBasis, RnsPolynomial, polynomial
 
 DEGREE = 16
 WIDE = 2**600
@@ -147,6 +147,52 @@ class TestPointwiseAgainstPythonInts:
             for row, q in zip(coeff.limbs.tolist(), basis.moduli)
         ]
         assert coeff.scalar_add(scalar).to_eval() == coeff.to_eval().scalar_add(scalar)
+
+
+class TestProductSum:
+    """``ProductSum`` equals the eager ``acc + x * y`` it replaces, on the
+    lazy path (int64) and under ``oracle_only()``."""
+
+    @staticmethod
+    def _terms(basis, count):
+        """``count`` pairs whose first slots pair 0 and q - 1 every way."""
+        pairs = []
+        for k in range(count):
+            x = _rows(basis, 2 * k, lambda q: [0, q - 1, q - 1])
+            y = _rows(basis, 2 * k + 1, lambda q: [q - 1, 0, q - 1])
+            pairs.append(tuple(
+                RnsPolynomial(basis, rows, Representation.EVAL) for rows in (x, y)
+            ))
+        return pairs
+
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 31])
+    def test_equals_the_eager_expression(self, basis, count):
+        terms = self._terms(basis, count)
+        eager = RnsPolynomial.zero(basis)
+        for x, y in terms:
+            eager = eager + x * y
+        def run():
+            sums = ProductSum(basis)
+            for x, y in terms:
+                sums.add(x, y)
+            return sums.result()
+
+        fast = run()
+        with kernels.oracle_only():
+            reference = run()
+        for got in (fast, reference):
+            assert got == eager
+            assert got.limbs.dtype == basis.dtype
+
+    def test_operands_are_checked(self, basis):
+        x, y = self._terms(basis, 1)[0]
+        other = RnsBasis.generate(DEGREE, 30, 2)
+        with pytest.raises(ValueError, match="different bases"):
+            ProductSum(other).add(x, y)
+        with pytest.raises(ValueError, match="evaluation form"):
+            ProductSum(basis).add(x.to_coeff(), y.to_coeff())
+        with pytest.raises(ValueError, match="different bases"):
+            ProductSum(basis).add(x, RnsPolynomial.zero(other))
 
 
 def _ref_monomial_mul(rows, moduli, exponent):
