@@ -17,7 +17,7 @@ from repro.perf.events import CostReport
 from repro.hardware.design import HardwareDesign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeEstimate:
     """Roofline runtime of a workload on a design."""
 

@@ -26,7 +26,7 @@ from repro.params import CkksParams
 from repro.perf.cache import CacheModel
 from repro.perf.events import CostReport
 from repro.perf.optimizations import MADConfig
-from repro.perf.primitives import PrimitiveCosts
+from repro.perf.primitives import LevelCosts, PrimitiveCosts
 from repro.perf.matvec import pt_mat_vec_mult_cost
 
 
@@ -108,6 +108,9 @@ class BootstrapModel:
         cache: optional on-chip memory bound; flags the cache cannot
             support are disabled, mirroring SimFHE's auto-deployment.
         eval_mod: operation profile of the EvalMod phase.
+        level_costs: optional level-cost table of a sweep run, handed to
+            :class:`PrimitiveCosts`; without one every level is priced
+            afresh.
     """
 
     def __init__(
@@ -116,13 +119,14 @@ class BootstrapModel:
         config: MADConfig = MADConfig.none(),
         cache: Optional[CacheModel] = None,
         eval_mod: EvalModProfile = EvalModProfile(),
+        level_costs: Optional[LevelCosts] = None,
     ):
         if not params.supports_bootstrapping():
             raise ValueError(
                 f"{params.describe()} cannot bootstrap (level budget)"
             )
         self.params = params
-        self.costs = PrimitiveCosts(params, config, cache)
+        self.costs = PrimitiveCosts(params, config, cache, level_costs)
         self.eval_mod_profile = eval_mod
 
     # ------------------------------------------------------------------
@@ -148,6 +152,7 @@ class BootstrapModel:
 
         params = self.params
         level = params.max_limbs
+        diagonals = self.dft_diagonals
         ledger = CostLedger()
         if obs.tracing_enabled():
             # Root metadata is only worth computing when someone records it.
@@ -179,10 +184,10 @@ class BootstrapModel:
                         "CoeffToSlot:iter",
                         iter=i,
                         level=level,
-                        diagonals=self.dft_diagonals,
+                        diagonals=diagonals,
                     ):
                         cost = pt_mat_vec_mult_cost(
-                            self.costs, level, self.dft_diagonals
+                            self.costs, level, diagonals
                         )
                         obs.record_cost(cost)
                     ledger.add("CoeffToSlot", cost)
@@ -219,10 +224,10 @@ class BootstrapModel:
                         "SlotToCoeff:iter",
                         iter=i,
                         level=level,
-                        diagonals=self.dft_diagonals,
+                        diagonals=diagonals,
                     ):
                         cost = pt_mat_vec_mult_cost(
-                            self.costs, level, self.dft_diagonals
+                            self.costs, level, diagonals
                         )
                         obs.record_cost(cost)
                     ledger.add("SlotToCoeff", cost)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpCount:
     """Modular-arithmetic operation counts.
 
@@ -42,7 +42,7 @@ class OpCount:
         return OpCount(self.mults * factor, self.adds * factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemTraffic:
     """DRAM traffic in bytes, broken down by stream.
 
@@ -96,7 +96,7 @@ class MemTraffic:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostReport:
     """Combined compute + traffic cost of an operation or pipeline."""
 

@@ -18,13 +18,48 @@ mechanism from Section 3.1 of the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import functools
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
 
 from repro.obs import state as obs
 from repro.params import CkksParams
 from repro.perf.cache import CacheModel
 from repro.perf.events import CostReport, MemTraffic, OpCount
 from repro.perf.optimizations import MADConfig
+
+#: A sweep run's level-cost table (DESIGN §8): the cost of each
+#: :func:`level_tabled` op, keyed on the op, its arguments and
+#: :attr:`PrimitiveCosts.level_key`.
+LevelCosts = Dict[Hashable, CostReport]
+
+_Price = TypeVar("_Price", bound=Callable[..., CostReport])
+
+
+def level_tabled(price: _Price) -> _Price:
+    """Price ``price(costs, limbs, *rest)`` once per key of ``costs.level_costs``.
+
+    For the per-level ops of a bootstrap (``mult``, ``pt_mult``, ``add``,
+    ``pt_mat_vec_mult_cost``): they read the parameters only through N,
+    the limb size and alpha, and the config only after the cache gated
+    it, so parameter sets that share those share the cost.  The range
+    check runs first, so a bad limb count raises on a hit as on a miss.
+    Without a table ``price`` runs as written.
+    """
+    op = price.__name__
+
+    @functools.wraps(price)
+    def tabled(costs: "PrimitiveCosts", limbs: int, *rest: int) -> CostReport:
+        table = costs.level_costs
+        if table is None:
+            return price(costs, limbs, *rest)
+        costs._check_limbs(limbs)
+        key = (op, limbs, *rest, costs.level_key)
+        cost = table.get(key)
+        if cost is None:
+            cost = table[key] = price(costs, limbs, *rest)
+        return cost
+
+    return tabled  # type: ignore[return-value]
 
 
 class PrimitiveCosts:
@@ -36,6 +71,9 @@ class PrimitiveCosts:
         cache: optional on-chip memory; when provided, caching flags that
             the memory cannot support are silently disabled (a 6 MB chip
             cannot run the ``O(alpha)`` optimization no matter the flag).
+        level_costs: optional level-cost table shared by the models of
+            one sweep run (:func:`level_tabled`); every op is priced
+            afresh without one.
     """
 
     def __init__(
@@ -43,6 +81,7 @@ class PrimitiveCosts:
         params: CkksParams,
         config: MADConfig = MADConfig.none(),
         cache: Optional[CacheModel] = None,
+        level_costs: Optional[LevelCosts] = None,
     ):
         self.params = params
         if cache is not None:
@@ -62,6 +101,9 @@ class PrimitiveCosts:
         self._limb = params.limb_bytes
         self._alpha = params.alpha
         self._special = params.num_special_limbs
+        self.level_costs = level_costs
+        #: All a tabled op reads of the parameters and the gated config.
+        self.level_key = (self._n, self._limb, self._alpha, config)
 
     # ------------------------------------------------------------------
     # Building blocks
@@ -109,6 +151,7 @@ class PrimitiveCosts:
             self._traffic(ct_read=limbs, ct_write=limbs, pt_read=limbs),
         )
 
+    @level_tabled
     def add(self, limbs: int) -> CostReport:
         """Ciphertext addition: both polynomials of both operands."""
         self._check_limbs(limbs)
@@ -148,6 +191,7 @@ class PrimitiveCosts:
         traffic_per_poly = self._traffic(ct_read=limbs, ct_write=remaining)
         return CostReport(ops_per_poly, traffic_per_poly).scaled(polys)
 
+    @level_tabled
     def pt_mult(self, limbs: int) -> CostReport:
         """Plaintext multiplication, including the mandatory Rescale."""
         self._check_limbs(limbs)
@@ -337,6 +381,7 @@ class PrimitiveCosts:
             terms.append((self.mod_up(limbs, rest, fused_intt=fused_intt), 1))
         return terms
 
+    @level_tabled
     def mult(self, limbs: int) -> CostReport:
         """Ciphertext multiplication: tensor, relinearise, rescale."""
         obs.count("perf.primitives.mult")

@@ -12,6 +12,7 @@ independent of the order the candidates are enumerated in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -22,7 +23,7 @@ from repro.hardware.design import HardwareDesign
 from repro.hardware.runtime import RuntimeEstimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterSearchResult:
     """One evaluated parameter set."""
 
@@ -125,5 +126,6 @@ def find_optimal_parameters(
         },
     )
     outcome = run_sweep(spec)
-    results = sorted(outcome.values, key=ranking_key)
-    return results[:top]
+    # sorted(...)[:top], holding ``top`` ranking keys instead of one per
+    # candidate on top of the results.
+    return heapq.nsmallest(top, outcome.values, key=ranking_key)

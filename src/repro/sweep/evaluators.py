@@ -80,14 +80,17 @@ def memoized_bootstrap_cost(
 
     Parameter sets with equal :func:`~repro.perf.cost_shape` cost the
     same, so they share one entry; the cost returned for one of them is
-    exactly the cost of any other.
+    exactly the cost of any other.  A miss prices its levels through the
+    run's level-cost table, ``memo.level_costs``.
     """
     from repro.perf import BootstrapModel, cost_shape
 
     cache_bytes = None if cache is None else cache.size_bytes
     return memo.get_or_compute(
         ("bootstrap_cost", cost_shape(params), config, cache_bytes),
-        lambda: BootstrapModel(params, config, cache).total_cost(),
+        lambda: BootstrapModel(
+            params, config, cache, level_costs=memo.level_costs
+        ).total_cost(),
     )
 
 

@@ -213,3 +213,153 @@ class TestCostShape:
             "log_q",
             "all",
         ]
+
+
+@st.composite
+def _same_level_geometry(draw):
+    """Two parameter sets with equal ``(log_n, word_bytes, alpha)`` whose
+    ``max_limbs``, ``dnum``, ``fft_iter`` and ``log_q`` all differ."""
+    word_bytes = draw(st.sampled_from((4, 8)))
+    log_n = draw(st.integers(12, 17))
+    alpha = draw(st.integers(2, 12))
+    dnums = draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True)
+    )
+    # ceil((L + 1) / dnum) == alpha  <=>  (alpha - 1) dnum <= L < alpha dnum.
+    first = draw(st.integers((alpha - 1) * dnums[0], alpha * dnums[0] - 1))
+    second = draw(
+        st.integers((alpha - 1) * dnums[1], alpha * dnums[1] - 1).filter(
+            lambda limbs: limbs != first
+        )
+    )
+    fft_iters = draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True)
+    )
+    log_qs = draw(
+        st.lists(
+            st.integers(20, 8 * word_bytes - 2), min_size=2, max_size=2, unique=True
+        )
+    )
+    pair = tuple(
+        CkksParams(
+            log_n=log_n,
+            log_q=log_q,
+            max_limbs=max_limbs,
+            dnum=dnum,
+            fft_iter=fft_iter,
+            word_bytes=word_bytes,
+        )
+        for max_limbs, dnum, fft_iter, log_q in zip(
+            (first, second), dnums, fft_iters, log_qs
+        )
+    )
+    assert pair[0].alpha == pair[1].alpha == alpha
+    return pair
+
+
+def _tabled_prices(costs, limbs, diagonals):
+    """Every op the level-cost table holds, priced at ``limbs`` (the
+    transform at each diagonal count in ``diagonals``)."""
+    from repro.perf.matvec import pt_mat_vec_mult_cost
+
+    prices = {"add": costs.add(limbs)}
+    if limbs >= 2:  # the other three rescale
+        prices["mult"] = costs.mult(limbs)
+        prices["pt_mult"] = costs.pt_mult(limbs)
+        for d in diagonals:
+            prices[f"matvec/{d}"] = pt_mat_vec_mult_cost(costs, limbs, d)
+    return prices
+
+
+_diagonal_counts = st.lists(
+    st.integers(3, 64), min_size=2, max_size=2, unique=True
+)
+
+
+def _level_caches(pair):
+    """No cache, 2 MB, 256 MB, and one that holds ``2 * dnum`` limbs of
+    the pair's smaller ``dnum`` only, so ``fits_beta`` differs."""
+    small = min(p.dnum for p in pair)
+    beta_split = CacheModel(2 * small * pair[0].limb_bytes)
+    assert [beta_split.fits_beta(p) for p in pair].count(True) == 1
+    return (None, CacheModel.from_mb(2), CacheModel.from_mb(256), beta_split)
+
+
+class TestLevelTable:
+    """A sweep run prices ``mult``, ``pt_mult``, ``add`` and
+    ``pt_mat_vec_mult_cost`` once per ``(op, arguments, N, limb bytes,
+    alpha, gated config)``; these tests keep that key complete."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(pair=_same_level_geometry(), diagonals=_diagonal_counts)
+    def test_equal_level_keys_price_equal(self, pair, diagonals):
+        levels = range(1, min(p.max_limbs for p in pair) + 1)
+        for config in (MADConfig.none(), MADConfig.all()):
+            for cache in _level_caches(pair):
+                a, b = (PrimitiveCosts(p, config, cache) for p in pair)
+                # fits_beta reads dnum: the gated configs, and so the
+                # keys, differ exactly when the cache splits the pair.
+                assert (a.level_key == b.level_key) == (a.config == b.config)
+                if a.level_key != b.level_key:
+                    continue
+                for limbs in levels:
+                    assert _tabled_prices(a, limbs, diagonals) == _tabled_prices(
+                        b, limbs, diagonals
+                    )
+
+    @settings(max_examples=15, deadline=None)
+    @given(pair=_same_level_geometry(), diagonals=_diagonal_counts)
+    def test_a_shared_table_prices_as_none(self, pair, diagonals):
+        levels = range(1, min(p.max_limbs for p in pair) + 1)
+        for config in (MADConfig.none(), MADConfig.all()):
+            for cache in _level_caches(pair):
+                table = {}
+                for params in pair:
+                    tabled = PrimitiveCosts(params, config, cache, table)
+                    fresh = PrimitiveCosts(params, config, cache)
+                    for limbs in levels:
+                        assert _tabled_prices(
+                            tabled, limbs, diagonals
+                        ) == _tabled_prices(fresh, limbs, diagonals)
+
+    def test_the_gated_config_moves_a_price(self):
+        """Negative control for the key's config: a cache that holds the
+        raised digits of one ``dnum`` but not the other changes the
+        transform's digit reads, so a key on the requested config would
+        hand one parameter set the other's cost."""
+        from repro.perf.matvec import pt_mat_vec_mult_cost
+
+        pair = (
+            CkksParams(log_n=17, log_q=50, max_limbs=23, dnum=2),
+            CkksParams(log_n=17, log_q=54, max_limbs=35, dnum=3),
+        )
+        assert pair[0].alpha == pair[1].alpha == 12
+        cache = _level_caches(pair)[-1]
+        a, b = (PrimitiveCosts(p, MADConfig.all(), cache) for p in pair)
+        assert a.config.cache_beta and not b.config.cache_beta
+        assert pt_mat_vec_mult_cost(a, 20, 16) != pt_mat_vec_mult_cost(b, 20, 16)
+
+    def test_a_different_alpha_moves_mult(self):
+        """Negative control for the key's alpha: same N and word size,
+        alpha 12 against 18."""
+        other = dataclasses.replace(BASELINE_JUNG, dnum=2)
+        assert other.alpha != BASELINE_JUNG.alpha
+        for config in (MADConfig.none(), MADConfig.all()):
+            a, b = (PrimitiveCosts(p, config) for p in (BASELINE_JUNG, other))
+            assert a.level_key != b.level_key
+            assert all(a.mult(limbs) != b.mult(limbs) for limbs in range(2, 36))
+
+    def test_a_hit_still_checks_the_limb_range(self):
+        table = {}
+        long, short = (
+            PrimitiveCosts(
+                dataclasses.replace(BASELINE_JUNG, max_limbs=limbs), level_costs=table
+            )
+            for limbs in (35, 34)
+        )
+        assert long.level_key == short.level_key
+        long.mult(35)
+        with pytest.raises(ValueError, match="limb count 35 outside"):
+            short.mult(35)
+        with pytest.raises(ValueError, match="limb count 0 outside"):
+            long.add(0)
