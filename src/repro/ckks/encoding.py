@@ -121,9 +121,14 @@ class Encoder:
         return [int(round(c)) for c in real_coeffs]
 
     def decode(self, coeffs: Sequence[int], scale: float = None) -> np.ndarray:
-        """Recover the slot values of an integer coefficient vector."""
+        """Recover the slot values of an integer coefficient vector.
+
+        The coefficients convert to float64 in one ``np.asarray``, which
+        rounds each Python int as ``float()`` does (to nearest, ties to
+        even), also past ``2**63``.
+        """
         scale = self.default_scale if scale is None else scale
-        return self.project([float(c) for c in coeffs]) / scale
+        return self.project(np.asarray(coeffs, dtype=np.float64)) / scale
 
     # ------------------------------------------------------------------
     # Galois indices

@@ -1,8 +1,16 @@
-"""Encryption and decryption."""
+"""Encryption and decryption.
+
+Both encryptions lift the message and the noise that joins it in ``c0``
+as one integer vector, ``m + e``, so they share one forward NTT: the
+NTT is linear mod ``q``, and ``(m + e) mod q`` has the residues of
+``m mod q + e mod q``.  Public-key encryption runs three NTTs (``u``,
+``m + e0``, ``e1``) and symmetric encryption one (``m + e``); the
+ciphertexts equal the unfused expressions' bit for bit.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -10,6 +18,31 @@ from repro.ring import Representation, RnsPolynomial
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import PublicKey, SecretKey
+
+#: Two int64 vectors below this magnitude add without wrapping.
+_SUM_BOUND = 2**62
+
+
+def _with_noise(
+    coeffs: Sequence[int], noise: Sequence[int]
+) -> Union[np.ndarray, List[int]]:
+    """The integer vector ``coeffs + noise``, exact at any width.
+
+    One int64 add when both vectors fit int64 below ``2**62`` in
+    magnitude, where the sum cannot wrap; the Python-int comprehension
+    otherwise.
+    """
+    if len(coeffs) != len(noise):
+        raise ValueError(f"expected {len(noise)} coefficients, got {len(coeffs)}")
+    try:
+        a = np.asarray(coeffs, dtype=np.int64)
+        b = np.asarray(noise, dtype=np.int64)
+    except OverflowError:
+        pass
+    else:
+        if all(-_SUM_BOUND < v.min() and v.max() < _SUM_BOUND for v in (a, b)):
+            return a + b
+    return [int(x) + int(y) for x, y in zip(coeffs, noise)]
 
 
 class Encryptor:
@@ -53,24 +86,25 @@ class Encryptor:
         a = RnsPolynomial(
             basis, ctx.sample_uniform_rows(basis), Representation.EVAL
         )
-        e = RnsPolynomial.from_int_coeffs(ctx.sample_error_coeffs(), basis).to_eval()
-        m = plaintext.to_poly(basis)
-        return Ciphertext(c0=-(a * s) + m + e, c1=a, scale=plaintext.scale)
+        m_e = _with_noise(plaintext.coeffs, ctx.sample_error_coeffs())
+        c0 = RnsPolynomial.from_int_coeffs(m_e, basis).to_eval() - a * s
+        return Ciphertext(c0=c0, c1=a, scale=plaintext.scale)
 
     def _encrypt_public(self, plaintext: Plaintext, limbs: int) -> Ciphertext:
         ctx = self.context
         basis = ctx.basis_at(limbs)
-        # Restrict the full-level public key to the requested basis.
-        pk0 = self.public_key.pk0.select_limbs(slice(0, limbs), basis)
-        pk1 = self.public_key.pk1.select_limbs(slice(0, limbs), basis)
         u = RnsPolynomial.from_int_coeffs(
             ctx.sample_ternary_coeffs(), basis
         ).to_eval()
-        e0 = RnsPolynomial.from_int_coeffs(ctx.sample_error_coeffs(), basis).to_eval()
+        m_e0 = RnsPolynomial.from_int_coeffs(
+            _with_noise(plaintext.coeffs, ctx.sample_error_coeffs()), basis
+        ).to_eval()
         e1 = RnsPolynomial.from_int_coeffs(ctx.sample_error_coeffs(), basis).to_eval()
-        m = plaintext.to_poly(basis)
+        # The full-level public key's first `limbs` rows, read in place.
+        pk0 = self.public_key.pk0.prefix_view(basis)
+        pk1 = self.public_key.pk1.prefix_view(basis)
         return Ciphertext(
-            c0=pk0 * u + e0 + m, c1=pk1 * u + e1, scale=plaintext.scale
+            c0=pk0 * u + m_e0, c1=pk1 * u + e1, scale=plaintext.scale
         )
 
 

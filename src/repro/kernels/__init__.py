@@ -1,9 +1,9 @@
 """Vectorized int64 compute kernels for the functional RNS-CKKS layer.
 
 This package is the *fast path* of the exact-arithmetic stack: batched
-negacyclic NTTs, RNS basis conversion, Garner CRT digits and uniform
-residue sampling on contiguous int64 numpy arrays, for NTT-friendly limb
-moduli below ``2**30``.  The two matrix-shaped kernels run as exact
+negacyclic NTTs, RNS basis conversion and uniform residue sampling on
+contiguous int64 numpy arrays, for NTT-friendly limb moduli below
+``2**30``.  The two matrix-shaped kernels run as exact
 matrix products: the NTT as a four-step transform on float64 BLAS
 (:mod:`repro.kernels.fourstep`, the package's only float module, whose
 docstring proves every partial sum an integer below ``2**53``) over
@@ -18,8 +18,10 @@ against them (the same contract :mod:`repro.memsim` holds against
   :mod:`repro.ring`;
 * the ``np.remainder`` sums and differences of
   :class:`repro.ring.RnsPolynomial` (:func:`add_mod`, :func:`sub_mod`),
-  and its eagerly reduced sums of products (:class:`MulAcc`, behind
-  :class:`repro.ring.ProductSum` and the switching-key inner product);
+  its ``np.remainder`` lift of small integer vectors (:func:`lift_mod`),
+  and its eagerly reduced sums of products
+  (:class:`MulAcc`, behind :class:`repro.ring.ProductSum` and the
+  switching-key inner product);
 * the Python-int weighted sum of
   :meth:`repro.ring.RnsPolynomial.to_int_coeffs`;
 * the per-draw ``random.Random`` loops of :class:`repro.ckks.CkksContext`
@@ -49,17 +51,14 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.kernels.conversion import (
-    mixed_radix_digits,
-    new_limbs_matrix,
-    sub_scale_mod,
-)
+from repro.kernels.conversion import new_limbs_matrix, sub_scale_mod
 from repro.kernels.ntt import MAX_NTT_DEGREE, BatchNttKernel
 from repro.kernels.reduce import (
     FAST_MODULUS_BOUND,
     LAZY_PRODUCTS,
     MulAcc,
     add_mod,
+    lift_mod,
     limb_passes,
     moduli_fit,
     mul_mod,
@@ -76,8 +75,8 @@ __all__ = [
     "RowEndsError",
     "add_mod",
     "enabled",
+    "lift_mod",
     "limb_passes",
-    "mixed_radix_digits",
     "moduli_fit",
     "mul_mod",
     "new_limbs_matrix",

@@ -8,13 +8,8 @@ unsigned 64-bit matrix product per block of at most
 identical modulo the target, and float-free.  Every input to a product
 is a canonical residue, so a block's sum never wraps.
 
-:func:`mixed_radix_digits` is the first half of a CRT reconstruction
-(:meth:`repro.ring.RnsPolynomial.to_int_coeffs`): Garner's digits, each
-a canonical residue, from which small coefficients are assembled in
-int64 without the Python-int weighted sum.
-
 All precomputed constants (``Q~_i`` inverses, ``Q*_i`` residues,
-``P^{-1}`` factors, Garner inverses) are derived by the caller with
+``P^{-1}`` factors) are derived by the caller with
 exact Python-integer arithmetic (:class:`repro.ring.RnsBasis`); this
 module only vectorizes the per-coefficient work.
 """
@@ -28,9 +23,7 @@ import numpy as np
 from repro.kernels.ntt import Rows
 from repro.kernels.reduce import mul_mod
 
-__all__ = [
-    "CONVERSION_BLOCK", "mixed_radix_digits", "new_limbs_matrix", "sub_scale_mod"
-]
+__all__ = ["CONVERSION_BLOCK", "new_limbs_matrix", "sub_scale_mod"]
 
 #: Source limbs per unsigned product: ``16 * (2**30 - 1)**2 < 2**64``.
 CONVERSION_BLOCK = 16
@@ -137,45 +130,3 @@ def sub_scale_mod(
     out = np.subtract(a, h)
     out *= scale_col
     return np.remainder(out, q_col, out=out)
-
-
-def mixed_radix_digits(
-    coeff_rows: Rows,
-    moduli: Sequence[int],
-    garner_inverses: Sequence[int],
-) -> np.ndarray:
-    """Garner's mixed-radix digits of every column of a residue matrix.
-
-    Column ``j`` of ``coeff_rows`` holds the residues ``x mod q_i`` of
-    one integer ``x`` in ``[0, Q)``; its digits ``v_0 .. v_{L-1}``, each
-    in ``[0, q_i)``, satisfy
-    ``x = v_0 + v_1 q_0 + v_2 q_0 q_1 + ... + v_{L-1} q_0 ... q_{L-2}``.
-    Digit ``i`` is ``(x_i - s_i) * (q_0 ... q_{i-1})^{-1} mod q_i``,
-    where ``s_i`` is the part of that sum below digit ``i``, evaluated
-    mod ``q_i`` by Horner's rule from ``v_{i-1}`` down: ``O(L^2)``
-    vector multiply-adds, every product below ``2**60``.
-
-    Args:
-        coeff_rows: ``(L, N)`` canonical residues in coefficient form.
-        moduli: the ``L`` limb moduli, each below ``2**30``.
-        garner_inverses: ``(q_0 ... q_{i-1})^{-1} mod q_i`` for
-            ``i = 1 .. L-1``.
-
-    Returns:
-        A fresh ``(L, N)`` int64 matrix; row ``i`` is digit ``v_i``.
-    """
-    x = np.asarray(coeff_rows, dtype=np.int64)
-    digits = np.empty_like(x)
-    digits[0] = x[0]
-    for i in range(1, len(moduli)):
-        q = int(moduli[i])
-        acc = digits[i - 1].copy()
-        for j in range(i - 2, -1, -1):
-            acc *= int(moduli[j])
-            acc += digits[j]
-            np.remainder(acc, q, out=acc)
-        # x_i - acc lies in (-2**30, 2**30); remainder lands in [0, q).
-        np.subtract(x[i], acc, out=acc)
-        acc *= int(garner_inverses[i - 1])
-        np.remainder(acc, q, out=digits[i])
-    return digits

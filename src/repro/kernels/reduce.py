@@ -7,8 +7,10 @@ exact ``np.remainder``, and the float64 products of
 :mod:`repro.kernels.fourstep` stay below ``2**53``.  A sum or difference
 of two residues lies in ``(-q, 2q)``, so :func:`add_mod` and
 :func:`sub_mod` need no division: one wrapping uint64 add or subtract
-of ``q`` and a ``min`` pick the canonical value.  Both sides of the
-oracle contract only ever materialise canonical values in ``[0, q)``.
+of ``q`` and a ``min`` pick the canonical value.  :func:`lift_mod`
+lifts a signed vector inside ``(-q, q)`` the same way.  Both sides of
+the oracle contract only ever materialise canonical values in
+``[0, q)``.
 
 A sum of products needs no division per term either: :class:`MulAcc`
 adds uint64 products and reduces once per :data:`LAZY_PRODUCTS` terms.
@@ -30,8 +32,8 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "FAST_MODULUS_BOUND", "LAZY_PRODUCTS", "MulAcc", "add_mod", "limb_passes",
-    "moduli_fit", "mul_mod", "sub_mod",
+    "FAST_MODULUS_BOUND", "LAZY_PRODUCTS", "MulAcc", "add_mod", "lift_mod",
+    "limb_passes", "moduli_fit", "mul_mod", "sub_mod",
 ]
 
 #: Largest limb modulus (exclusive) the int64 kernels accept.  Products of
@@ -115,6 +117,22 @@ def sub_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     u = out.view(np.uint64)
     np.minimum(u, u + q.view(np.uint64), out=u)
     return out
+
+
+def lift_mod(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``values mod q`` for an int64 vector with entries in ``(-q, q)``.
+
+    ``q`` is an ``(l, 1)`` column; every entry must lie inside
+    ``(-q_i, q_i)`` for every row.  Over uint64 a negative ``v`` wraps
+    above ``2**63`` and ``v + q`` wraps back into ``(0, q)``, while a
+    non-negative ``v`` stays below ``v + q``, so ``min(v, v + q)`` is
+    canonical: one broadcast add into the fresh ``(l, N)`` int64 result
+    and one ``min`` in place against the vector.
+    """
+    u = values.view(np.uint64)
+    out = np.add(u, q.view(np.uint64))
+    np.minimum(out, u, out=out)
+    return out.view(np.int64)
 
 
 #: One product scratch per ring degree, shared by every :class:`MulAcc`

@@ -245,18 +245,14 @@ class RnsBasis:
         return tuple(mod_inverse(total // q % q, q) for q in self.moduli)
 
     @cached_property
-    def garner_inverses(self) -> Tuple[int, ...]:
-        """``(q_0 ... q_{i-1})^{-1} mod q_i`` for ``i = 1 .. l-1``.
+    def q0_inverse_mod_q1(self) -> int:
+        """``q_0^{-1} mod q_1``, the constant of the two-limb CRT.
 
-        The constants of Garner's mixed-radix CRT
-        (:func:`repro.kernels.mixed_radix_digits`).
+        :meth:`repro.ring.RnsPolynomial.to_int_coeffs` builds each
+        coefficient from its first two limbs with it.  Needs two limbs.
         """
-        out = []
-        prefix = 1
-        for previous, q in zip(self.moduli, self.moduli[1:]):
-            prefix *= previous
-            out.append(mod_inverse(prefix % q, q))
-        return tuple(out)
+        q0, q1 = self.moduli[:2]
+        return mod_inverse(q0 % q1, q1)
 
     def q_stars_mod(self, target: int) -> List[int]:
         """``(Q/q_i) mod target`` for each limb — the ``Q*_i`` of Eq. 1."""

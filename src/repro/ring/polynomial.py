@@ -155,6 +155,21 @@ def _reduce(values: np.ndarray, basis: RnsBasis) -> np.ndarray:
     return np.remainder(values, basis.q_col).astype(basis.dtype, copy=False)
 
 
+def _lifts_without_division(values: np.ndarray, basis: RnsBasis) -> bool:
+    """Whether every entry of ``values`` lies in ``(-min q, min q)``.
+
+    Only int64 vectors over int64 bases with the kernels on qualify:
+    ternary secrets, Gaussian errors and messages at the scale of one
+    limb.
+    """
+    if not (
+        kernels.enabled() and basis.dtype == np.int64 and values.dtype == np.int64
+    ):
+        return False
+    bound = min(basis.moduli)
+    return bool(values.min() > -bound and values.max() < bound)
+
+
 def _crt_weighted_sum(
     rows: np.ndarray, basis: RnsBasis, centered: bool
 ) -> List[int]:
@@ -174,24 +189,44 @@ def _crt_weighted_sum(
     return out
 
 
-def _crt_garner(rows: np.ndarray, basis: RnsBasis, centered: bool) -> List[int]:
-    """:func:`_crt_weighted_sum` for int64 ``rows``, small columns in int64."""
-    digits = kernels.mixed_radix_digits(rows, basis.moduli, basis.garner_inverses)
+def _crt_two_limb(rows: np.ndarray, basis: RnsBasis, centered: bool) -> List[int]:
+    """:func:`_crt_weighted_sum` for int64 ``rows``, small columns in int64.
+
+    ``low = x_0 + q_0 ((x_1 - x_0) q_0^{-1} mod q_1)`` is each column's
+    CRT over the first two limbs, in ``[0, q_0 q_1)`` and below
+    ``2**60``.  A column whose other residues ``x_i`` all equal
+    ``low mod q_i`` is ``low`` (the CRT is unique below ``Q``).
+    Centered, one whose residues all equal ``(low - q_0 q_1) mod q_i``
+    is ``low - q_0 q_1``, which lies above ``-Q/2`` once ``Q`` has a
+    third limb.  Every other column goes through the weighted sum.
+    """
     moduli = basis.moduli
-    low = digits[0] + digits[1] * moduli[0] if len(moduli) > 1 else digits[0]
+    low = rows[0]
+    if len(moduli) > 1:
+        # x_1 - x_0 lies in (-2**30, 2**30): the product stays below 2**60.
+        digit = np.subtract(rows[1], rows[0])
+        digit *= basis.q0_inverse_mod_q1
+        np.remainder(digit, moduli[1], out=digit)
+        digit *= moduli[0]
+        digit += rows[0]
+        low = digit
     if len(moduli) <= 2:
-        # Q < 2**60: every column fits int64.
+        # Q < 2**60: every column is low.
         if centered:
             total = basis.modulus
             low = np.where(low > total // 2, low - total, low)
         out: List[int] = low.tolist()
         return out
-    high = digits[2:]
-    fits = ~high.any(axis=0)
+    # One remainder pass per other limb; the gap lies in (-q_i, q_i).
+    gap = np.remainder(low, basis.q_col[2:])
+    gap -= rows[2:]
+    fits = ~gap.any(axis=0)
     if centered:
-        # Digits above v_1 all q_i - 1: x = v_0 + v_1 q_0 + Q - q_0 q_1.
-        top = (high == basis.q_col[2:] - 1).all(axis=0)
-        low = np.where(top, low - moduli[0] * moduli[1], low)
+        # low - q_0 q_1 matches limb i iff the gap is q_0 q_1 mod q_i.
+        q0q1 = moduli[0] * moduli[1]
+        shift = basis.column([q0q1] * len(moduli))[2:]
+        top = ((gap == shift) | (gap == shift - basis.q_col[2:])).all(axis=0)
+        low = np.where(top, low - q0q1, low)
         fits |= top
     out = low.tolist()
     rest = np.flatnonzero(~fits)
@@ -212,7 +247,8 @@ class RnsPolynomial:
         representation: whether rows hold coefficients or NTT evaluations.
 
     Elements are values: every operation returns a new element that owns
-    its matrix, so no two elements share rows.
+    its matrix, so no two elements share rows.  The one exception is
+    :meth:`prefix_view`, whose rows are a read-only view.
     """
 
     __slots__ = ("basis", "limbs", "representation")
@@ -266,14 +302,26 @@ class RnsPolynomial:
 
     @classmethod
     def from_int_coeffs(
-        cls, coeffs: Sequence[int], basis: RnsBasis
+        cls, coeffs: Union[Sequence[int], np.ndarray], basis: RnsBasis
     ) -> "RnsPolynomial":
-        """Build from integer coefficients (any size or sign), coeff form."""
+        """Build from integer coefficients (any size or sign), coeff form.
+
+        The reference reduces with ``np.remainder``.  An int64 vector
+        whose entries all lie in ``(-min q, min q)`` skips the division
+        on int64 bases: one broadcast add of the modulus column and one
+        uint64 ``min`` (:func:`repro.kernels.lift_mod`).  Wider,
+        ``object`` and kernels-off inputs take the reference.
+        """
         if len(coeffs) != basis.degree:
             raise ValueError(
                 f"expected {basis.degree} coefficients, got {len(coeffs)}"
             )
-        rows = _reduce(_as_int_array(coeffs), basis)
+        values = _as_int_array(coeffs)
+        if _lifts_without_division(values, basis):
+            with kernels.limb_passes(basis.degree):
+                rows = kernels.lift_mod(values, basis.q_col)
+        else:
+            rows = _reduce(values, basis)
         return cls._wrap(basis, rows, Representation.COEFF)
 
     def clone(self) -> "RnsPolynomial":
@@ -296,6 +344,24 @@ class RnsPolynomial:
             raise ValueError(
                 f"selected {rows.shape[0]} limbs for a {len(basis)}-limb basis"
             )
+        return RnsPolynomial._wrap(basis, rows, self.representation)
+
+    def prefix_view(self, basis: RnsBasis) -> "RnsPolynomial":
+        """The first ``len(basis)`` rows over ``basis``, without a copy.
+
+        For an operand read once at a lower level, such as the public
+        key in an encryption.  The rows are a read-only view of
+        ``self``'s (a copy only if the dtypes differ), so the result is
+        the one element that does not own its matrix.  ``basis`` must be
+        a prefix of this element's basis.
+        """
+        count = len(basis)
+        if basis.degree != self.basis.degree or (
+            basis.moduli != self.basis.moduli[:count]
+        ):
+            raise ValueError(f"{basis!r} is not a prefix of {self.basis!r}")
+        rows = self.limbs[:count].astype(basis.dtype, copy=False)
+        rows.flags.writeable = False
         return RnsPolynomial._wrap(basis, rows, self.representation)
 
     # ------------------------------------------------------------------
@@ -325,19 +391,18 @@ class RnsPolynomial:
         Centered output lies in ``(-Q/2, Q/2]``, uncentered in ``[0, Q)``.
         The reference is a Python-int weighted sum per coefficient
         (:func:`_crt_weighted_sum`), which runs for ``object`` bases and
-        under :func:`repro.kernels.oracle_only`.  On int64 bases the
-        coefficients come from Garner's mixed-radix digits
-        (:func:`repro.kernels.mixed_radix_digits`) instead: a column
-        whose digits above ``v_1`` are all 0 is ``v_0 + v_1 q_0``, and,
-        centered, one whose digits above ``v_1`` are all ``q_i - 1`` is
-        ``v_0 + v_1 q_0 - q_0 q_1``; both are below ``2**60`` in
-        magnitude, so they are assembled in int64.  A decrypted message
-        smaller than ``q_0 q_1`` in magnitude has no other kind; any
-        other column goes through the weighted sum.
+        under :func:`repro.kernels.oracle_only`.  On int64 bases each
+        column is first built in int64 from its first two limbs and
+        checked against every other limb, one remainder pass per limb
+        (:func:`_crt_two_limb`): the value, or, centered, the value
+        minus ``q_0 q_1``.  A decrypted message smaller than ``q_0 q_1``
+        in magnitude always matches; any other column goes through the
+        weighted sum.
         """
         poly = self.to_coeff()
         if kernels.enabled() and poly.basis.dtype == np.int64:
-            return _crt_garner(poly.limbs, poly.basis, centered)
+            with kernels.limb_passes(poly.basis.degree):
+                return _crt_two_limb(poly.limbs, poly.basis, centered)
         return _crt_weighted_sum(poly.limbs, poly.basis, centered)
 
     # ------------------------------------------------------------------

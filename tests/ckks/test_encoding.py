@@ -162,6 +162,32 @@ class TestEncodeRounding:
                 encoder.encode(values, scale)
 
 
+class TestDecodeConversion:
+    """One ``np.asarray`` against the ``float()`` comprehension it replaces."""
+
+    @staticmethod
+    def near(power):
+        """Ints around ``2**power``, ties between two doubles included."""
+        base = 2**power
+        ulp = 2 ** max(power - 52, 0)
+        return [base - 1, base, base + 1, base + ulp // 2, base + ulp + ulp // 2]
+
+    @pytest.mark.parametrize("power", [53, 62, 64], ids=["2^53", "2^62", "2^64"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+    def test_matches_float_comprehension(self, encoder, power, sign):
+        values = [sign * v for v in self.near(power)] + [0, 1, -1]
+        coeffs = (values * 4)[: encoder.degree]
+        scale = 2.0**30
+        want = encoder.project([float(c) for c in coeffs]) / scale
+        assert np.array_equal(encoder.decode(coeffs, scale), want)
+
+    def test_int64_array_and_object_array_convert_alike(self, encoder):
+        coeffs = self.near(53) + [-(2**63), 2**63 - 1] + [0] * 9
+        want = encoder.decode(coeffs)
+        assert np.array_equal(encoder.decode(np.array(coeffs, dtype=np.int64)), want)
+        assert np.array_equal(encoder.decode(np.array(coeffs, dtype=object)), want)
+
+
 class TestScaleValidation:
     """A bad scale is a named ``ValueError``, never a silent result."""
 

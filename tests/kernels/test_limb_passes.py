@@ -23,6 +23,7 @@ from repro.kernels import BatchNttKernel, fourstep
 from repro.numth import find_ntt_primes
 from repro.params import toy_params
 from repro.ring import Representation, RnsPolynomial, mod_down, mod_up
+from repro.ring import polynomial
 
 #: NumPy's default ufunc buffer, in elements.
 DEFAULT_BUFFER = 8192
@@ -75,6 +76,14 @@ def stack_n11():
 ENTRIES = {
     "ntt": (fourstep, "data_split_product", lambda s: s.basis.transform(s.x.limbs)),
     "add": (kernels, "add_mod", lambda s: s.x + s.y),
+    "lift": (
+        kernels,
+        "lift_mod",
+        lambda s: RnsPolynomial.from_int_coeffs(
+            np.arange(s.basis.degree) % 3 - 1, s.basis
+        ),
+    ),
+    "crt": (polynomial, "_crt_two_limb", lambda s: s.x.to_int_coeffs()),
     "mul": (kernels, "mul_mod", lambda s: s.x * s.y),
     "mod_up": (
         kernels, "new_limbs_matrix", lambda s: mod_up(s.x, s.ctx.special_moduli)

@@ -9,6 +9,7 @@ from repro.kernels import (
     LAZY_PRODUCTS,
     MulAcc,
     add_mod,
+    lift_mod,
     moduli_fit,
     mul_mod,
     sub_mod,
@@ -92,6 +93,34 @@ class TestDivisionFreeAddSub:
         assert np.array_equal(got, np.remainder(a + column, q))
         assert np.array_equal(a, before)
         assert not np.shares_memory(got, a)
+
+
+class TestLift:
+    """``lift_mod`` equals ``np.remainder`` of a vector inside ``(-q, q)``."""
+
+    def test_every_edge_against_every_row(self):
+        q = np.array(_MODULI, dtype=np.int64)[:, np.newaxis]
+        bound = min(_MODULI)
+        values = np.array([1 - bound, -1, 0, 1, bound - 1], dtype=np.int64)
+        got = lift_mod(values, q)
+        assert got.dtype == np.int64 and got.shape == (len(_MODULI), len(values))
+        assert np.array_equal(got, np.remainder(values, q))
+
+    @settings(max_examples=100)
+    @given(data=st.data(), q=_modulus)
+    def test_matches_python(self, data, q):
+        values = data.draw(st.lists(st.integers(1 - q, q - 1), min_size=1, max_size=16))
+        got = lift_mod(np.array(values, dtype=np.int64), np.array([[q], [q + 2]]))
+        assert got.tolist() == [[v % q for v in values], [v % (q + 2) for v in values]]
+
+    def test_leaves_the_vector_and_returns_a_fresh_matrix(self):
+        q = np.array(_MODULI, dtype=np.int64)[:, np.newaxis]
+        values = np.array([-2, -1, 0, 1, 2], dtype=np.int64)
+        before = values.copy()
+        got = lift_mod(values, q)
+        assert np.array_equal(values, before)
+        assert not np.shares_memory(got, values)
+        assert got.flags.c_contiguous and got.flags.writeable
 
 
 class TestMulAcc:

@@ -1,11 +1,11 @@
-"""The Garner CRT fast path of ``RnsPolynomial.to_int_coeffs``.
+"""The two-limb CRT fast path of ``RnsPolynomial.to_int_coeffs``.
 
-On int64 bases, columns whose mixed-radix digits above ``v_1`` are all
-0 (or, centered, all ``q_i - 1``) are assembled in int64 and the rest go
-through the Python-int weighted sum.  Both must equal
-``numth.crt_reconstruct`` and the weighted sum that
-``kernels.oracle_only()`` runs, on every limb count and on values at
-each side of the int64 cases' edges.
+On int64 bases each column is built from its first two limbs and
+accepted when it matches every other limb; centered, its value minus
+``q0 q1`` is tried too.  The rest go through the Python-int weighted
+sum.  Both must equal ``numth.crt_reconstruct`` and the weighted sum
+that ``kernels.oracle_only()`` runs, on every limb count and on values
+at each side of the int64 cases' edges.
 """
 
 import random
@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import mixed_radix_digits
 from repro.numth.crt import crt_reconstruct
 from repro.numth.modular import centered_mod
 from repro.ring import RnsBasis, RnsPolynomial
+from repro.ring import polynomial
 
 DEGREE = 64
 MAX_LIMBS = 6
@@ -58,9 +58,25 @@ def reference(poly, centered):
     return [centered_mod(v, total) for v in want] if centered else want
 
 
+@pytest.fixture()
+def weighted_columns(monkeypatch):
+    """Count the columns that reach the weighted sum, kernels on."""
+    seen = []
+    original = polynomial._crt_weighted_sum
+
+    def spy(rows, basis, centered):
+        seen.append(rows.shape[1])
+        return original(rows, basis, centered)
+
+    monkeypatch.setattr(polynomial, "_crt_weighted_sum", spy)
+    previous = kernels.set_enabled(True)
+    yield seen
+    kernels.set_enabled(previous)
+
+
 @pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
 @pytest.mark.parametrize("limbs", range(1, MAX_LIMBS + 1))
-def test_garner_matches_crt_reconstruct_and_the_weighted_sum(
+def test_two_limb_crt_matches_crt_reconstruct_and_the_weighted_sum(
     full_basis, limbs, centered
 ):
     basis = full_basis.prefix(limbs)
@@ -74,15 +90,52 @@ def test_garner_matches_crt_reconstruct_and_the_weighted_sum(
             assert poly.to_int_coeffs(centered=centered) == got
 
 
-def test_digits_rebuild_every_column(full_basis):
-    basis = full_basis
+@pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("limbs", range(3, MAX_LIMBS + 1))
+def test_only_columns_past_q0q1_take_the_weighted_sum(
+    full_basis, limbs, centered, weighted_columns
+):
+    """Centered, ``[-q0 q1, q0 q1)`` stays in int64; uncentered ``[0, q0 q1)``."""
+    basis = full_basis.prefix(limbs)
+    q0q1 = basis.moduli[0] * basis.moduli[1]
     poly = RnsPolynomial.from_int_coeffs(mixed_coeffs(basis, 3), basis)
-    digits = mixed_radix_digits(poly.limbs, basis.moduli, basis.garner_inverses)
-    assert digits.dtype == np.int64
-    assert np.all((0 <= digits) & (digits < basis.q_col))
-    for column, want in zip(digits.T.tolist(), reference(poly, centered=False)):
-        value, radix = 0, 1
-        for digit, q in zip(column, basis.moduli):
-            value += digit * radix
-            radix *= q
-        assert value == want
+    values = reference(poly, centered)
+    low = -q0q1 if centered else 0
+    wide = sum(not low <= v < q0q1 for v in values)
+    assert 0 < wide < DEGREE
+    assert poly.to_int_coeffs(centered=centered) == values
+    assert weighted_columns == [wide]
+
+
+@pytest.mark.parametrize("limbs", [1, 2])
+@pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
+def test_one_and_two_limbs_never_take_the_weighted_sum(
+    full_basis, limbs, centered, weighted_columns
+):
+    """Below three limbs ``Q < 2**60``: every column is the two-limb value."""
+    basis = full_basis.prefix(limbs)
+    total = basis.modulus
+    half = total // 2
+    values = [0, 1, -1, half, -half, half - 1, 1 - half, total - 1, 1 - total]
+    values += list(range(-(DEGREE - len(values)) // 2, (DEGREE - len(values)) // 2))
+    poly = RnsPolynomial.from_int_coeffs(values, basis)
+    got = poly.to_int_coeffs(centered=centered)
+    assert got == reference(poly, centered)
+    if centered:
+        assert max(got) == half and min(got) == -half
+    else:
+        assert max(got) == total - 1 and min(got) == 0
+    assert weighted_columns == []
+
+
+def test_negative_column_is_accepted_as_low_minus_q0q1(full_basis, weighted_columns):
+    """A centered ``x`` in ``[-q0 q1, 0)`` matches ``low - q0 q1``, not ``low``."""
+    basis = full_basis
+    q0q1 = basis.moduli[0] * basis.moduli[1]
+    values = [-q0q1, -1, 1 - q0q1, -(q0q1 // 2)] + [-7] * (DEGREE - 4)
+    poly = RnsPolynomial.from_int_coeffs(values, basis)
+    assert poly.to_int_coeffs() == values
+    assert weighted_columns == []
+    # Uncentered, the same columns are Q + x: past q0 q1, so all wide.
+    assert poly.to_int_coeffs(centered=False) == [basis.modulus + v for v in values]
+    assert weighted_columns == [DEGREE]

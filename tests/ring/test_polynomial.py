@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
+from repro.numth import find_ntt_primes
 from repro.ring import Representation, RnsBasis, RnsPolynomial
+from repro.ring import polynomial
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,126 @@ class TestConstruction:
         copy = poly.clone()
         copy.limbs[0][0] = (copy.limbs[0][0] + 1) % basis.moduli[0]
         assert copy != poly
+
+
+class TestSmallIntegerLift:
+    """``from_int_coeffs`` on int64 vectors inside ``(-min q, min q)``.
+
+    Those skip the division; everything else takes ``np.remainder``.
+    Both must give the residues of Python's ``%``.
+    """
+
+    @pytest.fixture(scope="class")
+    def mixed_basis(self):
+        # The smallest modulus sits last, so the bound is not limb 0's.
+        return RnsBasis(16, find_ntt_primes(30, 16, 2) + find_ntt_primes(20, 16, 1))
+
+    @pytest.fixture()
+    def reductions(self, monkeypatch):
+        """Count the lifts that take the ``np.remainder`` reference, kernels on."""
+        calls = []
+        original = polynomial._reduce
+
+        def spy(values, basis):
+            calls.append(values.dtype)
+            return original(values, basis)
+
+        monkeypatch.setattr(polynomial, "_reduce", spy)
+        previous = kernels.set_enabled(True)
+        yield calls
+        kernels.set_enabled(previous)
+
+    @staticmethod
+    def expected(coeffs, basis):
+        return [[int(c) % q for c in coeffs] for q in basis.moduli]
+
+    def lift(self, coeffs, basis):
+        poly = RnsPolynomial.from_int_coeffs(coeffs, basis)
+        assert poly.limbs.dtype == np.int64
+        assert poly.limbs.flags.c_contiguous and poly.limbs.flags.writeable
+        assert poly.limbs.tolist() == self.expected(coeffs, basis)
+        return poly
+
+    def test_edges_inside_the_bound_skip_the_division(self, mixed_basis, reductions):
+        bound = min(mixed_basis.moduli)
+        edges = [bound - 1, 1 - bound, 0, -1, 1, bound // 2, -(bound // 2)]
+        coeffs = (edges * 3)[:16]
+        self.lift(coeffs, mixed_basis)
+        self.lift(np.array(coeffs, dtype=np.int64), mixed_basis)
+        assert reductions == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(-(2**20), 2**20), min_size=16, max_size=16))
+    def test_matches_remainder_inside_the_bound(self, mixed_basis, coeffs):
+        bound = min(mixed_basis.moduli)
+        coeffs = [max(1 - bound, min(bound - 1, c)) for c in coeffs]
+        fast = self.lift(coeffs, mixed_basis)
+        with kernels.oracle_only():
+            assert RnsPolynomial.from_int_coeffs(coeffs, mixed_basis) == fast
+
+    @pytest.mark.parametrize(
+        "edge, dtype",
+        [
+            ("min q", np.int64),
+            ("-min q", np.int64),
+            (2**62, np.int64),
+            (-(2**62), np.int64),
+            (2**63 - 1, np.int64),
+            (-(2**63), np.int64),
+            (2**64 + 5, object),
+            (-(2**70) - 3, object),
+        ],
+        ids=["min-q", "neg-min-q", "2^62", "neg-2^62", "int64-max", "int64-min",
+             "past-int64", "neg-past-int64"],
+    )
+    def test_fallback_outside_the_bound(self, mixed_basis, reductions, edge, dtype):
+        bound = min(mixed_basis.moduli)
+        value = {"min q": bound, "-min q": -bound}.get(edge, edge)
+        coeffs = [value, -1, 0, 1, bound - 1] + [3] * 11
+        self.lift(coeffs, mixed_basis)
+        assert reductions == [np.dtype(dtype)]
+
+    def test_oracle_takes_the_reference(self, mixed_basis, reductions):
+        coeffs = [-1, 0, 1] + [5] * 13
+        with kernels.oracle_only():
+            self.lift(coeffs, mixed_basis)
+        assert reductions == [np.dtype(np.int64)]
+
+    def test_object_basis_takes_the_reference(self, reductions):
+        wide = RnsBasis(16, find_ntt_primes(40, 16, 2))
+        assert wide.dtype == object
+        coeffs = [-1, 0, 1] + [5] * 13
+        poly = RnsPolynomial.from_int_coeffs(coeffs, wide)
+        assert poly.limbs.tolist() == self.expected(coeffs, wide)
+        assert len(reductions) == 1
+
+
+class TestPrefixView:
+    def test_reads_the_first_rows_without_a_copy(self, basis):
+        _, poly = _random_poly(basis, seed=30)
+        low = basis.prefix(2)
+        view = poly.prefix_view(low)
+        assert view.basis == low
+        assert view.representation is poly.representation
+        assert np.shares_memory(view.limbs, poly.limbs)
+        assert np.array_equal(view.limbs, poly.limbs[:2])
+        assert view == poly.select_limbs(slice(0, 2), low)
+
+    def test_view_is_read_only_and_products_are_fresh(self, basis):
+        _, poly = _random_poly(basis, seed=31)
+        ev = poly.to_eval()
+        view = ev.prefix_view(basis.prefix(2))
+        with pytest.raises(ValueError):
+            view.limbs[0, 0] = 0
+        assert ev.limbs.flags.writeable
+        product = view * view
+        assert not np.shares_memory(product.limbs, ev.limbs)
+
+    def test_rejects_a_basis_that_is_not_a_prefix(self, basis):
+        _, poly = _random_poly(basis, seed=32)
+        suffix = RnsBasis(basis.degree, basis.moduli[1:])
+        with pytest.raises(ValueError, match="prefix"):
+            poly.prefix_view(suffix)
 
 
 class TestCrtRoundTrip:

@@ -74,6 +74,7 @@ def env():
     return {
         "params": params,
         "ctx": ctx,
+        "kg": kg,
         "enc": Encryptor(ctx, secret_key=kg.secret_key),
         "dec": Decryptor(ctx, kg.secret_key),
         "ev": Evaluator(
@@ -186,11 +187,31 @@ class TestHoistingStructure:
 
 class TestEncryptionStructure:
     def test_fresh_encryption_ntt_budget(self, env, monkeypatch):
-        """Symmetric encryption: NTT the error and message polynomials."""
+        """Symmetric encryption: one NTT of the message plus its error."""
         limbs = env["params"].max_limbs
         with ntt_counter(monkeypatch) as counts:
             env["enc"].encrypt_values([0.0] * 8)
-        # e and m are built in coefficient form and NTT'd over every limb;
-        # `a` is sampled directly in the evaluation domain.
-        assert counts["forward"] == 2 * limbs
+        # m + e is lifted as one vector and NTT'd over every limb; `a` is
+        # sampled directly in the evaluation domain.
+        assert counts["forward"] == limbs
         assert counts["inverse"] == 0
+
+    @pytest.mark.parametrize("limbs", [6, 3, 1])
+    def test_public_key_encryption_ntt_budget(self, env, monkeypatch, limbs):
+        """Public-key encryption: NTTs of u, m + e0 and e1."""
+        enc = Encryptor(env["ctx"], public_key=env["kg"].public_key())
+        plaintext = enc.encode([0.0] * 8)
+        with ntt_counter(monkeypatch) as counts:
+            enc.encrypt(plaintext, limbs=limbs)
+        assert counts["forward"] == 3 * limbs
+        assert counts["inverse"] == 0
+
+    @pytest.mark.parametrize("limbs", [6, 3, 1])
+    def test_decryption_ntt_budget(self, env, monkeypatch, limbs):
+        """Decryption: one inverse NTT of c0 + c1 s (the key is cached)."""
+        ct = env["enc"].encrypt_values([0.0] * 8, limbs=limbs)
+        env["dec"].decrypt(ct)  # materialise the secret at this level
+        with ntt_counter(monkeypatch) as counts:
+            env["dec"].decrypt(ct)
+        assert counts["forward"] == 0
+        assert counts["inverse"] == limbs
