@@ -37,13 +37,12 @@ clocks, no RNG, block ids assigned sequentially by the recorder.
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.memsim.trace import KEY, PT, Buffer, Trace, TraceRecorder
 from repro.obs import state as obs
 from repro.params import CkksParams
-from repro.perf.bootstrap import EvalModProfile
+from repro.perf.bootstrap import bootstrap_plan
 from repro.perf.events import CostReport
 from repro.perf.matvec import bsgs_split, pt_mat_vec_mult_cost
 from repro.perf.optimizations import MADConfig
@@ -105,10 +104,6 @@ class ScheduleBuilder:
     @property
     def _alpha(self) -> int:
         return self.params.alpha
-
-    @property
-    def _k(self) -> int:
-        return self.params.num_special_limbs
 
     def _raised(self, limbs: int) -> int:
         return self.params.raised_limbs(limbs)
@@ -1122,108 +1117,45 @@ class ScheduleBuilder:
     # ------------------------------------------------------------------
     # Composed bootstrap phase
     # ------------------------------------------------------------------
-    def dft_diagonals(self) -> int:
-        """Diagonals per DFT stage matrix (mirrors BootstrapModel)."""
-        slots = self.params.slots
-        return max(2, math.ceil(slots ** (1.0 / self.params.fft_iter)))
-
     def bootstrap_units(self) -> List[ScheduleUnit]:
-        """One ScheduleUnit per ledger entry of BootstrapModel.ledger().
+        """One ScheduleUnit per step of :func:`~repro.perf.bootstrap.bootstrap_plan`.
 
-        The scaled analytical costs sum bit-exactly to the ledger total;
-        each unit is replayed cold and its simulated traffic scaled the
-        same way, matching the per-operation independence of the
-        analytical model.
+        Each step's op is the builder method that emits it, so the units
+        follow the model's walk step for step.  The scaled analytical
+        costs sum bit-exactly to the ledger total; each unit is replayed
+        cold and its simulated traffic scaled the same way, matching the
+        per-operation independence of the analytical model.
         """
-        params = self.params
-        if not params.supports_bootstrapping():
-            raise ValueError(
-                f"{params.describe()} cannot bootstrap (level budget)"
-            )
-        profile = EvalModProfile()
-        diagonals = self.dft_diagonals()
-        level = params.max_limbs
+        plan = bootstrap_plan(self.params)
         units: List[ScheduleUnit] = []
-
         with obs.span("memsim:bootstrap_units"):
-            sched = self.mod_raise(2, level)
-            units.append(
-                ScheduleUnit(
-                    "mod_raise", "ModRaise", sched.trace, sched.analytical, 1
-                )
-            )
-            for _ in range(params.fft_iter):
-                sched = self.pt_mat_vec_mult(level, diagonals)
+            for step in plan:
+                sched = getattr(self, step.op)(*step.args)
                 units.append(
                     ScheduleUnit(
-                        "pt_mat_vec_mult",
-                        "CoeffToSlot",
+                        step.op,
+                        step.phase,
                         sched.trace,
                         sched.analytical,
-                        1,
+                        step.count,
                     )
                 )
-                level -= 1
-            for depth in range(params.eval_mod_depth):
-                mults = profile.mults_per_level + (
-                    profile.basis_setup_mults if depth == 0 else 0
-                )
-                sched = self.mult(level)
-                units.append(
-                    ScheduleUnit(
-                        "mult", "EvalMod", sched.trace, sched.analytical, mults
-                    )
-                )
-                sched = self.pt_mult(level)
-                units.append(
-                    ScheduleUnit(
-                        "pt_mult",
-                        "EvalMod",
-                        sched.trace,
-                        sched.analytical,
-                        profile.pt_mults_per_level,
-                    )
-                )
-                sched = self.add(level)
-                units.append(
-                    ScheduleUnit(
-                        "add",
-                        "EvalMod",
-                        sched.trace,
-                        sched.analytical,
-                        profile.adds_per_level,
-                    )
-                )
-                level -= 1
-            for _ in range(params.fft_iter):
-                sched = self.pt_mat_vec_mult(level, diagonals)
-                units.append(
-                    ScheduleUnit(
-                        "pt_mat_vec_mult",
-                        "SlotToCoeff",
-                        sched.trace,
-                        sched.analytical,
-                        1,
-                    )
-                )
-                level -= 1
-        assert level == params.bootstrap_output_limbs
         obs.count("memsim.bootstrap.units", len(units))
         return units
 
 
-#: Primitive name -> builder method name, for the CLI and the validator.
-PRIMITIVES = {
-    "decomp": "decomp",
-    "mod_up": "mod_up",
-    "ksk_inner_product": "ksk_inner_product",
-    "mod_down": "mod_down",
-    "key_switch": "key_switch",
-    "mult": "mult",
-    "rotate": "rotate",
-    "rescale": "rescale",
-    "pt_mult": "pt_mult",
-    "add": "add",
-    "pt_add": "pt_add",
-    "automorph": "automorph",
-}
+#: The builder methods that emit one primitive from a limb count alone.
+PRIMITIVES = (
+    "decomp",
+    "mod_up",
+    "ksk_inner_product",
+    "mod_down",
+    "key_switch",
+    "mult",
+    "rotate",
+    "rescale",
+    "pt_mult",
+    "add",
+    "pt_add",
+    "automorph",
+)

@@ -39,6 +39,7 @@ from repro.obs import schema
 from repro.obs import state as obs
 from repro.obs.schema import COUNT, NON_NEGATIVE, PROVENANCE, Schema, fields
 from repro.params import PARAM_SETS
+from repro.perf.bootstrap import dft_diagonals
 from repro.perf.cache import mb_to_bytes
 from repro.perf.events import MemTraffic
 from repro.perf.optimizations import CACHING_LADDER, MADConfig
@@ -256,7 +257,7 @@ def _primitive_traffic(
             pin_failures += result.pin_failures * unit.scale
         return analytical, simulated, pin_failures
     if name == "pt_mat_vec_mult":
-        schedule = builder.pt_mat_vec_mult(limbs, builder.dft_diagonals())
+        schedule = builder.pt_mat_vec_mult(limbs, dft_diagonals(params))
     elif name == "mod_raise":
         schedule = builder.mod_raise(2, limbs)
     else:

@@ -107,6 +107,7 @@ def memsim_micro_cost(params, config, cache_mb: float = 32.0):
     from repro.memsim.policies import make_policy
     from repro.memsim.schedules import ScheduleBuilder
     from repro.memsim.simulator import MemorySimulator
+    from repro.perf.bootstrap import dft_diagonals
     from repro.perf.cache import MB
     from repro.perf.events import CostReport
 
@@ -120,7 +121,7 @@ def memsim_micro_cost(params, config, cache_mb: float = 32.0):
         builder.key_switch(limbs),
         builder.mult(limbs),
         builder.rotate(limbs),
-        builder.pt_mat_vec_mult(limbs, builder.dft_diagonals()),
+        builder.pt_mat_vec_mult(limbs, dft_diagonals(params)),
     )
     total = CostReport()
     with obs.span("MemsimMicro", cache_mb=cache_mb, params=params.describe()):

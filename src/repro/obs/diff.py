@@ -155,10 +155,6 @@ def _run_summary(report: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _zeros(keys: Tuple[str, ...]) -> Dict[str, int]:
-    return {key: 0 for key in keys}
-
-
 def _block(span: Optional[Dict[str, Any]], field: str, keys) -> Dict[str, int]:
     """A span's ops/traffic block, zero-filled for container/absent spans."""
     block = (span or {}).get(field) or {}

@@ -12,21 +12,29 @@ Phases and their level budget:
 
 The output level is ``L - 2*fftIter - eval_mod_depth``, matching the
 ``log Q_1`` values of Table 6 for both parameter sets of Table 5.
+
+:func:`bootstrap_plan` declares this walk once, as the ordered steps it
+prices: each step's op and arguments, repeat count, ledger label and
+span path.  :class:`BootstrapModel` prices those steps, and
+:meth:`repro.memsim.schedules.ScheduleBuilder.bootstrap_units` replays
+the same steps as memory traces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs import state as obs
 from repro.params import CkksParams
 from repro.perf.cache import CacheModel
 from repro.perf.events import CostReport
+from repro.perf.ledger import CostLedger
 from repro.perf.optimizations import MADConfig
-from repro.perf.primitives import LevelCosts, PrimitiveCosts
+from repro.perf.primitives import PrimitiveCosts
 from repro.perf.matvec import pt_mat_vec_mult_cost
 
 
@@ -72,6 +80,115 @@ class EvalModProfile:
     basis_setup_mults: int = 9
 
 
+#: The EvalMod counts :func:`bootstrap_plan` charges.
+EVAL_MOD_PROFILE = EvalModProfile()
+
+#: A sweep run's level-cost table (DESIGN §8): the cost of one repeat of
+#: each step but ModRaise, keyed on ``(op, args, PrimitiveCosts.level_key)``.
+LevelCosts = Dict[Hashable, CostReport]
+
+#: A span under the bootstrap's root span: its label and attributes.
+SpanKey = Tuple[str, Tuple[Tuple[str, int], ...]]
+
+
+class BootstrapStep(NamedTuple):
+    """One priced step of the level walk: ``count`` repeats of ``op(*args)``.
+
+    ``op`` names a method of :class:`PrimitiveCosts` and of
+    :class:`~repro.memsim.schedules.ScheduleBuilder` alike; the model
+    prices ``pt_mat_vec_mult`` with :func:`pt_mat_vec_mult_cost`.
+    """
+
+    op: str
+    #: ``(limbs,)``; ``(limbs, diagonals)`` for a DFT stage; ModRaise's
+    #: ``(2, L)``.
+    args: Tuple[int, ...]
+    count: int
+    #: The label of the step's ledger entry.
+    label: str
+    #: The spans enclosing the step's cost under the root, outermost
+    #: first; the last is the step's own (leaf) span.
+    spans: Tuple[SpanKey, ...]
+
+    @property
+    def phase(self) -> str:
+        """The Algorithm 4 phase: the outermost span's label."""
+        return self.spans[0][0]
+
+
+def dft_diagonals(params: CkksParams) -> int:
+    """Non-zero diagonals per DFT stage matrix: ``n^(1/fftIter)``."""
+    return max(2, math.ceil(params.slots ** (1.0 / params.fft_iter)))
+
+
+def _dft_steps(
+    phase: str, iteration: str, top: int, fft_iter: int, diagonals: int
+) -> List[BootstrapStep]:
+    """``fft_iter`` PtMatVecMults from ``top`` limbs down, one level each."""
+    return [
+        BootstrapStep(
+            "pt_mat_vec_mult",
+            (level, diagonals),
+            1,
+            phase,
+            (
+                (phase, ()),
+                (
+                    iteration,
+                    (("iter", i), ("level", level), ("diagonals", diagonals)),
+                ),
+            ),
+        )
+        for i, level in enumerate(range(top, top - fft_iter, -1))
+    ]
+
+
+def bootstrap_plan(params: CkksParams) -> Tuple[BootstrapStep, ...]:
+    """Every priced step of one bootstrap at ``params``, in walk order.
+
+    Raises ValueError when the level budget leaves no output limb.
+    """
+    if not params.supports_bootstrapping():
+        raise ValueError(
+            f"{params.describe()} cannot bootstrap (level budget)"
+        )
+    fft_iter = params.fft_iter
+    diagonals = dft_diagonals(params)
+    # Volatile values (loop index, live limb count) go into span
+    # *attributes*, never labels: cross-run diff alignment keys on the
+    # label path, and repeated siblings are disambiguated by position
+    # (repro.obs.export.compute_span_paths).
+    top = params.max_limbs
+    steps = [
+        BootstrapStep(
+            "mod_raise", (2, top), 1, "ModRaise", (("ModRaise", (("level", top),)),)
+        )
+    ]
+    steps += _dft_steps("CoeffToSlot", "CoeffToSlot:iter", top, fft_iter, diagonals)
+    profile = EVAL_MOD_PROFILE
+    top -= fft_iter
+    for depth, level in enumerate(range(top, top - params.eval_mod_depth, -1)):
+        mults = profile.mults_per_level + (
+            profile.basis_setup_mults if depth == 0 else 0
+        )
+        enclosing = (
+            ("EvalMod", ()),
+            ("EvalMod:level", (("depth", depth), ("level", level))),
+        )
+        at = (("level", level),)
+        for op, count, label in (
+            ("mult", mults, "EvalMod:Mult"),
+            ("pt_mult", profile.pt_mults_per_level, "EvalMod:PtMult"),
+            ("add", profile.adds_per_level, "EvalMod:Add"),
+        ):
+            steps.append(
+                BootstrapStep(op, (level,), count, label, (*enclosing, (label, at)))
+            )
+    top -= params.eval_mod_depth
+    steps += _dft_steps("SlotToCoeff", "SlotToCoeff:iter", top, fft_iter, diagonals)
+    return tuple(steps)
+
+
 @dataclass(frozen=True)
 class BootstrapBreakdown:
     """Per-phase cost of one bootstrapping operation."""
@@ -100,16 +217,16 @@ class BootstrapBreakdown:
 
 
 class BootstrapModel:
-    """SimFHE's bootstrapping cost model.
+    """SimFHE's bootstrapping cost model: :func:`bootstrap_plan`, priced.
 
     Args:
         params: CKKS parameters (must support bootstrapping).
         config: MAD optimization flags.
         cache: optional on-chip memory bound; flags the cache cannot
             support are disabled, mirroring SimFHE's auto-deployment.
-        eval_mod: operation profile of the EvalMod phase.
-        level_costs: optional level-cost table of a sweep run, handed to
-            :class:`PrimitiveCosts`; without one every level is priced
+        level_costs: optional level-cost table shared by the models of
+            one sweep run; each step but ModRaise is then priced once per
+            key of :data:`LevelCosts`.  Without one every step is priced
             afresh.
     """
 
@@ -118,137 +235,86 @@ class BootstrapModel:
         params: CkksParams,
         config: MADConfig = MADConfig.none(),
         cache: Optional[CacheModel] = None,
-        eval_mod: EvalModProfile = EvalModProfile(),
         level_costs: Optional[LevelCosts] = None,
     ):
-        if not params.supports_bootstrapping():
-            raise ValueError(
-                f"{params.describe()} cannot bootstrap (level budget)"
-            )
         self.params = params
-        self.costs = PrimitiveCosts(params, config, cache, level_costs)
-        self.eval_mod_profile = eval_mod
+        self.plan = bootstrap_plan(params)
+        self.costs = PrimitiveCosts(params, config, cache)
+        self.level_costs = level_costs
 
     # ------------------------------------------------------------------
-    @property
-    def dft_diagonals(self) -> int:
-        """Non-zero diagonals per DFT stage matrix: ``n^(1/fftIter)``."""
-        n = self.params.slots
-        return max(2, math.ceil(n ** (1.0 / self.params.fft_iter)))
+    def _price(self, step: BootstrapStep) -> CostReport:
+        """The cost of ``step``: one repeat, looked up in the level-cost
+        table when there is one, scaled by the step's count."""
+        table = self.level_costs
+        if table is None or step.op == "mod_raise":
+            cost = self._price_once(step)
+        else:
+            key = (step.op, step.args, self.costs.level_key)
+            cost = table.get(key)
+            if cost is None:
+                cost = table[key] = self._price_once(step)
+        return cost if step.count == 1 else cost.scaled(step.count)
 
-    # ------------------------------------------------------------------
-    def ledger(self) -> "CostLedger":
-        """Sub-operation-labeled cost ledger of one bootstrap.
+    def _price_once(self, step: BootstrapStep) -> CostReport:
+        # Both calls resolve at call time, so a patched op is the one run.
+        if step.op == "pt_mat_vec_mult":
+            return pt_mat_vec_mult_cost(self.costs, *step.args)
+        return getattr(self.costs, step.op)(*step.args)
+
+    def _trace(
+        self, steps: Sequence[BootstrapStep], depth: int, ledger: CostLedger
+    ) -> None:
+        """Price ``steps`` under their spans from ``depth`` inward."""
+        for (label, attrs), group in groupby(
+            steps, key=lambda step: step.spans[depth]
+        ):
+            members = tuple(group)
+            with obs.span(label, **dict(attrs)):
+                if len(members[0].spans) > depth + 1:
+                    self._trace(members, depth + 1, ledger)
+                else:
+                    for step in members:
+                        cost = self._price(step)
+                        obs.record_cost(cost)
+                        ledger.add(step.label, cost)
+
+    def ledger(self) -> CostLedger:
+        """Sub-operation-labeled cost ledger of one bootstrap: one entry
+        per step of :attr:`plan`.
 
         When a tracer is installed (:mod:`repro.obs`) the call also emits a
         span tree — a root span carrying the parameter/MAD-config/cache
-        metadata, one span per phase, one leaf span per consumed level —
-        with each leaf recording exactly the CostReport added to the
-        ledger.  The traced span-cost sum is therefore bit-identical to
-        the untraced total; with tracing disabled every ``obs`` call is a
-        no-op on a shared singleton.
+        metadata over each step's :attr:`BootstrapStep.spans` — with each
+        leaf recording exactly the CostReport added to the ledger.  The
+        traced span-cost sum is therefore bit-identical to the untraced
+        total.
         """
-        from repro.perf.ledger import CostLedger
-
-        params = self.params
-        level = params.max_limbs
-        diagonals = self.dft_diagonals
         ledger = CostLedger()
-        if obs.tracing_enabled():
-            # Root metadata is only worth computing when someone records it.
-            root_meta = {
-                "params": params.describe(),
-                "config": asdict(self.costs.config),
-                "cache_mb": (
-                    self.costs.cache.megabytes
-                    if self.costs.cache is not None
-                    else None
-                ),
-            }
-        else:
-            root_meta = {}
-
-        with obs.span("Bootstrap", **root_meta):
-            with obs.span("ModRaise", level=level):
-                cost = self.costs.mod_raise(2, level)
-                obs.record_cost(cost)
-            ledger.add("ModRaise", cost)
-
-            # Volatile values (loop index, live limb count) go into span
-            # *attributes*, never labels: cross-run diff alignment keys on
-            # the label path, and repeated siblings are disambiguated by
-            # position (repro.obs.export.compute_span_paths).
-            with obs.span("CoeffToSlot"):
-                for i in range(params.fft_iter):
-                    with obs.span(
-                        "CoeffToSlot:iter",
-                        iter=i,
-                        level=level,
-                        diagonals=diagonals,
-                    ):
-                        cost = pt_mat_vec_mult_cost(
-                            self.costs, level, diagonals
-                        )
-                        obs.record_cost(cost)
-                    ledger.add("CoeffToSlot", cost)
-                    level -= 1
-
-            profile = self.eval_mod_profile
-            with obs.span("EvalMod"):
-                for depth in range(params.eval_mod_depth):
-                    mults = profile.mults_per_level + (
-                        profile.basis_setup_mults if depth == 0 else 0
-                    )
-                    with obs.span("EvalMod:level", depth=depth, level=level):
-                        with obs.span("EvalMod:Mult", level=level):
-                            mult_cost = self.costs.mult(level).scaled(mults)
-                            obs.record_cost(mult_cost)
-                        with obs.span("EvalMod:PtMult", level=level):
-                            pt_cost = self.costs.pt_mult(level).scaled(
-                                profile.pt_mults_per_level
-                            )
-                            obs.record_cost(pt_cost)
-                        with obs.span("EvalMod:Add", level=level):
-                            add_cost = self.costs.add(level).scaled(
-                                profile.adds_per_level
-                            )
-                            obs.record_cost(add_cost)
-                    ledger.add("EvalMod:Mult", mult_cost)
-                    ledger.add("EvalMod:PtMult", pt_cost)
-                    ledger.add("EvalMod:Add", add_cost)
-                    level -= 1
-
-            with obs.span("SlotToCoeff"):
-                for i in range(params.fft_iter):
-                    with obs.span(
-                        "SlotToCoeff:iter",
-                        iter=i,
-                        level=level,
-                        diagonals=diagonals,
-                    ):
-                        cost = pt_mat_vec_mult_cost(
-                            self.costs, level, diagonals
-                        )
-                        obs.record_cost(cost)
-                    ledger.add("SlotToCoeff", cost)
-                    level -= 1
-
-        assert level == params.bootstrap_output_limbs
+        if not obs.tracing_enabled():
+            for step in self.plan:
+                ledger.add(step.label, self._price(step))
+            return ledger
+        cache = self.costs.cache
+        with obs.span(
+            "Bootstrap",
+            params=self.params.describe(),
+            config=asdict(self.costs.config),
+            cache_mb=None if cache is None else cache.megabytes,
+        ):
+            self._trace(self.plan, 0, ledger)
         return ledger
 
     def cost(self) -> BootstrapBreakdown:
         """Full per-phase cost of one bootstrapping operation."""
-        merged = self.ledger().by_label()
-        eval_mod = (
-            merged.get("EvalMod:Mult", CostReport())
-            + merged.get("EvalMod:PtMult", CostReport())
-            + merged.get("EvalMod:Add", CostReport())
-        )
+        phases: Dict[str, CostReport] = {}
+        for step, (_, cost) in zip(self.plan, self.ledger()):
+            phases[step.phase] = phases.get(step.phase, CostReport()) + cost
         return BootstrapBreakdown(
-            mod_raise=merged["ModRaise"],
-            coeff_to_slot=merged["CoeffToSlot"],
-            eval_mod=eval_mod,
-            slot_to_coeff=merged["SlotToCoeff"],
+            mod_raise=phases["ModRaise"],
+            coeff_to_slot=phases["CoeffToSlot"],
+            eval_mod=phases["EvalMod"],
+            slot_to_coeff=phases["SlotToCoeff"],
         )
 
     def total_cost(self) -> CostReport:

@@ -20,7 +20,7 @@ import math
 from typing import Tuple
 
 from repro.perf.events import CostReport, MemTraffic, OpCount
-from repro.perf.primitives import PrimitiveCosts, level_tabled
+from repro.perf.primitives import PrimitiveCosts
 
 
 def bsgs_split(diagonals: int, larger_baby: bool = False) -> Tuple[int, int]:
@@ -34,7 +34,6 @@ def bsgs_split(diagonals: int, larger_baby: bool = False) -> Tuple[int, int]:
     return baby, giant
 
 
-@level_tabled
 def pt_mat_vec_mult_cost(
     costs: PrimitiveCosts, limbs: int, diagonals: int
 ) -> CostReport:

@@ -84,15 +84,22 @@ class MADConfig:
         SimFHE will automatically deploy the applicable optimization."
         Algorithmic optimizations are memory-independent and always on.
         """
-        alpha_ok = cache.fits_alpha(params)
-        return cls(
-            cache_o1=cache.fits_o1(params),
-            cache_beta=cache.fits_beta(params),
-            cache_alpha=alpha_ok,
-            limb_reorder=alpha_ok,
-            mod_down_merge=True,
-            mod_down_hoist=True,
-            key_compression=True,
+        return cls.all().fitted(cache, params)
+
+    def fitted(self, cache: CacheModel, params: CkksParams) -> "MADConfig":
+        """These flags less every caching flag ``cache`` cannot hold at
+        ``params`` (Section 3.1 thresholds).
+
+        A flag that is off queries no threshold, so the
+        ``perf.cache.*`` counters count only real decisions; the
+        algorithmic flags pass unchanged.
+        """
+        return replace(
+            self,
+            cache_o1=self.cache_o1 and cache.fits_o1(params),
+            cache_beta=self.cache_beta and cache.fits_beta(params),
+            cache_alpha=self.cache_alpha and cache.fits_alpha(params),
+            limb_reorder=self.limb_reorder and cache.fits_limb_reorder(params),
         )
 
     def with_(self, **changes) -> "MADConfig":

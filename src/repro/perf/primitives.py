@@ -18,48 +18,13 @@ mechanism from Section 3.1 of the paper.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
 from repro.obs import state as obs
 from repro.params import CkksParams
 from repro.perf.cache import CacheModel
 from repro.perf.events import CostReport, MemTraffic, OpCount
 from repro.perf.optimizations import MADConfig
-
-#: A sweep run's level-cost table (DESIGN §8): the cost of each
-#: :func:`level_tabled` op, keyed on the op, its arguments and
-#: :attr:`PrimitiveCosts.level_key`.
-LevelCosts = Dict[Hashable, CostReport]
-
-_Price = TypeVar("_Price", bound=Callable[..., CostReport])
-
-
-def level_tabled(price: _Price) -> _Price:
-    """Price ``price(costs, limbs, *rest)`` once per key of ``costs.level_costs``.
-
-    For the per-level ops of a bootstrap (``mult``, ``pt_mult``, ``add``,
-    ``pt_mat_vec_mult_cost``): they read the parameters only through N,
-    the limb size and alpha, and the config only after the cache gated
-    it, so parameter sets that share those share the cost.  The range
-    check runs first, so a bad limb count raises on a hit as on a miss.
-    Without a table ``price`` runs as written.
-    """
-    op = price.__name__
-
-    @functools.wraps(price)
-    def tabled(costs: "PrimitiveCosts", limbs: int, *rest: int) -> CostReport:
-        table = costs.level_costs
-        if table is None:
-            return price(costs, limbs, *rest)
-        costs._check_limbs(limbs)
-        key = (op, limbs, *rest, costs.level_key)
-        cost = table.get(key)
-        if cost is None:
-            cost = table[key] = price(costs, limbs, *rest)
-        return cost
-
-    return tabled  # type: ignore[return-value]
 
 
 class PrimitiveCosts:
@@ -71,9 +36,6 @@ class PrimitiveCosts:
         cache: optional on-chip memory; when provided, caching flags that
             the memory cannot support are silently disabled (a 6 MB chip
             cannot run the ``O(alpha)`` optimization no matter the flag).
-        level_costs: optional level-cost table shared by the models of
-            one sweep run (:func:`level_tabled`); every op is priced
-            afresh without one.
     """
 
     def __init__(
@@ -81,19 +43,10 @@ class PrimitiveCosts:
         params: CkksParams,
         config: MADConfig = MADConfig.none(),
         cache: Optional[CacheModel] = None,
-        level_costs: Optional[LevelCosts] = None,
     ):
         self.params = params
         if cache is not None:
-            config = MADConfig(
-                cache_o1=config.cache_o1 and cache.fits_o1(params),
-                cache_beta=config.cache_beta and cache.fits_beta(params),
-                cache_alpha=config.cache_alpha and cache.fits_alpha(params),
-                limb_reorder=config.limb_reorder and cache.fits_limb_reorder(params),
-                mod_down_merge=config.mod_down_merge,
-                mod_down_hoist=config.mod_down_hoist,
-                key_compression=config.key_compression,
-            )
+            config = config.fitted(cache, params)
         self.config = config
         self.cache = cache
         # The geometry every formula reads, read once (CkksParams is frozen).
@@ -101,8 +54,9 @@ class PrimitiveCosts:
         self._limb = params.limb_bytes
         self._alpha = params.alpha
         self._special = params.num_special_limbs
-        self.level_costs = level_costs
-        #: All a tabled op reads of the parameters and the gated config.
+        #: All that ``mult``, ``pt_mult``, ``add`` and
+        #: ``pt_mat_vec_mult_cost`` read of the parameters and the gated
+        #: config: a bootstrap's level-cost table keys on it.
         self.level_key = (self._n, self._limb, self._alpha, config)
 
     # ------------------------------------------------------------------
@@ -151,7 +105,6 @@ class PrimitiveCosts:
             self._traffic(ct_read=limbs, ct_write=limbs, pt_read=limbs),
         )
 
-    @level_tabled
     def add(self, limbs: int) -> CostReport:
         """Ciphertext addition: both polynomials of both operands."""
         self._check_limbs(limbs)
@@ -191,7 +144,6 @@ class PrimitiveCosts:
         traffic_per_poly = self._traffic(ct_read=limbs, ct_write=remaining)
         return CostReport(ops_per_poly, traffic_per_poly).scaled(polys)
 
-    @level_tabled
     def pt_mult(self, limbs: int) -> CostReport:
         """Plaintext multiplication, including the mandatory Rescale."""
         self._check_limbs(limbs)
@@ -381,7 +333,6 @@ class PrimitiveCosts:
             terms.append((self.mod_up(limbs, rest, fused_intt=fused_intt), 1))
         return terms
 
-    @level_tabled
     def mult(self, limbs: int) -> CostReport:
         """Ciphertext multiplication: tensor, relinearise, rescale."""
         obs.count("perf.primitives.mult")

@@ -148,16 +148,10 @@ def _original_bar(
             original_workload,
             bootstraps=original_workload.bootstraps * penalty,
         )
-    original_config = MADConfig(
-        cache_o1=design.cache.fits_o1(design.params),
-        cache_beta=design.cache.fits_beta(design.params),
-        cache_alpha=design.cache.fits_alpha(design.params),
-        limb_reorder=design.cache.fits_limb_reorder(design.params),
-    )
     original_cost = workload_cost(
         original_workload,
         design.params,
-        original_config,
+        MADConfig.caching_only().fitted(design.cache, design.params),
         design.cache,
     ).total
     original_runtime = estimate_runtime(original_cost, design)
@@ -205,7 +199,8 @@ def generate_fig6_series(
     return bars
 
 
-def _fig6_workload_factory(workload: str, iterations: int) -> "callable":
+def fig6_workload(workload: str, iterations: int) -> "callable":
+    """Fig. 6's ``lr`` or ``resnet`` job: parameters -> ApplicationWorkload."""
     from repro.apps import helr_training, resnet20_inference
 
     if workload == "lr":
@@ -215,24 +210,24 @@ def _fig6_workload_factory(workload: str, iterations: int) -> "callable":
     raise ValueError(f"unknown fig6 workload {workload!r}")
 
 
-def fig6_original_seconds(
+def fig6_original_bars(
     workload: str,
     designs: Optional[Sequence[HardwareDesign]] = None,
     iterations: int = 30,
 ) -> tuple:
-    """(designs, {design name: original runtime seconds}) for a workload.
+    """(designs, {design name: original bar}) for a workload.
 
     Serial pre-computation for the Fig. 6 sweep: one cheap evaluation per
-    design, passed to the sweep as context so every MAD bar's speedup is
-    measured against the same original bar.
+    design, whose runtime the sweep takes as context so every MAD bar's
+    speedup is measured against the same original bar.
     """
     from repro.hardware import PRIOR_DESIGNS
 
     if designs is None:
         designs = list(PRIOR_DESIGNS.values())
-    factory = _fig6_workload_factory(workload, iterations)
+    workload_for = fig6_workload(workload, iterations)
     return list(designs), {
-        design.name: _original_bar(design, factory).seconds for design in designs
+        design.name: _original_bar(design, workload_for) for design in designs
     }
 
 
@@ -250,10 +245,7 @@ def generate_fig6_grid(
     """
     from repro.sweep import SweepAxis, SweepSpec, run_sweep
 
-    designs, original_seconds = fig6_original_seconds(
-        workload, designs, iterations
-    )
-    factory = _fig6_workload_factory(workload, iterations)
+    designs, originals = fig6_original_bars(workload, designs, iterations)
     spec = SweepSpec(
         name=f"fig6-{workload}",
         evaluator="fig6.bar",
@@ -264,18 +256,19 @@ def generate_fig6_grid(
         context={
             "workload": workload,
             "iterations": iterations,
-            "original_seconds": original_seconds,
+            "original_seconds": {
+                name: bar.seconds for name, bar in originals.items()
+            },
         },
     )
     outcome = run_sweep(spec)
     per_design = len(spec.axes[1].values)
     grid: Dict[str, List[Fig6Bar]] = {}
     for position, design in enumerate(designs):
-        bars = [_original_bar(design, factory)]
-        bars.extend(
-            outcome.values[position * per_design : (position + 1) * per_design]
-        )
-        grid[design.name] = bars
+        grid[design.name] = [
+            originals[design.name],
+            *outcome.values[position * per_design : (position + 1) * per_design],
+        ]
     return grid
 
 

@@ -156,10 +156,6 @@ class RnsBasis:
         """The NTT plan for limb ``index``."""
         return _ntt_for(self.degree, self.moduli[index])
 
-    def ntt_for_modulus(self, modulus: int) -> NttContext:
-        """The NTT plan for an arbitrary compatible modulus."""
-        return _ntt_for(self.degree, modulus)
-
     def fast_kernel(self) -> Optional[BatchNttKernel]:
         """The batched int64 NTT kernel for this basis, if applicable.
 

@@ -80,8 +80,9 @@ def memoized_bootstrap_cost(
 
     Parameter sets with equal :func:`~repro.perf.cost_shape` cost the
     same, so they share one entry; the cost returned for one of them is
-    exactly the cost of any other.  A miss prices its levels through the
-    run's level-cost table, ``memo.level_costs``.
+    exactly the cost of any other.  A miss prices the bootstrap plan's
+    steps through the run's level-cost table, ``memo.level_costs``, which
+    only :class:`~repro.perf.BootstrapModel` reads.
     """
     from repro.perf import BootstrapModel, cost_shape
 
@@ -178,16 +179,6 @@ def _bootstrap_cost_point(
 # ----------------------------------------------------------------------
 # fig6.bar — design × cache-size ML application grid
 # ----------------------------------------------------------------------
-def _fig6_workload(kind: str, params: Any, iterations: int) -> Any:
-    from repro.apps import helr_training, resnet20_inference
-
-    if kind == "lr":
-        return helr_training(params, iterations=iterations)
-    if kind == "resnet":
-        return resnet20_inference(params)
-    raise ValueError(f"unknown fig6 workload {kind!r}")
-
-
 def _fig6_bar(
     point: Mapping[str, Any], context: Mapping[str, Any], memo: Memo
 ) -> Any:
@@ -195,19 +186,20 @@ def _fig6_bar(
     from repro.hardware import mad_counterpart
     from repro.hardware.runtime import estimate_runtime
     from repro.perf import CacheModel, MADConfig
-    from repro.report.figures import Fig6Bar
+    from repro.report.figures import Fig6Bar, fig6_workload
 
     design = point["design"]
     cache_mb = point["cache_mb"]
     kind = context["workload"]
     iterations = context.get("iterations", 30)
+    workload_for = fig6_workload(kind, iterations)
     mad = mad_counterpart(design, on_chip_mb=cache_mb)
     cache = CacheModel.from_mb(cache_mb)
     config = MADConfig.all()
     cost = memo.get_or_compute(
         ("fig6_cost", kind, iterations, mad.params, config, cache.size_bytes),
         lambda: workload_cost(
-            _fig6_workload(kind, mad.params, iterations), mad.params, config, cache
+            workload_for(mad.params), mad.params, config, cache
         ).total,
     )
     runtime = estimate_runtime(cost, mad)

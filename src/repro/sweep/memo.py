@@ -16,10 +16,11 @@ invariant under every ``CkksParams`` field outside
 The 577 shapes repeat their levels too: a level's ``mult``, ``pt_mult``,
 ``add`` and PtMatVecMult read the parameters only through N, the limb
 size and alpha.  So a memo also carries the run's level-cost table,
-:attr:`Memo.level_costs`, which bootstrap-cost misses price through
-(:func:`repro.perf.primitives.level_tabled`; DESIGN §8).  The full
-Table 5 grid fills it with 4,596 entries.  It sits outside the hit/miss
-counts and goes with the memo, so no search reuses another's.
+:attr:`Memo.level_costs`, which bootstrap-cost misses hand to
+:class:`repro.perf.BootstrapModel`, the one place that reads it
+(DESIGN §8).  The full Table 5 grid fills it with 4,596 entries.  It
+sits outside the hit/miss counts and goes with the memo, so no search
+reuses another's.
 
 Memoization is also **observationally transparent**: the compute
 callback runs under :func:`repro.obs.state.suppressed`, so a memoized
@@ -45,9 +46,9 @@ class Memo:
         self._store: Dict[Hashable, Any] = {}
         self.hits = 0
         self.misses = 0
-        #: The run's level-cost table (:func:`repro.perf.primitives
-        #: .level_tabled`), filled by bootstrap-cost misses; not counted
-        #: in :attr:`hits` or :attr:`misses`.
+        #: The run's level-cost table (:data:`repro.perf.bootstrap
+        #: .LevelCosts`), filled by bootstrap-cost misses; not counted in
+        #: :attr:`hits` or :attr:`misses`.
         self.level_costs: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:

@@ -64,9 +64,9 @@ def _ablation_cache(quick: bool) -> SweepSpec:
 
 
 def _fig6(workload: str, quick: bool) -> SweepSpec:
-    from repro.report.figures import fig6_original_seconds
+    from repro.report.figures import fig6_original_bars
 
-    designs, original_seconds = fig6_original_seconds(workload)
+    designs, originals = fig6_original_bars(workload)
     if quick:
         designs = designs[:1]
     sizes = FIG6_CACHE_SIZES[:2] if quick else FIG6_CACHE_SIZES
@@ -80,7 +80,9 @@ def _fig6(workload: str, quick: bool) -> SweepSpec:
         context={
             "workload": workload,
             "iterations": 30,
-            "original_seconds": original_seconds,
+            "original_seconds": {
+                name: bar.seconds for name, bar in originals.items()
+            },
         },
     )
 

@@ -13,7 +13,7 @@ from repro.memsim.policies import make_policy
 from repro.memsim.schedules import PRIMITIVES, ScheduleBuilder
 from repro.memsim.simulator import MemorySimulator
 from repro.params import BASELINE_JUNG, MAD_OPTIMAL
-from repro.perf.bootstrap import BootstrapModel
+from repro.perf.bootstrap import BootstrapModel, bootstrap_plan, dft_diagonals
 from repro.perf.optimizations import ALGORITHMIC_LADDER, CACHING_LADDER
 
 #: Large enough for every rung's working set (rung 5 needs ~176 MB).
@@ -69,7 +69,7 @@ class TestMatVecExactness:
     def test_pt_mat_vec_mult_exact_when_fitting(self, config):
         builder = ScheduleBuilder(BASELINE_JUNG, config)
         schedule = builder.pt_mat_vec_mult(
-            BASELINE_JUNG.max_limbs, builder.dft_diagonals()
+            BASELINE_JUNG.max_limbs, dft_diagonals(BASELINE_JUNG)
         )
         assert_exact(schedule)
 
@@ -87,7 +87,7 @@ class TestAlgorithmicConfigs:
         _, config = ALGORITHMIC_LADDER[-1]
         builder = ScheduleBuilder(BASELINE_JUNG, config)
         schedule = builder.pt_mat_vec_mult(
-            BASELINE_JUNG.max_limbs, builder.dft_diagonals()
+            BASELINE_JUNG.max_limbs, dft_diagonals(BASELINE_JUNG)
         )
         assert_exact(schedule)
 
@@ -111,14 +111,17 @@ class TestBootstrapUnits:
         "config", [c for _, c in CACHING_LADDER], ids=RUNG_IDS
     )
     def test_unit_analytical_sum_matches_bootstrap_ledger(self, config):
-        """The schedule walk must mirror BootstrapModel.ledger() exactly."""
+        """The schedule walk must mirror BootstrapModel.ledger() exactly:
+        one unit per plan step, with the step's op, phase and count."""
         builder = ScheduleBuilder(BASELINE_JUNG, config)
+        units = builder.bootstrap_units()
+        assert [(unit.label, unit.phase, unit.scale) for unit in units] == [
+            (step.op, step.phase, step.count)
+            for step in bootstrap_plan(BASELINE_JUNG)
+        ]
         total = sum(
-            (
-                unit.analytical.scaled(unit.scale)
-                for unit in builder.bootstrap_units()
-            ),
-            start=type(builder.bootstrap_units()[0].analytical)(),
+            (unit.analytical.scaled(unit.scale) for unit in units),
+            start=type(units[0].analytical)(),
         )
         ledger_total = BootstrapModel(BASELINE_JUNG, config).ledger().total
         assert total.traffic == ledger_total.traffic
@@ -145,8 +148,8 @@ class TestRegistryAndDeterminism:
     def test_primitives_registry_builds_every_schedule(self):
         _, config = CACHING_LADDER[-1]
         builder = ScheduleBuilder(BASELINE_JUNG, config)
-        for name, method in PRIMITIVES.items():
-            schedule = getattr(builder, method)(BASELINE_JUNG.max_limbs)
+        for name in PRIMITIVES:
+            schedule = getattr(builder, name)(BASELINE_JUNG.max_limbs)
             assert schedule.label
             assert len(schedule.trace.events) > 0, name
 

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.obs import state
 from repro.params import BASELINE_JUNG, MAD_OPTIMAL, CkksParams
 from repro.perf import (
     ALGORITHMIC_LADDER,
@@ -7,7 +8,10 @@ from repro.perf import (
     BootstrapModel,
     CacheModel,
     MADConfig,
+    PrimitiveCosts,
+    pt_mat_vec_mult_cost,
 )
+from repro.perf.bootstrap import bootstrap_plan, dft_diagonals
 
 
 @pytest.fixture(scope="module")
@@ -53,16 +57,84 @@ class TestPhaseAccounting:
 
     def test_dft_diagonals_baseline(self):
         # n^(1/fftIter) = (2^16)^(1/3) ~= 41.
-        assert BootstrapModel(BASELINE_JUNG).dft_diagonals == 41
+        assert dft_diagonals(BASELINE_JUNG) == 41
 
     def test_dft_diagonals_mad_optimal(self):
         # (2^16)^(1/6) ~= 7.
-        assert BootstrapModel(MAD_OPTIMAL).dft_diagonals == 7
+        assert dft_diagonals(MAD_OPTIMAL) == 7
 
     def test_unbootstrappable_params_rejected(self):
         params = CkksParams(log_n=13, log_q=40, max_limbs=10, dnum=2)
         with pytest.raises(ValueError):
             BootstrapModel(params)
+
+
+_LADDER_CONFIGS = [
+    pytest.param(config, id=name)
+    for name, config in (*CACHING_LADDER, *ALGORITHMIC_LADDER)
+]
+_PLAN_PARAMS = [
+    pytest.param(BASELINE_JUNG, id="baseline"),
+    pytest.param(MAD_OPTIMAL, id="optimal"),
+]
+
+
+def _leaves(span):
+    """``span``'s leaf spans in pre-order."""
+    if not span.children:
+        yield span
+    for child in span.children:
+        yield from _leaves(child)
+
+
+@pytest.mark.parametrize("config", _LADDER_CONFIGS)
+@pytest.mark.parametrize("params", _PLAN_PARAMS)
+class TestBootstrapPlan:
+    """The ledger, the span tree and memsim all follow
+    :func:`bootstrap_plan`; these tests pin the model side to it."""
+
+    def test_ledger_entries_are_the_plan_steps(self, params, config):
+        plan = bootstrap_plan(params)
+        costs = PrimitiveCosts(params, config)
+        ledger = list(BootstrapModel(params, config).ledger())
+        assert [label for label, _ in ledger] == [step.label for step in plan]
+        for step, (_, cost) in zip(plan, ledger):
+            if step.op == "pt_mat_vec_mult":
+                once = pt_mat_vec_mult_cost(costs, *step.args)
+            else:
+                once = getattr(costs, step.op)(*step.args)
+            assert cost == once.scaled(step.count), step
+
+    def test_traced_leaf_spans_are_the_plan_steps(self, params, config):
+        model = BootstrapModel(params, config)
+        with state.capture() as (tracer, _):
+            ledger = list(model.ledger())
+        (root,) = tracer.roots
+        leaves = list(_leaves(root))
+        assert [(leaf.name, leaf.meta) for leaf in leaves] == [
+            (step.spans[-1][0], dict(step.spans[-1][1])) for step in model.plan
+        ]
+        assert [leaf.cost for leaf in leaves] == [cost for _, cost in ledger]
+
+    def test_every_step_runs_inside_the_chain(self, params, config):
+        for step in bootstrap_plan(params):
+            level = dict(step.spans[-1][1])["level"]
+            assert 1 <= level <= params.max_limbs, step
+            if step.op == "mod_raise":
+                assert step.args == (2, level)
+            else:
+                assert step.args[0] == level, step
+
+    def test_the_walk_ends_at_the_output_level(self, params, config):
+        """ModRaise lifts to ``L``; then the walk consumes every level from
+        ``L`` down to the one above the output, in order."""
+        raise_step, *rest = bootstrap_plan(params)
+        assert raise_step.args == (2, params.max_limbs)
+        levels = [step.args[0] for step in rest]
+        assert levels == sorted(levels, reverse=True)
+        assert sorted(set(levels), reverse=True) == list(
+            range(params.max_limbs, params.bootstrap_output_limbs, -1)
+        )
 
 
 class TestCachingLadder:

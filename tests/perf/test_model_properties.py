@@ -2,8 +2,7 @@
 
 import dataclasses
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.params import BASELINE_JUNG, CkksParams
 from repro.perf import (
@@ -257,6 +256,46 @@ def _same_level_geometry(draw):
     return pair
 
 
+@st.composite
+def _bootstrappable_level_geometry(draw):
+    """Two parameter sets that can both bootstrap, with equal ``(log_n,
+    word_bytes, alpha, fft_iter)`` and different ``dnum``: their DFT
+    stages share a diagonal count, so their walks share table keys
+    wherever their levels meet."""
+    word_bytes = draw(st.sampled_from((4, 8)))
+    log_n = draw(st.integers(12, 17))
+    alpha = draw(st.integers(2, 12))
+    fft_iter = draw(st.integers(1, 6))
+    # The walk consumes 2 fft_iter + 9 levels and must leave one; alpha
+    # dnum > least leaves some L >= least with ceil((L + 1) / dnum) ==
+    # alpha, i.e. (alpha - 1) dnum <= L < alpha dnum.
+    least = 2 * fft_iter + 10
+    dnums = draw(
+        st.lists(
+            st.integers(least // alpha + 1, least // alpha + 4),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        )
+    )
+    pair = tuple(
+        CkksParams(
+            log_n=log_n,
+            log_q=draw(st.integers(20, 8 * word_bytes - 2)),
+            max_limbs=draw(
+                st.integers(max(least, (alpha - 1) * dnum), alpha * dnum - 1)
+            ),
+            dnum=dnum,
+            fft_iter=fft_iter,
+            word_bytes=word_bytes,
+        )
+        for dnum in dnums
+    )
+    assert pair[0].alpha == pair[1].alpha == alpha
+    assert all(p.supports_bootstrapping() for p in pair)
+    return pair
+
+
 def _tabled_prices(costs, limbs, diagonals):
     """Every op the level-cost table holds, priced at ``limbs`` (the
     transform at each diagonal count in ``diagonals``)."""
@@ -308,19 +347,25 @@ class TestLevelTable:
                     )
 
     @settings(max_examples=15, deadline=None)
-    @given(pair=_same_level_geometry(), diagonals=_diagonal_counts)
-    def test_a_shared_table_prices_as_none(self, pair, diagonals):
-        levels = range(1, min(p.max_limbs for p in pair) + 1)
+    @given(pair=_bootstrappable_level_geometry())
+    # SlotToCoeff of the second walk runs at the first's CoeffToSlot
+    # levels, and the beta-splitting cache gates the two apart.
+    @example(
+        pair=(
+            CkksParams(log_n=17, log_q=50, max_limbs=23, dnum=2),
+            CkksParams(log_n=17, log_q=54, max_limbs=35, dnum=3),
+        )
+    )
+    def test_a_shared_table_prices_as_none(self, pair):
         for config in (MADConfig.none(), MADConfig.all()):
             for cache in _level_caches(pair):
-                table = {}
+                shared = {}
                 for params in pair:
-                    tabled = PrimitiveCosts(params, config, cache, table)
-                    fresh = PrimitiveCosts(params, config, cache)
-                    for limbs in levels:
-                        assert _tabled_prices(
-                            tabled, limbs, diagonals
-                        ) == _tabled_prices(fresh, limbs, diagonals)
+                    tabled = BootstrapModel(
+                        params, config, cache, level_costs=shared
+                    )
+                    fresh = BootstrapModel(params, config, cache)
+                    assert list(tabled.ledger()) == list(fresh.ledger())
 
     def test_the_gated_config_moves_a_price(self):
         """Negative control for the key's config: a cache that holds the
@@ -348,18 +393,3 @@ class TestLevelTable:
             a, b = (PrimitiveCosts(p, config) for p in (BASELINE_JUNG, other))
             assert a.level_key != b.level_key
             assert all(a.mult(limbs) != b.mult(limbs) for limbs in range(2, 36))
-
-    def test_a_hit_still_checks_the_limb_range(self):
-        table = {}
-        long, short = (
-            PrimitiveCosts(
-                dataclasses.replace(BASELINE_JUNG, max_limbs=limbs), level_costs=table
-            )
-            for limbs in (35, 34)
-        )
-        assert long.level_key == short.level_key
-        long.mult(35)
-        with pytest.raises(ValueError, match="limb count 35 outside"):
-            short.mult(35)
-        with pytest.raises(ValueError, match="limb count 0 outside"):
-            long.add(0)

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.obs import state
 from repro.params import BASELINE_JUNG
 from repro.perf import (
     ALGORITHMIC_LADDER,
@@ -77,6 +78,16 @@ class TestForCache:
         cfg = MADConfig.for_cache(CacheModel.from_mb(0.5), BASELINE_JUNG)
         assert not cfg.cache_o1
         assert cfg.key_compression
+
+    def test_an_off_flag_queries_no_threshold(self):
+        with state.capture() as (_, registry):
+            cfg = MADConfig(cache_o1=True, mod_down_merge=True).fitted(
+                CacheModel.from_mb(0.5), BASELINE_JUNG
+            )
+        assert cfg == MADConfig(mod_down_merge=True)
+        assert {
+            name for name in registry.counters() if name.startswith("perf.cache.")
+        } == {"perf.cache.o1.queries", "perf.cache.o1.nofit"}
 
 
 class TestLadders:
