@@ -62,24 +62,14 @@ def test_bench_rotations_hoisted(benchmark, env):
     benchmark(env["evaluator"].rotations_hoisted, env["ct1"], [1, 2])
 
 
-def test_bench_functional_bootstrap(benchmark):
-    params = toy_params(log_n=4, log_q=29, max_limbs=14, dnum=3)
+@pytest.mark.parametrize("fft_iter", [1, 2])
+def test_bench_functional_bootstrap(benchmark, fft_iter):
+    """Bootstrap whose DFTs run ``fft_iter`` sparse-diagonal stages each."""
+    params = toy_params(log_n=4, log_q=29, max_limbs=16, dnum=4, fft_iter=fft_iter)
     ctx = CkksContext(params, scale_bits=29, seed=5)
     kg = KeyGenerator(ctx, hamming_weight=4)
     enc = Encryptor(ctx, secret_key=kg.secret_key)
     bs = Bootstrapper(ctx, kg, mod_degree=63)
-    ct = enc.encrypt_values([0.2] * ctx.slots, scale=2.0**23, limbs=1)
-    refreshed = benchmark.pedantic(bs.bootstrap, args=(ct,), rounds=2, iterations=1)
-    assert refreshed.num_limbs > 1
-
-
-def test_bench_functional_bootstrap_staged_dft(benchmark):
-    """Bootstrap with the fftIter=2 factored DFT (sparse stage matrices)."""
-    params = toy_params(log_n=4, log_q=29, max_limbs=16, dnum=4)
-    ctx = CkksContext(params, scale_bits=29, seed=5)
-    kg = KeyGenerator(ctx, hamming_weight=4)
-    enc = Encryptor(ctx, secret_key=kg.secret_key)
-    bs = Bootstrapper(ctx, kg, mod_degree=63, fft_iter=2)
     ct = enc.encrypt_values([0.2] * ctx.slots, scale=2.0**23, limbs=1)
     refreshed = benchmark.pedantic(bs.bootstrap, args=(ct,), rounds=2, iterations=1)
     assert refreshed.num_limbs > 1

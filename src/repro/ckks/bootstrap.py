@@ -7,22 +7,22 @@ Han-Ki 2020 lineage):
    full modulus chain.  The plaintext becomes ``Delta*m + q_1*I(x)`` for a
    small integer polynomial ``I``.
 2. **CoeffToSlot** — homomorphic DFT moving the coefficients of that
-   plaintext into slots (two R-linear transforms extracting the real and
-   imaginary packings).
+   plaintext into slots, then one conjugation splitting the real and
+   imaginary packings.
 3. **EvalMod** — approximate reduction mod ``q_1`` by evaluating
    ``sin(2*pi*u) / (2*pi)`` on ``u = plaintext/q_1`` as a Chebyshev series.
 4. **SlotToCoeff** — the inverse DFT, moving slots back to coefficients.
 
-The homomorphic DFT runs either as a single dense PtMatVecMult per
-direction (default) or — with ``fft_iter`` set — as the genuine
-``fftIter``-stage radix-2 factorisation of :mod:`repro.ckks.specialfft`,
-matching the structure the performance model costs out.
+Each homomorphic DFT is the ``fftIter``-stage radix-2 factorisation of
+:mod:`repro.ckks.specialfft`: ``fft_iter`` sparse-diagonal PtMatVecMults
+per direction, the structure :func:`repro.perf.bootstrap.bootstrap_plan`
+prices.  ``fft_iter`` defaults to the context's ``params.fft_iter``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearTransform
 from repro.ckks.polyeval import ChebyshevEvaluator, chebyshev_fit
+from repro.ckks.specialfft import SpecialFft
 
 
 def approximate_mod_poly(
@@ -84,117 +85,63 @@ def reduced_cos_poly(
     return coeffs, interval
 
 
-def _r_linear_matrices(
-    linear_map: Callable[[np.ndarray], np.ndarray], n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Express an R-linear map on C^n as ``L(z) = M1 z + M2 conj(z)``."""
-    m1 = np.zeros((n, n), dtype=np.complex128)
-    m2 = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[k] = 1.0
-        real_image = linear_map(e)
-        imag_image = linear_map(1j * e)
-        m1[:, k] = (real_image - 1j * imag_image) / 2.0
-        m2[:, k] = (real_image + 1j * imag_image) / 2.0
-    return m1, m2
-
-
 class Bootstrapper:
     """Refreshes exhausted ciphertexts back to a high level.
 
     Args:
         context: scheme context; its chain must be deep enough for the
-            pipeline (2 transform levels + ~log2(mod_degree)+2 EvalMod
-            levels).
-        keygen: the key generator holding the secret key.  A *sparse*
-            secret (``hamming_weight`` small) keeps ``k_bound`` — the range
-            of the integer overflow ``I(x)`` — small.
-        k_bound: bound on ``|I(x)|``; defaults to ``hamming_weight/2 + 2``
-            estimated from the secret's actual weight.
+            pipeline (``fft_iter + 1`` CoeffToSlot levels, ~log2(mod_degree)+2
+            EvalMod levels and ``fft_iter`` SlotToCoeff levels).
+        keygen: the key generator holding the secret key.  ``k_bound``,
+            the bound on the integer overflow ``|I(x)|``, is
+            ``hamming_weight/2 + 2`` from the secret's actual weight, so
+            a *sparse* secret keeps it small.
         mod_degree: Chebyshev degree for the EvalMod sine approximation.
+        double_angle_iters: double-angle squarings after a reduced cosine
+            (:func:`reduced_cos_poly`); 0 evaluates the sine directly.
+        fft_iter: stages per homomorphic DFT direction; defaults to
+            ``context.params.fft_iter``, the field the performance model
+            prices.
     """
 
     def __init__(
         self,
         context: CkksContext,
         keygen: KeyGenerator,
-        k_bound: Optional[int] = None,
+        *,
         mod_degree: int = 63,
         double_angle_iters: int = 0,
         fft_iter: Optional[int] = None,
     ):
         self.context = context
-        n = context.slots
-        self.fft_iter = fft_iter
-        if k_bound is None:
-            weight = sum(1 for c in keygen.secret_key.coeffs if c)
-            k_bound = weight // 2 + 2
-        self.k_bound = k_bound
+        self.fft_iter = context.params.fft_iter if fft_iter is None else fft_iter
+        weight = sum(1 for c in keygen.secret_key.coeffs if c)
+        self.k_bound = weight // 2 + 2
         self.mod_degree = mod_degree
         self.double_angle_iters = double_angle_iters
         if double_angle_iters:
             self.mod_coeffs, self.mod_interval = reduced_cos_poly(
-                k_bound, mod_degree, double_angle_iters
+                self.k_bound, mod_degree, double_angle_iters
             )
         else:
             self.mod_coeffs, self.mod_interval = approximate_mod_poly(
-                k_bound, mod_degree
+                self.k_bound, mod_degree
             )
 
-        encoder = context.encoder
-        # Factored (multi-iteration) homomorphic DFT: the radix-2 special
-        # FFT grouped into fft_iter stages of sparse-diagonal transforms,
-        # exactly the structure whose cost the performance model attributes
-        # to the paper's fftIter parameter.  The stages produce/consume the
+        # The radix-2 special FFT grouped into fft_iter stages of
+        # sparse-diagonal transforms, composed in diagonal space so that
+        # no n x n matrix is formed.  The stages produce/consume the
         # coefficient packing in bit-reversed slot order, which EvalMod
-        # (slot-wise) is oblivious to.  The dense single-matrix transforms
-        # are built only on the non-factored path: probing the maps one
-        # basis vector at a time and extracting diagonals is O(n^2), which
-        # is fine at unit-test sizes and hopeless at bootstrap-sized rings
-        # — the factored path stays in diagonal space throughout.
-        self.c2s_real: Optional[LinearTransform] = None
-        self.c2s_imag: Optional[LinearTransform] = None
-        self.s2c: Optional[LinearTransform] = None
-        self.c2s_stages: Optional[list] = None
-        self.s2c_stages: Optional[list] = None
-        if fft_iter is not None:
-            from repro.ckks.specialfft import SpecialFft
-
-            fft = SpecialFft(encoder)
-            self.c2s_stages = [
-                LinearTransform(stage)
-                for stage in fft.grouped_stage_diagonals(
-                    fft_iter, inverse=True
-                )
-            ]
-            self.s2c_stages = [
-                LinearTransform(stage)
-                for stage in fft.grouped_stage_diagonals(fft_iter)
-            ]
-        else:
-            # CoeffToSlot: slots z of the raised plaintext -> packed
-            # coefficient views.  embed(z) recovers the (scaled)
-            # coefficient vector exactly.
-            def coeff_real(z):
-                return encoder.embed(z)[:n].astype(np.complex128)
-
-            def coeff_imag(z):
-                return encoder.embed(z)[n:].astype(np.complex128)
-
-            # SlotToCoeff: packed coefficients w -> slot values of that
-            # coefficient vector.
-            def slots_of_packed(w):
-                coeffs = np.concatenate([w.real, w.imag])
-                return encoder.project(coeffs)
-
-            self.c2s_real = LinearTransform(
-                *_r_linear_matrices(coeff_real, n)
-            )
-            self.c2s_imag = LinearTransform(
-                *_r_linear_matrices(coeff_imag, n)
-            )
-            self.s2c = LinearTransform(*_r_linear_matrices(slots_of_packed, n))
+        # (slot-wise) is oblivious to.
+        fft = SpecialFft(context.encoder)
+        self.c2s_stages = [
+            LinearTransform(stage)
+            for stage in fft.grouped_stage_diagonals(self.fft_iter, inverse=True)
+        ]
+        self.s2c_stages = [
+            LinearTransform(stage)
+            for stage in fft.grouped_stage_diagonals(self.fft_iter)
+        ]
 
         self.evaluator = Evaluator(
             context,
@@ -209,11 +156,7 @@ class Bootstrapper:
     # ------------------------------------------------------------------
     def required_rotations(self):
         steps = set()
-        if self.c2s_stages is not None:
-            transforms = list(self.c2s_stages) + list(self.s2c_stages)
-        else:
-            transforms = [self.c2s_real, self.c2s_imag, self.s2c]
-        for transform in transforms:
+        for transform in self.c2s_stages + self.s2c_stages:
             steps.update(transform.required_rotations())
         return sorted(steps)
 
@@ -239,24 +182,18 @@ class Bootstrapper:
         return Ciphertext(lift(ct.c0), lift(ct.c1), float(q1))
 
     # ------------------------------------------------------------------
-    def coeff_to_slot(
-        self, ct: Ciphertext, method: str = "hoisted"
-    ) -> Tuple[Ciphertext, Ciphertext]:
+    def coeff_to_slot(self, ct: Ciphertext) -> Tuple[Ciphertext, Ciphertext]:
         """Homomorphic DFT: slots become (real, imag) coefficient packings.
 
-        On the factored path the packing is in bit-reversed order; the
-        slot-wise EvalMod does not care, and :meth:`slot_to_coeff` consumes
-        the same ordering.
+        The packing is in bit-reversed order (:attr:`SpecialFft.sigma`);
+        the slot-wise EvalMod does not care, and :meth:`slot_to_coeff`
+        consumes the same ordering.  The real/imaginary split costs one
+        level after the ``fft_iter`` stages.
         """
-        if self.c2s_stages is None:
-            return (
-                self.c2s_real.apply(self.evaluator, ct, method=method),
-                self.c2s_imag.apply(self.evaluator, ct, method=method),
-            )
         ev = self.evaluator
         packed = ct
         for stage in self.c2s_stages:
-            packed = stage.apply(ev, packed, method=method)
+            packed = stage.apply(ev, packed)
         conjugated = ev.conjugate(packed)
         u_real = ev.pt_mult(ev.add(packed, conjugated), 0.5)
         u_imag = ev.pt_mult(ev.sub(packed, conjugated), -0.5j)
@@ -289,17 +226,15 @@ class Bootstrapper:
             g = ev.pt_add(ev.add(squared, squared), -1.0)
         return ev.pt_mult(g, factor / (2.0 * math.pi))
 
-    def slot_to_coeff(self, ct: Ciphertext, method: str = "hoisted") -> Ciphertext:
+    def slot_to_coeff(self, ct: Ciphertext) -> Ciphertext:
         """Inverse homomorphic DFT: packed coefficients back into slots."""
-        if self.s2c_stages is None:
-            return self.s2c.apply(self.evaluator, ct, method=method)
         out = ct
         for stage in self.s2c_stages:
-            out = stage.apply(self.evaluator, out, method=method)
+            out = stage.apply(self.evaluator, out)
         return out
 
     # ------------------------------------------------------------------
-    def bootstrap(self, ct: Ciphertext, method: str = "hoisted") -> Ciphertext:
+    def bootstrap(self, ct: Ciphertext) -> Ciphertext:
         """Full bootstrap of a (nearly) exhausted ciphertext.
 
         The input may have any number of limbs; only its first limb is
@@ -319,7 +254,6 @@ class Bootstrapper:
             "ckks.Bootstrap",
             slots=self.context.slots,
             limbs=self.context.max_limbs,
-            method=method,
         ):
             input_scale = ct.scale
             with obs.span("ModRaise"):
@@ -327,13 +261,13 @@ class Bootstrapper:
             q1 = float(self.context.q_basis.moduli[0])
 
             with obs.span("CoeffToSlot"):
-                u_real, u_imag = self.coeff_to_slot(raised, method=method)
+                u_real, u_imag = self.coeff_to_slot(raised)
             with obs.span("EvalMod"):
                 v_real = self.eval_mod(u_real)
                 v_imag = self.eval_mod(u_imag, factor=1j)
                 packed = self.evaluator.add(v_real, v_imag)
             with obs.span("SlotToCoeff"):
-                out = self.slot_to_coeff(packed, method=method)
+                out = self.slot_to_coeff(packed)
             # The pipeline computed values (Delta_in/q_1) * m; fold the
             # factor into the declared scale.
             return Ciphertext(out.c0, out.c1, out.scale * input_scale / q1)

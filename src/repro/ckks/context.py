@@ -209,7 +209,7 @@ class CkksContext:
         if spans is not None and seed is None:
             raise ValueError("word ranges replay a seeded stream")
         rng = self.rng if seed is None else random.Random(seed)
-        if kernels.enabled() and kernels.moduli_fit(basis.moduli):
+        if basis.fast_path:
             if spans is not None:
                 return kernels.replay_rows(rng, basis.moduli, basis.degree, spans)
             return kernels.uniform_rows(

@@ -43,7 +43,7 @@ from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import SwitchingKey
 
-#: Default relative tolerance when checking that two scales match.  CKKS
+#: Relative tolerance when checking that two scales match.  CKKS
 #: rescaling divides by primes that only approximate the scaling factor, so
 #: deep circuits accumulate per-level scale drift of ~|q - Delta| / Delta;
 #: additions across different depths must tolerate that drift (the induced
@@ -103,13 +103,11 @@ class Evaluator:
         relin_key: Optional[SwitchingKey] = None,
         rotation_keys: Optional[Dict[int, SwitchingKey]] = None,
         conjugation_key: Optional[SwitchingKey] = None,
-        scale_rtol: float = _SCALE_RTOL,
     ):
         self.context = context
         self.relin_key = relin_key
         self.rotation_keys = dict(rotation_keys or {})
         self.conjugation_key = conjugation_key
-        self.scale_rtol = scale_rtol
 
     # ==================================================================
     # Additive operations
@@ -228,17 +226,18 @@ class Evaluator:
         """Bring ``ct`` to ``target_scale``, spending one level if needed.
 
         A no-op while the declared scale is already within ``rtol``
-        (default ``scale_rtol``) — the induced message error is bounded
-        by the actual mismatch, so the tolerance must be chosen against
-        the caller's error budget: EvalMod's Chebyshev recursion works
-        on O(1) basis values whose useful output is ~1e-3, so it passes
-        a far tighter ``rtol`` than the additive 5% default.  Beyond the
+        (default :data:`_SCALE_RTOL`, the tolerance of additions) — the
+        induced message error is bounded by the actual mismatch, so the
+        tolerance must be chosen against the caller's error budget:
+        EvalMod's Chebyshev recursion works on O(1) basis values whose
+        useful output is ~1e-3, so it passes a far tighter ``rtol`` than
+        the additive 5% default.  Beyond the
         tolerance it multiplies by the constant one via
         :meth:`pt_mult_at`, which costs one level off ``ct``'s chain —
         the caller should therefore pass the *higher-level* operand of
         an upcoming addition.
         """
-        rtol = self.scale_rtol if rtol is None else rtol
+        rtol = _SCALE_RTOL if rtol is None else rtol
         if math.isclose(ct.scale, target_scale, rel_tol=rtol):
             return ct
         return self.pt_mult_at(ct, 1.0, target_scale)
@@ -565,6 +564,6 @@ class Evaluator:
         return Plaintext(self.context.encoder.encode(values, scale), scale)
 
     def _check_scales(self, s1: float, s2: float) -> None:
-        if not math.isclose(s1, s2, rel_tol=self.scale_rtol):
+        if not math.isclose(s1, s2, rel_tol=_SCALE_RTOL):
             raise ValueError(f"scale mismatch: {s1} vs {s2}")
 

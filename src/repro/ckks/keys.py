@@ -50,15 +50,6 @@ def key_dtype(basis: RnsBasis) -> np.dtype:
     return np.dtype(np.uint32) if basis.dtype == np.int64 else basis.dtype
 
 
-def _lazy(basis: RnsBasis) -> bool:
-    """Whether key arithmetic over ``basis`` runs lazily reduced in uint64.
-
-    The per-digit :class:`RnsPolynomial` expressions are the reference;
-    they run for ``object`` bases and under :func:`repro.kernels.oracle_only`.
-    """
-    return kernels.enabled() and basis.dtype == np.int64
-
-
 class SecretKey:
     """A ternary secret key, materialisable over any basis of the context."""
 
@@ -163,7 +154,7 @@ class SwitchingKey:
         full = context.raised_basis(top)
         live = list(range(live_limbs)) + list(range(top, len(full)))
         seed = self.seeds[digit]
-        if self.row_ends is not None and _lazy(full):
+        if self.row_ends is not None and full.fast_path:
             ends = self.row_ends[digit]
             starts = np.concatenate(([0], ends[:-1]))
             a = context.sample_uniform_rows(
@@ -226,7 +217,7 @@ class SwitchingKey:
         basis = context.raised_basis(live_limbs)
         acc_b = RnsPolynomial.zero(basis)
         acc_a = RnsPolynomial.zero(basis)
-        if not _lazy(basis):
+        if not basis.fast_path:
             for digit, (b_key, a_key) in zip(
                 digits, self.restricted(live_limbs, context)
             ):
@@ -321,7 +312,7 @@ class KeyGenerator:
         b_rows = np.empty(shape, dtype=key_dtype(basis))
         a_rows = None if self.compress_keys else np.empty_like(b_rows)
         seeds = []
-        lazy = _lazy(basis)
+        lazy = basis.fast_path
         row_ends = (
             np.empty(shape[:2], dtype=np.int64)
             if self.compress_keys and lazy

@@ -5,9 +5,8 @@ A plaintext matrix-vector product over encrypted slots is evaluated as
     y = sum_d  diag_d ⊙ rotate(z, d)
 
 over the non-zero generalised diagonals of the matrix.  This module
-implements three strategies:
+implements two strategies:
 
-* ``naive``     — one full Rotate (KeySwitch included) per diagonal.
 * ``hoisted``   — Fig. 5(c) of the paper: ModUp hoisting shares one
   Decomp+ModUp across every rotation of a source ciphertext, and ModDown
   hoisting accumulates the plaintext-multiplied key-switch outputs in the
@@ -39,6 +38,14 @@ from repro.ckks.evaluator import Evaluator
 #: Diagonals with max-abs below this threshold are treated as zero.
 _ZERO_DIAGONAL_TOL = 1e-12
 
+#: The evaluation strategies of :meth:`LinearTransform.apply`.
+_METHODS = ("hoisted", "bsgs")
+
+
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of {_METHODS}")
+
 
 def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
     """Non-zero generalised diagonals ``diag_d[j] = M[j, (j+d) mod n]``."""
@@ -66,27 +73,24 @@ class LinearTransform:
             since extracting diagonals from a dense matrix is ``O(n^2)``).
         conj_matrix: optional ``M2`` applied to the conjugated input, in
             either form.
-        scale: plaintext encoding scale for the diagonals (defaults to the
-            evaluator context's scale at apply time).
+
+    The diagonals are encoded at the evaluator context's scale.
+
+    Raises:
+        ValueError: when neither matrix has a non-zero diagonal.
     """
 
     def __init__(
         self,
         matrix: Union[np.ndarray, Dict[int, np.ndarray]],
         conj_matrix: Optional[Union[np.ndarray, Dict[int, np.ndarray]]] = None,
-        scale: Optional[float] = None,
     ):
         self.diagonals = self._to_diagonals(matrix)
         self.conj_diagonals = (
             self._to_diagonals(conj_matrix) if conj_matrix is not None else {}
         )
-        if self.diagonals:
-            self.slots = len(next(iter(self.diagonals.values())))
-        elif self.conj_diagonals:
-            self.slots = len(next(iter(self.conj_diagonals.values())))
-        else:
-            self.slots = np.asarray(matrix).shape[0]
-        self.scale = scale
+        if not self.diagonals and not self.conj_diagonals:
+            raise ValueError("transform has no non-zero diagonals")
 
     @staticmethod
     def _to_diagonals(
@@ -101,10 +105,11 @@ class LinearTransform:
 
     # ------------------------------------------------------------------
     def required_rotations(self, method: str = "hoisted") -> List[int]:
-        """Rotation steps an evaluator needs keys for."""
+        """Rotation steps an evaluator needs keys for under ``method``."""
+        _check_method(method)
         all_steps = set(self.diagonals) | set(self.conj_diagonals)
         if method == "bsgs":
-            baby, _ = self._bsgs_split()
+            baby = self._baby_step()
             needed = set()
             for d in all_steps:
                 needed.add(d % baby)
@@ -117,12 +122,10 @@ class LinearTransform:
     def needs_conjugation(self) -> bool:
         return bool(self.conj_diagonals)
 
-    def _bsgs_split(self) -> Tuple[int, int]:
-        """Baby-step size ``g`` and giant-step count for this dimension."""
-        count = max(len(self.diagonals) + len(self.conj_diagonals), 1)
-        baby = 1 << max(int(round(math.log2(math.sqrt(count)))), 0)
-        giant = math.ceil(self.slots / baby)
-        return baby, giant
+    def _baby_step(self) -> int:
+        """Baby-step size ``g``, a power of two near ``sqrt(D)`` for ``D`` diagonals."""
+        count = len(self.diagonals) + len(self.conj_diagonals)
+        return 1 << max(int(round(math.log2(math.sqrt(count)))), 0)
 
     # ------------------------------------------------------------------
     def apply(
@@ -133,46 +136,19 @@ class LinearTransform:
         rescale: bool = True,
     ) -> Ciphertext:
         """Evaluate ``M1 z + M2 conj(z)`` homomorphically."""
-        if method not in ("naive", "hoisted", "bsgs"):
-            raise ValueError(f"unknown method {method!r}")
+        _check_method(method)
         inputs = []
         if self.diagonals:
             inputs.append((ct, self.diagonals))
         if self.conj_diagonals:
             inputs.append((evaluator.conjugate(ct), self.conj_diagonals))
-        if not inputs:
-            raise ValueError("transform has no non-zero diagonals")
-        scale = self.scale if self.scale is not None else evaluator.context.scale
+        scale = evaluator.context.scale
 
-        if method == "naive":
-            out = self._apply_naive(evaluator, inputs, scale)
-        elif method == "hoisted":
+        if method == "hoisted":
             out = self._apply_hoisted(evaluator, inputs, scale)
         else:
             out = self._apply_bsgs(evaluator, inputs, scale)
         return evaluator.rescale(out) if rescale else out
-
-    # ------------------------------------------------------------------
-    def _apply_naive(
-        self,
-        evaluator: Evaluator,
-        inputs: Sequence[Tuple[Ciphertext, Dict[int, np.ndarray]]],
-        scale: float,
-    ) -> Ciphertext:
-        acc = None
-        for source, diagonals in inputs:
-            for d, diag in diagonals.items():
-                rotated = evaluator.rotate(source, d) if d else source
-                term = evaluator.pt_mult(
-                    rotated,
-                    Plaintext(
-                        evaluator.context.encoder.encode(list(diag), scale),
-                        scale,
-                    ),
-                    rescale=False,
-                )
-                acc = term if acc is None else evaluator.add(acc, term)
-        return acc
 
     # ------------------------------------------------------------------
     def _apply_hoisted(
@@ -243,7 +219,7 @@ class LinearTransform:
     ) -> Ciphertext:
         """Baby-step/giant-step with hoisted baby rotations."""
         ctx = evaluator.context
-        baby, _ = self._bsgs_split()
+        baby = self._baby_step()
         acc = None
         for source, diagonals in inputs:
             # Group diagonals by giant step; babies are the offsets mod g.

@@ -97,8 +97,9 @@ class SpecialFft:
     def level_matrices(self) -> List[np.ndarray]:
         """Dense level operators, built on first access.
 
-        Only the dense single-matrix DFT path and the tests touch these;
-        the factored bootstrap works purely in diagonal space via
+        They are the dense reference (:meth:`grouped_stages` and the
+        ``*_full`` products) that the tests check the diagonal-space
+        stages against; the bootstrap works purely in diagonal space via
         :meth:`grouped_stage_diagonals`, which is what keeps large slot
         counts (``n = 2**13`` and up) feasible.
         """

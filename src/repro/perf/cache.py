@@ -122,10 +122,3 @@ class CacheModel:
     def fits_limb_reorder(self, params: CkksParams) -> bool:
         """Re-ordering needs the same capacity as O(alpha) caching."""
         return self._record("limb_reorder", self.fits_alpha(params))
-
-    def fits_whole_ciphertext(self, params: CkksParams, limbs: int) -> bool:
-        """Does a full ciphertext fit (the F1 small-parameter regime)?"""
-        return self._record(
-            "whole_ciphertext",
-            self.size_bytes >= params.ciphertext_bytes(limbs),
-        )

@@ -76,16 +76,6 @@ class MADConfig:
             key_compression=True,
         )
 
-    @classmethod
-    def for_cache(cls, cache: CacheModel, params: CkksParams) -> "MADConfig":
-        """Automatically enable every optimization the memory supports.
-
-        Mirrors SimFHE's behaviour: "for a large enough on-chip memory,
-        SimFHE will automatically deploy the applicable optimization."
-        Algorithmic optimizations are memory-independent and always on.
-        """
-        return cls.all().fitted(cache, params)
-
     def fitted(self, cache: CacheModel, params: CkksParams) -> "MADConfig":
         """These flags less every caching flag ``cache`` cannot hold at
         ``params`` (Section 3.1 thresholds).

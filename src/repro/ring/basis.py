@@ -128,6 +128,18 @@ class RnsBasis:
         """Storage dtype of this basis' residue matrices (:func:`limb_dtype`)."""
         return limb_dtype(self.moduli)
 
+    @property
+    def fast_path(self) -> bool:
+        """Whether arithmetic over this basis runs the int64 kernels.
+
+        True when the kernels are on (:func:`repro.kernels.enabled`, read
+        at every call, since :func:`repro.kernels.oracle_only` switches
+        them) and the residues are int64 (every modulus inside the
+        kernels' bound).  Otherwise callers run the reference
+        expressions, which give the same canonical residues.
+        """
+        return kernels.enabled() and self.dtype == np.int64
+
     @cached_property
     def q_col(self) -> np.ndarray:
         """The moduli as a read-only ``(l, 1)`` column of :attr:`dtype`.

@@ -75,11 +75,7 @@ def _new_limb_rows(
     Both produce identical canonical rows.
     """
     target_list = [int(t) for t in targets]
-    if (
-        kernels.enabled()
-        and kernels.moduli_fit(source_basis.moduli)
-        and kernels.moduli_fit(target_list)
-    ):
+    if source_basis.fast_path and kernels.moduli_fit(target_list):
         return kernels.new_limbs_matrix(
             coeff_rows,
             list(source_basis.moduli),
@@ -151,7 +147,7 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
 
         # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
         p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
-        if kernels.enabled() and kernels.moduli_fit(target_basis.moduli):
+        if target_basis.fast_path:
             rows = kernels.sub_scale_mod(
                 poly.limbs[:keep], hat_evals, p_invs, list(target_basis.moduli)
             )

@@ -126,14 +126,14 @@ def _limb_passes(op: _Op) -> _Op:
 
 def _add(a: np.ndarray, b: np.ndarray, basis: RnsBasis) -> np.ndarray:
     """``(a + b) mod q_i`` row by row; ``b`` may be an ``(l, 1)`` column."""
-    if kernels.enabled() and basis.dtype == np.int64:
+    if basis.fast_path:
         return kernels.add_mod(a, b, basis.q_col)
     return np.remainder(a + b, basis.q_col)
 
 
 def _sub(a: np.ndarray, b: np.ndarray, basis: RnsBasis) -> np.ndarray:
     """``(a - b) mod q_i`` row by row."""
-    if kernels.enabled() and basis.dtype == np.int64:
+    if basis.fast_path:
         return kernels.sub_mod(a, b, basis.q_col)
     return np.remainder(a - b, basis.q_col)
 
@@ -162,9 +162,7 @@ def _lifts_without_division(values: np.ndarray, basis: RnsBasis) -> bool:
     ternary secrets, Gaussian errors and messages at the scale of one
     limb.
     """
-    if not (
-        kernels.enabled() and basis.dtype == np.int64 and values.dtype == np.int64
-    ):
+    if not (basis.fast_path and values.dtype == np.int64):
         return False
     bound = min(basis.moduli)
     return bool(values.min() > -bound and values.max() < bound)
@@ -400,7 +398,7 @@ class RnsPolynomial:
         weighted sum.
         """
         poly = self.to_coeff()
-        if kernels.enabled() and poly.basis.dtype == np.int64:
+        if poly.basis.fast_path:
             with kernels.limb_passes(poly.basis.degree):
                 return _crt_two_limb(poly.limbs, poly.basis, centered)
         return _crt_weighted_sum(poly.limbs, poly.basis, centered)
@@ -571,7 +569,7 @@ class ProductSum:
         self._acc = RnsPolynomial.zero(basis)
         self._mac = (
             kernels.MulAcc(self._acc.limbs, basis.q_col)
-            if kernels.enabled() and basis.dtype == np.int64
+            if basis.fast_path
             else None
         )
 

@@ -11,6 +11,7 @@ from repro.ckks import (
     approximate_mod_poly,
 )
 from repro.ckks.polyeval import chebyshev_value
+from repro.ckks.specialfft import SpecialFft
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +100,11 @@ class TestPhases:
         u_real, u_imag = bs.coeff_to_slot(raised)
         got_real = dec.decrypt_values(u_real).real
         got_imag = dec.decrypt_values(u_imag).real
-        assert np.max(np.abs(got_real - raised_coeffs[:8] / q1)) < 1e-2
-        assert np.max(np.abs(got_imag - raised_coeffs[8:] / q1)) < 1e-2
+        # Slot b holds the coefficient pair of the bit-reversed leaf
+        # order: (c[sigma(b)], c[sigma(b) + n]).
+        sigma = np.asarray(SpecialFft(ctx.encoder).sigma)
+        assert np.max(np.abs(got_real - raised_coeffs[sigma] / q1)) < 1e-2
+        assert np.max(np.abs(got_imag - raised_coeffs[sigma + 8] / q1)) < 1e-2
 
     def test_c2s_then_s2c_is_identity(self, boot_env):
         enc, dec, bs, ctx = (
@@ -157,14 +161,14 @@ class TestEvalModCost:
         assert np.max(np.abs(dec.decrypt_values(turned) - 1j * eps)) < 2e-3
 
     def test_bootstrap_keeps_its_level_budget(self, boot_env, monkeypatch):
-        # Scalar constants, one rescale per leaf and the x^(N/2) turn
-        # change EvalMod's cost, not its levels: the toy bootstrap still
-        # ends on 4 limbs, with 14 Mults per EvalMod branch (the odd sine
-        # series builds no T_6).
+        # The toy bootstrap (fft_iter = 1) ends on 3 of 14 limbs: one
+        # CoeffToSlot stage and its real/imaginary split, EvalMod's
+        # levels, one SlotToCoeff stage.  EvalMod runs 14 Mults per
+        # branch (the odd sine series builds no T_6).
         enc, bs = boot_env["enc"], boot_env["bs"]
         ct = enc.encrypt_values([0.2] * 8, scale=2.0**23, limbs=1)
         calls = _count_calls(monkeypatch, bs.evaluator, "mult")
-        assert bs.bootstrap(ct).num_limbs == 4
+        assert bs.bootstrap(ct).num_limbs == 3
         assert len(calls) == 28
 
 
@@ -192,13 +196,6 @@ class TestFullBootstrap:
         z = np.array([0.1, -0.1, 0.2, 0.0, 0.05, -0.05, 0.15, -0.2])
         ct = enc.encrypt_values(z, scale=2.0**23, limbs=2)
         out = bs.bootstrap(ct)
-        assert np.max(np.abs(dec.decrypt_values(out) - z)) < 2e-2
-
-    def test_naive_method_matches(self, boot_env):
-        enc, dec, bs = boot_env["enc"], boot_env["dec"], boot_env["bs"]
-        z = np.array([0.2, -0.1, 0.0, 0.1, -0.2, 0.15, 0.05, -0.05])
-        ct = enc.encrypt_values(z, scale=2.0**23, limbs=1)
-        out = bs.bootstrap(ct, method="naive")
         assert np.max(np.abs(dec.decrypt_values(out) - z)) < 2e-2
 
     def test_default_k_bound_derived_from_secret(self, boot_env):

@@ -16,7 +16,7 @@ from repro.ckks import (
     KeyGenerator,
     SwitchingKey,
 )
-from repro.ckks.evaluator import _integer_parts
+from repro.ckks.evaluator import _SCALE_RTOL, _integer_parts
 
 
 @pytest.fixture()
@@ -196,7 +196,7 @@ class TestRescaleAndLevels:
 
     def test_match_scale_is_noop_within_tolerance(self, encryptor, evaluator, z1):
         ct = encryptor.encrypt_values(z1)
-        nearly = ct.scale * (1.0 + evaluator.scale_rtol / 2)
+        nearly = ct.scale * (1.0 + _SCALE_RTOL / 2)
         assert evaluator.match_scale(ct, nearly) is ct
 
     def test_match_scale_tight_rtol_forces_exact_landing(

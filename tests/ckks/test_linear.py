@@ -50,7 +50,7 @@ class TestApply:
     def dense(self, rng):
         return rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
 
-    @pytest.mark.parametrize("method", ["naive", "hoisted", "bsgs"])
+    @pytest.mark.parametrize("method", ["hoisted", "bsgs"])
     def test_matvec(self, method, dense, encryptor, decryptor, evaluator, rng):
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
         ct = encryptor.encrypt_values(z)
@@ -58,7 +58,7 @@ class TestApply:
         got = decryptor.decrypt_values(out)
         assert np.max(np.abs(got - dense @ z)) < 1e-3
 
-    @pytest.mark.parametrize("method", ["naive", "hoisted"])
+    @pytest.mark.parametrize("method", ["hoisted"])
     def test_conjugate_aware(self, method, dense, encryptor, decryptor, evaluator, rng):
         m2 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -77,7 +77,7 @@ class TestApply:
     def test_sparse_matrix_uses_few_rotations(self):
         tridiag = np.eye(8) + np.roll(np.eye(8), 1, axis=1) + np.roll(np.eye(8), -1, axis=1)
         lt = LinearTransform(tridiag)
-        assert len(lt.required_rotations("naive")) == 2  # steps 1 and 7
+        assert len(lt.required_rotations()) == 2  # steps 1 and 7
 
     def test_consumes_one_level(self, dense, encryptor, evaluator, rng):
         ct = encryptor.encrypt_values(rng.normal(size=8))
@@ -91,37 +91,38 @@ class TestApply:
 
     def test_unknown_method_rejected(self, dense, encryptor, evaluator):
         ct = encryptor.encrypt_values([0.0] * 8)
-        with pytest.raises(ValueError):
-            LinearTransform(dense).apply(evaluator, ct, method="turbo")
+        lt = LinearTransform(dense)
+        with pytest.raises(ValueError, match="unknown method 'turbo'"):
+            lt.apply(evaluator, ct, method="turbo")
+        for method in ("turbo", "naive"):
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                lt.required_rotations(method)
 
-    def test_all_zero_transform_rejected(self, encryptor, evaluator):
-        ct = encryptor.encrypt_values([0.0] * 8)
-        with pytest.raises(ValueError):
-            LinearTransform(np.zeros((8, 8))).apply(evaluator, ct)
+    def test_all_zero_transform_rejected(self):
+        for matrix in (np.zeros((8, 8)), {}):
+            with pytest.raises(ValueError, match="no non-zero diagonals"):
+                LinearTransform(matrix)
 
     def test_methods_agree(self, dense, encryptor, decryptor, evaluator, rng):
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
         ct = encryptor.encrypt_values(z)
         lt = LinearTransform(dense)
-        results = [
+        hoisted, bsgs = (
             decryptor.decrypt_values(lt.apply(evaluator, ct, method=m))
-            for m in ("naive", "hoisted", "bsgs")
-        ]
-        for other in results[1:]:
-            assert np.max(np.abs(results[0] - other)) < 1e-3
+            for m in ("hoisted", "bsgs")
+        )
+        assert np.max(np.abs(hoisted - bsgs)) < 1e-3
 
 
 class TestRequiredRotations:
     def test_naive_lists_diagonal_indices(self, rng):
         m = rng.normal(size=(8, 8))
-        assert LinearTransform(m).required_rotations("naive") == list(range(1, 8))
+        assert LinearTransform(m).required_rotations() == list(range(1, 8))
 
     def test_bsgs_needs_fewer_keys_for_dense(self, rng):
         m = rng.normal(size=(8, 8))
         lt = LinearTransform(m)
-        assert len(lt.required_rotations("bsgs")) <= len(
-            lt.required_rotations("naive")
-        )
+        assert len(lt.required_rotations("bsgs")) <= len(lt.required_rotations())
 
     def test_conjugation_flag(self, rng):
         m = rng.normal(size=(8, 8))

@@ -120,17 +120,26 @@ class TestFactoredBootstrap:
         out = bs.bootstrap(ct)
         assert np.max(np.abs(env["dec"].decrypt_values(out) - z)) < 2e-2
 
-    def test_more_iterations_consume_more_levels(self, env):
+    def test_more_iterations_consume_more_levels(self):
         """Matches the performance model: each extra DFT stage costs one
-        level in each direction."""
-        from repro.ckks import Bootstrapper
+        level in each direction.  Built without ``fft_iter``, the
+        bootstrapper takes the stage count the model prices,
+        ``params.fft_iter``."""
+        from repro.params import toy_params
+        from repro.ckks import Bootstrapper, CkksContext, Encryptor, KeyGenerator
 
         z = np.array([0.2, -0.1, 0.0, 0.1, -0.2, 0.15, 0.05, -0.05])
-        ct = env["enc"].encrypt_values(z, scale=2.0**23, limbs=1)
         levels = {}
         for fft_iter in (1, 2, 3):
-            bs = Bootstrapper(
-                env["ctx"], env["kg"], mod_degree=63, fft_iter=fft_iter
+            params = toy_params(
+                log_n=4, log_q=29, max_limbs=16, dnum=4, fft_iter=fft_iter
             )
+            ctx = CkksContext(params, scale_bits=29, seed=5)
+            kg = KeyGenerator(ctx, hamming_weight=4)
+            bs = Bootstrapper(ctx, kg, mod_degree=63)
+            assert bs.fft_iter == fft_iter
+            assert len(bs.c2s_stages) == len(bs.s2c_stages) == fft_iter
+            enc = Encryptor(ctx, secret_key=kg.secret_key)
+            ct = enc.encrypt_values(z, scale=2.0**23, limbs=1)
             levels[fft_iter] = bs.bootstrap(ct).num_limbs
         assert levels[1] == levels[2] + 2 == levels[3] + 4

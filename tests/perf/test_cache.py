@@ -59,14 +59,6 @@ class TestOptimizationThresholds:
         assert CacheModel.from_mb(32).fits_alpha(MAD_OPTIMAL)
         assert not CacheModel.from_mb(20).fits_alpha(MAD_OPTIMAL)
 
-    def test_whole_ciphertext_f1_regime(self):
-        from repro.params import CkksParams
-
-        small = CkksParams(log_n=14, log_q=32, max_limbs=16, dnum=4)
-        cache = CacheModel.from_mb(64)
-        assert cache.fits_whole_ciphertext(small, 16)
-        assert not cache.fits_whole_ciphertext(BASELINE_JUNG, 35)
-
 
 class TestByteConvention:
     """Decimal-MB sizes vs binary-MiB limbs (see perf/cache.py docstring).

@@ -63,19 +63,22 @@ class TestPresets:
 
 
 class TestForCache:
+    """``MADConfig.all().fitted(cache, params)``: every technique the
+    memory supports, as SimFHE deploys them automatically."""
+
     def test_large_cache_enables_all(self):
-        cfg = MADConfig.for_cache(CacheModel.from_mb(32), BASELINE_JUNG)
+        cfg = MADConfig.all().fitted(CacheModel.from_mb(32), BASELINE_JUNG)
         assert cfg == MADConfig.all()
 
     def test_six_mb_stops_at_beta(self):
-        cfg = MADConfig.for_cache(CacheModel.from_mb(6.5), BASELINE_JUNG)
+        cfg = MADConfig.all().fitted(CacheModel.from_mb(6.5), BASELINE_JUNG)
         assert cfg.cache_o1 and cfg.cache_beta
         assert not cfg.cache_alpha and not cfg.limb_reorder
         # Algorithmic optimizations are memory-independent.
         assert cfg.mod_down_merge and cfg.mod_down_hoist and cfg.key_compression
 
     def test_tiny_cache_keeps_algorithmic_only(self):
-        cfg = MADConfig.for_cache(CacheModel.from_mb(0.5), BASELINE_JUNG)
+        cfg = MADConfig.all().fitted(CacheModel.from_mb(0.5), BASELINE_JUNG)
         assert not cfg.cache_o1
         assert cfg.key_compression
 

@@ -38,6 +38,12 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "max error" in out
 
+    def test_parameter_search(self, capsys):
+        _run_example("parameter_search")
+        out = capsys.readouterr().out
+        assert "admissible parameter sets" in out
+        assert out.count("  #1 ") == 3  # one winner per memory budget
+
     def test_encrypted_logistic_regression(self, capsys):
         _run_example("encrypted_logistic_regression")
         out = capsys.readouterr().out
