@@ -74,6 +74,8 @@ class LinearTransform:
         conj_matrix: optional ``M2`` applied to the conjugated input, in
             either form.
 
+    In either form, diagonals whose max-abs is at most
+    ``_ZERO_DIAGONAL_TOL`` are dropped, so they cost no rotation key.
     The diagonals are encoded at the evaluator context's scale.
 
     Raises:
@@ -97,9 +99,14 @@ class LinearTransform:
         matrix: Union[np.ndarray, Dict[int, np.ndarray]],
     ) -> Dict[int, np.ndarray]:
         if isinstance(matrix, dict):
-            return {
+            diagonals = {
                 int(d): np.asarray(v, dtype=np.complex128)
                 for d, v in matrix.items()
+            }
+            return {
+                d: v
+                for d, v in diagonals.items()
+                if np.max(np.abs(v)) > _ZERO_DIAGONAL_TOL
             }
         return matrix_diagonals(matrix)
 

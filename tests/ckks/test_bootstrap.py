@@ -201,6 +201,11 @@ class TestFullBootstrap:
     def test_default_k_bound_derived_from_secret(self, boot_env):
         assert boot_env["bs"].k_bound == 4 // 2 + 2
 
+    def test_options_after_keygen_are_keyword_only(self, boot_env):
+        # A stale positional k_bound or mod_degree fails loudly.
+        with pytest.raises(TypeError, match="positional"):
+            Bootstrapper(boot_env["ctx"], boot_env["kg"], 4)
+
     def test_fast_path_matches_oracle_bit_exactly(self, boot_env):
         # The whole pipeline — encode, ModRaise, CoeffToSlot, EvalMod,
         # SlotToCoeff, every KeySwitch — must produce the *identical*

@@ -91,17 +91,20 @@ class TestApply:
 
     def test_unknown_method_rejected(self, dense, encryptor, evaluator):
         ct = encryptor.encrypt_values([0.0] * 8)
-        lt = LinearTransform(dense)
         with pytest.raises(ValueError, match="unknown method 'turbo'"):
-            lt.apply(evaluator, ct, method="turbo")
-        for method in ("turbo", "naive"):
-            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
-                lt.required_rotations(method)
+            LinearTransform(dense).apply(evaluator, ct, method="turbo")
 
     def test_all_zero_transform_rejected(self):
-        for matrix in (np.zeros((8, 8)), {}):
-            with pytest.raises(ValueError, match="no non-zero diagonals"):
-                LinearTransform(matrix)
+        with pytest.raises(ValueError, match="no non-zero diagonals"):
+            LinearTransform(np.zeros((8, 8)))
+
+    def test_empty_diagonal_dict_rejected(self):
+        with pytest.raises(ValueError, match="no non-zero diagonals"):
+            LinearTransform({})
+
+    def test_all_zero_diagonal_dict_rejected(self):
+        with pytest.raises(ValueError, match="no non-zero diagonals"):
+            LinearTransform({0: np.zeros(8), 3: np.zeros(8)})
 
     def test_methods_agree(self, dense, encryptor, decryptor, evaluator, rng):
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -123,6 +126,20 @@ class TestRequiredRotations:
         m = rng.normal(size=(8, 8))
         lt = LinearTransform(m)
         assert len(lt.required_rotations("bsgs")) <= len(lt.required_rotations())
+
+    @pytest.mark.parametrize("method", ["turbo", "naive"])
+    def test_unknown_method_rejected(self, method, rng):
+        lt = LinearTransform(rng.normal(size=(8, 8)))
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            lt.required_rotations(method)
+
+    def test_zero_dict_diagonal_needs_no_key(self):
+        # A dict's all-zero diagonal is dropped as the matrix form drops
+        # it, so no key is generated for a rotation apply would not use.
+        lt = LinearTransform({0: np.ones(8), 3: np.zeros(8)})
+        assert list(lt.diagonals) == [0]
+        assert lt.required_rotations() == []
+        assert lt.required_rotations("bsgs") == []
 
     def test_conjugation_flag(self, rng):
         m = rng.normal(size=(8, 8))

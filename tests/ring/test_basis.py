@@ -100,6 +100,31 @@ class TestPrecomputations:
         assert basis.ntt(0).q == basis.moduli[0]
 
 
+class TestFastPath:
+    """``RnsBasis.fast_path``: the one test for whether a basis runs the
+    int64 kernels."""
+
+    def test_follows_the_kernel_switch_at_call_time(self, basis):
+        assert basis.dtype == np.int64
+        previous = kernels.set_enabled(True)
+        try:
+            assert basis.fast_path
+            with kernels.oracle_only():
+                assert not basis.fast_path
+            assert basis.fast_path
+        finally:
+            kernels.set_enabled(previous)
+
+    def test_wide_moduli_never_take_it(self):
+        wide = RnsBasis.generate(16, 40, 2)
+        assert wide.dtype == object
+        previous = kernels.set_enabled(True)
+        try:
+            assert not wide.fast_path
+        finally:
+            kernels.set_enabled(previous)
+
+
 class TestOraclePlanResidency:
     """The fast path keeps no oracle NTT plan; the oracle path caches its own."""
 
