@@ -16,7 +16,9 @@ Han-Ki 2020 lineage):
 Each homomorphic DFT is the ``fftIter``-stage radix-2 factorisation of
 :mod:`repro.ckks.specialfft`: ``fft_iter`` sparse-diagonal PtMatVecMults
 per direction, the structure :func:`repro.perf.bootstrap.bootstrap_plan`
-prices.  ``fft_iter`` defaults to the context's ``params.fft_iter``.
+prices, each run as its ModDown-hoisted baby-step/giant-step
+PtMatVecMult (:class:`~repro.ckks.linear.LinearTransform`'s ``hoisted``
+method).  ``fft_iter`` defaults to the context's ``params.fft_iter``.
 """
 
 from __future__ import annotations

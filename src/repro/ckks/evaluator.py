@@ -12,8 +12,10 @@ algorithmic optimizations:
   and ModUp of ``c1`` are shared across many rotations of one ciphertext.
 * ``key_switch_raised`` — exposes the intermediate ``[[P*x*s]]`` value so
   linear functions can be evaluated in the raised basis before a single
-  deferred ModDown (the paper's ModDown hoisting; used by
-  :class:`repro.ckks.linear.LinearTransform`).
+  deferred ModDown (the paper's ModDown hoisting;
+  :class:`repro.ckks.linear.LinearTransform` runs its two halves,
+  ``raise_digits`` and ``ksk_inner_product``, once per source and once
+  per rotation).
 
 A plaintext operand is either a vector of slot values, encoded and
 NTT'd over every live limb, or a single number.  A number ``c`` at scale

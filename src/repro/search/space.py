@@ -9,7 +9,7 @@ search "takes only a few minutes".
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.params import CkksParams
 
@@ -42,12 +42,26 @@ def enumerate_parameter_space(
             no levels is useless; the paper's designs all keep >= 400 bits).
         require_security: enforce the 128-bit Ring-LWE bound.
     """
+    # A rejection that follows from one already seen skips the candidate
+    # unbuilt: the level budget depends on neither log_q nor dnum; log Q1
+    # grows with log_q; and log PQ, which the security bound caps, grows
+    # with log_q and does not depend on fftIter.
+    unbootstrappable = set()  # (L, fftIter)
+    short_up_to: Dict[Tuple[int, int], int] = {}  # (L, fftIter) -> log_q
+    insecure_from: Dict[Tuple[int, int], int] = {}  # (L, dnum) -> log_q
     for max_limbs in max_limbs_choices:
         for dnum in dnum_choices:
             if dnum > max_limbs + 1:
                 continue
             for fft_iter in fft_iter_choices:
+                depth, width = (max_limbs, fft_iter), (max_limbs, dnum)
+                if depth in unbootstrappable:
+                    continue
                 for log_q in log_q_choices:
+                    if depth in short_up_to and log_q <= short_up_to[depth]:
+                        continue
+                    if width in insecure_from and log_q >= insecure_from[width]:
+                        continue
                     try:
                         params = CkksParams(
                             log_n=log_n,
@@ -59,9 +73,12 @@ def enumerate_parameter_space(
                     except ValueError:
                         continue
                     if not params.supports_bootstrapping():
-                        continue
+                        unbootstrappable.add(depth)
+                        break
                     if params.log_q1 < min_log_q1:
+                        short_up_to[depth] = log_q
                         continue
                     if require_security and not params.is_128_bit_secure():
+                        insecure_from[width] = log_q
                         continue
                     yield params

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.params import BASELINE_JUNG, MAD_OPTIMAL
+from repro.params import BASELINE_JUNG, MAD_OPTIMAL, CkksParams
 from repro.perf import cost_shape
 from repro.search import enumerate_parameter_space
 
@@ -156,3 +156,80 @@ class TestSpaceProperties:
         candidates = list(enumerate_parameter_space())
         assert len(candidates) == 5513
         assert len({cost_shape(p) for p in candidates}) == 577
+
+
+def _brute_force(
+    log_n,
+    log_q_choices,
+    max_limbs_choices,
+    dnum_choices,
+    fft_iter_choices,
+    min_log_q1,
+    require_security,
+):
+    """Every grid point built and checked, in the enumeration's nesting
+    order: the reference the pruned enumeration must equal."""
+    kept = []
+    for max_limbs in max_limbs_choices:
+        for dnum in dnum_choices:
+            if dnum > max_limbs + 1:
+                continue
+            for fft_iter in fft_iter_choices:
+                for log_q in log_q_choices:
+                    try:
+                        params = CkksParams(
+                            log_n=log_n,
+                            log_q=log_q,
+                            max_limbs=max_limbs,
+                            dnum=dnum,
+                            fft_iter=fft_iter,
+                        )
+                    except ValueError:
+                        continue
+                    if (
+                        params.supports_bootstrapping()
+                        and params.log_q1 >= min_log_q1
+                        and (not require_security or params.is_128_bit_secure())
+                    ):
+                        kept.append(params)
+    return kept
+
+
+def _shuffled(values, **kwargs):
+    """Unsorted tuples of distinct ``values``."""
+    return st.lists(st.sampled_from(values), unique=True, **kwargs).map(tuple)
+
+
+class TestPruning:
+    """The enumeration skips, unbuilt, every candidate whose rejection
+    follows from one already seen; what it yields is unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.fixed_dictionaries(
+            {
+                "log_n": st.sampled_from((13, 14, 15, 16, 17)),
+                "log_q_choices": _shuffled(range(20, 65), min_size=1, max_size=8),
+                "max_limbs_choices": _shuffled(range(1, 50), min_size=1, max_size=6),
+                "dnum_choices": _shuffled(range(1, 9), min_size=1, max_size=4),
+                "fft_iter_choices": _shuffled(range(1, 9), min_size=1, max_size=4),
+                "min_log_q1": st.sampled_from((0, 200, 400, 800)),
+                "require_security": st.booleans(),
+            }
+        )
+    )
+    def test_equals_brute_force_in_order(self, grid):
+        assert list(enumerate_parameter_space(**grid)) == _brute_force(**grid)
+
+    def test_full_grid_builds_few_rejected_candidates(self, monkeypatch):
+        built = []
+        real = CkksParams.__post_init__
+
+        def counted(params):
+            built.append(params)
+            real(params)
+
+        monkeypatch.setattr(CkksParams, "__post_init__", counted)
+        kept = list(enumerate_parameter_space())
+        # Building every grid point would be 22 * 6 * 5 * 11 = 7,260.
+        assert (len(built), len(kept)) == (5702, 5513)
