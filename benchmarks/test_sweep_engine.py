@@ -50,7 +50,9 @@ def test_each_search_fills_its_own_level_table(monkeypatch):
     design = mad_counterpart(PRIOR_DESIGNS["GPU [Jung et al.]"])
     first = find_optimal_parameters(design)
     second = find_optimal_parameters(design)
-    assert [len(m.level_costs) for m in memos] == [4596, 4596]
+    # 703 levels each of mult, pt_mult and add, and 927 of PtMatVecMult
+    # units, which every diagonal count at that level shares.
+    assert [len(m.level_costs) for m in memos] == [3036, 3036]
     assert memos[0].level_costs is not memos[1].level_costs
     assert second == first
 

@@ -46,18 +46,23 @@ class Encoder:
         self.degree = degree
         self.slots = degree // 2
         self.default_scale = check_scale(default_scale, "Encoder default_scale")
+        # e_j = 5^j mod 2N by doubling: the first k powers times 5^k are
+        # the next k.  Every factor is below 2N, so each product fits int64.
         two_n = 2 * degree
-        self.rot_group = [pow(5, j, two_n) for j in range(self.slots)]
-        # The slot exponents e_j = 5^j mod 2N are odd, so evaluating at
-        # zeta^{e_j} is reading the odd-exponent outputs of a length-N
-        # twisted FFT: f(zeta^{2i+1}) = sum_k (c_k zeta^k) omega^{ik} with
-        # omega = zeta^2 the primitive N-th root.  embed/project therefore
-        # run in O(N log N) through numpy's FFT — the dense (slots x N)
+        exponents = np.ones(self.slots, dtype=np.int64)
+        filled, step = 1, 5
+        while filled < self.slots:
+            exponents[filled : 2 * filled] = exponents[:filled] * step % two_n
+            filled, step = 2 * filled, step * step % two_n
+        self.rot_group: List[int] = exponents.tolist()
+        # The slot exponents e_j are odd, so evaluating at zeta^{e_j} is
+        # reading the odd-exponent outputs of a length-N twisted FFT:
+        # f(zeta^{2i+1}) = sum_k (c_k zeta^k) omega^{ik} with omega = zeta^2
+        # the primitive N-th root.  embed/project therefore run in
+        # O(N log N) through numpy's FFT — the dense (slots x N)
         # Vandermonde matrix this replaces cost O(N^2) memory and time and
         # capped the functional stack at small N.
-        self._slot_index = np.asarray(
-            [(e - 1) // 2 for e in self.rot_group], dtype=np.intp
-        )
+        self._slot_index = ((exponents - 1) // 2).astype(np.intp)
         k = np.arange(degree)
         self._zeta_pow = np.exp(1j * np.pi * k / degree)  # zeta^k
         self._zeta_pow_conj = self._zeta_pow.conj()

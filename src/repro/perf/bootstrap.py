@@ -22,11 +22,19 @@ the same steps as memory traces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.obs import state as obs
 from repro.params import CkksParams
@@ -35,7 +43,7 @@ from repro.perf.events import CostReport
 from repro.perf.ledger import CostLedger
 from repro.perf.optimizations import MADConfig
 from repro.perf.primitives import PrimitiveCosts
-from repro.perf.matvec import pt_mat_vec_mult_cost
+from repro.perf.matvec import MatVecUnits, pt_mat_vec_mult_cost
 
 
 #: The :class:`CkksParams` fields the cost model reads.  ``PrimitiveCosts``,
@@ -83,9 +91,10 @@ class EvalModProfile:
 #: The EvalMod counts :func:`bootstrap_plan` charges.
 EVAL_MOD_PROFILE = EvalModProfile()
 
-#: A sweep run's level-cost table (DESIGN §8): the cost of one repeat of
-#: each step but ModRaise, keyed on ``(op, args, PrimitiveCosts.level_key)``.
-LevelCosts = Dict[Hashable, CostReport]
+#: A sweep run's level-cost table (DESIGN §8), keyed on ``(op, args,
+#: PrimitiveCosts.level_key)``: the cost of one repeat of each EvalMod
+#: step, and each DFT stage's level units under ``args = (limbs,)``.
+LevelCosts = Dict[Hashable, Union[CostReport, MatVecUnits]]
 
 #: A span under the bootstrap's root span: its label and attributes.
 SpanKey = Tuple[str, Tuple[Tuple[str, int], ...]]
@@ -96,7 +105,8 @@ class BootstrapStep(NamedTuple):
 
     ``op`` names a method of :class:`PrimitiveCosts` and of
     :class:`~repro.memsim.schedules.ScheduleBuilder` alike; the model
-    prices ``pt_mat_vec_mult`` with :func:`pt_mat_vec_mult_cost`.
+    prices ``pt_mat_vec_mult`` with :func:`pt_mat_vec_mult_cost`, or from
+    its level's tabled :class:`MatVecUnits`.
     """
 
     op: str
@@ -116,9 +126,24 @@ class BootstrapStep(NamedTuple):
         return self.spans[0][0]
 
 
+def _ceil_root(value: int, k: int) -> int:
+    """The least integer ``r >= 1`` with ``r ** k >= value``, exactly.
+
+    The float root only seeds the search: ``2^15 ** (1 / 5)`` evaluates to
+    8.000000000000002, whose ceiling is 9.
+    """
+    root = max(1, round(value ** (1.0 / k)))
+    while root**k < value:
+        root += 1
+    while root > 1 and (root - 1) ** k >= value:
+        root -= 1
+    return root
+
+
 def dft_diagonals(params: CkksParams) -> int:
-    """Non-zero diagonals per DFT stage matrix: ``n^(1/fftIter)``."""
-    return max(2, math.ceil(params.slots ** (1.0 / params.fft_iter)))
+    """Non-zero diagonals per DFT stage matrix: ``⌈n^(1/fftIter)⌉``, at
+    least 2."""
+    return max(2, _ceil_root(params.slots, params.fft_iter))
 
 
 def _dft_steps(
@@ -225,9 +250,10 @@ class BootstrapModel:
         cache: optional on-chip memory bound; flags the cache cannot
             support are disabled, mirroring SimFHE's auto-deployment.
         level_costs: optional level-cost table shared by the models of
-            one sweep run; each step but ModRaise is then priced once per
-            key of :data:`LevelCosts`.  Without one every step is priced
-            afresh.
+            one sweep run; each EvalMod step is then priced once per key
+            of :data:`LevelCosts`, and each level's PtMatVecMult units
+            once, whatever its DFT stages' diagonal counts.  Without one
+            every step is priced afresh.
     """
 
     def __init__(
@@ -243,18 +269,39 @@ class BootstrapModel:
         self.level_costs = level_costs
 
     # ------------------------------------------------------------------
-    def _price(self, step: BootstrapStep) -> CostReport:
-        """The cost of ``step``: one repeat, looked up in the level-cost
-        table when there is one, scaled by the step's count."""
+    def _terms(self, step: BootstrapStep) -> Sequence[Tuple[CostReport, int]]:
+        """``(cost, count)`` pairs whose weighted sum is the cost of
+        ``step``, every repeat included.
+
+        With a level-cost table, an EvalMod step is one repeat's tabled
+        cost times its count, and a DFT stage is its level's tabled
+        :class:`MatVecUnits` weighted by the stage's own counts.
+        """
         table = self.level_costs
         if table is None or step.op == "mod_raise":
-            cost = self._price_once(step)
-        else:
-            key = (step.op, step.args, self.costs.level_key)
-            cost = table.get(key)
-            if cost is None:
-                cost = table[key] = self._price_once(step)
-        return cost if step.count == 1 else cost.scaled(step.count)
+            return ((self._price_once(step), step.count),)
+        level_key = self.costs.level_key
+        if step.op == "pt_mat_vec_mult":
+            limbs, diagonals = step.args
+            key = (step.op, (limbs,), level_key)
+            units = table.get(key)
+            if units is None:
+                units = table[key] = MatVecUnits(self.costs, limbs)
+            assert isinstance(units, MatVecUnits)
+            return [
+                (cost, count * step.count)
+                for cost, count in units.terms(diagonals)
+            ]
+        key = (step.op, step.args, level_key)
+        cost = table.get(key)
+        if cost is None:
+            cost = table[key] = self._price_once(step)
+        assert isinstance(cost, CostReport)
+        return ((cost, step.count),)
+
+    def _price(self, step: BootstrapStep) -> CostReport:
+        """The cost of ``step``, every repeat included."""
+        return CostReport.weighted_sum(self._terms(step))
 
     def _price_once(self, step: BootstrapStep) -> CostReport:
         # Both calls resolve at call time, so a patched op is the one run.
@@ -318,5 +365,14 @@ class BootstrapModel:
         )
 
     def total_cost(self) -> CostReport:
-        """The cost of one bootstrap: one pass over :meth:`ledger`."""
-        return self.ledger().total
+        """The cost of one bootstrap.
+
+        Untraced, one weighted sum over every step's ``(cost, count)``
+        pairs, with no ledger; traced, the total of :meth:`ledger`, whose
+        span tree records each step's cost.  Both sum the same integers.
+        """
+        if obs.tracing_enabled():
+            return self.ledger().total
+        return CostReport.weighted_sum(
+            term for step in self.plan for term in self._terms(step)
+        )

@@ -14,13 +14,15 @@ invariant under every ``CkksParams`` field outside
 :data:`repro.perf.COST_SHAPE_FIELDS`.
 
 The 577 shapes repeat their levels too: a level's ``mult``, ``pt_mult``,
-``add`` and PtMatVecMult read the parameters only through N, the limb
-size and alpha.  So a memo also carries the run's level-cost table,
+``add`` and PtMatVecMult units read the parameters only through N, the
+limb size and alpha.  So a memo also carries the run's level-cost table,
 :attr:`Memo.level_costs`, which bootstrap-cost misses hand to
 :class:`repro.perf.BootstrapModel`, the one place that reads it
-(DESIGN §8).  The full Table 5 grid fills it with 4,596 entries.  It
-sits outside the hit/miss counts and goes with the memo, so no search
-reuses another's.
+(DESIGN §8).  The full Table 5 grid fills it with 3,036 entries: 703
+levels each of ``mult``, ``pt_mult`` and ``add``, and 927 sets of
+PtMatVecMult units, which every DFT stage at that level shares whatever
+its diagonal count.  It sits outside the hit/miss counts and goes with
+the memo, so no search reuses another's.
 
 Memoization is also **observationally transparent**: the compute
 callback runs under :func:`repro.obs.state.suppressed`, so a memoized

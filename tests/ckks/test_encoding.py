@@ -26,6 +26,15 @@ class TestConstruction:
     def test_slot_count(self, encoder):
         assert encoder.slots == 8
 
+    @pytest.mark.parametrize("log_degree", range(2, 17))
+    def test_rot_group_is_the_powers_of_five(self, log_degree):
+        degree = 1 << log_degree
+        enc = Encoder(degree=degree, default_scale=2.0**20)
+        powers = [pow(5, j, 2 * degree) for j in range(degree // 2)]
+        assert enc.rot_group == powers
+        assert all(type(e) is int for e in enc.rot_group)
+        assert enc._slot_index.tolist() == [(e - 1) // 2 for e in powers]
+
 
 class TestEmbedProject:
     def test_project_inverts_embed(self, encoder, rng):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from repro.obs import state
@@ -62,6 +64,23 @@ class TestPhaseAccounting:
     def test_dft_diagonals_mad_optimal(self):
         # (2^16)^(1/6) ~= 7.
         assert dft_diagonals(MAD_OPTIMAL) == 7
+
+    def test_dft_diagonals_is_the_integer_ceiling_root(self):
+        def params(log_n, fft_iter):
+            return CkksParams(
+                log_n=log_n, log_q=50, max_limbs=35, dnum=3, fft_iter=fft_iter
+            )
+
+        # The float root of 2^15 at fftIter 5 is 8.000000000000002.
+        assert dft_diagonals(params(16, 5)) == 8
+        for log_n in range(2, 21):
+            slots = 1 << (log_n - 1)
+            for fft_iter in range(1, 31):
+                root = next(r for r in itertools.count(1) if r**fft_iter >= slots)
+                assert dft_diagonals(params(log_n, fft_iter)) == max(2, root), (
+                    log_n,
+                    fft_iter,
+                )
 
     def test_unbootstrappable_params_rejected(self):
         params = CkksParams(log_n=13, log_q=40, max_limbs=10, dnum=2)

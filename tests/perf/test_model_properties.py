@@ -393,3 +393,56 @@ class TestLevelTable:
             a, b = (PrimitiveCosts(p, config) for p in (BASELINE_JUNG, other))
             assert a.level_key != b.level_key
             assert all(a.mult(limbs) != b.mult(limbs) for limbs in range(2, 36))
+
+
+class TestPricingPaths:
+    """The untraced total, the ledger and the traced span tree price the
+    same walk, with or without a shared level-cost table, and a tabled
+    level's PtMatVecMult units price every diagonal count as
+    ``pt_mat_vec_mult_cost`` does."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(pair=_bootstrappable_level_geometry())
+    @example(
+        pair=(
+            CkksParams(log_n=17, log_q=50, max_limbs=23, dnum=2),
+            CkksParams(log_n=17, log_q=54, max_limbs=35, dnum=3),
+        )
+    )
+    def test_every_path_prices_the_same(self, pair):
+        from repro.obs import state
+        from repro.perf import CostReport
+        from repro.perf.matvec import MatVecUnits, pt_mat_vec_mult_cost
+
+        for config in (MADConfig.none(), MADConfig.all()):
+            for cache in _level_caches(pair):
+                costs = [PrimitiveCosts(p, config, cache) for p in pair]
+                table_free = {}
+                shared = {}
+                for table in (None, shared):
+                    for params in pair:
+                        model = BootstrapModel(
+                            params, config, cache, level_costs=table
+                        )
+                        untraced = model.total_cost()
+                        assert table_free.setdefault(params, untraced) == untraced
+                        assert model.ledger().total == untraced
+                        with state.capture() as (tracer, _):
+                            assert model.total_cost() == untraced
+                        (root,) = tracer.roots
+                        assert root.total_cost() == untraced
+                tabled = [u for u in shared.values() if isinstance(u, MatVecUnits)]
+                assert tabled
+                for units in tabled:
+                    # The pair's first walk fills an entry the second may
+                    # share: price it as the last parameter set that can.
+                    direct = [
+                        c
+                        for c in costs
+                        if c.level_key == units.costs.level_key
+                        and units.limbs <= c.params.max_limbs
+                    ][-1]
+                    for diagonals in range(1, 65):
+                        assert CostReport.weighted_sum(
+                            units.terms(diagonals)
+                        ) == pt_mat_vec_mult_cost(direct, units.limbs, diagonals)
