@@ -17,6 +17,14 @@ algorithmic optimizations:
   ``raise_digits`` and ``ksk_inner_product``, once per source and once
   per rotation).
 
+Every key switch runs in a bounded working set (the caching analysis of
+the paper's Section 3.1): ``raise_digits`` makes each raised digit when
+the inner product reaches it, and the inner product drops it before the
+next, so a single switch holds one raised digit at a time.  Only the
+hoisted paths hold all of a ciphertext's raised digits, because every
+rotation reuses them, and they hand the inner product one rotated copy
+at a time.
+
 A plaintext operand is either a vector of slot values, encoded and
 NTT'd over every live limb, or a single number.  A number ``c`` at scale
 ``Delta`` encodes to the sparse polynomial
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import state as obs
 from repro.ring import (
@@ -278,36 +286,36 @@ class Evaluator:
         obs.count("ckks.evaluator.mult")
         with obs.span("ckks.Mult", limbs=min(ct1.num_limbs, ct2.num_limbs)):
             ct1, ct2 = self.align_levels(ct1, ct2)
-            d0 = ct1.c0 * ct2.c0
-            d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0
-            d2 = ct1.c1 * ct2.c1
             scale = ct1.scale * ct2.scale
-
             if merged_mod_down:
-                return self._mult_merged(d0, d1, d2, scale)
+                return self._mult_merged(ct1, ct2, scale)
 
-            u, v = self.key_switch(d2, self.relin_key)
-            result = Ciphertext(d0 + u, d1 + v, scale)
+            # d2 = c1 * c1' is switched before d0 and d1 are formed, so
+            # they never sit beside the switch's raised digits.
+            u, v = self.key_switch(ct1.c1 * ct2.c1, self.relin_key)
+            d0 = ct1.c0 * ct2.c0 + u
+            d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0 + v
+            result = Ciphertext(d0, d1, scale)
             return self.rescale(result) if rescale else result
 
     def _mult_merged(
-        self,
-        d0: RnsPolynomial,
-        d1: RnsPolynomial,
-        d2: RnsPolynomial,
-        scale: float,
+        self, ct1: Ciphertext, ct2: Ciphertext, scale: float
     ) -> Ciphertext:
         ctx = self.context
-        b_raised, a_raised = self.key_switch_raised(d2, self.relin_key)
+        b_raised, a_raised = self.key_switch_raised(
+            ct1.c1 * ct2.c1, self.relin_key
+        )
         # Lift the tensor terms into the raised basis (Algorithm 5) and add
         # there — the ciphertext is still additively homomorphic.
         specials = ctx.special_moduli
-        b_raised = b_raised + p_mod_up(d0, specials)
-        a_raised = a_raised + p_mod_up(d1, specials)
+        b_raised = b_raised + p_mod_up(ct1.c0 * ct2.c0, specials)
+        a_raised = a_raised + p_mod_up(
+            ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0, specials
+        )
         # One ModDown drops the special limbs *and* the rescale limb,
         # dividing by P * q_l in a single pass.
         drop = len(specials) + 1
-        dropped_limb = d0.basis.moduli[-1]
+        dropped_limb = ct1.basis.moduli[-1]
         perm_b = self._rescale_limb_last(b_raised, len(specials))
         perm_a = self._rescale_limb_last(a_raised, len(specials))
         c0 = mod_down(perm_b, drop)
@@ -369,39 +377,56 @@ class Evaluator:
     # ==================================================================
     # Key switching
     # ==================================================================
+    def _digit(self, poly: RnsPolynomial, index_range: range) -> RnsPolynomial:
+        """The rows ``index_range`` of ``poly`` over their own basis, copied."""
+        rows = slice(index_range.start, index_range.stop)
+        basis = RnsBasis(self.context.degree, poly.basis.moduli[rows])
+        return poly.select_limbs(rows, basis)
+
     def decompose(self, poly: RnsPolynomial) -> List[RnsPolynomial]:
         """Split a ciphertext polynomial into key-switching digits."""
         with obs.span("ckks.Decomp", limbs=poly.num_limbs):
-            ctx = self.context
-            digits = []
-            for index_range in ctx.digit_index_ranges(poly.num_limbs):
-                rows = slice(index_range.start, index_range.stop)
-                basis = RnsBasis(ctx.degree, poly.basis.moduli[rows])
-                digits.append(poly.select_limbs(rows, basis))
-            return digits
+            return [
+                self._digit(poly, index_range)
+                for index_range in self.context.digit_index_ranges(poly.num_limbs)
+            ]
 
     def raise_digit(
         self, digit: RnsPolynomial, target: RnsBasis
     ) -> RnsPolynomial:
-        """ModUp a digit to ``target`` (the raised basis), reordering limbs."""
+        """ModUp a digit to ``target``, the raised basis.
+
+        :func:`repro.ring.mod_up` writes the raised digit once, in
+        ``target``'s row order, with the digit's own rows between the
+        lower and the higher limbs.
+        """
         from repro.ring import mod_up
 
-        digit_moduli = set(digit.basis.moduli)
-        extension = [m for m in target.moduli if m not in digit_moduli]
-        raised = mod_up(digit, extension)
-        row_of = {m: i for i, m in enumerate(raised.basis.moduli)}
-        return raised.select_limbs([row_of[m] for m in target.moduli], target)
+        return mod_up(digit, target)
 
-    def raise_digits(self, poly: RnsPolynomial) -> List[RnsPolynomial]:
-        """Decomp + ModUp of every digit (the hoistable prefix of KeySwitch)."""
+    def raise_digits(self, poly: RnsPolynomial) -> Iterator[RnsPolynomial]:
+        """Decomp + ModUp of every digit (the hoistable prefix of KeySwitch).
+
+        A stream: each digit is cut from ``poly`` and raised when the
+        iterator reaches it, so :meth:`ksk_inner_product` holds one raised
+        digit at a time.  A hoisting caller, which reuses the digits for
+        every rotation, holds them all with ``list``.
+        """
         target = self.context.raised_basis(poly.num_limbs)
-        digits = self.decompose(poly)
-        with obs.span("ckks.ModUp", digits=len(digits)):
-            return [self.raise_digit(d, target) for d in digits]
+        return (
+            self._raised_digit(poly, index_range, target)
+            for index_range in self.context.digit_index_ranges(poly.num_limbs)
+        )
+
+    def _raised_digit(
+        self, poly: RnsPolynomial, index_range: range, target: RnsBasis
+    ) -> RnsPolynomial:
+        with obs.span("ckks.ModUp", limbs=len(index_range)):
+            return self.raise_digit(self._digit(poly, index_range), target)
 
     def ksk_inner_product(
         self,
-        raised_digits: Sequence[RnsPolynomial],
+        raised_digits: Iterable[RnsPolynomial],
         key: SwitchingKey,
         live_limbs: int,
     ) -> RaisedPair:
@@ -409,9 +434,12 @@ class Evaluator:
 
         :meth:`SwitchingKey.inner_product`: one lazily-reduced uint64
         multiply-accumulate over the key's 4-byte rows, with the
-        per-digit ring expression as its reference.
+        per-digit ring expression as its reference.  ``raised_digits``
+        may be a stream (:meth:`raise_digits`, or rotated copies of held
+        digits); each digit is dropped before the next is made.
         """
-        with obs.span("ckks.KSKInnerProd", digits=len(raised_digits)):
+        digits = len(self.context.digit_index_ranges(live_limbs))
+        with obs.span("ckks.KSKInnerProd", digits=digits):
             return key.inner_product(raised_digits, live_limbs, self.context)
 
     def key_switch_raised(
@@ -421,10 +449,13 @@ class Evaluator:
 
         Returns the intermediate ``[[P * x * s_from]]`` over ``R_PQ`` —
         the value the paper's "linear functions in the raised basis"
-        optimizations operate on.
+        optimizations operate on.  The digits are raised as the inner
+        product consumes them, so the switch holds its two raised sums
+        and one raised digit (with one re-expanded ``a`` block) at a time.
         """
-        raised_digits = self.raise_digits(poly)
-        return self.ksk_inner_product(raised_digits, key, poly.num_limbs)
+        return self.ksk_inner_product(
+            self.raise_digits(poly), key, poly.num_limbs
+        )
 
     def mod_down_pair(self, pair: RaisedPair) -> Tuple[RnsPolynomial, RnsPolynomial]:
         """The deferred ModDown pair finishing a (possibly hoisted) KeySwitch."""
@@ -435,7 +466,12 @@ class Evaluator:
     def key_switch(
         self, poly: RnsPolynomial, key: SwitchingKey
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Full KeySwitch (Algorithm 3): Decomp, ModUp, inner product, ModDown."""
+        """Full KeySwitch (Algorithm 3): Decomp, ModUp, inner product, ModDown.
+
+        Used by relinearisation, Rotate and Conjugate.  Each digit is
+        decomposed and raised on demand (:meth:`key_switch_raised`), so
+        the switch never holds more than one raised digit.
+        """
         obs.count("ckks.evaluator.key_switch")
         with obs.span("ckks.KeySwitch", limbs=poly.num_limbs):
             return self.mod_down_pair(self.key_switch_raised(poly, key))
@@ -443,14 +479,11 @@ class Evaluator:
     # ==================================================================
     # Galois operations
     # ==================================================================
-    def automorph(self, ct: Ciphertext, t: int) -> Ciphertext:
-        """Raw automorphism of both components (decrypts under ``s(x^t)``)."""
-        return Ciphertext(ct.c0.automorph(t), ct.c1.automorph(t), ct.scale)
-
     def _galois(self, ct: Ciphertext, t: int, key: SwitchingKey) -> Ciphertext:
-        moved = self.automorph(ct, t)
-        u, v = self.key_switch(moved.c1, key)
-        return Ciphertext(moved.c0 + u, v, ct.scale)
+        # c0 is turned after the switch, so it never sits beside a raised
+        # digit.
+        u, v = self.key_switch(ct.c1.automorph(t), key)
+        return Ciphertext(ct.c0.automorph(t) + u, v, ct.scale)
 
     def rotate(
         self, ct: Ciphertext, steps: int, key: Optional[SwitchingKey] = None
@@ -487,7 +520,9 @@ class Evaluator:
 
         Classic ModUp hoisting [16, 22]: the expensive digit raise of ``c1``
         is computed once; each rotation then costs only automorphisms, one
-        inner product, and the ModDown pair.
+        inner product, and the ModDown pair.  The raised digits are held
+        for every rotation; each rotation's inner product turns them one
+        at a time, so it holds one rotated copy beside them.
         """
         obs.count("ckks.evaluator.rotations_hoisted")
         with obs.span(
@@ -500,7 +535,7 @@ class Evaluator:
     def _rotations_hoisted(
         self, ct: Ciphertext, steps_list: Sequence[int]
     ) -> Dict[int, Ciphertext]:
-        raised_digits = self.raise_digits(ct.c1)
+        raised_digits = list(self.raise_digits(ct.c1))
         results: Dict[int, Ciphertext] = {}
         for steps in steps_list:
             steps = steps % self.context.slots
@@ -511,9 +546,13 @@ class Evaluator:
             if key is None:
                 raise ValueError(f"no rotation key for {steps} steps")
             t = self.context.encoder.rotation_automorphism(steps)
-            rotated_digits = [d.automorph(t) for d in raised_digits]
-            pair = self.ksk_inner_product(rotated_digits, key, ct.num_limbs)
-            u, v = self.mod_down_pair(pair)
+            # One expression: the raised pair is freed by its ModDown, not
+            # kept into the next rotation.
+            u, v = self.mod_down_pair(
+                self.ksk_inner_product(
+                    (d.automorph(t) for d in raised_digits), key, ct.num_limbs
+                )
+            )
             results[steps] = Ciphertext(ct.c0.automorph(t) + u, v, ct.scale)
         return results
 

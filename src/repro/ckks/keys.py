@@ -27,12 +27,12 @@ inner product of :meth:`SwitchingKey.inner_product`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
-from repro.ring import Representation, RnsBasis, RnsPolynomial
+from repro.ring import ProductSum, Representation, RnsBasis, RnsPolynomial
 from repro.ckks.context import CkksContext
 
 #: One digit's live key rows as two blocks: the rows of the live ``q_i``
@@ -50,6 +50,11 @@ def key_dtype(basis: RnsBasis) -> np.dtype:
     return np.dtype(np.uint32) if basis.dtype == np.int64 else basis.dtype
 
 
+def _is_prefix(basis: RnsBasis, of: RnsBasis) -> bool:
+    """Whether ``basis`` is the first ``len(basis)`` moduli of ``of``."""
+    return of.moduli[: len(basis)] == basis.moduli
+
+
 class SecretKey:
     """A ternary secret key, materialisable over any basis of the context."""
 
@@ -65,12 +70,32 @@ class SecretKey:
         self._cache: Dict[Tuple[int, ...], RnsPolynomial] = {}
 
     def poly(self, basis: RnsBasis) -> RnsPolynomial:
-        """The secret as an evaluation-form element of the given basis."""
+        """The secret as an evaluation-form element of the given basis.
+
+        One evaluation form is held per chain of bases that extend one
+        another.  A basis that is a prefix of a held form's basis (a
+        lower level of it, or the ciphertext basis of a raised one) is
+        served as that form's :meth:`~repro.ring.RnsPolynomial.prefix_view`:
+        read-only rows, no NTT.  Otherwise exactly the asked-for form is
+        built, never a wider one, and every held form it extends is
+        served from it from then on.  A basis asked for again returns the
+        same object until a wider form replaces it.
+        """
         key = basis.moduli
         poly = self._cache.get(key)
-        if poly is None:
+        if poly is not None:
+            return poly
+        wider = next(
+            (f for f in self._cache.values() if _is_prefix(basis, f.basis)), None
+        )
+        if wider is not None:
+            poly = wider.prefix_view(basis)
+        else:
             poly = RnsPolynomial.from_int_coeffs(self.coeffs, basis).to_eval()
-            self._cache[key] = poly
+            for narrower, form in list(self._cache.items()):
+                if _is_prefix(form.basis, basis):
+                    self._cache[narrower] = poly.prefix_view(form.basis)
+        self._cache[key] = poly
         return poly
 
 
@@ -189,58 +214,66 @@ class SwitchingKey:
 
     def inner_product(
         self,
-        digits: Sequence[RnsPolynomial],
+        digits: Iterable[RnsPolynomial],
         live_limbs: int,
         context: CkksContext,
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """``sum_i digits[i] * (b_i, a_i)`` over the live raised basis.
+        """``sum_i digit_i * (b_i, a_i)`` over the live raised basis.
 
-        Over int64 bases with the kernels on, each sum is one
-        :class:`repro.kernels.MulAcc` that reads the held rows (and each
-        re-expanded ``a_i``) in place: a digit's live rows are its first
-        ``live_limbs`` rows and its special rows, two contiguous ranges,
-        so no key row is copied, widened or re-reduced.  Each sum takes
-        one ``np.remainder`` per :data:`repro.kernels.LAZY_PRODUCTS`
-        digits and one at the end.  The per-digit ring expression over
-        :meth:`restricted` is its reference, and runs for ``object``
-        bases and under :func:`repro.kernels.oracle_only`; both return
+        ``digits`` is consumed once, in order, and may be a stream that
+        makes each raised digit when it is reached: each digit and its
+        re-expanded ``a_i`` rows are added into the two sums and dropped
+        before the next digit is asked for, so a single key switch holds
+        one raised digit at a time.  Each sum is a
+        :class:`repro.ring.ProductSum`: over int64 bases with the kernels
+        on, one lazily reduced :class:`repro.kernels.MulAcc` that reads
+        the held rows (and each re-expanded ``a_i``) in place, since a
+        digit's live rows are its first ``live_limbs`` rows and its
+        special rows, two contiguous ranges of its store; no key row is
+        copied, widened or re-reduced, and each sum takes one
+        ``np.remainder`` per :data:`repro.kernels.LAZY_PRODUCTS` digits
+        and one at the end.  For ``object`` bases and under
+        :func:`repro.kernels.oracle_only` each digit is the eager ring
+        expression ``acc + digit * key_row``, the reference; both return
         the same canonical residues.
 
         Raises:
-            ValueError: for more digits than a level-``live_limbs`` key
-                switch uses, or a digit that is not an evaluation-form
-                element of the live raised basis.
+            ValueError: for a digit count other than the
+                ``len(context.digit_index_ranges(live_limbs))`` digits a
+                level-``live_limbs`` key switch uses (counted as the
+                digits arrive, so a surplus digit is rejected before any
+                key row is read for it), or a digit that is not an
+                evaluation-form element of the live raised basis.
         """
         used = len(context.digit_index_ranges(live_limbs))
-        if len(digits) > used:
-            raise ValueError(f"{len(digits)} digits but key has {used}")
         basis = context.raised_basis(live_limbs)
-        acc_b = RnsPolynomial.zero(basis)
-        acc_a = RnsPolynomial.zero(basis)
-        if not basis.fast_path:
-            for digit, (b_key, a_key) in zip(
-                digits, self.restricted(live_limbs, context)
-            ):
-                acc_b = acc_b + digit * b_key
-                acc_a = acc_a + digit * a_key
-            return acc_b, acc_a
-
-        sums = [kernels.MulAcc(acc.limbs, basis.q_col) for acc in (acc_b, acc_a)]
+        sums = (ProductSum(basis), ProductSum(basis))
+        count = 0
         with kernels.limb_passes(basis.degree):
-            for i, digit in enumerate(digits):
-                if digit.basis != basis:
-                    raise ValueError("operands live over different bases")
-                if digit.representation is not Representation.EVAL:
+            for digit in digits:
+                if count == used:
                     raise ValueError(
-                        "ring multiplication requires evaluation form"
+                        f"more than {used} digits but key has {used}"
                     )
-                for acc, blocks in zip(
-                    sums, self._digit_rows(i, live_limbs, context)
-                ):
-                    acc.add(digit.limbs, *blocks)
-            for acc in sums:
-                acc.finish()
-        return acc_b, acc_a
+                self._add_digit(sums, count, digit, live_limbs, context)
+                count += 1
+                # Drop the digit before the stream makes the next one.
+                del digit
+            if count != used:
+                raise ValueError(f"{count} digits but key has {used}")
+            return sums[0].result(), sums[1].result()
+
+    def _add_digit(
+        self,
+        sums: Tuple[ProductSum, ProductSum],
+        index: int,
+        digit: RnsPolynomial,
+        live_limbs: int,
+        context: CkksContext,
+    ) -> None:
+        """Add ``digit * (b_index, a_index)`` to ``sums``; the rows die here."""
+        for acc, rows in zip(sums, self._digit_rows(index, live_limbs, context)):
+            acc.add_rows(digit, *rows)
 
 
 class KeyGenerator:

@@ -124,14 +124,15 @@ def _add_rotated(
 
     ModDown hoisting: the key switch's raised pair is multiplied by each
     plaintext in the raised basis, and its ModDown waits for the
-    output's one pair.  The pair and the rotated digits die with this
-    call, so no baby step's output outlives its products.
+    output's one pair.  The held digits are turned one at a time as the
+    inner product consumes them, and the pair dies with this call, so
+    no baby step's output outlives its products.
     """
     ctx = evaluator.context
     limbs = source.num_limbs
     t = ctx.encoder.rotation_automorphism(steps)
     b, a = evaluator.ksk_inner_product(
-        [dig.automorph(t) for dig in raised_digits], key, limbs
+        (dig.automorph(t) for dig in raised_digits), key, limbs
     )
     c0 = source.c0.automorph(t)
     raised_basis, normal_basis = ctx.raised_basis(limbs), ctx.basis_at(limbs)
@@ -339,8 +340,9 @@ class LinearTransform:
                 continue
             key = _rotation_key(evaluator, baby)
             if raised_digits is None:
-                # ModUp hoisting: one Decomp+ModUp per source ciphertext.
-                raised_digits = evaluator.raise_digits(source.c1)
+                # ModUp hoisting: one Decomp+ModUp per source ciphertext,
+                # whose digits every baby step reuses.
+                raised_digits = list(evaluator.raise_digits(source.c1))
             _add_rotated(evaluator, source, raised_digits, baby, key, members)
 
     @staticmethod
@@ -350,17 +352,18 @@ class LinearTransform:
         """A giant step's partial sum rotated by ``giant``, left raised.
 
         Its ``c1`` is brought down (one ModDown), turned and raised again
-        (one Decomp+ModUp) for the key switch, whose inner product is
-        returned raised, with the turned raised ``b``, for the output's
-        one ModDown pair.  Returns ``(c0, b, a)``.
+        (one Decomp+ModUp, a digit at a time) for the key switch, whose
+        inner product is returned raised, with the turned raised ``b``,
+        for the output's one ModDown pair.  Returns ``(c0, b, a)``.
         """
         key = _rotation_key(evaluator, giant)
         t = evaluator.context.encoder.rotation_automorphism(giant)
         c1 = group.c1.result()
         if group.raised:
             c1 = c1 + mod_down(group.a.result(), drop)
-        digits = evaluator.raise_digits(c1.automorph(t))
-        b, a = evaluator.ksk_inner_product(digits, key, c1.num_limbs)
+        b, a = evaluator.ksk_inner_product(
+            evaluator.raise_digits(c1.automorph(t)), key, c1.num_limbs
+        )
         if group.raised:
             b = b + group.b.result().automorph(t)
         return group.c0.result().automorph(t), b, a

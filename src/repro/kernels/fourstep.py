@@ -32,6 +32,12 @@ canonical entry ``h * 2**15 + l``.  The data entering ``A`` is split the
 same way (``x >> 15`` and ``x & 0x7FFF``, for any ``0 <= x < 2**30``).
 So every product has one operand in ``[0, 2**15)`` and the other at
 most ``2**29 + 4`` in magnitude, and an inner dimension of at most 256.
+``T``'s halves are held in float32, which represents every integer below
+``2**24`` exactly, and the twiddle multiply promotes them to float64
+before it multiplies, so its products are the float64 products of the
+proof below and the proof is unchanged; that halves ``T``'s share of a
+table set.  ``A`` and ``B`` stay float64: they enter the matrix products,
+where a float32 operand would be cast back to float64 on every call.
 
 **Reduction.**  ``red(v) = v - rint(v * fl(1/q)) * q``.  Every ``v``
 reduced below is an integer with ``|v| < 2**53`` and ``|v| / q < 2**23``.
@@ -180,8 +186,8 @@ class _Chunk:
     """The tables of moduli reserved together, one row per modulus.
 
     ``tables[0]`` (forward) and ``tables[1]`` (inverse) hold ``A`` centred
-    (k, n2, n2), and ``T`` (k, 2, n2, n1) and ``B`` (k, 2, n1, n1) as
-    halves, filled one modulus at a time to bound the transient.
+    (k, n2, n2), and ``T`` (k, 2, n2, n1, float32) and ``B`` (k, 2, n1, n1)
+    as halves, filled one modulus at a time to bound the transient.
     """
 
     def __init__(self, degree: int, n1: int, n2: int, moduli: Sequence[int]):
@@ -190,8 +196,15 @@ class _Chunk:
         self.q = q_int.astype(np.float64)
         self.qinv = 1.0 / self.q
         self.q_u = q_int.view(np.uint64)
-        shapes = ((k, n2, n2), (k, 2, n2, n1), (k, 2, n1, n1))
-        self.tables = tuple(tuple(map(np.empty, shapes)) for _ in range(2))
+        layout: Tuple[Tuple[Tuple[int, ...], type], ...] = (
+            ((k, n2, n2), np.float64),
+            ((k, 2, n2, n1), np.float32),
+            ((k, 2, n1, n1), np.float64),
+        )
+        self.tables = tuple(
+            tuple(np.empty(shape, dtype) for shape, dtype in layout)
+            for _ in range(2)
+        )
         exponents = _exponents(degree, n1, n2)
         for row, q in enumerate(moduli):
             # The plan is a temporary: it is freed when _fill returns,

@@ -90,30 +90,45 @@ def _new_limb_rows(
     )
 
 
-def _stack(basis: RnsBasis, *parts: np.ndarray) -> np.ndarray:
-    """Row blocks concatenated into one fresh matrix of the basis' dtype."""
-    return np.concatenate(parts).astype(basis.dtype, copy=False)
-
-
-def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
-    """Extend the RNS basis of ``poly`` by ``extension`` moduli (Algorithm 1).
+def mod_up(poly: RnsPolynomial, target: RnsBasis) -> RnsPolynomial:
+    """Raise ``poly`` to ``target``, a basis with its moduli and more (Algorithm 1).
 
     Input and output are in evaluation representation; the original limbs
     pass through untouched (the "no need to NTT the input limbs" note of
     Algorithm 1) and each new limb costs one slot-wise conversion plus one
-    limb-wise NTT.
+    limb-wise NTT.  The result is written once, in ``target``'s row order:
+    every source row and every new row goes straight to its modulus' row,
+    wherever the source moduli sit in ``target`` (a key-switch digit's
+    sit between the lower and the higher limbs of the raised basis), so
+    no concatenated or reordered copy is made.
+
+    Raises:
+        ValueError: for a coefficient-form input, or a ``target`` that
+            lacks a modulus of ``poly`` or adds none.
     """
     if poly.representation is not Representation.EVAL:
         raise ValueError("mod_up expects evaluation representation")
-    if not extension:
-        raise ValueError("extension basis must be non-empty")
+    row_of = {q: i for i, q in enumerate(target.moduli)}
+    own = [row_of.get(q) for q in poly.basis.moduli]
+    if target.degree != poly.basis.degree or None in own:
+        raise ValueError(
+            f"{target!r} does not hold every modulus of {poly.basis!r}"
+        )
+    held = set(poly.basis.moduli)
+    new = [i for i, q in enumerate(target.moduli) if q not in held]
+    if not new:
+        raise ValueError("the target basis adds no modulus")
+    extension = [target.moduli[i] for i in new]
     with kernels.limb_passes(poly.basis.degree):
-        coeff = poly.to_coeff()
-        new_rows = _new_limb_rows(coeff.limbs, poly.basis, extension)
-        new_rows = poly.basis.transform(new_rows, moduli=extension)
-        merged = poly.basis.extended(extension)
-        rows = _stack(merged, poly.limbs, new_rows)
-    return RnsPolynomial._wrap(merged, rows, Representation.EVAL)
+        # One expression, so the conversion's rows are freed with the NTT.
+        new_rows = poly.basis.transform(
+            _new_limb_rows(poly.to_coeff().limbs, poly.basis, extension),
+            moduli=extension,
+        )
+        rows = np.empty((len(target), target.degree), dtype=target.dtype)
+        rows[new] = new_rows
+        rows[own] = poly.limbs
+    return RnsPolynomial._wrap(target, rows, Representation.EVAL)
 
 
 def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
@@ -141,9 +156,11 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
         )
 
         # Line 3: slot-wise conversion of the dropped part into every kept
-        # limb.
-        hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
-        hat_evals = target_basis.transform(hats)
+        # limb (one expression, so the conversion's rows are freed with
+        # the NTT).
+        hat_evals = target_basis.transform(
+            _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
+        )
 
         # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
         p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
@@ -183,9 +200,7 @@ def p_mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
     p_product = 1
     for p in extension:
         p_product *= p
-    scaled = poly.scalar_mul(p_product)
     merged = poly.basis.extended(extension)
-    zeros = np.zeros((len(extension), poly.basis.degree), dtype=merged.dtype)
-    return RnsPolynomial._wrap(
-        merged, _stack(merged, scaled.limbs, zeros), poly.representation
-    )
+    rows = np.zeros((len(merged), merged.degree), dtype=merged.dtype)
+    rows[: poly.num_limbs] = poly.scalar_mul(p_product).limbs
+    return RnsPolynomial._wrap(merged, rows, poly.representation)

@@ -583,6 +583,25 @@ class ProductSum:
         x._check_product(y)
         self._mac.add(x.limbs, y.limbs)
 
+    def add_rows(self, x: RnsPolynomial, *rows: np.ndarray) -> None:
+        """Add ``x * y`` for the evaluation-form ``y`` whose rows are ``rows``.
+
+        ``rows`` are blocks of canonical residues (int64, 4-byte words or
+        the basis' ``object`` dtype) that stack to ``x``'s shape, such as
+        a switching-key digit's live rows, two ranges of its store.  The
+        lazy sum reads them in place; the reference stacks them into
+        ``y`` first.
+        """
+        if x.basis != self.basis:
+            raise ValueError("operands live over different bases")
+        if self._mac is None:
+            y = np.concatenate(rows).astype(self.basis.dtype, copy=False)
+            self.add(x, RnsPolynomial._wrap(self.basis, y, Representation.EVAL))
+            return
+        if x.representation is not Representation.EVAL:
+            raise ValueError("ring multiplication requires evaluation form")
+        self._mac.add(x.limbs, *rows)
+
     def result(self) -> RnsPolynomial:
         """The canonical sum, zero after no terms.
 

@@ -589,6 +589,11 @@ class TestInnerProductDifferential:
         with nullcontext() if fast else kernels.oracle_only():
             with pytest.raises(ValueError, match="digits but key has"):
                 evaluator.ksk_inner_product(digits + digits[:1], key, limbs)
+            # A short list or stream is not a partial product.
+            assert count == 2
+            for short in (digits[:1], iter(digits[:1]), []):
+                with pytest.raises(ValueError, match="[01] digits but key has 2"):
+                    evaluator.ksk_inner_product(short, key, limbs)
             lower = _uniform_digits(ctx, limbs - 1, 1, seed=9)
             with pytest.raises(ValueError, match="different bases"):
                 evaluator.ksk_inner_product(digits[:1] + lower, key, limbs)

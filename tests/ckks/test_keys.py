@@ -37,6 +37,37 @@ class TestSecretKey:
         basis = ctx.basis_at(3)
         assert keygen.secret_key.poly(basis) is keygen.secret_key.poly(basis)
 
+    def test_prefix_basis_shares_the_held_form(self, ctx):
+        secret = SecretKey(ctx, KeyGenerator(ctx).secret_key.coeffs)
+        low = ctx.basis_at(3)
+        built = secret.poly(low)
+        raised = secret.poly(ctx.raised_basis(ctx.max_limbs))
+        # The wider form replaces the held one; a lower level is a view.
+        for basis in (low, ctx.basis_at(1), ctx.basis_at(ctx.max_limbs)):
+            served = secret.poly(basis)
+            assert np.shares_memory(served.limbs, raised.limbs)
+            assert not served.limbs.flags.writeable
+            assert served is secret.poly(basis)
+        assert secret.poly(low) == built
+
+    def test_never_builds_a_wider_form_than_asked(self, ctx, monkeypatch):
+        secret = SecretKey(ctx, KeyGenerator(ctx).secret_key.coeffs)
+        built = []
+        lift = RnsPolynomial.from_int_coeffs
+
+        def spy(coeffs, basis):
+            built.append(len(basis))
+            return lift(coeffs, basis)
+
+        monkeypatch.setattr(RnsPolynomial, "from_int_coeffs", spy)
+        for limbs in (3, 2, 3, 5, 1):
+            poly = secret.poly(ctx.basis_at(limbs))
+            assert poly.basis == ctx.basis_at(limbs)
+        assert built == [3, 5]
+        # A raised basis extends no ciphertext basis' form: it is built.
+        secret.poly(ctx.raised_basis(2))
+        assert built == [3, 5, len(ctx.raised_basis(2))]
+
 
 def _relin_key(context, compress):
     kg = KeyGenerator(context, compress_keys=compress)

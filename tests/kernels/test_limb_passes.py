@@ -86,7 +86,9 @@ ENTRIES = {
     "crt": (polynomial, "_crt_two_limb", lambda s: s.x.to_int_coeffs()),
     "mul": (kernels, "mul_mod", lambda s: s.x * s.y),
     "mod_up": (
-        kernels, "new_limbs_matrix", lambda s: mod_up(s.x, s.ctx.special_moduli)
+        kernels,
+        "new_limbs_matrix",
+        lambda s: mod_up(s.x, s.x.basis.extended(s.ctx.special_moduli)),
     ),
     "mod_down": (kernels, "sub_scale_mod", lambda s: mod_down(s.z, 1)),
     "inner_product": (

@@ -1,9 +1,11 @@
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.numth import find_ntt_primes
 from repro.ring import (
     Representation,
@@ -63,20 +65,20 @@ class TestModUp:
         rng = random.Random(1)
         coeffs = [rng.randrange(-500, 500) for _ in range(16)]
         poly = _poly_from(coeffs, basis).to_eval()
-        raised = mod_up(poly, extension)
+        raised = mod_up(poly, basis.extended(extension))
         assert np.array_equal(raised.limbs[: len(basis)], poly.limbs)
         assert raised.basis.moduli == basis.moduli + tuple(extension)
 
     def test_output_in_eval_form(self, basis, extension):
         poly = RnsPolynomial.zero(basis)
-        raised = mod_up(poly, extension)
+        raised = mod_up(poly, basis.extended(extension))
         assert raised.representation is Representation.EVAL
 
     def test_new_limbs_congruent(self, basis, extension):
         rng = random.Random(2)
         coeffs = [rng.randrange(basis.modulus) for _ in range(16)]
         poly = _poly_from(coeffs, basis).to_eval()
-        raised = mod_up(poly, extension).to_coeff()
+        raised = mod_up(poly, basis.extended(extension)).to_coeff()
         big_q = basis.modulus
         for limb_idx, p in enumerate(extension):
             row = raised.limbs[len(basis) + limb_idx]
@@ -87,12 +89,37 @@ class TestModUp:
 
     def test_requires_eval_form(self, basis, extension):
         poly = RnsPolynomial.zero(basis, Representation.COEFF)
-        with pytest.raises(ValueError):
-            mod_up(poly, extension)
+        with pytest.raises(ValueError, match="evaluation representation"):
+            mod_up(poly, basis.extended(extension))
 
     def test_requires_nonempty_extension(self, basis):
-        with pytest.raises(ValueError):
-            mod_up(RnsPolynomial.zero(basis), [])
+        with pytest.raises(ValueError, match="adds no modulus"):
+            mod_up(RnsPolynomial.zero(basis), basis)
+
+    def test_requires_every_source_modulus(self, basis, extension):
+        poly = RnsPolynomial.zero(basis)
+        with pytest.raises(ValueError, match="every modulus"):
+            mod_up(poly, RnsBasis(16, basis.moduli[1:] + tuple(extension)))
+
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "oracle"])
+    def test_writes_the_target_row_order(self, basis, extension, kernels_on):
+        # A key-switch digit's moduli sit inside the raised basis: its own
+        # rows land there, and every row equals the appended raise's row
+        # of the same modulus.
+        rng = random.Random(4)
+        coeffs = [rng.randrange(basis.modulus) for _ in range(16)]
+        digit_basis = RnsBasis(16, basis.moduli[1:2])
+        poly = _poly_from(coeffs, digit_basis).to_eval()
+        others = (basis.moduli[0], basis.moduli[2]) + tuple(extension)
+        target = RnsBasis(16, basis.moduli + tuple(extension))
+        with nullcontext() if kernels_on else kernels.oracle_only():
+            raised = mod_up(poly, target)
+            appended = mod_up(poly, digit_basis.extended(others))
+        assert raised.basis == target
+        assert np.array_equal(raised.limbs[1], poly.limbs[0])
+        row_of = {q: i for i, q in enumerate(appended.basis.moduli)}
+        for q, row in zip(target.moduli, raised.limbs):
+            assert np.array_equal(row, appended.limbs[row_of[q]])
 
 
 class TestModDown:
